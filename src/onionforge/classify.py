@@ -11,16 +11,13 @@ from __future__ import annotations
 
 import enum
 import json
-import logging
 import math
 import re
 from dataclasses import dataclass, field
 from importlib import resources
 
-from .corpus import Corpus, OnionDomain, PageRecord, SiteProfile
+from .corpus import Corpus, OnionDomain, PageRecord
 from .pagetext import page_text
-
-log = logging.getLogger("onionforge.classify")
 
 TOKEN_RE = re.compile(r"[a-z0-9]+")
 MIN_TOKEN_LEN = 3
@@ -116,19 +113,6 @@ def tokenize(text: str, stopwords: set[str]) -> list[str]:
             continue
         out.append(token)
     return out
-
-
-def preprocess(page: PageRecord, stopwords: set[str]) -> list[str]:
-    """Tag-strip a page and reduce it to a filtered token sequence."""
-    return tokenize(page_text(page.html), stopwords)
-
-
-def probably_english(text: str) -> bool:
-    """Cheap language gate: pages are classified as-is either way."""
-    if not text:
-        return True
-    non_ascii = sum(1 for c in text if ord(c) > 127)
-    return non_ascii / len(text) < 0.3
 
 
 def term_vector(tokens: list[str]) -> TermVector:
@@ -233,19 +217,8 @@ def _best_category(scores: dict[Category, float], threshold: float) -> tuple[Cat
     return Category.OTHER, best_score
 
 
-def classify_by_similarity(site: SiteProfile, gt: GroundTruth,
-                           threshold: float = DEFAULT_THRESHOLD,
-                           stopwords: set[str] | None = None) -> Category:
-    """Phase-2 rule: max page-pair cosine against each category's ground truth."""
-    stopwords = load_stopwords() if stopwords is None else stopwords
-    site_vectors = [term_vector(preprocess(p, stopwords)) for p in site.pages]
-    gt_vectors = {cat: [term_vector(preprocess(p, stopwords)) for p in pages]
-                  for cat, pages in gt.pages_by_category().items() if cat is not Category.OTHER}
-    label, _ = _similarity_label(site_vectors, gt_vectors, threshold)
-    return label
-
-
 def _similarity_label(site_vectors, gt_vectors, threshold):
+    """Phase-2 rule: max page-pair cosine against each category's ground truth."""
     scores = {}
     for cat, vectors in gt_vectors.items():
         best = 0.0
@@ -279,7 +252,7 @@ def build_feature_set(gt: GroundTruth, stopwords: set[str] | None = None) -> Fea
     for page, cat in gt.rows:
         if cat is Category.OTHER:
             continue
-        docs[cat].extend(preprocess(page, stopwords))
+        docs[cat].extend(tokenize(page_text(page.html), stopwords))
     empty = [cat.label for cat in CATEGORIES if not docs[cat]]
     if empty:
         raise ClassifyConfigError("ground truth lacks content for: " + ", ".join(empty))
@@ -302,18 +275,8 @@ def build_feature_set(gt: GroundTruth, stopwords: set[str] | None = None) -> Fea
                       top_keywords=top)
 
 
-def tfidf_classify(site: SiteProfile, fs: FeatureSet,
-                   threshold: float = DEFAULT_THRESHOLD,
-                   stopwords: set[str] | None = None) -> Category:
-    """Phase-3 rule: cosine in feature-set space, same threshold and ties."""
-    stopwords = load_stopwords() if stopwords is None else stopwords
-    tokens = []
-    for page in site.pages:
-        tokens.extend(preprocess(page, stopwords))
-    return _tfidf_label(term_vector(tokens), fs, threshold)[0]
-
-
 def _tfidf_label(site_counts: TermVector, fs: FeatureSet, threshold):
+    """Phase-3 rule: cosine in feature-set space, same threshold and ties."""
     keep = set(fs.keywords)
     site_vec = {t: c * fs.idf[t] for t, c in site_counts.items() if t in keep}
     if not site_vec:
@@ -349,11 +312,7 @@ def classify_corpus(corpus: Corpus, gt: GroundTruth,
         for p in pages:
             key = id(p)
             if key not in token_cache:
-                text = page_text(p.html)
-                if not probably_english(text):
-                    log.warning("page %s%s looks non-English; classifying as-is",
-                                p.domain, p.path)
-                token_cache[key] = tokenize(text, stopwords)
+                token_cache[key] = tokenize(page_text(p.html), stopwords)
             out.append(term_vector(token_cache[key]))
         return out
 

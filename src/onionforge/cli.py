@@ -1,4 +1,8 @@
-"""Command-line entry points for each pipeline stage plus the full run.
+"""Command-line entry points: one subcommand per pipeline stage plus the full run.
+
+`onionforge <stage> --config FILE` runs the pipeline up to and including
+that stage; earlier stages whose inputs are unchanged are skipped, exactly
+as in `onionforge run --config FILE`.
 
 Exit codes: 0 success, 2 configuration error, 3 stage failure.
 """
@@ -6,13 +10,10 @@ Exit codes: 0 success, 2 configuration error, 3 stage failure.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
-from pathlib import Path
 
-from . import chain, classify, cluster, report, trace
-from .corpus import ingest_snapshot, write_corpus_jsonl
+from . import report
 
 log = logging.getLogger("onionforge")
 
@@ -21,183 +22,18 @@ EXIT_CONFIG = 2
 EXIT_STAGE = 3
 
 
-def _cmd_ingest(args):
-    corpus = ingest_snapshot(args.root)
-    write_corpus_jsonl(corpus, args.out)
-    log.info("ingested %d pages from %d domains (%d entries skipped)",
-             len(corpus), len(corpus.index), len(corpus.skipped))
-
-
-def _cmd_extract(args):
-    report.extract_addresses(args.corpus, args.out, args.tlds)
-
-
-def _cmd_classify(args):
-    report.classify_labels(args.corpus, args.ground_truth, args.out,
-                           args.threshold, args.stopwords)
-
-
-def _cmd_filter(args):
-    report.filter_addresses(args.labels, args.addresses, args.out,
-                            annotations_path=args.annotations)
-
-
-def _cmd_fetch_tx(args):
-    addresses = _addresses_from_file(args.addresses)
-    if args.provider == "http":
-        provider = chain.HttpExplorer(args.base_url, rate_limit=args.rate_limit)
-    else:
-        provider = chain.FixtureExplorer(args.fixtures or ".")
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    ledgers, failures = chain.fetch_all(addresses, provider)
-    index_rows = []
-    for address in sorted(ledgers):
-        ledger = ledgers[address]
-        with open(out / (address + ".json"), "w") as fh:
-            json.dump([chain.transaction_to_dict(t) for t in ledger.transactions],
-                      fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        index_rows.append({"v": 1, "address": address,
-                           "transactions": len(ledger.transactions),
-                           "received": ledger.received, "sent": ledger.sent,
-                           "balance": ledger.balance,
-                           "active_days": chain.active_period(ledger)})
-    for address in sorted(failures):
-        index_rows.append({"v": 1, "address": address, "error": failures[address]})
-    with open(out / "_index.jsonl", "w") as fh:
-        for row in index_rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
-    log.info("fetched %d ledgers, %d failures", len(ledgers), len(failures))
-
-
-def _cmd_trace(args):
-    addresses = _addresses_from_file(args.addresses)
-    domains = (trace.load_explorer_domains_from(args.explorer_domains)
-               if args.explorer_domains else trace.load_explorer_domains())
-    if args.provider == "http":
-        provider = trace.HttpSearch(args.base_url, rate_limit=args.rate_limit)
-    else:
-        provider = trace.FixtureSearch(args.fixtures or ".")
-    hits, failures = trace.search_all(addresses, provider, domains)
-    facts = []
-    if args.annotations:
-        hits, facts, _ = trace.import_annotations(args.annotations, hits)
-    trace.write_hits_jsonl(hits, failures, args.out)
-    if args.surface_out:
-        trace.write_surface_jsonl(trace.surface_links(hits, facts), args.surface_out)
-
-
-def _cmd_cluster(args):
-    labels = classify.read_labels_jsonl(args.labels)
-    illicit = chain.read_illicit_jsonl(args.illicit)
-    ledgers = report.read_ledgers(args.ledgers)
-    links = trace.read_surface_jsonl(args.surface) if args.surface else []
-    site_emails: dict[str, set[str]] = {}
-    if args.emails:
-        for row in report.read_address_rows(args.emails):
-            if row.get("kind") == "email" and row.get("valid"):
-                site_emails.setdefault(row["domain"], set()).add(row["value"])
-    result = cluster.run_clustering(labels, illicit, ledgers, site_emails, links,
-                                    args.public_threshold, args.vanity_prefix)
-    cluster.write_campaigns_json(result.campaigns, result.exclusions, args.out)
-    if args.trace:
-        cluster.write_trace_json(result.trace, args.trace)
-    log.info("%d campaigns", len(result.campaigns))
-
-
-def _cmd_run(args):
-    cfg = report.parse_config(args.config)
-    run = report.run_pipeline(cfg)
-    log.info("run %s complete; executed %s, skipped %s",
-             run.run_id, run.executed or "nothing", run.skipped or "nothing")
-
-
-def _addresses_from_file(path) -> list[str]:
-    """Accept illicit.jsonl ({address}) or extract output ({kind, value, valid})."""
-    addresses = []
-    with open(path) as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            if "address" in row:
-                addresses.append(row["address"])
-            elif row.get("kind") == "btc" and row.get("valid"):
-                addresses.append(row["value"])
-    return sorted(set(addresses))
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="onionforge",
                                      description="Onion-snapshot forensics pipeline")
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("ingest", help="load a snapshot tree into corpus.jsonl")
-    p.add_argument("--root", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_ingest)
-
-    p = sub.add_parser("extract", help="extract and validate addresses/emails")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--tlds")
-    p.set_defaults(func=_cmd_extract)
-
-    p = sub.add_parser("classify", help="three-phase illicit-site classification")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--ground-truth", required=True)
-    p.add_argument("--threshold", type=float, default=classify.DEFAULT_THRESHOLD)
-    p.add_argument("--out", required=True)
-    p.add_argument("--stopwords")
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("filter", help="retain owner-linked addresses")
-    p.add_argument("--labels", required=True)
-    p.add_argument("--addresses", required=True)
-    p.add_argument("--annotations")
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_filter)
-
-    p = sub.add_parser("fetch-tx", help="fetch transaction ledgers")
-    p.add_argument("--addresses", required=True)
-    p.add_argument("--provider", choices=("fixtures", "http"), default="fixtures")
-    p.add_argument("--fixtures")
-    p.add_argument("--base-url")
-    p.add_argument("--rate-limit", type=float)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_fetch_tx)
-
-    p = sub.add_parser("trace", help="search addresses on the surface web")
-    p.add_argument("--addresses", required=True)
-    p.add_argument("--provider", choices=("fixtures", "http"), default="fixtures")
-    p.add_argument("--fixtures")
-    p.add_argument("--base-url")
-    p.add_argument("--rate-limit", type=float)
-    p.add_argument("--annotations")
-    p.add_argument("--explorer-domains")
-    p.add_argument("--out", required=True)
-    p.add_argument("--surface-out")
-    p.set_defaults(func=_cmd_trace)
-
-    p = sub.add_parser("cluster", help="five-phase campaign clustering")
-    p.add_argument("--labels", required=True)
-    p.add_argument("--illicit", required=True)
-    p.add_argument("--ledgers", required=True)
-    p.add_argument("--emails")
-    p.add_argument("--surface")
-    p.add_argument("--public-threshold", type=int,
-                   default=cluster.DEFAULT_PUBLIC_THRESHOLD)
-    p.add_argument("--vanity-prefix", type=int, default=cluster.DEFAULT_VANITY_PREFIX)
-    p.add_argument("--out", required=True)
-    p.add_argument("--trace")
-    p.set_defaults(func=_cmd_cluster)
-
-    p = sub.add_parser("run", help="run the full staged pipeline")
-    p.add_argument("--config", required=True)
-    p.set_defaults(func=_cmd_run)
-
+    # a stage command runs the pipeline up to that stage
+    commands = [(s.name, s.fn.__doc__, s.name) for s in report.STAGE_DECLS.values()]
+    commands.append(("run", "Run the full staged pipeline.", None))
+    for name, help_text, until in commands:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--config", required=True)
+        p.set_defaults(until=until)
     return parser
 
 
@@ -206,17 +42,15 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
-        args.func(args)
+        run = report.run_pipeline(report.parse_config(args.config), args.until)
     except report.ConfigError as exc:
         log.error("config error: %s", exc)
         return EXIT_CONFIG
     except report.StageError as exc:
         log.error("%s", exc)
         return EXIT_STAGE
-    except (classify.ClassifyConfigError, chain.ChainError, trace.TraceError,
-            OSError, ValueError) as exc:
-        log.error("%s", exc)
-        return EXIT_STAGE
+    log.info("run %s complete; executed %s, skipped %s",
+             run.run_id, run.executed or "nothing", run.skipped or "nothing")
     return EXIT_OK
 
 

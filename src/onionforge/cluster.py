@@ -362,15 +362,14 @@ def snapshot(partition: UnionFind, phase: str) -> PhaseSnapshot:
                          emails=emails, ips=ips)
 
 
-def campaign_stats(partition: UnionFind, ledgers: dict[str, AddressLedger],
-                   labels: dict[str, Category],
-                   illicit: IllicitAddressSet) -> tuple[list[Campaign], dict]:
+def campaign_stats(partition: UnionFind, labels: dict[str, Category],
+                   received: dict[str, int]) -> tuple[list[Campaign], dict]:
     """Campaigns = clustered components holding at least one address.
 
-    Returns the campaigns sorted by received (desc) plus exclusion counters
-    (clusters dropped for having no blockchain address).
+    `received` maps each address to its income in satoshis. Returns the
+    campaigns sorted by received (desc) plus exclusion counters (clusters
+    dropped for having no blockchain address).
     """
-    income = chain.estimate_income(illicit, ledgers)
     raw = []
     excluded_no_btc = 0
     for members in partition.components().values():
@@ -392,7 +391,7 @@ def campaign_stats(partition: UnionFind, ledgers: dict[str, AddressLedger],
             ips=sorted(node_value(n) for n in members if node_kind(n) == IP),
             urls=sorted(node_value(n) for n in members if node_kind(n) == URL),
             categories=cats,
-            received=sum(income.per_address.get(a, 0) for a in addrs),
+            received=sum(received.get(a, 0) for a in addrs),
         ))
     raw.sort(key=lambda c: (-c.received, -len(c.sites), c.sites[0] if c.sites else ""))
     for i, campaign in enumerate(raw, 1):
@@ -410,6 +409,7 @@ class ClusterResult:
     graph: EntityGraph
     vanity: list[tuple[str, list[str]]]
     exclusions: dict
+    income: chain.IncomeReport
 
 
 def run_clustering(labels: dict[str, Category], illicit: IllicitAddressSet,
@@ -439,14 +439,16 @@ def run_clustering(labels: dict[str, Category], illicit: IllicitAddressSet,
                    excluded_out=public_facts)
     trace.append(snapshot(partition, "identity"))
 
-    campaigns, exclusions = campaign_stats(partition, ledgers, labels, illicit)
+    income = chain.estimate_income(illicit, ledgers)
+    campaigns, exclusions = campaign_stats(partition, labels, income.per_address)
     if public_facts:
         exclusions["public_identity_facts"] = [
             {"kind": k, "value": v, "url": u} for k, v, u in public_facts]
     vanity = vanity_groups([s for s in labels
                             if labels[s] is not Category.OTHER], vanity_prefix)
     return ClusterResult(campaigns=campaigns, trace=trace, partition=partition,
-                         graph=graph, vanity=vanity, exclusions=exclusions)
+                         graph=graph, vanity=vanity, exclusions=exclusions,
+                         income=income)
 
 
 def write_campaigns_json(campaigns: list[Campaign], exclusions: dict, out_path):

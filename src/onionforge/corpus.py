@@ -1,12 +1,12 @@
-"""Offline snapshot corpus: onion domains, pages, and frontier replay.
+"""Offline snapshot corpus: onion domains, pages, and the corpus.jsonl format.
 
 A snapshot tree looks like
 
     <root>/<onion-domain>/<percent-encoded-path-or-"index">.html
     <root>/manifest.jsonl        (optional: {domain, path, fetched_at})
 
-The pipeline never touches the live Tor network; a FetchAdapter can be
-slotted in where a live fetcher is wanted.
+The pipeline never touches the live Tor network: pages come only from a
+snapshot tree.
 """
 
 from __future__ import annotations
@@ -18,20 +18,11 @@ import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import TYPE_CHECKING
-from urllib.parse import quote, unquote
-
-from .pagetext import link_targets
-
-if TYPE_CHECKING:
-    from .classify import Category
+from urllib.parse import unquote
 
 log = logging.getLogger("onionforge.corpus")
 
 ONION_NAME_RE = re.compile(r"^([a-z2-7]{16}|[a-z2-7]{56})\.onion$")
-# matches v2/v3 onion names inside arbitrary text, e.g. hrefs
-ONION_LINK_RE = re.compile(r"(?<![a-z2-7])([a-z2-7]{16}|[a-z2-7]{56})\.onion(?![a-z0-9])",
-                           re.IGNORECASE)
 
 
 class CorpusError(Exception):
@@ -94,70 +85,12 @@ class Corpus:
         return len(self.pages)
 
 
-@dataclass
-class SiteProfile:
-    """Per-domain aggregate filled in as pipeline stages run."""
-
-    domain: OnionDomain
-    pages: list[PageRecord] = field(default_factory=list)
-    category: Category | None = None
-    btc_addresses: list[str] = field(default_factory=list)
-    emails: list[str] = field(default_factory=list)
-
-
-class Frontier:
-    """Ordered BFS queue of onion domains with a visited set."""
-
-    def __init__(self):
-        self._queue: list[OnionDomain] = []
-        self._queued: set[OnionDomain] = set()
-        self.visited: set[OnionDomain] = set()
-
-    def push(self, domain: OnionDomain):
-        if domain not in self._queued and domain not in self.visited:
-            self._queue.append(domain)
-            self._queued.add(domain)
-
-    def pop(self) -> OnionDomain:
-        domain = self._queue.pop(0)
-        self._queued.discard(domain)
-        self.visited.add(domain)
-        return domain
-
-    def __bool__(self):
-        return bool(self._queue)
-
-
-class FetchAdapter:
-    """Interface for page retrieval; the offline pipeline uses CorpusFetch."""
-
-    def get(self, domain: OnionDomain, path: str) -> bytes:
-        raise NotImplementedError
-
-
-class CorpusFetch(FetchAdapter):
-    def __init__(self, corpus: Corpus):
-        self.corpus = corpus
-
-    def get(self, domain: OnionDomain, path: str) -> bytes:
-        for page in self.corpus.pages_for(domain):
-            if page.path == path:
-                return page.html
-        raise KeyError((domain, path))
-
-
 def _path_from_filename(name: str) -> str:
     stem = name[:-len(".html")]
     if stem == "index":
         return "/"
     # strict decoding so undecodable names are reported instead of mangled
     return unquote(stem, errors="strict")
-
-
-def _filename_from_path(path: str) -> str:
-    if path == "/":
-        return "index.html"
-    return quote(path, safe="") + ".html"
 
 
 def _parse_rfc3339(value: str) -> datetime:
@@ -228,54 +161,6 @@ def ingest_snapshot(root) -> Corpus:
     return corpus
 
 
-def export_snapshot(corpus: Corpus, root):
-    """Write a Corpus back out as a snapshot tree (inverse of ingest_snapshot)."""
-    root = Path(root)
-    root.mkdir(parents=True, exist_ok=True)
-    manifest_lines = []
-    for page in sorted(corpus.pages, key=lambda p: (p.domain.name, p.path)):
-        site_dir = root / page.domain.name
-        site_dir.mkdir(exist_ok=True)
-        (site_dir / _filename_from_path(page.path)).write_bytes(page.html)
-        manifest_lines.append(json.dumps(
-            {"domain": page.domain.name, "path": page.path,
-             "fetched_at": page.fetched_at.isoformat().replace("+00:00", "Z")},
-            sort_keys=True))
-    (root / "manifest.jsonl").write_text("\n".join(manifest_lines) + "\n")
-
-
-def extract_onion_links(page: PageRecord) -> set[OnionDomain]:
-    """Syntactically valid onion domains in href/src attributes and visible text."""
-    found = set()
-    for target in link_targets(page.html):
-        for match in ONION_LINK_RE.finditer(target):
-            found.add(OnionDomain(match.group(0)))
-    return found
-
-
-def frontier_crawl(seeds: set[OnionDomain], corpus: Corpus) -> set[OnionDomain]:
-    """Replay link discovery over the snapshot until no new domains appear.
-
-    BFS in insertion order, ties broken lexicographically; domains without
-    pages in the corpus are reachable but contribute no further links.
-    """
-    if not seeds:
-        raise ValueError("seeds must be non-empty")
-    frontier = Frontier()
-    for seed in sorted(seeds):
-        frontier.push(seed)
-    reached = set(seeds)
-    while frontier:
-        domain = frontier.pop()
-        linked = set()
-        for page in corpus.pages_for(domain):
-            linked |= extract_onion_links(page)
-        for nxt in sorted(linked):
-            reached.add(nxt)
-            frontier.push(nxt)
-    return reached
-
-
 # --- corpus.jsonl inter-stage format ---
 
 def write_corpus_jsonl(corpus: Corpus, out_path):
@@ -305,6 +190,3 @@ def read_corpus_jsonl(path) -> Corpus:
             ), replace=True)
     return corpus
 
-
-def site_profiles(corpus: Corpus) -> dict[OnionDomain, SiteProfile]:
-    return {d: SiteProfile(domain=d, pages=corpus.pages_for(d)) for d in corpus.domains()}

@@ -2,7 +2,7 @@
 
 Gives downstream scanners two views of a page: the visible text with
 script/style bodies dropped, and the attribute values (payment addresses
-and onion links frequently hide in href/src/value attributes).
+frequently hide in href/src/value attributes).
 """
 
 from html.parser import HTMLParser
@@ -69,10 +69,3 @@ def page_text_and_attrs(html: bytes) -> str:
     pieces = parser.chunks + [v for _, v in parser.attrs]
     return " ".join(" ".join(pieces).split())
 
-
-def link_targets(html: bytes) -> list[str]:
-    """href/src attribute values plus the visible text, for link discovery."""
-    parser = _collect(html)
-    targets = [v for n, v in parser.attrs if n in ("href", "src")]
-    targets.append(" ".join(parser.chunks))
-    return targets

@@ -14,6 +14,7 @@ import json
 import logging
 import time
 from collections import namedtuple
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 from xml.sax.saxutils import escape, quoteattr
@@ -96,6 +97,12 @@ class PipelineConfig:
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
+
+
+# config keys that name a file or directory whose contents a stage reads
+PATH_KEYS = frozenset({"corpus_root", "ground_truth", "tx_fixtures", "search_fixtures",
+                       "chain_annotations", "trace_annotations", "stopwords", "tlds",
+                       "explorer_domains"})
 
 
 def parse_config(path) -> PipelineConfig:
@@ -181,11 +188,55 @@ class PipelineRun:
 
 # --- the stages ---
 
-def extract_addresses(corpus_path, out_path, tlds_path=None):
-    """Scan every page for BTC/ETH candidates and emails; write addresses.jsonl."""
-    corpus = read_corpus_jsonl(corpus_path)
-    tlds = extract.load_tlds_from(tlds_path) if tlds_path else extract.load_tlds()
-    with open(out_path, "w") as fh:
+@dataclass(frozen=True)
+class Stage:
+    """One pipeline stage, declared once; `run_pipeline` and the CLI use it.
+
+    `reads` and `writes` are artifact names under out_dir. The stage's
+    digest covers its `config_keys` values, the artifacts it reads, and the
+    contents of every file or directory that one of its config keys names.
+    """
+
+    name: str
+    fn: Callable[[PipelineConfig, Path], None]
+    reads: tuple[str, ...]
+    writes: tuple[str, ...]
+    config_keys: tuple[str, ...]
+
+    def inputs(self, cfg: PipelineConfig, out: Path) -> list:
+        paths = [out / name for name in self.reads]
+        return paths + [getattr(cfg, k) for k in self.config_keys
+                        if k in PATH_KEYS and getattr(cfg, k)]
+
+
+STAGE_DECLS: dict[str, Stage] = {}
+
+
+def stage(name: str, reads=(), writes=(), config_keys=()):
+    """Declare the decorated function as the next stage of the pipeline."""
+    def declare(fn):
+        STAGE_DECLS[name] = Stage(name, fn, tuple(reads), tuple(writes),
+                                  tuple(config_keys))
+        return fn
+    return declare
+
+
+@stage("ingest", writes=["corpus.jsonl"], config_keys=["corpus_root"])
+def stage_ingest(cfg: PipelineConfig, out: Path):
+    """Load the snapshot tree into corpus.jsonl."""
+    corpus = ingest_snapshot(cfg.corpus_root)
+    write_corpus_jsonl(corpus, out / "corpus.jsonl")
+    log.info("ingested %d pages from %d domains (%d entries skipped)",
+             len(corpus), len(corpus.index), len(corpus.skipped))
+
+
+@stage("extract", reads=["corpus.jsonl"], writes=["addresses.jsonl"],
+       config_keys=["tlds"])
+def stage_extract(cfg: PipelineConfig, out: Path):
+    """Extract and validate BTC/ETH addresses and emails from every page."""
+    corpus = read_corpus_jsonl(out / "corpus.jsonl")
+    tlds = extract.load_tlds_from(cfg.tlds) if cfg.tlds else extract.load_tlds()
+    with open(out / "addresses.jsonl", "w") as fh:
         for page in sorted(corpus.pages, key=lambda p: (p.domain.name, p.path)):
             source = (page.domain.name, page.path)
             scanned = extract.scan_page(page.html, source, tlds)
@@ -204,14 +255,16 @@ def extract_addresses(corpus_path, out_path, tlds_path=None):
                                     sort_keys=True) + "\n")
 
 
-def classify_labels(corpus_path, gt_path, out_path, threshold=classify.DEFAULT_THRESHOLD,
-                    stopwords_path=None):
-    corpus = read_corpus_jsonl(corpus_path)
-    stopwords = (classify.load_stopwords_from(stopwords_path) if stopwords_path
+@stage("classify", reads=["corpus.jsonl"], writes=["labels.jsonl"],
+       config_keys=["ground_truth", "threshold", "stopwords"])
+def stage_classify(cfg: PipelineConfig, out: Path):
+    """Label every site with the three-phase illicit-site classifier."""
+    corpus = read_corpus_jsonl(out / "corpus.jsonl")
+    stopwords = (classify.load_stopwords_from(cfg.stopwords) if cfg.stopwords
                  else classify.load_stopwords())
-    gt = classify.load_ground_truth(gt_path, corpus)
-    results = classify.classify_corpus(corpus, gt, threshold, stopwords)
-    classify.write_labels_jsonl(results, out_path)
+    gt = classify.load_ground_truth(cfg.ground_truth, corpus)
+    results = classify.classify_corpus(corpus, gt, cfg.threshold, stopwords)
+    classify.write_labels_jsonl(results, out / "labels.jsonl")
 
 
 def read_address_rows(path) -> list[dict]:
@@ -223,12 +276,15 @@ def read_address_rows(path) -> list[dict]:
     return rows
 
 
-def filter_addresses(labels_path, addresses_path, out_path, audit_path=None,
-                     annotations_path=None):
-    """Apply the owner-linkage criteria per labeled site; write illicit.jsonl."""
-    labels = classify.read_labels_jsonl(labels_path)
-    rows = read_address_rows(addresses_path)
-    annotations = chain.load_annotations(annotations_path) if annotations_path else {}
+@stage("filter", reads=["labels.jsonl", "addresses.jsonl"],
+       writes=["illicit.jsonl", "filter_audit.jsonl"],
+       config_keys=["chain_annotations"])
+def stage_filter(cfg: PipelineConfig, out: Path):
+    """Keep the owner-linked addresses of each illicit site."""
+    labels = classify.read_labels_jsonl(out / "labels.jsonl")
+    rows = read_address_rows(out / "addresses.jsonl")
+    annotations = (chain.load_annotations(cfg.chain_annotations)
+                   if cfg.chain_annotations else {})
     by_site: dict[str, list[str]] = {}
     for row in rows:
         if row["kind"] == "btc" and row["valid"]:
@@ -252,44 +308,24 @@ def filter_addresses(labels_path, addresses_path, out_path, audit_path=None,
         for address, reason in sorted(result.removed.items()):
             audit.append({"v": 1, "domain": domain, "address": address,
                           "action": "removed", "reason": reason})
-    chain.write_illicit_jsonl(illicit, out_path)
-    if audit_path is not None:
-        with open(audit_path, "w") as fh:
-            for row in audit:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
+    chain.write_illicit_jsonl(illicit, out / "illicit.jsonl")
+    with open(out / "filter_audit.jsonl", "w") as fh:
+        for row in audit:
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
-def stage_ingest(cfg: PipelineConfig, out: Path):
-    corpus = ingest_snapshot(cfg.corpus_root)
-    write_corpus_jsonl(corpus, out / "corpus.jsonl")
-
-
-def stage_extract(cfg: PipelineConfig, out: Path):
-    extract_addresses(out / "corpus.jsonl", out / "addresses.jsonl", cfg.tlds or None)
-
-
-def stage_classify(cfg: PipelineConfig, out: Path):
-    classify_labels(out / "corpus.jsonl", cfg.ground_truth, out / "labels.jsonl",
-                    cfg.threshold, cfg.stopwords or None)
-
-
-def stage_filter(cfg: PipelineConfig, out: Path):
-    filter_addresses(out / "labels.jsonl", out / "addresses.jsonl",
-                     out / "illicit.jsonl", out / "filter_audit.jsonl",
-                     cfg.chain_annotations or None)
-
-
-def _explorer_for(cfg: PipelineConfig) -> chain.ExplorerAdapter:
-    if cfg.provider == "http":
-        return chain.HttpExplorer(cfg.base_url, rate_limit=cfg.rate_limit or None)
-    return chain.FixtureExplorer(cfg.tx_fixtures or ".")
-
-
+@stage("fetch-tx", reads=["illicit.jsonl"], writes=["ledgers"],
+       config_keys=["provider", "base_url", "rate_limit", "tx_fixtures"])
 def stage_fetch_tx(cfg: PipelineConfig, out: Path):
+    """Fetch the transaction ledger of every illicit address."""
     illicit = chain.read_illicit_jsonl(out / "illicit.jsonl")
+    if cfg.provider == "http":
+        explorer = chain.HttpExplorer(cfg.base_url, rate_limit=cfg.rate_limit or None)
+    else:
+        explorer = chain.FixtureExplorer(cfg.tx_fixtures or ".")
     ledgers_dir = out / "ledgers"
     ledgers_dir.mkdir(exist_ok=True)
-    ledgers, failures = chain.fetch_all(illicit.addresses(), _explorer_for(cfg))
+    ledgers, failures = chain.fetch_all(illicit.addresses(), explorer)
     index_rows = []
     for address in sorted(ledgers):
         ledger = ledgers[address]
@@ -308,6 +344,7 @@ def stage_fetch_tx(cfg: PipelineConfig, out: Path):
     with open(ledgers_dir / "_index.jsonl", "w") as fh:
         for row in index_rows:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
+    log.info("fetched %d ledgers, %d failures", len(ledgers), len(failures))
 
 
 def read_ledgers(ledgers_dir) -> dict[str, chain.AddressLedger]:
@@ -319,7 +356,11 @@ def read_ledgers(ledgers_dir) -> dict[str, chain.AddressLedger]:
     return ledgers
 
 
+@stage("trace", reads=["illicit.jsonl"], writes=["hits.jsonl", "surface.jsonl"],
+       config_keys=["search_fixtures", "search_base_url", "trace_annotations",
+                    "explorer_domains", "rate_limit"])
 def stage_trace(cfg: PipelineConfig, out: Path):
+    """Search the surface web for every illicit address."""
     illicit = chain.read_illicit_jsonl(out / "illicit.jsonl")
     domains = (trace.load_explorer_domains_from(cfg.explorer_domains)
                if cfg.explorer_domains else trace.load_explorer_domains())
@@ -337,7 +378,13 @@ def stage_trace(cfg: PipelineConfig, out: Path):
     trace.write_surface_jsonl(trace.surface_links(hits, facts), out / "surface.jsonl")
 
 
+@stage("cluster",
+       reads=["labels.jsonl", "illicit.jsonl", "ledgers", "addresses.jsonl",
+              "surface.jsonl"],
+       writes=["campaigns.json", "phase_trace.json", "vanity.json", "entity_graph.json"],
+       config_keys=["public_threshold", "vanity_prefix"])
 def stage_cluster(cfg: PipelineConfig, out: Path):
+    """Merge sites, addresses and identity facts into campaigns in five phases."""
     labels = classify.read_labels_jsonl(out / "labels.jsonl")
     illicit = chain.read_illicit_jsonl(out / "illicit.jsonl")
     ledgers = read_ledgers(out / "ledgers")
@@ -349,8 +396,7 @@ def stage_cluster(cfg: PipelineConfig, out: Path):
 
     result = cluster.run_clustering(labels, illicit, ledgers, site_emails, links,
                                     cfg.public_threshold, cfg.vanity_prefix)
-    income = chain.estimate_income(illicit, ledgers)
-    for address, received in income.per_address.items():
+    for address, received in result.income.per_address.items():
         nid = cluster.node_id(cluster.BTC, address)
         if nid in result.graph.nodes:
             result.graph.nodes[nid]["received"] = received
@@ -380,6 +426,7 @@ def stage_cluster(cfg: PipelineConfig, out: Path):
                    "edges": sorted(result.graph.edges)},
                   fh, indent=2, sort_keys=True)
         fh.write("\n")
+    log.info("%d campaigns", len(result.campaigns))
 
 
 def read_entity_graph(path) -> cluster.EntityGraph:
@@ -401,74 +448,30 @@ def read_campaigns_json(path) -> list[cluster.Campaign]:
     ) for c in doc["campaigns"]]
 
 
+@stage("report",
+       reads=["corpus.jsonl", "labels.jsonl", "addresses.jsonl", "illicit.jsonl",
+              "ledgers", "campaigns.json", "phase_trace.json", "vanity.json",
+              "entity_graph.json"],
+       writes=["tables", "graph.graphml", "graph.dot", "summary.json"],
+       config_keys=["top_n", "min_received"])
 def stage_report(cfg: PipelineConfig, out: Path):
+    """Write the paper-style tables, the summary and the campaign graph."""
     emit_tables(out, top_n=cfg.top_n, min_received=cfg.min_received)
     campaigns = read_campaigns_json(out / "campaigns.json")
     graph = read_entity_graph(out / "entity_graph.json")
     export_graph(campaigns, graph, out / "graph.graphml", out / "graph.dot")
 
 
-STAGES = (
-    ("ingest", stage_ingest),
-    ("extract", stage_extract),
-    ("classify", stage_classify),
-    ("filter", stage_filter),
-    ("fetch-tx", stage_fetch_tx),
-    ("trace", stage_trace),
-    ("cluster", stage_cluster),
-    ("report", stage_report),
-)
-
-_STAGE_OUTPUTS = {
-    "ingest": ["corpus.jsonl"],
-    "extract": ["addresses.jsonl"],
-    "classify": ["labels.jsonl"],
-    "filter": ["illicit.jsonl", "filter_audit.jsonl"],
-    "fetch-tx": ["ledgers"],
-    "trace": ["hits.jsonl", "surface.jsonl"],
-    "cluster": ["campaigns.json", "phase_trace.json", "vanity.json", "entity_graph.json"],
-    "report": ["tables", "graph.graphml", "graph.dot", "summary.json"],
-}
+# (name, function) pairs in pipeline order; `run_pipeline` reads this at call
+# time, so a caller may wrap the functions
+STAGES = tuple((s.name, s.fn) for s in STAGE_DECLS.values())
 
 
-def _stage_inputs(name: str, cfg: PipelineConfig, out: Path) -> list:
-    external = {
-        "ingest": [cfg.corpus_root],
-        "extract": [out / "corpus.jsonl"] + ([cfg.tlds] if cfg.tlds else []),
-        "classify": [out / "corpus.jsonl", cfg.ground_truth]
-                    + ([cfg.stopwords] if cfg.stopwords else []),
-        "filter": [out / "labels.jsonl", out / "addresses.jsonl"]
-                  + ([cfg.chain_annotations] if cfg.chain_annotations else []),
-        "fetch-tx": [out / "illicit.jsonl"]
-                    + ([cfg.tx_fixtures] if cfg.tx_fixtures else []),
-        "trace": [out / "illicit.jsonl"]
-                 + ([cfg.search_fixtures] if cfg.search_fixtures else [])
-                 + ([cfg.trace_annotations] if cfg.trace_annotations else []),
-        "cluster": [out / "labels.jsonl", out / "illicit.jsonl", out / "ledgers",
-                    out / "addresses.jsonl", out / "surface.jsonl"],
-        "report": [out / "corpus.jsonl", out / "labels.jsonl", out / "addresses.jsonl",
-                   out / "illicit.jsonl", out / "ledgers", out / "campaigns.json",
-                   out / "phase_trace.json", out / "vanity.json",
-                   out / "entity_graph.json"],
-    }
-    return external[name]
+def run_pipeline(config: PipelineConfig, until: str | None = None) -> PipelineRun:
+    """Execute the stages in order, skipping any whose inputs are unchanged.
 
-
-_STAGE_CONFIG_KEYS = {
-    "ingest": ("corpus_root",),
-    "extract": ("tlds",),
-    "classify": ("ground_truth", "threshold", "stopwords"),
-    "filter": ("chain_annotations",),
-    "fetch-tx": ("provider", "base_url", "rate_limit", "tx_fixtures"),
-    "trace": ("search_fixtures", "search_base_url", "trace_annotations",
-              "explorer_domains", "rate_limit"),
-    "cluster": ("public_threshold", "vanity_prefix"),
-    "report": ("top_n", "min_received"),
-}
-
-
-def run_pipeline(config: PipelineConfig) -> PipelineRun:
-    """Execute all stages in order, skipping any whose inputs are unchanged."""
+    With `until` set to a stage name, stop after that stage.
+    """
     config.validate()
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -483,22 +486,25 @@ def run_pipeline(config: PipelineConfig) -> PipelineRun:
             previous = {}
 
     for name, func in STAGES:
-        subset = {k: getattr(config, k) for k in _STAGE_CONFIG_KEYS[name]}
-        digest = _stage_digest(name, subset, _stage_inputs(name, config, out))
-        outputs_exist = all((out / o).exists() for o in _STAGE_OUTPUTS[name])
+        decl = STAGE_DECLS[name]
+        subset = {k: getattr(config, k) for k in decl.config_keys}
+        digest = _stage_digest(name, subset, decl.inputs(config, out))
+        outputs_exist = all((out / o).exists() for o in decl.writes)
         if previous.get(name) == digest and outputs_exist:
             run.skipped.append(name)
             run.stage_digests[name] = digest
             log.info("stage %s unchanged; skipping", name)
-            continue
-        log.info("stage %s running", name)
-        try:
-            func(config, out)
-        except Exception as exc:
-            _write_manifest(run, manifest_path)
-            raise StageError(name, exc) from exc
-        run.executed.append(name)
-        run.stage_digests[name] = digest
+        else:
+            log.info("stage %s running", name)
+            try:
+                func(config, out)
+            except Exception as exc:
+                _write_manifest(run, manifest_path)
+                raise StageError(name, exc) from exc
+            run.executed.append(name)
+            run.stage_digests[name] = digest
+        if name == until:
+            break
 
     run.run_id = hashlib.sha256(json.dumps(
         {"config": config.to_dict(), "stages": run.stage_digests},

@@ -269,3 +269,14 @@ def build_planted_corpus(root) -> PlantedCorpus:
     planted.trace_annotations.write_text(
         "".join(json.dumps(r, sort_keys=True) + "\n" for r in trace_ann))
     return planted
+
+
+def assert_same_artifacts(out1, out2):
+    """Both out dirs hold the same files, byte for byte, apart from run.json."""
+    names1 = {p.relative_to(out1) for p in out1.rglob("*") if p.is_file()}
+    names2 = {p.relative_to(out2) for p in out2.rglob("*") if p.is_file()}
+    assert names1 == names2
+    for rel in sorted(names1):
+        if rel.name == "run.json":
+            continue  # echoes the caller-chosen out_dir path verbatim
+        assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel

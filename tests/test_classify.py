@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from onionforge.classify import (
-    CATEGORIES, Category, ClassifyConfigError, GroundTruth,
-    aggregate_site_label, build_feature_set, classify_by_similarity,
-    classify_corpus, cosine, load_stopwords, preprocess, term_vector,
-    tfidf_classify, tfidf_vectors, tokenize,
+    CATEGORIES, Category, ClassifyConfigError, GroundTruth, _similarity_label,
+    _tfidf_label, aggregate_site_label, build_feature_set, classify_corpus, cosine,
+    load_stopwords, term_vector, tfidf_vectors, tokenize,
 )
-from onionforge.corpus import Corpus, OnionDomain, PageRecord, SiteProfile
+from onionforge.corpus import Corpus, OnionDomain, PageRecord
+from onionforge.pagetext import page_text
 
 from planted import TEMPLATES
 
@@ -28,14 +28,34 @@ def dom(i):
     return "t%s%s%s.onion" % (chr(97 + i // 26), chr(97 + i % 26), "a" * 13)
 
 
+def tokens(p, stopwords):
+    """A page's filtered token sequence, as classify_corpus derives it."""
+    return tokenize(page_text(p.html), stopwords)
+
+
+def similarity_label(site_pages, gt, threshold):
+    """Phase-2 label of a site, from the same vectors classify_corpus builds."""
+    site_vectors = [term_vector(tokens(p, STOPWORDS)) for p in site_pages]
+    gt_vectors = {cat: [term_vector(tokens(p, STOPWORDS)) for p in pages]
+                  for cat, pages in gt.pages_by_category().items()
+                  if cat is not Category.OTHER}
+    return _similarity_label(site_vectors, gt_vectors, threshold)[0]
+
+
+def tfidf_label(site_pages, fs, threshold):
+    """Phase-3 label of a site, from its summed page counts."""
+    counts = term_vector([t for p in site_pages for t in tokens(p, STOPWORDS)])
+    return _tfidf_label(counts, fs, threshold)[0]
+
+
 class TestTokenize:
     def test_rule_application(self):
         p = page(dom(0), "/", "Buy CLONED cards, 100% safe!")
-        assert preprocess(p, {"a", "the", "and"}) == ["buy", "cloned", "cards", "safe"]
+        assert tokens(p, {"a", "the", "and"}) == ["buy", "cloned", "cards", "safe"]
 
     def test_numbers_and_punctuation_only(self):
         p = page(dom(0), "/", "123 456 !!! ... 9.99")
-        assert preprocess(p, STOPWORDS) == []
+        assert tokens(p, STOPWORDS) == []
 
     def test_hand_tokenized_fixture(self):
         html = (b"<html><head><title>Best Wallet Shop</title>"
@@ -45,7 +65,7 @@ class TestTokenize:
                 b"<script>var x=1;</script></body></html>")
         p = PageRecord(domain=OnionDomain(dom(0)), path="/", html=html, fetched_at=NOW)
         # manual walk: title + h1 + paragraph, minus stopwords/short/numeric
-        assert preprocess(p, STOPWORDS) == [
+        assert tokens(p, STOPWORDS) == [
             "best", "wallet", "shop", "private", "keys", "sale", "sell",
             "wallets", "price", "btc"]
 
@@ -152,56 +172,49 @@ class TestSimilarityClassifier:
     def test_byte_identical_page_scores_one(self):
         gt = make_gt()
         clone_text = " ".join(TEMPLATES[Category.CLONE_CARD] * 3)
-        site = SiteProfile(domain=OnionDomain(dom(40)),
-                           pages=[page(dom(40), "/", clone_text)])
-        assert classify_by_similarity(site, gt, 0.5, STOPWORDS) is Category.CLONE_CARD
+        site = [page(dom(40), "/", clone_text)]
+        assert similarity_label(site, gt, 0.5) is Category.CLONE_CARD
 
     def test_below_threshold_stays_other(self):
         gt = make_gt()
-        site = SiteProfile(domain=OnionDomain(dom(41)),
-                           pages=[page(dom(41), "/", "rutabaga parsnip turnip")])
-        assert classify_by_similarity(site, gt, 0.5, STOPWORDS) is Category.OTHER
+        site = [page(dom(41), "/", "rutabaga parsnip turnip")]
+        assert similarity_label(site, gt, 0.5) is Category.OTHER
 
     def test_highest_score_wins(self):
         gt = GroundTruth()
         gt.rows.append((page(dom(0), "/", "alpha beta"), Category.CLONE_CARD))
         gt.rows.append((page(dom(1), "/", "alpha gamma"), Category.SHOP))
-        site = SiteProfile(domain=OnionDomain(dom(42)),
-                           pages=[page(dom(42), "/", "alpha beta beta")])
-        assert classify_by_similarity(site, gt, 0.5, STOPWORDS) is Category.CLONE_CARD
+        site = [page(dom(42), "/", "alpha beta beta")]
+        assert similarity_label(site, gt, 0.5) is Category.CLONE_CARD
 
     def test_tie_breaks_by_table_order(self):
         gt = GroundTruth()
         gt.rows.append((page(dom(0), "/", "xray yankee"), Category.WEAPONS))
         gt.rows.append((page(dom(1), "/", "xray zulu"), Category.HACKER))
-        site = SiteProfile(domain=OnionDomain(dom(43)),
-                           pages=[page(dom(43), "/", "xray")])
+        site = [page(dom(43), "/", "xray")]
         # both score 1/sqrt(2); Hacker has the lower table index
-        assert classify_by_similarity(site, gt, 0.5, STOPWORDS) is Category.HACKER
+        assert similarity_label(site, gt, 0.5) is Category.HACKER
 
     def test_score_exactly_at_threshold_assigns(self):
         # cos({x},{x,y,z,w}) = 1/(1*2) = 0.5 with no float error
         gt = GroundTruth()
         gt.rows.append((page(dom(0), "/", "xray yankee zulu whiskey"), Category.DRUGS))
-        site = SiteProfile(domain=OnionDomain(dom(47)),
-                           pages=[page(dom(47), "/", "xray")])
-        assert classify_by_similarity(site, gt, 0.5, STOPWORDS) is Category.DRUGS
-        assert classify_by_similarity(site, gt, 0.5000001, STOPWORDS) is Category.OTHER
+        site = [page(dom(47), "/", "xray")]
+        assert similarity_label(site, gt, 0.5) is Category.DRUGS
+        assert similarity_label(site, gt, 0.5000001) is Category.OTHER
 
 
 class TestTfidfClassifier:
     def test_zero_overlap_is_other(self):
         fs = build_feature_set(make_gt(), STOPWORDS)
-        site = SiteProfile(domain=OnionDomain(dom(44)),
-                           pages=[page(dom(44), "/", "quokka wombat dingo")])
-        assert tfidf_classify(site, fs, 0.5, STOPWORDS) is Category.OTHER
+        site = [page(dom(44), "/", "quokka wombat dingo")]
+        assert tfidf_label(site, fs, 0.5) is Category.OTHER
 
     def test_keyword_list_maps_to_its_category(self):
         fs = build_feature_set(make_gt(), STOPWORDS)
         for cat, words in TEMPLATES.items():
-            site = SiteProfile(domain=OnionDomain(dom(45)),
-                               pages=[page(dom(45), "/", " ".join(words))])
-            assert tfidf_classify(site, fs, 0.5, STOPWORDS) is cat, cat
+            site = [page(dom(45), "/", " ".join(words))]
+            assert tfidf_label(site, fs, 0.5) is cat, cat
 
     def test_twelve_planted_sites_brute_force_verified(self):
         gt = make_gt()
@@ -209,9 +222,8 @@ class TestTfidfClassifier:
         keep = set(fs.keywords)
         for cat, words in TEMPLATES.items():
             site_tokens = words * 2
-            site = SiteProfile(domain=OnionDomain(dom(46)),
-                               pages=[page(dom(46), "/", " ".join(site_tokens))])
-            got = tfidf_classify(site, fs, 0.5, STOPWORDS)
+            site = [page(dom(46), "/", " ".join(site_tokens))]
+            got = tfidf_label(site, fs, 0.5)
             # brute-force best cosine over projected vectors, recomputed here
             counts = term_vector([t for t in site_tokens])
             site_vec = {t: c * fs.idf[t] for t, c in counts.items() if t in keep}
@@ -240,16 +252,7 @@ class TestAggregate:
 
 
 class TestLanguageGate:
-    def test_ascii_text_passes(self):
-        from onionforge.classify import probably_english
-        assert probably_english("plain english storefront text")
-
-    def test_mostly_non_ascii_flagged(self):
-        from onionforge.classify import probably_english
-        assert not probably_english("товар оплата кошелёк биткойн")
-
-    def test_flagged_page_still_classified(self, caplog):
-        import logging
+    def test_flagged_page_still_classified(self):
         corpus = Corpus()
         rows = []
         for i, (cat, words) in enumerate(TEMPLATES.items()):
@@ -257,10 +260,8 @@ class TestLanguageGate:
             corpus.add(p)
             rows.append((p, cat))
         corpus.add(page(dom(50), "/", "кошелёк оплата товар"))
-        with caplog.at_level(logging.WARNING, logger="onionforge.classify"):
-            results = classify_corpus(corpus, GroundTruth(rows=rows), 0.5, STOPWORDS)
+        results = classify_corpus(corpus, GroundTruth(rows=rows), 0.5, STOPWORDS)
         assert results[OnionDomain(dom(50))].category is Category.OTHER
-        assert any("non-English" in r.message for r in caplog.records)
 
 
 class TestCategoryParse:

@@ -3,8 +3,21 @@ import json
 import pytest
 
 from onionforge.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main
+from onionforge.report import parse_config, run_pipeline
 
-from planted import EXPECTED_CAMPAIGNS, build_planted_corpus
+from planted import EXPECTED_CAMPAIGNS, assert_same_artifacts, build_planted_corpus
+
+# what each stage command adds to out_dir, in pipeline order
+STAGE_ARTIFACTS = [
+    ("ingest", {"corpus.jsonl"}),
+    ("extract", {"addresses.jsonl"}),
+    ("classify", {"labels.jsonl"}),
+    ("filter", {"illicit.jsonl", "filter_audit.jsonl"}),
+    ("fetch-tx", {"ledgers"}),
+    ("trace", {"hits.jsonl", "surface.jsonl"}),
+    ("cluster", {"campaigns.json", "phase_trace.json", "vanity.json", "entity_graph.json"}),
+    ("report", {"tables", "graph.graphml", "graph.dot", "summary.json"}),
+]
 
 
 @pytest.fixture()
@@ -12,15 +25,19 @@ def planted(tmp_path):
     return build_planted_corpus(tmp_path / "planted"), tmp_path
 
 
+def write_config(corpus_obj, tmp, out_name):
+    cfg = tmp / (out_name + ".cfg")
+    cfg.write_text(corpus_obj.config_text(tmp / out_name))
+    return cfg
+
+
 def test_ingest_and_extract(planted):
     corpus_obj, tmp = planted
-    corpus = tmp / "corpus.jsonl"
-    assert main(["ingest", "--root", str(corpus_obj.snapshot),
-                 "--out", str(corpus)]) == EXIT_OK
-    assert corpus.exists()
-    addresses = tmp / "addresses.jsonl"
-    assert main(["extract", "--corpus", str(corpus),
-                 "--out", str(addresses)]) == EXIT_OK
+    cfg = write_config(corpus_obj, tmp, "out")
+    assert main(["ingest", "--config", str(cfg)]) == EXIT_OK
+    assert (tmp / "out" / "corpus.jsonl").exists()
+    assert main(["extract", "--config", str(cfg)]) == EXIT_OK
+    addresses = tmp / "out" / "addresses.jsonl"
     kinds = {json.loads(line)["kind"] for line in addresses.read_text().splitlines()}
     assert "btc" in kinds and "email" in kinds
 
@@ -28,52 +45,26 @@ def test_ingest_and_extract(planted):
 def test_stagewise_matches_run(planted):
     corpus_obj, tmp = planted
     out = tmp / "out"
-    cfg = tmp / "run.cfg"
-    cfg.write_text(corpus_obj.config_text(out))
-    assert main(["run", "--config", str(cfg)]) == EXIT_OK
+    assert main(["run", "--config", str(write_config(corpus_obj, tmp, "out"))]) == EXIT_OK
     doc = json.loads((out / "campaigns.json").read_text())
     got = [{k: c[k] for k in ("sites", "btc_addresses", "emails", "ips",
                               "urls", "categories", "received")}
            for c in doc["campaigns"]]
     assert got == EXPECTED_CAMPAIGNS
 
-    # the same stages driven individually agree with the orchestrated run
+    # each stage command adds exactly its own artifacts to a fresh out_dir
     alt = tmp / "alt"
-    alt.mkdir()
-    assert main(["classify", "--corpus", str(out / "corpus.jsonl"),
-                 "--ground-truth", str(corpus_obj.ground_truth),
-                 "--out", str(alt / "labels.jsonl")]) == EXIT_OK
-    assert (alt / "labels.jsonl").read_bytes() == (out / "labels.jsonl").read_bytes()
+    alt_cfg = write_config(corpus_obj, tmp, "alt")
+    expected = {"run.json"}
+    for stage, artifacts in STAGE_ARTIFACTS:
+        assert main([stage, "--config", str(alt_cfg)]) == EXIT_OK, stage
+        expected |= artifacts
+        assert {p.name for p in alt.iterdir()} == expected, stage
 
-    assert main(["filter", "--labels", str(alt / "labels.jsonl"),
-                 "--addresses", str(out / "addresses.jsonl"),
-                 "--annotations", str(corpus_obj.chain_annotations),
-                 "--out", str(alt / "illicit.jsonl")]) == EXIT_OK
-    assert (alt / "illicit.jsonl").read_bytes() == (out / "illicit.jsonl").read_bytes()
-
-    assert main(["fetch-tx", "--addresses", str(alt / "illicit.jsonl"),
-                 "--provider", "fixtures", "--fixtures", str(corpus_obj.tx_fixtures),
-                 "--out", str(alt / "ledgers")]) == EXIT_OK
-    assert (alt / "ledgers" / "_index.jsonl").read_bytes() == \
-        (out / "ledgers" / "_index.jsonl").read_bytes()
-
-    assert main(["trace", "--addresses", str(alt / "illicit.jsonl"),
-                 "--provider", "fixtures", "--fixtures", str(corpus_obj.search_fixtures),
-                 "--annotations", str(corpus_obj.trace_annotations),
-                 "--out", str(alt / "hits.jsonl"),
-                 "--surface-out", str(alt / "surface.jsonl")]) == EXIT_OK
-    assert (alt / "hits.jsonl").read_bytes() == (out / "hits.jsonl").read_bytes()
-
-    assert main(["cluster", "--labels", str(alt / "labels.jsonl"),
-                 "--illicit", str(alt / "illicit.jsonl"),
-                 "--ledgers", str(alt / "ledgers"),
-                 "--emails", str(out / "addresses.jsonl"),
-                 "--surface", str(alt / "surface.jsonl"),
-                 "--out", str(alt / "campaigns.json"),
-                 "--trace", str(alt / "phase_trace.json")]) == EXIT_OK
-    assert (alt / "campaigns.json").read_bytes() == (out / "campaigns.json").read_bytes()
-    assert (alt / "phase_trace.json").read_bytes() == \
-        (out / "phase_trace.json").read_bytes()
+    # the stage commands together agree with the orchestrated run, and leave
+    # a manifest under which a full run has nothing left to do
+    assert_same_artifacts(out, alt)
+    assert run_pipeline(parse_config(alt_cfg)).executed == []
 
 
 def test_bad_config_exit_code(tmp_path):
@@ -92,5 +83,10 @@ def test_stage_failure_exit_code(planted):
 
 
 def test_missing_input_file_exit_code(tmp_path):
-    assert main(["extract", "--corpus", str(tmp_path / "absent.jsonl"),
-                 "--out", str(tmp_path / "x.jsonl")]) == EXIT_STAGE
+    (tmp_path / "snapshot").mkdir()
+    (tmp_path / "gt.jsonl").write_text("")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("corpus_root = %s\nground_truth = %s\nout_dir = %s\ntlds = %s\n"
+                   % (tmp_path / "snapshot", tmp_path / "gt.jsonl", tmp_path / "out",
+                      tmp_path / "absent.txt"))
+    assert main(["extract", "--config", str(cfg)]) == EXIT_STAGE

@@ -200,7 +200,7 @@ class TestEmailPhase:
         graph = build_entity_graph(labels, illicit, emails)
         uf = phase_shared_site(graph)
         phase_email(uf, graph)
-        campaigns, stats = campaign_stats(uf, {}, labels, illicit)
+        campaigns, stats = campaign_stats(uf, labels, {})
         assert campaigns == []
         assert stats["excluded_no_btc_address"] == 1
         assert stats["clusters_before_exclusion"] == 1
@@ -298,7 +298,7 @@ class TestCampaignStats:
         assert campaign.received == 14_640_000
 
     def test_empty_partition(self):
-        campaigns, _ = campaign_stats(UnionFind(), {}, {}, IllicitAddressSet())
+        campaigns, _ = campaign_stats(UnionFind(), {}, {})
         assert campaigns == []
 
     def test_trace_counts_non_decreasing(self):

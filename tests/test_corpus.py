@@ -1,13 +1,9 @@
-import random
 from datetime import datetime, timezone
 
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from onionforge.corpus import (
-    Corpus, CorpusError, Frontier, OnionDomain, PageRecord, export_snapshot,
-    extract_onion_links, frontier_crawl, ingest_snapshot, read_corpus_jsonl,
+    Corpus, CorpusError, OnionDomain, PageRecord, ingest_snapshot, read_corpus_jsonl,
     write_corpus_jsonl,
 )
 
@@ -100,16 +96,6 @@ class TestIngest:
         corpus = ingest_snapshot(tmp_path)
         assert corpus.pages[0].fetched_at == datetime(2021, 6, 1, 12, tzinfo=timezone.utc)
 
-    def test_export_then_ingest_is_identity(self, tmp_path):
-        corpus = Corpus()
-        corpus.add(page(name_for(0), "/", b"<html>a</html>"))
-        corpus.add(page(name_for(0), "/x y", b"<html>b</html>"))
-        corpus.add(page(name_for(1), "/", b"<html>c</html>"))
-        export_snapshot(corpus, tmp_path / "snap")
-        again = ingest_snapshot(tmp_path / "snap")
-        key = lambda c: sorted((p.domain.name, p.path, p.html) for p in c.pages)
-        assert key(again) == key(corpus)
-
     def test_jsonl_roundtrip(self, tmp_path):
         corpus = Corpus()
         corpus.add(page(name_for(0), "/", b"\x00binary\xff"))
@@ -118,140 +104,3 @@ class TestIngest:
         assert again.pages[0].html == b"\x00binary\xff"
         assert again.pages[0].fetched_at == NOW
 
-
-class TestFetchAdapter:
-    def test_corpus_fetch(self):
-        from onionforge.corpus import CorpusFetch
-        corpus = Corpus()
-        corpus.add(page(name_for(0), "/", b"<html>hello</html>"))
-        fetcher = CorpusFetch(corpus)
-        assert fetcher.get(OnionDomain(name_for(0)), "/") == b"<html>hello</html>"
-        with pytest.raises(KeyError):
-            fetcher.get(OnionDomain(name_for(0)), "/missing")
-
-
-class TestExtractLinks:
-    def test_href(self):
-        p = page(name_for(0), html=b'<a href="http://edx2f26lcagct5po.onion/x">go</a>')
-        assert extract_onion_links(p) == {OnionDomain("edx2f26lcagct5po.onion")}
-
-    def test_no_links(self):
-        assert extract_onion_links(page(name_for(0), html=b"<p>nothing here</p>")) == set()
-
-    def test_dedup_and_suffix_filter(self):
-        html = (b'<a href="http://edx2f26lcagct5po.onion/">1</a>' * 5
-                + b'<a href="http://example.com/">n</a>')
-        assert len(extract_onion_links(page(name_for(0), html=html))) == 1
-
-    def test_visible_text_and_src(self):
-        html = (b"<p>mirror at edx2f26lcagct5po.onion</p>"
-                b'<img src="http://%s/logo.png">' % name_for(3).encode())
-        found = extract_onion_links(page(name_for(0), html=html))
-        assert found == {OnionDomain("edx2f26lcagct5po.onion"), OnionDomain(name_for(3))}
-
-    def test_malformed_html_never_raises(self):
-        html = b"<a href='http://edx2f26lcagct5po.onion/'><<<>>&&; <b <i</p\xff\xfe"
-        assert OnionDomain("edx2f26lcagct5po.onion") in extract_onion_links(
-            page(name_for(0), html=html))
-
-    def test_embedded_in_longer_run_ignored(self):
-        html = b"<p>xx%s.onion</p>" % (b"a" * 20)  # 22-char label: invalid
-        assert extract_onion_links(page(name_for(0), html=html)) == set()
-
-    def test_v3_names_extracted(self):
-        v3 = "b" * 56 + ".onion"
-        html = ('<a href="http://%s/">v3</a>' % v3).encode()
-        assert extract_onion_links(page(name_for(0), html=html)) == {OnionDomain(v3)}
-
-    def test_v3_suffix_not_mistaken_for_v2(self):
-        # the last 16 chars of a v3 label must not match as a separate v2 name
-        v3 = "c" * 40 + "d" * 16 + ".onion"
-        html = ("<p>%s</p>" % v3).encode()
-        found = extract_onion_links(page(name_for(0), html=html))
-        assert found == {OnionDomain(v3)}
-
-    def test_uppercase_link_canonicalized(self):
-        html = b'<a href="HTTP://EDX2F26LCAGCT5PO.ONION/X">x</a>'
-        assert extract_onion_links(page(name_for(0), html=html)) == {
-            OnionDomain("edx2f26lcagct5po.onion")}
-
-
-def corpus_from_adjacency(edges_by_node):
-    corpus = Corpus()
-    for src, targets in edges_by_node.items():
-        links = "".join('<a href="http://%s/">x</a>' % t for t in targets)
-        corpus.add(page(src, "/", ("<html>%s</html>" % links).encode()))
-    return corpus
-
-
-class TestFrontier:
-    def test_queue_discipline(self):
-        f = Frontier()
-        f.push(OnionDomain(name_for(1)))
-        f.push(OnionDomain(name_for(0)))
-        f.push(OnionDomain(name_for(1)))  # duplicate ignored
-        first = f.pop()
-        assert first == OnionDomain(name_for(1))
-        f.push(first)  # visited: ignored
-        assert f.pop() == OnionDomain(name_for(0))
-        assert not f
-
-    def test_cycle_closure(self):
-        a, b, c = name_for(0), name_for(1), name_for(2)
-        corpus = corpus_from_adjacency({a: [b], b: [c], c: [a]})
-        found = frontier_crawl({OnionDomain(a)}, corpus)
-        assert found == {OnionDomain(a), OnionDomain(b), OnionDomain(c)}
-
-    def test_seed_without_pages(self):
-        found = frontier_crawl({OnionDomain(name_for(0))}, Corpus())
-        assert found == {OnionDomain(name_for(0))}
-
-    def test_empty_seeds_rejected(self):
-        with pytest.raises(ValueError):
-            frontier_crawl(set(), Corpus())
-
-    def test_matches_matrix_power_oracle(self):
-        rng = random.Random(1234)
-        n = 50
-        names = [name_for(i) for i in range(n)]
-        adj = np.zeros((n, n), dtype=bool)
-        edges = {}
-        for i in range(n):
-            targets = rng.sample(range(n), rng.randint(0, 4))
-            edges[names[i]] = [names[j] for j in targets if j != i]
-            for j in targets:
-                if j != i:
-                    adj[i, j] = True
-        corpus = corpus_from_adjacency(edges)
-        seeds = {names[i] for i in rng.sample(range(n), 3)}
-
-        # oracle: boolean closure by repeated matrix multiplication
-        reach = np.eye(n, dtype=bool)
-        for _ in range(n):
-            reach = reach | (reach @ adj)
-        expected = set()
-        for i, name in enumerate(names):
-            if name in seeds:
-                expected |= {names[j] for j in range(n) if reach[i, j]}
-
-        found = frontier_crawl({OnionDomain(s) for s in seeds}, corpus)
-        assert {d.name for d in found} == expected
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.data())
-    def test_monotone_in_seeds(self, data):
-        n = 12
-        names = [name_for(i) for i in range(n)]
-        edges = {}
-        for i in range(n):
-            k = data.draw(st.integers(0, 3))
-            targets = data.draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k))
-            edges[names[i]] = [names[j] for j in targets if j != i]
-        corpus = corpus_from_adjacency(edges)
-        small = {names[i] for i in data.draw(
-            st.lists(st.integers(0, n - 1), min_size=1, max_size=3))}
-        extra = {names[i] for i in data.draw(
-            st.lists(st.integers(0, n - 1), min_size=0, max_size=3))}
-        r1 = frontier_crawl({OnionDomain(s) for s in small}, corpus)
-        r2 = frontier_crawl({OnionDomain(s) for s in small | extra}, corpus)
-        assert r1 <= r2

@@ -11,7 +11,7 @@ from onionforge.report import (
     format_btc, parse_config, run_pipeline,
 )
 
-from planted import EXPECTED_CAMPAIGNS, build_planted_corpus
+from planted import EXPECTED_CAMPAIGNS, assert_same_artifacts, build_planted_corpus
 
 
 @pytest.fixture(scope="module")
@@ -111,6 +111,30 @@ class TestPipeline:
         assert resumed.executed == ["fetch-tx"]
         assert "classify" in resumed.skipped and "cluster" in resumed.skipped
 
+    def test_changed_explorer_domains_file_reruns_trace(self, tmp_path):
+        planted = build_planted_corpus(tmp_path / "planted")
+        domains = tmp_path / "explorers.txt"
+        domains.write_text("btc.com\nblockchair.com\n")
+        cfg_text = planted.config_text(tmp_path / "out") + "explorer_domains = %s\n" % domains
+        (tmp_path / "run.cfg").write_text(cfg_text)
+        run_pipeline(parse_config(tmp_path / "run.cfg"))
+        hits_before = (tmp_path / "out" / "hits.jsonl").read_bytes()
+
+        domains.write_text("blockchair.com\n")  # same path, new content
+        resumed = run_pipeline(parse_config(tmp_path / "run.cfg"))
+        # only hits.jsonl changes; surface.jsonl, which cluster reads, does not
+        assert resumed.executed == ["trace"]
+        assert resumed.skipped == ["ingest", "extract", "classify", "filter",
+                                   "fetch-tx", "cluster", "report"]
+
+        (tmp_path / "fresh.cfg").write_text(cfg_text.replace(
+            "out_dir = %s" % (tmp_path / "out"), "out_dir = %s" % (tmp_path / "fresh")))
+        run_pipeline(parse_config(tmp_path / "fresh.cfg"))
+        hits = (tmp_path / "out" / "hits.jsonl").read_bytes()
+        assert hits != hits_before
+        assert hits == (tmp_path / "fresh" / "hits.jsonl").read_bytes()
+        assert_same_artifacts(tmp_path / "out", tmp_path / "fresh")
+
     def test_stage_failure_names_stage_and_keeps_partials(self, tmp_path):
         planted = build_planted_corpus(tmp_path / "planted")
         out = tmp_path / "out"
@@ -203,9 +227,9 @@ class TestTables:
             domain=OnionDomain("ethpageaaaaaaaaa.onion"), path="/",
             html=("<p>send %s</p>" % eth).encode(),
             fetched_at=datetime(2022, 3, 1, tzinfo=timezone.utc)))
-        write_corpus_jsonl(corpus, tmp_path / "c.jsonl")
-        report.extract_addresses(tmp_path / "c.jsonl", tmp_path / "a.jsonl")
-        rows = report.read_address_rows(tmp_path / "a.jsonl")
+        write_corpus_jsonl(corpus, tmp_path / "corpus.jsonl")
+        report.stage_extract(PipelineConfig(), tmp_path)
+        rows = report.read_address_rows(tmp_path / "addresses.jsonl")
         assert rows == [{"v": 1, "domain": "ethpageaaaaaaaaa.onion", "path": "/",
                          "kind": "eth", "value": eth, "valid": True}]
 
@@ -298,10 +322,4 @@ class TestDeterminism:
         cfg_file = tmp_path / "run2.cfg"
         cfg_file.write_text(planted.config_text(out2))
         run_pipeline(parse_config(cfg_file))
-        names1 = {p.relative_to(out1) for p in out1.rglob("*") if p.is_file()}
-        names2 = {p.relative_to(out2) for p in out2.rglob("*") if p.is_file()}
-        assert names1 == names2
-        for rel in sorted(names1):
-            if rel.name == "run.json":
-                continue  # echoes the caller-chosen out_dir path verbatim
-            assert (out1 / rel).read_bytes() == (out2 / rel).read_bytes(), rel
+        assert_same_artifacts(out1, out2)
