@@ -2,9 +2,10 @@
 
 Phase 1 takes labels straight from the annotated ground truth. Phase 2
 labels sites whose pages are cosine-similar (>= threshold) to a ground
-truth page. Phase 3 projects TF-IDF vectors onto a per-category keyword
-feature set and applies the same cosine rule to whatever is still
-unlabeled. Later phases never relabel earlier ones.
+truth page, found through an inverted index of the ground-truth pages.
+Phase 3 projects TF-IDF vectors onto a per-category keyword feature set
+and applies the same cosine rule to whatever is still unlabeled. Later
+phases never relabel earlier ones.
 """
 
 from __future__ import annotations
@@ -217,17 +218,51 @@ def _best_category(scores: dict[Category, float], threshold: float) -> tuple[Cat
     return Category.OTHER, best_score
 
 
-def _similarity_label(site_vectors, gt_vectors, threshold):
-    """Phase-2 rule: max page-pair cosine against each category's ground truth."""
-    scores = {}
-    for cat, vectors in gt_vectors.items():
-        best = 0.0
-        for sv in site_vectors:
-            for gv in vectors:
-                sim = cosine(sv, gv)
-                if sim > best:
-                    best = sim
-        scores[cat] = best
+@dataclass
+class PageIndex:
+    """Inverted index of the ground-truth page vectors that phase 2 scores against.
+
+    `postings` maps each term to the numbers of the pages that hold it; the
+    count is read from the page's vector, which keeps the postings small.
+    """
+
+    postings: dict[str, list[int]] = field(default_factory=dict)
+    vectors: list[TermVector] = field(default_factory=list)
+    norms: list[float] = field(default_factory=list)
+    categories: list[Category] = field(default_factory=list)
+
+    def add(self, vector: TermVector, category: Category):
+        page = len(self.vectors)
+        for term in vector:
+            self.postings.setdefault(term, []).append(page)
+        self.vectors.append(vector)
+        self.norms.append(math.sqrt(sum(w * w for w in vector.values())))
+        self.categories.append(category)
+
+
+def _similarity_label(site_vectors, index: PageIndex, threshold):
+    """Phase-2 rule: max page-pair cosine against each category's ground truth.
+
+    Only pages that share a term with a site page have a non-zero cosine, so
+    only those are scored. The integer dot product is exact in any order and
+    `dot / (n1 * n2)` is the expression `cosine` evaluates, so every score is
+    bit-for-bit the one `cosine` returns.
+    """
+    postings, vectors = index.postings, index.vectors
+    norms, categories = index.norms, index.categories
+    scores: dict[Category, float] = {}
+    for sv in site_vectors:
+        dots: dict[int, int] = {}
+        for term, w in sv.items():
+            for page in postings.get(term, ()):
+                dots[page] = dots.get(page, 0) + w * vectors[page][term]
+        if not dots:
+            continue
+        n1 = math.sqrt(sum(w * w for w in sv.values()))
+        for page, dot in dots.items():
+            sim = dot / (n1 * norms[page])
+            if sim > scores.get(categories[page], 0.0):
+                scores[categories[page]] = sim
     return _best_category(scores, threshold)
 
 
@@ -239,20 +274,29 @@ class FeatureSet:
     category_vectors: dict[Category, TermVector]   # full TF-IDF vectors
     idf: dict[str, float]
     top_keywords: dict[Category, list[str]]
+    keyword_set: frozenset[str] = field(init=False)
+    projected: dict[Category, TermVector] = field(init=False)  # vectors on keywords
 
-    def projected(self, cat: Category) -> TermVector:
-        keep = set(self.keywords)
-        return {t: w for t, w in self.category_vectors[cat].items() if t in keep}
+    def __post_init__(self):
+        self.keyword_set = frozenset(self.keywords)
+        self.projected = {cat: {t: w for t, w in vec.items() if t in self.keyword_set}
+                          for cat, vec in self.category_vectors.items()}
 
 
-def build_feature_set(gt: GroundTruth, stopwords: set[str] | None = None) -> FeatureSet:
-    """Per-category TF-IDF over the 12 concatenated category documents."""
-    stopwords = load_stopwords() if stopwords is None else stopwords
+def build_feature_set(gt: GroundTruth, stopwords: set[str] | None = None, *,
+                      page_tokens=None) -> FeatureSet:
+    """Per-category TF-IDF over the 12 concatenated category documents.
+
+    `page_tokens(page)` gives a page's tokens; by default the page is parsed.
+    """
+    if page_tokens is None:
+        stopwords = load_stopwords() if stopwords is None else stopwords
+        page_tokens = lambda page: tokenize(page_text(page.html), stopwords)
     docs: dict[Category, list[str]] = {cat: [] for cat in CATEGORIES}
     for page, cat in gt.rows:
         if cat is Category.OTHER:
             continue
-        docs[cat].extend(tokenize(page_text(page.html), stopwords))
+        docs[cat].extend(page_tokens(page))
     empty = [cat.label for cat in CATEGORIES if not docs[cat]]
     if empty:
         raise ClassifyConfigError("ground truth lacks content for: " + ", ".join(empty))
@@ -277,11 +321,10 @@ def build_feature_set(gt: GroundTruth, stopwords: set[str] | None = None) -> Fea
 
 def _tfidf_label(site_counts: TermVector, fs: FeatureSet, threshold):
     """Phase-3 rule: cosine in feature-set space, same threshold and ties."""
-    keep = set(fs.keywords)
-    site_vec = {t: c * fs.idf[t] for t, c in site_counts.items() if t in keep}
+    site_vec = {t: c * fs.idf[t] for t, c in site_counts.items() if t in fs.keyword_set}
     if not site_vec:
         return Category.OTHER, 0.0
-    scores = {cat: cosine(site_vec, fs.projected(cat)) for cat in CATEGORIES}
+    scores = {cat: cosine(site_vec, fs.projected[cat]) for cat in CATEGORIES}
     return _best_category(scores, threshold)
 
 
@@ -307,34 +350,30 @@ def classify_corpus(corpus: Corpus, gt: GroundTruth,
 
     token_cache: dict[int, list[str]] = {}
 
-    def vectors_for(pages):
-        out = []
-        for p in pages:
-            key = id(p)
-            if key not in token_cache:
-                token_cache[key] = tokenize(page_text(p.html), stopwords)
-            out.append(term_vector(token_cache[key]))
-        return out
+    def page_tokens(p):
+        key = id(p)
+        if key not in token_cache:
+            token_cache[key] = tokenize(page_text(p.html), stopwords)
+        return token_cache[key]
 
-    gt_vectors = {cat: vectors_for(pages)
-                  for cat, pages in gt.pages_by_category().items()
-                  if cat is not Category.OTHER}
+    index = PageIndex()
+    for cat, pages in gt.pages_by_category().items():
+        if cat is not Category.OTHER:
+            for p in pages:
+                index.add(term_vector(page_tokens(p)), cat)
 
     unlabeled = [d for d in corpus.domains() if d not in results]
     for domain in unlabeled:
-        site_vectors = vectors_for(corpus.pages_for(domain))
-        label, score = _similarity_label(site_vectors, gt_vectors, threshold)
+        site_vectors = [term_vector(page_tokens(p)) for p in corpus.pages_for(domain)]
+        label, score = _similarity_label(site_vectors, index, threshold)
         if label is not Category.OTHER:
             results[domain] = LabelResult(domain, label, "cosine", score)
 
-    fs = build_feature_set(gt, stopwords)
+    fs = build_feature_set(gt, stopwords, page_tokens=page_tokens)
     for domain in unlabeled:
         if domain in results:
             continue  # cosine labels are final
-        counts: TermVector = {}
-        for vec in vectors_for(corpus.pages_for(domain)):
-            for t, c in vec.items():
-                counts[t] = counts.get(t, 0) + c
+        counts = term_vector([t for p in corpus.pages_for(domain) for t in page_tokens(p)])
         label, score = _tfidf_label(counts, fs, threshold)
         if label is not Category.OTHER:
             results[domain] = LabelResult(domain, label, "tfidf", score)

@@ -325,6 +325,8 @@ def stage_fetch_tx(cfg: PipelineConfig, out: Path):
         explorer = chain.FixtureExplorer(cfg.tx_fixtures or ".")
     ledgers_dir = out / "ledgers"
     ledgers_dir.mkdir(exist_ok=True)
+    for stale in ledgers_dir.glob("*.json"):
+        stale.unlink()  # read_ledgers reads every ledger file in the directory
     ledgers, failures = chain.fetch_all(illicit.addresses(), explorer)
     index_rows = []
     for address in sorted(ledgers):
@@ -485,6 +487,9 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> PipelineRu
         except ValueError:
             previous = {}
 
+    # stages this run does not reach keep their digests: each digest covers
+    # that stage's own inputs, so a later run still re-runs exactly what changed
+    run.stage_digests = {name: previous[name] for name, _ in STAGES if name in previous}
     for name, func in STAGES:
         decl = STAGE_DECLS[name]
         subset = {k: getattr(config, k) for k in decl.config_keys}
@@ -496,6 +501,7 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> PipelineRu
             log.info("stage %s unchanged; skipping", name)
         else:
             log.info("stage %s running", name)
+            run.stage_digests.pop(name, None)  # if it fails, its outputs are stale
             try:
                 func(config, out)
             except Exception as exc:

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from onionforge.classify import (
-    CATEGORIES, Category, ClassifyConfigError, GroundTruth, _similarity_label,
-    _tfidf_label, aggregate_site_label, build_feature_set, classify_corpus, cosine,
-    load_stopwords, term_vector, tfidf_vectors, tokenize,
+    CATEGORIES, Category, ClassifyConfigError, GroundTruth, PageIndex,
+    _best_category, _similarity_label, _tfidf_label, aggregate_site_label,
+    build_feature_set, classify_corpus, cosine, load_stopwords, term_vector,
+    tfidf_vectors, tokenize,
 )
 from onionforge.corpus import Corpus, OnionDomain, PageRecord
 from onionforge.pagetext import page_text
@@ -36,10 +37,12 @@ def tokens(p, stopwords):
 def similarity_label(site_pages, gt, threshold):
     """Phase-2 label of a site, from the same vectors classify_corpus builds."""
     site_vectors = [term_vector(tokens(p, STOPWORDS)) for p in site_pages]
-    gt_vectors = {cat: [term_vector(tokens(p, STOPWORDS)) for p in pages]
-                  for cat, pages in gt.pages_by_category().items()
-                  if cat is not Category.OTHER}
-    return _similarity_label(site_vectors, gt_vectors, threshold)[0]
+    index = PageIndex()
+    for cat, pages in gt.pages_by_category().items():
+        if cat is not Category.OTHER:
+            for p in pages:
+                index.add(term_vector(tokens(p, STOPWORDS)), cat)
+    return _similarity_label(site_vectors, index, threshold)[0]
 
 
 def tfidf_label(site_pages, fs, threshold):
@@ -202,6 +205,45 @@ class TestSimilarityClassifier:
         site = [page(dom(47), "/", "xray")]
         assert similarity_label(site, gt, 0.5) is Category.DRUGS
         assert similarity_label(site, gt, 0.5000001) is Category.OTHER
+
+
+def count_vectors(vocab):
+    counts = st.integers(1, 3) | st.integers(1, 1000)  # small counts are the common case
+    return st.dictionaries(st.sampled_from(vocab), counts, max_size=6)
+
+
+@st.composite
+def phase2_cases(draw):
+    """Site page vectors, ground-truth page vectors by category, a threshold."""
+    # the second site vocabulary shares no term with the ground truth
+    site_vocab = draw(st.sampled_from(["abcdefgh", "uvwxyz"]))
+    site_vectors = draw(st.lists(count_vectors(site_vocab), max_size=4))
+    # a category may be absent or present with no pages
+    gt_vectors = draw(st.dictionaries(st.sampled_from(CATEGORIES),
+                                      st.lists(count_vectors("abcdefgh"), max_size=3),
+                                      max_size=12))
+    threshold = draw(st.sampled_from([0.0, 0.3, 0.5, 0.9, 1.0]))
+    return site_vectors, gt_vectors, threshold
+
+
+class TestPageIndex:
+    @settings(max_examples=300)
+    @given(phase2_cases())
+    def test_matches_brute_force_cosine(self, case):
+        site_vectors, gt_vectors, threshold = case
+        index = PageIndex()
+        for cat, vectors in gt_vectors.items():
+            for vec in vectors:
+                index.add(vec, cat)
+        # brute force: the best cosine of every (site page, GT page) pair
+        scores = {cat: max([cosine(sv, gv) for sv in site_vectors for gv in vectors],
+                           default=0.0)
+                  for cat, vectors in gt_vectors.items()}
+        assert _similarity_label(site_vectors, index, threshold) == \
+            _best_category(scores, threshold)
+
+    def test_empty_index_labels_other(self):
+        assert _similarity_label([{"alpha": 2}], PageIndex(), 0.5) == (Category.OTHER, 0.0)
 
 
 class TestTfidfClassifier:

@@ -135,6 +135,38 @@ class TestPipeline:
         assert hits == (tmp_path / "fresh" / "hits.jsonl").read_bytes()
         assert_same_artifacts(tmp_path / "out", tmp_path / "fresh")
 
+    def test_partial_run_keeps_digests_of_later_stages(self, tmp_path):
+        planted = build_planted_corpus(tmp_path / "planted")
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(planted.config_text(tmp_path / "out"))
+        config = parse_config(cfg_file)
+        run_pipeline(config)
+        partial = run_pipeline(config, until="extract")
+        assert partial.skipped == ["ingest", "extract"]
+        # nothing changed, so the stages past `until` are still up to date
+        assert run_pipeline(config).executed == []
+
+    def test_rerun_fetch_tx_leaves_no_stale_ledgers(self, tmp_path):
+        planted = build_planted_corpus(tmp_path / "planted")
+        cfg_text = planted.config_text(tmp_path / "out") + "min_received = 1000000000000\n"
+        (tmp_path / "run.cfg").write_text(cfg_text)
+        first = run_pipeline(parse_config(tmp_path / "run.cfg"))
+        assert "fetch-tx" in first.executed
+        ledgers_before = len(list((tmp_path / "out" / "ledgers").glob("*.json")))
+
+        # a stricter threshold labels fewer sites, so fewer addresses are illicit
+        cfg_text = cfg_text.replace("threshold = 0.5", "threshold = 1.0")
+        (tmp_path / "run.cfg").write_text(cfg_text)
+        resumed = run_pipeline(parse_config(tmp_path / "run.cfg"))
+        assert "fetch-tx" in resumed.executed
+
+        (tmp_path / "fresh.cfg").write_text(cfg_text.replace(
+            "out_dir = %s" % (tmp_path / "out"), "out_dir = %s" % (tmp_path / "fresh")))
+        run_pipeline(parse_config(tmp_path / "fresh.cfg"))
+        ledgers_after = len(list((tmp_path / "fresh" / "ledgers").glob("*.json")))
+        assert ledgers_after < ledgers_before
+        assert_same_artifacts(tmp_path / "out", tmp_path / "fresh")
+
     def test_stage_failure_names_stage_and_keeps_partials(self, tmp_path):
         planted = build_planted_corpus(tmp_path / "planted")
         out = tmp_path / "out"

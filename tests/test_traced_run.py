@@ -1,0 +1,41 @@
+"""The traced benchmark run still finds every function it wraps.
+
+`perfbench/tracer.py` rebinds pipeline functions by module attribute name,
+and the benchmark's smoke run never loads it, so a rename in `src/` would
+otherwise only show up in a `--trace 1` benchmark run.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from onionforge import report
+
+from planted import build_planted_corpus
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_planted_run_under_tracer(tmp_path):
+    planted = build_planted_corpus(tmp_path / "planted")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(planted.config_text(tmp_path / "out"))
+    trace_file = tmp_path / "trace.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "tracer.py"), str(trace_file),
+         "run", "--config", str(cfg)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+    doc = json.loads(trace_file.read_text())
+    assert doc["exit_code"] == 0
+    spans = [span[0] for span in doc["spans"]]
+    assert {"stage." + name for name, _ in report.STAGES} <= set(spans)
+    assert {"classify._similarity_label", "classify.build_feature_set",
+            "classify.tokenize"} <= set(spans)
+    # every page is parsed for classification once, ground-truth pages included
+    assert spans.count("pagetext.page_text") == doc["facts"]["corpus.pages"]
