@@ -64,6 +64,9 @@ class Transaction:
 
 
 def parse_transaction(row: dict) -> Transaction:
+    """One explorer row as a Transaction; a malformed row raises ChainError."""
+    if not isinstance(row, dict):
+        raise ChainError("transaction row is not an object: %r" % (row,))
     ts = row.get("timestamp", row.get("time"))
     if isinstance(ts, (int, float)):
         when = datetime.fromtimestamp(ts, tz=timezone.utc)
@@ -72,13 +75,19 @@ def parse_transaction(row: dict) -> Transaction:
         if when.tzinfo is None:
             when = when.replace(tzinfo=timezone.utc)
         when = when.astimezone(timezone.utc)
-    return Transaction(
-        txid=row["txid"],
-        timestamp=when,
-        inputs=tuple(TxIO(i["address"], int(i["value"])) for i in row.get("inputs", [])),
-        outputs=tuple(TxIO(o["address"], int(o["value"])) for o in row.get("outputs", [])),
-        coinbase=bool(row.get("coinbase", False)),
-    )
+    try:
+        return Transaction(
+            txid=row["txid"],
+            timestamp=when,
+            inputs=tuple(TxIO(i["address"], int(i["value"])) for i in row.get("inputs", [])),
+            outputs=tuple(TxIO(o["address"], int(o["value"]))
+                          for o in row.get("outputs", [])),
+            coinbase=bool(row.get("coinbase", False)),
+        )
+    except (KeyError, TypeError) as exc:
+        # a missing txid, address or value, or an input/output that is not an object
+        raise ChainError("malformed transaction row %r: %s %s"
+                         % (row.get("txid"), type(exc).__name__, exc)) from exc
 
 
 def transaction_to_dict(tx: Transaction) -> dict:
@@ -152,8 +161,9 @@ class HttpExplorer(ExplorerAdapter):
     """Paginated JSON client.
 
     Expects GET {base_url}/address/{addr}/transactions?page=N to return
-    {"page": N, "total_pages": M, "transactions": [...]}. Retries 5xx and
-    timeouts with exponential backoff; 404 means an unknown (empty) address.
+    {"page": N, "total_pages": M, "transactions": [...]}. Retries 429, 5xx and
+    timeouts with exponential backoff; 404 means an unknown (empty) address,
+    and any other 4xx, or running out of retries, raises FetchError.
     """
 
     def __init__(self, base_url: str, session=None, rate_limit: float | None = None,
@@ -189,10 +199,11 @@ class HttpExplorer(ExplorerAdapter):
             else:
                 if resp.status_code == 404:
                     return None
-                if resp.status_code < 500:
-                    resp.raise_for_status()
+                if resp.status_code < 400:
                     return resp.json()
                 last = FetchError("HTTP %d from %s" % (resp.status_code, url))
+                if resp.status_code < 500 and resp.status_code != 429:
+                    raise last
             if attempt < self.max_retries:
                 time.sleep(self.backoff * (2 ** attempt))
         raise FetchError("giving up on %s: %s" % (url, last))

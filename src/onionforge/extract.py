@@ -71,33 +71,27 @@ def load_tlds_from(path) -> set[str]:
                 if line.strip() and not line.startswith("#")}
 
 
-def _dedup(seq):
-    seen = set()
-    out = []
-    for item in seq:
-        if item not in seen:
-            seen.add(item)
-            out.append(item)
-    return out
+def find_candidates(text: str, source=("", "")) -> tuple[list[BtcAddressCandidate], list[str]]:
+    """BTC and ETH candidates from one pass over the maximal alphanumeric runs.
 
-
-def find_btc_candidates(text: str, source=("", "")) -> list[BtcAddressCandidate]:
-    """Maximal 25-39 char alphanumeric runs, document order, deduplicated."""
-    hits = [m.group(0) for m in _ALNUM_RUN_RE.finditer(text)
-            if BTC_MIN_LEN <= len(m.group(0)) <= BTC_MAX_LEN]
-    return [BtcAddressCandidate(text=t, source=source) for t in _dedup(hits)]
-
-
-def find_eth_candidates(text: str) -> list[str]:
-    """Maximal runs that are exactly 40 hex chars, or 0x + 40 hex chars."""
-    hits = []
-    for m in _ALNUM_RUN_RE.finditer(text):
-        run = m.group(0)
-        if len(run) == 40 and _HEX_RE.match(run):
-            hits.append(run)
-        elif len(run) == 42 and run[:2] in ("0x", "0X") and _HEX_RE.match(run[2:]):
-            hits.append(run)
-    return _dedup(hits)
+    BTC: runs of 25-39 chars. ETH: runs of exactly 40 hex chars, or 0x/0X +
+    40 hex chars. The length ranges are disjoint, so a run is at most one of
+    the two. Each list is in document order, deduplicated.
+    """
+    btc: dict[str, None] = {}
+    eth: dict[str, None] = {}
+    for run in _ALNUM_RUN_RE.findall(text):
+        n = len(run)
+        if n < BTC_MIN_LEN:
+            continue
+        if n <= BTC_MAX_LEN:
+            btc[run] = None
+        elif n == 40:
+            if _HEX_RE.match(run):
+                eth[run] = None
+        elif n == 42 and run[:2] in ("0x", "0X") and _HEX_RE.match(run, 2):
+            eth[run] = None
+    return [BtcAddressCandidate(text=t, source=source) for t in btc], list(eth)
 
 
 def validate_btc(candidate: BtcAddressCandidate | str) -> BtcAddress | Rejection:
@@ -164,7 +158,7 @@ def find_emails(text: str, known_tlds: set[str]) -> list[EmailAddress]:
         if host.rsplit(".", 1)[-1] not in known_tlds:
             continue
         out.append(EmailAddress(local=local, domain=host))
-    return _dedup(out)
+    return list(dict.fromkeys(out))
 
 
 def scan_page(html: bytes, source=("", ""), known_tlds: set[str] | None = None) -> dict:
@@ -172,9 +166,10 @@ def scan_page(html: bytes, source=("", ""), known_tlds: set[str] | None = None) 
     tlds = known_tlds if known_tlds is not None else load_tlds()
     text = page_text_and_attrs(html)
     results = {"btc": [], "eth": [], "email": []}
-    for cand in find_btc_candidates(text, source):
+    btc, eth = find_candidates(text, source)
+    for cand in btc:
         results["btc"].append((cand.text, validate_btc(cand)))
-    for cand in find_eth_candidates(text):
+    for cand in eth:
         results["eth"].append((cand, validate_eth(cand)))
     for email in find_emails(text, tlds):
         results["email"].append(email)

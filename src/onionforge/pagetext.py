@@ -3,8 +3,12 @@
 Gives downstream scanners two views of a page: the visible text with
 script/style bodies dropped, and the attribute values (payment addresses
 frequently hide in href/src/value attributes).
+
+A run asks for both views of every page, the second one stage later, so
+the parse behind the first also yields the second: see `_handoff`.
 """
 
+from hashlib import blake2b
 from html.parser import HTMLParser
 
 _SKIP_CONTENT = {"script", "style", "noscript"}
@@ -57,15 +61,45 @@ def _collect(html: bytes) -> _TextCollector:
     return parser
 
 
+def _normalize(pieces) -> str:
+    return " ".join(" ".join(pieces).split())
+
+
+def _key(html: bytes) -> bytes:
+    return blake2b(html, digest_size=16).digest()
+
+
+# visible text that `page_text_and_attrs` already parsed, for the `page_text`
+# call that follows on the same page: content digest -> [text, pending uses].
+# Keyed by digest, not bytes, so the hand-off does not keep pages alive;
+# `report.run_pipeline` empties it when a run ends.
+_handoff: dict[bytes, list] = {}
+
+
+def clear_handoff():
+    _handoff.clear()
+
+
 def page_text(html: bytes) -> str:
     """Visible text of a page, whitespace-normalized."""
-    parser = _collect(html)
-    return " ".join(" ".join(parser.chunks).split())
+    if _handoff:
+        key = _key(html)
+        entry = _handoff.get(key)
+        if entry is not None:
+            entry[1] -= 1
+            if not entry[1]:
+                del _handoff[key]
+            return entry[0]
+    return _normalize(_collect(html).chunks)
 
 
 def page_text_and_attrs(html: bytes) -> str:
-    """Visible text plus all attribute values, for address/email scanning."""
-    parser = _collect(html)
-    pieces = parser.chunks + [v for _, v in parser.attrs]
-    return " ".join(" ".join(pieces).split())
+    """Visible text plus all attribute values, for address/email scanning.
 
+    Leaves the page's visible text for the next `page_text(html)`, so a page
+    that is scanned and then classified is parsed once.
+    """
+    parser = _collect(html)
+    entry = _handoff.setdefault(_key(html), [_normalize(parser.chunks), 0])
+    entry[1] += 1
+    return _normalize(parser.chunks + [v for _, v in parser.attrs])

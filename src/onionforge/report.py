@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from xml.sax.saxutils import escape, quoteattr
 
-from . import chain, classify, cluster, extract, trace
+from . import chain, classify, cluster, extract, pagetext, trace
 from .classify import CATEGORIES, Category
 from .corpus import ingest_snapshot, read_corpus_jsonl, write_corpus_jsonl
 
@@ -160,12 +160,15 @@ def _path_digest(path) -> str:
     return h.hexdigest()
 
 
-def _stage_digest(name: str, config_subset: dict, input_paths) -> str:
-    payload = {
-        "stage": name,
-        "config": config_subset,
-        "inputs": {str(p): _path_digest(p) for p in input_paths},
-    }
+def _stage_digest(name: str, config_subset: dict, input_paths, memo: dict) -> str:
+    """Digest of a stage's config and inputs; `memo` holds this run's path digests."""
+    inputs = {}
+    for p in input_paths:
+        key = str(p)
+        if key not in memo:
+            memo[key] = _path_digest(p)
+        inputs[key] = memo[key]
+    payload = {"stage": name, "config": config_subset, "inputs": inputs}
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
@@ -490,27 +493,34 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> PipelineRu
     # stages this run does not reach keep their digests: each digest covers
     # that stage's own inputs, so a later run still re-runs exactly what changed
     run.stage_digests = {name: previous[name] for name, _ in STAGES if name in previous}
-    for name, func in STAGES:
-        decl = STAGE_DECLS[name]
-        subset = {k: getattr(config, k) for k in decl.config_keys}
-        digest = _stage_digest(name, subset, decl.inputs(config, out))
-        outputs_exist = all((out / o).exists() for o in decl.writes)
-        if previous.get(name) == digest and outputs_exist:
-            run.skipped.append(name)
-            run.stage_digests[name] = digest
-            log.info("stage %s unchanged; skipping", name)
-        else:
-            log.info("stage %s running", name)
-            run.stage_digests.pop(name, None)  # if it fails, its outputs are stale
-            try:
-                func(config, out)
-            except Exception as exc:
-                _write_manifest(run, manifest_path)
-                raise StageError(name, exc) from exc
-            run.executed.append(name)
-            run.stage_digests[name] = digest
-        if name == until:
-            break
+    # an input is hashed once per run, until a stage rewrites it
+    digests: dict[str, str] = {}
+    try:
+        for name, func in STAGES:
+            decl = STAGE_DECLS[name]
+            subset = {k: getattr(config, k) for k in decl.config_keys}
+            digest = _stage_digest(name, subset, decl.inputs(config, out), digests)
+            outputs_exist = all((out / o).exists() for o in decl.writes)
+            if previous.get(name) == digest and outputs_exist:
+                run.skipped.append(name)
+                run.stage_digests[name] = digest
+                log.info("stage %s unchanged; skipping", name)
+            else:
+                log.info("stage %s running", name)
+                run.stage_digests.pop(name, None)  # if it fails, its outputs are stale
+                try:
+                    func(config, out)
+                except Exception as exc:
+                    _write_manifest(run, manifest_path)
+                    raise StageError(name, exc) from exc
+                for written in decl.writes:
+                    digests.pop(str(out / written), None)
+                run.executed.append(name)
+                run.stage_digests[name] = digest
+            if name == until:
+                break
+    finally:
+        pagetext.clear_handoff()  # no page text outlives the run that parsed it
 
     run.run_id = hashlib.sha256(json.dumps(
         {"config": config.to_dict(), "stages": run.stage_digests},

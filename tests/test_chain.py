@@ -164,6 +164,42 @@ def tx_rows(start, count):
             for n in range(start, start + count)]
 
 
+def http_response(status, payload=None):
+    """A real `requests.Response`, so `raise_for_status` raises what requests raises."""
+    import requests
+    resp = requests.Response()
+    resp.status_code = status
+    resp.url = "http://x/"
+    resp._content = json.dumps(payload).encode()
+    return resp
+
+
+class TestMalformedLedgerRows:
+    GOOD = transaction_to_dict(mktx(1, [("x", 5)], [("good", 5)]))
+
+    @pytest.mark.parametrize("bad_row", [
+        {k: v for k, v in GOOD.items() if k != "txid"},
+        dict(GOOD, inputs=[{"value": 5}]),
+        dict(GOOD, inputs=[{"address": "x"}]),
+        dict(GOOD, outputs=[{"value": 5}]),
+        dict(GOOD, outputs=[{"address": "good"}]),
+        dict(GOOD, outputs=[{"address": "good", "value": None}]),
+        dict(GOOD, outputs=["a"]),
+        ["not", "an", "object"],
+        "not an object",
+    ])
+    def test_is_a_per_address_failure(self, tmp_path, bad_row):
+        (tmp_path / "bad.json").write_text(json.dumps([self.GOOD, bad_row]))
+        (tmp_path / "good.json").write_text(json.dumps([self.GOOD]))
+        ledgers, failures = fetch_all(["bad", "good"], FixtureExplorer(tmp_path))
+        assert list(ledgers) == ["good"] and ledgers["good"].received == 5
+        assert list(failures) == ["bad"]
+
+    def test_parse_raises_chain_error(self):
+        with pytest.raises(ChainError, match="txid"):
+            parse_transaction({"timestamp": 0, "inputs": [], "coinbase": True})
+
+
 class TestHttpExplorer:
     def test_pagination_no_duplicates(self):
         session = FakeSession([
@@ -202,6 +238,33 @@ class TestHttpExplorer:
         explorer = HttpExplorer("http://x", session=session, max_retries=3, backoff=0.0)
         ledgers, failures = fetch_all(["bad", "good"], explorer)
         assert "bad" in failures and "good" in ledgers
+
+    def test_429_is_retried(self):
+        session = FakeSession([
+            http_response(429), http_response(429),
+            http_response(200, {"page": 1, "total_pages": 1, "transactions": tx_rows(0, 3)}),
+        ])
+        explorer = HttpExplorer("http://x", session=session, backoff=0.0)
+        assert len(explorer.transactions("a")) == 3
+        assert len(session.calls) == 3
+
+    def test_429_without_end_is_a_per_address_failure(self):
+        session = FakeSession([http_response(429)] * 4
+                              + [http_response(200, {"page": 1, "total_pages": 1,
+                                                     "transactions": tx_rows(0, 2)})])
+        explorer = HttpExplorer("http://x", session=session, max_retries=3, backoff=0.0)
+        ledgers, failures = fetch_all(["busy", "good"], explorer)
+        assert "429" in failures["busy"]
+        assert list(ledgers) == ["good"] and len(ledgers["good"].transactions) == 2
+        assert len(session.calls) == 5
+
+    @pytest.mark.parametrize("status", [400, 401, 403, 410])
+    def test_other_4xx_fails_without_retry(self, status):
+        session = FakeSession([http_response(status)] * 4)
+        explorer = HttpExplorer("http://x", session=session, backoff=0.0)
+        with pytest.raises(FetchError, match=str(status)):
+            explorer.transactions("a")
+        assert len(session.calls) == 1
 
     def test_against_real_http_server(self):
         import http.server

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 from onionforge import base58
 from onionforge.extract import (
     BtcAddress, EmailAddress, EthAddress, Rejection, eip55_checksum,
-    find_btc_candidates, find_emails, find_eth_candidates, load_tlds, scan_page,
+    find_candidates, find_emails, load_tlds, scan_page,
     validate_btc, validate_eth,
 )
 from onionforge.keccak import keccak256
@@ -14,8 +14,16 @@ from onionforge.keccak import keccak256
 ADDR = "1CHvWk36MR5aCz72jViS7jSub9utJf3jii"
 TLDS = load_tlds()
 
-# what find_btc_candidates must agree with on any fixture text
+# what the BTC candidates must agree with on any fixture text
 REFERENCE_RE = re.compile(r"(?<![0-9a-zA-Z])[0-9a-zA-Z]{25,39}(?![0-9a-zA-Z])")
+
+
+def find_btc_candidates(text):
+    return find_candidates(text)[0]
+
+
+def find_eth_candidates(text):
+    return find_candidates(text)[1]
 
 
 class TestBtcCandidates:
@@ -146,6 +154,26 @@ class TestEthCandidates:
 
     def test_inside_longer_hash_ignored(self):
         assert find_eth_candidates("deadbeef" * 8) == []  # one 64-char run
+
+
+ETH_REFERENCE_RE = re.compile(r"(?<![0-9a-zA-Z])(?:0[xX])?[0-9a-fA-F]{40}(?![0-9a-zA-Z])")
+
+
+class TestCandidates:
+    def test_one_pass_finds_both_kinds_in_document_order(self):
+        eth1, eth2 = "0X" + "Ab" * 20, "cd" * 20
+        text = "%s %s %s x%s %s %s" % (eth1, ADDR, "e" * 41, "f" * 40, eth2, ADDR)
+        btc, eth = find_candidates(text, ("x.onion", "/"))
+        assert [(c.text, c.source) for c in btc] == [(ADDR, ("x.onion", "/"))]
+        assert eth == [eth1, eth2]
+
+    @given(st.lists(st.sampled_from(["0x", "0X", "ab", "AB", "9f", "g", "Z1",
+                                     " ", "-", ADDR, "c" * 38, "d" * 40]),
+                    max_size=60).map("".join))
+    def test_agrees_with_reference_regexes(self, text):
+        btc, eth = find_candidates(text)
+        assert [c.text for c in btc] == list(dict.fromkeys(REFERENCE_RE.findall(text)))
+        assert eth == list(dict.fromkeys(ETH_REFERENCE_RE.findall(text)))
 
 
 class TestEmails:

@@ -1,10 +1,12 @@
 import json
 import re
+from collections import Counter
 
 import networkx as nx
 import pytest
 
-from onionforge import report
+from onionforge import pagetext, report
+from onionforge.corpus import read_corpus_jsonl
 from onionforge.cluster import Campaign, EntityGraph
 from onionforge.report import (
     ConfigError, PipelineConfig, StageError, StageNotRun, emit_tables, export_graph,
@@ -145,6 +147,50 @@ class TestPipeline:
         assert partial.skipped == ["ingest", "extract"]
         # nothing changed, so the stages past `until` are still up to date
         assert run_pipeline(config).executed == []
+
+    def test_each_page_parsed_once_and_each_input_hashed_once(self, tmp_path,
+                                                              monkeypatch):
+        parsed, hashed = Counter(), Counter()
+        collect, path_digest = pagetext._collect, report._path_digest
+
+        def counting_collect(html):
+            parsed[html] += 1
+            return collect(html)
+
+        def counting_digest(path):
+            hashed[str(path)] += 1
+            return path_digest(path)
+        monkeypatch.setattr(pagetext, "_collect", counting_collect)
+        monkeypatch.setattr(report, "_path_digest", counting_digest)
+
+        planted = build_planted_corpus(tmp_path / "planted")
+        out = tmp_path / "out"
+        (tmp_path / "run.cfg").write_text(planted.config_text(out))
+        config = parse_config(tmp_path / "run.cfg")
+        assert run_pipeline(config).skipped == []
+        pages = read_corpus_jsonl(out / "corpus.jsonl").pages
+        # extract's parse also serves classify, ground-truth pages included
+        assert parsed == Counter(p.html for p in pages)
+        assert pagetext._handoff == {}
+        assert hashed and max(hashed.values()) == 1
+
+        hashed.clear()
+        assert run_pipeline(config).executed == []
+        assert hashed and max(hashed.values()) == 1
+
+    def test_page_text_does_not_outlive_the_run(self, tmp_path):
+        planted = build_planted_corpus(tmp_path / "planted")
+        (tmp_path / "run.cfg").write_text(planted.config_text(tmp_path / "out"))
+        config = parse_config(tmp_path / "run.cfg")
+        run_pipeline(config, until="extract")  # classify never takes the text
+        assert pagetext._handoff == {}
+        planted.ground_truth.write_text(
+            '{"domain": "missing.onion", "path": "/", "category": "Drugs"}\n')
+        (tmp_path / "out" / "addresses.jsonl").unlink()
+        with pytest.raises(StageError) as err:
+            run_pipeline(config)  # extract runs again, then classify fails
+        assert err.value.stage == "classify"
+        assert pagetext._handoff == {}
 
     def test_rerun_fetch_tx_leaves_no_stale_ledgers(self, tmp_path):
         planted = build_planted_corpus(tmp_path / "planted")
