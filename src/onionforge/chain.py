@@ -13,6 +13,7 @@ import re
 import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .classify import Category
@@ -38,6 +39,8 @@ class TxIO:
     value: int  # satoshis
 
     def __post_init__(self):
+        if not isinstance(self.address, str):
+            raise ChainError("address is not a string: %r" % (self.address,))
         if self.value < 0:
             raise ChainError("negative value for %s" % self.address)
 
@@ -90,14 +93,32 @@ def parse_transaction(row: dict) -> Transaction:
                          % (row.get("txid"), type(exc).__name__, exc)) from exc
 
 
-def transaction_to_dict(tx: Transaction) -> dict:
-    return {
-        "txid": tx.txid,
-        "timestamp": tx.timestamp.isoformat().replace("+00:00", "Z"),
-        "coinbase": tx.coinbase,
-        "inputs": [{"address": i.address, "value": i.value} for i in tx.inputs],
-        "outputs": [{"address": o.address, "value": o.value} for o in tx.outputs],
-    }
+def _io_json(items) -> str:
+    if not items:
+        return "[]"
+    return "[\n%s\n    ]" % ",\n".join(
+        '      {\n        "address": %s,\n        "value": %d\n      }'
+        % (encode_basestring_ascii(io.address), io.value) for io in items)
+
+
+def ledger_json(transactions) -> str:
+    """A ledger file's text: `transactions` as one JSON array, read by `parse_transaction`.
+
+    Each transaction is an object with the keys coinbase, inputs, outputs,
+    timestamp (ISO 8601 in UTC, "Z"-suffixed) and txid, and each input or
+    output one with address and value. The text is byte for byte what
+    `json.dumps(rows, indent=2, sort_keys=True)` makes of those objects, built
+    in one pass because the stdlib's indenting encoder is pure Python.
+    """
+    if not transactions:
+        return "[]"
+    return "[\n%s\n]" % ",\n".join(
+        '  {\n    "coinbase": %s,\n    "inputs": %s,\n    "outputs": %s,\n'
+        '    "timestamp": %s,\n    "txid": %s\n  }'
+        % ("true" if tx.coinbase else "false", _io_json(tx.inputs), _io_json(tx.outputs),
+           encode_basestring_ascii(tx.timestamp.isoformat().replace("+00:00", "Z")),
+           encode_basestring_ascii(tx.txid))
+        for tx in transactions)
 
 
 @dataclass

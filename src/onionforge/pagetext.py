@@ -5,9 +5,10 @@ script/style bodies dropped, and the attribute values (payment addresses
 frequently hide in href/src/value attributes).
 
 A run asks for both views of every page, the second one stage later, so
-the parse behind the first also yields the second: see `_handoff`.
+the parse behind the first also yields the second: see `handoff`.
 """
 
+from contextlib import contextmanager
 from hashlib import blake2b
 from html.parser import HTMLParser
 
@@ -71,13 +72,24 @@ def _key(html: bytes) -> bytes:
 
 # visible text that `page_text_and_attrs` already parsed, for the `page_text`
 # call that follows on the same page: content digest -> [text, pending uses].
-# Keyed by digest, not bytes, so the hand-off does not keep pages alive;
-# `report.run_pipeline` empties it when a run ends.
-_handoff: dict[bytes, list] = {}
+# Keyed by digest, not bytes, so the hand-off does not keep pages alive; None
+# outside a `handoff` block, so nothing is recorded that no run will take.
+_handoff: dict[bytes, list] | None = None
 
 
-def clear_handoff():
-    _handoff.clear()
+@contextmanager
+def handoff():
+    """Inside the block, `page_text` reuses the text `page_text_and_attrs` parsed.
+
+    `report.run_pipeline` holds one block open for the whole run; when it
+    ends, every text not taken yet is dropped.
+    """
+    global _handoff
+    _handoff = {}
+    try:
+        yield
+    finally:
+        _handoff = None
 
 
 def page_text(html: bytes) -> str:
@@ -96,10 +108,12 @@ def page_text(html: bytes) -> str:
 def page_text_and_attrs(html: bytes) -> str:
     """Visible text plus all attribute values, for address/email scanning.
 
-    Leaves the page's visible text for the next `page_text(html)`, so a page
-    that is scanned and then classified is parsed once.
+    Inside a `handoff` block, leaves the page's visible text for the next
+    `page_text(html)`, so a page that is scanned and then classified is
+    parsed once.
     """
     parser = _collect(html)
-    entry = _handoff.setdefault(_key(html), [_normalize(parser.chunks), 0])
-    entry[1] += 1
+    if _handoff is not None:
+        entry = _handoff.setdefault(_key(html), [_normalize(parser.chunks), 0])
+        entry[1] += 1
     return _normalize(parser.chunks + [v for _, v in parser.attrs])

@@ -15,9 +15,9 @@ import logging
 import time
 from collections import namedtuple
 from collections.abc import Callable
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from xml.sax.saxutils import escape, quoteattr
 
 from . import chain, classify, cluster, extract, pagetext, trace
 from .classify import CATEGORIES, Category
@@ -335,9 +335,7 @@ def stage_fetch_tx(cfg: PipelineConfig, out: Path):
     for address in sorted(ledgers):
         ledger = ledgers[address]
         with open(ledgers_dir / (address + ".json"), "w") as fh:
-            json.dump([chain.transaction_to_dict(t) for t in ledger.transactions],
-                      fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(chain.ledger_json(ledger.transactions) + "\n")
         index_rows.append({
             "v": 1, "address": address, "transactions": len(ledger.transactions),
             "received": ledger.received, "sent": ledger.sent,
@@ -349,15 +347,32 @@ def stage_fetch_tx(cfg: PipelineConfig, out: Path):
     with open(ledgers_dir / "_index.jsonl", "w") as fh:
         for row in index_rows:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
+    if _ledger_memo is not None:
+        _ledger_memo[str(ledgers_dir)] = ledgers  # what read_ledgers would parse back
     log.info("fetched %d ledgers, %d failures", len(ledgers), len(failures))
 
 
+# this run's ledgers by ledgers directory, None outside `run_pipeline`. No
+# digest is needed: inside a run only fetch-tx writes a ledgers directory,
+# and it replaces the entry when it does.
+_ledger_memo: dict[str, dict[str, chain.AddressLedger]] | None = None
+
+
 def read_ledgers(ledgers_dir) -> dict[str, chain.AddressLedger]:
+    """Every ledger under `ledgers_dir`, by address; parsed at most once per run.
+
+    Inside a run, stages share the returned ledgers and must not modify them.
+    """
+    key = str(ledgers_dir)
+    if _ledger_memo is not None and key in _ledger_memo:
+        return _ledger_memo[key]
     ledgers = {}
     for path in sorted(Path(ledgers_dir).glob("*.json")):
         address = path.stem
         txs = [chain.parse_transaction(row) for row in json.loads(path.read_text())]
         ledgers[address] = chain.AddressLedger.from_transactions(address, txs)
+    if _ledger_memo is not None:
+        _ledger_memo[key] = ledgers
     return ledgers
 
 
@@ -472,6 +487,18 @@ def stage_report(cfg: PipelineConfig, out: Path):
 STAGES = tuple((s.name, s.fn) for s in STAGE_DECLS.values())
 
 
+@contextmanager
+def run_scope():
+    """Hold one run's memos, page text handed off and ledgers parsed, for the block."""
+    global _ledger_memo
+    _ledger_memo = {}
+    try:
+        with pagetext.handoff():
+            yield
+    finally:
+        _ledger_memo = None
+
+
 def run_pipeline(config: PipelineConfig, until: str | None = None) -> PipelineRun:
     """Execute the stages in order, skipping any whose inputs are unchanged.
 
@@ -495,7 +522,7 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> PipelineRu
     run.stage_digests = {name: previous[name] for name, _ in STAGES if name in previous}
     # an input is hashed once per run, until a stage rewrites it
     digests: dict[str, str] = {}
-    try:
+    with run_scope():
         for name, func in STAGES:
             decl = STAGE_DECLS[name]
             subset = {k: getattr(config, k) for k in decl.config_keys}
@@ -519,8 +546,6 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> PipelineRu
                 run.stage_digests[name] = digest
             if name == until:
                 break
-    finally:
-        pagetext.clear_handoff()  # no page text outlives the run that parsed it
 
     run.run_id = hashlib.sha256(json.dumps(
         {"config": config.to_dict(), "stages": run.stage_digests},
@@ -697,6 +722,25 @@ def emit_tables(out_dir, top_n: int = 10, min_received: int = 0) -> dict:
 
 
 # --- campaign graph export ---
+
+def escape(data: str) -> str:
+    """XML character data; the same text as `xml.sax.saxutils.escape`."""
+    return data.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
+def quoteattr(data: str) -> str:
+    """A quoted XML attribute value; the same text as `xml.sax.saxutils.quoteattr`.
+
+    Kept here because importing `xml.sax.saxutils` also imports
+    `urllib.request` and with it `http.client`, `email` and `ssl`.
+    """
+    data = escape(data).replace("\n", "&#10;").replace("\r", "&#13;").replace("\t", "&#9;")
+    if '"' not in data:
+        return '"%s"' % data
+    if "'" not in data:
+        return "'%s'" % data
+    return '"%s"' % data.replace('"', "&quot;")
+
 
 _GRAPHML_KEYS = (
     ("d_type", "node", "type", "string"),

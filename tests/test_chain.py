@@ -4,13 +4,14 @@ import random
 from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from onionforge.chain import (
     AddressAnnotation, AddressLedger, ChainError, FetchError, FixtureExplorer,
     HttpExplorer, IllicitAddressSet, Transaction, TxIO, active_period,
     dormant_addresses, estimate_income, fetch_all, fetch_transactions,
-    filter_illicit_addresses, is_internal, load_annotations, multi_category,
-    parse_transaction, transaction_to_dict, unique_transactions,
+    filter_illicit_addresses, is_internal, ledger_json, load_annotations,
+    multi_category, parse_transaction, unique_transactions,
 )
 from onionforge.classify import Category
 
@@ -27,6 +28,17 @@ def mktx(n, ins, outs, when=None, coinbase=False):
         inputs=tuple(TxIO(a, v) for a, v in ins),
         outputs=tuple(TxIO(a, v) for a, v in outs),
         coinbase=coinbase)
+
+
+def transaction_to_dict(tx):
+    """One transaction as a ledger file's JSON object: the oracle for `ledger_json`."""
+    return {
+        "txid": tx.txid,
+        "timestamp": tx.timestamp.isoformat().replace("+00:00", "Z"),
+        "coinbase": tx.coinbase,
+        "inputs": [{"address": i.address, "value": i.value} for i in tx.inputs],
+        "outputs": [{"address": o.address, "value": o.value} for o in tx.outputs],
+    }
 
 
 def illicit_of(*entries):
@@ -57,6 +69,10 @@ class TestTransaction:
     def test_serialization_roundtrip(self):
         tx = mktx(7, [("in1", 10), ("in2", 5)], [("out1", 14)])
         assert parse_transaction(transaction_to_dict(tx)) == tx
+
+    def test_non_string_address_rejected(self):
+        with pytest.raises(ChainError, match="not a string"):
+            TxIO(5, 1)
 
     def test_epoch_timestamps_accepted(self):
         tx = parse_transaction({"txid": txid(1), "time": 1577836800,
@@ -185,6 +201,7 @@ class TestMalformedLedgerRows:
         dict(GOOD, outputs=[{"address": "good"}]),
         dict(GOOD, outputs=[{"address": "good", "value": None}]),
         dict(GOOD, outputs=["a"]),
+        dict(GOOD, outputs=[{"address": 5, "value": 5}]),
         ["not", "an", "object"],
         "not an object",
     ])
@@ -576,3 +593,43 @@ def test_unique_transactions_dedups_and_orders_by_time():
     assert len(merged) == 4  # tx1/tx2 shared between ledgers appear once
     stamps = [t.timestamp for t in merged]
     assert stamps == sorted(stamps)
+
+
+# any text, lone surrogates included, so escaping is exercised
+addresses = st.text(st.characters(codec=None, exclude_categories=()), max_size=12) | \
+    st.sampled_from(["", '"', "\\", "\n\t\x00\x1f\x7f", "é€😀", "</a>&"])
+tx_ios = st.lists(st.builds(TxIO, addresses, st.integers(0, 2 ** 70) | st.integers(0, 9)),
+                  max_size=3)
+
+
+@st.composite
+def transactions(draw):
+    inputs = draw(tx_ios)
+    return Transaction(
+        # a txid may end in a newline: the txid pattern's `$` allows one
+        txid="%064x" % draw(st.integers(0, 2 ** 256 - 1)) + draw(st.sampled_from(["", "\n"])),
+        timestamp=draw(st.datetimes(timezones=st.just(timezone.utc))),
+        inputs=tuple(inputs), outputs=tuple(draw(tx_ios)),
+        coinbase=not inputs or draw(st.booleans()))
+
+
+class TestLedgerJson:
+    @settings(max_examples=300)
+    @given(st.lists(transactions(), max_size=4))
+    def test_equals_indented_sorted_json(self, txs):
+        rows = [transaction_to_dict(tx) for tx in txs]
+        assert ledger_json(txs) == json.dumps(rows, indent=2, sort_keys=True)
+
+    @settings(max_examples=100)
+    @given(st.lists(transactions(), max_size=4))
+    def test_parses_back(self, txs):
+        assert [parse_transaction(row) for row in json.loads(ledger_json(txs))] == txs
+
+    def test_fixed_example(self):
+        tx = mktx(1, [], [("a", 50)], when=T0.replace(microsecond=7), coinbase=True)
+        assert ledger_json([tx]) == (
+            '[\n  {\n    "coinbase": true,\n    "inputs": [],\n    "outputs": [\n'
+            '      {\n        "address": "a",\n        "value": 50\n      }\n    ],\n'
+            '    "timestamp": "2020-01-01T00:00:00.000007Z",\n    "txid": "%s"\n  }\n]'
+            % txid(1))
+        assert ledger_json([]) == "[]"

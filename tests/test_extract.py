@@ -3,7 +3,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from onionforge import base58
+from onionforge import base58, pagetext
 from onionforge.extract import (
     BtcAddress, EmailAddress, EthAddress, Rejection, eip55_checksum,
     find_candidates, find_emails, load_tlds, scan_page,
@@ -215,3 +215,7 @@ class TestScanPage:
         html = ("<p>%s</p>" % ("1" * 30)).encode()
         [(value, verdict)] = scan_page(html, ("x.onion", "/"), TLDS)["btc"]
         assert verdict == Rejection("bad-length")
+
+    def test_outside_a_run_leaves_no_page_text_behind(self):
+        scan_page(b"<p>visible text</p>", ("x.onion", "/"), TLDS)
+        assert not pagetext._handoff

@@ -1,4 +1,3 @@
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from onionforge import pagetext
@@ -20,42 +19,43 @@ pages = st.one_of(
 )
 
 
-@pytest.fixture(autouse=True)
-def empty_handoff():
-    pagetext.clear_handoff()
-    yield
-    pagetext.clear_handoff()
-
-
 @settings(max_examples=300)
 @given(pages)
 def test_never_raises(html):
-    assert isinstance(page_text(html), str)
-    assert isinstance(page_text_and_attrs(html), str)
-    pagetext.clear_handoff()
+    with pagetext.handoff():
+        assert isinstance(page_text(html), str)
+        assert isinstance(page_text_and_attrs(html), str)
 
 
 @settings(max_examples=300)
 @given(pages)
 def test_handed_off_text_equals_a_fresh_parse(html):
-    pagetext.clear_handoff()
-    fresh = page_text(html)
-    page_text_and_attrs(html)
-    assert page_text(html) == fresh
-    assert pagetext._handoff == {}  # an entry is removed when it is used
+    with pagetext.handoff():
+        fresh = page_text(html)
+        page_text_and_attrs(html)
+        assert page_text(html) == fresh
+        assert pagetext._handoff == {}  # an entry is removed when it is used
 
 
 def test_identical_pages_each_take_their_own_entry(monkeypatch):
     html = b"<p>same mirror page</p><a href='x'>pay</a>"
-    page_text_and_attrs(html)
-    page_text_and_attrs(html)
-    parsed = []
-    monkeypatch.setattr(pagetext, "_collect",
-                        lambda h: parsed.append(h) or pagetext._TextCollector())
-    assert page_text(html) == page_text(html) == "same mirror page pay"
-    assert parsed == [] and pagetext._handoff == {}
-    page_text(html)
-    assert parsed == [html]  # nothing handed off any more: parsed again
+    with pagetext.handoff():
+        page_text_and_attrs(html)
+        page_text_and_attrs(html)
+        parsed = []
+        monkeypatch.setattr(pagetext, "_collect",
+                            lambda h: parsed.append(h) or pagetext._TextCollector())
+        assert page_text(html) == page_text(html) == "same mirror page pay"
+        assert parsed == [] and pagetext._handoff == {}
+        page_text(html)
+        assert parsed == [html]  # nothing handed off any more: parsed again
+
+
+def test_untaken_text_ends_with_the_block():
+    with pagetext.handoff():
+        page_text_and_attrs(b"<p>scanned, never classified</p>")
+        assert len(pagetext._handoff) == 1
+    assert pagetext._handoff is None
 
 
 def test_text_and_attrs():

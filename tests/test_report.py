@@ -1,11 +1,17 @@
 import json
 import re
+import tempfile
 from collections import Counter
+from datetime import datetime, timedelta, timezone
+from pathlib import Path
+from xml.sax import saxutils
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from onionforge import pagetext, report
+from onionforge import chain, pagetext, report
+from onionforge.classify import Category
 from onionforge.corpus import read_corpus_jsonl
 from onionforge.cluster import Campaign, EntityGraph
 from onionforge.report import (
@@ -171,7 +177,7 @@ class TestPipeline:
         pages = read_corpus_jsonl(out / "corpus.jsonl").pages
         # extract's parse also serves classify, ground-truth pages included
         assert parsed == Counter(p.html for p in pages)
-        assert pagetext._handoff == {}
+        assert pagetext._handoff is None
         assert hashed and max(hashed.values()) == 1
 
         hashed.clear()
@@ -183,14 +189,53 @@ class TestPipeline:
         (tmp_path / "run.cfg").write_text(planted.config_text(tmp_path / "out"))
         config = parse_config(tmp_path / "run.cfg")
         run_pipeline(config, until="extract")  # classify never takes the text
-        assert pagetext._handoff == {}
+        assert pagetext._handoff is None
         planted.ground_truth.write_text(
             '{"domain": "missing.onion", "path": "/", "category": "Drugs"}\n')
         (tmp_path / "out" / "addresses.jsonl").unlink()
         with pytest.raises(StageError) as err:
             run_pipeline(config)  # extract runs again, then classify fails
         assert err.value.stage == "classify"
-        assert pagetext._handoff == {}
+        assert pagetext._handoff is None
+
+    def test_each_ledger_row_parsed_once(self, tmp_path, monkeypatch):
+        parsed = []
+        parse_transaction = chain.parse_transaction
+        monkeypatch.setattr(chain, "parse_transaction",
+                            lambda row: parsed.append(row) or parse_transaction(row))
+        planted = build_planted_corpus(tmp_path / "planted")
+        out = tmp_path / "out"
+        (tmp_path / "run.cfg").write_text(planted.config_text(out))
+        config = parse_config(tmp_path / "run.cfg")
+        assert run_pipeline(config).skipped == []
+        fixture_rows = [row for path in sorted(planted.tx_fixtures.glob("*.json"))
+                        for row in json.loads(path.read_text())]
+        # fetch-tx parses the fixtures; cluster and report take what it fetched
+        assert sorted(map(json.dumps, parsed)) == sorted(map(json.dumps, fixture_rows))
+        assert report._ledger_memo is None
+
+        # a run that skips fetch-tx parses each written ledger once
+        (out / "campaigns.json").unlink()
+        (out / "summary.json").unlink()
+        parsed.clear()
+        assert run_pipeline(config).executed == ["cluster", "report"]
+        assert len(parsed) == sum(len(json.loads(p.read_text()))
+                                  for p in (out / "ledgers").glob("*.json"))
+        assert report._ledger_memo is None
+
+    def test_edited_ledger_changes_the_tables(self, tmp_path):
+        planted = build_planted_corpus(tmp_path / "planted")
+        out = tmp_path / "out"
+        (tmp_path / "run.cfg").write_text(planted.config_text(out))
+        run_pipeline(parse_config(tmp_path / "run.cfg"))
+        before = json.loads((out / "summary.json").read_text())
+        assert emit_tables(out) == before
+
+        top = json.loads((out / "tables" / "top_addresses.json").read_text())["rows"][0]
+        (out / "ledgers" / (top["address"] + ".json")).write_text("[]\n")
+        after = emit_tables(out)  # reads the edited file, not a ledger of the run
+        assert after["income_satoshi"] == before["income_satoshi"] - top["received_satoshi"]
+        assert report._ledger_memo is None
 
     def test_rerun_fetch_tx_leaves_no_stale_ledgers(self, tmp_path):
         planted = build_planted_corpus(tmp_path / "planted")
@@ -234,6 +279,57 @@ class TestPipeline:
         with pytest.raises(ConfigError):
             run_pipeline(cfg)
         assert not (tmp_path / "out").exists()
+
+
+TXIDS = ["%064x" % n for n in range(4)]  # few, so a ledger repeats txids
+ADDRESSES = ["a1", "b.2", "é3"]
+
+# every timestamp form `parse_transaction` reads: int and float epoch seconds,
+# ISO 8601 with "Z", with an offset, and naive
+datetimes = st.datetimes(min_value=datetime(1971, 1, 1), max_value=datetime(2100, 1, 1))
+timestamps = st.one_of(
+    st.integers(0, 4 * 10 ** 9),
+    st.floats(0, 4 * 10 ** 9),
+    datetimes.map(lambda d: d.isoformat() + "Z"),
+    st.builds(lambda d, minutes: d.replace(tzinfo=timezone(timedelta(minutes=minutes)))
+              .isoformat(), datetimes, st.integers(-23 * 60, 23 * 60)),
+    datetimes.map(datetime.isoformat),
+)
+
+
+@st.composite
+def fixture_row(draw):
+    value = draw(st.integers(0, 10 ** 9))
+    row = {"txid": draw(st.sampled_from(TXIDS)), "timestamp": draw(timestamps),
+           "outputs": [{"address": draw(st.sampled_from(ADDRESSES)), "value": value}]}
+    if draw(st.booleans()):
+        row.update(coinbase=True, inputs=[])
+    else:  # sometimes spent by a fixture address, so some ledgers overdraw
+        row["inputs"] = [{"address": draw(st.sampled_from(ADDRESSES + ["ext"])),
+                          "value": value}]
+    return row
+
+
+class TestLedgerStore:
+    @settings(max_examples=100, deadline=None)
+    @given(st.dictionaries(st.sampled_from(ADDRESSES), st.lists(fixture_row(), max_size=5)))
+    def test_fetched_ledgers_equal_the_written_ones_read_back(self, fixtures):
+        with tempfile.TemporaryDirectory() as tmp:
+            txs, out = Path(tmp) / "txs", Path(tmp) / "out"
+            txs.mkdir()
+            out.mkdir()
+            for address, rows in fixtures.items():
+                (txs / (address + ".json")).write_text(json.dumps(rows))
+            illicit = chain.IllicitAddressSet()
+            for address in ADDRESSES:
+                illicit.add(address, "s.onion", Category.DRUGS)
+            chain.write_illicit_jsonl(illicit, out / "illicit.jsonl")
+
+            fetched, _ = chain.fetch_all(ADDRESSES, chain.FixtureExplorer(txs))
+            with report.run_scope():
+                report.stage_fetch_tx(PipelineConfig(tx_fixtures=str(txs)), out)
+                shared = report.read_ledgers(out / "ledgers")
+            assert shared == fetched == report.read_ledgers(out / "ledgers")
 
 
 class TestTables:
@@ -383,6 +479,13 @@ class TestGraphExport:
                 original.add_edge(u, v)
         assert nx.is_isomorphic(parsed, original)
         assert set(parsed.nodes) == set(original.nodes)
+
+    @settings(max_examples=300)
+    @given(st.lists(st.sampled_from(['"', "'", "&", "<", ">", "\n", "\r", "\t", "&amp;"])
+                    | st.text(max_size=3)).map("".join))
+    def test_xml_escaping_matches_saxutils(self, text):
+        assert report.escape(text) == saxutils.escape(text)
+        assert report.quoteattr(text) == saxutils.quoteattr(text)
 
     def test_size_attribute_proportional(self, planted_run):
         _, _, _, out = planted_run

@@ -39,3 +39,6 @@ def test_planted_run_under_tracer(tmp_path):
             "classify.tokenize"} <= set(spans)
     # every page is parsed for classification once, ground-truth pages included
     assert spans.count("pagetext.page_text") == doc["facts"]["corpus.pages"]
+    # every ledger row is parsed once, by fetch-tx; cluster and report reuse its ledgers
+    rows = sum(len(json.loads(p.read_text())) for p in planted.tx_fixtures.glob("*.json"))
+    assert doc["counts"]["chain.parse_transaction"] == rows
