@@ -16,6 +16,7 @@ from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
+from .artifacts import read_jsonl, write_jsonl
 from .classify import Category
 
 log = logging.getLogger("onionforge.chain")
@@ -71,14 +72,14 @@ def parse_transaction(row: dict) -> Transaction:
     if not isinstance(row, dict):
         raise ChainError("transaction row is not an object: %r" % (row,))
     ts = row.get("timestamp", row.get("time"))
-    if isinstance(ts, (int, float)):
-        when = datetime.fromtimestamp(ts, tz=timezone.utc)
-    else:
-        when = datetime.fromisoformat(str(ts).replace("Z", "+00:00"))
-        if when.tzinfo is None:
-            when = when.replace(tzinfo=timezone.utc)
-        when = when.astimezone(timezone.utc)
     try:
+        if isinstance(ts, (int, float)):
+            when = datetime.fromtimestamp(ts, tz=timezone.utc)
+        else:
+            when = datetime.fromisoformat(str(ts).replace("Z", "+00:00"))
+            if when.tzinfo is None:
+                when = when.replace(tzinfo=timezone.utc)
+            when = when.astimezone(timezone.utc)
         return Transaction(
             txid=row["txid"],
             timestamp=when,
@@ -87,8 +88,9 @@ def parse_transaction(row: dict) -> Transaction:
                           for o in row.get("outputs", [])),
             coinbase=bool(row.get("coinbase", False)),
         )
-    except (KeyError, TypeError) as exc:
-        # a missing txid, address or value, or an input/output that is not an object
+    except (KeyError, TypeError, OverflowError) as exc:
+        # a missing txid, address or value, an input/output that is not an
+        # object, or a value or epoch timestamp too large to represent
         raise ChainError("malformed transaction row %r: %s %s"
                          % (row.get("txid"), type(exc).__name__, exc)) from exc
 
@@ -281,16 +283,12 @@ class AddressAnnotation:
 
 def load_annotations(path) -> dict[tuple[str, str], AddressAnnotation]:
     out = {}
-    with open(path) as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            ann = AddressAnnotation(
-                domain=row["domain"], address=row["address"], zone=row["zone"],
-                prior_tx_with_payment=bool(row.get("prior_tx_with_payment", False)),
-                note=row.get("note", ""))
-            out[(ann.domain, ann.address)] = ann
+    for row in read_jsonl(path):
+        ann = AddressAnnotation(
+            domain=row["domain"], address=row["address"], zone=row["zone"],
+            prior_tx_with_payment=bool(row.get("prior_tx_with_payment", False)),
+            note=row.get("note", ""))
+        out[(ann.domain, ann.address)] = ann
     return out
 
 
@@ -474,27 +472,20 @@ def dormant_addresses(ledgers: dict[str, AddressLedger], min_received: int = 0) 
 # --- illicit.jsonl inter-stage format ---
 
 def write_illicit_jsonl(illicit: IllicitAddressSet, out_path):
-    with open(out_path, "w") as fh:
-        for address in illicit.addresses():
-            e = illicit.entries[address]
-            fh.write(json.dumps({
-                "v": 1,
-                "address": address,
-                "sites": sorted(e.sites),
-                "categories": sorted(c.label for c in e.categories),
-                "flags": sorted(e.flags),
-            }, sort_keys=True) + "\n")
+    write_jsonl(out_path, ({
+        "v": 1,
+        "address": e.address,
+        "sites": sorted(e.sites),
+        "categories": sorted(c.label for c in e.categories),
+        "flags": sorted(e.flags),
+    } for e in (illicit.entries[a] for a in illicit.addresses())))
 
 
 def read_illicit_jsonl(path) -> IllicitAddressSet:
     illicit = IllicitAddressSet()
-    with open(path) as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            entry = illicit.entries.setdefault(row["address"], IllicitEntry(row["address"]))
-            entry.sites.update(row["sites"])
-            entry.categories.update(Category.parse(c) for c in row["categories"])
-            entry.flags.update(row.get("flags", ["reviewed"]))
+    for row in read_jsonl(path):
+        entry = illicit.entries.setdefault(row["address"], IllicitEntry(row["address"]))
+        entry.sites.update(row["sites"])
+        entry.categories.update(Category.parse(c) for c in row["categories"])
+        entry.flags.update(row.get("flags", ["reviewed"]))
     return illicit

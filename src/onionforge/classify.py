@@ -15,8 +15,8 @@ import json
 import math
 import re
 from dataclasses import dataclass, field
-from importlib import resources
 
+from .artifacts import read_jsonl, word_list, write_jsonl
 from .corpus import Corpus, OnionDomain, PageRecord
 from .pagetext import page_text
 
@@ -89,19 +89,11 @@ _ALIASES.update({
 
 CATEGORIES = tuple(c for c in Category if c is not Category.OTHER)
 
-TokenSequence = list            # ordered lowercase tokens
 TermVector = dict               # word -> count or weight, no zero entries
 
 
-def load_stopwords() -> set[str]:
-    text = resources.files("onionforge.data").joinpath("stopwords.txt").read_text()
-    return {line.strip() for line in text.splitlines()
-            if line.strip() and not line.startswith("#")}
-
-
-def load_stopwords_from(path) -> set[str]:
-    with open(path) as fh:
-        return {line.strip() for line in fh if line.strip() and not line.startswith("#")}
+def load_stopwords(path=None) -> set[str]:
+    return word_list(path, "stopwords.txt")
 
 
 def tokenize(text: str, stopwords: set[str]) -> list[str]:
@@ -169,9 +161,6 @@ class GroundTruth:
         for page, cat in self.rows:
             out.setdefault(page.domain, []).append(cat)
         return out
-
-    def domains(self) -> set[OnionDomain]:
-        return {page.domain for page, _ in self.rows}
 
 
 def load_ground_truth(path, corpus: Corpus) -> GroundTruth:
@@ -383,23 +372,16 @@ def classify_corpus(corpus: Corpus, gt: GroundTruth,
     return results
 
 
+def _label_row(r: LabelResult) -> dict:
+    row = {"v": 1, "domain": r.domain.name, "category": r.category.label, "phase": r.phase}
+    if r.score is not None:
+        row["score"] = round(r.score, 12)
+    return row
+
+
 def write_labels_jsonl(results: dict[OnionDomain, LabelResult], out_path):
-    with open(out_path, "w") as fh:
-        for domain in sorted(results):
-            r = results[domain]
-            row = {"v": 1, "domain": domain.name, "category": r.category.label,
-                   "phase": r.phase}
-            if r.score is not None:
-                row["score"] = round(r.score, 12)
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    write_jsonl(out_path, (_label_row(results[d]) for d in sorted(results)))
 
 
 def read_labels_jsonl(path) -> dict[str, Category]:
-    out = {}
-    with open(path) as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            out[row["domain"]] = Category.parse(row["category"])
-    return out
+    return {row["domain"]: Category.parse(row["category"]) for row in read_jsonl(path)}

@@ -9,7 +9,6 @@ order edges are processed in.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
 from urllib.parse import urlparse
@@ -450,17 +449,3 @@ def run_clustering(labels: dict[str, Category], illicit: IllicitAddressSet,
                          graph=graph, vanity=vanity, exclusions=exclusions,
                          income=income)
 
-
-def write_campaigns_json(campaigns: list[Campaign], exclusions: dict, out_path):
-    doc = {"v": 1, "campaigns": [c.to_dict() for c in campaigns]}
-    doc.update(exclusions)
-    with open(out_path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
-def write_trace_json(trace: list[PhaseSnapshot], out_path):
-    with open(out_path, "w") as fh:
-        json.dump({"v": 1, "phases": [s.to_dict() for s in trace]}, fh,
-                  indent=2, sort_keys=True)
-        fh.write("\n")

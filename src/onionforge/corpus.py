@@ -20,6 +20,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 from urllib.parse import unquote
 
+from .artifacts import read_jsonl, write_jsonl
+
 log = logging.getLogger("onionforge.corpus")
 
 ONION_NAME_RE = re.compile(r"^([a-z2-7]{16}|[a-z2-7]{56})\.onion$")
@@ -59,30 +61,26 @@ class PageRecord:
 
 @dataclass
 class Corpus:
-    pages: list[PageRecord] = field(default_factory=list)
-    index: dict[OnionDomain, list[PageRecord]] = field(default_factory=dict)
+    """Pages by domain and path; adding a page at a known (domain, path) replaces it."""
+
+    index: dict[OnionDomain, dict[str, PageRecord]] = field(default_factory=dict)
     skipped: list[str] = field(default_factory=list)  # ingest warnings
 
-    def add(self, page: PageRecord, replace: bool = False):
-        bucket = self.index.setdefault(page.domain, [])
-        for i, existing in enumerate(bucket):
-            if existing.path == page.path:
-                if not replace:
-                    raise CorpusError("duplicate page %s %s" % (page.domain, page.path))
-                bucket[i] = page
-                self.pages[self.pages.index(existing)] = page
-                return
-        bucket.append(page)
-        self.pages.append(page)
+    def add(self, page: PageRecord):
+        self.index.setdefault(page.domain, {})[page.path] = page
+
+    @property
+    def pages(self) -> list[PageRecord]:
+        return [page for bucket in self.index.values() for page in bucket.values()]
 
     def domains(self) -> list[OnionDomain]:
         return sorted(self.index)
 
     def pages_for(self, domain: OnionDomain) -> list[PageRecord]:
-        return list(self.index.get(domain, []))
+        return list(self.index.get(domain, {}).values())
 
     def __len__(self):
-        return len(self.pages)
+        return sum(len(bucket) for bucket in self.index.values())
 
 
 def _path_from_filename(name: str) -> str:
@@ -152,41 +150,31 @@ def ingest_snapshot(root) -> Corpus:
             fetched = manifest.get((domain.name, path))
             if fetched is None:
                 fetched = datetime.fromtimestamp(page_file.stat().st_mtime, tz=timezone.utc)
-            page = PageRecord(domain=domain, path=path, html=html, fetched_at=fetched)
-            try:
-                corpus.add(page)
-            except CorpusError:
+            if path in corpus.index.get(domain, {}):
                 log.warning("duplicate page %s %s: keeping later file", domain, path)
-                corpus.add(page, replace=True)
+            corpus.add(PageRecord(domain=domain, path=path, html=html, fetched_at=fetched))
     return corpus
 
 
 # --- corpus.jsonl inter-stage format ---
 
 def write_corpus_jsonl(corpus: Corpus, out_path):
-    with open(out_path, "w") as fh:
-        for page in sorted(corpus.pages, key=lambda p: (p.domain.name, p.path)):
-            fh.write(json.dumps({
-                "v": 1,
-                "domain": page.domain.name,
-                "path": page.path,
-                "fetched_at": page.fetched_at.isoformat().replace("+00:00", "Z"),
-                "html_b64": base64.b64encode(page.html).decode("ascii"),
-            }, sort_keys=True) + "\n")
+    write_jsonl(out_path, ({
+        "v": 1,
+        "domain": page.domain.name,
+        "path": page.path,
+        "fetched_at": page.fetched_at.isoformat().replace("+00:00", "Z"),
+        "html_b64": base64.b64encode(page.html).decode("ascii"),
+    } for page in sorted(corpus.pages, key=lambda p: (p.domain.name, p.path))))
 
 
 def read_corpus_jsonl(path) -> Corpus:
     corpus = Corpus()
-    with open(path) as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            corpus.add(PageRecord(
-                domain=OnionDomain(row["domain"]),
-                path=row["path"],
-                html=base64.b64decode(row["html_b64"]),
-                fetched_at=_parse_rfc3339(row["fetched_at"]),
-            ), replace=True)
+    for row in read_jsonl(path):
+        corpus.add(PageRecord(
+            domain=OnionDomain(row["domain"]),
+            path=row["path"],
+            html=base64.b64decode(row["html_b64"]),
+            fetched_at=_parse_rfc3339(row["fetched_at"]),
+        ))
     return corpus
-

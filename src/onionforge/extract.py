@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from importlib import resources
 
 from . import base58
+from .artifacts import word_list
 from .keccak import keccak256
 from .pagetext import page_text_and_attrs
 
@@ -59,16 +59,8 @@ class Rejection:
     reason: str  # bad-alphabet | bad-checksum | bad-version | bad-length | bad-hex | bad-eip55
 
 
-def load_tlds() -> set[str]:
-    text = resources.files("onionforge.data").joinpath("tlds.txt").read_text()
-    return {line.strip().lower() for line in text.splitlines()
-            if line.strip() and not line.startswith("#")}
-
-
-def load_tlds_from(path) -> set[str]:
-    with open(path) as fh:
-        return {line.strip().lower() for line in fh
-                if line.strip() and not line.startswith("#")}
+def load_tlds(path=None) -> set[str]:
+    return word_list(path, "tlds.txt")
 
 
 def find_candidates(text: str, source=("", "")) -> tuple[list[BtcAddressCandidate], list[str]]:

@@ -1,9 +1,9 @@
 """Pipeline orchestration, paper-style tables, and campaign graph export.
 
-Every inter-stage artifact is line-delimited JSON with a schema-version
-field; stages are skipped on re-runs when their input digests match, which
-makes a run resumable from any completed stage. Outputs carry no wall-clock
-state, so identical inputs produce byte-identical outputs.
+Stages hand their results to each other as files in the format that
+`artifacts` fixes; stages are skipped on re-runs when their input digests
+match, which makes a run resumable from any completed stage. Outputs carry
+no wall-clock state, so identical inputs produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -13,13 +13,14 @@ import hashlib
 import json
 import logging
 import time
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import chain, classify, cluster, extract, pagetext, trace
+from .artifacts import read_jsonl, write_json, write_jsonl
 from .classify import CATEGORIES, Category
 from .corpus import ingest_snapshot, read_corpus_jsonl, write_corpus_jsonl
 
@@ -185,9 +186,6 @@ class PipelineRun:
     started_at: float = 0.0
     finished_at: float = 0.0
 
-    def artifact(self, name: str) -> Path:
-        return self.out_dir / name
-
 
 # --- the stages ---
 
@@ -238,8 +236,9 @@ def stage_ingest(cfg: PipelineConfig, out: Path):
 def stage_extract(cfg: PipelineConfig, out: Path):
     """Extract and validate BTC/ETH addresses and emails from every page."""
     corpus = read_corpus_jsonl(out / "corpus.jsonl")
-    tlds = extract.load_tlds_from(cfg.tlds) if cfg.tlds else extract.load_tlds()
-    with open(out / "addresses.jsonl", "w") as fh:
+    tlds = extract.load_tlds(cfg.tlds)
+
+    def rows():
         for page in sorted(corpus.pages, key=lambda p: (p.domain.name, p.path)):
             source = (page.domain.name, page.path)
             scanned = extract.scan_page(page.html, source, tlds)
@@ -251,11 +250,11 @@ def stage_extract(cfg: PipelineConfig, out: Path):
                            "valid": isinstance(verdict, accepted_type)}
                     if not row["valid"]:
                         row["reject_reason"] = verdict.reason
-                    fh.write(json.dumps(row, sort_keys=True) + "\n")
+                    yield row
             for email in scanned["email"]:
-                fh.write(json.dumps({"v": 1, "domain": source[0], "path": source[1],
-                                     "kind": "email", "value": str(email), "valid": True},
-                                    sort_keys=True) + "\n")
+                yield {"v": 1, "domain": source[0], "path": source[1],
+                       "kind": "email", "value": str(email), "valid": True}
+    write_jsonl(out / "addresses.jsonl", rows())
 
 
 @stage("classify", reads=["corpus.jsonl"], writes=["labels.jsonl"],
@@ -263,20 +262,10 @@ def stage_extract(cfg: PipelineConfig, out: Path):
 def stage_classify(cfg: PipelineConfig, out: Path):
     """Label every site with the three-phase illicit-site classifier."""
     corpus = read_corpus_jsonl(out / "corpus.jsonl")
-    stopwords = (classify.load_stopwords_from(cfg.stopwords) if cfg.stopwords
-                 else classify.load_stopwords())
+    stopwords = classify.load_stopwords(cfg.stopwords)
     gt = classify.load_ground_truth(cfg.ground_truth, corpus)
     results = classify.classify_corpus(corpus, gt, cfg.threshold, stopwords)
     classify.write_labels_jsonl(results, out / "labels.jsonl")
-
-
-def read_address_rows(path) -> list[dict]:
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            if line.strip():
-                rows.append(json.loads(line))
-    return rows
 
 
 @stage("filter", reads=["labels.jsonl", "addresses.jsonl"],
@@ -285,11 +274,10 @@ def read_address_rows(path) -> list[dict]:
 def stage_filter(cfg: PipelineConfig, out: Path):
     """Keep the owner-linked addresses of each illicit site."""
     labels = classify.read_labels_jsonl(out / "labels.jsonl")
-    rows = read_address_rows(out / "addresses.jsonl")
     annotations = (chain.load_annotations(cfg.chain_annotations)
                    if cfg.chain_annotations else {})
     by_site: dict[str, list[str]] = {}
-    for row in rows:
+    for row in read_jsonl(out / "addresses.jsonl"):
         if row["kind"] == "btc" and row["valid"]:
             bucket = by_site.setdefault(row["domain"], [])
             if row["value"] not in bucket:
@@ -312,9 +300,7 @@ def stage_filter(cfg: PipelineConfig, out: Path):
             audit.append({"v": 1, "domain": domain, "address": address,
                           "action": "removed", "reason": reason})
     chain.write_illicit_jsonl(illicit, out / "illicit.jsonl")
-    with open(out / "filter_audit.jsonl", "w") as fh:
-        for row in audit:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    write_jsonl(out / "filter_audit.jsonl", audit)
 
 
 @stage("fetch-tx", reads=["illicit.jsonl"], writes=["ledgers"],
@@ -344,9 +330,7 @@ def stage_fetch_tx(cfg: PipelineConfig, out: Path):
         })
     for address in sorted(failures):
         index_rows.append({"v": 1, "address": address, "error": failures[address]})
-    with open(ledgers_dir / "_index.jsonl", "w") as fh:
-        for row in index_rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    write_jsonl(ledgers_dir / "_index.jsonl", index_rows)
     if _ledger_memo is not None:
         _ledger_memo[str(ledgers_dir)] = ledgers  # what read_ledgers would parse back
     log.info("fetched %d ledgers, %d failures", len(ledgers), len(failures))
@@ -382,8 +366,7 @@ def read_ledgers(ledgers_dir) -> dict[str, chain.AddressLedger]:
 def stage_trace(cfg: PipelineConfig, out: Path):
     """Search the surface web for every illicit address."""
     illicit = chain.read_illicit_jsonl(out / "illicit.jsonl")
-    domains = (trace.load_explorer_domains_from(cfg.explorer_domains)
-               if cfg.explorer_domains else trace.load_explorer_domains())
+    domains = trace.load_explorer_domains(cfg.explorer_domains)
     if cfg.search_base_url:
         provider = trace.HttpSearch(cfg.search_base_url, rate_limit=cfg.rate_limit or None)
     elif cfg.search_fixtures:
@@ -393,7 +376,7 @@ def stage_trace(cfg: PipelineConfig, out: Path):
     hits, failures = trace.search_all(illicit.addresses(), provider, domains)
     facts = []
     if cfg.trace_annotations:
-        hits, facts, _ = trace.import_annotations(cfg.trace_annotations, hits)
+        hits, facts, _ = trace.import_annotations(read_jsonl(cfg.trace_annotations), hits)
     trace.write_hits_jsonl(hits, failures, out / "hits.jsonl")
     trace.write_surface_jsonl(trace.surface_links(hits, facts), out / "surface.jsonl")
 
@@ -410,7 +393,7 @@ def stage_cluster(cfg: PipelineConfig, out: Path):
     ledgers = read_ledgers(out / "ledgers")
     links = trace.read_surface_jsonl(out / "surface.jsonl")
     site_emails: dict[str, set[str]] = {}
-    for row in read_address_rows(out / "addresses.jsonl"):
+    for row in read_jsonl(out / "addresses.jsonl"):
         if row["kind"] == "email" and row["valid"]:
             site_emails.setdefault(row["domain"], set()).add(row["value"])
 
@@ -431,21 +414,17 @@ def stage_cluster(cfg: PipelineConfig, out: Path):
                 if nid in result.graph.nodes:
                     result.graph.nodes[nid]["campaign"] = campaign.id
 
-    cluster.write_campaigns_json(result.campaigns, result.exclusions,
-                                 out / "campaigns.json")
-    cluster.write_trace_json(result.trace, out / "phase_trace.json")
-    with open(out / "vanity.json", "w") as fh:
-        json.dump({"v": 1, "groups": [{"prefix": p, "domains": d}
-                                      for p, d in result.vanity]},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    with open(out / "entity_graph.json", "w") as fh:
-        json.dump({"v": 1,
-                   "nodes": {nid: result.graph.nodes[nid]
-                             for nid in sorted(result.graph.nodes)},
-                   "edges": sorted(result.graph.edges)},
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "campaigns.json",
+               {"v": 1, "campaigns": [c.to_dict() for c in result.campaigns],
+                **result.exclusions})
+    write_json(out / "phase_trace.json",
+               {"v": 1, "phases": [s.to_dict() for s in result.trace]})
+    write_json(out / "vanity.json",
+               {"v": 1, "groups": [{"prefix": p, "domains": d} for p, d in result.vanity]})
+    write_json(out / "entity_graph.json",
+               {"v": 1,
+                "nodes": {nid: result.graph.nodes[nid] for nid in sorted(result.graph.nodes)},
+                "edges": sorted(result.graph.edges)})
     log.info("%d campaigns", len(result.campaigns))
 
 
@@ -557,10 +536,8 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> PipelineRu
 
 
 def _write_manifest(run: PipelineRun, path: Path):
-    with open(path, "w") as fh:
-        json.dump({"v": 1, "run_id": run.run_id, "config": run.config.to_dict(),
-                   "stages": run.stage_digests}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(path, {"v": 1, "run_id": run.run_id, "config": run.config.to_dict(),
+                      "stages": run.stage_digests})
 
 
 # --- tables ---
@@ -577,9 +554,7 @@ def _write_table(rows: list[dict], headers: list[str], base: Path):
         writer = csv.DictWriter(fh, fieldnames=headers, lineterminator="\n")
         writer.writeheader()
         writer.writerows(rows)
-    with open(base.with_suffix(".json"), "w") as fh:
-        json.dump({"v": 1, "rows": rows}, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(base.with_suffix(".json"), {"v": 1, "rows": rows})
 
 
 def emit_tables(out_dir, top_n: int = 10, min_received: int = 0) -> dict:
@@ -598,17 +573,12 @@ def emit_tables(out_dir, top_n: int = 10, min_received: int = 0) -> dict:
     vanity_path = _require(out, "cluster", "vanity.json")
 
     labels = classify.read_labels_jsonl(labels_path)
-    address_rows = read_address_rows(addresses_path)
+    address_rows = list(read_jsonl(addresses_path))
     illicit = chain.read_illicit_jsonl(illicit_path)
     ledgers = read_ledgers(ledgers_dir)
     income = chain.estimate_income(illicit, ledgers)
 
-    pages_per_domain: dict[str, int] = {}
-    with open(corpus_path) as fh:
-        for line in fh:
-            if line.strip():
-                row = json.loads(line)
-                pages_per_domain[row["domain"]] = pages_per_domain.get(row["domain"], 0) + 1
+    pages_per_domain = Counter(row["domain"] for row in read_jsonl(corpus_path))
 
     # table 3 shape: per-category onion/page/address counts
     sites_by_cat: dict[Category, list[str]] = {c: [] for c in list(CATEGORIES) + [Category.OTHER]}
@@ -715,9 +685,7 @@ def emit_tables(out_dir, top_n: int = 10, min_received: int = 0) -> dict:
         "dormant_flagged": dormant,
         "vanity_groups": len(vanity_doc["groups"]),
     }
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(out / "summary.json", summary)
     return summary
 
 

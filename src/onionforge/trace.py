@@ -7,9 +7,10 @@ import json
 import logging
 import time
 from dataclasses import dataclass, replace
-from importlib import resources
 from pathlib import Path
 from urllib.parse import urlparse
+
+from .artifacts import read_jsonl, word_list, write_jsonl
 
 log = logging.getLogger("onionforge.trace")
 
@@ -48,16 +49,8 @@ class IdentityFact:
                              % self.url)
 
 
-def load_explorer_domains() -> set[str]:
-    text = resources.files("onionforge.data").joinpath("explorer_domains.txt").read_text()
-    return {line.strip().lower() for line in text.splitlines()
-            if line.strip() and not line.startswith("#")}
-
-
-def load_explorer_domains_from(path) -> set[str]:
-    with open(path) as fh:
-        return {line.strip().lower() for line in fh
-                if line.strip() and not line.startswith("#")}
+def load_explorer_domains(path=None) -> set[str]:
+    return word_list(path, "explorer_domains.txt")
 
 
 class SearchAdapter:
@@ -159,21 +152,12 @@ def filter_explorer_urls(hits, explorer_domains: set[str]) -> list[SurfaceHit]:
     return out
 
 
-def import_annotations(rows_or_path, hits):
+def import_annotations(rows, hits):
     """Apply analyst rows {url, kind?, ip?, registrant?, note?} to hits.
 
     Rows naming a URL absent from the hit list are skipped with a warning.
     Returns (updated hits, identity facts, skipped row count).
     """
-    if isinstance(rows_or_path, (str, Path)):
-        rows = []
-        with open(rows_or_path) as fh:
-            for line in fh:
-                if line.strip():
-                    rows.append(json.loads(line))
-    else:
-        rows = list(rows_or_path)
-
     known_urls = {h.url for h in hits}
     updated = list(hits)
     facts: list[IdentityFact] = []
@@ -222,48 +206,18 @@ def surface_links(hits, facts) -> list[dict]:
 # --- hits.jsonl inter-stage format ---
 
 def write_hits_jsonl(hits, failures, out_path):
-    with open(out_path, "w") as fh:
-        for hit in sorted(hits, key=lambda h: (h.address, h.url)):
-            fh.write(json.dumps({"v": 1, "address": hit.address, "url": hit.url,
-                                 "source": hit.source, "kind": hit.kind},
-                                sort_keys=True) + "\n")
-        for address in sorted(failures):
-            fh.write(json.dumps({"v": 1, "address": address, "error": failures[address]},
-                                sort_keys=True) + "\n")
-
-
-def read_hits_jsonl(path) -> list[SurfaceHit]:
-    hits = []
-    with open(path) as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            if "url" not in row:
-                continue  # failure record
-            hits.append(SurfaceHit(address=row["address"], url=row["url"],
-                                   source=row.get("source", "search"),
-                                   kind=row.get("kind", "Unreviewed")))
-    return hits
+    rows = [{"v": 1, "address": hit.address, "url": hit.url, "source": hit.source,
+             "kind": hit.kind} for hit in sorted(hits, key=lambda h: (h.address, h.url))]
+    rows += [{"v": 1, "address": a, "error": failures[a]} for a in sorted(failures)]
+    write_jsonl(out_path, rows)
 
 
 def write_surface_jsonl(links, out_path):
-    with open(out_path, "w") as fh:
-        for row in links:
-            fh.write(json.dumps({"v": 1, "url": row["url"], "ip": row["ip"],
-                                 "registrant": row["registrant"],
-                                 "addresses": list(row["addresses"])},
-                                sort_keys=True) + "\n")
+    write_jsonl(out_path, ({"v": 1, "url": row["url"], "ip": row["ip"],
+                            "registrant": row["registrant"],
+                            "addresses": list(row["addresses"])} for row in links))
 
 
 def read_surface_jsonl(path) -> list[dict]:
-    out = []
-    with open(path) as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            out.append({"url": row["url"], "ip": row.get("ip"),
-                        "registrant": row.get("registrant"),
-                        "addresses": tuple(row.get("addresses", ()))})
-    return out
+    return [{"url": row["url"], "ip": row.get("ip"), "registrant": row.get("registrant"),
+             "addresses": tuple(row.get("addresses", ()))} for row in read_jsonl(path)]

@@ -202,6 +202,8 @@ class TestMalformedLedgerRows:
         dict(GOOD, outputs=[{"address": "good", "value": None}]),
         dict(GOOD, outputs=["a"]),
         dict(GOOD, outputs=[{"address": 5, "value": 5}]),
+        dict(GOOD, outputs=[{"address": "good", "value": float("inf")}]),  # Infinity
+        dict(GOOD, timestamp=1e20),  # epoch seconds past datetime's range
         ["not", "an", "object"],
         "not an object",
     ])

@@ -75,6 +75,12 @@ class TestTokenize:
     def test_stopwords_and_short_removed(self):
         assert tokenize("it is an ox and the fox", STOPWORDS) == ["fox"]
 
+    def test_stopwords_file_is_case_insensitive(self, tmp_path):
+        # tokens are lowercased, so an upper-case entry must match its lowercase token
+        path = tmp_path / "stopwords.txt"
+        path.write_text("# custom list\nBitcoin\n")
+        assert tokenize("Send bitcoin wallet", load_stopwords(path)) == ["send", "wallet"]
+
 
 class TestCosine:
     def test_self_similarity(self):

@@ -104,3 +104,17 @@ class TestIngest:
         assert again.pages[0].html == b"\x00binary\xff"
         assert again.pages[0].fetched_at == NOW
 
+
+
+class TestCorpus:
+    def test_add_replaces_in_place(self):
+        corpus = Corpus()
+        for p in (page(name_for(0), "/"), page(name_for(0), "/a"), page(name_for(1), "/")):
+            corpus.add(p)
+        newer = page(name_for(0), "/", b"<html>newer</html>")
+        corpus.add(newer)
+        assert len(corpus) == 3
+        assert [(p.domain.name, p.path) for p in corpus.pages] == [
+            (name_for(0), "/"), (name_for(0), "/a"), (name_for(1), "/")]
+        assert corpus.pages[0] is newer
+        assert corpus.pages_for(OnionDomain(name_for(0)))[0] is newer

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from onionforge import chain, pagetext, report
+from onionforge.artifacts import read_jsonl
 from onionforge.classify import Category
 from onionforge.corpus import read_corpus_jsonl
 from onionforge.cluster import Campaign, EntityGraph
@@ -403,7 +404,7 @@ class TestTables:
             fetched_at=datetime(2022, 3, 1, tzinfo=timezone.utc)))
         write_corpus_jsonl(corpus, tmp_path / "corpus.jsonl")
         report.stage_extract(PipelineConfig(), tmp_path)
-        rows = report.read_address_rows(tmp_path / "addresses.jsonl")
+        rows = list(read_jsonl(tmp_path / "addresses.jsonl"))
         assert rows == [{"v": 1, "domain": "ethpageaaaaaaaaa.onion", "path": "/",
                          "kind": "eth", "value": eth, "valid": True}]
 

@@ -2,10 +2,11 @@ import json
 
 import pytest
 
+from onionforge.artifacts import read_jsonl
 from onionforge.trace import (
     FixtureSearch, IdentityFact, SurfaceHit, TraceError, filter_explorer_urls,
-    import_annotations, load_explorer_domains, read_hits_jsonl, search_address,
-    search_all, surface_links, write_hits_jsonl,
+    import_annotations, load_explorer_domains, search_address, search_all,
+    surface_links, write_hits_jsonl,
 )
 
 EXPLORERS = load_explorer_domains()
@@ -148,7 +149,7 @@ class TestAnnotations:
         path = tmp_path / "ann.jsonl"
         path.write_text(json.dumps({"url": "https://x.example.com/",
                                     "kind": "IllicitSite"}) + "\n")
-        updated, _, _ = import_annotations(path, hits)
+        updated, _, _ = import_annotations(read_jsonl(path), hits)
         assert updated[0].kind == "IllicitSite"
 
 
@@ -166,5 +167,8 @@ class TestSurfaceLinks:
 def test_hits_jsonl_roundtrip(tmp_path):
     hits = [SurfaceHit(address=ADDR, url="https://x.example.com/", kind="AbuseReport")]
     write_hits_jsonl(hits, {"lost": "timeout"}, tmp_path / "hits.jsonl")
-    again = read_hits_jsonl(tmp_path / "hits.jsonl")
-    assert again == hits
+    assert list(read_jsonl(tmp_path / "hits.jsonl")) == [
+        {"v": 1, "address": ADDR, "url": "https://x.example.com/", "source": "search",
+         "kind": "AbuseReport"},
+        {"v": 1, "address": "lost", "error": "timeout"},
+    ]
