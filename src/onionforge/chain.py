@@ -177,6 +177,8 @@ class FixtureExplorer(ExplorerAdapter):
         if not path.is_file():
             return []
         rows = json.loads(path.read_text())
+        if not isinstance(rows, list):
+            raise ChainError("%s is not a JSON array" % path.name)
         return [parse_transaction(row) for row in rows]
 
 
@@ -239,8 +241,15 @@ class HttpExplorer(ExplorerAdapter):
             payload = self._get(url)
             if payload is None:
                 return []
-            out.extend(parse_transaction(row) for row in payload.get("transactions", []))
-            if page >= int(payload.get("total_pages", 1)):
+            rows = payload.get("transactions", []) if isinstance(payload, dict) else None
+            if not isinstance(rows, list):
+                raise ChainError("malformed page from %s: no transactions array" % url)
+            out.extend(parse_transaction(row) for row in rows)
+            try:
+                last = int(payload.get("total_pages", 1))
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise ChainError("malformed page from %s: total_pages %s" % (url, exc)) from exc
+            if page >= last:
                 return out
             page += 1
 

@@ -272,14 +272,13 @@ class FeatureSet:
                           for cat, vec in self.category_vectors.items()}
 
 
-def build_feature_set(gt: GroundTruth, stopwords: set[str] | None = None, *,
+def build_feature_set(gt: GroundTruth, stopwords: set[str], *,
                       page_tokens=None) -> FeatureSet:
     """Per-category TF-IDF over the 12 concatenated category documents.
 
     `page_tokens(page)` gives a page's tokens; by default the page is parsed.
     """
     if page_tokens is None:
-        stopwords = load_stopwords() if stopwords is None else stopwords
         page_tokens = lambda page: tokenize(page_text(page.html), stopwords)
     docs: dict[Category, list[str]] = {cat: [] for cat in CATEGORIES}
     for page, cat in gt.rows:
@@ -325,11 +324,9 @@ class LabelResult:
     score: float | None = None
 
 
-def classify_corpus(corpus: Corpus, gt: GroundTruth,
-                    threshold: float = DEFAULT_THRESHOLD,
-                    stopwords: set[str] | None = None) -> dict[OnionDomain, LabelResult]:
+def classify_corpus(corpus: Corpus, gt: GroundTruth, threshold: float,
+                    stopwords: set[str]) -> dict[OnionDomain, LabelResult]:
     """Run all three phases over a corpus. Deterministic for fixed inputs."""
-    stopwords = load_stopwords() if stopwords is None else stopwords
     results: dict[OnionDomain, LabelResult] = {}
 
     site_labels = gt.site_page_labels()

@@ -1,10 +1,12 @@
 """Entity resolution: five concatenated merge phases over sites, addresses,
 emails, and surface-web identity facts.
 
-Every phase only merges, so clustered-site counts can never shrink. The
-partition is a union-find whose extracted components are keyed by their
-lexicographically smallest member, which makes results independent of the
-order edges are processed in.
+Each phase is a list of (kind, u, v) edges. Every edge is recorded in the
+entity graph and merges its two ends, so the partition is the connected
+components of the graph's edges and every phase only merges: clustered-site
+counts can never shrink. The partition is a union-find whose extracted
+components are keyed by their lexicographically smallest member, which makes
+results independent of the order edges are processed in.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 from urllib.parse import urlparse
 
 from . import chain
-from .chain import AddressLedger, IllicitAddressSet, Transaction, is_internal
+from .chain import AddressLedger, IllicitAddressSet, Transaction
 from .classify import Category
 
 log = logging.getLogger("onionforge.cluster")
@@ -86,8 +88,7 @@ EDGE_KINDS = ("site-hosts-addr", "site-lists-email", "common-input", "internal-t
 @dataclass
 class EntityGraph:
     nodes: dict[str, dict] = field(default_factory=dict)
-    edges: list[tuple[str, str, str]] = field(default_factory=list)  # (kind, u, v)
-    _edge_set: set[tuple[str, str, str]] = field(default_factory=set)
+    edges: set[tuple[str, str, str]] = field(default_factory=set)  # (kind, min, max)
 
     def add_node(self, nid: str, **attrs):
         node = self.nodes.setdefault(nid, {"type": node_kind(nid)})
@@ -101,10 +102,7 @@ class EntityGraph:
             return
         self.add_node(u)
         self.add_node(v)
-        key = (kind, u, v) if u <= v else (kind, v, u)
-        if key not in self._edge_set:
-            self._edge_set.add(key)
-            self.edges.append(key)
+        self.edges.add((kind, u, v) if u <= v else (kind, v, u))
 
     def edges_of_kind(self, kind: str) -> list[tuple[str, str, str]]:
         return sorted(e for e in self.edges if e[0] == kind)
@@ -145,67 +143,25 @@ def detect_mixing(tx: Transaction, min_participants: int = MIXING_MIN_PARTICIPAN
     return any(n >= min_participants for n in counts.values())
 
 
-def phase_shared_site(graph: EntityGraph, partition: UnionFind | None = None) -> UnionFind:
-    """Connected components over site-hosts-addr edges."""
-    uf = partition if partition is not None else UnionFind()
-    for nid, attrs in sorted(graph.nodes.items()):
-        if attrs["type"] in (SITE, BTC):
-            uf.add(nid)
-    for _, u, v in graph.edges_of_kind("site-hosts-addr"):
-        uf.union(u, v)
-    return uf
+def transaction_edges(ledgers: dict[str, AddressLedger], members) -> tuple[list, list]:
+    """Common-input and internal-tx edges among member addresses, in one pass.
 
-
-def phase_common_input(partition: UnionFind, ledgers: dict[str, AddressLedger],
-                       illicit=None, graph: EntityGraph | None = None) -> UnionFind:
-    """Multi-input heuristic restricted to known illicit addresses.
-
-    Mixing transactions contribute no edges; unknown input addresses are
-    never pulled in.
+    Multi-input heuristic: the member inputs of a transaction merge. Internal
+    transactions (a member input and a member output, as `is_internal` has
+    it) also merge each member input with each member output. Mixing
+    transactions contribute no edges; non-member addresses are never pulled in.
     """
-    members = set(illicit.addresses()) if illicit is not None else set(ledgers)
+    common, internal = [], []
     for tx in chain.unique_transactions(ledgers):
         if detect_mixing(tx):
             continue
         ins = sorted({i.address for i in tx.inputs if i.address in members})
-        for other in ins[1:]:
-            partition.union(node_id(BTC, ins[0]), node_id(BTC, other))
-            if graph is not None:
-                graph.add_edge("common-input", node_id(BTC, ins[0]), node_id(BTC, other))
-    return partition
-
-
-def phase_internal_tx(partition: UnionFind, ledgers: dict[str, AddressLedger],
-                      illicit=None, graph: EntityGraph | None = None) -> UnionFind:
-    """Merge the illicit inputs and outputs of internal transactions."""
-    members = set(illicit.addresses()) if illicit is not None else set(ledgers)
-    for tx in chain.unique_transactions(ledgers):
-        if detect_mixing(tx) or not is_internal(tx, members):
-            continue
-        ins = sorted({i.address for i in tx.inputs if i.address in members})
         outs = sorted({o.address for o in tx.outputs if o.address in members})
-        for src in ins:
-            for dst in outs:
-                if src != dst:
-                    partition.union(node_id(BTC, src), node_id(BTC, dst))
-                    if graph is not None:
-                        graph.add_edge("internal-tx", node_id(BTC, src), node_id(BTC, dst))
-    return partition
-
-
-def phase_email(partition: UnionFind, graph: EntityGraph) -> UnionFind:
-    """Sites sharing an email merge through the email node."""
-    for _, u, v in graph.edges_of_kind("site-lists-email"):
-        partition.union(u, v)
-    return partition
-
-
-@dataclass(frozen=True)
-class SurfaceLink:
-    url: str
-    ip: str | None = None
-    registrant: str | None = None
-    addresses: tuple[str, ...] = ()
+        common += [("common-input", node_id(BTC, ins[0]), node_id(BTC, other))
+                   for other in ins[1:]]
+        internal += [("internal-tx", node_id(BTC, src), node_id(BTC, dst))
+                     for src in ins for dst in outs if src != dst]
+    return common, internal
 
 
 def _url_host(url: str) -> str:
@@ -216,64 +172,51 @@ def _norm_registrant(name: str) -> str:
     return name.strip().casefold()
 
 
-def phase_identity(partition: UnionFind, surface_links,
-                   public_threshold: int = DEFAULT_PUBLIC_THRESHOLD,
-                   illicit=None, graph: EntityGraph | None = None,
-                   excluded_out: list | None = None) -> UnionFind:
-    """Merge addresses exposed on URLs sharing a non-public IP or registrant.
+def identity_edges(surface_links, public_threshold: int, members) -> tuple[list, list]:
+    """Edges linking addresses exposed on URLs that share a non-public IP or registrant.
 
+    `surface_links` are the surface.jsonl rows {url, ip, registrant, addresses}.
     IPs/registrants behind more than public_threshold distinct hosts are
-    treated as shared infrastructure and excluded (appended to excluded_out
-    for manual review); URLs with no remaining identity fact contribute
-    nothing.
+    treated as shared infrastructure and returned as (kind, value, url)
+    exclusions for manual review; URLs with no remaining identity fact
+    contribute nothing.
     """
-    links = [link if isinstance(link, SurfaceLink) else SurfaceLink(**link)
-             for link in surface_links]
     hosts_by_ip: dict[str, set[str]] = {}
     hosts_by_reg: dict[str, set[str]] = {}
-    for link in links:
-        host = _url_host(link.url)
-        if link.ip:
-            hosts_by_ip.setdefault(link.ip, set()).add(host)
-        if link.registrant:
-            hosts_by_reg.setdefault(_norm_registrant(link.registrant), set()).add(host)
+    for row in surface_links:
+        host = _url_host(row["url"])
+        if row["ip"]:
+            hosts_by_ip.setdefault(row["ip"], set()).add(host)
+        if row["registrant"]:
+            hosts_by_reg.setdefault(_norm_registrant(row["registrant"]), set()).add(host)
     public_ips = {ip for ip, hosts in hosts_by_ip.items() if len(hosts) > public_threshold}
     public_regs = {r for r, hosts in hosts_by_reg.items() if len(hosts) > public_threshold}
 
-    members = set(illicit.addresses()) if illicit is not None else None
-    excluded = []
-    for link in sorted(links, key=lambda l: l.url):
+    edges, excluded = [], []
+    for row in sorted(surface_links, key=lambda r: r["url"]):
+        url, ip, registrant = row["url"], row["ip"], row["registrant"]
+        url_node = node_id(URL, url)
         facts = []
-        if link.ip:
-            if link.ip in public_ips:
-                excluded.append(("ip", link.ip, link.url))
+        if ip:
+            if ip in public_ips:
+                excluded.append(("ip", ip, url))
             else:
-                facts.append(("url-resolves-ip", node_id(IP, link.ip)))
-        if link.registrant:
-            norm = _norm_registrant(link.registrant)
+                facts.append(("url-resolves-ip", url_node, node_id(IP, ip)))
+        if registrant:
+            norm = _norm_registrant(registrant)
             if norm in public_regs:
-                excluded.append(("registrant", link.registrant, link.url))
+                excluded.append(("registrant", registrant, url))
             else:
-                facts.append(("url-registered-by", node_id(REG, norm)))
+                facts.append(("url-registered-by", url_node, node_id(REG, norm)))
         if not facts:
             continue
-        url_node = node_id(URL, link.url)
-        for kind, fact_node in facts:
-            partition.union(url_node, fact_node)
-            if graph is not None:
-                graph.add_edge(kind, url_node, fact_node)
-        for address in sorted(set(link.addresses)):
-            if members is not None and address not in members:
-                continue
-            partition.union(url_node, node_id(BTC, address))
-            if graph is not None:
-                graph.add_edge("addr-found-at-url", node_id(BTC, address), url_node)
+        edges += facts
+        edges += [("addr-found-at-url", url_node, node_id(BTC, address))
+                  for address in sorted(set(row["addresses"])) if address in members]
     if excluded:
         log.info("identity phase excluded %d public facts (flagged for review)",
                  len(excluded))
-        if excluded_out is not None:
-            excluded_out.extend(excluded)
-    return partition
+    return edges, excluded
 
 
 def vanity_groups(domains, min_prefix: int = DEFAULT_VANITY_PREFIX) -> list[tuple[str, list[str]]]:
@@ -308,6 +251,13 @@ class Campaign:
     urls: list[str]
     categories: list[str]
     received: int
+
+    def node_ids(self) -> list[str]:
+        """The entity-graph node ids of every member."""
+        return [node_id(kind, value)
+                for kind, values in ((SITE, self.sites), (BTC, self.btc_addresses),
+                                     (EMAIL, self.emails), (IP, self.ips), (URL, self.urls))
+                for value in values]
 
     def to_dict(self) -> dict:
         return {"v": 1, "id": self.id, "sites": self.sites,
@@ -417,26 +367,27 @@ def run_clustering(labels: dict[str, Category], illicit: IllicitAddressSet,
                    surface_links=(),
                    public_threshold: int = DEFAULT_PUBLIC_THRESHOLD,
                    vanity_prefix: int = DEFAULT_VANITY_PREFIX) -> ClusterResult:
-    """All five phases in order, tracing counts after each."""
+    """All five phases in order, tracing counts after each.
+
+    The partition starts as the graph's sites and addresses; each phase's
+    edges are added to the graph and merge their ends.
+    """
     graph = build_entity_graph(labels, illicit, site_emails)
+    members = set(illicit.addresses())
+    common, internal = transaction_edges(ledgers, members)
+    identity, public_facts = identity_edges(surface_links, public_threshold, members)
+    partition = UnionFind(nid for nid, attrs in sorted(graph.nodes.items())
+                          if attrs["type"] in (SITE, BTC))
     trace = []
-
-    partition = phase_shared_site(graph)
-    trace.append(snapshot(partition, "shared-site"))
-
-    phase_common_input(partition, ledgers, illicit, graph)
-    trace.append(snapshot(partition, "common-input"))
-
-    phase_internal_tx(partition, ledgers, illicit, graph)
-    trace.append(snapshot(partition, "internal-tx"))
-
-    phase_email(partition, graph)
-    trace.append(snapshot(partition, "email"))
-
-    public_facts: list = []
-    phase_identity(partition, surface_links, public_threshold, illicit, graph,
-                   excluded_out=public_facts)
-    trace.append(snapshot(partition, "identity"))
+    for phase, edges in (("shared-site", graph.edges_of_kind("site-hosts-addr")),
+                         ("common-input", common),
+                         ("internal-tx", internal),
+                         ("email", graph.edges_of_kind("site-lists-email")),
+                         ("identity", identity)):
+        for kind, u, v in edges:
+            graph.add_edge(kind, u, v)
+            partition.union(u, v)
+        trace.append(snapshot(partition, phase))
 
     income = chain.estimate_income(illicit, ledgers)
     campaigns, exclusions = campaign_stats(partition, labels, income.per_address)

@@ -153,9 +153,8 @@ def find_emails(text: str, known_tlds: set[str]) -> list[EmailAddress]:
     return list(dict.fromkeys(out))
 
 
-def scan_page(html: bytes, source=("", ""), known_tlds: set[str] | None = None) -> dict:
+def scan_page(html: bytes, source, known_tlds: set[str]) -> dict:
     """One-page scan: validated/rejected BTC + ETH candidates and emails."""
-    tlds = known_tlds if known_tlds is not None else load_tlds()
     text = page_text_and_attrs(html)
     results = {"btc": [], "eth": [], "email": []}
     btc, eth = find_candidates(text, source)
@@ -163,6 +162,6 @@ def scan_page(html: bytes, source=("", ""), known_tlds: set[str] | None = None) 
         results["btc"].append((cand.text, validate_btc(cand)))
     for cand in eth:
         results["eth"].append((cand, validate_eth(cand)))
-    for email in find_emails(text, tlds):
+    for email in find_emails(text, known_tlds):
         results["email"].append(email)
     return results

@@ -404,15 +404,9 @@ def stage_cluster(cfg: PipelineConfig, out: Path):
         if nid in result.graph.nodes:
             result.graph.nodes[nid]["received"] = received
     for campaign in result.campaigns:
-        for kind, values in ((cluster.SITE, campaign.sites),
-                             (cluster.BTC, campaign.btc_addresses),
-                             (cluster.EMAIL, campaign.emails),
-                             (cluster.IP, campaign.ips),
-                             (cluster.URL, campaign.urls)):
-            for value in values:
-                nid = cluster.node_id(kind, value)
-                if nid in result.graph.nodes:
-                    result.graph.nodes[nid]["campaign"] = campaign.id
+        for nid in campaign.node_ids():
+            if nid in result.graph.nodes:
+                result.graph.nodes[nid]["campaign"] = campaign.id
 
     write_json(out / "campaigns.json",
                {"v": 1, "campaigns": [c.to_dict() for c in result.campaigns],
@@ -726,12 +720,7 @@ def export_graph(campaigns: list[cluster.Campaign], graph: cluster.EntityGraph,
 
     Address node size is proportional to satoshis received.
     """
-    members = set()
-    for c in campaigns:
-        for kind, values in ((cluster.SITE, c.sites), (cluster.BTC, c.btc_addresses),
-                             (cluster.EMAIL, c.emails), (cluster.IP, c.ips),
-                             (cluster.URL, c.urls)):
-            members.update(cluster.node_id(kind, v) for v in values)
+    members = {nid for c in campaigns for nid in c.node_ids()}
     node_ids = sorted(n for n in graph.nodes if n in members)
     edges = sorted(e for e in graph.edges if e[1] in members and e[2] in members)
 

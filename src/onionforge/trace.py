@@ -113,9 +113,8 @@ def _host_matches(url: str, domains: set[str]) -> bool:
 
 
 def search_address(address: str, provider: SearchAdapter,
-                   explorer_domains: set[str] | None = None) -> list[SurfaceHit]:
+                   explorer_domains: set[str]) -> list[SurfaceHit]:
     """Deduplicated hits for one address, explorer URLs auto-marked."""
-    domains = explorer_domains if explorer_domains is not None else load_explorer_domains()
     hits = []
     seen = set()
     for url in provider.results(address):
@@ -123,18 +122,16 @@ def search_address(address: str, provider: SearchAdapter,
             continue
         seen.add(url)
         hits.append(SurfaceHit(address=address, url=url, source=provider.source))
-    return filter_explorer_urls(hits, domains)
+    return filter_explorer_urls(hits, explorer_domains)
 
 
-def search_all(addresses, provider: SearchAdapter,
-               explorer_domains: set[str] | None = None):
+def search_all(addresses, provider: SearchAdapter, explorer_domains: set[str]):
     """Search every address; failures are recorded, not fatal."""
-    domains = explorer_domains if explorer_domains is not None else load_explorer_domains()
     hits: list[SurfaceHit] = []
     failures: dict[str, str] = {}
     for address in sorted(set(addresses)):
         try:
-            hits.extend(search_address(address, provider, domains))
+            hits.extend(search_address(address, provider, explorer_domains))
         except Exception as exc:
             failures[address] = str(exc)
             log.warning("search failed for %s: %s", address, exc)

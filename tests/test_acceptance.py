@@ -22,8 +22,7 @@ from onionforge.classify import (
     load_stopwords, term_vector, tfidf_vectors,
 )
 from onionforge.cluster import (
-    UnionFind, detect_mixing, node_id, phase_common_input, phase_internal_tx,
-    run_clustering, vanity_groups,
+    detect_mixing, run_clustering, transaction_edges, vanity_groups,
 )
 from onionforge.corpus import Corpus, OnionDomain, PageRecord
 from onionforge.extract import BtcAddress, Rejection, validate_btc
@@ -424,11 +423,8 @@ def test_criterion_07_mixing_suppression():
         addr = "a%d" % k
         fund = _mktx(100 + k, [("efund", 50 * 10 ** 6)], [(addr, 50 * 10 ** 6)])
         ledgers[addr] = AddressLedger.from_transactions(addr, [fund, jm])
-    uf = UnionFind([node_id("btc", "a%d" % k) for k in range(5)])
-    before = uf.partition()
-    phase_common_input(uf, ledgers, illicit)
-    phase_internal_tx(uf, ledgers, illicit)
-    assert uf.partition() == before  # zero merges from the flagged tx
+    # zero merge edges from the flagged tx
+    assert transaction_edges(ledgers, set(illicit.addresses())) == ([], [])
     ok(7, "JoinMarket-pattern tx flagged and contributes zero merges; "
           "a 2-in/2-out payment is not flagged")
 

@@ -214,6 +214,15 @@ class TestMalformedLedgerRows:
         assert list(ledgers) == ["good"] and ledgers["good"].received == 5
         assert list(failures) == ["bad"]
 
+    @pytest.mark.parametrize("payload", [5, None, GOOD])
+    def test_fixture_not_an_array_is_a_per_address_failure(self, tmp_path, payload):
+        (tmp_path / "bad.json").write_text(json.dumps(payload))
+        (tmp_path / "good.json").write_text(json.dumps([self.GOOD]))
+        ledgers, failures = fetch_all(["bad", "good"], FixtureExplorer(tmp_path))
+        assert list(ledgers) == ["good"] and ledgers["good"].received == 5
+        assert list(failures) == ["bad"]
+        assert "not a JSON array" in failures["bad"]
+
     def test_parse_raises_chain_error(self):
         with pytest.raises(ChainError, match="txid"):
             parse_transaction({"timestamp": 0, "inputs": [], "coinbase": True})
@@ -257,6 +266,19 @@ class TestHttpExplorer:
         explorer = HttpExplorer("http://x", session=session, max_retries=3, backoff=0.0)
         ledgers, failures = fetch_all(["bad", "good"], explorer)
         assert "bad" in failures and "good" in ledgers
+
+    @pytest.mark.parametrize("payload", [
+        [], "transactions", {"transactions": 5},
+        {"transactions": [], "total_pages": None},
+    ])
+    def test_malformed_page_is_a_per_address_failure(self, payload):
+        session = FakeSession([FakeResponse(200, payload),
+                               FakeResponse(200, {"page": 1, "total_pages": 1,
+                                                  "transactions": tx_rows(0, 2)})])
+        ledgers, failures = fetch_all(["bad", "good"], HttpExplorer("http://x", session=session))
+        assert list(ledgers) == ["good"] and len(ledgers["good"].transactions) == 2
+        assert list(failures) == ["bad"]
+        assert "malformed page" in failures["bad"]
 
     def test_429_is_retried(self):
         session = FakeSession([

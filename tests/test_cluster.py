@@ -7,8 +7,8 @@ from onionforge.chain import AddressLedger, IllicitAddressSet, Transaction, TxIO
 from onionforge.classify import Category
 from onionforge.cluster import (
     BTC, EMAIL, SITE, EntityGraph, UnionFind, build_entity_graph, campaign_stats,
-    detect_mixing, node_id, phase_common_input, phase_email, phase_identity,
-    phase_internal_tx, phase_shared_site, run_clustering, vanity_groups,
+    detect_mixing, identity_edges, node_id, run_clustering, transaction_edges,
+    vanity_groups,
 )
 
 T0 = datetime(2020, 1, 1, tzinfo=timezone.utc)
@@ -48,6 +48,12 @@ def dom(i):
     return "x%s%s%s.onion" % (chr(97 + i // 26), chr(97 + i % 26), "a" * 13)
 
 
+def merge(uf, edges):
+    for _, u, v in edges:
+        uf.union(u, v)
+    return uf
+
+
 class TestUnionFind:
     def test_components_keyed_by_smallest(self):
         uf = UnionFind(["c", "a", "b", "z"])
@@ -75,14 +81,15 @@ class TestSharedSite:
         graph.add_edge("site-hosts-addr", "site:s", "btc:A1")
         graph.add_edge("site-hosts-addr", "site:s", "btc:A2")
         graph.add_edge("site-hosts-addr", "site:t", "btc:A2")
-        uf = phase_shared_site(graph)
+        uf = merge(UnionFind(graph.nodes), graph.edges_of_kind("site-hosts-addr"))
         assert uf.components() == {"btc:A1": ["btc:A1", "btc:A2", "site:s", "site:t"]}
 
     def test_disjoint_pairs_stay_apart(self):
         graph = EntityGraph()
         graph.add_edge("site-hosts-addr", "site:s", "btc:A")
         graph.add_edge("site-hosts-addr", "site:t", "btc:B")
-        assert len(phase_shared_site(graph).components()) == 2
+        uf = merge(UnionFind(graph.nodes), graph.edges_of_kind("site-hosts-addr"))
+        assert len(uf.components()) == 2
 
     def test_random_bipartite_vs_nx_oracle(self):
         rng = random.Random(30)
@@ -98,7 +105,7 @@ class TestSharedSite:
             v = "btc:a%d" % rng.randrange(15)
             graph.add_edge("site-hosts-addr", u, v)
             oracle.add_edge(u, v)
-        uf = phase_shared_site(graph)
+        uf = merge(UnionFind(graph.nodes), graph.edges_of_kind("site-hosts-addr"))
         expected = {frozenset(c) for c in nx.connected_components(oracle)}
         assert uf.partition() == frozenset(expected)
 
@@ -132,8 +139,8 @@ class TestCommonInput:
     def test_illicit_pair_merges(self):
         illicit = simple_illicit([("A", dom(0)), ("B", dom(1))])
         txs = [mktx(1, [("A", 5), ("B", 5)], [("ext", 10)])]
-        uf = UnionFind([node_id(BTC, "A"), node_id(BTC, "B")])
-        phase_common_input(uf, ledgers_for(illicit, txs), illicit)
+        common, _ = transaction_edges(ledgers_for(illicit, txs), set(illicit.addresses()))
+        uf = merge(UnionFind([node_id(BTC, "A"), node_id(BTC, "B")]), common)
         assert uf.find("btc:A") == uf.find("btc:B")
 
     def test_mixing_tx_contributes_nothing(self):
@@ -141,16 +148,14 @@ class TestCommonInput:
         coin = 10 ** 7
         txs = [mktx(1, [("A", 3 * coin), ("B", 3 * coin), ("C", 3 * coin)],
                     [("o1", coin), ("o2", coin), ("o3", coin)])]
-        uf = UnionFind([node_id(BTC, "A"), node_id(BTC, "B")])
-        before = uf.partition()
-        phase_common_input(uf, ledgers_for(illicit, txs), illicit)
-        assert uf.partition() == before
+        members = set(illicit.addresses())
+        assert transaction_edges(ledgers_for(illicit, txs), members) == ([], [])
 
     def test_unknown_address_not_expanded(self):
         illicit = simple_illicit([("A", dom(0))])
         txs = [mktx(1, [("A", 5), ("X", 5)], [("ext", 10)])]
-        uf = UnionFind([node_id(BTC, "A")])
-        phase_common_input(uf, ledgers_for(illicit, txs), illicit)
+        common, _ = transaction_edges(ledgers_for(illicit, txs), set(illicit.addresses()))
+        uf = merge(UnionFind([node_id(BTC, "A")]), common)
         assert "btc:X" not in uf.parent
 
 
@@ -158,22 +163,22 @@ class TestInternalTx:
     def test_internal_merges(self):
         illicit = simple_illicit([("A", dom(0)), ("B", dom(1))])
         txs = [mktx(1, [("A", 5)], [("B", 5)])]
-        uf = UnionFind([node_id(BTC, "A"), node_id(BTC, "B")])
-        phase_internal_tx(uf, ledgers_for(illicit, txs), illicit)
+        _, internal = transaction_edges(ledgers_for(illicit, txs), set(illicit.addresses()))
+        uf = merge(UnionFind([node_id(BTC, "A"), node_id(BTC, "B")]), internal)
         assert uf.find("btc:A") == uf.find("btc:B")
 
     def test_external_output_no_merge(self):
         illicit = simple_illicit([("A", dom(0)), ("B", dom(1))])
         txs = [mktx(1, [("A", 5)], [("ext", 5)])]
-        uf = UnionFind([node_id(BTC, "A"), node_id(BTC, "B")])
-        phase_internal_tx(uf, ledgers_for(illicit, txs), illicit)
+        _, internal = transaction_edges(ledgers_for(illicit, txs), set(illicit.addresses()))
+        uf = merge(UnionFind([node_id(BTC, "A"), node_id(BTC, "B")]), internal)
         assert uf.find("btc:A") != uf.find("btc:B")
 
     def test_chain_collapses_to_one_cluster(self):
         illicit = simple_illicit([("A", dom(0)), ("B", dom(1)), ("C", dom(2))])
         txs = [mktx(1, [("A", 9)], [("B", 9)]), mktx(2, [("B", 4)], [("C", 4)])]
-        uf = UnionFind([node_id(BTC, a) for a in "ABC"])
-        phase_internal_tx(uf, ledgers_for(illicit, txs), illicit)
+        _, internal = transaction_edges(ledgers_for(illicit, txs), set(illicit.addresses()))
+        uf = merge(UnionFind([node_id(BTC, a) for a in "ABC"]), internal)
         oracle = nx.Graph([("A", "B"), ("B", "C")])
         oracle.add_nodes_from("ABC")
         expected = {frozenset("btc:%s" % m for m in c)
@@ -187,8 +192,8 @@ class TestEmailPhase:
         illicit = simple_illicit([("A", dom(0))])
         emails = {dom(0): {"ops@secmail.pro"}, dom(1): {"ops@secmail.pro"}}
         graph = build_entity_graph(labels, illicit, emails)
-        uf = phase_shared_site(graph)
-        phase_email(uf, graph)
+        uf = merge(merge(UnionFind(graph.nodes), graph.edges_of_kind("site-hosts-addr")),
+                   graph.edges_of_kind("site-lists-email"))
         root = uf.find(node_id(SITE, dom(0)))
         assert uf.find(node_id(SITE, dom(1))) == root
         assert uf.find(node_id(EMAIL, "ops@secmail.pro")) == root
@@ -198,8 +203,8 @@ class TestEmailPhase:
         illicit = IllicitAddressSet()
         emails = {dom(0): {"x@secmail.pro"}, dom(1): {"x@secmail.pro"}}
         graph = build_entity_graph(labels, illicit, emails)
-        uf = phase_shared_site(graph)
-        phase_email(uf, graph)
+        uf = merge(merge(UnionFind(graph.nodes), graph.edges_of_kind("site-hosts-addr")),
+                   graph.edges_of_kind("site-lists-email"))
         campaigns, stats = campaign_stats(uf, labels, {})
         assert campaigns == []
         assert stats["excluded_no_btc_address"] == 1
@@ -209,8 +214,8 @@ class TestEmailPhase:
         labels = {dom(i): Category.DRUGS for i in range(3)}
         emails = {dom(i): {"z@secmail.pro"} for i in range(3)}
         graph = build_entity_graph(labels, IllicitAddressSet(), emails)
-        uf = phase_shared_site(graph)
-        phase_email(uf, graph)
+        uf = merge(merge(UnionFind(graph.nodes), graph.edges_of_kind("site-hosts-addr")),
+                   graph.edges_of_kind("site-lists-email"))
         roots = {uf.find(node_id(SITE, dom(i))) for i in range(3)}
         assert len(roots) == 1
 
@@ -224,25 +229,20 @@ class TestIdentityPhase:
             {"url": "https://two.example.org/y", "ip": "198.51.100.9",
              "registrant": None, "addresses": ("B",)},
         ]
-        phase_identity(uf, links, public_threshold=50)
+        edges, _ = identity_edges(links, 50, {"A", "B"})
+        merge(uf, edges)
         assert uf.find("btc:A") == uf.find("btc:B")
 
     def test_public_ip_contributes_no_merges(self):
-        uf = UnionFind(["btc:A", "btc:B"])
-        before = uf.partition()
         links = [{"url": "https://h%d.example.com/" % i, "ip": "203.0.113.1",
                   "registrant": None, "addresses": ("A" if i == 0 else "B",)}
                  for i in range(60)]
-        excluded = []
-        phase_identity(uf, links, public_threshold=50, excluded_out=excluded)
-        assert uf.partition() == before
+        edges, excluded = identity_edges(links, 50, {"A", "B"})
+        assert edges == []
         assert excluded  # flagged for manual review
 
     def test_no_surface_facts_no_change(self):
-        uf = UnionFind(["btc:A", "btc:B"])
-        before = uf.partition()
-        phase_identity(uf, [], public_threshold=50)
-        assert uf.partition() == before
+        assert identity_edges([], 50, {"A", "B"}) == ([], [])
 
     def test_registrant_comparison_case_insensitive(self):
         uf = UnionFind(["btc:A", "btc:B"])
@@ -252,7 +252,8 @@ class TestIdentityPhase:
             {"url": "https://two.example.org/", "ip": None,
              "registrant": "shadow ops llc", "addresses": ("B",)},
         ]
-        phase_identity(uf, links, public_threshold=50)
+        edges, _ = identity_edges(links, 50, {"A", "B"})
+        merge(uf, edges)
         assert uf.find("btc:A") == uf.find("btc:B")
 
 
@@ -482,19 +483,26 @@ class TestWholePipelineInvariants:
             oracle = oracle_edge_union(labels, illicit, ledgers, emails, links)
             expected = frozenset(frozenset(c) for c in nx.connected_components(oracle))
             assert result.partition.partition() == expected, trial
+            # the partition is the components of the recorded edges
+            recorded = nx.Graph()
+            recorded.add_nodes_from(n for n, attrs in result.graph.nodes.items()
+                                    if attrs["type"] in (SITE, BTC))
+            recorded.add_edges_from((u, v) for _, u, v in result.graph.edges)
+            assert result.partition.partition() == frozenset(
+                frozenset(c) for c in nx.connected_components(recorded)), trial
 
     def test_phases_only_merge(self):
         rng = random.Random(78)
         labels, illicit, ledgers, emails, links = random_world(rng)
         graph = build_entity_graph(labels, illicit, emails)
-        uf = phase_shared_site(graph)
+        members = set(illicit.addresses())
+        common, internal = transaction_edges(ledgers, members)
+        identity, _ = identity_edges(links, 50, members)
+        uf = UnionFind(n for n, attrs in graph.nodes.items() if attrs["type"] in (SITE, BTC))
         history = [uf.partition()]
-        for apply_phase in (
-                lambda: phase_common_input(uf, ledgers, illicit, graph),
-                lambda: phase_internal_tx(uf, ledgers, illicit, graph),
-                lambda: phase_email(uf, graph),
-                lambda: phase_identity(uf, links, 50, illicit, graph)):
-            apply_phase()
+        for edges in (graph.edges_of_kind("site-hosts-addr"), common, internal,
+                      graph.edges_of_kind("site-lists-email"), identity):
+            merge(uf, edges)
             history.append(uf.partition())
         for before, after in zip(history, history[1:]):
             for old_cluster in before:

@@ -42,3 +42,5 @@ def test_planted_run_under_tracer(tmp_path):
     # every ledger row is parsed once, by fetch-tx; cluster and report reuse its ledgers
     rows = sum(len(json.loads(p.read_text())) for p in planted.tx_fixtures.glob("*.json"))
     assert doc["counts"]["chain.parse_transaction"] == rows
+    # clustering walks the distinct transactions once for both transaction phases
+    assert spans.count("chain.unique_transactions") == 1
