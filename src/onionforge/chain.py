@@ -182,13 +182,18 @@ class FixtureExplorer(ExplorerAdapter):
         return [parse_transaction(row) for row in rows]
 
 
+_NOT_FOUND = object()  # what `HttpExplorer._get` returns for a 404
+
+
 class HttpExplorer(ExplorerAdapter):
     """Paginated JSON client.
 
     Expects GET {base_url}/address/{addr}/transactions?page=N to return
     {"page": N, "total_pages": M, "transactions": [...]}. Retries 429, 5xx and
-    timeouts with exponential backoff; 404 means an unknown (empty) address,
-    and any other 4xx, or running out of retries, raises FetchError.
+    timeouts with exponential backoff. A 404 on page 1 means an unknown (empty)
+    address; a 404 on a later page, a page that is not such an object (a
+    `null` body included) or a bad `total_pages` raises ChainError; any other
+    4xx, or running out of retries, raises FetchError.
     """
 
     def __init__(self, base_url: str, session=None, rate_limit: float | None = None,
@@ -223,7 +228,7 @@ class HttpExplorer(ExplorerAdapter):
                 last = exc
             else:
                 if resp.status_code == 404:
-                    return None
+                    return _NOT_FOUND
                 if resp.status_code < 400:
                     return resp.json()
                 last = FetchError("HTTP %d from %s" % (resp.status_code, url))
@@ -239,8 +244,10 @@ class HttpExplorer(ExplorerAdapter):
         while True:
             url = "%s/address/%s/transactions?page=%d" % (self.base_url, address, page)
             payload = self._get(url)
-            if payload is None:
-                return []
+            if payload is _NOT_FOUND:
+                if page == 1:
+                    return []
+                raise ChainError("page %d of %d not found: HTTP 404 from %s" % (page, last, url))
             rows = payload.get("transactions", []) if isinstance(payload, dict) else None
             if not isinstance(rows, list):
                 raise ChainError("malformed page from %s: no transactions array" % url)

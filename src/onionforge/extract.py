@@ -20,7 +20,8 @@ from .pagetext import page_text_and_attrs
 # maximal alphanumeric runs only: a candidate embedded in a longer run is noise
 _ALNUM_RUN_RE = re.compile(r"[0-9a-zA-Z]+")
 _HEX_RE = re.compile(r"[0-9a-fA-F]{40}$")
-_EMAIL_RE = re.compile(r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+")
+_EMAIL_LOCAL = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789._%+-")
+_EMAIL_HOST_RE = re.compile(r"[A-Za-z0-9.-]+")
 _HOST_LABEL_RE = re.compile(r"^[A-Za-z0-9](?:[A-Za-z0-9-]{0,61}[A-Za-z0-9])?$")
 
 BTC_MIN_LEN = 25
@@ -137,15 +138,40 @@ def _valid_hostname(host: str) -> bool:
     return all(_HOST_LABEL_RE.match(label) for label in labels)
 
 
+def _email_parts(text: str):
+    """(local, host) of each `local@host` run, left to right, in one pass.
+
+    The runs are those `re.finditer(r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+")`
+    finds, without its quadratic retries on long runs with no "@": each "@"
+    with a host character after it takes the longest host run, and the local
+    part is the run of local characters just before it, cut at the end of the
+    previous match (in "a@b_c@d.com" the second local part is "_c").
+    """
+    end = 0
+    at = text.find("@")
+    while at >= 0:
+        host = _EMAIL_HOST_RE.match(text, at + 1)
+        if host:
+            start = at
+            while start > end and text[start - 1] in _EMAIL_LOCAL:
+                start -= 1
+            if start < at:
+                yield text[start:at], host.group()
+                end = host.end()
+        at = text.find("@", at + 1)
+
+
 def find_emails(text: str, known_tlds: set[str]) -> list[EmailAddress]:
-    """Syntactically valid addresses whose final domain label is a known TLD."""
+    """Syntactically valid addresses whose final domain label is a known TLD.
+
+    Linear in the text: see `_email_parts`.
+    """
     if not known_tlds:
         raise ValueError("known_tlds must be non-empty")
     out = []
-    for m in _EMAIL_RE.finditer(text):
-        local, _, host = m.group(0).rpartition("@")
+    for local, host in _email_parts(text):
         host = host.rstrip(".").lower()
-        if not local or not _valid_hostname(host):
+        if not _valid_hostname(host):
             continue
         if host.rsplit(".", 1)[-1] not in known_tlds:
             continue

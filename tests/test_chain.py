@@ -269,7 +269,7 @@ class TestHttpExplorer:
 
     @pytest.mark.parametrize("payload", [
         [], "transactions", {"transactions": 5},
-        {"transactions": [], "total_pages": None},
+        {"transactions": [], "total_pages": None}, None,
     ])
     def test_malformed_page_is_a_per_address_failure(self, payload):
         session = FakeSession([FakeResponse(200, payload),
@@ -279,6 +279,21 @@ class TestHttpExplorer:
         assert list(ledgers) == ["good"] and len(ledgers["good"].transactions) == 2
         assert list(failures) == ["bad"]
         assert "malformed page" in failures["bad"]
+
+    @pytest.mark.parametrize("second_page, reason", [
+        (FakeResponse(404), "page 2 of 2 not found"),
+        (FakeResponse(200, None), "malformed page"),
+    ], ids=["404", "null"])
+    def test_unusable_later_page_fails_the_address(self, second_page, reason):
+        # page 1 must not be silently lost behind an empty ledger
+        session = FakeSession([
+            FakeResponse(200, {"page": 1, "total_pages": 2, "transactions": tx_rows(0, 3)}),
+            second_page,
+            FakeResponse(200, {"page": 1, "total_pages": 1, "transactions": tx_rows(3, 2)}),
+        ])
+        ledgers, failures = fetch_all(["bad", "good"], HttpExplorer("http://x", session=session))
+        assert list(ledgers) == ["good"] and len(ledgers["good"].transactions) == 2
+        assert list(failures) == ["bad"] and reason in failures["bad"]
 
     def test_429_is_retried(self):
         session = FakeSession([

@@ -1,9 +1,10 @@
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from growth import growth
+from hypothesis import given, settings, strategies as st
 
-from onionforge import base58, pagetext
+from onionforge import base58, extract, pagetext
 from onionforge.extract import (
     BtcAddress, EmailAddress, EthAddress, Rejection, eip55_checksum,
     find_candidates, find_emails, load_tlds, scan_page,
@@ -16,6 +17,20 @@ TLDS = load_tlds()
 
 # what the BTC candidates must agree with on any fixture text
 REFERENCE_RE = re.compile(r"(?<![0-9a-zA-Z])[0-9a-zA-Z]{25,39}(?![0-9a-zA-Z])")
+
+
+# the email pattern `find_emails` must agree with, and the scan it replaced
+EMAIL_RE = re.compile(r"[A-Za-z0-9._%+-]+@[A-Za-z0-9.-]+")
+
+
+def reference_find_emails(text):
+    out = []
+    for m in EMAIL_RE.finditer(text):
+        local, _, host = m.group(0).rpartition("@")
+        host = host.rstrip(".").lower()
+        if local and extract._valid_hostname(host) and host.rsplit(".", 1)[-1] in TLDS:
+            out.append(EmailAddress(local=local, domain=host))
+    return list(dict.fromkeys(out))
 
 
 def find_btc_candidates(text):
@@ -203,6 +218,25 @@ class TestEmails:
     def test_fields(self):
         email = find_emails("Sales@Example.COM", TLDS)[0]
         assert email == EmailAddress(local="Sales", domain="example.com")
+
+    def test_local_part_starts_after_the_previous_match(self):
+        # "b" is the first host; the second local part may not reach back into it
+        found = find_emails("a@b_c@d.com x@y.org", TLDS)
+        assert [str(e) for e in found] == ["_c@d.com", "x@y.org"]
+
+    @settings(max_examples=500)
+    @given(st.text(alphabet="ab1_.%+-@ #é", max_size=40)
+           | st.lists(st.sampled_from(["a", "b_c", "@", "@@", ".", "..", "-", "x@y.com",
+                                       ".org", " ", "%+", "é", "COM"]), max_size=20)
+           .map("".join))
+    def test_same_matches_as_the_reference_regex(self, text):
+        want = [tuple(m.group().split("@")) for m in EMAIL_RE.finditer(text)]
+        assert list(extract._email_parts(text)) == want
+        assert find_emails(text, TLDS) == reference_find_emails(text)
+
+    @pytest.mark.parametrize("unit", ["a.", "a", "a@"])
+    def test_time_grows_linearly(self, unit):
+        assert growth(lambda text: find_emails(text, TLDS), lambda k: unit * k, 4000) < 8
 
 
 class TestScanPage:

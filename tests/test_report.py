@@ -158,16 +158,16 @@ class TestPipeline:
     def test_each_page_parsed_once_and_each_input_hashed_once(self, tmp_path,
                                                               monkeypatch):
         parsed, hashed = Counter(), Counter()
-        collect, path_digest = pagetext._collect, report._path_digest
+        scan, path_digest = pagetext._scan, report._path_digest
 
-        def counting_collect(html):
+        def counting_scan(html):
             parsed[html] += 1
-            return collect(html)
+            return scan(html)
 
         def counting_digest(path):
             hashed[str(path)] += 1
             return path_digest(path)
-        monkeypatch.setattr(pagetext, "_collect", counting_collect)
+        monkeypatch.setattr(pagetext, "_scan", counting_scan)
         monkeypatch.setattr(report, "_path_digest", counting_digest)
 
         planted = build_planted_corpus(tmp_path / "planted")
