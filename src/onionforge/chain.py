@@ -1,8 +1,8 @@
 """Transaction ledgers and income analytics for owner-linked addresses.
 
 All money is integer satoshis; BTC formatting happens only at the
-reporting edge. Transactions arrive through an ExplorerAdapter, either a
-directory of per-address JSON fixtures or a paginated HTTP endpoint.
+reporting edge. Transactions arrive from a provider, either a directory of
+per-address JSON fixtures or a paginated HTTP endpoint.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import json
 import logging
 import re
-import time
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
@@ -18,6 +17,7 @@ from pathlib import Path
 
 from .artifacts import read_jsonl, write_jsonl
 from .classify import Category
+from .net import NOT_FOUND, Client, FetchError
 
 log = logging.getLogger("onionforge.chain")
 
@@ -27,10 +27,6 @@ SECONDS_PER_DAY = 86400
 
 
 class ChainError(Exception):
-    pass
-
-
-class FetchError(ChainError):
     pass
 
 
@@ -159,14 +155,7 @@ class AddressLedger:
         return ledger
 
 
-class ExplorerAdapter:
-    """Supplies the raw transaction history of one address."""
-
-    def transactions(self, address: str) -> list[Transaction]:
-        raise NotImplementedError
-
-
-class FixtureExplorer(ExplorerAdapter):
+class FixtureExplorer:
     """Replay mode: <fixtures>/<address>.json holds an array of transactions."""
 
     def __init__(self, fixtures_dir):
@@ -182,73 +171,34 @@ class FixtureExplorer(ExplorerAdapter):
         return [parse_transaction(row) for row in rows]
 
 
-_NOT_FOUND = object()  # what `HttpExplorer._get` returns for a 404
+MAX_PAGES = 10_000  # so a server whose total_pages keeps growing cannot page forever
 
 
-class HttpExplorer(ExplorerAdapter):
-    """Paginated JSON client.
+class HttpExplorer:
+    """Paginated JSON explorer, fetched through `net.Client`.
 
     Expects GET {base_url}/address/{addr}/transactions?page=N to return
-    {"page": N, "total_pages": M, "transactions": [...]}. Retries 429, 5xx and
-    timeouts with exponential backoff. A 404 on page 1 means an unknown (empty)
-    address; a 404 on a later page, a page that is not such an object (a
-    `null` body included) or a bad `total_pages` raises ChainError; any other
-    4xx, or running out of retries, raises FetchError.
+    {"page": N, "total_pages": M, "transactions": [...]}. A 404 on page 1 is
+    an unknown (empty) address. A 404 on a later page, a page of another
+    shape (`null` or `{"error": ...}` too), a bad `total_pages` or more than
+    MAX_PAGES pages raises ChainError; other failed requests raise FetchError.
     """
 
-    def __init__(self, base_url: str, session=None, rate_limit: float | None = None,
-                 max_retries: int = 3, backoff: float = 0.5, timeout: float = 30.0):
-        if session is None:
-            import requests
-            session = requests.Session()
+    def __init__(self, base_url: str, session=None, rate_limit: float | None = None):
         self.base_url = base_url.rstrip("/")
-        self.session = session
-        self.max_retries = max_retries
-        self.backoff = backoff
-        self.timeout = timeout
-        self._min_interval = 1.0 / rate_limit if rate_limit else 0.0
-        self._last_start = None
-
-    def _throttle(self):
-        if not self._min_interval:
-            return
-        if self._last_start is not None:
-            wait = self._last_start + self._min_interval - time.monotonic()
-            if wait > 0:
-                time.sleep(wait)
-        self._last_start = time.monotonic()
-
-    def _get(self, url):
-        last = None
-        for attempt in range(self.max_retries + 1):
-            self._throttle()
-            try:
-                resp = self.session.get(url, timeout=self.timeout)
-            except Exception as exc:
-                last = exc
-            else:
-                if resp.status_code == 404:
-                    return _NOT_FOUND
-                if resp.status_code < 400:
-                    return resp.json()
-                last = FetchError("HTTP %d from %s" % (resp.status_code, url))
-                if resp.status_code < 500 and resp.status_code != 429:
-                    raise last
-            if attempt < self.max_retries:
-                time.sleep(self.backoff * (2 ** attempt))
-        raise FetchError("giving up on %s: %s" % (url, last))
+        self.client = Client(session, rate_limit)
 
     def transactions(self, address: str) -> list[Transaction]:
         out = []
         page = 1
         while True:
             url = "%s/address/%s/transactions?page=%d" % (self.base_url, address, page)
-            payload = self._get(url)
-            if payload is _NOT_FOUND:
+            payload = self.client.get_json(url)
+            if payload is NOT_FOUND:
                 if page == 1:
                     return []
                 raise ChainError("page %d of %d not found: HTTP 404 from %s" % (page, last, url))
-            rows = payload.get("transactions", []) if isinstance(payload, dict) else None
+            rows = payload.get("transactions") if isinstance(payload, dict) else None
             if not isinstance(rows, list):
                 raise ChainError("malformed page from %s: no transactions array" % url)
             out.extend(parse_transaction(row) for row in rows)
@@ -258,15 +208,17 @@ class HttpExplorer(ExplorerAdapter):
                 raise ChainError("malformed page from %s: total_pages %s" % (url, exc)) from exc
             if page >= last:
                 return out
+            if page >= MAX_PAGES:
+                raise ChainError("more than %d pages from %s" % (MAX_PAGES, url))
             page += 1
 
 
-def fetch_transactions(address: str, provider: ExplorerAdapter) -> AddressLedger:
+def fetch_transactions(address: str, provider) -> AddressLedger:
     """Full normalized history for one address; empty ledger when unknown."""
     return AddressLedger.from_transactions(address, provider.transactions(address))
 
 
-def fetch_all(addresses, provider: ExplorerAdapter):
+def fetch_all(addresses, provider):
     """Fetch every address, recording per-address failures instead of dying."""
     ledgers: dict[str, AddressLedger] = {}
     failures: dict[str, str] = {}

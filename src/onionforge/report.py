@@ -369,10 +369,8 @@ def stage_trace(cfg: PipelineConfig, out: Path):
     domains = trace.load_explorer_domains(cfg.explorer_domains)
     if cfg.search_base_url:
         provider = trace.HttpSearch(cfg.search_base_url, rate_limit=cfg.rate_limit or None)
-    elif cfg.search_fixtures:
-        provider = trace.FixtureSearch(cfg.search_fixtures)
     else:
-        provider = trace.FixtureSearch(".")  # no results for anything
+        provider = trace.FixtureSearch(cfg.search_fixtures or ".")
     hits, failures = trace.search_all(illicit.addresses(), provider, domains)
     facts = []
     if cfg.trace_annotations:

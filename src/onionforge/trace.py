@@ -1,16 +1,16 @@
-"""Surface-web tracing of illicit addresses through a pluggable search
-adapter, plus analyst-annotation import (abuse reports, identity facts)."""
+"""Surface-web tracing of illicit addresses (search fixtures or an HTTP
+endpoint), plus analyst-annotation import (abuse reports, identity facts)."""
 
 from __future__ import annotations
 
 import json
 import logging
-import time
 from dataclasses import dataclass, replace
 from pathlib import Path
 from urllib.parse import urlparse
 
 from .artifacts import read_jsonl, word_list, write_jsonl
+from .net import NOT_FOUND, Client
 
 log = logging.getLogger("onionforge.trace")
 
@@ -53,16 +53,7 @@ def load_explorer_domains(path=None) -> set[str]:
     return word_list(path, "explorer_domains.txt")
 
 
-class SearchAdapter:
-    """Returns candidate URLs mentioning an address."""
-
-    source = "search"
-
-    def results(self, address: str) -> list[str]:
-        raise NotImplementedError
-
-
-class FixtureSearch(SearchAdapter):
+class FixtureSearch:
     """Replay mode: <fixtures>/<address>.json holds an array of URLs."""
 
     source = "fixtures"
@@ -78,33 +69,27 @@ class FixtureSearch(SearchAdapter):
         return [row if isinstance(row, str) else row["url"] for row in rows]
 
 
-class HttpSearch(SearchAdapter):
-    """GET {base_url}?q={address} returning {"results": [url, ...]}."""
+class HttpSearch:
+    """GET {base_url}?q={address} through `net.Client`, answered by {"results": [url, ...]}.
+
+    A 404 or an answer of another shape (`{"error": ...}` too) raises
+    TraceError; other failed requests raise the client's FetchError.
+    """
 
     source = "http"
 
-    def __init__(self, base_url: str, session=None, rate_limit: float | None = None,
-                 timeout: float = 30.0):
-        if session is None:
-            import requests
-            session = requests.Session()
+    def __init__(self, base_url: str, session=None, rate_limit: float | None = None):
         self.base_url = base_url
-        self.session = session
-        self.timeout = timeout
-        self._min_interval = 1.0 / rate_limit if rate_limit else 0.0
-        self._last_start = None
+        self.client = Client(session, rate_limit)
 
     def results(self, address: str) -> list[str]:
-        if self._min_interval:
-            if self._last_start is not None:
-                wait = self._last_start + self._min_interval - time.monotonic()
-                if wait > 0:
-                    time.sleep(wait)
-            self._last_start = time.monotonic()
-        resp = self.session.get(self.base_url, params={"q": address},
-                                timeout=self.timeout)
-        resp.raise_for_status()
-        return list(resp.json().get("results", []))
+        payload = self.client.get_json(self.base_url, params={"q": address})
+        if payload is NOT_FOUND:
+            raise TraceError("HTTP 404 from %s" % self.base_url)
+        urls = payload.get("results") if isinstance(payload, dict) else None
+        if not isinstance(urls, list):
+            raise TraceError("malformed answer from %s: no results array" % self.base_url)
+        return urls
 
 
 def _host_matches(url: str, domains: set[str]) -> bool:
@@ -112,8 +97,7 @@ def _host_matches(url: str, domains: set[str]) -> bool:
     return any(host == d or host.endswith("." + d) for d in domains)
 
 
-def search_address(address: str, provider: SearchAdapter,
-                   explorer_domains: set[str]) -> list[SurfaceHit]:
+def search_address(address: str, provider, explorer_domains: set[str]) -> list[SurfaceHit]:
     """Deduplicated hits for one address, explorer URLs auto-marked."""
     hits = []
     seen = set()
@@ -125,7 +109,7 @@ def search_address(address: str, provider: SearchAdapter,
     return filter_explorer_urls(hits, explorer_domains)
 
 
-def search_all(addresses, provider: SearchAdapter, explorer_domains: set[str]):
+def search_all(addresses, provider, explorer_domains: set[str]):
     """Search every address; failures are recorded, not fatal."""
     hits: list[SurfaceHit] = []
     failures: dict[str, str] = {}

@@ -6,6 +6,7 @@ from datetime import datetime, timedelta, timezone
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from onionforge import chain, net
 from onionforge.chain import (
     AddressAnnotation, AddressLedger, ChainError, FetchError, FixtureExplorer,
     HttpExplorer, IllicitAddressSet, Transaction, TxIO, active_period,
@@ -14,6 +15,8 @@ from onionforge.chain import (
     multi_category, parse_transaction, unique_transactions,
 )
 from onionforge.classify import Category
+
+from fakehttp import FakeResponse, FakeSession, http_response, serve
 
 T0 = datetime(2020, 1, 1, tzinfo=timezone.utc)
 
@@ -149,45 +152,9 @@ class TestLedger:
         assert ledger.balance == ledger.received - ledger.sent >= 0
 
 
-class FakeResponse:
-    def __init__(self, status_code, payload=None):
-        self.status_code = status_code
-        self._payload = payload
-
-    def json(self):
-        return self._payload
-
-    def raise_for_status(self):
-        if self.status_code >= 400:
-            raise FetchError("HTTP %d" % self.status_code)
-
-
-class FakeSession:
-    def __init__(self, script):
-        self.script = list(script)
-        self.calls = []
-
-    def get(self, url, timeout=None):
-        self.calls.append(url)
-        item = self.script.pop(0)
-        if isinstance(item, Exception):
-            raise item
-        return item
-
-
 def tx_rows(start, count):
     return [transaction_to_dict(mktx(n, [("x", 1)], [("a", 1)]))
             for n in range(start, start + count)]
-
-
-def http_response(status, payload=None):
-    """A real `requests.Response`, so `raise_for_status` raises what requests raises."""
-    import requests
-    resp = requests.Response()
-    resp.status_code = status
-    resp.url = "http://x/"
-    resp._content = json.dumps(payload).encode()
-    return resp
 
 
 class TestMalformedLedgerRows:
@@ -228,6 +195,12 @@ class TestMalformedLedgerRows:
             parse_transaction({"timestamp": 0, "inputs": [], "coinbase": True})
 
 
+@pytest.fixture
+def no_backoff(monkeypatch):
+    monkeypatch.setattr(net, "BACKOFF_S", 0.0)
+
+
+@pytest.mark.usefixtures("no_backoff")
 class TestHttpExplorer:
     def test_pagination_no_duplicates(self):
         session = FakeSession([
@@ -245,31 +218,41 @@ class TestHttpExplorer:
             FakeResponse(503),
             FakeResponse(200, {"page": 1, "total_pages": 1, "transactions": tx_rows(0, 3)}),
         ])
-        explorer = HttpExplorer("http://x", session=session, backoff=0.0)
+        explorer = HttpExplorer("http://x", session=session)
         assert len(explorer.transactions("a")) == 3
+
+    def test_transport_error_is_retried(self):
+        session = FakeSession([
+            ConnectionError("connection reset"),
+            FakeResponse(200, {"page": 1, "total_pages": 1, "transactions": tx_rows(0, 3)}),
+        ])
+        explorer = HttpExplorer("http://x", session=session)
+        assert len(explorer.transactions("a")) == 3
+        assert len(session.calls) == 2
 
     def test_bounded_retries_then_failure(self):
         session = FakeSession([FakeResponse(500)] * 10)
-        explorer = HttpExplorer("http://x", session=session, max_retries=2, backoff=0.0)
+        explorer = HttpExplorer("http://x", session=session)
         with pytest.raises(FetchError):
             explorer.transactions("a")
-        assert len(session.calls) == 3  # initial + 2 retries
+        assert len(session.calls) == net.MAX_RETRIES + 1  # initial + retries
 
     def test_404_is_empty(self):
         explorer = HttpExplorer("http://x", session=FakeSession([FakeResponse(404)]))
         assert explorer.transactions("a") == []
 
     def test_fetch_all_records_failures(self):
-        session = FakeSession([FakeResponse(500)] * 4
+        session = FakeSession([FakeResponse(500)] * (net.MAX_RETRIES + 1)
                               + [FakeResponse(200, {"page": 1, "total_pages": 1,
                                                     "transactions": []})])
-        explorer = HttpExplorer("http://x", session=session, max_retries=3, backoff=0.0)
+        explorer = HttpExplorer("http://x", session=session)
         ledgers, failures = fetch_all(["bad", "good"], explorer)
         assert "bad" in failures and "good" in ledgers
 
     @pytest.mark.parametrize("payload", [
         [], "transactions", {"transactions": 5},
         {"transactions": [], "total_pages": None}, None,
+        {"error": "rate limited"}, {"total_pages": 1},
     ])
     def test_malformed_page_is_a_per_address_failure(self, payload):
         session = FakeSession([FakeResponse(200, payload),
@@ -300,73 +283,70 @@ class TestHttpExplorer:
             http_response(429), http_response(429),
             http_response(200, {"page": 1, "total_pages": 1, "transactions": tx_rows(0, 3)}),
         ])
-        explorer = HttpExplorer("http://x", session=session, backoff=0.0)
+        explorer = HttpExplorer("http://x", session=session)
         assert len(explorer.transactions("a")) == 3
         assert len(session.calls) == 3
 
     def test_429_without_end_is_a_per_address_failure(self):
-        session = FakeSession([http_response(429)] * 4
+        session = FakeSession([http_response(429)] * (net.MAX_RETRIES + 1)
                               + [http_response(200, {"page": 1, "total_pages": 1,
                                                      "transactions": tx_rows(0, 2)})])
-        explorer = HttpExplorer("http://x", session=session, max_retries=3, backoff=0.0)
+        explorer = HttpExplorer("http://x", session=session)
         ledgers, failures = fetch_all(["busy", "good"], explorer)
         assert "429" in failures["busy"]
         assert list(ledgers) == ["good"] and len(ledgers["good"].transactions) == 2
-        assert len(session.calls) == 5
+        assert len(session.calls) == net.MAX_RETRIES + 2
 
     @pytest.mark.parametrize("status", [400, 401, 403, 410])
     def test_other_4xx_fails_without_retry(self, status):
         session = FakeSession([http_response(status)] * 4)
-        explorer = HttpExplorer("http://x", session=session, backoff=0.0)
+        explorer = HttpExplorer("http://x", session=session)
         with pytest.raises(FetchError, match=str(status)):
             explorer.transactions("a")
         assert len(session.calls) == 1
 
     def test_against_real_http_server(self):
-        import http.server
-        import threading
-
         to_serve = {
             1: {"page": 1, "total_pages": 2, "transactions": tx_rows(0, 2)},
             2: {"page": 2, "total_pages": 2, "transactions": tx_rows(2, 2)},
         }
 
-        class Handler(http.server.BaseHTTPRequestHandler):
-            def do_GET(self):
-                if "/address/known/" in self.path:
-                    page = int(self.path.rsplit("page=", 1)[1])
-                    body = json.dumps(to_serve[page]).encode()
-                    self.send_response(200)
-                    self.send_header("Content-Type", "application/json")
-                    self.send_header("Content-Length", str(len(body)))
-                    self.end_headers()
-                    self.wfile.write(body)
-                else:
-                    self.send_error(404)
+        def respond(path):
+            if "/address/known/" in path:
+                return 200, to_serve[int(path.rsplit("page=", 1)[1])]
+            return 404, None
 
-            def log_message(self, *args):
-                pass
-
-        server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
-        thread = threading.Thread(target=server.serve_forever, daemon=True)
-        thread.start()
-        try:
-            base = "http://127.0.0.1:%d" % server.server_address[1]
+        with serve(respond) as base:
             explorer = HttpExplorer(base)  # default requests session
             assert len(explorer.transactions("known")) == 4
             assert explorer.transactions("unknown") == []
-        finally:
-            server.shutdown()
+
+    def test_endless_pages_hit_the_page_cap(self, monkeypatch):
+        class OneMorePage:
+            def __init__(self):
+                self.calls = []
+
+            def get(self, url, params=None, timeout=None):
+                self.calls.append(url)
+                page = len(self.calls)  # one more page each time, up to page 20
+                return FakeResponse(200, {"page": page, "total_pages": min(page + 1, 20),
+                                          "transactions": tx_rows(page, 1)})
+
+        monkeypatch.setattr(chain, "MAX_PAGES", 3)
+        session = OneMorePage()
+        ledgers, failures = fetch_all(["a"], HttpExplorer("http://x", session=session))
+        assert ledgers == {} and "more than 3 pages" in failures["a"]
+        assert len(session.calls) == 3
 
     def test_rate_limit_spaces_request_starts(self, monkeypatch):
         clock = {"now": 0.0}
         naps = []
-        monkeypatch.setattr("onionforge.chain.time.monotonic", lambda: clock["now"])
+        monkeypatch.setattr("onionforge.net.time.monotonic", lambda: clock["now"])
 
         def fake_sleep(seconds):
             naps.append(seconds)
             clock["now"] += seconds
-        monkeypatch.setattr("onionforge.chain.time.sleep", fake_sleep)
+        monkeypatch.setattr("onionforge.net.time.sleep", fake_sleep)
         pages = [FakeResponse(200, {"page": 1, "total_pages": 1, "transactions": []})
                  for _ in range(3)]
         explorer = HttpExplorer("http://x", session=FakeSession(pages), rate_limit=2.0)

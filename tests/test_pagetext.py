@@ -177,10 +177,11 @@ def test_scan_time_grows_linearly(unit, n):
     assert growth(page_text_and_attrs, lambda k: (unit * k).encode(), n) < 8
 
 
-def test_src_never_imports_html_parser():
+def test_src_imports_neither_html_parser_nor_requests():
+    # requests is loaded only by an HTTP client made without a session
     code = ("import importlib, pkgutil, sys, onionforge\n"
             "for module in pkgutil.iter_modules(onionforge.__path__):\n"
             "    importlib.import_module('onionforge.' + module.name)\n"
-            "sys.exit('html.parser' in sys.modules)\n")
+            "sys.exit(sorted({'html.parser', 'requests'} & set(sys.modules)) or None)\n")
     env = dict(os.environ, PYTHONPATH=str(Path(onionforge.__file__).parents[1]))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

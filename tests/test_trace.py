@@ -2,12 +2,15 @@ import json
 
 import pytest
 
+from onionforge import net
 from onionforge.artifacts import read_jsonl
 from onionforge.trace import (
-    FixtureSearch, IdentityFact, SurfaceHit, TraceError, filter_explorer_urls,
-    import_annotations, load_explorer_domains, search_address, search_all,
-    surface_links, write_hits_jsonl,
+    FixtureSearch, HttpSearch, IdentityFact, SurfaceHit, TraceError,
+    filter_explorer_urls, import_annotations, load_explorer_domains,
+    search_address, search_all, surface_links, write_hits_jsonl,
 )
+
+from fakehttp import FakeResponse, FakeSession, http_response, serve
 
 EXPLORERS = load_explorer_domains()
 ADDR = "1CHvWk36MR5aCz72jViS7jSub9utJf3jii"
@@ -60,31 +63,75 @@ class TestSearch:
         assert "quota exceeded" in failures["bad"]
 
 
+@pytest.fixture
+def no_backoff(monkeypatch):
+    monkeypatch.setattr(net, "BACKOFF_S", 0.0)
+
+
+FOUND = {"results": ["https://found.example.com/"]}
+
+
+@pytest.mark.usefixtures("no_backoff")
 class TestHttpSearch:
     def test_query_and_parsing(self):
-        from onionforge.trace import HttpSearch
-
-        class FakeSession:
-            def __init__(self):
-                self.calls = []
-
-            def get(self, url, params=None, timeout=None):
-                self.calls.append((url, params))
-
-                class R:
-                    status_code = 200
-
-                    def raise_for_status(self):
-                        pass
-
-                    def json(self):
-                        return {"results": ["https://found.example.com/"]}
-                return R()
-
-        session = FakeSession()
+        session = FakeSession([FakeResponse(200, FOUND)])
         provider = HttpSearch("https://search.example.com/api", session=session)
         assert provider.results(ADDR) == ["https://found.example.com/"]
         assert session.calls == [("https://search.example.com/api", {"q": ADDR})]
+
+    @pytest.mark.parametrize("payload", [
+        {"error": "quota exceeded"}, {"results": "https://a.example/"},
+        {"results": None}, ["https://a.example/"], None,
+    ])
+    def test_malformed_answer_is_a_per_address_failure(self, payload):
+        session = FakeSession([FakeResponse(200, payload), FakeResponse(200, FOUND)])
+        hits, failures = search_all(["bad", "good"], HttpSearch("http://s", session=session),
+                                    EXPLORERS)
+        assert [h.address for h in hits] == ["good"]
+        assert list(failures) == ["bad"]
+        assert "malformed answer from http://s" in failures["bad"]
+
+    def test_429_is_retried(self):
+        session = FakeSession([http_response(429), http_response(429),
+                               http_response(200, FOUND)])
+        hits, failures = search_all(["a"], HttpSearch("http://s", session=session), EXPLORERS)
+        assert [h.url for h in hits] == FOUND["results"] and failures == {}
+        assert len(session.calls) == 3
+
+    def test_503_past_the_retries_is_a_per_address_failure(self):
+        session = FakeSession([http_response(503)] * (net.MAX_RETRIES + 1)
+                              + [http_response(200, FOUND)])
+        hits, failures = search_all(["busy", "good"], HttpSearch("http://s", session=session),
+                                    EXPLORERS)
+        assert "503" in failures["busy"]
+        assert [h.address for h in hits] == ["good"]
+        assert len(session.calls) == net.MAX_RETRIES + 2
+
+    @pytest.mark.parametrize("status", [400, 404])
+    def test_4xx_fails_the_address_without_retry(self, status):
+        session = FakeSession([http_response(status)] * 4)
+        hits, failures = search_all(["a"], HttpSearch("http://s", session=session), EXPLORERS)
+        assert hits == [] and str(status) in failures["a"]
+        assert len(session.calls) == 1
+
+    def test_against_real_http_server(self):
+        seen = []
+
+        def respond(path):
+            seen.append(path)
+            if path == "/api?q=known":
+                return 200, FOUND
+            if path == "/api?q=flaky" and seen.count(path) == 1:
+                return 503, None
+            return (200, {"results": []}) if path == "/api?q=flaky" else (404, None)
+
+        with serve(respond) as base:
+            provider = HttpSearch(base + "/api")  # default requests session
+            hits, failures = search_all(["flaky", "known", "unknown"], provider, EXPLORERS)
+        assert [(h.address, h.url, h.source) for h in hits] == [
+            ("known", "https://found.example.com/", "http")]
+        assert list(failures) == ["unknown"] and "404" in failures["unknown"]
+        assert seen == ["/api?q=flaky", "/api?q=flaky", "/api?q=known", "/api?q=unknown"]
 
 
 class TestExplorerFilter:
