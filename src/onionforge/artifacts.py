@@ -3,8 +3,9 @@
 A JSONL artifact holds one object per line, written with sorted keys. A
 JSON document is indented by 2, written with sorted keys, and ends in a
 newline. Byte-identical reruns rest on these choices, so every artifact
-is written through this module; only the ledger files have their own exact
-serializer (`chain.ledger_json`).
+is written through this module; only the ledger files and corpus.jsonl have
+their own exact serializers (`chain.ledger_json`, `corpus.write_corpus_jsonl`),
+which write the same bytes in one pass.
 """
 
 from __future__ import annotations

@@ -17,10 +17,11 @@ import logging
 import re
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from urllib.parse import unquote
 
-from .artifacts import read_jsonl, write_jsonl
+from .artifacts import read_jsonl
 
 log = logging.getLogger("onionforge.corpus")
 
@@ -79,8 +80,19 @@ class Corpus:
     def pages_for(self, domain: OnionDomain) -> list[PageRecord]:
         return list(self.index.get(domain, {}).values())
 
+    def in_path_order(self) -> Corpus:
+        """The same pages by (domain, path), the order corpus.jsonl holds them in."""
+        ordered = Corpus()
+        for page in sorted(self.pages, key=_path_order):
+            ordered.add(page)
+        return ordered
+
     def __len__(self):
         return sum(len(bucket) for bucket in self.index.values())
+
+
+def _path_order(page: PageRecord):
+    return page.domain.name, page.path
 
 
 def _path_from_filename(name: str) -> str:
@@ -159,13 +171,17 @@ def ingest_snapshot(root) -> Corpus:
 # --- corpus.jsonl inter-stage format ---
 
 def write_corpus_jsonl(corpus: Corpus, out_path):
-    write_jsonl(out_path, ({
-        "v": 1,
-        "domain": page.domain.name,
-        "path": page.path,
-        "fetched_at": page.fetched_at.isoformat().replace("+00:00", "Z"),
-        "html_b64": base64.b64encode(page.html).decode("ascii"),
-    } for page in sorted(corpus.pages, key=lambda p: (p.domain.name, p.path))))
+    """One row per page, by (domain, path): the JSONL row `artifacts.write_jsonl`
+    would write, {domain, fetched_at, html_b64, path, v} with sorted keys, built
+    by one format because the base64 text needs no escaping."""
+    with open(out_path, "w") as fh:
+        fh.writelines(
+            '{"domain": %s, "fetched_at": %s, "html_b64": "%s", "path": %s, "v": 1}\n'
+            % (encode_basestring_ascii(page.domain.name),
+               encode_basestring_ascii(page.fetched_at.isoformat().replace("+00:00", "Z")),
+               base64.b64encode(page.html).decode("ascii"),
+               encode_basestring_ascii(page.path))
+            for page in sorted(corpus.pages, key=_path_order))
 
 
 def read_corpus_jsonl(path) -> Corpus:

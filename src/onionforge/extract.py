@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import lru_cache
 
 from . import base58
 from .artifacts import word_list
@@ -104,6 +105,8 @@ def validate_btc(candidate: BtcAddressCandidate | str) -> BtcAddress | Rejection
     return BtcAddress(text=text, version=version)
 
 
+# a page repeats its addresses, and pages share them: each body is hashed once
+@lru_cache(maxsize=1024)
 def eip55_checksum(hex_body: str) -> str:
     """Canonical mixed-case form of a 40-char hex address body."""
     lower = hex_body.lower()

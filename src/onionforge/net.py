@@ -1,7 +1,9 @@
 """The one HTTP client behind the explorer and the search provider.
 
 Request starts are spaced to at most `rate_limit` per second; 429, 5xx and
-transport errors are retried with exponential backoff. `requests` is
+transport errors are retried with exponential backoff, or after the wait a
+429 or 503 asks for in `Retry-After` (seconds, at most RETRY_AFTER_MAX_S, so
+a server cannot stall a run). `requests` is
 imported only when no session is passed in, so fixture replays never load
 it. This module imports nothing from onionforge.
 """
@@ -12,6 +14,7 @@ import time
 
 MAX_RETRIES = 3
 BACKOFF_S = 0.5  # the wait before retry k (from 0) is BACKOFF_S * 2**k
+RETRY_AFTER_MAX_S = 30.0
 TIMEOUT_S = 30.0
 
 NOT_FOUND = object()  # what `Client.get_json` returns for a 404
@@ -19,6 +22,16 @@ NOT_FOUND = object()  # what `Client.get_json` returns for a 404
 
 class FetchError(Exception):
     pass
+
+
+def _retry_after(resp) -> float | None:
+    """The capped delta-seconds of a 429/503 `Retry-After`; None if absent or not one."""
+    if resp.status_code not in (429, 503):
+        return None
+    value = (resp.headers.get("Retry-After") or "").strip()
+    if not (value.isascii() and value.isdigit()):
+        return None  # an HTTP-date is not honoured: the backoff applies
+    return min(float(value), RETRY_AFTER_MAX_S)
 
 
 class Client:
@@ -45,6 +58,7 @@ class Client:
         last = None
         for attempt in range(MAX_RETRIES + 1):
             self._throttle()
+            wait = None
             try:
                 resp = self.session.get(url, params=params, timeout=TIMEOUT_S)
             except Exception as exc:
@@ -57,6 +71,7 @@ class Client:
                 last = FetchError("HTTP %d from %s" % (resp.status_code, url))
                 if resp.status_code < 500 and resp.status_code != 429:
                     raise last
+                wait = _retry_after(resp)
             if attempt < MAX_RETRIES:
-                time.sleep(BACKOFF_S * (2 ** attempt))
+                time.sleep(BACKOFF_S * (2 ** attempt) if wait is None else wait)
         raise FetchError("giving up on %s: %s" % (url, last))

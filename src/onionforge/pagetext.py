@@ -18,7 +18,6 @@ the scan behind the first also yields the second: see `handoff`.
 
 import re
 from contextlib import contextmanager
-from hashlib import blake2b
 from html import unescape
 
 _SKIP_CONTENT = {"script", "style", "noscript"}
@@ -352,13 +351,11 @@ def _normalize(pieces) -> str:
     return " ".join(" ".join(pieces).split())
 
 
-def _key(html: bytes) -> bytes:
-    return blake2b(html, digest_size=16).digest()
-
-
 # visible text that `page_text_and_attrs` already scanned, for the `page_text`
-# call that follows on the same page: content digest -> [text, pending uses].
-# Keyed by digest, not bytes, so the hand-off does not keep pages alive; None
+# call that follows on the same page: page bytes -> [text, pending uses].
+# Keyed by the page itself: inside a run, extract and classify share one
+# parsed corpus, so the lookup meets the very object that was recorded, whose
+# hash CPython caches, and the pages it keeps alive are the run's own. None
 # outside a `handoff` block, so nothing is recorded that no run will take.
 _handoff: dict[bytes, list] | None = None
 
@@ -381,12 +378,11 @@ def handoff():
 def page_text(html: bytes) -> str:
     """Visible text of a page, whitespace-normalized."""
     if _handoff:
-        key = _key(html)
-        entry = _handoff.get(key)
+        entry = _handoff.get(html)
         if entry is not None:
             entry[1] -= 1
             if not entry[1]:
-                del _handoff[key]
+                del _handoff[html]
             return entry[0]
     return _normalize(_scan(html)[0])
 
@@ -400,6 +396,6 @@ def page_text_and_attrs(html: bytes) -> str:
     """
     chunks, values = _scan(html)
     if _handoff is not None:
-        entry = _handoff.setdefault(_key(html), [_normalize(chunks), 0])
+        entry = _handoff.setdefault(html, [_normalize(chunks), 0])
         entry[1] += 1
     return _normalize(chunks + values)

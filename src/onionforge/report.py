@@ -1,9 +1,11 @@
 """Pipeline orchestration, paper-style tables, and campaign graph export.
 
 Stages hand their results to each other as files in the format that
-`artifacts` fixes; stages are skipped on re-runs when their input digests
-match, which makes a run resumable from any completed stage. Outputs carry
-no wall-clock state, so identical inputs produce byte-identical outputs.
+`artifacts` fixes; within one run, the corpus and the ledgers also cross
+in memory, so each is parsed at most once (`run_scope`). Stages are skipped
+on re-runs when their input digests match, which makes a run resumable from
+any completed stage. Outputs carry no wall-clock state, so identical inputs
+produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -12,8 +14,9 @@ import csv
 import hashlib
 import json
 import logging
+import re
 import time
-from collections import Counter, namedtuple
+from collections import namedtuple
 from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
@@ -22,7 +25,7 @@ from pathlib import Path
 from . import chain, classify, cluster, extract, pagetext, trace
 from .artifacts import read_jsonl, write_json, write_jsonl
 from .classify import CATEGORIES, Category
-from .corpus import ingest_snapshot, read_corpus_jsonl, write_corpus_jsonl
+from .corpus import Corpus, ingest_snapshot, read_corpus_jsonl, write_corpus_jsonl
 
 log = logging.getLogger("onionforge.report")
 
@@ -105,9 +108,16 @@ PATH_KEYS = frozenset({"corpus_root", "ground_truth", "tx_fixtures", "search_fix
                        "chain_annotations", "trace_annotations", "stopwords", "tlds",
                        "explorer_domains"})
 
+# a "#" after whitespace starts a comment; "a#b" is a value
+_INLINE_COMMENT = re.compile(r"\s#")
+
 
 def parse_config(path) -> PipelineConfig:
-    """Read a key = value config file (#-comments allowed)."""
+    """Read a key = value config file.
+
+    A line that starts with "#" is a comment, and so is the rest of a line
+    from a "#" that follows whitespace.
+    """
     types = {f.name: f.type for f in fields(PipelineConfig)}
     cfg = PipelineConfig()
     try:
@@ -122,7 +132,7 @@ def parse_config(path) -> PipelineConfig:
             raise ConfigError("line %d is not key = value: %r" % (lineno, line))
         key, _, value = stripped.partition("=")
         key = key.strip()
-        value = value.strip().strip("'\"")
+        value = _INLINE_COMMENT.split(value, 1)[0].strip().strip("'\"")
         if key not in types:
             raise ConfigError("unknown config key %r (line %d)" % (key, lineno))
         kind = types[key]
@@ -141,21 +151,26 @@ def parse_config(path) -> PipelineConfig:
 
 # --- content digests for stage skipping ---
 
-def _file_digest(h, path: Path):
-    h.update(path.name.encode())
-    h.update(path.read_bytes())
+_HASH_CHUNK = 1 << 20  # files are hashed in pieces, so no input is held whole
+
+
+def _hash_file(h, path: Path):
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(_HASH_CHUNK), b""):
+            h.update(chunk)
 
 
 def _path_digest(path) -> str:
     path = Path(path)
     h = hashlib.sha256()
     if path.is_file():
-        _file_digest(h, path)
+        h.update(path.name.encode())
+        _hash_file(h, path)
     elif path.is_dir():
         for sub in sorted(path.rglob("*")):
             if sub.is_file():
                 h.update(str(sub.relative_to(path)).encode())
-                h.update(sub.read_bytes())
+                _hash_file(h, sub)
     else:
         h.update(b"<absent>")
     return h.hexdigest()
@@ -226,16 +241,45 @@ def stage(name: str, reads=(), writes=(), config_keys=()):
 def stage_ingest(cfg: PipelineConfig, out: Path):
     """Load the snapshot tree into corpus.jsonl."""
     corpus = ingest_snapshot(cfg.corpus_root)
-    write_corpus_jsonl(corpus, out / "corpus.jsonl")
     log.info("ingested %d pages from %d domains (%d entries skipped)",
              len(corpus), len(corpus.index), len(corpus.skipped))
+    corpus = corpus.in_path_order()  # what read_corpus_jsonl gives back
+    write_corpus_jsonl(corpus, out / "corpus.jsonl")
+    _remember(out / "corpus.jsonl", corpus)
+
+
+# this run's parsed artifacts by path, None outside `run_scope`: the corpus
+# and the ledgers. No digest is needed: inside a run only ingest writes
+# corpus.jsonl and only fetch-tx a ledgers directory, and each replaces its
+# entry when it does. Stages share an entry and must not modify it.
+_run_memo: dict[str, object] | None = None
+
+
+def _remember(path, parsed):
+    if _run_memo is not None:
+        _run_memo[str(path)] = parsed
+
+
+def _memoized(path, parse):
+    """`parse(path)`, at most once per run."""
+    if _run_memo is None:
+        return parse(path)
+    key = str(path)
+    if key not in _run_memo:
+        _run_memo[key] = parse(path)
+    return _run_memo[key]
+
+
+def read_corpus(path) -> Corpus:
+    """The corpus in `path`, in (domain, path) order; parsed at most once per run."""
+    return _memoized(path, read_corpus_jsonl)
 
 
 @stage("extract", reads=["corpus.jsonl"], writes=["addresses.jsonl"],
        config_keys=["tlds"])
 def stage_extract(cfg: PipelineConfig, out: Path):
     """Extract and validate BTC/ETH addresses and emails from every page."""
-    corpus = read_corpus_jsonl(out / "corpus.jsonl")
+    corpus = read_corpus(out / "corpus.jsonl")
     tlds = extract.load_tlds(cfg.tlds)
 
     def rows():
@@ -261,7 +305,7 @@ def stage_extract(cfg: PipelineConfig, out: Path):
        config_keys=["ground_truth", "threshold", "stopwords"])
 def stage_classify(cfg: PipelineConfig, out: Path):
     """Label every site with the three-phase illicit-site classifier."""
-    corpus = read_corpus_jsonl(out / "corpus.jsonl")
+    corpus = read_corpus(out / "corpus.jsonl")
     stopwords = classify.load_stopwords(cfg.stopwords)
     gt = classify.load_ground_truth(cfg.ground_truth, corpus)
     results = classify.classify_corpus(corpus, gt, cfg.threshold, stopwords)
@@ -331,32 +375,21 @@ def stage_fetch_tx(cfg: PipelineConfig, out: Path):
     for address in sorted(failures):
         index_rows.append({"v": 1, "address": address, "error": failures[address]})
     write_jsonl(ledgers_dir / "_index.jsonl", index_rows)
-    if _ledger_memo is not None:
-        _ledger_memo[str(ledgers_dir)] = ledgers  # what read_ledgers would parse back
+    _remember(ledgers_dir, ledgers)  # what read_ledgers would parse back
     log.info("fetched %d ledgers, %d failures", len(ledgers), len(failures))
 
 
-# this run's ledgers by ledgers directory, None outside `run_pipeline`. No
-# digest is needed: inside a run only fetch-tx writes a ledgers directory,
-# and it replaces the entry when it does.
-_ledger_memo: dict[str, dict[str, chain.AddressLedger]] | None = None
-
-
 def read_ledgers(ledgers_dir) -> dict[str, chain.AddressLedger]:
-    """Every ledger under `ledgers_dir`, by address; parsed at most once per run.
+    """Every ledger under `ledgers_dir`, by address; parsed at most once per run."""
+    return _memoized(ledgers_dir, _parse_ledgers)
 
-    Inside a run, stages share the returned ledgers and must not modify them.
-    """
-    key = str(ledgers_dir)
-    if _ledger_memo is not None and key in _ledger_memo:
-        return _ledger_memo[key]
+
+def _parse_ledgers(ledgers_dir) -> dict[str, chain.AddressLedger]:
     ledgers = {}
     for path in sorted(Path(ledgers_dir).glob("*.json")):
         address = path.stem
         txs = [chain.parse_transaction(row) for row in json.loads(path.read_text())]
         ledgers[address] = chain.AddressLedger.from_transactions(address, txs)
-    if _ledger_memo is not None:
-        _ledger_memo[key] = ledgers
     return ledgers
 
 
@@ -460,14 +493,14 @@ STAGES = tuple((s.name, s.fn) for s in STAGE_DECLS.values())
 
 @contextmanager
 def run_scope():
-    """Hold one run's memos, page text handed off and ledgers parsed, for the block."""
-    global _ledger_memo
-    _ledger_memo = {}
+    """Hold one run's memos, page text handed off and artifacts parsed, for the block."""
+    global _run_memo
+    _run_memo = {}
     try:
         with pagetext.handoff():
             yield
     finally:
-        _ledger_memo = None
+        _run_memo = None
 
 
 def run_pipeline(config: PipelineConfig, until: str | None = None) -> PipelineRun:
@@ -570,7 +603,8 @@ def emit_tables(out_dir, top_n: int = 10, min_received: int = 0) -> dict:
     ledgers = read_ledgers(ledgers_dir)
     income = chain.estimate_income(illicit, ledgers)
 
-    pages_per_domain = Counter(row["domain"] for row in read_jsonl(corpus_path))
+    pages_per_domain = {domain.name: len(pages)
+                        for domain, pages in read_corpus(corpus_path).index.items()}
 
     # table 3 shape: per-category onion/page/address counts
     sites_by_cat: dict[Category, list[str]] = {c: [] for c in list(CATEGORIES) + [Category.OTHER]}

@@ -1,7 +1,10 @@
-from datetime import datetime, timezone
+import base64
+from datetime import datetime, timedelta, timezone
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from onionforge.artifacts import write_jsonl
 from onionforge.corpus import (
     Corpus, CorpusError, OnionDomain, PageRecord, ingest_snapshot, read_corpus_jsonl,
     write_corpus_jsonl,
@@ -118,3 +121,38 @@ class TestCorpus:
             (name_for(0), "/"), (name_for(0), "/a"), (name_for(1), "/")]
         assert corpus.pages[0] is newer
         assert corpus.pages_for(OnionDomain(name_for(0)))[0] is newer
+
+
+def reference_write_corpus_jsonl(corpus, out_path):
+    """The generic writer `write_corpus_jsonl` must match byte for byte."""
+    write_jsonl(out_path, ({
+        "v": 1,
+        "domain": page.domain.name,
+        "path": page.path,
+        "fetched_at": page.fetched_at.isoformat().replace("+00:00", "Z"),
+        "html_b64": base64.b64encode(page.html).decode("ascii"),
+    } for page in sorted(corpus.pages, key=lambda p: (p.domain.name, p.path))))
+
+
+page_records = st.builds(
+    PageRecord,
+    domain=st.sampled_from([name_for(0), name_for(1), "b" * 56 + ".onion"]).map(OnionDomain),
+    # quotes, backslashes, control characters, non-ASCII and lone surrogates
+    path=st.one_of(st.text(), st.text(alphabet='"\\\x00\x1f\x7f/é€\U0001f600\ud800 ')),
+    html=st.binary(min_size=1, max_size=200),
+    fetched_at=st.datetimes(timezones=st.sampled_from(
+        [timezone.utc, timezone(timedelta(hours=5, minutes=30))])),
+)
+
+
+class TestCorpusJsonlWriter:
+    @settings(max_examples=300, deadline=None)
+    @given(pages=st.lists(page_records, max_size=8))
+    def test_same_bytes_as_the_generic_writer(self, tmp_path_factory, pages):
+        tmp = tmp_path_factory.mktemp("writer")
+        corpus = Corpus()
+        for p in pages:
+            corpus.add(p)
+        write_corpus_jsonl(corpus, tmp / "fast.jsonl")
+        reference_write_corpus_jsonl(corpus, tmp / "reference.jsonl")
+        assert (tmp / "fast.jsonl").read_bytes() == (tmp / "reference.jsonl").read_bytes()

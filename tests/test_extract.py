@@ -161,6 +161,22 @@ class TestValidateEth:
                 if broken != cased and broken != broken.lower():
                     assert validate_eth(broken) == Rejection("bad-eip55")
 
+    @settings(max_examples=300)
+    @given(st.text(alphabet="0123456789abcdefABCDEF", min_size=40, max_size=40))
+    def test_cached_checksum_equals_the_uncached(self, body):
+        assert eip55_checksum(body) == eip55_checksum.__wrapped__(body)
+
+    def test_address_on_two_pages_is_hashed_once(self, monkeypatch):
+        hashed = []
+        monkeypatch.setattr(extract, "keccak256",
+                            lambda data: hashed.append(data) or keccak256(data))
+        eip55_checksum.cache_clear()
+        html = ("<p>pay 0x%s</p>" % EIP55_VECTORS[0]).encode()
+        for path in ("/a", "/b"):
+            [(_, verdict)] = scan_page(html, ("x.onion", path), TLDS)["eth"]
+            assert isinstance(verdict, EthAddress)
+        assert hashed == [EIP55_VECTORS[0].lower().encode()]
+
 
 class TestEthCandidates:
     def test_plain_and_prefixed(self):

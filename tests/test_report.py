@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import tempfile
@@ -21,6 +22,8 @@ from onionforge.report import (
 )
 
 from planted import EXPECTED_CAMPAIGNS, assert_same_artifacts, build_planted_corpus
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +80,34 @@ class TestParseConfig:
         cfg_file.write_text("threshold = 0.5\n")
         with pytest.raises(ConfigError, match="corpus_root"):
             parse_config(cfg_file)
+
+    def test_readme_example(self, tmp_path, monkeypatch):
+        readme = (ROOT / "README.md").read_text()
+        example = readme.split("Config is a `key = value` file:\n\n```\n", 1)[1]
+        (tmp_path / "run.cfg").write_text(example.split("```", 1)[0])
+        monkeypatch.chdir(tmp_path)  # the example's relative paths
+        (tmp_path / "captures").mkdir()
+        (tmp_path / "gt.jsonl").write_text("")
+        cfg = parse_config(tmp_path / "run.cfg")
+        assert (cfg.corpus_root, cfg.ground_truth, cfg.provider, cfg.tx_fixtures) == (
+            "captures/", "gt.jsonl", "fixtures", "fixtures/txs/")
+        assert (cfg.base_url, cfg.search_base_url, cfg.rate_limit) == ("", "", 0.0)
+        assert cfg.trace_annotations == "trace_ann.jsonl"
+
+    @pytest.mark.parametrize("line, value", [
+        ("out_dir = a#b", "a#b"),
+        ("out_dir = a#b   # a comment", "a#b"),
+        ("out_dir = a\t#b", "a"),
+        ("out_dir = 'a b' # quoted", "a b"),
+        ("out_dir = a # b # c", "a"),
+    ])
+    def test_inline_comment_follows_whitespace(self, tmp_path, line, value):
+        (tmp_path / "c").mkdir()
+        (tmp_path / "gt.jsonl").write_text("")
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("corpus_root = %s\nground_truth = %s\n%s\n"
+                            % (tmp_path / "c", tmp_path / "gt.jsonl", line))
+        assert parse_config(cfg_file).out_dir == value
 
     def test_http_requires_base_url(self, tmp_path):
         (tmp_path / "c").mkdir()
@@ -213,7 +244,7 @@ class TestPipeline:
                         for row in json.loads(path.read_text())]
         # fetch-tx parses the fixtures; cluster and report take what it fetched
         assert sorted(map(json.dumps, parsed)) == sorted(map(json.dumps, fixture_rows))
-        assert report._ledger_memo is None
+        assert report._run_memo is None
 
         # a run that skips fetch-tx parses each written ledger once
         (out / "campaigns.json").unlink()
@@ -222,7 +253,28 @@ class TestPipeline:
         assert run_pipeline(config).executed == ["cluster", "report"]
         assert len(parsed) == sum(len(json.loads(p.read_text()))
                                   for p in (out / "ledgers").glob("*.json"))
-        assert report._ledger_memo is None
+        assert report._run_memo is None
+
+    def test_corpus_jsonl_parsed_at_most_once(self, tmp_path, monkeypatch):
+        parsed = []
+        read_corpus_jsonl = report.read_corpus_jsonl
+        monkeypatch.setattr(report, "read_corpus_jsonl",
+                            lambda path: parsed.append(path) or read_corpus_jsonl(path))
+        planted = build_planted_corpus(tmp_path / "planted")
+        out = tmp_path / "out"
+        (tmp_path / "run.cfg").write_text(planted.config_text(out))
+        config = parse_config(tmp_path / "run.cfg")
+        assert run_pipeline(config).skipped == []
+        # extract, classify and report take the corpus ingest made
+        assert parsed == []
+        assert report._run_memo is None
+
+        # a run that skips ingest parses the file once for all three
+        for name in ("addresses.jsonl", "labels.jsonl", "summary.json"):
+            (out / name).unlink()
+        assert run_pipeline(config).executed == ["extract", "classify", "report"]
+        assert parsed == [out / "corpus.jsonl"]
+        assert report._run_memo is None
 
     def test_edited_ledger_changes_the_tables(self, tmp_path):
         planted = build_planted_corpus(tmp_path / "planted")
@@ -236,7 +288,7 @@ class TestPipeline:
         (out / "ledgers" / (top["address"] + ".json")).write_text("[]\n")
         after = emit_tables(out)  # reads the edited file, not a ledger of the run
         assert after["income_satoshi"] == before["income_satoshi"] - top["received_satoshi"]
-        assert report._ledger_memo is None
+        assert report._run_memo is None
 
     def test_rerun_fetch_tx_leaves_no_stale_ledgers(self, tmp_path):
         planted = build_planted_corpus(tmp_path / "planted")
@@ -331,6 +383,83 @@ class TestLedgerStore:
                 report.stage_fetch_tx(PipelineConfig(tx_fixtures=str(txs)), out)
                 shared = report.read_ledgers(out / "ledgers")
             assert shared == fetched == report.read_ledgers(out / "ledgers")
+
+
+def reference_path_digest(path) -> str:
+    """`report._path_digest` as it was when it read each file whole."""
+    path = Path(path)
+    h = hashlib.sha256()
+    if path.is_file():
+        h.update(path.name.encode())
+        h.update(path.read_bytes())
+    elif path.is_dir():
+        for sub in sorted(path.rglob("*")):
+            if sub.is_file():
+                h.update(str(sub.relative_to(path)).encode())
+                h.update(sub.read_bytes())
+    else:
+        h.update(b"<absent>")
+    return h.hexdigest()
+
+
+class TestPathDigest:
+    def test_same_digest_as_hashing_whole_files(self, tmp_path):
+        tree = tmp_path / "tree"
+        (tree / "sub").mkdir(parents=True)
+        big = tree / "big.bin"
+        big.write_bytes(bytes(range(256)) * (3 * report._HASH_CHUNK // 256) + b"tail")
+        (tree / "sub" / "small.json").write_text("[]\n")
+        (tree / "empty").write_bytes(b"")
+        for path in (big, tree / "empty", tree, tmp_path / "absent"):
+            assert report._path_digest(path) == reference_path_digest(path)
+
+
+ONIONS = ("a" * 16 + ".onion", "b" * 56 + ".onion")
+# file name order differs from path order: "%2Fz.html" (/z) sorts before
+# "index.html" (/), and "%2F.html" is "/" again, so the later file wins
+PAGE_FILES = ("index.html", "%2F.html", "%2Fz.html", "%2F%2F.html", "%2Fa%20b.html",
+              "%7E.html", "A.html", "_.html", "z.html")
+
+
+@st.composite
+def snapshot_tree(draw):
+    files = draw(st.dictionaries(
+        st.tuples(st.sampled_from(ONIONS), st.sampled_from(PAGE_FILES)),
+        st.binary(min_size=1, max_size=40), max_size=12))
+    manifest = draw(st.dictionaries(
+        st.tuples(st.sampled_from(ONIONS), st.sampled_from(["/", "/z", "//", "~"])),
+        st.builds(lambda d, minutes: d.replace(tzinfo=timezone(timedelta(minutes=minutes)))
+                  .isoformat(),
+                  st.datetimes(min_value=datetime(2000, 1, 1), max_value=datetime(2030, 1, 1)),
+                  st.integers(-23 * 60, 23 * 60)),
+        max_size=4))
+    return files, manifest
+
+
+class TestCorpusMemo:
+    @settings(max_examples=100, deadline=None)
+    @given(snapshot_tree())
+    def test_ingested_corpus_equals_the_file_read_back(self, tree):
+        files, manifest = tree
+        with tempfile.TemporaryDirectory() as tmp:
+            root, out = Path(tmp) / "snap", Path(tmp) / "out"
+            root.mkdir()
+            out.mkdir()
+            for (domain, name), html in files.items():
+                (root / domain).mkdir(exist_ok=True)
+                (root / domain / name).write_bytes(html)
+            (root / "manifest.jsonl").write_text("".join(
+                json.dumps({"domain": d, "path": p, "fetched_at": t}) + "\n"
+                for (d, p), t in manifest.items()))
+            with report.run_scope():
+                report.stage_ingest(PipelineConfig(corpus_root=str(root)), out)
+                shared = report.read_corpus(out / "corpus.jsonl")
+            read_back = read_corpus_jsonl(out / "corpus.jsonl")
+
+        def pages(corpus):
+            return [(p.domain, p.path, p.html, p.fetched_at.isoformat()) for p in corpus.pages]
+        assert pages(shared) == pages(read_back)
+        assert list(shared.index) == list(read_back.index)
 
 
 class TestTables:

@@ -37,6 +37,9 @@ def test_planted_run_under_tracer(tmp_path):
     assert {"stage." + name for name, _ in report.STAGES} <= set(spans)
     assert {"classify._similarity_label", "classify.build_feature_set",
             "classify.tokenize"} <= set(spans)
+    # ingest writes corpus.jsonl once and hands its corpus to the later stages
+    assert spans.count("corpus.write_corpus_jsonl") == 1
+    assert "corpus.read_corpus_jsonl" not in spans
     # every page is parsed for classification once, ground-truth pages included
     assert spans.count("pagetext.page_text") == doc["facts"]["corpus.pages"]
     # every ledger row is parsed once, by fetch-tx; cluster and report reuse its ledgers
