@@ -439,7 +439,7 @@ def dormant_addresses(ledgers: dict[str, AddressLedger], min_received: int = 0) 
 
 # --- illicit.jsonl inter-stage format ---
 
-def write_illicit_jsonl(illicit: IllicitAddressSet, out_path):
+def write_illicit_jsonl(out_path, illicit: IllicitAddressSet):
     write_jsonl(out_path, ({
         "v": 1,
         "address": e.address,

@@ -16,7 +16,7 @@ import math
 import re
 from dataclasses import dataclass, field
 
-from .artifacts import read_jsonl, word_list, write_jsonl
+from .artifacts import word_list
 from .corpus import Corpus, OnionDomain, PageRecord
 from .pagetext import page_text
 
@@ -376,9 +376,11 @@ def _label_row(r: LabelResult) -> dict:
     return row
 
 
-def write_labels_jsonl(results: dict[OnionDomain, LabelResult], out_path):
-    write_jsonl(out_path, (_label_row(results[d]) for d in sorted(results)))
+def label_rows(results: dict[OnionDomain, LabelResult]) -> list[dict]:
+    """The labels.jsonl rows of `results`, by domain."""
+    return [_label_row(results[d]) for d in sorted(results)]
 
 
-def read_labels_jsonl(path) -> dict[str, Category]:
-    return {row["domain"]: Category.parse(row["category"]) for row in read_jsonl(path)}
+def label_categories(rows) -> dict[str, Category]:
+    """Domain to category, from labels.jsonl rows."""
+    return {row["domain"]: Category.parse(row["category"]) for row in rows}

@@ -252,18 +252,19 @@ class Campaign:
     categories: list[str]
     received: int
 
-    def node_ids(self) -> list[str]:
-        """The entity-graph node ids of every member."""
-        return [node_id(kind, value)
-                for kind, values in ((SITE, self.sites), (BTC, self.btc_addresses),
-                                     (EMAIL, self.emails), (IP, self.ips), (URL, self.urls))
-                for value in values]
-
     def to_dict(self) -> dict:
         return {"v": 1, "id": self.id, "sites": self.sites,
                 "btc_addresses": self.btc_addresses, "emails": self.emails,
                 "ips": self.ips, "urls": self.urls, "categories": self.categories,
                 "received": self.received}
+
+
+def member_ids(campaign: dict) -> list[str]:
+    """The entity-graph node ids of every member of a campaign, given as its dict."""
+    return [node_id(kind, value)
+            for kind, key in ((SITE, "sites"), (BTC, "btc_addresses"), (EMAIL, "emails"),
+                              (IP, "ips"), (URL, "urls"))
+            for value in campaign[key]]
 
 
 @dataclass

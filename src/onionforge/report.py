@@ -1,31 +1,35 @@
 """Pipeline orchestration, paper-style tables, and campaign graph export.
 
-Stages hand their results to each other as files in the format that
-`artifacts` fixes; within one run, the corpus and the ledgers also cross
-in memory, so each is parsed at most once (`run_scope`). Stages are skipped
-on re-runs when their input digests match, which makes a run resumable from
-any completed stage. Outputs carry no wall-clock state, so identical inputs
-produce byte-identical outputs.
+Each stage is a computation: it takes the values of the artifacts it reads
+and returns the values of those it writes. `ARTIFACTS` declares every
+artifact once, with its writer and, if a stage reads it, its reader, in the
+format that `artifacts` fixes. Only `run_pipeline` touches the disk: it
+writes each output, hands it on in memory to the later stages of the run,
+and reads an artifact back only when the stage that writes it was skipped,
+once. Stages are skipped on re-runs when their input digests match, which
+makes a run resumable from any completed stage. Outputs carry no wall-clock
+state, so identical inputs produce byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import logging
+import math
 import re
 import time
 from collections import namedtuple
 from collections.abc import Callable
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import chain, classify, cluster, extract, pagetext, trace
 from .artifacts import read_jsonl, write_json, write_jsonl
 from .classify import CATEGORIES, Category
-from .corpus import Corpus, ingest_snapshot, read_corpus_jsonl, write_corpus_jsonl
+from .corpus import ingest_snapshot, read_corpus_jsonl, write_corpus_jsonl
 
 log = logging.getLogger("onionforge.report")
 
@@ -41,12 +45,6 @@ class StageError(Exception):
         super().__init__("stage %r failed: %s" % (stage, cause))
         self.stage = stage
         self.cause = cause
-
-
-class StageNotRun(Exception):
-    def __init__(self, stage, missing):
-        super().__init__("stage not run: %s (%s missing)" % (stage, missing))
-        self.stage = stage
 
 
 def format_btc(satoshi: int) -> str:
@@ -95,6 +93,8 @@ class PipelineConfig:
             raise ConfigError("provider must be 'fixtures' or 'http'")
         if self.provider == "http" and not self.base_url:
             raise ConfigError("provider=http requires base_url")
+        if not (math.isfinite(self.rate_limit) and self.rate_limit >= 0):
+            raise ConfigError("rate_limit must be a finite number >= 0")
         for key in ("public_threshold", "vanity_prefix", "top_n"):
             if getattr(self, key) < 1:
                 raise ConfigError("%s must be >= 1" % key)
@@ -202,19 +202,122 @@ class PipelineRun:
     finished_at: float = 0.0
 
 
+# --- the artifacts ---
+
+class Ledgers(dict):
+    """Fetched ledgers by address; `failures` says why each other address has none."""
+
+    def __init__(self, ledgers=(), failures=None):
+        super().__init__(ledgers)
+        self.failures = dict(failures or {})
+
+
+def write_ledgers(ledgers_dir: Path, ledgers: Ledgers):
+    """One JSON file per ledger plus `_index.jsonl`, replacing an earlier run's files."""
+    ledgers_dir.mkdir(exist_ok=True)
+    for stale in ledgers_dir.glob("*.json"):
+        stale.unlink()  # read_ledgers reads every ledger file in the directory
+    index_rows = []
+    for address in sorted(ledgers):
+        ledger = ledgers[address]
+        with open(ledgers_dir / (address + ".json"), "w") as fh:
+            fh.write(chain.ledger_json(ledger.transactions) + "\n")
+        index_rows.append({
+            "v": 1, "address": address, "transactions": len(ledger.transactions),
+            "received": ledger.received, "sent": ledger.sent,
+            "balance": ledger.balance,
+            "active_days": chain.active_period(ledger),
+        })
+    for address in sorted(ledgers.failures):
+        index_rows.append({"v": 1, "address": address, "error": ledgers.failures[address]})
+    write_jsonl(ledgers_dir / "_index.jsonl", index_rows)
+
+
+def read_ledgers(ledgers_dir) -> Ledgers:
+    """The ledgers `write_ledgers` wrote under `ledgers_dir`."""
+    ledgers_dir = Path(ledgers_dir)
+    ledgers = {}
+    for path in sorted(ledgers_dir.glob("*.json")):
+        address = path.stem
+        txs = [chain.parse_transaction(row) for row in json.loads(path.read_text())]
+        ledgers[address] = chain.AddressLedger.from_transactions(address, txs)
+    failures = {row["address"]: row["error"]
+                for row in read_jsonl(ledgers_dir / "_index.jsonl") if "error" in row}
+    return Ledgers(ledgers, failures)
+
+
+def write_tables(tables_dir: Path, tables: dict[str, tuple[list[str], list[dict]]]):
+    """Each table as `<name>.csv` and `<name>.json`; `tables` maps name to (headers, rows)."""
+    tables_dir.mkdir(exist_ok=True)
+    for name, (headers, rows) in tables.items():
+        with open(tables_dir / (name + ".csv"), "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=headers, lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
+        write_json(tables_dir / (name + ".json"), {"v": 1, "rows": rows})
+
+
+def _read_rows(path) -> list[dict]:
+    return list(read_jsonl(path))
+
+
+def _read_json(path) -> dict:
+    return json.loads(Path(path).read_text())
+
+
+@dataclass(frozen=True)
+class Artifact:
+    """One artifact under out_dir, declared once.
+
+    `write(path, value)` stores a stage's output value. `read(path)` gives
+    the same value back to a later stage; an artifact that no stage reads
+    has no reader.
+    """
+
+    name: str
+    write: Callable[[Path, object], None]
+    read: Callable[[Path], object] | None = None
+
+
+# a JSONL artifact's value is its rows, a JSON document's value the document,
+# unless a typed value serves every consumer. The lambdas look their function
+# up when called, so a caller may rebind it.
+ARTIFACTS: dict[str, Artifact] = {a.name: a for a in (
+    Artifact("corpus.jsonl", lambda path, corpus: write_corpus_jsonl(corpus, path),
+             lambda path: read_corpus_jsonl(path)),
+    Artifact("addresses.jsonl", write_jsonl, _read_rows),
+    Artifact("labels.jsonl", write_jsonl, _read_rows),
+    Artifact("illicit.jsonl", chain.write_illicit_jsonl, chain.read_illicit_jsonl),
+    Artifact("filter_audit.jsonl", write_jsonl),
+    Artifact("ledgers", write_ledgers, lambda path: read_ledgers(path)),
+    Artifact("hits.jsonl", lambda path, found: trace.write_hits_jsonl(*found, path)),
+    Artifact("surface.jsonl", trace.write_surface_jsonl, trace.read_surface_jsonl),
+    Artifact("campaigns.json", write_json, _read_json),
+    Artifact("phase_trace.json", write_json, _read_json),
+    Artifact("vanity.json", write_json, _read_json),
+    Artifact("entity_graph.json", write_json, _read_json),
+    Artifact("tables", write_tables),
+    Artifact("graph.graphml", Path.write_text),
+    Artifact("graph.dot", Path.write_text),
+    Artifact("summary.json", write_json),
+)}
+
+
 # --- the stages ---
 
 @dataclass(frozen=True)
 class Stage:
     """One pipeline stage, declared once; `run_pipeline` and the CLI use it.
 
-    `reads` and `writes` are artifact names under out_dir. The stage's
-    digest covers its `config_keys` values, the artifacts it reads, and the
-    contents of every file or directory that one of its config keys names.
+    `fn(config, inputs)` takes the values of the artifacts named in `reads`
+    and returns a dict with the value of each artifact named in `writes`.
+    The stage's digest covers its `config_keys` values, the artifacts it
+    reads, and the contents of every file or directory that one of its
+    config keys names.
     """
 
     name: str
-    fn: Callable[[PipelineConfig, Path], None]
+    fn: Callable[[PipelineConfig, dict], dict]
     reads: tuple[str, ...]
     writes: tuple[str, ...]
     config_keys: tuple[str, ...]
@@ -238,90 +341,59 @@ def stage(name: str, reads=(), writes=(), config_keys=()):
 
 
 @stage("ingest", writes=["corpus.jsonl"], config_keys=["corpus_root"])
-def stage_ingest(cfg: PipelineConfig, out: Path):
+def stage_ingest(cfg: PipelineConfig, inputs: dict) -> dict:
     """Load the snapshot tree into corpus.jsonl."""
     corpus = ingest_snapshot(cfg.corpus_root)
     log.info("ingested %d pages from %d domains (%d entries skipped)",
              len(corpus), len(corpus.index), len(corpus.skipped))
-    corpus = corpus.in_path_order()  # what read_corpus_jsonl gives back
-    write_corpus_jsonl(corpus, out / "corpus.jsonl")
-    _remember(out / "corpus.jsonl", corpus)
-
-
-# this run's parsed artifacts by path, None outside `run_scope`: the corpus
-# and the ledgers. No digest is needed: inside a run only ingest writes
-# corpus.jsonl and only fetch-tx a ledgers directory, and each replaces its
-# entry when it does. Stages share an entry and must not modify it.
-_run_memo: dict[str, object] | None = None
-
-
-def _remember(path, parsed):
-    if _run_memo is not None:
-        _run_memo[str(path)] = parsed
-
-
-def _memoized(path, parse):
-    """`parse(path)`, at most once per run."""
-    if _run_memo is None:
-        return parse(path)
-    key = str(path)
-    if key not in _run_memo:
-        _run_memo[key] = parse(path)
-    return _run_memo[key]
-
-
-def read_corpus(path) -> Corpus:
-    """The corpus in `path`, in (domain, path) order; parsed at most once per run."""
-    return _memoized(path, read_corpus_jsonl)
+    return {"corpus.jsonl": corpus.in_path_order()}  # what read_corpus_jsonl gives back
 
 
 @stage("extract", reads=["corpus.jsonl"], writes=["addresses.jsonl"],
        config_keys=["tlds"])
-def stage_extract(cfg: PipelineConfig, out: Path):
+def stage_extract(cfg: PipelineConfig, inputs: dict) -> dict:
     """Extract and validate BTC/ETH addresses and emails from every page."""
-    corpus = read_corpus(out / "corpus.jsonl")
     tlds = extract.load_tlds(cfg.tlds)
-
-    def rows():
-        for page in sorted(corpus.pages, key=lambda p: (p.domain.name, p.path)):
-            source = (page.domain.name, page.path)
-            scanned = extract.scan_page(page.html, source, tlds)
-            for kind, accepted_type in (("btc", extract.BtcAddress),
-                                        ("eth", extract.EthAddress)):
-                for value, verdict in scanned[kind]:
-                    row = {"v": 1, "domain": source[0], "path": source[1],
-                           "kind": kind, "value": value,
-                           "valid": isinstance(verdict, accepted_type)}
-                    if not row["valid"]:
-                        row["reject_reason"] = verdict.reason
-                    yield row
-            for email in scanned["email"]:
-                yield {"v": 1, "domain": source[0], "path": source[1],
-                       "kind": "email", "value": str(email), "valid": True}
-    write_jsonl(out / "addresses.jsonl", rows())
+    rows = []
+    for page in sorted(inputs["corpus.jsonl"].pages, key=lambda p: (p.domain.name, p.path)):
+        source = (page.domain.name, page.path)
+        scanned = extract.scan_page(page.html, source, tlds)
+        for kind, accepted_type in (("btc", extract.BtcAddress),
+                                    ("eth", extract.EthAddress)):
+            for value, verdict in scanned[kind]:
+                row = {"v": 1, "domain": source[0], "path": source[1],
+                       "kind": kind, "value": value,
+                       "valid": isinstance(verdict, accepted_type)}
+                if not row["valid"]:
+                    row["reject_reason"] = verdict.reason
+                rows.append(row)
+        for email in scanned["email"]:
+            rows.append({"v": 1, "domain": source[0], "path": source[1],
+                         "kind": "email", "value": str(email), "valid": True})
+    return {"addresses.jsonl": rows}
 
 
 @stage("classify", reads=["corpus.jsonl"], writes=["labels.jsonl"],
        config_keys=["ground_truth", "threshold", "stopwords"])
-def stage_classify(cfg: PipelineConfig, out: Path):
+def stage_classify(cfg: PipelineConfig, inputs: dict) -> dict:
     """Label every site with the three-phase illicit-site classifier."""
-    corpus = read_corpus(out / "corpus.jsonl")
+    corpus = inputs["corpus.jsonl"]
     stopwords = classify.load_stopwords(cfg.stopwords)
     gt = classify.load_ground_truth(cfg.ground_truth, corpus)
     results = classify.classify_corpus(corpus, gt, cfg.threshold, stopwords)
-    classify.write_labels_jsonl(results, out / "labels.jsonl")
+    return {"labels.jsonl": classify.label_rows(results)}
 
 
 @stage("filter", reads=["labels.jsonl", "addresses.jsonl"],
        writes=["illicit.jsonl", "filter_audit.jsonl"],
        config_keys=["chain_annotations"])
-def stage_filter(cfg: PipelineConfig, out: Path):
+def stage_filter(cfg: PipelineConfig, inputs: dict) -> dict:
     """Keep the owner-linked addresses of each illicit site."""
-    labels = classify.read_labels_jsonl(out / "labels.jsonl")
+    labels = classify.label_categories(inputs["labels.jsonl"])
     annotations = (chain.load_annotations(cfg.chain_annotations)
                    if cfg.chain_annotations else {})
     by_site: dict[str, list[str]] = {}
-    for row in read_jsonl(out / "addresses.jsonl"):
+    for row in inputs["addresses.jsonl"]:
         if row["kind"] == "btc" and row["valid"]:
             bucket = by_site.setdefault(row["domain"], [])
             if row["value"] not in bucket:
@@ -343,73 +415,37 @@ def stage_filter(cfg: PipelineConfig, out: Path):
         for address, reason in sorted(result.removed.items()):
             audit.append({"v": 1, "domain": domain, "address": address,
                           "action": "removed", "reason": reason})
-    chain.write_illicit_jsonl(illicit, out / "illicit.jsonl")
-    write_jsonl(out / "filter_audit.jsonl", audit)
+    return {"illicit.jsonl": illicit, "filter_audit.jsonl": audit}
 
 
 @stage("fetch-tx", reads=["illicit.jsonl"], writes=["ledgers"],
        config_keys=["provider", "base_url", "rate_limit", "tx_fixtures"])
-def stage_fetch_tx(cfg: PipelineConfig, out: Path):
+def stage_fetch_tx(cfg: PipelineConfig, inputs: dict) -> dict:
     """Fetch the transaction ledger of every illicit address."""
-    illicit = chain.read_illicit_jsonl(out / "illicit.jsonl")
     if cfg.provider == "http":
         explorer = chain.HttpExplorer(cfg.base_url, rate_limit=cfg.rate_limit or None)
     else:
         explorer = chain.FixtureExplorer(cfg.tx_fixtures or ".")
-    ledgers_dir = out / "ledgers"
-    ledgers_dir.mkdir(exist_ok=True)
-    for stale in ledgers_dir.glob("*.json"):
-        stale.unlink()  # read_ledgers reads every ledger file in the directory
-    ledgers, failures = chain.fetch_all(illicit.addresses(), explorer)
-    index_rows = []
-    for address in sorted(ledgers):
-        ledger = ledgers[address]
-        with open(ledgers_dir / (address + ".json"), "w") as fh:
-            fh.write(chain.ledger_json(ledger.transactions) + "\n")
-        index_rows.append({
-            "v": 1, "address": address, "transactions": len(ledger.transactions),
-            "received": ledger.received, "sent": ledger.sent,
-            "balance": ledger.balance,
-            "active_days": chain.active_period(ledger),
-        })
-    for address in sorted(failures):
-        index_rows.append({"v": 1, "address": address, "error": failures[address]})
-    write_jsonl(ledgers_dir / "_index.jsonl", index_rows)
-    _remember(ledgers_dir, ledgers)  # what read_ledgers would parse back
+    ledgers, failures = chain.fetch_all(inputs["illicit.jsonl"].addresses(), explorer)
     log.info("fetched %d ledgers, %d failures", len(ledgers), len(failures))
-
-
-def read_ledgers(ledgers_dir) -> dict[str, chain.AddressLedger]:
-    """Every ledger under `ledgers_dir`, by address; parsed at most once per run."""
-    return _memoized(ledgers_dir, _parse_ledgers)
-
-
-def _parse_ledgers(ledgers_dir) -> dict[str, chain.AddressLedger]:
-    ledgers = {}
-    for path in sorted(Path(ledgers_dir).glob("*.json")):
-        address = path.stem
-        txs = [chain.parse_transaction(row) for row in json.loads(path.read_text())]
-        ledgers[address] = chain.AddressLedger.from_transactions(address, txs)
-    return ledgers
+    return {"ledgers": Ledgers(ledgers, failures)}
 
 
 @stage("trace", reads=["illicit.jsonl"], writes=["hits.jsonl", "surface.jsonl"],
        config_keys=["search_fixtures", "search_base_url", "trace_annotations",
                     "explorer_domains", "rate_limit"])
-def stage_trace(cfg: PipelineConfig, out: Path):
+def stage_trace(cfg: PipelineConfig, inputs: dict) -> dict:
     """Search the surface web for every illicit address."""
-    illicit = chain.read_illicit_jsonl(out / "illicit.jsonl")
     domains = trace.load_explorer_domains(cfg.explorer_domains)
     if cfg.search_base_url:
         provider = trace.HttpSearch(cfg.search_base_url, rate_limit=cfg.rate_limit or None)
     else:
         provider = trace.FixtureSearch(cfg.search_fixtures or ".")
-    hits, failures = trace.search_all(illicit.addresses(), provider, domains)
+    hits, failures = trace.search_all(inputs["illicit.jsonl"].addresses(), provider, domains)
     facts = []
     if cfg.trace_annotations:
         hits, facts, _ = trace.import_annotations(read_jsonl(cfg.trace_annotations), hits)
-    trace.write_hits_jsonl(hits, failures, out / "hits.jsonl")
-    trace.write_surface_jsonl(trace.surface_links(hits, facts), out / "surface.jsonl")
+    return {"hits.jsonl": (hits, failures), "surface.jsonl": trace.surface_links(hits, facts)}
 
 
 @stage("cluster",
@@ -417,59 +453,36 @@ def stage_trace(cfg: PipelineConfig, out: Path):
               "surface.jsonl"],
        writes=["campaigns.json", "phase_trace.json", "vanity.json", "entity_graph.json"],
        config_keys=["public_threshold", "vanity_prefix"])
-def stage_cluster(cfg: PipelineConfig, out: Path):
+def stage_cluster(cfg: PipelineConfig, inputs: dict) -> dict:
     """Merge sites, addresses and identity facts into campaigns in five phases."""
-    labels = classify.read_labels_jsonl(out / "labels.jsonl")
-    illicit = chain.read_illicit_jsonl(out / "illicit.jsonl")
-    ledgers = read_ledgers(out / "ledgers")
-    links = trace.read_surface_jsonl(out / "surface.jsonl")
     site_emails: dict[str, set[str]] = {}
-    for row in read_jsonl(out / "addresses.jsonl"):
+    for row in inputs["addresses.jsonl"]:
         if row["kind"] == "email" and row["valid"]:
             site_emails.setdefault(row["domain"], set()).add(row["value"])
 
-    result = cluster.run_clustering(labels, illicit, ledgers, site_emails, links,
-                                    cfg.public_threshold, cfg.vanity_prefix)
+    result = cluster.run_clustering(
+        classify.label_categories(inputs["labels.jsonl"]), inputs["illicit.jsonl"],
+        inputs["ledgers"], site_emails, inputs["surface.jsonl"],
+        cfg.public_threshold, cfg.vanity_prefix)
+    nodes = result.graph.nodes
     for address, received in result.income.per_address.items():
         nid = cluster.node_id(cluster.BTC, address)
-        if nid in result.graph.nodes:
-            result.graph.nodes[nid]["received"] = received
-    for campaign in result.campaigns:
-        for nid in campaign.node_ids():
-            if nid in result.graph.nodes:
-                result.graph.nodes[nid]["campaign"] = campaign.id
-
-    write_json(out / "campaigns.json",
-               {"v": 1, "campaigns": [c.to_dict() for c in result.campaigns],
-                **result.exclusions})
-    write_json(out / "phase_trace.json",
-               {"v": 1, "phases": [s.to_dict() for s in result.trace]})
-    write_json(out / "vanity.json",
-               {"v": 1, "groups": [{"prefix": p, "domains": d} for p, d in result.vanity]})
-    write_json(out / "entity_graph.json",
-               {"v": 1,
-                "nodes": {nid: result.graph.nodes[nid] for nid in sorted(result.graph.nodes)},
-                "edges": sorted(result.graph.edges)})
-    log.info("%d campaigns", len(result.campaigns))
-
-
-def read_entity_graph(path) -> cluster.EntityGraph:
-    doc = json.loads(Path(path).read_text())
-    graph = cluster.EntityGraph()
-    for nid, attrs in doc["nodes"].items():
-        graph.add_node(nid, **{k: v for k, v in attrs.items() if k != "type"})
-    for kind, u, v in doc["edges"]:
-        graph.add_edge(kind, u, v)
-    return graph
-
-
-def read_campaigns_json(path) -> list[cluster.Campaign]:
-    doc = json.loads(Path(path).read_text())
-    return [cluster.Campaign(
-        id=c["id"], sites=c["sites"], btc_addresses=c["btc_addresses"],
-        emails=c["emails"], ips=c["ips"], urls=c.get("urls", []),
-        categories=c["categories"], received=c["received"],
-    ) for c in doc["campaigns"]]
+        if nid in nodes:
+            nodes[nid]["received"] = received
+    campaigns = [c.to_dict() for c in result.campaigns]
+    for campaign in campaigns:
+        for nid in cluster.member_ids(campaign):
+            if nid in nodes:
+                nodes[nid]["campaign"] = campaign["id"]
+    log.info("%d campaigns", len(campaigns))
+    return {
+        "campaigns.json": {"v": 1, "campaigns": campaigns, **result.exclusions},
+        "phase_trace.json": {"v": 1, "phases": [s.to_dict() for s in result.trace]},
+        "vanity.json": {"v": 1, "groups": [{"prefix": p, "domains": d}
+                                           for p, d in result.vanity]},
+        "entity_graph.json": {"v": 1, "nodes": {nid: nodes[nid] for nid in sorted(nodes)},
+                              "edges": sorted(result.graph.edges)},
+    }
 
 
 @stage("report",
@@ -478,12 +491,13 @@ def read_campaigns_json(path) -> list[cluster.Campaign]:
               "entity_graph.json"],
        writes=["tables", "graph.graphml", "graph.dot", "summary.json"],
        config_keys=["top_n", "min_received"])
-def stage_report(cfg: PipelineConfig, out: Path):
+def stage_report(cfg: PipelineConfig, inputs: dict) -> dict:
     """Write the paper-style tables, the summary and the campaign graph."""
-    emit_tables(out, top_n=cfg.top_n, min_received=cfg.min_received)
-    campaigns = read_campaigns_json(out / "campaigns.json")
-    graph = read_entity_graph(out / "entity_graph.json")
-    export_graph(campaigns, graph, out / "graph.graphml", out / "graph.dot")
+    tables, summary = emit_tables(inputs, top_n=cfg.top_n, min_received=cfg.min_received)
+    graphml, dot = export_graph(inputs["campaigns.json"]["campaigns"],
+                                inputs["entity_graph.json"])
+    return {"tables": tables, "graph.graphml": graphml, "graph.dot": dot,
+            "summary.json": summary}
 
 
 # (name, function) pairs in pipeline order; `run_pipeline` reads this at call
@@ -491,22 +505,13 @@ def stage_report(cfg: PipelineConfig, out: Path):
 STAGES = tuple((s.name, s.fn) for s in STAGE_DECLS.values())
 
 
-@contextmanager
-def run_scope():
-    """Hold one run's memos, page text handed off and artifacts parsed, for the block."""
-    global _run_memo
-    _run_memo = {}
-    try:
-        with pagetext.handoff():
-            yield
-    finally:
-        _run_memo = None
-
-
 def run_pipeline(config: PipelineConfig, until: str | None = None) -> PipelineRun:
     """Execute the stages in order, skipping any whose inputs are unchanged.
 
-    With `until` set to a stage name, stop after that stage.
+    With `until` set to a stage name, stop after that stage. Each output
+    is written once and handed on in memory to the later stages of the
+    run that read it; an input whose stage was skipped is read from disk
+    once.
     """
     config.validate()
     out = Path(config.out_dir)
@@ -514,20 +519,25 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> PipelineRu
     run = PipelineRun(config=config, out_dir=out, started_at=time.time())
 
     manifest_path = out / "run.json"
-    previous = {}
-    if manifest_path.is_file():
-        try:
-            previous = json.loads(manifest_path.read_text()).get("stages", {})
-        except ValueError:
-            previous = {}
-
+    try:
+        previous = json.loads(manifest_path.read_text())["stages"]
+    except (OSError, ValueError, TypeError, KeyError):
+        previous = {}
+    if not isinstance(previous, dict):
+        previous = {}  # a run.json of another shape counts as absent, as does none
     # stages this run does not reach keep their digests: each digest covers
     # that stage's own inputs, so a later run still re-runs exactly what changed
     run.stage_digests = {name: previous[name] for name, _ in STAGES if name in previous}
+
+    names = [name for name, _ in STAGES]
+    stages = STAGES[:names.index(until) + 1] if until in names else STAGES
+    # each artifact a stage of this run reads -> the last stage that reads it
+    last_reader = {a: name for name, _ in stages for a in STAGE_DECLS[name].reads}
+    values: dict[str, object] = {}  # this run's artifacts, until their last reader is done
     # an input is hashed once per run, until a stage rewrites it
     digests: dict[str, str] = {}
-    with run_scope():
-        for name, func in STAGES:
+    with pagetext.handoff():
+        for name, func in stages:
             decl = STAGE_DECLS[name]
             subset = {k: getattr(config, k) for k in decl.config_keys}
             digest = _stage_digest(name, subset, decl.inputs(config, out), digests)
@@ -538,18 +548,30 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> PipelineRu
                 log.info("stage %s unchanged; skipping", name)
             else:
                 log.info("stage %s running", name)
-                run.stage_digests.pop(name, None)  # if it fails, its outputs are stale
+                if name in run.stage_digests:
+                    # unrecord the stage first, so a kill while it runs or
+                    # writes cannot leave its old digest over partial outputs
+                    del run.stage_digests[name]
+                    _write_manifest(run, manifest_path)
                 try:
-                    func(config, out)
+                    for artifact in decl.reads:
+                        if artifact not in values:  # its stage was skipped in this run
+                            values[artifact] = ARTIFACTS[artifact].read(out / artifact)
+                    outputs = func(config, {a: values[a] for a in decl.reads})
+                    for artifact in decl.writes:
+                        ARTIFACTS[artifact].write(out / artifact, outputs[artifact])
                 except Exception as exc:
                     _write_manifest(run, manifest_path)
                     raise StageError(name, exc) from exc
                 for written in decl.writes:
                     digests.pop(str(out / written), None)
+                    if written in last_reader:
+                        values[written] = outputs[written]
                 run.executed.append(name)
                 run.stage_digests[name] = digest
-            if name == until:
-                break
+            for artifact in decl.reads:
+                if last_reader[artifact] == name:
+                    values.pop(artifact, None)
 
     run.run_id = hashlib.sha256(json.dumps(
         {"config": config.to_dict(), "stages": run.stage_digests},
@@ -567,44 +589,19 @@ def _write_manifest(run: PipelineRun, path: Path):
 
 # --- tables ---
 
-def _require(out: Path, stage: str, artifact: str) -> Path:
-    path = out / artifact
-    if not path.exists():
-        raise StageNotRun(stage, artifact)
-    return path
+def emit_tables(inputs: dict, top_n: int = 10, min_received: int = 0) -> tuple[dict, dict]:
+    """The four paper-shaped tables and the summary, from the report stage's inputs.
 
-
-def _write_table(rows: list[dict], headers: list[str], base: Path):
-    with open(base.with_suffix(".csv"), "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=headers, lineterminator="\n")
-        writer.writeheader()
-        writer.writerows(rows)
-    write_json(base.with_suffix(".json"), {"v": 1, "rows": rows})
-
-
-def emit_tables(out_dir, top_n: int = 10, min_received: int = 0) -> dict:
-    """Write the four paper-shaped tables plus a summary; returns the summary."""
-    out = Path(out_dir)
-    tables = out / "tables"
-    tables.mkdir(exist_ok=True)
-
-    corpus_path = _require(out, "ingest", "corpus.jsonl")
-    labels_path = _require(out, "classify", "labels.jsonl")
-    addresses_path = _require(out, "extract", "addresses.jsonl")
-    illicit_path = _require(out, "filter", "illicit.jsonl")
-    ledgers_dir = _require(out, "fetch-tx", "ledgers")
-    campaigns_path = _require(out, "cluster", "campaigns.json")
-    trace_path = _require(out, "cluster", "phase_trace.json")
-    vanity_path = _require(out, "cluster", "vanity.json")
-
-    labels = classify.read_labels_jsonl(labels_path)
-    address_rows = list(read_jsonl(addresses_path))
-    illicit = chain.read_illicit_jsonl(illicit_path)
-    ledgers = read_ledgers(ledgers_dir)
+    Returns (tables, summary), the values of `tables` and `summary.json`.
+    """
+    labels = classify.label_categories(inputs["labels.jsonl"])
+    address_rows = inputs["addresses.jsonl"]
+    illicit = inputs["illicit.jsonl"]
+    ledgers = inputs["ledgers"]
     income = chain.estimate_income(illicit, ledgers)
 
     pages_per_domain = {domain.name: len(pages)
-                        for domain, pages in read_corpus(corpus_path).index.items()}
+                        for domain, pages in inputs["corpus.jsonl"].index.items()}
 
     # table 3 shape: per-category onion/page/address counts
     sites_by_cat: dict[Category, list[str]] = {c: [] for c in list(CATEGORIES) + [Category.OTHER]}
@@ -632,9 +629,6 @@ def emit_tables(out_dir, top_n: int = 10, min_received: int = 0) -> dict:
         for key in totals:
             totals[key] += row[key]
     class_rows.append({"category": "Total", **totals})
-    _write_table(class_rows,
-                 ["category", "onions", "pages", "btc_addresses", "illicit_btc_addresses"],
-                 tables / "classification")
 
     # table 4 shape: top profitable addresses
     addr_rows = []
@@ -655,38 +649,35 @@ def emit_tables(out_dir, top_n: int = 10, min_received: int = 0) -> dict:
     top_addr_rows = addr_rows[:top_n]
     for rank, row in enumerate(top_addr_rows, 1):
         row["rank"] = rank
-    _write_table(top_addr_rows,
-                 ["rank", "address", "categories", "incoming_transactions",
-                  "received_satoshi", "received_btc"],
-                 tables / "top_addresses")
-
-    # table 5 shape: clustering phase trace
-    trace_doc = json.loads(trace_path.read_text())
-    _write_table(trace_doc["phases"],
-                 ["phase", "clusters", "onions", "btc_addresses", "email_addresses", "ips"],
-                 tables / "phase_trace")
 
     # table 6 shape: top profitable campaigns
-    campaigns = read_campaigns_json(campaigns_path)
+    campaigns = inputs["campaigns.json"]["campaigns"]
     camp_rows = []
     for rank, c in enumerate(campaigns[:top_n], 1):
         camp_rows.append({
             "rank": rank,
-            "example_sites": ", ".join(c.sites[:2]),
-            "sites": len(c.sites),
-            "categories": "+".join(c.categories),
-            "btc_addresses": len(c.btc_addresses),
-            "emails": len(c.emails),
-            "urls": len(c.urls),
-            "received_satoshi": c.received,
-            "received_btc": format_btc(c.received),
+            "example_sites": ", ".join(c["sites"][:2]),
+            "sites": len(c["sites"]),
+            "categories": "+".join(c["categories"]),
+            "btc_addresses": len(c["btc_addresses"]),
+            "emails": len(c["emails"]),
+            "urls": len(c["urls"]),
+            "received_satoshi": c["received"],
+            "received_btc": format_btc(c["received"]),
         })
-    _write_table(camp_rows,
-                 ["rank", "example_sites", "sites", "categories", "btc_addresses",
-                  "emails", "urls", "received_satoshi", "received_btc"],
-                 tables / "top_campaigns")
 
-    vanity_doc = json.loads(vanity_path.read_text())
+    tables = {
+        "classification": (["category", "onions", "pages", "btc_addresses",
+                            "illicit_btc_addresses"], class_rows),
+        "top_addresses": (["rank", "address", "categories", "incoming_transactions",
+                           "received_satoshi", "received_btc"], top_addr_rows),
+        # table 5 shape: clustering phase trace
+        "phase_trace": (["phase", "clusters", "onions", "btc_addresses", "email_addresses",
+                         "ips"], inputs["phase_trace.json"]["phases"]),
+        "top_campaigns": (["rank", "example_sites", "sites", "categories", "btc_addresses",
+                           "emails", "urls", "received_satoshi", "received_btc"], camp_rows),
+    }
+
     dormant = chain.dormant_addresses(ledgers, min_received)
     multi = chain.multi_category(illicit, ledgers)
     summary = {
@@ -709,10 +700,9 @@ def emit_tables(out_dir, top_n: int = 10, min_received: int = 0) -> dict:
         "campaigns": len(campaigns),
         "multi_category_addresses": len(multi),
         "dormant_flagged": dormant,
-        "vanity_groups": len(vanity_doc["groups"]),
+        "vanity_groups": len(inputs["vanity.json"]["groups"]),
     }
-    write_json(out / "summary.json", summary)
-    return summary
+    return tables, summary
 
 
 # --- campaign graph export ---
@@ -746,56 +736,57 @@ _GRAPHML_KEYS = (
 )
 
 
-def export_graph(campaigns: list[cluster.Campaign], graph: cluster.EntityGraph,
-                 graphml_path, dot_path):
-    """Emit the campaign graph as GraphML and DOT, deterministically ordered.
+def export_graph(campaigns: list[dict], graph: dict) -> tuple[str, str]:
+    """The campaign graph as GraphML and DOT text, deterministically ordered.
 
-    Address node size is proportional to satoshis received.
+    `campaigns` are campaign dicts as in campaigns.json and `graph` is the
+    entity_graph.json document. Address node size is proportional to
+    satoshis received.
     """
-    members = {nid for c in campaigns for nid in c.node_ids()}
-    node_ids = sorted(n for n in graph.nodes if n in members)
-    edges = sorted(e for e in graph.edges if e[1] in members and e[2] in members)
+    members = {nid for c in campaigns for nid in cluster.member_ids(c)}
+    nodes = graph["nodes"]
+    node_ids = sorted(n for n in nodes if n in members)
+    edges = sorted(e for e in graph["edges"] if e[1] in members and e[2] in members)
 
     def node_attrs(nid):
-        attrs = dict(graph.nodes[nid])
+        attrs = dict(nodes[nid])
         if attrs.get("type") == cluster.BTC:
             received = int(attrs.get("received", 0))
             attrs["received"] = received
             attrs["size"] = "%.8f" % (received / SATOSHI_PER_BTC)
         return attrs
 
-    with open(graphml_path, "w") as fh:
-        fh.write('<?xml version="1.0" encoding="UTF-8"?>\n')
-        fh.write('<graphml xmlns="http://graphml.graphdrawing.org/xmlns">\n')
-        for key_id, target, name, kind in _GRAPHML_KEYS:
-            fh.write('  <key id="%s" for="%s" attr.name="%s" attr.type="%s"/>\n'
-                     % (key_id, target, name, kind))
-        fh.write('  <graph id="campaigns" edgedefault="undirected">\n')
-        for nid in node_ids:
-            fh.write('    <node id=%s>\n' % quoteattr(nid))
-            attrs = node_attrs(nid)
-            for key_id, target, name, _ in _GRAPHML_KEYS:
-                if target == "node" and name in attrs:
-                    fh.write('      <data key="%s">%s</data>\n'
-                             % (key_id, escape(str(attrs[name]))))
-            fh.write('    </node>\n')
-        for kind, u, v in edges:
-            fh.write('    <edge source=%s target=%s>\n' % (quoteattr(u), quoteattr(v)))
-            fh.write('      <data key="d_kind">%s</data>\n' % escape(kind))
-            fh.write('    </edge>\n')
-        fh.write('  </graph>\n</graphml>\n')
+    graphml = io.StringIO()
+    graphml.write('<?xml version="1.0" encoding="UTF-8"?>\n'
+                  '<graphml xmlns="http://graphml.graphdrawing.org/xmlns">\n')
+    for key_id, target, name, kind in _GRAPHML_KEYS:
+        graphml.write('  <key id="%s" for="%s" attr.name="%s" attr.type="%s"/>\n'
+                       % (key_id, target, name, kind))
+    graphml.write('  <graph id="campaigns" edgedefault="undirected">\n')
+    for nid in node_ids:
+        graphml.write('    <node id=%s>\n' % quoteattr(nid))
+        attrs = node_attrs(nid)
+        for key_id, target, name, _ in _GRAPHML_KEYS:
+            if target == "node" and name in attrs:
+                graphml.write('      <data key="%s">%s</data>\n'
+                               % (key_id, escape(str(attrs[name]))))
+        graphml.write('    </node>\n')
+    for kind, u, v in edges:
+        graphml.write('    <edge source=%s target=%s>\n' % (quoteattr(u), quoteattr(v)))
+        graphml.write('      <data key="d_kind">%s</data>\n' % escape(kind))
+        graphml.write('    </edge>\n')
+    graphml.write('  </graph>\n</graphml>\n')
 
     def dot_quote(s):
         return '"%s"' % str(s).replace("\\", "\\\\").replace('"', '\\"')
 
-    with open(dot_path, "w") as fh:
-        fh.write("graph campaigns {\n")
-        for nid in node_ids:
-            attrs = node_attrs(nid)
-            rendered = ", ".join("%s=%s" % (k, dot_quote(attrs[k]))
-                                 for k in sorted(attrs))
-            fh.write("  %s [%s];\n" % (dot_quote(nid), rendered))
-        for kind, u, v in edges:
-            fh.write("  %s -- %s [kind=%s];\n"
-                     % (dot_quote(u), dot_quote(v), dot_quote(kind)))
-        fh.write("}\n")
+    dot = io.StringIO()
+    dot.write("graph campaigns {\n")
+    for nid in node_ids:
+        attrs = node_attrs(nid)
+        rendered = ", ".join("%s=%s" % (k, dot_quote(attrs[k])) for k in sorted(attrs))
+        dot.write("  %s [%s];\n" % (dot_quote(nid), rendered))
+    for kind, u, v in edges:
+        dot.write("  %s -- %s [kind=%s];\n" % (dot_quote(u), dot_quote(v), dot_quote(kind)))
+    dot.write("}\n")
+    return graphml.getvalue(), dot.getvalue()

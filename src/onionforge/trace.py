@@ -193,7 +193,7 @@ def write_hits_jsonl(hits, failures, out_path):
     write_jsonl(out_path, rows)
 
 
-def write_surface_jsonl(links, out_path):
+def write_surface_jsonl(out_path, links):
     write_jsonl(out_path, ({"v": 1, "url": row["url"], "ip": row["ip"],
                             "registrant": row["registrant"],
                             "addresses": list(row["addresses"])} for row in links))

@@ -1,6 +1,11 @@
+import dataclasses
 import hashlib
 import json
+import os
 import re
+import shutil
+import subprocess
+import sys
 import tempfile
 from collections import Counter
 from datetime import datetime, timedelta, timezone
@@ -12,18 +17,32 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from onionforge import chain, pagetext, report
-from onionforge.artifacts import read_jsonl
 from onionforge.classify import Category
-from onionforge.corpus import read_corpus_jsonl
+from onionforge.corpus import Corpus, read_corpus_jsonl
 from onionforge.cluster import Campaign, EntityGraph
 from onionforge.report import (
-    ConfigError, PipelineConfig, StageError, StageNotRun, emit_tables, export_graph,
+    ARTIFACTS, STAGE_DECLS, ConfigError, PipelineConfig, StageError, export_graph,
     format_btc, parse_config, run_pipeline,
 )
 
 from planted import EXPECTED_CAMPAIGNS, assert_same_artifacts, build_planted_corpus
 
 ROOT = Path(__file__).resolve().parents[1]
+
+# runs the pipeline of the config file argv[1] and exits with 9 at the
+# second ledger file written
+KILLED_IN_FETCH_TX = """
+import os, sys
+from onionforge import chain, report
+ledger_json, written = chain.ledger_json, []
+def dying(transactions):
+    written.append(1)
+    if len(written) == 2:
+        os._exit(9)
+    return ledger_json(transactions)
+chain.ledger_json = dying
+report.run_pipeline(report.parse_config(sys.argv[1]))
+"""
 
 
 @pytest.fixture(scope="module")
@@ -36,6 +55,16 @@ def planted_run(tmp_path_factory):
     config = parse_config(cfg_file)
     run = run_pipeline(config)
     return planted, config, run, out
+
+
+def read_inputs(out, stage):
+    """The values of a stage's inputs, read back from `out` through their declarations."""
+    return {name: ARTIFACTS[name].read(out / name) for name in STAGE_DECLS[stage].reads}
+
+
+def report_summary(out, config=PipelineConfig()):
+    """The summary the report stage computes from the artifacts in `out`."""
+    return report.stage_report(config, read_inputs(out, "report"))["summary.json"]
 
 
 class TestFormatBtc:
@@ -117,6 +146,17 @@ class TestParseConfig:
             "corpus_root = %s\nground_truth = %s\nout_dir = %s\nprovider = http\n"
             % (tmp_path / "c", tmp_path / "gt.jsonl", tmp_path / "out"))
         with pytest.raises(ConfigError, match="base_url"):
+            parse_config(cfg_file)
+
+    @pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+    def test_rate_limit_must_be_finite_and_non_negative(self, tmp_path, value):
+        (tmp_path / "c").mkdir()
+        (tmp_path / "gt.jsonl").write_text("")
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(
+            "corpus_root = %s\nground_truth = %s\nout_dir = %s\nrate_limit = %s\n"
+            % (tmp_path / "c", tmp_path / "gt.jsonl", tmp_path / "out", value))
+        with pytest.raises(ConfigError, match="rate_limit"):
             parse_config(cfg_file)
 
 
@@ -244,7 +284,6 @@ class TestPipeline:
                         for row in json.loads(path.read_text())]
         # fetch-tx parses the fixtures; cluster and report take what it fetched
         assert sorted(map(json.dumps, parsed)) == sorted(map(json.dumps, fixture_rows))
-        assert report._run_memo is None
 
         # a run that skips fetch-tx parses each written ledger once
         (out / "campaigns.json").unlink()
@@ -253,28 +292,73 @@ class TestPipeline:
         assert run_pipeline(config).executed == ["cluster", "report"]
         assert len(parsed) == sum(len(json.loads(p.read_text()))
                                   for p in (out / "ledgers").glob("*.json"))
-        assert report._run_memo is None
 
-    def test_corpus_jsonl_parsed_at_most_once(self, tmp_path, monkeypatch):
-        parsed = []
-        read_corpus_jsonl = report.read_corpus_jsonl
-        monkeypatch.setattr(report, "read_corpus_jsonl",
-                            lambda path: parsed.append(path) or read_corpus_jsonl(path))
+    @pytest.mark.parametrize("stage", list(STAGE_DECLS))
+    def test_each_reader_called_at_most_once(self, tmp_path, monkeypatch, stage):
+        read = []
+        for name, artifact in list(ARTIFACTS.items()):
+            if artifact.read is not None:
+                monkeypatch.setitem(ARTIFACTS, name, dataclasses.replace(
+                    artifact, read=lambda path, name=name, fn=artifact.read:
+                    read.append(name) or fn(path)))
         planted = build_planted_corpus(tmp_path / "planted")
         out = tmp_path / "out"
         (tmp_path / "run.cfg").write_text(planted.config_text(out))
         config = parse_config(tmp_path / "run.cfg")
+        # each stage takes what the earlier stages of the run made
         assert run_pipeline(config).skipped == []
-        # extract, classify and report take the corpus ingest made
-        assert parsed == []
-        assert report._run_memo is None
+        assert read == []
+        assert run_pipeline(config).executed == []
+        assert read == []
 
-        # a run that skips ingest parses the file once for all three
-        for name in ("addresses.jsonl", "labels.jsonl", "summary.json"):
-            (out / name).unlink()
-        assert run_pipeline(config).executed == ["extract", "classify", "report"]
-        assert parsed == [out / "corpus.jsonl"]
-        assert report._run_memo is None
+        # a resumed run reads each input of a stage it skipped once, also when
+        # two stages take it: without summary.json, report runs as well
+        for name in set(STAGE_DECLS[stage].writes) | {"summary.json"}:
+            path = out / name
+            shutil.rmtree(path) if path.is_dir() else path.unlink()
+        resumed = run_pipeline(config)
+        assert resumed.executed[0] == stage and resumed.executed[-1] == "report"
+        written = {a for s in resumed.executed for a in STAGE_DECLS[s].writes}
+        assert sorted(read) == sorted({a for s in resumed.executed
+                                       for a in STAGE_DECLS[s].reads if a not in written})
+        fresh = tmp_path / "fresh"
+        run_pipeline(dataclasses.replace(config, out_dir=str(fresh)))
+        assert_same_artifacts(out, fresh)
+
+    @pytest.mark.parametrize("manifest", ["[]", "null", '{"stages": []}', '{"stages": null}'])
+    def test_misshapen_manifest_counts_as_none(self, planted_run, tmp_path, manifest):
+        _, config, _, planted_out = planted_run
+        out = tmp_path / "out"
+        shutil.copytree(planted_out, out)
+        (out / "run.json").write_text(manifest)
+        run = run_pipeline(dataclasses.replace(config, out_dir=str(out)))
+        assert run.executed == list(STAGE_DECLS)
+        assert_same_artifacts(out, planted_out)
+
+    def test_kill_during_fetch_tx_leaves_it_unrecorded(self, tmp_path):
+        planted = build_planted_corpus(tmp_path / "planted")
+        out = tmp_path / "out"
+        (tmp_path / "run.cfg").write_text(planted.config_text(out))
+        config = parse_config(tmp_path / "run.cfg")
+        run_pipeline(config)
+        ledger_files = len(list((out / "ledgers").glob("*.json")))
+        shutil.rmtree(out / "ledgers")
+
+        # the process dies while fetch-tx writes its second ledger file
+        killed = subprocess.run([sys.executable, "-c", KILLED_IN_FETCH_TX,
+                                 str(tmp_path / "run.cfg")],
+                                env=dict(os.environ, PYTHONPATH=os.pathsep.join(
+                                    [str(ROOT / "src")] + [p for p in [
+                                        os.environ.get("PYTHONPATH")] if p])),
+                                capture_output=True, text=True, timeout=120)
+        assert killed.returncode == 9, killed.stderr
+        assert 0 < len(list((out / "ledgers").glob("*.json"))) < ledger_files
+
+        resumed = run_pipeline(config)
+        assert "fetch-tx" in resumed.executed
+        fresh = tmp_path / "fresh"
+        run_pipeline(dataclasses.replace(config, out_dir=str(fresh)))
+        assert_same_artifacts(out, fresh)
 
     def test_edited_ledger_changes_the_tables(self, tmp_path):
         planted = build_planted_corpus(tmp_path / "planted")
@@ -282,13 +366,12 @@ class TestPipeline:
         (tmp_path / "run.cfg").write_text(planted.config_text(out))
         run_pipeline(parse_config(tmp_path / "run.cfg"))
         before = json.loads((out / "summary.json").read_text())
-        assert emit_tables(out) == before
+        assert report_summary(out) == before
 
         top = json.loads((out / "tables" / "top_addresses.json").read_text())["rows"][0]
         (out / "ledgers" / (top["address"] + ".json")).write_text("[]\n")
-        after = emit_tables(out)  # reads the edited file, not a ledger of the run
+        after = report_summary(out)
         assert after["income_satoshi"] == before["income_satoshi"] - top["received_satoshi"]
-        assert report._run_memo is None
 
     def test_rerun_fetch_tx_leaves_no_stale_ledgers(self, tmp_path):
         planted = build_planted_corpus(tmp_path / "planted")
@@ -376,13 +459,13 @@ class TestLedgerStore:
             illicit = chain.IllicitAddressSet()
             for address in ADDRESSES:
                 illicit.add(address, "s.onion", Category.DRUGS)
-            chain.write_illicit_jsonl(illicit, out / "illicit.jsonl")
 
             fetched, _ = chain.fetch_all(ADDRESSES, chain.FixtureExplorer(txs))
-            with report.run_scope():
-                report.stage_fetch_tx(PipelineConfig(tx_fixtures=str(txs)), out)
-                shared = report.read_ledgers(out / "ledgers")
+            shared = report.stage_fetch_tx(PipelineConfig(tx_fixtures=str(txs)),
+                                           {"illicit.jsonl": illicit})["ledgers"]
+            ARTIFACTS["ledgers"].write(out / "ledgers", shared)
             assert shared == fetched == report.read_ledgers(out / "ledgers")
+            assert shared.failures == report.read_ledgers(out / "ledgers").failures
 
 
 def reference_path_digest(path) -> str:
@@ -451,9 +534,9 @@ class TestCorpusMemo:
             (root / "manifest.jsonl").write_text("".join(
                 json.dumps({"domain": d, "path": p, "fetched_at": t}) + "\n"
                 for (d, p), t in manifest.items()))
-            with report.run_scope():
-                report.stage_ingest(PipelineConfig(corpus_root=str(root)), out)
-                shared = report.read_corpus(out / "corpus.jsonl")
+            shared = report.stage_ingest(PipelineConfig(corpus_root=str(root)),
+                                         {})["corpus.jsonl"]
+            ARTIFACTS["corpus.jsonl"].write(out / "corpus.jsonl", shared)
             read_back = read_corpus_jsonl(out / "corpus.jsonl")
 
         def pages(corpus):
@@ -485,10 +568,6 @@ class TestTables:
         assert received == sorted(received, reverse=True)
         assert doc["rows"][0]["received_btc"] == "1.50000000"
 
-    def test_missing_stage_reported_by_name(self, tmp_path):
-        with pytest.raises(StageNotRun, match="ingest"):
-            emit_tables(tmp_path)
-
     def test_hand_counted_planted_rows(self, planted_run):
         _, _, _, out = planted_run
         doc = json.loads((out / "tables" / "classification.json").read_text())
@@ -509,10 +588,14 @@ class TestTables:
                      "illicit.jsonl"):
             (tmp_path / name).write_text("")
         (tmp_path / "ledgers").mkdir()
+        (tmp_path / "ledgers" / "_index.jsonl").write_text("")
         (tmp_path / "campaigns.json").write_text('{"v": 1, "campaigns": []}\n')
         (tmp_path / "phase_trace.json").write_text('{"v": 1, "phases": []}\n')
         (tmp_path / "vanity.json").write_text('{"v": 1, "groups": []}\n')
-        summary = emit_tables(tmp_path)
+        (tmp_path / "entity_graph.json").write_text('{"v": 1, "nodes": {}, "edges": []}\n')
+        outputs = report.stage_report(PipelineConfig(), read_inputs(tmp_path, "report"))
+        ARTIFACTS["tables"].write(tmp_path / "tables", outputs["tables"])
+        summary = outputs["summary.json"]
         assert summary["sites_total"] == 0
         assert summary["income_satoshi"] == 0
         assert summary["campaigns"] == 0
@@ -523,17 +606,14 @@ class TestTables:
 
     def test_eth_rows_emitted(self, tmp_path):
         from datetime import datetime, timezone
-        from onionforge.corpus import (Corpus, OnionDomain, PageRecord,
-                                       write_corpus_jsonl)
+        from onionforge.corpus import OnionDomain, PageRecord
         eth = "0x" + "ab" * 20
         corpus = Corpus()
         corpus.add(PageRecord(
             domain=OnionDomain("ethpageaaaaaaaaa.onion"), path="/",
             html=("<p>send %s</p>" % eth).encode(),
             fetched_at=datetime(2022, 3, 1, tzinfo=timezone.utc)))
-        write_corpus_jsonl(corpus, tmp_path / "corpus.jsonl")
-        report.stage_extract(PipelineConfig(), tmp_path)
-        rows = list(read_jsonl(tmp_path / "addresses.jsonl"))
+        rows = report.stage_extract(PipelineConfig(), {"corpus.jsonl": corpus})["addresses.jsonl"]
         assert rows == [{"v": 1, "domain": "ethpageaaaaaaaaa.onion", "path": "/",
                          "kind": "eth", "value": eth, "valid": True}]
 
@@ -563,6 +643,14 @@ def check_dot_grammar(text):
         assert DOT_NODE.match(line) or DOT_EDGE.match(line), line
 
 
+def write_graph(campaigns, graph, out):
+    """`export_graph` of Campaign objects and an EntityGraph, as g.graphml and g.dot."""
+    graphml, dot = export_graph([c.to_dict() for c in campaigns],
+                                {"nodes": graph.nodes, "edges": graph.edges})
+    (out / "g.graphml").write_text(graphml)
+    (out / "g.dot").write_text(dot)
+
+
 class TestGraphExport:
     def test_three_node_campaign_dot(self, tmp_path):
         graph = EntityGraph()
@@ -574,7 +662,7 @@ class TestGraphExport:
         campaigns = [Campaign(id="c001", sites=["a.onion"], btc_addresses=["X", "Y"],
                               emails=[], ips=[], urls=[], categories=["Drugs"],
                               received=12)]
-        export_graph(campaigns, graph, tmp_path / "g.graphml", tmp_path / "g.dot")
+        write_graph(campaigns, graph, tmp_path)
         dot = (tmp_path / "g.dot").read_text()
         check_dot_grammar(dot)
         assert dot.count(" -- ") == 2
@@ -582,7 +670,7 @@ class TestGraphExport:
         assert len(parsed) == 3 and parsed.number_of_edges() == 2
 
     def test_empty_campaign_list(self, tmp_path):
-        export_graph([], EntityGraph(), tmp_path / "g.graphml", tmp_path / "g.dot")
+        write_graph([], EntityGraph(), tmp_path)
         check_dot_grammar((tmp_path / "g.dot").read_text())
         parsed = nx.read_graphml(tmp_path / "g.graphml")
         assert len(parsed) == 0
@@ -624,6 +712,22 @@ class TestGraphExport:
             if attrs.get("type") == "btc":
                 assert attrs["size"] * report.SATOSHI_PER_BTC == pytest.approx(
                     attrs["received"])
+
+
+class TestDeclarations:
+    def test_each_artifact_written_by_one_stage_before_any_stage_reads_it(self):
+        writer = {}
+        for name, decl in STAGE_DECLS.items():  # in pipeline order
+            for artifact in decl.reads:
+                assert artifact in writer, (name, artifact)
+                assert ARTIFACTS[artifact].read is not None, artifact
+            for artifact in decl.writes:
+                assert artifact in ARTIFACTS and artifact not in writer, artifact
+                writer[artifact] = name
+        assert set(writer) == set(ARTIFACTS)
+        read = {artifact for decl in STAGE_DECLS.values() for artifact in decl.reads}
+        assert {name for name, a in ARTIFACTS.items() if a.read is not None} == read
+        assert [name for name, _ in report.STAGES] == list(STAGE_DECLS)
 
 
 class TestDeterminism:
