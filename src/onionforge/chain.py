@@ -21,7 +21,7 @@ from .net import NOT_FOUND, Client, FetchError
 
 log = logging.getLogger("onionforge.chain")
 
-_TXID_RE = re.compile(r"^[0-9a-f]{64}$")
+_TXID_RE = re.compile(r"[0-9a-f]{64}")
 
 SECONDS_PER_DAY = 86400
 
@@ -51,7 +51,7 @@ class Transaction:
     coinbase: bool = False
 
     def __post_init__(self):
-        if not _TXID_RE.match(self.txid):
+        if not _TXID_RE.fullmatch(self.txid):
             raise ChainError("txid must be 64 lowercase hex chars: %r" % self.txid)
         if not self.inputs and not self.coinbase:
             raise ChainError("non-coinbase transaction %s has no inputs" % self.txid)
@@ -61,6 +61,13 @@ class Transaction:
 
     def input_from(self, address: str) -> int:
         return sum(i.value for i in self.inputs if i.address == address)
+
+
+def _satoshi(value) -> int:
+    """An amount as whole satoshis; a bool or a fractional float is malformed."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ChainError("value is not a whole number of satoshis: %r" % (value,))
+    return int(value)
 
 
 def parse_transaction(row: dict) -> Transaction:
@@ -79,8 +86,9 @@ def parse_transaction(row: dict) -> Transaction:
         return Transaction(
             txid=row["txid"],
             timestamp=when,
-            inputs=tuple(TxIO(i["address"], int(i["value"])) for i in row.get("inputs", [])),
-            outputs=tuple(TxIO(o["address"], int(o["value"]))
+            inputs=tuple(TxIO(i["address"], _satoshi(i["value"]))
+                         for i in row.get("inputs", [])),
+            outputs=tuple(TxIO(o["address"], _satoshi(o["value"]))
                           for o in row.get("outputs", [])),
             coinbase=bool(row.get("coinbase", False)),
         )
@@ -266,7 +274,7 @@ class FilterResult:
     removed: dict[str, str] = field(default_factory=dict)    # address -> reason
 
 
-def filter_illicit_addresses(site, addresses,
+def filter_illicit_addresses(domain: str, category: Category, addresses,
                              annotations: dict[tuple[str, str], AddressAnnotation]) -> FilterResult:
     """Keep only addresses plausibly owned by the site operator.
 
@@ -275,8 +283,6 @@ def filter_illicit_addresses(site, addresses,
     payment address, visitor addresses on forum pages, and flagged
     non-payment hash strings. Unannotated addresses stay, flagged unreviewed.
     """
-    category = getattr(site, "category", None)
-    domain = str(getattr(site, "domain", site))
     result = FilterResult()
     for address in addresses:
         ann = annotations.get((domain, address))

@@ -115,6 +115,21 @@ def term_vector(tokens: list[str]) -> TermVector:
     return vec
 
 
+def page_vector(page: PageRecord, stopwords: set[str]) -> TermVector:
+    return term_vector(tokenize(page_text(page.html), stopwords))
+
+
+def add_counts(total: TermVector, vec: TermVector):
+    """Add `vec`'s counts into `total`.
+
+    Summed in page order, page vectors give the counts that `term_vector`
+    gives the pages' joined tokens, in the same key order; float sums run in
+    key order, so a summed vector scores bit for bit as the joined text.
+    """
+    for t, c in vec.items():
+        total[t] = total.get(t, 0) + c
+
+
 def cosine(v1: TermVector, v2: TermVector) -> float:
     """Cosine similarity of two non-negative sparse vectors; 0 if either is zero."""
     if len(v2) < len(v1):
@@ -149,12 +164,6 @@ class GroundTruth:
     """(page, category) annotations with per-site aggregation."""
 
     rows: list[tuple[PageRecord, Category]] = field(default_factory=list)
-
-    def pages_by_category(self) -> dict[Category, list[PageRecord]]:
-        out: dict[Category, list[PageRecord]] = {}
-        for page, cat in self.rows:
-            out.setdefault(cat, []).append(page)
-        return out
 
     def site_page_labels(self) -> dict[OnionDomain, list[Category]]:
         out: dict[OnionDomain, list[Category]] = {}
@@ -272,25 +281,32 @@ class FeatureSet:
                           for cat, vec in self.category_vectors.items()}
 
 
-def build_feature_set(gt: GroundTruth, stopwords: set[str], *,
-                      page_tokens=None) -> FeatureSet:
-    """Per-category TF-IDF over the 12 concatenated category documents.
-
-    `page_tokens(page)` gives a page's tokens; by default the page is parsed.
-    """
-    if page_tokens is None:
-        page_tokens = lambda page: tokenize(page_text(page.html), stopwords)
-    docs: dict[Category, list[str]] = {cat: [] for cat in CATEGORIES}
+def ground_truth_index(gt: GroundTruth, stopwords: set[str]) -> PageIndex:
+    """Phase 2's index of the ground-truth rows, each distinct page tokenized once."""
+    vectors: dict[int, TermVector] = {}
+    index = PageIndex()
     for page, cat in gt.rows:
-        if cat is Category.OTHER:
-            continue
-        docs[cat].extend(page_tokens(page))
+        if cat is not Category.OTHER:
+            if id(page) not in vectors:
+                vectors[id(page)] = page_vector(page, stopwords)
+            index.add(vectors[id(page)], cat)
+    return index
+
+
+def build_feature_set(index: PageIndex) -> FeatureSet:
+    """Per-category TF-IDF over the 12 category documents.
+
+    A category's document is the sum of its ground-truth page vectors, in
+    index order.
+    """
+    docs: dict[Category, TermVector] = {cat: {} for cat in CATEGORIES}
+    for vec, cat in zip(index.vectors, index.categories):
+        add_counts(docs[cat], vec)
     empty = [cat.label for cat in CATEGORIES if not docs[cat]]
     if empty:
         raise ClassifyConfigError("ground truth lacks content for: " + ", ".join(empty))
 
-    counts = [term_vector(docs[cat]) for cat in CATEGORIES]
-    weighted, idf = tfidf_vectors(counts)
+    weighted, idf = tfidf_vectors([docs[cat] for cat in CATEGORIES])
     cat_vectors = dict(zip(CATEGORIES, weighted))
 
     top: dict[Category, list[str]] = {}
@@ -326,7 +342,11 @@ class LabelResult:
 
 def classify_corpus(corpus: Corpus, gt: GroundTruth, threshold: float,
                     stopwords: set[str]) -> dict[OnionDomain, LabelResult]:
-    """Run all three phases over a corpus. Deterministic for fixed inputs."""
+    """Run all three phases over a corpus. Deterministic for fixed inputs.
+
+    Each classified page is tokenized once: the feature set sums the vectors
+    of the ground-truth index, and phase 3 those of the site phase 2 scored.
+    """
     results: dict[OnionDomain, LabelResult] = {}
 
     site_labels = gt.site_page_labels()
@@ -334,37 +354,22 @@ def classify_corpus(corpus: Corpus, gt: GroundTruth, threshold: float,
         label = aggregate_site_label(site_labels[domain])
         results[domain] = LabelResult(domain, label, "ground-truth")
 
-    token_cache: dict[int, list[str]] = {}
-
-    def page_tokens(p):
-        key = id(p)
-        if key not in token_cache:
-            token_cache[key] = tokenize(page_text(p.html), stopwords)
-        return token_cache[key]
-
-    index = PageIndex()
-    for cat, pages in gt.pages_by_category().items():
-        if cat is not Category.OTHER:
-            for p in pages:
-                index.add(term_vector(page_tokens(p)), cat)
-
-    unlabeled = [d for d in corpus.domains() if d not in results]
-    for domain in unlabeled:
-        site_vectors = [term_vector(page_tokens(p)) for p in corpus.pages_for(domain)]
+    index = ground_truth_index(gt, stopwords)
+    fs = build_feature_set(index)
+    for domain in corpus.domains():
+        if domain in results:
+            continue
+        site_vectors = [page_vector(p, stopwords) for p in corpus.pages_for(domain)]
         label, score = _similarity_label(site_vectors, index, threshold)
         if label is not Category.OTHER:
             results[domain] = LabelResult(domain, label, "cosine", score)
-
-    fs = build_feature_set(gt, stopwords, page_tokens=page_tokens)
-    for domain in unlabeled:
-        if domain in results:
             continue  # cosine labels are final
-        counts = term_vector([t for p in corpus.pages_for(domain) for t in page_tokens(p)])
+        counts: TermVector = {}
+        for vec in site_vectors:
+            add_counts(counts, vec)
         label, score = _tfidf_label(counts, fs, threshold)
-        if label is not Category.OTHER:
-            results[domain] = LabelResult(domain, label, "tfidf", score)
-        else:
-            results[domain] = LabelResult(domain, Category.OTHER, "none", score)
+        phase = "none" if label is Category.OTHER else "tfidf"
+        results[domain] = LabelResult(domain, label, phase, score)
 
     return results
 

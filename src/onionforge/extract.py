@@ -31,12 +31,6 @@ BTC_VERSIONS = (0x00, 0x05)  # P2PKH, P2SH
 
 
 @dataclass(frozen=True)
-class BtcAddressCandidate:
-    text: str
-    source: tuple[str, str]  # (domain, path)
-
-
-@dataclass(frozen=True)
 class BtcAddress:
     text: str
     version: int
@@ -65,7 +59,7 @@ def load_tlds(path=None) -> set[str]:
     return word_list(path, "tlds.txt")
 
 
-def find_candidates(text: str, source=("", "")) -> tuple[list[BtcAddressCandidate], list[str]]:
+def find_candidates(text: str) -> tuple[list[str], list[str]]:
     """BTC and ETH candidates from one pass over the maximal alphanumeric runs.
 
     BTC: runs of 25-39 chars. ETH: runs of exactly 40 hex chars, or 0x/0X +
@@ -85,12 +79,11 @@ def find_candidates(text: str, source=("", "")) -> tuple[list[BtcAddressCandidat
                 eth[run] = None
         elif n == 42 and run[:2] in ("0x", "0X") and _HEX_RE.match(run, 2):
             eth[run] = None
-    return [BtcAddressCandidate(text=t, source=source) for t in btc], list(eth)
+    return list(btc), list(eth)
 
 
-def validate_btc(candidate: BtcAddressCandidate | str) -> BtcAddress | Rejection:
+def validate_btc(text: str) -> BtcAddress | Rejection:
     """Base58Check validation; accepts only version 0x00 / 0x05 payloads."""
-    text = candidate.text if isinstance(candidate, BtcAddressCandidate) else candidate
     for c in text:
         if c not in base58.ALPHABET:
             return Rejection("bad-alphabet")
@@ -182,13 +175,13 @@ def find_emails(text: str, known_tlds: set[str]) -> list[EmailAddress]:
     return list(dict.fromkeys(out))
 
 
-def scan_page(html: bytes, source, known_tlds: set[str]) -> dict:
+def scan_page(html: bytes, known_tlds: set[str]) -> dict:
     """One-page scan: validated/rejected BTC + ETH candidates and emails."""
     text = page_text_and_attrs(html)
     results = {"btc": [], "eth": [], "email": []}
-    btc, eth = find_candidates(text, source)
+    btc, eth = find_candidates(text)
     for cand in btc:
-        results["btc"].append((cand.text, validate_btc(cand)))
+        results["btc"].append((cand, validate_btc(cand)))
     for cand in eth:
         results["eth"].append((cand, validate_eth(cand)))
     for email in find_emails(text, known_tlds):

@@ -21,7 +21,6 @@ import logging
 import math
 import re
 import time
-from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -356,21 +355,30 @@ def stage_extract(cfg: PipelineConfig, inputs: dict) -> dict:
     tlds = extract.load_tlds(cfg.tlds)
     rows = []
     for page in sorted(inputs["corpus.jsonl"].pages, key=lambda p: (p.domain.name, p.path)):
-        source = (page.domain.name, page.path)
-        scanned = extract.scan_page(page.html, source, tlds)
+        domain, path = page.domain.name, page.path
+        scanned = extract.scan_page(page.html, tlds)
         for kind, accepted_type in (("btc", extract.BtcAddress),
                                     ("eth", extract.EthAddress)):
             for value, verdict in scanned[kind]:
-                row = {"v": 1, "domain": source[0], "path": source[1],
+                row = {"v": 1, "domain": domain, "path": path,
                        "kind": kind, "value": value,
                        "valid": isinstance(verdict, accepted_type)}
                 if not row["valid"]:
                     row["reject_reason"] = verdict.reason
                 rows.append(row)
         for email in scanned["email"]:
-            rows.append({"v": 1, "domain": source[0], "path": source[1],
+            rows.append({"v": 1, "domain": domain, "path": path,
                          "kind": "email", "value": str(email), "valid": True})
     return {"addresses.jsonl": rows}
+
+
+def valid_by_site(address_rows, kind: str) -> dict[str, set[str]]:
+    """The valid values of one kind in addresses.jsonl rows, by site domain."""
+    out: dict[str, set[str]] = {}
+    for row in address_rows:
+        if row["kind"] == kind and row["valid"]:
+            out.setdefault(row["domain"], set()).add(row["value"])
+    return out
 
 
 @stage("classify", reads=["corpus.jsonl"], writes=["labels.jsonl"],
@@ -392,22 +400,14 @@ def stage_filter(cfg: PipelineConfig, inputs: dict) -> dict:
     labels = classify.label_categories(inputs["labels.jsonl"])
     annotations = (chain.load_annotations(cfg.chain_annotations)
                    if cfg.chain_annotations else {})
-    by_site: dict[str, list[str]] = {}
-    for row in inputs["addresses.jsonl"]:
-        if row["kind"] == "btc" and row["valid"]:
-            bucket = by_site.setdefault(row["domain"], [])
-            if row["value"] not in bucket:
-                bucket.append(row["value"])
-
+    by_site = valid_by_site(inputs["addresses.jsonl"], "btc")
     illicit = chain.IllicitAddressSet()
     audit = []
-    site_stub = namedtuple("site_stub", "domain category")
     for domain in sorted(by_site):
         category = labels.get(domain, Category.OTHER)
         if category is Category.OTHER:
             continue
-        result = chain.filter_illicit_addresses(site_stub(domain, category),
-                                                by_site[domain], annotations)
+        result = chain.filter_illicit_addresses(domain, category, by_site[domain], annotations)
         for address, flag in sorted(result.retained.items()):
             illicit.add(address, domain, category, flag)
             audit.append({"v": 1, "domain": domain, "address": address,
@@ -455,15 +455,10 @@ def stage_trace(cfg: PipelineConfig, inputs: dict) -> dict:
        config_keys=["public_threshold", "vanity_prefix"])
 def stage_cluster(cfg: PipelineConfig, inputs: dict) -> dict:
     """Merge sites, addresses and identity facts into campaigns in five phases."""
-    site_emails: dict[str, set[str]] = {}
-    for row in inputs["addresses.jsonl"]:
-        if row["kind"] == "email" and row["valid"]:
-            site_emails.setdefault(row["domain"], set()).add(row["value"])
-
     result = cluster.run_clustering(
         classify.label_categories(inputs["labels.jsonl"]), inputs["illicit.jsonl"],
-        inputs["ledgers"], site_emails, inputs["surface.jsonl"],
-        cfg.public_threshold, cfg.vanity_prefix)
+        inputs["ledgers"], valid_by_site(inputs["addresses.jsonl"], "email"),
+        inputs["surface.jsonl"], cfg.public_threshold, cfg.vanity_prefix)
     nodes = result.graph.nodes
     for address, received in result.income.per_address.items():
         nid = cluster.node_id(cluster.BTC, address)
@@ -595,7 +590,6 @@ def emit_tables(inputs: dict, top_n: int = 10, min_received: int = 0) -> tuple[d
     Returns (tables, summary), the values of `tables` and `summary.json`.
     """
     labels = classify.label_categories(inputs["labels.jsonl"])
-    address_rows = inputs["addresses.jsonl"]
     illicit = inputs["illicit.jsonl"]
     ledgers = inputs["ledgers"]
     income = chain.estimate_income(illicit, ledgers)
@@ -607,10 +601,7 @@ def emit_tables(inputs: dict, top_n: int = 10, min_received: int = 0) -> tuple[d
     sites_by_cat: dict[Category, list[str]] = {c: [] for c in list(CATEGORIES) + [Category.OTHER]}
     for domain, cat in labels.items():
         sites_by_cat[cat].append(domain)
-    valid_btc_by_site: dict[str, set[str]] = {}
-    for row in address_rows:
-        if row["kind"] == "btc" and row["valid"]:
-            valid_btc_by_site.setdefault(row["domain"], set()).add(row["value"])
+    valid_btc_by_site = valid_by_site(inputs["addresses.jsonl"], "btc")
 
     class_rows = []
     totals = {"onions": 0, "pages": 0, "btc_addresses": 0, "illicit_btc_addresses": 0}
@@ -685,8 +676,7 @@ def emit_tables(inputs: dict, top_n: int = 10, min_received: int = 0) -> tuple[d
         "sites_total": len(pages_per_domain),
         "sites_illicit": sum(len(sites_by_cat[c]) for c in CATEGORIES),
         "pages_total": sum(pages_per_domain.values()),
-        "btc_addresses_valid": len({r["value"] for r in address_rows
-                                    if r["kind"] == "btc" and r["valid"]}),
+        "btc_addresses_valid": len(set().union(*valid_btc_by_site.values())),
         "btc_addresses_illicit": len(illicit),
         "income_satoshi": income.total,
         "income_btc": format_btc(income.total),

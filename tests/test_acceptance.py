@@ -19,7 +19,7 @@ from onionforge.chain import (
 )
 from onionforge.classify import (
     Category, GroundTruth, build_feature_set, classify_corpus, cosine,
-    load_stopwords, term_vector, tfidf_vectors,
+    ground_truth_index, load_stopwords, term_vector, tfidf_vectors,
 )
 from onionforge.cluster import (
     detect_mixing, run_clustering, transaction_edges, vanity_groups,
@@ -128,7 +128,7 @@ def test_criterion_03_tfidf_toy_oracle():
                                              % "abcdefghijkl"[i]),
                           path="/", html=html, fetched_at=NOW)
         gt.rows.append((page, cat))
-    fs = build_feature_set(gt, STOPWORDS)
+    fs = build_feature_set(ground_truth_index(gt, STOPWORDS))
     assert len(fs.keywords) <= 240
     ok(3, "3-document weights match the hand table to 1e-9; feature set <= 240 words")
 

@@ -5,11 +5,12 @@ from datetime import datetime, timezone
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from onionforge import classify
 from onionforge.classify import (
-    CATEGORIES, Category, ClassifyConfigError, GroundTruth, PageIndex,
-    _best_category, _similarity_label, _tfidf_label, aggregate_site_label,
-    build_feature_set, classify_corpus, cosine, load_stopwords, term_vector,
-    tfidf_vectors, tokenize,
+    CATEGORIES, TOP_KEYWORDS, Category, ClassifyConfigError, FeatureSet, GroundTruth,
+    LabelResult, PageIndex, _best_category, _similarity_label, _tfidf_label,
+    aggregate_site_label, build_feature_set, classify_corpus, cosine, ground_truth_index,
+    load_stopwords, term_vector, tfidf_vectors, tokenize,
 )
 from onionforge.corpus import Corpus, OnionDomain, PageRecord
 from onionforge.pagetext import page_text
@@ -37,12 +38,7 @@ def tokens(p, stopwords):
 def similarity_label(site_pages, gt, threshold):
     """Phase-2 label of a site, from the same vectors classify_corpus builds."""
     site_vectors = [term_vector(tokens(p, STOPWORDS)) for p in site_pages]
-    index = PageIndex()
-    for cat, pages in gt.pages_by_category().items():
-        if cat is not Category.OTHER:
-            for p in pages:
-                index.add(term_vector(tokens(p, STOPWORDS)), cat)
-    return _similarity_label(site_vectors, index, threshold)[0]
+    return _similarity_label(site_vectors, ground_truth_index(gt, STOPWORDS), threshold)[0]
 
 
 def tfidf_label(site_pages, fs, threshold):
@@ -144,7 +140,7 @@ def make_gt(extra_rows=()):
 
 class TestFeatureSet:
     def test_template_keywords_rank_top(self):
-        fs = build_feature_set(make_gt(), STOPWORDS)
+        fs = build_feature_set(ground_truth_index(make_gt(), STOPWORDS))
         for word in TEMPLATES[Category.HITMEN]:
             assert word in fs.top_keywords[Category.HITMEN]
 
@@ -156,14 +152,14 @@ class TestFeatureSet:
         gt = GroundTruth()
         for i, cat in enumerate(CATEGORIES):
             gt.rows.append((page(dom(i), "/", text), cat))
-        fs = build_feature_set(gt, STOPWORDS)
+        fs = build_feature_set(ground_truth_index(gt, STOPWORDS))
         assert all(abs(v - 1.0) < 1e-12 for v in fs.idf.values())
         for cat in CATEGORIES:
             assert fs.top_keywords[cat] == vocab[:20]
         assert fs.keywords == vocab[:20]  # merged set collapses to one list
 
     def test_merged_set_bounds(self):
-        fs = build_feature_set(make_gt(), STOPWORDS)
+        fs = build_feature_set(ground_truth_index(make_gt(), STOPWORDS))
         assert len(fs.keywords) <= 240
         union = set()
         for cat in CATEGORIES:
@@ -174,7 +170,7 @@ class TestFeatureSet:
         gt = make_gt()
         gt.rows = [r for r in gt.rows if r[1] is not Category.DRUGS]
         with pytest.raises(ClassifyConfigError, match="Drugs"):
-            build_feature_set(gt, STOPWORDS)
+            build_feature_set(ground_truth_index(gt, STOPWORDS))
 
 
 class TestSimilarityClassifier:
@@ -254,19 +250,19 @@ class TestPageIndex:
 
 class TestTfidfClassifier:
     def test_zero_overlap_is_other(self):
-        fs = build_feature_set(make_gt(), STOPWORDS)
+        fs = build_feature_set(ground_truth_index(make_gt(), STOPWORDS))
         site = [page(dom(44), "/", "quokka wombat dingo")]
         assert tfidf_label(site, fs, 0.5) is Category.OTHER
 
     def test_keyword_list_maps_to_its_category(self):
-        fs = build_feature_set(make_gt(), STOPWORDS)
+        fs = build_feature_set(ground_truth_index(make_gt(), STOPWORDS))
         for cat, words in TEMPLATES.items():
             site = [page(dom(45), "/", " ".join(words))]
             assert tfidf_label(site, fs, 0.5) is cat, cat
 
     def test_twelve_planted_sites_brute_force_verified(self):
         gt = make_gt()
-        fs = build_feature_set(gt, STOPWORDS)
+        fs = build_feature_set(ground_truth_index(gt, STOPWORDS))
         keep = set(fs.keywords)
         for cat, words in TEMPLATES.items():
             site_tokens = words * 2
@@ -377,3 +373,110 @@ class TestThreePhase:
         r2 = classify_corpus(corpus, gt, 0.5, STOPWORDS)
         assert {d: (r.category, r.phase, r.score) for d, r in r1.items()} == \
                {d: (r.category, r.phase, r.score) for d, r in r2.items()}
+
+
+def reference_classify(corpus, gt, threshold, stopwords):
+    """Phases 2 and 3 as counted before page vectors were summed.
+
+    Phase 3 and the feature set count the concatenated tokens of a site's
+    pages and of a category's ground-truth pages, and the index groups the
+    ground-truth pages by category.
+    """
+    results = {d: LabelResult(d, aggregate_site_label(labels), "ground-truth")
+               for d, labels in gt.site_page_labels().items()}
+    grouped = {}
+    for page, cat in gt.rows:
+        if cat is not Category.OTHER:
+            grouped.setdefault(cat, []).append(page)
+    index = PageIndex()
+    for cat, pages in grouped.items():
+        for p in pages:
+            index.add(term_vector(tokens(p, stopwords)), cat)
+    docs = [term_vector([t for p in grouped.get(cat, []) for t in tokens(p, stopwords)])
+            for cat in CATEGORIES]
+    weighted, idf = tfidf_vectors(docs)
+    cat_vectors = dict(zip(CATEGORIES, weighted))
+    top, merged = {}, []
+    for cat in CATEGORIES:
+        ranked = sorted(cat_vectors[cat].items(), key=lambda kv: (-kv[1], kv[0]))
+        top[cat] = [t for t, _ in ranked[:TOP_KEYWORDS]]
+        merged.extend(t for t in top[cat] if t not in merged)
+    fs = FeatureSet(keywords=merged, category_vectors=cat_vectors, idf=idf,
+                    top_keywords=top)
+    for domain in corpus.domains():
+        if domain in results:
+            continue
+        pages = corpus.pages_for(domain)
+        label, score = _similarity_label([term_vector(tokens(p, stopwords)) for p in pages],
+                                         index, threshold)
+        if label is not Category.OTHER:
+            results[domain] = LabelResult(domain, label, "cosine", score)
+            continue
+        counts = term_vector([t for p in pages for t in tokens(p, stopwords)])
+        label, score = _tfidf_label(counts, fs, threshold)
+        results[domain] = LabelResult(domain, label,
+                                      "none" if label is Category.OTHER else "tfidf", score)
+    return results, fs
+
+
+VOCAB = ["wallet", "escrow", "vendor", "powder", "pistol", "forged", "passport",
+         "exploit", "invest", "profit", "clone", "card", "mixer", "shipping"]
+words = st.lists(st.sampled_from(VOCAB), min_size=1, max_size=10)
+
+
+@st.composite
+def corpora(draw):
+    """A corpus whose ground truth covers every category, one shared page among them."""
+    corpus, rows = Corpus(), []
+    for i, cat in enumerate(CATEGORIES):
+        p = page(dom(i), "/", " ".join(draw(words)))
+        corpus.add(p)
+        rows.append((p, cat))
+    shared = page(dom(12), "/", " ".join(draw(words)))
+    corpus.add(shared)
+    for cat in draw(st.lists(st.sampled_from(CATEGORIES), min_size=2, max_size=2,
+                             unique=True)):
+        rows.append((shared, cat))
+    for i in range(draw(st.integers(1, 5))):
+        first = draw(words)
+        texts = [first, draw(st.permutations(first))] + draw(st.lists(words, max_size=2))
+        for j, text in enumerate(texts[:draw(st.integers(1, len(texts)))]):
+            corpus.add(page(dom(20 + i), "/p%d" % j, " ".join(text)))
+    return corpus, GroundTruth(rows=rows), draw(st.sampled_from([0.2, 0.5, 0.8]))
+
+
+class TestSummedVectors:
+    @settings(max_examples=150, deadline=None)
+    @given(corpora())
+    def test_matches_concatenated_token_counts(self, case):
+        corpus, gt, threshold = case
+        got = classify_corpus(corpus, gt, threshold, STOPWORDS)
+        want, want_fs = reference_classify(corpus, gt, threshold, STOPWORDS)
+        assert {d: (r.category, r.phase, r.score) for d, r in got.items()} == \
+            {d: (r.category, r.phase, r.score) for d, r in want.items()}
+        fs = build_feature_set(ground_truth_index(gt, STOPWORDS))
+        for cat in CATEGORIES:  # same weights, in the same key order
+            assert list(fs.category_vectors[cat].items()) == \
+                list(want_fs.category_vectors[cat].items())
+        assert list(fs.idf.items()) == list(want_fs.idf.items())
+        assert fs.keywords == want_fs.keywords
+
+    def test_each_classified_page_is_tokenized_once(self, monkeypatch):
+        corpus, gt, _ = build_corpus_and_gt()
+        first_gt_page = gt.rows[0][0]
+        gt.rows.append((first_gt_page, Category.SHOP))        # listed under two categories
+        corpus.add(page(first_gt_page.domain.name, "/about", "escrow vendor"))  # phase 1 site
+        corpus.add(page(dom(20), "/more", "powder pistol"))  # a second page, unlabelled site
+        texts = []
+        real = classify.tokenize
+
+        def counting(text, stopwords):
+            texts.append(text)
+            return real(text, stopwords)
+        monkeypatch.setattr(classify, "tokenize", counting)
+        results = classify_corpus(corpus, gt, 0.5, STOPWORDS)
+
+        gt_pages = {id(p) for p, _ in gt.rows}
+        unlabeled = [d for d in corpus.domains() if results[d].phase != "ground-truth"]
+        assert {results[d].phase for d in unlabeled} >= {"cosine", "none"}
+        assert len(texts) == len(gt_pages) + sum(len(corpus.pages_for(d)) for d in unlabeled)

@@ -42,6 +42,8 @@ def test_planted_run_under_tracer(tmp_path):
     assert "corpus.read_corpus_jsonl" not in spans
     # every page is parsed for classification once, ground-truth pages included
     assert spans.count("pagetext.page_text") == doc["facts"]["corpus.pages"]
+    # and tokenized once: phase 3 and the feature set sum the phase-2 vectors
+    assert spans.count("classify.tokenize") == spans.count("pagetext.page_text")
     # every ledger row is parsed once, by fetch-tx; cluster and report reuse its ledgers
     rows = sum(len(json.loads(p.read_text())) for p in planted.tx_fixtures.glob("*.json"))
     assert doc["counts"]["chain.parse_transaction"] == rows
