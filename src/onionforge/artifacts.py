@@ -12,6 +12,7 @@ bytes in one pass.
 from __future__ import annotations
 
 import json
+from datetime import datetime, timezone
 from importlib import resources
 from pathlib import Path
 
@@ -34,6 +35,15 @@ def write_json(path, doc):
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+def parse_utc(text: str) -> datetime:
+    """An ISO 8601 time ("Z" suffix allowed) as an aware UTC datetime; a time
+    without an offset is read as UTC. A malformed text raises ValueError."""
+    when = datetime.fromisoformat(text.replace("Z", "+00:00"))
+    if when.tzinfo is None:
+        when = when.replace(tzinfo=timezone.utc)
+    return when.astimezone(timezone.utc)
 
 
 def word_list(path, packaged_name: str) -> set[str]:

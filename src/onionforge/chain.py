@@ -14,8 +14,9 @@ from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import NamedTuple
 
-from .artifacts import read_jsonl, write_jsonl
+from .artifacts import parse_utc, read_jsonl, write_jsonl
 from .classify import Category
 from .net import NOT_FOUND, Client, FetchError
 
@@ -30,31 +31,17 @@ class ChainError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class TxIO:
+class TxIO(NamedTuple):
     address: str
     value: int  # satoshis
 
-    def __post_init__(self):
-        if not isinstance(self.address, str):
-            raise ChainError("address is not a string: %r" % (self.address,))
-        if self.value < 0:
-            raise ChainError("negative value for %s" % self.address)
 
-
-@dataclass(frozen=True)
-class Transaction:
+class Transaction(NamedTuple):
     txid: str
     timestamp: datetime
     inputs: tuple[TxIO, ...]
     outputs: tuple[TxIO, ...]
     coinbase: bool = False
-
-    def __post_init__(self):
-        if not _TXID_RE.fullmatch(self.txid):
-            raise ChainError("txid must be 64 lowercase hex chars: %r" % self.txid)
-        if not self.inputs and not self.coinbase:
-            raise ChainError("non-coinbase transaction %s has no inputs" % self.txid)
 
     def output_to(self, address: str) -> int:
         return sum(o.value for o in self.outputs if o.address == address)
@@ -63,40 +50,52 @@ class Transaction:
         return sum(i.value for i in self.inputs if i.address == address)
 
 
-def _satoshi(value) -> int:
-    """An amount as whole satoshis; a bool or a fractional float is malformed."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
-        raise ChainError("value is not a whole number of satoshis: %r" % (value,))
-    return int(value)
+def _timestamp(ts) -> datetime:
+    """An epoch number or an ISO 8601 string as an aware UTC datetime."""
+    if isinstance(ts, bool) or not isinstance(ts, (str, int, float)):
+        raise ChainError("timestamp is not a number or an ISO string: %r" % (ts,))
+    try:
+        return parse_utc(ts) if isinstance(ts, str) else datetime.fromtimestamp(ts, timezone.utc)
+    except (ValueError, OverflowError, OSError) as exc:
+        # NaN, or a time out of datetime's range (OSError: out of gmtime's range)
+        raise ChainError("timestamp %r unusable: %s" % (ts, exc)) from exc
 
 
-def parse_transaction(row: dict) -> Transaction:
-    """One explorer row as a Transaction; a malformed row raises ChainError."""
+def _tx_ios(items, key: str) -> tuple[TxIO, ...]:
+    """`inputs` or `outputs`: objects with a string address and a whole, non-negative value."""
+    if not isinstance(items, list):
+        raise ChainError("%s is not a JSON array: %r" % (key, items))
+    out = []
+    for item in items:
+        if not isinstance(item, dict):
+            raise ChainError("%s entry is not an object: %r" % (key, item))
+        address, value = item.get("address"), item.get("value")
+        if not isinstance(address, str):
+            raise ChainError("address is not a string: %r" % (address,))
+        if type(value) is float and value.is_integer():
+            value = int(value)
+        if type(value) is not int or value < 0:
+            raise ChainError("value is not a whole number of satoshis: %r" % (value,))
+        out.append(TxIO(address, value))
+    return tuple(out)
+
+
+def parse_transaction(row) -> Transaction:
+    """One explorer row as a Transaction: the one place a ledger row is
+    checked, so any malformed row raises ChainError."""
     if not isinstance(row, dict):
         raise ChainError("transaction row is not an object: %r" % (row,))
-    ts = row.get("timestamp", row.get("time"))
-    try:
-        if isinstance(ts, (int, float)):
-            when = datetime.fromtimestamp(ts, tz=timezone.utc)
-        else:
-            when = datetime.fromisoformat(str(ts).replace("Z", "+00:00"))
-            if when.tzinfo is None:
-                when = when.replace(tzinfo=timezone.utc)
-            when = when.astimezone(timezone.utc)
-        return Transaction(
-            txid=row["txid"],
-            timestamp=when,
-            inputs=tuple(TxIO(i["address"], _satoshi(i["value"]))
-                         for i in row.get("inputs", [])),
-            outputs=tuple(TxIO(o["address"], _satoshi(o["value"]))
-                          for o in row.get("outputs", [])),
-            coinbase=bool(row.get("coinbase", False)),
-        )
-    except (KeyError, TypeError, OverflowError) as exc:
-        # a missing txid, address or value, an input/output that is not an
-        # object, or a value or epoch timestamp too large to represent
-        raise ChainError("malformed transaction row %r: %s %s"
-                         % (row.get("txid"), type(exc).__name__, exc)) from exc
+    txid = row.get("txid")
+    if not isinstance(txid, str) or not _TXID_RE.fullmatch(txid):
+        raise ChainError("txid must be 64 lowercase hex chars: %r" % (txid,))
+    coinbase = row.get("coinbase", False)
+    if not isinstance(coinbase, bool):
+        raise ChainError("coinbase of %s is not a JSON bool: %r" % (txid, coinbase))
+    inputs = _tx_ios(row.get("inputs", []), "inputs")
+    if not inputs and not coinbase:
+        raise ChainError("non-coinbase transaction %s has no inputs" % txid)
+    return Transaction(txid, _timestamp(row.get("timestamp", row.get("time"))),
+                       inputs, _tx_ios(row.get("outputs", []), "outputs"), coinbase)
 
 
 def _io_json(items) -> str:
@@ -244,27 +243,27 @@ def fetch_all(addresses, provider):
 ZONES = ("listing", "forum", "payment", "other")
 
 
-@dataclass
-class AddressAnnotation:
+class AddressAnnotation(NamedTuple):
     domain: str
     address: str
     zone: str
     prior_tx_with_payment: bool = False
     note: str = ""
 
-    def __post_init__(self):
-        if self.zone not in ZONES:
-            raise ChainError("unknown zone %r" % self.zone)
-
 
 def load_annotations(path) -> dict[tuple[str, str], AddressAnnotation]:
+    """Analyst rows {domain, address, zone, prior_tx_with_payment?, note?} by
+    (domain, address). An unknown zone, or a flag that is not a JSON bool
+    (the string "false" is not false), raises ChainError naming the row."""
     out = {}
     for row in read_jsonl(path):
-        ann = AddressAnnotation(
-            domain=row["domain"], address=row["address"], zone=row["zone"],
-            prior_tx_with_payment=bool(row.get("prior_tx_with_payment", False)),
-            note=row.get("note", ""))
-        out[(ann.domain, ann.address)] = ann
+        if row.get("zone") not in ZONES:
+            raise ChainError("annotation %r: unknown zone" % (row,))
+        prior = row.get("prior_tx_with_payment", False)
+        if not isinstance(prior, bool):
+            raise ChainError("annotation %r: prior_tx_with_payment is not a JSON bool" % (row,))
+        out[(row["domain"], row["address"])] = AddressAnnotation(
+            row["domain"], row["address"], row["zone"], prior, row.get("note", ""))
     return out
 
 

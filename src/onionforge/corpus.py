@@ -21,7 +21,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from urllib.parse import unquote
 
-from .artifacts import read_jsonl
+from .artifacts import parse_utc, read_jsonl
 
 log = logging.getLogger("onionforge.corpus")
 
@@ -103,13 +103,6 @@ def _path_from_filename(name: str) -> str:
     return unquote(stem, errors="strict")
 
 
-def _parse_rfc3339(value: str) -> datetime:
-    ts = datetime.fromisoformat(value.replace("Z", "+00:00"))
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc)
-
-
 def ingest_snapshot(root) -> Corpus:
     """Load a snapshot tree into a Corpus.
 
@@ -129,7 +122,7 @@ def ingest_snapshot(root) -> Corpus:
                 continue
             try:
                 row = json.loads(line)
-                manifest[(row["domain"], row["path"])] = _parse_rfc3339(row["fetched_at"])
+                manifest[(row["domain"], row["path"])] = parse_utc(row["fetched_at"])
             except (ValueError, KeyError) as exc:
                 log.warning("manifest line %d unusable: %s", lineno, exc)
 
@@ -191,6 +184,6 @@ def read_corpus_jsonl(path) -> Corpus:
             domain=OnionDomain(row["domain"]),
             path=row["path"],
             html=base64.b64decode(row["html_b64"]),
-            fetched_at=_parse_rfc3339(row["fetched_at"]),
+            fetched_at=parse_utc(row["fetched_at"]),
         ))
     return corpus

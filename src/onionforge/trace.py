@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 from urllib.parse import urlparse
 
 from .artifacts import read_jsonl, word_list, write_jsonl
@@ -14,7 +14,6 @@ from .net import NOT_FOUND, Client
 
 log = logging.getLogger("onionforge.trace")
 
-HIT_KINDS = ("Explorer", "AbuseReport", "IllicitSite", "Benign", "Unreviewed")
 ANALYST_KINDS = ("AbuseReport", "IllicitSite", "Benign")
 
 
@@ -22,31 +21,17 @@ class TraceError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class SurfaceHit:
+class SurfaceHit(NamedTuple):
     address: str
     url: str
     source: str = "search"
-    kind: str = "Unreviewed"
-
-    def __post_init__(self):
-        if self.kind not in HIT_KINDS:
-            raise TraceError("unknown hit kind %r" % self.kind)
-        parsed = urlparse(self.url)
-        if parsed.scheme not in ("http", "https") or not parsed.netloc:
-            raise TraceError("not a usable URL: %r" % self.url)
+    kind: str = "Unreviewed"  # or "Explorer", or one of ANALYST_KINDS
 
 
-@dataclass(frozen=True)
-class IdentityFact:
+class IdentityFact(NamedTuple):
     url: str
     ip: str | None = None
     registrant: str | None = None
-
-    def __post_init__(self):
-        if not self.ip and not self.registrant:
-            raise TraceError("identity fact for %s carries neither ip nor registrant"
-                             % self.url)
 
 
 def load_explorer_domains(path=None) -> set[str]:
@@ -54,7 +39,7 @@ def load_explorer_domains(path=None) -> set[str]:
 
 
 class FixtureSearch:
-    """Replay mode: <fixtures>/<address>.json holds an array of URLs."""
+    """Replay mode: <fixtures>/<address>.json holds an array of URLs (or {"url": ...})."""
 
     source = "fixtures"
 
@@ -66,7 +51,9 @@ class FixtureSearch:
         if not path.is_file():
             return []
         rows = json.loads(path.read_text())
-        return [row if isinstance(row, str) else row["url"] for row in rows]
+        if not isinstance(rows, list):
+            raise TraceError("%s is not a JSON array" % path.name)
+        return [row.get("url") if isinstance(row, dict) else row for row in rows]
 
 
 class HttpSearch:
@@ -97,11 +84,22 @@ def _host_matches(url: str, domains: set[str]) -> bool:
     return any(host == d or host.endswith("." + d) for d in domains)
 
 
+def _is_web_url(url: str) -> bool:
+    try:
+        parsed = urlparse(url)
+    except ValueError:  # such as an unclosed "[" around an IPv6 host
+        return False
+    return parsed.scheme in ("http", "https") and bool(parsed.netloc)
+
+
 def search_address(address: str, provider, explorer_domains: set[str]) -> list[SurfaceHit]:
-    """Deduplicated hits for one address, explorer URLs auto-marked."""
+    """Deduplicated hits for one address, explorer URLs auto-marked; a result
+    that is not a string http(s) URL with a host raises TraceError."""
     hits = []
     seen = set()
     for url in provider.results(address):
+        if not isinstance(url, str) or not _is_web_url(url):
+            raise TraceError("search result is not an http(s) URL with a host: %r" % (url,))
         if url in seen:
             continue
         seen.add(url)
@@ -124,13 +122,9 @@ def search_all(addresses, provider, explorer_domains: set[str]):
 
 def filter_explorer_urls(hits, explorer_domains: set[str]) -> list[SurfaceHit]:
     """Mark unreviewed hits on explorer hosts; analyst kinds stay untouched."""
-    out = []
-    for hit in hits:
-        if hit.kind == "Unreviewed" and _host_matches(hit.url, explorer_domains):
-            out.append(replace(hit, kind="Explorer"))
-        else:
-            out.append(hit)
-    return out
+    return [hit._replace(kind="Explorer")
+            if hit.kind == "Unreviewed" and _host_matches(hit.url, explorer_domains) else hit
+            for hit in hits]
 
 
 def import_annotations(rows, hits):
@@ -155,7 +149,7 @@ def import_annotations(rows, hits):
             skipped += 1
             continue
         if kind is not None:
-            updated = [replace(h, kind=kind) if h.url == url else h for h in updated]
+            updated = [h._replace(kind=kind) if h.url == url else h for h in updated]
         if row.get("ip") or row.get("registrant"):
             facts.append(IdentityFact(url=url, ip=row.get("ip"),
                                       registrant=row.get("registrant")))

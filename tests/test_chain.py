@@ -4,7 +4,7 @@ import random
 from datetime import datetime, timedelta, timezone
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from onionforge import chain, net
 from onionforge.chain import (
@@ -52,22 +52,25 @@ def illicit_of(*entries):
 
 
 class TestTransaction:
+    GOOD = {"txid": txid(1), "timestamp": "2020-01-01T00:00:00Z",
+            "inputs": [{"address": "a", "value": 1}], "outputs": []}
+
     def test_txid_must_be_hex64(self):
-        with pytest.raises(ChainError):
-            mktx_bad = Transaction(txid="zz", timestamp=T0,
-                                   inputs=(TxIO("a", 1),), outputs=())
+        with pytest.raises(ChainError, match="txid"):
+            parse_transaction(dict(self.GOOD, txid="zz"))
 
     def test_negative_value_rejected(self):
-        with pytest.raises(ChainError):
-            TxIO("a", -5)
+        with pytest.raises(ChainError, match="satoshis"):
+            parse_transaction(dict(self.GOOD, inputs=[{"address": "a", "value": -5}]))
 
     def test_coinbase_may_lack_inputs(self):
         tx = mktx(1, [], [("a", 50)], coinbase=True)
         assert tx.coinbase
 
     def test_non_coinbase_needs_inputs(self):
-        with pytest.raises(ChainError):
-            mktx(1, [], [("a", 50)])
+        with pytest.raises(ChainError, match="no inputs"):
+            parse_transaction(dict(self.GOOD, inputs=[], outputs=[{"address": "a",
+                                                                   "value": 50}]))
 
     def test_serialization_roundtrip(self):
         tx = mktx(7, [("in1", 10), ("in2", 5)], [("out1", 14)])
@@ -75,7 +78,7 @@ class TestTransaction:
 
     def test_non_string_address_rejected(self):
         with pytest.raises(ChainError, match="not a string"):
-            TxIO(5, 1)
+            parse_transaction(dict(self.GOOD, inputs=[{"address": 5, "value": 1}]))
 
     def test_epoch_timestamps_accepted(self):
         tx = parse_transaction({"txid": txid(1), "time": 1577836800,
@@ -177,6 +180,12 @@ class TestMalformedLedgerRows:
         dict(GOOD, outputs=[{"address": "good", "value": 1.9}]),  # not cut down to 1
         dict(GOOD, inputs=[{"address": "x", "value": True}]),  # not read as 1
         dict(GOOD, txid=GOOD["txid"] + "\n"),  # a txid with a trailing newline
+        dict(GOOD, coinbase="false", inputs=[]),  # not read as a coinbase
+        dict(GOOD, coinbase=1, inputs=[]),
+        dict(GOOD, timestamp=True),  # not read as epoch second 1
+        {k: v for k, v in GOOD.items() if k != "timestamp"},
+        dict(GOOD, outputs=[{"address": "good", "value": "5"}]),  # not read as 5
+        dict(GOOD, timestamp=1e17),  # past gmtime's range: OSError, not ValueError
     ])
     def test_is_a_per_address_failure(self, tmp_path, bad_row):
         (tmp_path / "bad.json").write_text(json.dumps([self.GOOD, bad_row]))
@@ -184,6 +193,14 @@ class TestMalformedLedgerRows:
         ledgers, failures = fetch_all(["bad", "good"], FixtureExplorer(tmp_path))
         assert list(ledgers) == ["good"] and ledgers["good"].received == 5
         assert list(failures) == ["bad"]
+        with pytest.raises(ChainError):
+            parse_transaction(bad_row)
+
+    def test_fixture_not_json_is_a_per_address_failure(self, tmp_path):
+        (tmp_path / "bad.json").write_text("[{not json")
+        (tmp_path / "good.json").write_text(json.dumps([self.GOOD]))
+        ledgers, failures = fetch_all(["bad", "good"], FixtureExplorer(tmp_path))
+        assert list(ledgers) == ["good"] and list(failures) == ["bad"]
 
     @pytest.mark.parametrize("payload", [5, None, GOOD])
     def test_fixture_not_an_array_is_a_per_address_failure(self, tmp_path, payload):
@@ -272,6 +289,16 @@ class TestHttpExplorer:
         assert list(ledgers) == ["good"] and len(ledgers["good"].transactions) == 2
         assert list(failures) == ["bad"]
         assert "malformed page" in failures["bad"]
+
+    def test_body_not_json_is_a_per_address_failure(self):
+        not_json = http_response(200)
+        not_json._content = b"<html>busy</html>"
+        session = FakeSession([not_json,
+                               FakeResponse(200, {"page": 1, "total_pages": 1,
+                                                  "transactions": tx_rows(0, 2)})])
+        ledgers, failures = fetch_all(["bad", "good"], HttpExplorer("http://x", session=session))
+        assert list(ledgers) == ["good"] and len(ledgers["good"].transactions) == 2
+        assert list(failures) == ["bad"]
 
     @pytest.mark.parametrize("second_page, reason", [
         (FakeResponse(404), "page 2 of 2 not found"),
@@ -580,6 +607,19 @@ class TestFilter:
         anns = load_annotations(path)
         assert anns[("d.onion", "a")].zone == "forum"
 
+    @pytest.mark.parametrize("bad", [
+        {"zone": "listing", "prior_tx_with_payment": "false"},  # not read as true
+        {"zone": "listing", "prior_tx_with_payment": 1},
+        {"zone": "lobby"},
+        {},
+    ])
+    def test_malformed_annotation_names_the_row(self, tmp_path, bad):
+        path = tmp_path / "ann.jsonl"
+        path.write_text(json.dumps({"domain": "d.onion", "address": "a", "zone": "payment"})
+                        + "\n" + json.dumps(dict(bad, domain="d.onion", address="b")) + "\n")
+        with pytest.raises(ChainError, match="'address': 'b'"):
+            load_annotations(path)
+
     def test_illicit_set_rejects_other(self):
         illicit = IllicitAddressSet()
         with pytest.raises(ChainError):
@@ -650,3 +690,49 @@ class TestLedgerJson:
             '    "timestamp": "2020-01-01T00:00:00.000007Z",\n    "txid": "%s"\n  }\n]'
             % txid(1))
         assert ledger_json([]) == "[]"
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=30)
+    | st.sampled_from(["2020-01-01T00:00:00Z", "0001-01-01T00:00:00+01:00", txid(7)]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["address", "value", "txid", "x"]) | st.text(max_size=5),
+                      inner, max_size=3),
+    max_leaves=8)
+# a top-level field, or the address or value of the first input or output
+FIELDS = [("txid",), ("timestamp",), ("time",), ("coinbase",), ("inputs",), ("outputs",),
+          ("inputs", 0, "address"), ("inputs", 0, "value"),
+          ("outputs", 0, "address"), ("outputs", 0, "value")]
+
+
+@st.composite
+def rows_with_one_field_replaced(draw):
+    row = transaction_to_dict(draw(transactions()))
+    path = draw(st.sampled_from(FIELDS))
+    value = draw(json_values)
+    if len(path) == 1:
+        row[path[0]] = value
+    elif row[path[0]]:
+        row[path[0]][0][path[2]] = value
+    return row
+
+
+class TestParseTransactionProperty:
+    """A row is either a Transaction that writes and reads back as itself,
+    or a ChainError; nothing else escapes `parse_transaction`."""
+
+    @settings(max_examples=400)
+    @given(json_values | rows_with_one_field_replaced())
+    @example({"txid": txid(1), "inputs": [{"address": "a", "value": 1}], "outputs": []})
+    @example({"txid": txid(1), "timestamp": 0, "coinbase": "false", "inputs": [],
+              "outputs": [{"address": "a", "value": 1}]})
+    def test_transaction_or_chain_error(self, row):
+        try:
+            tx = parse_transaction(row)
+        except ChainError:
+            return
+        assert (tx.txid, tx.coinbase) == (row["txid"], row.get("coinbase", False))
+        for key in ("inputs", "outputs"):
+            assert [(io.address, io.value) for io in getattr(tx, key)] == \
+                [(io["address"], io["value"]) for io in row.get(key, [])]
+        assert [parse_transaction(r) for r in json.loads(ledger_json([tx]))] == [tx]

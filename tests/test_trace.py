@@ -17,13 +17,28 @@ ADDR = "1CHvWk36MR5aCz72jViS7jSub9utJf3jii"
 
 
 class TestSurfaceHit:
-    def test_rejects_bad_url(self):
-        with pytest.raises(TraceError):
-            SurfaceHit(address=ADDR, url="not a url")
+    def test_rejects_bad_url(self, tmp_path):
+        (tmp_path / "bad.json").write_text(json.dumps(["not a url"]))
+        (tmp_path / "good.json").write_text(json.dumps(["https://ok.example.com/"]))
+        hits, failures = search_all(["bad", "good"], FixtureSearch(tmp_path), EXPLORERS)
+        assert [h.address for h in hits] == ["good"]
+        assert list(failures) == ["bad"] and "'not a url'" in failures["bad"]
 
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(TraceError):
-            SurfaceHit(address=ADDR, url="https://x.example.com/", kind="Odd")
+    @pytest.mark.parametrize("result", [5, None, ["https://a.example.com/"],
+                                        {"url": 5}, {}, "ftp://a.example.com/", "https://",
+                                        "http://[::1/"])
+    def test_rejects_a_result_that_is_not_a_web_url(self, tmp_path, result):
+        (tmp_path / "bad.json").write_text(json.dumps(["https://ok.example.com/", result]))
+        with pytest.raises(TraceError, match="not an http"):
+            search_address("bad", FixtureSearch(tmp_path), EXPLORERS)
+        hits, failures = search_all(["bad"], FixtureSearch(tmp_path), EXPLORERS)
+        assert hits == [] and list(failures) == ["bad"]
+
+    @pytest.mark.parametrize("payload", [{"https://a.example.com/": 1}, 5, None])
+    def test_fixture_not_an_array_is_a_per_address_failure(self, tmp_path, payload):
+        (tmp_path / "bad.json").write_text(json.dumps(payload))
+        hits, failures = search_all(["bad"], FixtureSearch(tmp_path), EXPLORERS)
+        assert hits == [] and "not a JSON array" in failures["bad"]
 
 
 class TestSearch:
