@@ -419,19 +419,9 @@ def active_period(ledger: AddressLedger) -> int | None:
     return int(delta.total_seconds() // SECONDS_PER_DAY) + 1
 
 
-def multi_category(illicit: IllicitAddressSet,
-                   ledgers: dict[str, AddressLedger] | None = None) -> list[IllicitEntry]:
-    """Addresses serving sites across >= 2 categories, most categories first."""
-    ledgers = ledgers or {}
-
-    def received(addr):
-        ledger = ledgers.get(addr)
-        return ledger.received if ledger else 0
-
-    picked = [illicit.entries[a] for a in illicit.addresses()
-              if len(illicit.entries[a].categories) >= 2]
-    picked.sort(key=lambda e: (-len(e.categories), -received(e.address), e.address))
-    return picked
+def multi_category(illicit: IllicitAddressSet) -> int:
+    """The number of addresses serving sites across >= 2 categories."""
+    return sum(len(entry.categories) >= 2 for entry in illicit.entries.values())
 
 
 def dormant_addresses(ledgers: dict[str, AddressLedger], min_received: int = 0) -> list[str]:

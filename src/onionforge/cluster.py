@@ -241,47 +241,6 @@ def vanity_groups(domains, min_prefix: int = DEFAULT_VANITY_PREFIX) -> list[tupl
 
 # --- campaign extraction and the per-phase trace ---
 
-@dataclass
-class Campaign:
-    id: str
-    sites: list[str]
-    btc_addresses: list[str]
-    emails: list[str]
-    ips: list[str]
-    urls: list[str]
-    categories: list[str]
-    received: int
-
-    def to_dict(self) -> dict:
-        return {"v": 1, "id": self.id, "sites": self.sites,
-                "btc_addresses": self.btc_addresses, "emails": self.emails,
-                "ips": self.ips, "urls": self.urls, "categories": self.categories,
-                "received": self.received}
-
-
-def member_ids(campaign: dict) -> list[str]:
-    """The entity-graph node ids of every member of a campaign, given as its dict."""
-    return [node_id(kind, value)
-            for kind, key in ((SITE, "sites"), (BTC, "btc_addresses"), (EMAIL, "emails"),
-                              (IP, "ips"), (URL, "urls"))
-            for value in campaign[key]]
-
-
-@dataclass
-class PhaseSnapshot:
-    phase: str
-    clusters: int
-    sites: int
-    btc: int
-    emails: int
-    ips: int
-
-    def to_dict(self) -> dict:
-        return {"phase": self.phase, "clusters": self.clusters, "onions": self.sites,
-                "btc_addresses": self.btc, "email_addresses": self.emails,
-                "ips": self.ips}
-
-
 def _component_counts(members) -> dict[str, int]:
     counts = {SITE: 0, BTC: 0, EMAIL: 0, IP: 0, URL: 0, REG: 0}
     for nid in members:
@@ -297,28 +256,30 @@ def _is_cluster(counts: dict[str, int]) -> bool:
     return counts[SITE] >= 2 or counts[BTC] >= 2
 
 
-def snapshot(partition: UnionFind, phase: str) -> PhaseSnapshot:
-    clusters = sites = btc = emails = ips = 0
+def snapshot(partition: UnionFind, phase: str) -> dict:
+    """The phase_trace.json row of the clustered components after one phase."""
+    row = {"phase": phase, "clusters": 0, "onions": 0, "btc_addresses": 0,
+           "email_addresses": 0, "ips": 0}
     for members in partition.components().values():
         counts = _component_counts(members)
         if not _is_cluster(counts):
             continue
-        clusters += 1
-        sites += counts[SITE]
-        btc += counts[BTC]
-        emails += counts[EMAIL]
-        ips += counts[IP]
-    return PhaseSnapshot(phase=phase, clusters=clusters, sites=sites, btc=btc,
-                         emails=emails, ips=ips)
+        row["clusters"] += 1
+        row["onions"] += counts[SITE]
+        row["btc_addresses"] += counts[BTC]
+        row["email_addresses"] += counts[EMAIL]
+        row["ips"] += counts[IP]
+    return row
 
 
 def campaign_stats(partition: UnionFind, labels: dict[str, Category],
-                   received: dict[str, int]) -> tuple[list[Campaign], dict]:
+                   received: dict[str, int]) -> tuple[list[dict], dict]:
     """Campaigns = clustered components holding at least one address.
 
     `received` maps each address to its income in satoshis. Returns the
-    campaigns sorted by received (desc) plus exclusion counters (clusters
-    dropped for having no blockchain address).
+    campaigns.json rows sorted by received (desc) plus exclusion counters
+    (clusters dropped for having no blockchain address). A campaign lists
+    its sites, addresses, emails, IPs and URLs, not its registrants.
     """
     raw = []
     excluded_no_btc = 0
@@ -329,23 +290,19 @@ def campaign_stats(partition: UnionFind, labels: dict[str, Category],
         if counts[BTC] == 0:
             excluded_no_btc += 1
             continue
-        sites = sorted(node_value(n) for n in members if node_kind(n) == SITE)
-        addrs = sorted(node_value(n) for n in members if node_kind(n) == BTC)
-        cats = sorted({labels[s].label for s in sites
-                       if labels.get(s, Category.OTHER) is not Category.OTHER})
-        raw.append(Campaign(
-            id="",
-            sites=sites,
-            btc_addresses=addrs,
-            emails=sorted(node_value(n) for n in members if node_kind(n) == EMAIL),
-            ips=sorted(node_value(n) for n in members if node_kind(n) == IP),
-            urls=sorted(node_value(n) for n in members if node_kind(n) == URL),
-            categories=cats,
-            received=sum(received.get(a, 0) for a in addrs),
-        ))
-    raw.sort(key=lambda c: (-c.received, -len(c.sites), c.sites[0] if c.sites else ""))
+        values = {kind: sorted(node_value(n) for n in members if node_kind(n) == kind)
+                  for kind in (SITE, BTC, EMAIL, IP, URL)}
+        sites, addrs = values[SITE], values[BTC]
+        raw.append({
+            "v": 1, "id": "", "sites": sites, "btc_addresses": addrs,
+            "emails": values[EMAIL], "ips": values[IP], "urls": values[URL],
+            "categories": sorted({labels[s].label for s in sites
+                                  if labels.get(s, Category.OTHER) is not Category.OTHER}),
+            "received": sum(received.get(a, 0) for a in addrs),
+        })
+    raw.sort(key=lambda c: (-c["received"], -len(c["sites"]), c["sites"][0] if c["sites"] else ""))
     for i, campaign in enumerate(raw, 1):
-        campaign.id = "c%03d" % i
+        campaign["id"] = "c%03d" % i
     stats = {"clusters_before_exclusion": len(raw) + excluded_no_btc,
              "excluded_no_btc_address": excluded_no_btc}
     return raw, stats
@@ -353,13 +310,12 @@ def campaign_stats(partition: UnionFind, labels: dict[str, Category],
 
 @dataclass
 class ClusterResult:
-    campaigns: list[Campaign]
-    trace: list[PhaseSnapshot]
+    campaigns: list[dict]  # campaigns.json rows
+    trace: list[dict]      # phase_trace.json rows
     partition: UnionFind
     graph: EntityGraph
     vanity: list[tuple[str, list[str]]]
     exclusions: dict
-    income: chain.IncomeReport
 
 
 def run_clustering(labels: dict[str, Category], illicit: IllicitAddressSet,
@@ -371,7 +327,9 @@ def run_clustering(labels: dict[str, Category], illicit: IllicitAddressSet,
     """All five phases in order, tracing counts after each.
 
     The partition starts as the graph's sites and addresses; each phase's
-    edges are added to the graph and merge their ends.
+    edges are added to the graph and merge their ends. Each address node
+    gets its `received` satoshis, and each node a campaign lists (every
+    member but a registrant) gets that campaign's `campaign` id.
     """
     graph = build_entity_graph(labels, illicit, site_emails)
     members = set(illicit.addresses())
@@ -390,14 +348,22 @@ def run_clustering(labels: dict[str, Category], illicit: IllicitAddressSet,
             partition.union(u, v)
         trace.append(snapshot(partition, phase))
 
-    income = chain.estimate_income(illicit, ledgers)
-    campaigns, exclusions = campaign_stats(partition, labels, income.per_address)
+    received = chain.estimate_income(illicit, ledgers).per_address
+    for address, satoshi in received.items():
+        graph.nodes[node_id(BTC, address)]["received"] = satoshi
+    campaigns, exclusions = campaign_stats(partition, labels, received)
+    # a campaign holds an address, so that address's root names its component
+    campaign_of = {partition.find(node_id(BTC, c["btc_addresses"][0])): c["id"]
+                   for c in campaigns}
+    for nid, attrs in graph.nodes.items():
+        root = partition.find(nid)
+        if root in campaign_of and node_kind(nid) != REG:
+            attrs["campaign"] = campaign_of[root]
     if public_facts:
         exclusions["public_identity_facts"] = [
             {"kind": k, "value": v, "url": u} for k, v, u in public_facts]
     vanity = vanity_groups([s for s in labels
                             if labels[s] is not Category.OTHER], vanity_prefix)
     return ClusterResult(campaigns=campaigns, trace=trace, partition=partition,
-                         graph=graph, vanity=vanity, exclusions=exclusions,
-                         income=income)
+                         graph=graph, vanity=vanity, exclusions=exclusions)
 

@@ -107,8 +107,8 @@ def ingest_snapshot(root) -> Corpus:
     """Load a snapshot tree into a Corpus.
 
     Malformed domain directories are skipped with a warning; so are files
-    whose names cannot be percent-decoded. Duplicate (domain, path) entries
-    are last-write-wins.
+    whose names cannot be percent-decoded, and unusable manifest lines.
+    Duplicate (domain, path) entries are last-write-wins.
     """
     root = Path(root)
     if not root.is_dir():
@@ -122,8 +122,11 @@ def ingest_snapshot(root) -> Corpus:
                 continue
             try:
                 row = json.loads(line)
+                if not (isinstance(row, dict) and all(
+                        isinstance(row.get(k), str) for k in ("domain", "path", "fetched_at"))):
+                    raise ValueError("not an object with text domain, path and fetched_at")
                 manifest[(row["domain"], row["path"])] = parse_utc(row["fetched_at"])
-            except (ValueError, KeyError) as exc:
+            except (ValueError, OverflowError) as exc:  # a time past datetime's range overflows
                 log.warning("manifest line %d unusable: %s", lineno, exc)
 
     corpus = Corpus()

@@ -10,7 +10,6 @@ domain label is a known TLD. Bech32 (bc1...) addresses fall outside the
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from functools import lru_cache
 
 from . import base58
@@ -29,30 +28,8 @@ BTC_MIN_LEN = 25
 BTC_MAX_LEN = 39
 BTC_VERSIONS = (0x00, 0x05)  # P2PKH, P2SH
 
-
-@dataclass(frozen=True)
-class BtcAddress:
-    text: str
-    version: int
-
-
-@dataclass(frozen=True)
-class EthAddress:
-    text: str
-
-
-@dataclass(frozen=True)
-class EmailAddress:
-    local: str
-    domain: str
-
-    def __str__(self):
-        return "%s@%s" % (self.local, self.domain)
-
-
-@dataclass(frozen=True)
-class Rejection:
-    reason: str  # bad-alphabet | bad-checksum | bad-version | bad-length | bad-hex | bad-eip55
+# a validator returns None for a valid address, else one reject reason:
+# bad-alphabet | bad-checksum | bad-version | bad-length | bad-hex | bad-eip55
 
 
 def load_tlds(path=None) -> set[str]:
@@ -82,20 +59,19 @@ def find_candidates(text: str) -> tuple[list[str], list[str]]:
     return list(btc), list(eth)
 
 
-def validate_btc(text: str) -> BtcAddress | Rejection:
+def validate_btc(text: str) -> str | None:
     """Base58Check validation; accepts only version 0x00 / 0x05 payloads."""
     for c in text:
         if c not in base58.ALPHABET:
-            return Rejection("bad-alphabet")
+            return "bad-alphabet"
     raw = base58.b58decode(text)
     if len(raw) != 25:
-        return Rejection("bad-length")
+        return "bad-length"
     if base58.checksum(raw[:-4]) != raw[-4:]:
-        return Rejection("bad-checksum")
-    version = raw[0]
-    if version not in BTC_VERSIONS:
-        return Rejection("bad-version")
-    return BtcAddress(text=text, version=version)
+        return "bad-checksum"
+    if raw[0] not in BTC_VERSIONS:
+        return "bad-version"
+    return None
 
 
 # a page repeats its addresses, and pages share them: each body is hashed once
@@ -113,18 +89,16 @@ def eip55_checksum(hex_body: str) -> str:
     return "".join(out)
 
 
-def validate_eth(candidate: str) -> EthAddress | Rejection:
+def validate_eth(candidate: str) -> str | None:
     """Hex + EIP-55 validation. Single-case bodies carry no checksum."""
     body = candidate[2:] if candidate[:2] in ("0x", "0X") else candidate
     if len(body) != 40:
-        return Rejection("bad-length")
+        return "bad-length"
     if not _HEX_RE.match(body):
-        return Rejection("bad-hex")
-    if body == body.lower() or body == body.upper():
-        return EthAddress(text=candidate)
-    if body != eip55_checksum(body):
-        return Rejection("bad-eip55")
-    return EthAddress(text=candidate)
+        return "bad-hex"
+    if body == body.lower() or body == body.upper() or body == eip55_checksum(body):
+        return None
+    return "bad-eip55"
 
 
 def _valid_hostname(host: str) -> bool:
@@ -157,8 +131,9 @@ def _email_parts(text: str):
         at = text.find("@", at + 1)
 
 
-def find_emails(text: str, known_tlds: set[str]) -> list[EmailAddress]:
-    """Syntactically valid addresses whose final domain label is a known TLD.
+def find_emails(text: str, known_tlds: set[str]) -> list[str]:
+    """Syntactically valid "local@host" addresses whose final domain label is
+    a known TLD, host lowercased, first occurrences in order.
 
     Linear in the text: see `_email_parts`.
     """
@@ -171,19 +146,16 @@ def find_emails(text: str, known_tlds: set[str]) -> list[EmailAddress]:
             continue
         if host.rsplit(".", 1)[-1] not in known_tlds:
             continue
-        out.append(EmailAddress(local=local, domain=host))
+        out.append("%s@%s" % (local, host))
     return list(dict.fromkeys(out))
 
 
-def scan_page(html: bytes, known_tlds: set[str]) -> dict:
-    """One-page scan: validated/rejected BTC + ETH candidates and emails."""
+def scan_page(html: bytes, known_tlds: set[str]) -> list[tuple[str, str, str | None]]:
+    """One page's (kind, value, reject reason) triples: every BTC candidate,
+    then every ETH candidate, then every email (always valid); a valid
+    address has reason None."""
     text = page_text_and_attrs(html)
-    results = {"btc": [], "eth": [], "email": []}
     btc, eth = find_candidates(text)
-    for cand in btc:
-        results["btc"].append((cand, validate_btc(cand)))
-    for cand in eth:
-        results["eth"].append((cand, validate_eth(cand)))
-    for email in find_emails(text, known_tlds):
-        results["email"].append(email)
-    return results
+    return ([("btc", cand, validate_btc(cand)) for cand in btc]
+            + [("eth", cand, validate_eth(cand)) for cand in eth]
+            + [("email", email, None) for email in find_emails(text, known_tlds)])

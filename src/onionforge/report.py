@@ -355,20 +355,12 @@ def stage_extract(cfg: PipelineConfig, inputs: dict) -> dict:
     tlds = extract.load_tlds(cfg.tlds)
     rows = []
     for page in sorted(inputs["corpus.jsonl"].pages, key=lambda p: (p.domain.name, p.path)):
-        domain, path = page.domain.name, page.path
-        scanned = extract.scan_page(page.html, tlds)
-        for kind, accepted_type in (("btc", extract.BtcAddress),
-                                    ("eth", extract.EthAddress)):
-            for value, verdict in scanned[kind]:
-                row = {"v": 1, "domain": domain, "path": path,
-                       "kind": kind, "value": value,
-                       "valid": isinstance(verdict, accepted_type)}
-                if not row["valid"]:
-                    row["reject_reason"] = verdict.reason
-                rows.append(row)
-        for email in scanned["email"]:
-            rows.append({"v": 1, "domain": domain, "path": path,
-                         "kind": "email", "value": str(email), "valid": True})
+        for kind, value, reason in extract.scan_page(page.html, tlds):
+            row = {"v": 1, "domain": page.domain.name, "path": page.path,
+                   "kind": kind, "value": value, "valid": reason is None}
+            if reason:
+                row["reject_reason"] = reason
+            rows.append(row)
     return {"addresses.jsonl": rows}
 
 
@@ -460,19 +452,10 @@ def stage_cluster(cfg: PipelineConfig, inputs: dict) -> dict:
         inputs["ledgers"], valid_by_site(inputs["addresses.jsonl"], "email"),
         inputs["surface.jsonl"], cfg.public_threshold, cfg.vanity_prefix)
     nodes = result.graph.nodes
-    for address, received in result.income.per_address.items():
-        nid = cluster.node_id(cluster.BTC, address)
-        if nid in nodes:
-            nodes[nid]["received"] = received
-    campaigns = [c.to_dict() for c in result.campaigns]
-    for campaign in campaigns:
-        for nid in cluster.member_ids(campaign):
-            if nid in nodes:
-                nodes[nid]["campaign"] = campaign["id"]
-    log.info("%d campaigns", len(campaigns))
+    log.info("%d campaigns", len(result.campaigns))
     return {
-        "campaigns.json": {"v": 1, "campaigns": campaigns, **result.exclusions},
-        "phase_trace.json": {"v": 1, "phases": [s.to_dict() for s in result.trace]},
+        "campaigns.json": {"v": 1, "campaigns": result.campaigns, **result.exclusions},
+        "phase_trace.json": {"v": 1, "phases": result.trace},
         "vanity.json": {"v": 1, "groups": [{"prefix": p, "domains": d}
                                            for p, d in result.vanity]},
         "entity_graph.json": {"v": 1, "nodes": {nid: nodes[nid] for nid in sorted(nodes)},
@@ -489,8 +472,7 @@ def stage_cluster(cfg: PipelineConfig, inputs: dict) -> dict:
 def stage_report(cfg: PipelineConfig, inputs: dict) -> dict:
     """Write the paper-style tables, the summary and the campaign graph."""
     tables, summary = emit_tables(inputs, top_n=cfg.top_n, min_received=cfg.min_received)
-    graphml, dot = export_graph(inputs["campaigns.json"]["campaigns"],
-                                inputs["entity_graph.json"])
+    graphml, dot = export_graph(inputs["entity_graph.json"])
     return {"tables": tables, "graph.graphml": graphml, "graph.dot": dot,
             "summary.json": summary}
 
@@ -670,7 +652,6 @@ def emit_tables(inputs: dict, top_n: int = 10, min_received: int = 0) -> tuple[d
     }
 
     dormant = chain.dormant_addresses(ledgers, min_received)
-    multi = chain.multi_category(illicit, ledgers)
     summary = {
         "v": 1,
         "sites_total": len(pages_per_domain),
@@ -688,7 +669,7 @@ def emit_tables(inputs: dict, top_n: int = 10, min_received: int = 0) -> tuple[d
                                            key=lambda kv: kv[0].value)},
         "internal_transactions": len(income.internal_txids),
         "campaigns": len(campaigns),
-        "multi_category_addresses": len(multi),
+        "multi_category_addresses": chain.multi_category(illicit),
         "dormant_flagged": dormant,
         "vanity_groups": len(inputs["vanity.json"]["groups"]),
     }
@@ -726,16 +707,16 @@ _GRAPHML_KEYS = (
 )
 
 
-def export_graph(campaigns: list[dict], graph: dict) -> tuple[str, str]:
+def export_graph(graph: dict) -> tuple[str, str]:
     """The campaign graph as GraphML and DOT text, deterministically ordered.
 
-    `campaigns` are campaign dicts as in campaigns.json and `graph` is the
-    entity_graph.json document. Address node size is proportional to
-    satoshis received.
+    `graph` is the entity_graph.json document; the campaign graph is its
+    nodes that carry a `campaign` id and the edges between them. Address
+    node size is proportional to satoshis received.
     """
-    members = {nid for c in campaigns for nid in cluster.member_ids(c)}
     nodes = graph["nodes"]
-    node_ids = sorted(n for n in nodes if n in members)
+    node_ids = sorted(n for n in nodes if "campaign" in nodes[n])
+    members = set(node_ids)
     edges = sorted(e for e in graph["edges"] if e[1] in members and e[2] in members)
 
     def node_attrs(nid):

@@ -549,25 +549,12 @@ class TestMultiCategory:
         illicit.add("A", "t.onion", Category.SEXUAL_ABUSE)
         illicit.add("A", "u.onion", Category.MEMBERSHIPS)
         illicit.add("B", "v.onion", Category.DRUGS)
-        [entry] = multi_category(illicit)
-        assert entry.address == "A"
-        assert len(entry.categories) == 3
+        assert multi_category(illicit) == 1
 
     def test_all_single_category(self):
         illicit = illicit_of(("A", "s.onion", Category.DRUGS),
                              ("B", "t.onion", Category.WEAPONS))
-        assert multi_category(illicit) == []
-
-    def test_sort_by_count_then_received(self):
-        illicit = IllicitAddressSet()
-        for addr in ("A", "B"):
-            illicit.add(addr, "s.onion", Category.CLONE_CARD)
-            illicit.add(addr, "t.onion", Category.DRUGS)
-        ledgers = {
-            "A": AddressLedger.from_transactions("A", [mktx(1, [("x", 10)], [("A", 10)])]),
-            "B": AddressLedger.from_transactions("B", [mktx(2, [("x", 90)], [("B", 90)])]),
-        }
-        assert [e.address for e in multi_category(illicit, ledgers)] == ["B", "A"]
+        assert multi_category(illicit) == 0
 
 
 class TestFilter:

@@ -293,10 +293,10 @@ class TestCampaignStats:
             mktx(1, [("e", 14_640_000)], [("A", 14_640_000)])])
         result = run_clustering(labels, illicit, {"A": ledger}, {}, ())
         [campaign] = result.campaigns
-        assert len(campaign.sites) == 31
-        assert campaign.btc_addresses == ["A"]
-        assert campaign.categories == ["InvestmentScams"]
-        assert campaign.received == 14_640_000
+        assert len(campaign["sites"]) == 31
+        assert campaign["btc_addresses"] == ["A"]
+        assert campaign["categories"] == ["InvestmentScams"]
+        assert campaign["received"] == 14_640_000
 
     def test_empty_partition(self):
         campaigns, _ = campaign_stats(UnionFind(), {}, {})
@@ -312,7 +312,7 @@ class TestCampaignStats:
         illicit.add("C", dom(3), Category.WEAPONS)
         txs = [mktx(1, [("B", 5)], [("C", 5)])]
         result = run_clustering(labels, illicit, ledgers_for(illicit, txs), {}, ())
-        sites_series = [s.sites for s in result.trace]
+        sites_series = [s["onions"] for s in result.trace]
         assert sites_series == sorted(sites_series)
         assert sites_series[0] == 2 and sites_series[-1] == 4
 
@@ -350,7 +350,7 @@ class TestPlantedMixingIsLoadBearing:
         # only the shared-address cards pair clusters; the mixing tx must
         # not pull the investment sites in
         [campaign] = result.campaigns
-        assert campaign.sites == sorted([planted.S1, planted.S2])
+        assert campaign["sites"] == sorted([planted.S1, planted.S2])
 
     def test_without_gate_the_campaigns_would_merge(self, monkeypatch):
         import planted
@@ -360,8 +360,8 @@ class TestPlantedMixingIsLoadBearing:
         result = run_clustering(labels, illicit, ledgers)
         # the common-input heuristic now links A1 (cards) with B1 (deepmar)
         [campaign] = result.campaigns
-        assert {planted.S1, planted.S2, planted.S3} <= set(campaign.sites)
-        assert planted.B1 in campaign.btc_addresses
+        assert {planted.S1, planted.S2, planted.S3} <= set(campaign["sites"])
+        assert planted.B1 in campaign["btc_addresses"]
 
 
 # --- randomized full-pipeline invariants ---

@@ -99,6 +99,22 @@ class TestIngest:
         corpus = ingest_snapshot(tmp_path)
         assert corpus.pages[0].fetched_at == datetime(2021, 6, 1, 12, tzinfo=timezone.utc)
 
+    @pytest.mark.parametrize("bad_line", [
+        "[1]", "null", '"x"',
+        '{"domain": "%s", "path": "/", "fetched_at": 5}' % name_for(0),
+        '{"domain": "%s", "path": "/", "fetched_at": "0001-01-01T00:00:00+01:00"}' % name_for(0),
+    ], ids=["list", "null", "string", "number-time", "time-out-of-range"])
+    def test_unusable_manifest_line_is_skipped(self, tmp_path, caplog, bad_line):
+        site = tmp_path / name_for(0)
+        site.mkdir()
+        (site / "index.html").write_bytes(b"<html></html>")
+        (tmp_path / "manifest.jsonl").write_text(
+            bad_line + '\n{"domain": "%s", "path": "/", "fetched_at": "2021-06-01T12:00:00Z"}\n'
+            % name_for(0))
+        corpus = ingest_snapshot(tmp_path)
+        assert corpus.pages[0].fetched_at == datetime(2021, 6, 1, 12, tzinfo=timezone.utc)
+        assert "manifest line 1 unusable" in caplog.text
+
     def test_jsonl_roundtrip(self, tmp_path):
         corpus = Corpus()
         corpus.add(page(name_for(0), "/", b"\x00binary\xff"))

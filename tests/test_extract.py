@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from onionforge import base58, extract, pagetext
 from onionforge.extract import (
-    BtcAddress, EmailAddress, EthAddress, Rejection, eip55_checksum,
-    find_candidates, find_emails, load_tlds, scan_page,
+    eip55_checksum, find_candidates, find_emails, load_tlds, scan_page,
     validate_btc, validate_eth,
 )
 from onionforge.keccak import keccak256
@@ -29,7 +28,7 @@ def reference_find_emails(text):
         local, _, host = m.group(0).rpartition("@")
         host = host.rstrip(".").lower()
         if local and extract._valid_hostname(host) and host.rsplit(".", 1)[-1] in TLDS:
-            out.append(EmailAddress(local=local, domain=host))
+            out.append("%s@%s" % (local, host))
     return list(dict.fromkeys(out))
 
 
@@ -71,28 +70,27 @@ class TestBtcCandidates:
 
 class TestValidateBtc:
     def test_accepts_p2pkh(self):
-        result = validate_btc(ADDR)
-        assert isinstance(result, BtcAddress)
-        assert result.version == 0x00
+        assert validate_btc(ADDR) is None
+        assert base58.b58check_decode(ADDR)[0] == 0x00
 
     def test_accepts_p2sh(self):
-        result = validate_btc("3J98t1WpEZ73CNmQviecrnyiWrnqRhWNLy")
-        assert isinstance(result, BtcAddress)
-        assert result.version == 0x05
+        p2sh = "3J98t1WpEZ73CNmQviecrnyiWrnqRhWNLy"
+        assert validate_btc(p2sh) is None
+        assert base58.b58check_decode(p2sh)[0] == 0x05
 
     def test_flipped_last_char_bad_checksum(self):
-        assert validate_btc(ADDR[:-1] + "j") == Rejection("bad-checksum")
+        assert validate_btc(ADDR[:-1] + "j") == "bad-checksum"
 
     def test_bad_alphabet(self):
         for s in ("0" + ADDR[1:], "O" + ADDR[1:], ADDR[:-1] + "I", ADDR[:-1] + "l"):
-            assert validate_btc(s) == Rejection("bad-alphabet")
+            assert validate_btc(s) == "bad-alphabet"
 
     def test_bad_length(self):
-        assert validate_btc("1" * 30) == Rejection("bad-length")
+        assert validate_btc("1" * 30) == "bad-length"
 
     def test_bad_version(self):
         testnet = base58.b58check_encode(b"\x6f" + b"\x01" * 20)
-        assert validate_btc(testnet) == Rejection("bad-version")
+        assert validate_btc(testnet) == "bad-version"
 
     def test_roundtrip_on_accept(self):
         payload = base58.b58check_decode(ADDR)
@@ -104,13 +102,12 @@ class TestValidateBtc:
                 if repl == ADDR[pos]:
                     continue
                 mutated = ADDR[:pos] + repl + ADDR[pos + 1:]
-                assert isinstance(validate_btc(mutated), Rejection), mutated
+                assert validate_btc(mutated) is not None, mutated
 
     @given(st.binary(min_size=20, max_size=20))
     def test_generated_p2pkh_accepted_and_roundtrips(self, payload):
         addr = base58.b58check_encode(b"\x00" + payload)
-        result = validate_btc(addr)
-        assert isinstance(result, BtcAddress)
+        assert validate_btc(addr) is None
         assert base58.b58check_encode(base58.b58check_decode(addr)) == addr
 
 
@@ -124,26 +121,26 @@ EIP55_VECTORS = [
 
 class TestValidateEth:
     def test_lowercase_accepted(self):
-        assert isinstance(validate_eth("a" * 40), EthAddress)
+        assert validate_eth("a" * 40) is None
 
     def test_uppercase_accepted(self):
-        assert isinstance(validate_eth("0x" + "A" * 40), EthAddress)
+        assert validate_eth("0x" + "A" * 40) is None
 
     def test_short_rejected(self):
-        assert validate_eth("a" * 39) == Rejection("bad-length")
+        assert validate_eth("a" * 39) == "bad-length"
 
     def test_non_hex_rejected(self):
-        assert validate_eth("g" * 40) == Rejection("bad-hex")
+        assert validate_eth("g" * 40) == "bad-hex"
 
     @pytest.mark.parametrize("vector", EIP55_VECTORS)
     def test_reference_vectors_accepted(self, vector):
-        assert isinstance(validate_eth("0x" + vector), EthAddress)
+        assert validate_eth("0x" + vector) is None
 
     @pytest.mark.parametrize("vector", EIP55_VECTORS)
     def test_case_flip_rejected(self, vector):
         i = next(i for i, c in enumerate(vector) if c.isalpha())
         flipped = vector[:i] + vector[i].swapcase() + vector[i + 1:]
-        assert validate_eth("0x" + flipped) == Rejection("bad-eip55")
+        assert validate_eth("0x" + flipped) == "bad-eip55"
 
     def test_derived_casing_from_keccak_oracle(self):
         # independent application of the nibble rule to fixed pseudo-random bodies
@@ -155,11 +152,11 @@ class TestValidateEth:
                 c.upper() if c.isalpha() and int(digest[i], 16) >= 8 else c
                 for i, c in enumerate(body.lower()))
             assert eip55_checksum(body) == cased
-            assert isinstance(validate_eth(cased), EthAddress)
+            assert validate_eth(cased) is None
             if any(c.isalpha() for c in cased) and cased != cased.lower():
                 broken = cased.lower()[:1] + cased[1:]
                 if broken != cased and broken != broken.lower():
-                    assert validate_eth(broken) == Rejection("bad-eip55")
+                    assert validate_eth(broken) == "bad-eip55"
 
     @settings(max_examples=300)
     @given(st.text(alphabet="0123456789abcdefABCDEF", min_size=40, max_size=40))
@@ -173,8 +170,7 @@ class TestValidateEth:
         eip55_checksum.cache_clear()
         html = ("<p>pay 0x%s</p>" % EIP55_VECTORS[0]).encode()
         for _ in range(2):  # the same page body at two paths
-            [(_, verdict)] = scan_page(html, TLDS)["eth"]
-            assert isinstance(verdict, EthAddress)
+            assert scan_page(html, TLDS) == [("eth", "0x" + EIP55_VECTORS[0], None)]
         assert hashed == [EIP55_VECTORS[0].lower().encode()]
 
 
@@ -210,9 +206,9 @@ class TestCandidates:
 class TestEmails:
     def test_paper_examples(self):
         found = find_emails("contact ccbestshop@secmail.pro now", TLDS)
-        assert [str(e) for e in found] == ["ccbestshop@secmail.pro"]
+        assert found == ["ccbestshop@secmail.pro"]
         found = find_emails("mail user@email4tor.com", TLDS)
-        assert [str(e) for e in found] == ["user@email4tor.com"]
+        assert found == ["user@email4tor.com"]
 
     def test_no_dot_dropped(self):
         assert find_emails("user@localhost", TLDS) == []
@@ -222,7 +218,7 @@ class TestEmails:
 
     def test_dedup(self):
         text = "a@b.com a@b.com c@d.org"
-        assert [str(e) for e in find_emails(text, TLDS)] == ["a@b.com", "c@d.org"]
+        assert find_emails(text, TLDS) == ["a@b.com", "c@d.org"]
 
     def test_bad_hostname_label_dropped(self):
         assert find_emails("user@-bad-.com", TLDS) == []
@@ -232,13 +228,12 @@ class TestEmails:
             find_emails("a@b.com", set())
 
     def test_fields(self):
-        email = find_emails("Sales@Example.COM", TLDS)[0]
-        assert email == EmailAddress(local="Sales", domain="example.com")
+        assert find_emails("Sales@Example.COM", TLDS) == ["Sales@example.com"]
 
     def test_local_part_starts_after_the_previous_match(self):
         # "b" is the first host; the second local part may not reach back into it
         found = find_emails("a@b_c@d.com x@y.org", TLDS)
-        assert [str(e) for e in found] == ["_c@d.com", "x@y.org"]
+        assert found == ["_c@d.com", "x@y.org"]
 
     @settings(max_examples=500)
     @given(st.text(alphabet="ab1_.%+-@ #é", max_size=40)
@@ -258,13 +253,17 @@ class TestEmails:
 class TestScanPage:
     def test_address_in_attribute_value(self):
         html = ('<a href="bitcoin:%s">pay</a>' % ADDR).encode()
-        results = scan_page(html, TLDS)
-        assert [v for v, r in results["btc"] if isinstance(r, BtcAddress)] == [ADDR]
+        assert scan_page(html, TLDS) == [("btc", ADDR, None)]
 
     def test_rejected_candidate_reported(self):
         html = ("<p>%s</p>" % ("1" * 30)).encode()
-        [(value, verdict)] = scan_page(html, TLDS)["btc"]
-        assert verdict == Rejection("bad-length")
+        assert scan_page(html, TLDS) == [("btc", "1" * 30, "bad-length")]
+
+    def test_btc_then_eth_then_email(self):
+        eth = "0x" + EIP55_VECTORS[0]
+        html = ("<p>mail a@b.com, pay %s or %s or %s</p>" % (eth, ADDR, "1" * 30)).encode()
+        assert scan_page(html, TLDS) == [("btc", ADDR, None), ("btc", "1" * 30, "bad-length"),
+                                         ("eth", eth, None), ("email", "a@b.com", None)]
 
     def test_outside_a_run_leaves_no_page_text_behind(self):
         scan_page(b"<p>visible text</p>", TLDS)

@@ -178,10 +178,16 @@ def test_scan_time_grows_linearly(unit, n):
 
 
 def test_src_imports_neither_html_parser_nor_requests():
-    # requests is loaded only by an HTTP client made without a session
-    code = ("import importlib, pkgutil, sys, onionforge\n"
+    # requests is loaded only by an HTTP client made without a session; every
+    # other module that importing the package loads is its own or stdlib
+    code = ("import importlib, pkgutil, sys\n"
+            "before = set(sys.modules)\n"
+            "import onionforge\n"
             "for module in pkgutil.iter_modules(onionforge.__path__):\n"
             "    importlib.import_module('onionforge.' + module.name)\n"
-            "sys.exit(sorted({'html.parser', 'requests'} & set(sys.modules)) or None)\n")
+            "loaded = {name.split('.')[0] for name in set(sys.modules) - before}\n"
+            "foreign = loaded - set(sys.stdlib_module_names) - {'onionforge'}\n"
+            "sys.exit(sorted(foreign | ({'html.parser', 'requests'} & set(sys.modules)))"
+            " or None)\n")
     env = dict(os.environ, PYTHONPATH=str(Path(onionforge.__file__).parents[1]))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

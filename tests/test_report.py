@@ -19,7 +19,7 @@ from hypothesis import given, settings, strategies as st
 from onionforge import chain, pagetext, report
 from onionforge.classify import Category
 from onionforge.corpus import Corpus, read_corpus_jsonl
-from onionforge.cluster import Campaign, EntityGraph
+from onionforge.cluster import EntityGraph
 from onionforge.report import (
     ARTIFACTS, STAGE_DECLS, ConfigError, PipelineConfig, StageError, export_graph,
     format_btc, parse_config, run_pipeline,
@@ -643,10 +643,9 @@ def check_dot_grammar(text):
         assert DOT_NODE.match(line) or DOT_EDGE.match(line), line
 
 
-def write_graph(campaigns, graph, out):
-    """`export_graph` of Campaign objects and an EntityGraph, as g.graphml and g.dot."""
-    graphml, dot = export_graph([c.to_dict() for c in campaigns],
-                                {"nodes": graph.nodes, "edges": graph.edges})
+def write_graph(graph, out):
+    """`export_graph` of an EntityGraph, as g.graphml and g.dot."""
+    graphml, dot = export_graph({"nodes": graph.nodes, "edges": graph.edges})
     (out / "g.graphml").write_text(graphml)
     (out / "g.dot").write_text(dot)
 
@@ -654,15 +653,12 @@ def write_graph(campaigns, graph, out):
 class TestGraphExport:
     def test_three_node_campaign_dot(self, tmp_path):
         graph = EntityGraph()
-        graph.add_node("site:a.onion", category="Drugs")
-        graph.add_node("btc:X", received=5)
-        graph.add_node("btc:Y", received=7)
+        graph.add_node("site:a.onion", category="Drugs", campaign="c001")
+        graph.add_node("btc:X", received=5, campaign="c001")
+        graph.add_node("btc:Y", received=7, campaign="c001")
         graph.add_edge("site-hosts-addr", "site:a.onion", "btc:X")
         graph.add_edge("site-hosts-addr", "site:a.onion", "btc:Y")
-        campaigns = [Campaign(id="c001", sites=["a.onion"], btc_addresses=["X", "Y"],
-                              emails=[], ips=[], urls=[], categories=["Drugs"],
-                              received=12)]
-        write_graph(campaigns, graph, tmp_path)
+        write_graph(graph, tmp_path)
         dot = (tmp_path / "g.dot").read_text()
         check_dot_grammar(dot)
         assert dot.count(" -- ") == 2
@@ -670,10 +666,40 @@ class TestGraphExport:
         assert len(parsed) == 3 and parsed.number_of_edges() == 2
 
     def test_empty_campaign_list(self, tmp_path):
-        write_graph([], EntityGraph(), tmp_path)
+        write_graph(EntityGraph(), tmp_path)
         check_dot_grammar((tmp_path / "g.dot").read_text())
         parsed = nx.read_graphml(tmp_path / "g.graphml")
         assert len(parsed) == 0
+
+    def test_registrant_is_no_campaign_member(self, tmp_path):
+        # a shared registrant links A's and B's sites, a shared IP C's and D's
+        ip = "198.51.100.7"
+        hosted = {"a.onion": "A", "b.onion": "B", "c.onion": "C", "d.onion": "D"}
+        illicit = chain.IllicitAddressSet()
+        for site, address in hosted.items():
+            illicit.add(address, site, Category.DRUGS)
+        surface = [{"url": "https://%s.example.com/" % address.lower(),
+                    "ip": ip if address in "CD" else None,
+                    "registrant": "Shadow Ops" if address in "AB" else None,
+                    "addresses": (address,)} for address in "ABCD"]
+        inputs = {"labels.jsonl": [{"domain": site, "category": "Drugs"} for site in hosted],
+                  "illicit.jsonl": illicit, "ledgers": report.Ledgers(),
+                  "addresses.jsonl": [], "surface.jsonl": surface}
+        outputs = STAGE_DECLS["cluster"].fn(PipelineConfig(), inputs)
+        campaigns = outputs["campaigns.json"]["campaigns"]
+        assert [(c["btc_addresses"], c["ips"]) for c in campaigns] == [
+            (["A", "B"], []), (["C", "D"], [ip])]
+        doc = outputs["entity_graph.json"]
+        assert "campaign" not in doc["nodes"]["reg:shadow ops"]
+        assert doc["nodes"]["ip:" + ip]["campaign"] == campaigns[1]["id"]
+
+        graphml, dot = export_graph(doc)
+        (tmp_path / "g.graphml").write_text(graphml)
+        parsed = nx.read_graphml(tmp_path / "g.graphml")
+        assert set(parsed.nodes) == {n for n in doc["nodes"] if not n.startswith("reg:")}
+        assert "ip:" + ip in parsed
+        assert not any("reg:" in u + v for u, v in parsed.edges)
+        assert "reg:" not in dot and "ip:" + ip in dot
 
     def test_roundtrip_isomorphic(self, planted_run):
         _, _, _, out = planted_run
