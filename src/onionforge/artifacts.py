@@ -3,10 +3,11 @@
 A JSONL artifact holds one object per line, written with sorted keys. A
 JSON document is indented by 2, written with sorted keys, and ends in a
 newline. Byte-identical reruns rest on these choices, so every artifact
-that `report.ARTIFACTS` declares is written through this module; only the
-ledger files and corpus.jsonl have their own exact serializers
-(`chain.ledger_json`, `corpus.write_corpus_jsonl`), which write the same
-bytes in one pass.
+that `report.ARTIFACTS` declares is written through this module. The value
+a stage hands on is the rows or the document itself; only the corpus and
+the ledgers are typed, and only the ledger files and corpus.jsonl have
+their own exact serializers (`chain.ledger_json`,
+`corpus.write_corpus_jsonl`), which write the same bytes in one pass.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple
 
-from .artifacts import parse_utc, read_jsonl, write_jsonl
+from .artifacts import parse_utc, read_jsonl
 from .classify import Category
 from .net import NOT_FOUND, Client, FetchError
 
@@ -253,10 +253,15 @@ class AddressAnnotation(NamedTuple):
 
 def load_annotations(path) -> dict[tuple[str, str], AddressAnnotation]:
     """Analyst rows {domain, address, zone, prior_tx_with_payment?, note?} by
-    (domain, address). An unknown zone, or a flag that is not a JSON bool
-    (the string "false" is not false), raises ChainError naming the row."""
+    (domain, address). A row that is not an object with text domain and
+    address, an unknown zone, or a flag that is not a JSON bool (the string
+    "false" is not false) raises ChainError naming the row."""
     out = {}
     for row in read_jsonl(path):
+        if not (isinstance(row, dict) and isinstance(row.get("domain"), str)
+                and isinstance(row.get("address"), str)):
+            raise ChainError("annotation %r: not an object with text domain and address"
+                             % (row,))
         if row.get("zone") not in ZONES:
             raise ChainError("annotation %r: unknown zone" % (row,))
         prior = row.get("prior_tx_with_payment", False)
@@ -303,44 +308,6 @@ def filter_illicit_addresses(domain: str, category: Category, addresses,
     return result
 
 
-@dataclass
-class IllicitEntry:
-    address: str
-    sites: set[str] = field(default_factory=set)
-    categories: set[Category] = field(default_factory=set)
-    flags: set[str] = field(default_factory=set)
-
-
-class IllicitAddressSet:
-    """Retained owner-linked addresses with their sites and categories."""
-
-    def __init__(self):
-        self.entries: dict[str, IllicitEntry] = {}
-
-    def add(self, address: str, site: str, category: Category, flag: str = "reviewed"):
-        if category is Category.OTHER:
-            raise ChainError("illicit set requires a non-Other site label")
-        entry = self.entries.setdefault(address, IllicitEntry(address))
-        entry.sites.add(site)
-        entry.categories.add(category)
-        entry.flags.add(flag)
-
-    def __contains__(self, address: str) -> bool:
-        return address in self.entries
-
-    def __len__(self):
-        return len(self.entries)
-
-    def addresses(self) -> list[str]:
-        return sorted(self.entries)
-
-    def categories_of(self, address: str) -> set[Category]:
-        return set(self.entries[address].categories)
-
-    def sites_of(self, address: str) -> set[str]:
-        return set(self.entries[address].sites)
-
-
 def is_internal(tx: Transaction, illicit) -> bool:
     """True iff some input address and some output address are both illicit."""
     return (any(i.address in illicit for i in tx.inputs)
@@ -367,39 +334,42 @@ def _apportion(value: int, categories) -> dict[Category, int]:
 class IncomeReport:
     total: int
     per_address: dict[str, int]
+    incoming: dict[str, int]  # address -> counted transactions paying it
     by_category_split: dict[Category, int]
     by_category_full: dict[Category, int]
     internal_txids: set[str]
 
 
-def estimate_income(illicit: IllicitAddressSet,
+def estimate_income(illicit: dict[str, dict],
                     ledgers: dict[str, AddressLedger]) -> IncomeReport:
     """Sum outputs received by illicit addresses in non-internal transactions.
 
-    Internal transactions move money between illicit addresses and would
+    `illicit` is the illicit.jsonl value, {address: row}. Internal
+    transactions move money between illicit addresses and would
     double-count; they are excluded wholesale. Multi-category addresses are
     apportioned equally across their categories (full attribution is also
     reported).
     """
     per_address: dict[str, int] = {}
+    incoming: dict[str, int] = {}
     internal: set[str] = set()
-    for address in illicit.addresses():
+    for address in illicit:
         ledger = ledgers.get(address)
-        if ledger is None:
-            per_address[address] = 0
-            continue
-        income = 0
-        for tx in ledger.transactions:
+        income = count = 0
+        for tx in (ledger.transactions if ledger else ()):
             if is_internal(tx, illicit):
                 internal.add(tx.txid)
                 continue
-            income += tx.output_to(address)
+            received = tx.output_to(address)
+            income += received
+            count += received > 0
         per_address[address] = income
+        incoming[address] = count
 
     split: dict[Category, int] = {}
     full: dict[Category, int] = {}
     for address, income in per_address.items():
-        cats = illicit.categories_of(address)
+        cats = [Category.parse(label) for label in illicit[address]["categories"]]
         if not cats:
             continue
         for cat, share in _apportion(income, cats).items():
@@ -407,8 +377,8 @@ def estimate_income(illicit: IllicitAddressSet,
         for cat in cats:
             full[cat] = full.get(cat, 0) + income
     return IncomeReport(total=sum(per_address.values()), per_address=per_address,
-                        by_category_split=split, by_category_full=full,
-                        internal_txids=internal)
+                        incoming=incoming, by_category_split=split,
+                        by_category_full=full, internal_txids=internal)
 
 
 def active_period(ledger: AddressLedger) -> int | None:
@@ -419,9 +389,9 @@ def active_period(ledger: AddressLedger) -> int | None:
     return int(delta.total_seconds() // SECONDS_PER_DAY) + 1
 
 
-def multi_category(illicit: IllicitAddressSet) -> int:
-    """The number of addresses serving sites across >= 2 categories."""
-    return sum(len(entry.categories) >= 2 for entry in illicit.entries.values())
+def multi_category(illicit: dict[str, dict]) -> int:
+    """The number of illicit.jsonl rows whose address serves sites across >= 2 categories."""
+    return sum(len(row["categories"]) >= 2 for row in illicit.values())
 
 
 def dormant_addresses(ledgers: dict[str, AddressLedger], min_received: int = 0) -> list[str]:
@@ -431,24 +401,3 @@ def dormant_addresses(ledgers: dict[str, AddressLedger], min_received: int = 0) 
     return sorted(a for a, led in ledgers.items()
                   if led.transactions and led.received < min_received)
 
-
-# --- illicit.jsonl inter-stage format ---
-
-def write_illicit_jsonl(out_path, illicit: IllicitAddressSet):
-    write_jsonl(out_path, ({
-        "v": 1,
-        "address": e.address,
-        "sites": sorted(e.sites),
-        "categories": sorted(c.label for c in e.categories),
-        "flags": sorted(e.flags),
-    } for e in (illicit.entries[a] for a in illicit.addresses())))
-
-
-def read_illicit_jsonl(path) -> IllicitAddressSet:
-    illicit = IllicitAddressSet()
-    for row in read_jsonl(path):
-        entry = illicit.entries.setdefault(row["address"], IllicitEntry(row["address"]))
-        entry.sites.update(row["sites"])
-        entry.categories.update(Category.parse(c) for c in row["categories"])
-        entry.flags.update(row.get("flags", ["reviewed"]))
-    return illicit

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from urllib.parse import urlparse
 
 from . import chain
-from .chain import AddressLedger, IllicitAddressSet, Transaction
+from .chain import AddressLedger, Transaction
 from .classify import Category
 
 log = logging.getLogger("onionforge.cluster")
@@ -109,17 +109,20 @@ class EntityGraph:
 
 
 def build_entity_graph(labels: dict[str, Category],
-                       illicit: IllicitAddressSet,
+                       illicit: dict[str, dict],
                        site_emails: dict[str, set[str]] | None = None) -> EntityGraph:
-    """Seed graph: labeled non-Other sites, their addresses and emails."""
+    """Seed graph: labeled non-Other sites, their addresses and emails.
+
+    `illicit` is the illicit.jsonl value, {address: row} in address order.
+    """
     graph = EntityGraph()
     for domain in sorted(labels):
         if labels[domain] is Category.OTHER:
             continue
         graph.add_node(node_id(SITE, domain), category=labels[domain].label)
-    for address in illicit.addresses():
+    for address, row in illicit.items():
         graph.add_node(node_id(BTC, address))
-        for site in sorted(illicit.sites_of(address)):
+        for site in row["sites"]:
             graph.add_edge("site-hosts-addr", node_id(SITE, site), node_id(BTC, address))
     for domain, emails in sorted((site_emails or {}).items()):
         if labels.get(domain, Category.OTHER) is Category.OTHER:
@@ -318,7 +321,7 @@ class ClusterResult:
     exclusions: dict
 
 
-def run_clustering(labels: dict[str, Category], illicit: IllicitAddressSet,
+def run_clustering(labels: dict[str, Category], illicit: dict[str, dict],
                    ledgers: dict[str, AddressLedger],
                    site_emails: dict[str, set[str]] | None = None,
                    surface_links=(),
@@ -332,7 +335,7 @@ def run_clustering(labels: dict[str, Category], illicit: IllicitAddressSet,
     member but a registrant) gets that campaign's `campaign` id.
     """
     graph = build_entity_graph(labels, illicit, site_emails)
-    members = set(illicit.addresses())
+    members = set(illicit)
     common, internal = transaction_edges(ledgers, members)
     identity, public_facts = identity_edges(surface_links, public_threshold, members)
     partition = UnionFind(nid for nid, attrs in sorted(graph.nodes.items())

@@ -106,8 +106,9 @@ def _path_from_filename(name: str) -> str:
 def ingest_snapshot(root) -> Corpus:
     """Load a snapshot tree into a Corpus.
 
-    Malformed domain directories are skipped with a warning; so are files
-    whose names cannot be percent-decoded, and unusable manifest lines.
+    Malformed domain directories are skipped with a warning; so are entries
+    that are not non-empty, readable `.html` files with a percent-decodable
+    name, and unusable manifest lines.
     Duplicate (domain, path) entries are last-write-wins.
     """
     root = Path(root)
@@ -140,20 +141,16 @@ def ingest_snapshot(root) -> Corpus:
             log.warning("skipping non-onion directory %r", entry.name)
             continue
         for page_file in sorted(entry.iterdir()):
-            if not page_file.name.endswith(".html"):
-                corpus.skipped.append("%s/%s" % (entry.name, page_file.name))
-                log.warning("skipping non-page file %r", page_file.name)
-                continue
             try:
-                path = _path_from_filename(page_file.name)
-            except UnicodeDecodeError:
+                if not page_file.name.endswith(".html"):
+                    raise ValueError("not a page file")
+                path = _path_from_filename(page_file.name)  # UnicodeDecodeError is a ValueError
+                html = page_file.read_bytes()  # a directory or an unreadable file: OSError
+                if not html:
+                    raise ValueError("empty page")
+            except (ValueError, OSError) as exc:
                 corpus.skipped.append("%s/%s" % (entry.name, page_file.name))
-                log.warning("skipping undecodable file name %r", page_file.name)
-                continue
-            html = page_file.read_bytes()
-            if not html:
-                corpus.skipped.append("%s/%s" % (entry.name, page_file.name))
-                log.warning("skipping empty page %r", page_file.name)
+                log.warning("skipping %r: %s", page_file.name, exc)
                 continue
             fetched = manifest.get((domain.name, path))
             if fetched is None:

@@ -175,15 +175,16 @@ def _path_digest(path) -> str:
     return h.hexdigest()
 
 
-def _stage_digest(name: str, config_subset: dict, input_paths, memo: dict) -> str:
-    """Digest of a stage's config and inputs; `memo` holds this run's path digests."""
-    inputs = {}
-    for p in input_paths:
-        key = str(p)
-        if key not in memo:
-            memo[key] = _path_digest(p)
-        inputs[key] = memo[key]
-    payload = {"stage": name, "config": config_subset, "inputs": inputs}
+def _stage_digest(name: str, config_subset: dict, inputs, memo: dict) -> str:
+    """Digest of a stage's config and its (key, path) inputs; `memo` holds this
+    run's path digests. Inputs are keyed by name, not path, so an out dir that
+    is moved or copied keeps its digests."""
+    digests = {}
+    for key, path in inputs:
+        if str(path) not in memo:
+            memo[str(path)] = _path_digest(path)
+        digests[key] = memo[str(path)]
+    payload = {"stage": name, "config": config_subset, "inputs": digests}
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
@@ -278,19 +279,21 @@ class Artifact:
     read: Callable[[Path], object] | None = None
 
 
-# a JSONL artifact's value is its rows, a JSON document's value the document,
-# unless a typed value serves every consumer. The lambdas look their function
-# up when called, so a caller may rebind it.
+# a JSONL artifact's value is its rows (illicit.jsonl's keyed by address), a
+# JSON document's value the document; only the corpus and the ledgers have
+# typed values. The lambdas look their function up when called, so a caller
+# may rebind it.
 ARTIFACTS: dict[str, Artifact] = {a.name: a for a in (
     Artifact("corpus.jsonl", lambda path, corpus: write_corpus_jsonl(corpus, path),
              lambda path: read_corpus_jsonl(path)),
     Artifact("addresses.jsonl", write_jsonl, _read_rows),
     Artifact("labels.jsonl", write_jsonl, _read_rows),
-    Artifact("illicit.jsonl", chain.write_illicit_jsonl, chain.read_illicit_jsonl),
+    Artifact("illicit.jsonl", lambda path, illicit: write_jsonl(path, illicit.values()),
+             lambda path: {row["address"]: row for row in read_jsonl(path)}),
     Artifact("filter_audit.jsonl", write_jsonl),
     Artifact("ledgers", write_ledgers, lambda path: read_ledgers(path)),
-    Artifact("hits.jsonl", lambda path, found: trace.write_hits_jsonl(*found, path)),
-    Artifact("surface.jsonl", trace.write_surface_jsonl, trace.read_surface_jsonl),
+    Artifact("hits.jsonl", write_jsonl),
+    Artifact("surface.jsonl", write_jsonl, _read_rows),
     Artifact("campaigns.json", write_json, _read_json),
     Artifact("phase_trace.json", write_json, _read_json),
     Artifact("vanity.json", write_json, _read_json),
@@ -321,10 +324,11 @@ class Stage:
     writes: tuple[str, ...]
     config_keys: tuple[str, ...]
 
-    def inputs(self, cfg: PipelineConfig, out: Path) -> list:
-        paths = [out / name for name in self.reads]
-        return paths + [getattr(cfg, k) for k in self.config_keys
-                        if k in PATH_KEYS and getattr(cfg, k)]
+    def inputs(self, cfg: PipelineConfig, out: Path) -> list[tuple[str, object]]:
+        """(key, path) of each input: an artifact by its name, a file or
+        directory by the config key that names it."""
+        return [(name, out / name) for name in self.reads] + [
+            (k, getattr(cfg, k)) for k in self.config_keys if k in PATH_KEYS and getattr(cfg, k)]
 
 
 STAGE_DECLS: dict[str, Stage] = {}
@@ -388,12 +392,16 @@ def stage_classify(cfg: PipelineConfig, inputs: dict) -> dict:
        writes=["illicit.jsonl", "filter_audit.jsonl"],
        config_keys=["chain_annotations"])
 def stage_filter(cfg: PipelineConfig, inputs: dict) -> dict:
-    """Keep the owner-linked addresses of each illicit site."""
+    """Keep the owner-linked addresses of each illicit site.
+
+    The illicit.jsonl value is {address: row} in address order; each row
+    merges the address's sites, category labels and flags.
+    """
     labels = classify.label_categories(inputs["labels.jsonl"])
     annotations = (chain.load_annotations(cfg.chain_annotations)
                    if cfg.chain_annotations else {})
     by_site = valid_by_site(inputs["addresses.jsonl"], "btc")
-    illicit = chain.IllicitAddressSet()
+    retained: dict[str, tuple[set, set, set]] = {}  # address -> sites, labels, flags
     audit = []
     for domain in sorted(by_site):
         category = labels.get(domain, Category.OTHER)
@@ -401,12 +409,18 @@ def stage_filter(cfg: PipelineConfig, inputs: dict) -> dict:
             continue
         result = chain.filter_illicit_addresses(domain, category, by_site[domain], annotations)
         for address, flag in sorted(result.retained.items()):
-            illicit.add(address, domain, category, flag)
+            sites, cats, flags = retained.setdefault(address, (set(), set(), set()))
+            sites.add(domain)
+            cats.add(category.label)
+            flags.add(flag)
             audit.append({"v": 1, "domain": domain, "address": address,
                           "action": "retained", "flag": flag})
         for address, reason in sorted(result.removed.items()):
             audit.append({"v": 1, "domain": domain, "address": address,
                           "action": "removed", "reason": reason})
+    illicit = {address: {"v": 1, "address": address, "sites": sorted(sites),
+                         "categories": sorted(cats), "flags": sorted(flags)}
+               for address, (sites, cats, flags) in sorted(retained.items())}
     return {"illicit.jsonl": illicit, "filter_audit.jsonl": audit}
 
 
@@ -418,7 +432,7 @@ def stage_fetch_tx(cfg: PipelineConfig, inputs: dict) -> dict:
         explorer = chain.HttpExplorer(cfg.base_url, rate_limit=cfg.rate_limit or None)
     else:
         explorer = chain.FixtureExplorer(cfg.tx_fixtures or ".")
-    ledgers, failures = chain.fetch_all(inputs["illicit.jsonl"].addresses(), explorer)
+    ledgers, failures = chain.fetch_all(inputs["illicit.jsonl"], explorer)
     log.info("fetched %d ledgers, %d failures", len(ledgers), len(failures))
     return {"ledgers": Ledgers(ledgers, failures)}
 
@@ -433,11 +447,12 @@ def stage_trace(cfg: PipelineConfig, inputs: dict) -> dict:
         provider = trace.HttpSearch(cfg.search_base_url, rate_limit=cfg.rate_limit or None)
     else:
         provider = trace.FixtureSearch(cfg.search_fixtures or ".")
-    hits, failures = trace.search_all(inputs["illicit.jsonl"].addresses(), provider, domains)
+    hits, failures = trace.search_all(inputs["illicit.jsonl"], provider, domains)
     facts = []
     if cfg.trace_annotations:
         hits, facts, _ = trace.import_annotations(read_jsonl(cfg.trace_annotations), hits)
-    return {"hits.jsonl": (hits, failures), "surface.jsonl": trace.surface_links(hits, facts)}
+    return {"hits.jsonl": trace.hit_rows(hits, failures),
+            "surface.jsonl": trace.surface_links(hits, facts)}
 
 
 @stage("cluster",
@@ -459,7 +474,7 @@ def stage_cluster(cfg: PipelineConfig, inputs: dict) -> dict:
         "vanity.json": {"v": 1, "groups": [{"prefix": p, "domains": d}
                                            for p, d in result.vanity]},
         "entity_graph.json": {"v": 1, "nodes": {nid: nodes[nid] for nid in sorted(nodes)},
-                              "edges": sorted(result.graph.edges)},
+                              "edges": [list(e) for e in sorted(result.graph.edges)]},
     }
 
 
@@ -592,12 +607,12 @@ def emit_tables(inputs: dict, top_n: int = 10, min_received: int = 0) -> tuple[d
         extracted = set()
         for s in sites:
             extracted |= valid_btc_by_site.get(s, set())
-        illicit_here = {a for a in illicit.addresses() if cat in illicit.categories_of(a)}
         row = {"category": cat.label,
                "onions": len(sites),
                "pages": sum(pages_per_domain.get(s, 0) for s in sites),
                "btc_addresses": len(extracted),
-               "illicit_btc_addresses": len(illicit_here)}
+               "illicit_btc_addresses": sum(cat.label in entry["categories"]
+                                            for entry in illicit.values())}
         class_rows.append(row)
         for key in totals:
             totals[key] += row[key]
@@ -605,16 +620,13 @@ def emit_tables(inputs: dict, top_n: int = 10, min_received: int = 0) -> tuple[d
 
     # table 4 shape: top profitable addresses
     addr_rows = []
-    for address in illicit.addresses():
-        ledger = ledgers.get(address)
-        if ledger is None:
+    for address, row in illicit.items():
+        if address not in ledgers:
             continue
-        incoming = sum(1 for tx in ledger.transactions
-                       if tx.output_to(address) > 0 and not chain.is_internal(tx, illicit))
         addr_rows.append({
             "address": address,
-            "categories": "+".join(sorted(c.label for c in illicit.categories_of(address))),
-            "incoming_transactions": incoming,
+            "categories": "+".join(row["categories"]),
+            "incoming_transactions": income.incoming[address],
             "received_satoshi": income.per_address.get(address, 0),
             "received_btc": format_btc(income.per_address.get(address, 0)),
         })

@@ -9,7 +9,7 @@ from pathlib import Path
 from typing import NamedTuple
 from urllib.parse import urlparse
 
-from .artifacts import read_jsonl, word_list, write_jsonl
+from .artifacts import word_list
 from .net import NOT_FOUND, Client
 
 log = logging.getLogger("onionforge.trace")
@@ -130,7 +130,8 @@ def filter_explorer_urls(hits, explorer_domains: set[str]) -> list[SurfaceHit]:
 def import_annotations(rows, hits):
     """Apply analyst rows {url, kind?, ip?, registrant?, note?} to hits.
 
-    Rows naming a URL absent from the hit list are skipped with a warning.
+    A row that is not an object, or that names a URL absent from the hit
+    list, is skipped with a warning.
     Returns (updated hits, identity facts, skipped row count).
     """
     known_urls = {h.url for h in hits}
@@ -138,8 +139,12 @@ def import_annotations(rows, hits):
     facts: list[IdentityFact] = []
     skipped = 0
     for row in rows:
+        if not isinstance(row, dict):
+            log.warning("annotation that is not an object skipped: %r", row)
+            skipped += 1
+            continue
         url = row.get("url")
-        if url not in known_urls:
+        if not isinstance(url, str) or url not in known_urls:  # a list is unhashable
             log.warning("annotation for unknown url skipped: %r", url)
             skipped += 1
             continue
@@ -159,40 +164,27 @@ def import_annotations(rows, hits):
 def surface_links(hits, facts) -> list[dict]:
     """Join identity facts with the addresses seen at each URL.
 
-    Produces the surface-facts rows consumed by identity clustering:
-    {url, ip, registrant, addresses}.
+    Produces the surface.jsonl rows {v, url, ip, registrant, addresses}, by
+    URL, that identity clustering consumes.
     """
     addrs_by_url: dict[str, set[str]] = {}
     for hit in hits:
         addrs_by_url.setdefault(hit.url, set()).add(hit.address)
     merged: dict[str, dict] = {}
     for fact in facts:
-        row = merged.setdefault(fact.url, {"url": fact.url, "ip": None,
-                                           "registrant": None, "addresses": ()})
+        row = merged.setdefault(fact.url, {"v": 1, "url": fact.url, "ip": None,
+                                           "registrant": None})
         if fact.ip:
             row["ip"] = fact.ip
         if fact.registrant:
             row["registrant"] = fact.registrant
     for url, row in merged.items():
-        row["addresses"] = tuple(sorted(addrs_by_url.get(url, ())))
+        row["addresses"] = sorted(addrs_by_url.get(url, ()))
     return [merged[url] for url in sorted(merged)]
 
 
-# --- hits.jsonl inter-stage format ---
-
-def write_hits_jsonl(hits, failures, out_path):
+def hit_rows(hits, failures) -> list[dict]:
+    """The hits.jsonl rows: each hit by (address, url), then each failed address."""
     rows = [{"v": 1, "address": hit.address, "url": hit.url, "source": hit.source,
              "kind": hit.kind} for hit in sorted(hits, key=lambda h: (h.address, h.url))]
-    rows += [{"v": 1, "address": a, "error": failures[a]} for a in sorted(failures)]
-    write_jsonl(out_path, rows)
-
-
-def write_surface_jsonl(out_path, links):
-    write_jsonl(out_path, ({"v": 1, "url": row["url"], "ip": row["ip"],
-                            "registrant": row["registrant"],
-                            "addresses": list(row["addresses"])} for row in links))
-
-
-def read_surface_jsonl(path) -> list[dict]:
-    return [{"url": row["url"], "ip": row.get("ip"), "registrant": row.get("registrant"),
-             "addresses": tuple(row.get("addresses", ()))} for row in read_jsonl(path)]
+    return rows + [{"v": 1, "address": a, "error": failures[a]} for a in sorted(failures)]

@@ -15,7 +15,7 @@ import pytest
 
 from onionforge import base58
 from onionforge.chain import (
-    AddressLedger, IllicitAddressSet, Transaction, TxIO, estimate_income,
+    AddressLedger, Transaction, TxIO, estimate_income,
 )
 from onionforge.classify import (
     Category, GroundTruth, build_feature_set, classify_corpus, cosine,
@@ -31,6 +31,7 @@ from onionforge.report import parse_config, run_pipeline
 from planted import (
     B2, EXPECTED_CAMPAIGNS, GT_SHOP_MIX_DOMAIN, TEMPLATES, build_planted_corpus,
 )
+from rows import illicit_of
 
 STOPWORDS = load_stopwords()
 NOW = datetime(2022, 3, 1, tzinfo=timezone.utc)
@@ -205,11 +206,9 @@ def _mktx(n, ins, outs):
 
 def _random_ledger_world(rng, max_txs=30):
     n_addr = rng.randint(2, 8)
-    illicit = IllicitAddressSet()
     cats = [c for c in Category if c is not Category.OTHER]
     addrs = ["a%02d" % i for i in range(n_addr)]
-    for a in addrs:
-        illicit.add(a, "site%s.onion" % a, rng.choice(cats))
+    illicit = illicit_of(*((a, "site%s.onion" % a, rng.choice(cats)) for a in addrs))
     pool = addrs + ["e%d" % i for i in range(5)]
     txs = []
     for n in range(rng.randint(1, max_txs)):
@@ -275,11 +274,9 @@ def _random_entity_world(rng):
     if not illicit_sites:
         labels[_dom("rw", 0)] = Category.DRUGS
         illicit_sites = [_dom("rw", 0)]
-    illicit = IllicitAddressSet()
     addrs = ["a%03d" % i for i in range(n_addrs)]
-    for a in addrs:
-        for s in rng.sample(illicit_sites, rng.randint(1, min(2, len(illicit_sites)))):
-            illicit.add(a, s, labels[s])
+    illicit = illicit_of(*((a, s, labels[s]) for a in addrs for s in rng.sample(
+        illicit_sites, rng.randint(1, min(2, len(illicit_sites))))))
     pool = addrs + ["ext%d" % i for i in range(6)]
     txs = []
     for n in range(rng.randint(0, 25)):
@@ -327,10 +324,10 @@ def _oracle_component_graph(labels, illicit, ledgers, emails, links, threshold):
     for site, cat in labels.items():
         if cat is not Category.OTHER:
             g.add_node("site:" + site)
-    members = set(illicit.addresses())
+    members = set(illicit)
     for addr in members:
         g.add_node("btc:" + addr)
-        for site in illicit.sites_of(addr):
+        for site in illicit[addr]["sites"]:
             g.add_edge("site:" + site, "btc:" + addr)
     for site, mails in emails.items():
         if labels.get(site, Category.OTHER) is Category.OTHER:
@@ -415,16 +412,14 @@ def test_criterion_07_mixing_suppression():
     payment = _mktx(2, [("a0", 10), ("a1", 20)], [("m", 25), ("a0", 5)])
     assert not detect_mixing(payment)
 
-    illicit = IllicitAddressSet()
-    for k in range(5):
-        illicit.add("a%d" % k, _dom("mx", k), Category.CLONE_CARD)
+    illicit = illicit_of(*(("a%d" % k, _dom("mx", k), Category.CLONE_CARD) for k in range(5)))
     ledgers = {}
     for k in range(5):
         addr = "a%d" % k
         fund = _mktx(100 + k, [("efund", 50 * 10 ** 6)], [(addr, 50 * 10 ** 6)])
         ledgers[addr] = AddressLedger.from_transactions(addr, [fund, jm])
     # zero merge edges from the flagged tx
-    assert transaction_edges(ledgers, set(illicit.addresses())) == ([], [])
+    assert transaction_edges(ledgers, set(illicit)) == ([], [])
     ok(7, "JoinMarket-pattern tx flagged and contributes zero merges; "
           "a 2-in/2-out payment is not flagged")
 

@@ -6,10 +6,10 @@ from datetime import datetime, timedelta, timezone
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from onionforge import chain, net
+from onionforge import chain, net, report
 from onionforge.chain import (
     AddressAnnotation, AddressLedger, ChainError, FetchError, FixtureExplorer,
-    HttpExplorer, IllicitAddressSet, Transaction, TxIO, active_period,
+    HttpExplorer, Transaction, TxIO, active_period,
     dormant_addresses, estimate_income, fetch_all, fetch_transactions,
     filter_illicit_addresses, is_internal, ledger_json, load_annotations,
     multi_category, parse_transaction, unique_transactions,
@@ -17,6 +17,7 @@ from onionforge.chain import (
 from onionforge.classify import Category
 
 from fakehttp import FakeResponse, FakeSession, http_response, serve
+from rows import illicit_of
 
 T0 = datetime(2020, 1, 1, tzinfo=timezone.utc)
 
@@ -42,13 +43,6 @@ def transaction_to_dict(tx):
         "inputs": [{"address": i.address, "value": i.value} for i in tx.inputs],
         "outputs": [{"address": o.address, "value": o.value} for o in tx.outputs],
     }
-
-
-def illicit_of(*entries):
-    s = IllicitAddressSet()
-    for addr, site, cat in entries:
-        s.add(addr, site, cat)
-    return s
 
 
 class TestTransaction:
@@ -438,17 +432,16 @@ def brute_force_income(illicit, ledgers):
 
 def random_ledger_set(rng, n_addresses=6, n_txs=20):
     pool = ["a%d" % i for i in range(n_addresses)] + ["e%d" % i for i in range(4)]
-    illicit = IllicitAddressSet()
     cats = list(Category)[:-1]
-    for i in range(n_addresses):
-        illicit.add("a%d" % i, "site%d.onion" % i, rng.choice(cats))
+    illicit = illicit_of(*(("a%d" % i, "site%d.onion" % i, rng.choice(cats))
+                           for i in range(n_addresses)))
     txs = []
     for n in range(n_txs):
         ins = [(rng.choice(pool), rng.randint(1, 500)) for _ in range(rng.randint(1, 3))]
         outs = [(rng.choice(pool), rng.randint(1, 500)) for _ in range(rng.randint(1, 3))]
         txs.append(mktx(n, ins, outs))
     ledgers = {}
-    for addr in illicit.addresses():
+    for addr in illicit:
         mine = [t for t in txs
                 if t.output_to(addr) or t.input_from(addr)]
         received = sum(t.output_to(addr) for t in mine)
@@ -511,10 +504,9 @@ class TestIncome:
         assert estimate_income(illicit, shuffled).total == base
 
     def test_split_attribution_preserves_total(self):
-        illicit = IllicitAddressSet()
-        illicit.add("A", "s.onion", Category.CLONE_CARD)
-        illicit.add("A", "t.onion", Category.SEXUAL_ABUSE)
-        illicit.add("A", "u.onion", Category.MEMBERSHIPS)
+        illicit = illicit_of(("A", "s.onion", Category.CLONE_CARD),
+                             ("A", "t.onion", Category.SEXUAL_ABUSE),
+                             ("A", "u.onion", Category.MEMBERSHIPS))
         ledgers = {"A": AddressLedger.from_transactions("A", [
             mktx(1, [("e", 100)], [("A", 100)])])}
         report = estimate_income(illicit, ledgers)
@@ -544,11 +536,10 @@ class TestActivePeriod:
 
 class TestMultiCategory:
     def test_three_category_address(self):
-        illicit = IllicitAddressSet()
-        illicit.add("A", "s.onion", Category.CLONE_CARD)
-        illicit.add("A", "t.onion", Category.SEXUAL_ABUSE)
-        illicit.add("A", "u.onion", Category.MEMBERSHIPS)
-        illicit.add("B", "v.onion", Category.DRUGS)
+        illicit = illicit_of(("A", "s.onion", Category.CLONE_CARD),
+                             ("A", "t.onion", Category.SEXUAL_ABUSE),
+                             ("A", "u.onion", Category.MEMBERSHIPS),
+                             ("B", "v.onion", Category.DRUGS))
         assert multi_category(illicit) == 1
 
     def test_all_single_category(self):
@@ -607,10 +598,29 @@ class TestFilter:
         with pytest.raises(ChainError, match="'address': 'b'"):
             load_annotations(path)
 
+    @pytest.mark.parametrize("bad", ['[1]', '"x"', '{"address": "b", "zone": "payment"}',
+                                     '{"domain": "d.onion", "zone": "payment"}',
+                                     '{"domain": 5, "address": "b", "zone": "payment"}'])
+    def test_annotation_without_text_domain_and_address_names_the_row(self, tmp_path, bad):
+        path = tmp_path / "ann.jsonl"
+        path.write_text(json.dumps({"domain": "d.onion", "address": "a", "zone": "payment"})
+                        + "\n" + bad + "\n")
+        with pytest.raises(ChainError) as err:
+            load_annotations(path)
+        assert repr(json.loads(bad)) in str(err.value)
+
     def test_illicit_set_rejects_other(self):
-        illicit = IllicitAddressSet()
-        with pytest.raises(ChainError):
-            illicit.add("a", "s.onion", Category.OTHER)
+        # the filter stage keeps no address of a site labelled Other
+        address_rows = [{"v": 1, "domain": site, "path": "/", "kind": "btc", "value": value,
+                         "valid": True}
+                        for site, value in (("s.onion", "a"), ("t.onion", "a"),
+                                            ("t.onion", "b"))]
+        labels = [{"domain": "s.onion", "category": "Other"},
+                  {"domain": "t.onion", "category": "Drugs"}]
+        illicit = report.stage_filter(report.PipelineConfig(), {
+            "labels.jsonl": labels, "addresses.jsonl": address_rows})["illicit.jsonl"]
+        assert {a: row["sites"] for a, row in illicit.items()} == {
+            "a": ["t.onion"], "b": ["t.onion"]}
 
 
 class TestDormant:

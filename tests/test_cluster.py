@@ -3,13 +3,15 @@ from datetime import datetime, timedelta, timezone
 
 import networkx as nx
 
-from onionforge.chain import AddressLedger, IllicitAddressSet, Transaction, TxIO
+from onionforge.chain import AddressLedger, Transaction, TxIO
 from onionforge.classify import Category
 from onionforge.cluster import (
     BTC, EMAIL, SITE, EntityGraph, UnionFind, build_entity_graph, campaign_stats,
     detect_mixing, identity_edges, node_id, run_clustering, transaction_edges,
     vanity_groups,
 )
+
+from rows import illicit_of
 
 T0 = datetime(2020, 1, 1, tzinfo=timezone.utc)
 
@@ -26,22 +28,19 @@ def mktx(n, ins, outs):
 
 def ledgers_for(illicit, txs):
     out = {}
-    for addr in illicit.addresses():
+    for addr in illicit:
         mine = [t for t in txs if t.output_to(addr) or t.input_from(addr)]
         spent = sum(t.input_from(addr) for t in mine)
         recv = sum(t.output_to(addr) for t in mine)
         if spent > recv:
-            mine.append(mktx(5000 + illicit.addresses().index(addr),
+            mine.append(mktx(5000 + list(illicit).index(addr),
                              [("fund", spent)], [(addr, spent)]))
         out[addr] = AddressLedger.from_transactions(addr, mine)
     return out
 
 
 def simple_illicit(pairs):
-    illicit = IllicitAddressSet()
-    for addr, site in pairs:
-        illicit.add(addr, site, Category.DRUGS)
-    return illicit
+    return illicit_of(*((addr, site, Category.DRUGS) for addr, site in pairs))
 
 
 def dom(i):
@@ -139,7 +138,7 @@ class TestCommonInput:
     def test_illicit_pair_merges(self):
         illicit = simple_illicit([("A", dom(0)), ("B", dom(1))])
         txs = [mktx(1, [("A", 5), ("B", 5)], [("ext", 10)])]
-        common, _ = transaction_edges(ledgers_for(illicit, txs), set(illicit.addresses()))
+        common, _ = transaction_edges(ledgers_for(illicit, txs), set(illicit))
         uf = merge(UnionFind([node_id(BTC, "A"), node_id(BTC, "B")]), common)
         assert uf.find("btc:A") == uf.find("btc:B")
 
@@ -148,13 +147,13 @@ class TestCommonInput:
         coin = 10 ** 7
         txs = [mktx(1, [("A", 3 * coin), ("B", 3 * coin), ("C", 3 * coin)],
                     [("o1", coin), ("o2", coin), ("o3", coin)])]
-        members = set(illicit.addresses())
+        members = set(illicit)
         assert transaction_edges(ledgers_for(illicit, txs), members) == ([], [])
 
     def test_unknown_address_not_expanded(self):
         illicit = simple_illicit([("A", dom(0))])
         txs = [mktx(1, [("A", 5), ("X", 5)], [("ext", 10)])]
-        common, _ = transaction_edges(ledgers_for(illicit, txs), set(illicit.addresses()))
+        common, _ = transaction_edges(ledgers_for(illicit, txs), set(illicit))
         uf = merge(UnionFind([node_id(BTC, "A")]), common)
         assert "btc:X" not in uf.parent
 
@@ -163,21 +162,21 @@ class TestInternalTx:
     def test_internal_merges(self):
         illicit = simple_illicit([("A", dom(0)), ("B", dom(1))])
         txs = [mktx(1, [("A", 5)], [("B", 5)])]
-        _, internal = transaction_edges(ledgers_for(illicit, txs), set(illicit.addresses()))
+        _, internal = transaction_edges(ledgers_for(illicit, txs), set(illicit))
         uf = merge(UnionFind([node_id(BTC, "A"), node_id(BTC, "B")]), internal)
         assert uf.find("btc:A") == uf.find("btc:B")
 
     def test_external_output_no_merge(self):
         illicit = simple_illicit([("A", dom(0)), ("B", dom(1))])
         txs = [mktx(1, [("A", 5)], [("ext", 5)])]
-        _, internal = transaction_edges(ledgers_for(illicit, txs), set(illicit.addresses()))
+        _, internal = transaction_edges(ledgers_for(illicit, txs), set(illicit))
         uf = merge(UnionFind([node_id(BTC, "A"), node_id(BTC, "B")]), internal)
         assert uf.find("btc:A") != uf.find("btc:B")
 
     def test_chain_collapses_to_one_cluster(self):
         illicit = simple_illicit([("A", dom(0)), ("B", dom(1)), ("C", dom(2))])
         txs = [mktx(1, [("A", 9)], [("B", 9)]), mktx(2, [("B", 4)], [("C", 4)])]
-        _, internal = transaction_edges(ledgers_for(illicit, txs), set(illicit.addresses()))
+        _, internal = transaction_edges(ledgers_for(illicit, txs), set(illicit))
         uf = merge(UnionFind([node_id(BTC, a) for a in "ABC"]), internal)
         oracle = nx.Graph([("A", "B"), ("B", "C")])
         oracle.add_nodes_from("ABC")
@@ -200,7 +199,7 @@ class TestEmailPhase:
 
     def test_email_only_cluster_excluded_from_campaigns(self):
         labels = {dom(0): Category.DRUGS, dom(1): Category.DRUGS}
-        illicit = IllicitAddressSet()
+        illicit = {}
         emails = {dom(0): {"x@secmail.pro"}, dom(1): {"x@secmail.pro"}}
         graph = build_entity_graph(labels, illicit, emails)
         uf = merge(merge(UnionFind(graph.nodes), graph.edges_of_kind("site-hosts-addr")),
@@ -213,7 +212,7 @@ class TestEmailPhase:
     def test_three_sites_one_email(self):
         labels = {dom(i): Category.DRUGS for i in range(3)}
         emails = {dom(i): {"z@secmail.pro"} for i in range(3)}
-        graph = build_entity_graph(labels, IllicitAddressSet(), emails)
+        graph = build_entity_graph(labels, {}, emails)
         uf = merge(merge(UnionFind(graph.nodes), graph.edges_of_kind("site-hosts-addr")),
                    graph.edges_of_kind("site-lists-email"))
         roots = {uf.find(node_id(SITE, dom(i))) for i in range(3)}
@@ -274,9 +273,8 @@ class TestVanity:
     def test_never_merges_anything(self):
         labels = {"deepmar27rpxago5.onion": Category.DRUGS,
                   "deepmar3k3qtzszd.onion": Category.WEAPONS}
-        illicit = IllicitAddressSet()
-        illicit.add("A", "deepmar27rpxago5.onion", Category.DRUGS)
-        illicit.add("B", "deepmar3k3qtzszd.onion", Category.WEAPONS)
+        illicit = illicit_of(("A", "deepmar27rpxago5.onion", Category.DRUGS),
+                             ("B", "deepmar3k3qtzszd.onion", Category.WEAPONS))
         result = run_clustering(labels, illicit, {}, {}, ())
         assert len(result.vanity) == 1
         assert len(result.campaigns) == 0  # two isolated site+addr pairs
@@ -284,11 +282,8 @@ class TestVanity:
 
 class TestCampaignStats:
     def test_single_address_many_sites(self):
-        labels = {}
-        illicit = IllicitAddressSet()
-        for i in range(31):
-            labels[dom(i)] = Category.INVESTMENT_SCAMS
-            illicit.add("A", dom(i), Category.INVESTMENT_SCAMS)
+        labels = {dom(i): Category.INVESTMENT_SCAMS for i in range(31)}
+        illicit = illicit_of(*(("A", site, cat) for site, cat in labels.items()))
         ledger = AddressLedger.from_transactions("A", [
             mktx(1, [("e", 14_640_000)], [("A", 14_640_000)])])
         result = run_clustering(labels, illicit, {"A": ledger}, {}, ())
@@ -305,11 +300,8 @@ class TestCampaignStats:
     def test_trace_counts_non_decreasing(self):
         labels = {dom(0): Category.DRUGS, dom(1): Category.DRUGS,
                   dom(2): Category.WEAPONS, dom(3): Category.WEAPONS}
-        illicit = IllicitAddressSet()
-        illicit.add("A", dom(0), Category.DRUGS)
-        illicit.add("A", dom(1), Category.DRUGS)
-        illicit.add("B", dom(2), Category.WEAPONS)
-        illicit.add("C", dom(3), Category.WEAPONS)
+        illicit = illicit_of(("A", dom(0), Category.DRUGS), ("A", dom(1), Category.DRUGS),
+                             ("B", dom(2), Category.WEAPONS), ("C", dom(3), Category.WEAPONS))
         txs = [mktx(1, [("B", 5)], [("C", 5)])]
         result = run_clustering(labels, illicit, ledgers_for(illicit, txs), {}, ())
         sites_series = [s["onions"] for s in result.trace]
@@ -325,14 +317,12 @@ class TestPlantedMixingIsLoadBearing:
         import planted
         from onionforge.chain import parse_transaction
 
-        illicit = IllicitAddressSet()
-        for addr, sites, cat in (
-                (planted.A1, [planted.S1, planted.S2], Category.CLONE_CARD),
-                (planted.A2, [planted.S2], Category.CLONE_CARD),
-                (planted.B1, [planted.S3], Category.INVESTMENT_SCAMS),
-                (planted.B2, [planted.S4], Category.INVESTMENT_SCAMS)):
-            for site in sites:
-                illicit.add(addr, site, cat)
+        illicit = illicit_of(
+            (planted.A1, planted.S1, Category.CLONE_CARD),
+            (planted.A1, planted.S2, Category.CLONE_CARD),
+            (planted.A2, planted.S2, Category.CLONE_CARD),
+            (planted.B1, planted.S3, Category.INVESTMENT_SCAMS),
+            (planted.B2, planted.S4, Category.INVESTMENT_SCAMS))
         ledgers = {
             addr: AddressLedger.from_transactions(
                 addr, [parse_transaction(t) for t in txs])
@@ -370,7 +360,7 @@ def random_world(rng, n_sites=14, n_addrs=12):
     labels = {dom(i): rng.choice([Category.DRUGS, Category.CLONE_CARD,
                                   Category.WEAPONS, Category.OTHER])
               for i in range(n_sites)}
-    illicit = IllicitAddressSet()
+    entries = []
     addrs = ["a%02d" % i for i in range(n_addrs)]
     for addr in addrs:
         candidates = [d for d, c in labels.items() if c is not Category.OTHER]
@@ -378,7 +368,8 @@ def random_world(rng, n_sites=14, n_addrs=12):
             labels[dom(0)] = Category.DRUGS
             candidates = [dom(0)]
         for site in rng.sample(candidates, rng.randint(1, min(2, len(candidates)))):
-            illicit.add(addr, site, labels[site])
+            entries.append((addr, site, labels[site]))
+    illicit = illicit_of(*entries)
     txs = []
     n = 0
     for _ in range(rng.randint(3, 10)):
@@ -419,16 +410,16 @@ def oracle_edge_union(labels, illicit, ledgers, emails, links, public_threshold=
     for site, cat in labels.items():
         if cat is not Category.OTHER:
             g.add_node("site:" + site)
-    for addr in illicit.addresses():
+    for addr, row in illicit.items():
         g.add_node("btc:" + addr)
-        for site in illicit.sites_of(addr):
+        for site in row["sites"]:
             g.add_edge("site:" + site, "btc:" + addr)
     for site, mails in emails.items():
         if labels.get(site, Category.OTHER) is Category.OTHER:
             continue
         for m in mails:
             g.add_edge("site:" + site, "email:" + m)
-    members = set(illicit.addresses())
+    members = set(illicit)
     seen = {}
     for led in ledgers.values():
         for tx in led.transactions:
@@ -495,7 +486,7 @@ class TestWholePipelineInvariants:
         rng = random.Random(78)
         labels, illicit, ledgers, emails, links = random_world(rng)
         graph = build_entity_graph(labels, illicit, emails)
-        members = set(illicit.addresses())
+        members = set(illicit)
         common, internal = transaction_edges(ledgers, members)
         identity, _ = identity_edges(links, 50, members)
         uf = UnionFind(n for n, attrs in graph.nodes.items() if attrs["type"] in (SITE, BTC))

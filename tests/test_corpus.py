@@ -76,6 +76,15 @@ class TestIngest:
         assert len(corpus) == 1
         assert any("%ff.html" in s for s in corpus.skipped)
 
+    def test_page_entry_that_is_no_file_skipped(self, tmp_path, caplog):
+        site = tmp_path / name_for(0)
+        (site / "sub.html").mkdir(parents=True)
+        (site / "index.html").write_bytes(b"<html></html>")
+        corpus = ingest_snapshot(tmp_path)
+        assert len(corpus) == 1
+        assert corpus.skipped == ["%s/sub.html" % name_for(0)]
+        assert "'sub.html'" in caplog.text
+
     def test_missing_root_fatal(self, tmp_path):
         with pytest.raises(CorpusError):
             ingest_snapshot(tmp_path / "nope")

@@ -26,6 +26,7 @@ from onionforge.report import (
 )
 
 from planted import EXPECTED_CAMPAIGNS, assert_same_artifacts, build_planted_corpus
+from rows import illicit_of
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -325,6 +326,14 @@ class TestPipeline:
         run_pipeline(dataclasses.replace(config, out_dir=str(fresh)))
         assert_same_artifacts(out, fresh)
 
+    def test_copied_out_dir_skips_everything(self, planted_run, tmp_path):
+        _, config, _, planted_out = planted_run
+        out = tmp_path / "moved" / "out"
+        shutil.copytree(planted_out, out)
+        run = run_pipeline(dataclasses.replace(config, out_dir=str(out)))
+        assert run.executed == []
+        assert_same_artifacts(out, planted_out)
+
     @pytest.mark.parametrize("manifest", ["[]", "null", '{"stages": []}', '{"stages": null}'])
     def test_misshapen_manifest_counts_as_none(self, planted_run, tmp_path, manifest):
         _, config, _, planted_out = planted_run
@@ -456,9 +465,7 @@ class TestLedgerStore:
             out.mkdir()
             for address, rows in fixtures.items():
                 (txs / (address + ".json")).write_text(json.dumps(rows))
-            illicit = chain.IllicitAddressSet()
-            for address in ADDRESSES:
-                illicit.add(address, "s.onion", Category.DRUGS)
+            illicit = illicit_of(*((address, "s.onion", Category.DRUGS) for address in ADDRESSES))
 
             fetched, _ = chain.fetch_all(ADDRESSES, chain.FixtureExplorer(txs))
             shared = report.stage_fetch_tx(PipelineConfig(tx_fixtures=str(txs)),
@@ -545,6 +552,49 @@ class TestCorpusMemo:
         assert list(shared.index) == list(read_back.index)
 
 
+@pytest.fixture(scope="module")
+def handed_on(tmp_path_factory):
+    """The out dir of a fresh planted run, and the value of each artifact as
+    the run handed it on in memory."""
+    tmp = tmp_path_factory.mktemp("handed_on")
+    planted = build_planted_corpus(tmp / "planted")
+    (tmp / "run.cfg").write_text(planted.config_text(tmp / "out"))
+    values = {}
+
+    def recording(name, write):
+        def record(path, value):
+            values[name] = value
+            write(path, value)
+        return record
+    with pytest.MonkeyPatch.context() as mp:
+        for name, artifact in list(ARTIFACTS.items()):
+            mp.setitem(ARTIFACTS, name,
+                       dataclasses.replace(artifact, write=recording(name, artifact.write)))
+        run_pipeline(parse_config(tmp / "run.cfg"))
+    return tmp / "out", values
+
+
+def comparable(name, value):
+    """An artifact's value in a form whose `==` also compares what a plain
+    `==` of it skips: the corpus's page order and time zones, the ledger
+    failures and the address order of the illicit set."""
+    if name == "corpus.jsonl":
+        return [(p.domain, p.path, p.html, p.fetched_at.isoformat()) for p in value.pages]
+    if name == "ledgers":
+        return value, value.failures
+    if name == "illicit.jsonl":
+        return list(value.items())
+    return value
+
+
+class TestRoundTrip:
+    @pytest.mark.parametrize("name", [n for n, a in ARTIFACTS.items() if a.read])
+    def test_value_handed_on_equals_the_file_read_back(self, handed_on, name):
+        # what a resumed run reads back is what a fresh run hands on in memory
+        out, values = handed_on
+        assert comparable(name, values[name]) == comparable(name, ARTIFACTS[name].read(out / name))
+
+
 class TestTables:
     def test_all_category_rows_present(self, planted_run):
         _, _, _, out = planted_run
@@ -603,6 +653,26 @@ class TestTables:
         assert len(doc["rows"]) == 14
         for row in doc["rows"]:
             assert row["onions"] == 0 and row["pages"] == 0
+
+    def test_incoming_transactions_count_the_external_payments(self):
+        # A is paid by two outside transactions, one of them through two
+        # outputs, and once by B, an illicit address: that payment is internal
+        def paying(n, source, values):
+            return chain.Transaction("%064x" % n, datetime(2020, 1, n, tzinfo=timezone.utc),
+                                     (chain.TxIO(source, sum(values)),),
+                                     tuple(chain.TxIO("A", v) for v in values))
+        ledger = chain.AddressLedger.from_transactions("A", [
+            paying(1, "ext", [10, 20]), paying(2, "ext", [5]), paying(3, "B", [7])])
+        inputs = {"corpus.jsonl": Corpus(), "labels.jsonl": [], "addresses.jsonl": [],
+                  "illicit.jsonl": illicit_of(("A", "s.onion", Category.DRUGS),
+                                              ("B", "t.onion", Category.DRUGS)),
+                  "ledgers": report.Ledgers({"A": ledger}),
+                  "campaigns.json": {"campaigns": []}, "phase_trace.json": {"phases": []},
+                  "vanity.json": {"groups": []}}
+        tables, _ = report.emit_tables(inputs)
+        _, rows = tables["top_addresses"]
+        assert [(r["address"], r["incoming_transactions"], r["received_satoshi"])
+                for r in rows] == [("A", 2, 35)]
 
     def test_eth_rows_emitted(self, tmp_path):
         from datetime import datetime, timezone
@@ -675,9 +745,8 @@ class TestGraphExport:
         # a shared registrant links A's and B's sites, a shared IP C's and D's
         ip = "198.51.100.7"
         hosted = {"a.onion": "A", "b.onion": "B", "c.onion": "C", "d.onion": "D"}
-        illicit = chain.IllicitAddressSet()
-        for site, address in hosted.items():
-            illicit.add(address, site, Category.DRUGS)
+        illicit = illicit_of(*((address, site, Category.DRUGS)
+                               for site, address in hosted.items()))
         surface = [{"url": "https://%s.example.com/" % address.lower(),
                     "ip": ip if address in "CD" else None,
                     "registrant": "Shadow Ops" if address in "AB" else None,

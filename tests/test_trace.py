@@ -3,11 +3,11 @@ import json
 import pytest
 
 from onionforge import net
-from onionforge.artifacts import read_jsonl
+from onionforge.artifacts import read_jsonl, write_jsonl
 from onionforge.trace import (
     FixtureSearch, HttpSearch, IdentityFact, SurfaceHit, TraceError,
-    filter_explorer_urls, import_annotations, load_explorer_domains,
-    search_address, search_all, surface_links, write_hits_jsonl,
+    filter_explorer_urls, hit_rows, import_annotations, load_explorer_domains,
+    search_address, search_all, surface_links,
 )
 
 from fakehttp import FakeResponse, FakeSession, http_response, serve
@@ -206,6 +206,15 @@ class TestAnnotations:
             [{"url": "https://x.example.com/", "kind": "SomethingElse"}], hits)
         assert skipped == 1
 
+    @pytest.mark.parametrize("bad", [[1], "x", None, 5, {"url": ["https://x.example.com/"]}])
+    def test_row_that_is_not_an_object_with_a_text_url_skipped(self, caplog, bad):
+        hits = [SurfaceHit(address=ADDR, url="https://x.example.com/")]
+        updated, facts, skipped = import_annotations(
+            [bad, {"url": "https://x.example.com/", "kind": "Benign"}], hits)
+        assert skipped == 1 and not facts
+        assert updated[0].kind == "Benign"
+        assert "skipped" in caplog.text
+
     def test_file_form(self, tmp_path):
         hits = [SurfaceHit(address=ADDR, url="https://x.example.com/")]
         path = tmp_path / "ann.jsonl"
@@ -222,13 +231,13 @@ class TestSurfaceLinks:
                 SurfaceHit(address="C", url="https://y.example.com/")]
         facts = [IdentityFact(url="https://x.example.com/", ip="203.0.113.5")]
         links = surface_links(hits, facts)
-        assert links == [{"url": "https://x.example.com/", "ip": "203.0.113.5",
-                          "registrant": None, "addresses": ("A", "B")}]
+        assert links == [{"v": 1, "url": "https://x.example.com/", "ip": "203.0.113.5",
+                          "registrant": None, "addresses": ["A", "B"]}]
 
 
 def test_hits_jsonl_roundtrip(tmp_path):
     hits = [SurfaceHit(address=ADDR, url="https://x.example.com/", kind="AbuseReport")]
-    write_hits_jsonl(hits, {"lost": "timeout"}, tmp_path / "hits.jsonl")
+    write_jsonl(tmp_path / "hits.jsonl", hit_rows(hits, {"lost": "timeout"}))
     assert list(read_jsonl(tmp_path / "hits.jsonl")) == [
         {"v": 1, "address": ADDR, "url": "https://x.example.com/", "source": "search",
          "kind": "AbuseReport"},
