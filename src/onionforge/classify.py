@@ -2,10 +2,12 @@
 
 Phase 1 takes labels straight from the annotated ground truth. Phase 2
 labels sites whose pages are cosine-similar (>= threshold) to a ground
-truth page, found through an inverted index of the ground-truth pages.
-Phase 3 projects TF-IDF vectors onto a per-category keyword feature set
-and applies the same cosine rule to whatever is still unlabeled. Later
-phases never relabel earlier ones.
+truth page. It searches an inverted index of the ground-truth pages for
+the best page pair only, and skips every page that a per-term bound shows
+cannot reach the threshold or the best pair found so far. Phase 3 projects
+TF-IDF vectors onto a per-category keyword feature set and applies the
+same cosine rule to whatever is still unlabeled. Later phases never
+relabel earlier ones.
 """
 
 from __future__ import annotations
@@ -218,50 +220,89 @@ def _best_category(scores: dict[Category, float], threshold: float) -> tuple[Cat
 
 @dataclass
 class PageIndex:
-    """Inverted index of the ground-truth page vectors that phase 2 scores against.
+    """Inverted index of the ground-truth page vectors that phase 2 searches.
 
     `postings` maps each term to the numbers of the pages that hold it; the
     count is read from the page's vector, which keeps the postings small.
+    `max_weight` holds each term's largest normalised weight over the pages,
+    `max(g[t] / |g|)`, which bounds what the term adds to any page's cosine.
+    `ranks` holds each page's category as its position in `CATEGORIES`.
     """
 
     postings: dict[str, list[int]] = field(default_factory=dict)
+    max_weight: dict[str, float] = field(default_factory=dict)
     vectors: list[TermVector] = field(default_factory=list)
     norms: list[float] = field(default_factory=list)
-    categories: list[Category] = field(default_factory=list)
+    ranks: list[int] = field(default_factory=list)
 
     def add(self, vector: TermVector, category: Category):
         page = len(self.vectors)
-        for term in vector:
+        norm = math.sqrt(sum(w * w for w in vector.values()))
+        for term, w in vector.items():
             self.postings.setdefault(term, []).append(page)
+            weight = w / norm
+            if weight > self.max_weight.get(term, 0.0):
+                self.max_weight[term] = weight
         self.vectors.append(vector)
-        self.norms.append(math.sqrt(sum(w * w for w in vector.values())))
-        self.categories.append(category)
+        self.norms.append(norm)
+        self.ranks.append(CATEGORIES.index(category))
+
+
+# A page is skipped when the bounds of the terms it shares sum below
+# max(threshold, best) * (1 - _MARGIN). A bound and a cosine each round with a
+# relative error of a few units of 2**-53, and a sum of n bounds adds at most
+# about n more. So for a page whose computed cosine reaches max(threshold,
+# best), the computed bound sum stays above that times (1 - (n + 6) * 2**-53),
+# which is above the margin's factor for any site page under a million terms:
+# no pair that could set the label is skipped.
+_MARGIN = 1e-9
 
 
 def _similarity_label(site_vectors, index: PageIndex, threshold):
-    """Phase-2 rule: max page-pair cosine against each category's ground truth.
+    """Phase-2 rule: the category of the best page-pair cosine, if >= threshold.
 
-    Only pages that share a term with a site page have a non-zero cosine, so
-    only those are scored. The integer dot product is exact in any order and
-    `dot / (n1 * n2)` is the expression `cosine` evaluates, so every score is
-    bit-for-bit the one `cosine` returns.
+    The search keeps the best pair so far over all of the site's pages; a
+    tie goes to the category earlier in table order. For each site page,
+    term t adds at most `s[t] / |s| * max_weight[t]` to a cosine. The terms
+    with the lowest such bounds, while their bounds sum below the floor
+    `max(threshold, best)`, are non-essential: a ground-truth page that
+    shares only those cannot reach the floor, so only pages holding another
+    term are scored. Each is scored in full with the exact integer dot
+    product and `dot / (n1 * n2)`, the expression `cosine` evaluates, so the
+    stored score is bit-for-bit the one `cosine` returns.
+
+    Returns (category, score). When the category is Other, the score is
+    only the best found before the floor pruned the rest, not the exact
+    best: phase 3 replaces it.
     """
-    postings, vectors = index.postings, index.vectors
-    norms, categories = index.norms, index.categories
-    scores: dict[Category, float] = {}
+    postings, max_weight = index.postings, index.max_weight
+    vectors, norms, ranks = index.vectors, index.norms, index.ranks
+    best, best_rank = 0.0, len(CATEGORIES)
     for sv in site_vectors:
-        dots: dict[int, int] = {}
-        for term, w in sv.items():
-            for page in postings.get(term, ()):
-                dots[page] = dots.get(page, 0) + w * vectors[page][term]
-        if not dots:
-            continue
         n1 = math.sqrt(sum(w * w for w in sv.values()))
+        bounds = sorted((w / n1 * max_weight[t], t, w) for t, w in sv.items()
+                        if t in max_weight)
+        floor = max(threshold, best) * (1.0 - _MARGIN)
+        skip, total = 0, 0.0
+        while skip < len(bounds) and total + bounds[skip][0] < floor:
+            total += bounds[skip][0]
+            skip += 1
+        dots: dict[int, int] = {}
+        for _, term, w in bounds[skip:]:
+            for page in postings[term]:
+                dots[page] = dots.get(page, 0) + w * vectors[page][term]
+        rest = bounds[:skip]
         for page, dot in dots.items():
+            vector = vectors[page]
+            for _, term, w in rest:
+                if term in vector:
+                    dot += w * vector[term]
             sim = dot / (n1 * norms[page])
-            if sim > scores.get(categories[page], 0.0):
-                scores[categories[page]] = sim
-    return _best_category(scores, threshold)
+            if sim > best or (sim == best and ranks[page] < best_rank):
+                best, best_rank = sim, ranks[page]
+    if best_rank < len(CATEGORIES) and best >= threshold:
+        return CATEGORIES[best_rank], best
+    return Category.OTHER, best
 
 
 @dataclass
@@ -299,14 +340,14 @@ def build_feature_set(index: PageIndex) -> FeatureSet:
     A category's document is the sum of its ground-truth page vectors, in
     index order.
     """
-    docs: dict[Category, TermVector] = {cat: {} for cat in CATEGORIES}
-    for vec, cat in zip(index.vectors, index.categories):
-        add_counts(docs[cat], vec)
-    empty = [cat.label for cat in CATEGORIES if not docs[cat]]
+    docs: list[TermVector] = [{} for _ in CATEGORIES]
+    for vec, rank in zip(index.vectors, index.ranks):
+        add_counts(docs[rank], vec)
+    empty = [cat.label for cat, doc in zip(CATEGORIES, docs) if not doc]
     if empty:
         raise ClassifyConfigError("ground truth lacks content for: " + ", ".join(empty))
 
-    weighted, idf = tfidf_vectors([docs[cat] for cat in CATEGORIES])
+    weighted, idf = tfidf_vectors(docs)
     cat_vectors = dict(zip(CATEGORIES, weighted))
 
     top: dict[Category, list[str]] = {}

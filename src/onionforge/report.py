@@ -19,6 +19,7 @@ import io
 import json
 import logging
 import math
+import os
 import re
 import time
 from collections.abc import Callable
@@ -153,10 +154,35 @@ def parse_config(path) -> PipelineConfig:
 _HASH_CHUNK = 1 << 20  # files are hashed in pieces, so no input is held whole
 
 
-def _hash_file(h, path: Path):
+def _hash_file(h, path):
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(_HASH_CHUNK), b""):
             h.update(chunk)
+
+
+def _hash_tree(h, root, prefix=""):
+    """Hash each file under `root` as its relative name, then its bytes.
+
+    One scandir walk, by name at each level, visits files in the order of
+    `sorted(Path(root).rglob("*"))`, and treats symlinks as that walk does:
+    a link to a file is hashed, a link to a directory is not entered, and a
+    broken or looping link is skipped.
+    """
+    try:
+        with os.scandir(root) as it:
+            entries = sorted(it, key=lambda entry: entry.name)
+    except PermissionError:
+        return
+    for entry in entries:
+        try:
+            is_file = entry.is_file()
+        except OSError:  # a symlink loop
+            continue
+        if is_file:
+            h.update((prefix + entry.name).encode())
+            _hash_file(h, entry.path)
+        elif entry.is_dir(follow_symlinks=False):
+            _hash_tree(h, entry.path, prefix + entry.name + "/")
 
 
 def _path_digest(path) -> str:
@@ -166,10 +192,7 @@ def _path_digest(path) -> str:
         h.update(path.name.encode())
         _hash_file(h, path)
     elif path.is_dir():
-        for sub in sorted(path.rglob("*")):
-            if sub.is_file():
-                h.update(str(sub.relative_to(path)).encode())
-                _hash_file(h, sub)
+        _hash_tree(h, path)
     else:
         h.update(b"<absent>")
     return h.hexdigest()

@@ -130,8 +130,9 @@ def filter_explorer_urls(hits, explorer_domains: set[str]) -> list[SurfaceHit]:
 def import_annotations(rows, hits):
     """Apply analyst rows {url, kind?, ip?, registrant?, note?} to hits.
 
-    A row that is not an object, or that names a URL absent from the hit
-    list, is skipped with a warning.
+    A row that is not an object, that names a URL absent from the hit list,
+    or whose kind is unknown or whose ip or registrant is not text, is
+    skipped with a warning.
     Returns (updated hits, identity facts, skipped row count).
     """
     known_urls = {h.url for h in hits}
@@ -153,11 +154,15 @@ def import_annotations(rows, hits):
             log.warning("annotation with unknown kind %r skipped", kind)
             skipped += 1
             continue
+        ip, registrant = row.get("ip"), row.get("registrant")
+        if not all(v is None or isinstance(v, str) for v in (ip, registrant)):
+            log.warning("annotation with a non-text ip or registrant skipped: %r", row)
+            skipped += 1
+            continue
         if kind is not None:
             updated = [h._replace(kind=kind) if h.url == url else h for h in updated]
-        if row.get("ip") or row.get("registrant"):
-            facts.append(IdentityFact(url=url, ip=row.get("ip"),
-                                      registrant=row.get("registrant")))
+        if ip or registrant:
+            facts.append(IdentityFact(url=url, ip=ip, registrant=registrant))
     return updated, facts, skipped
 
 

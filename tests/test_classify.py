@@ -3,7 +3,7 @@ import random
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from onionforge import classify
 from onionforge.classify import (
@@ -216,7 +216,12 @@ def count_vectors(vocab):
 
 @st.composite
 def phase2_cases(draw):
-    """Site page vectors, ground-truth page vectors by category, a threshold."""
+    """Site page vectors, ground-truth page vectors by category, a threshold.
+
+    A ground-truth page may repeat under other categories, which gives exact
+    ties; a site page may copy a ground-truth page, which scores 1.0; and the
+    threshold may equal a score that occurs.
+    """
     # the second site vocabulary shares no term with the ground truth
     site_vocab = draw(st.sampled_from(["abcdefgh", "uvwxyz"]))
     site_vectors = draw(st.lists(count_vectors(site_vocab), max_size=4))
@@ -224,13 +229,29 @@ def phase2_cases(draw):
     gt_vectors = draw(st.dictionaries(st.sampled_from(CATEGORIES),
                                       st.lists(count_vectors("abcdefgh"), max_size=3),
                                       max_size=12))
-    threshold = draw(st.sampled_from([0.0, 0.3, 0.5, 0.9, 1.0]))
+    drawn = [vec for vectors in gt_vectors.values() for vec in vectors]
+    if drawn:
+        for cat in draw(st.lists(st.sampled_from(CATEGORIES), max_size=3)):
+            gt_vectors.setdefault(cat, []).append(dict(draw(st.sampled_from(drawn))))
+        for _ in range(draw(st.integers(0, 2))):
+            site_vectors.insert(draw(st.integers(0, len(site_vectors))),
+                                dict(draw(st.sampled_from(drawn))))
+    scores = sorted({cosine(sv, gv) for sv in site_vectors
+                     for vectors in gt_vectors.values() for gv in vectors})
+    fixed = st.sampled_from([0.0, 0.3, 0.5, 0.9, 1.0])
+    threshold = draw(st.sampled_from(scores) if scores and draw(st.booleans()) else fixed)
     return site_vectors, gt_vectors, threshold
+
+
+# a copied page scores exactly 1.0, but its term bounds sum to 1 - 2**-53:
+# only the margin keeps it from being skipped at threshold 1.0
+COPIED = {"a": 997, "b": 2, "c": 3, "d": 602, "e": 867, "f": 1}
 
 
 class TestPageIndex:
     @settings(max_examples=300)
     @given(phase2_cases())
+    @example(([COPIED], {Category.DRUGS: [COPIED]}, 1.0))
     def test_matches_brute_force_cosine(self, case):
         site_vectors, gt_vectors, threshold = case
         index = PageIndex()
@@ -241,11 +262,18 @@ class TestPageIndex:
         scores = {cat: max([cosine(sv, gv) for sv in site_vectors for gv in vectors],
                            default=0.0)
                   for cat, vectors in gt_vectors.items()}
-        assert _similarity_label(site_vectors, index, threshold) == \
-            _best_category(scores, threshold)
+        want, want_score = _best_category(scores, threshold)
+        label, score = _similarity_label(site_vectors, index, threshold)
+        assert label is want
+        if label is Category.OTHER:
+            # the score below the threshold is not computed; no pair reached it
+            assert want_score < threshold or want_score == 0.0
+        else:
+            assert score.hex() == want_score.hex()
 
     def test_empty_index_labels_other(self):
-        assert _similarity_label([{"alpha": 2}], PageIndex(), 0.5) == (Category.OTHER, 0.0)
+        label, score = _similarity_label([{"alpha": 2}], PageIndex(), 0.5)
+        assert label is Category.OTHER and score < 0.5
 
 
 class TestTfidfClassifier:

@@ -492,6 +492,10 @@ def reference_path_digest(path) -> str:
     return h.hexdigest()
 
 
+# "a/b" sorts before "a.x" by name at each level, though "." < "/" as text
+TREE_NAMES = ("a", "a.x", "b", ".h", "a-b", "B")
+
+
 class TestPathDigest:
     def test_same_digest_as_hashing_whole_files(self, tmp_path):
         tree = tmp_path / "tree"
@@ -502,6 +506,28 @@ class TestPathDigest:
         (tree / "empty").write_bytes(b"")
         for path in (big, tree / "empty", tree, tmp_path / "absent"):
             assert report._path_digest(path) == reference_path_digest(path)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.lists(st.sampled_from(TREE_NAMES), min_size=1, max_size=3),
+                    max_size=8),
+           st.lists(st.tuples(st.sampled_from(TREE_NAMES),
+                              st.sampled_from(["a", "a/b", "a.x", "missing", "."])),
+                    max_size=3))
+    def test_walk_order_and_symlinks_match_sorted_rglob(self, paths, links):
+        with tempfile.TemporaryDirectory() as tmp:
+            tree = Path(tmp) / "tree"
+            tree.mkdir()
+            for parts in paths:
+                target = tree.joinpath(*parts)
+                parents = [tree.joinpath(*parts[:i]) for i in range(1, len(parts))]
+                if target.exists() or any(p.is_file() for p in parents):
+                    continue
+                target.parent.mkdir(parents=True, exist_ok=True)
+                target.write_text("/".join(parts))
+            for name, to in links:  # "." links to itself, a loop
+                if not os.path.lexists(tree / name):
+                    os.symlink(name if to == "." else to, tree / name)
+            assert report._path_digest(tree) == reference_path_digest(tree)
 
 
 ONIONS = ("a" * 16 + ".onion", "b" * 56 + ".onion")

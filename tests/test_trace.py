@@ -215,6 +215,16 @@ class TestAnnotations:
         assert updated[0].kind == "Benign"
         assert "skipped" in caplog.text
 
+    @pytest.mark.parametrize("fact", [{"registrant": 5}, {"ip": [1]}, {"ip": 7},
+                                      {"ip": "203.0.113.5", "registrant": {"n": 1}}])
+    def test_non_text_identity_field_skipped(self, caplog, fact):
+        hits = [SurfaceHit(address=ADDR, url="https://x.example.com/")]
+        updated, facts, skipped = import_annotations(
+            [{"url": "https://x.example.com/", "kind": "AbuseReport", **fact}], hits)
+        assert skipped == 1 and not facts
+        assert updated[0].kind == "Unreviewed"
+        assert "non-text" in caplog.text
+
     def test_file_form(self, tmp_path):
         hits = [SurfaceHit(address=ADDR, url="https://x.example.com/")]
         path = tmp_path / "ann.jsonl"
