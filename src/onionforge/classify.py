@@ -175,7 +175,11 @@ class GroundTruth:
 
 
 def load_ground_truth(path, corpus: Corpus) -> GroundTruth:
-    """Read {domain, path, category} JSONL, resolving every row against the corpus."""
+    """Read {domain, path, category} JSONL, resolving every row against the corpus.
+
+    A line that is not a JSON object with text domain, path and category
+    raises ClassifyConfigError naming the line.
+    """
     by_key = {(p.domain.name, p.path): p for p in corpus.pages}
     gt = GroundTruth()
     missing = []
@@ -183,7 +187,15 @@ def load_ground_truth(path, corpus: Corpus) -> GroundTruth:
         for lineno, line in enumerate(fh, 1):
             if not line.strip():
                 continue
-            row = json.loads(line)
+            try:
+                row = json.loads(line)
+            except ValueError:
+                row = None
+            if not (isinstance(row, dict) and all(
+                    isinstance(row.get(key), str) for key in ("domain", "path", "category"))):
+                raise ClassifyConfigError(
+                    "ground truth line %d: not a JSON object with text domain, path and "
+                    "category: %r" % (lineno, line.strip()))
             cat = Category.parse(row["category"])
             page = by_key.get((row["domain"], row["path"]))
             if page is None:

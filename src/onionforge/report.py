@@ -7,8 +7,10 @@ format that `artifacts` fixes. Only `run_pipeline` touches the disk: it
 writes each output, hands it on in memory to the later stages of the run,
 and reads an artifact back only when the stage that writes it was skipped,
 once. Stages are skipped on re-runs when their input digests match, which
-makes a run resumable from any completed stage. Outputs carry no wall-clock
-state, so identical inputs produce byte-identical outputs.
+makes a run resumable from any completed stage. run.json keeps each input's
+content digest under its stat signature, so a re-run hashes only the inputs
+whose signature changed or that are racily clean. Outputs carry no
+wall-clock state, so identical inputs produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -160,13 +162,13 @@ def _hash_file(h, path):
             h.update(chunk)
 
 
-def _hash_tree(h, root, prefix=""):
-    """Hash each file under `root` as its relative name, then its bytes.
+def _tree_files(root, prefix=""):
+    """Yield (relative name, DirEntry) of each file under `root`.
 
     One scandir walk, by name at each level, visits files in the order of
     `sorted(Path(root).rglob("*"))`, and treats symlinks as that walk does:
-    a link to a file is hashed, a link to a directory is not entered, and a
-    broken or looping link is skipped.
+    a link to a file is yielded, a link to a directory is not entered, and
+    a broken or looping link is skipped.
     """
     try:
         with os.scandir(root) as it:
@@ -179,35 +181,89 @@ def _hash_tree(h, root, prefix=""):
         except OSError:  # a symlink loop
             continue
         if is_file:
-            h.update((prefix + entry.name).encode())
-            _hash_file(h, entry.path)
+            yield prefix + entry.name, entry
         elif entry.is_dir(follow_symlinks=False):
-            _hash_tree(h, entry.path, prefix + entry.name + "/")
+            yield from _tree_files(entry.path, prefix + entry.name + "/")
 
 
 def _path_digest(path) -> str:
+    """Hash a file as its name, then its bytes; a directory as each file's
+    relative name, then its bytes."""
     path = Path(path)
     h = hashlib.sha256()
     if path.is_file():
         h.update(path.name.encode())
         _hash_file(h, path)
     elif path.is_dir():
-        _hash_tree(h, path)
+        for name, entry in _tree_files(path):
+            h.update(name.encode())
+            _hash_file(h, entry.path)
     else:
         h.update(b"<absent>")
     return h.hexdigest()
 
 
-def _stage_digest(name: str, config_subset: dict, inputs, memo: dict) -> str:
-    """Digest of a stage's config and its (key, path) inputs; `memo` holds this
-    run's path digests. Inputs are keyed by name, not path, so an out dir that
-    is moved or copied keeps its digests."""
-    digests = {}
-    for key, path in inputs:
-        if str(path) not in memo:
-            memo[str(path)] = _path_digest(path)
-        digests[key] = memo[str(path)]
-    payload = {"stage": name, "config": config_subset, "inputs": digests}
+def _stat_signature(path) -> tuple[str, int]:
+    """(signature, newest) of an input, taken without reading its bytes.
+
+    The signature covers size, mtime, ctime, inode and device of each file
+    `_path_digest` would hash, and for a directory each file's relative
+    name. `newest` is the latest mtime or ctime among them, in ns.
+    """
+    path = Path(path)
+    if path.is_file():
+        stats = [("", os.stat(path))]
+    elif path.is_dir():
+        stats = [(name, entry.stat()) for name, entry in _tree_files(path)]
+    else:
+        return "<absent>", 0
+    h = hashlib.sha256()
+    newest = 0
+    for name, st in stats:
+        h.update(b"%s\0%d %d %d %d %d\n" % (name.encode(), st.st_size, st.st_mtime_ns,
+                                           st.st_ctime_ns, st.st_ino, st.st_dev))
+        newest = max(newest, st.st_mtime_ns, st.st_ctime_ns)
+    return h.hexdigest(), newest
+
+
+class InputDigests:
+    """Each stage input's content digest, hashed at most once per run.
+
+    `recorded` holds the last run's [signature, digest] pairs by path, from
+    a run.json last modified at `written_ns`. A recorded digest is reused
+    when the input's signature is unchanged and none of its files was
+    modified at or after `written_ns` (git's racy-clean rule); any other
+    input is hashed. The signature is taken before the input is read, so an
+    edit made while it is hashed leaves a stale signature, never a stale
+    digest. `taken` holds this run's pairs, the ones run.json records.
+    """
+
+    def __init__(self, recorded: dict, written_ns: int):
+        self.recorded = recorded
+        self.written_ns = written_ns
+        self.taken: dict[str, list[str]] = {}
+
+    def digest(self, path) -> str:
+        key = str(path)
+        if key not in self.taken:
+            signature, newest = _stat_signature(path)
+            pair = self.recorded.get(key)  # an entry of another shape counts as absent
+            if not (isinstance(pair, list) and len(pair) == 2 and pair[0] == signature
+                    and isinstance(pair[1], str) and newest < self.written_ns):
+                pair = [signature, _path_digest(path)]
+            self.taken[key] = pair
+        return self.taken[key][1]
+
+    def forget(self, path):
+        """Drop the pair of a path the run rewrites."""
+        self.taken.pop(str(path), None)
+
+
+def _stage_digest(name: str, config_subset: dict, inputs, digests: InputDigests) -> str:
+    """Digest of a stage's config and its (key, path) inputs. Inputs are keyed
+    by name, not path, so an out dir that is moved or copied keeps its digests."""
+    payload = {"stage": name, "config": config_subset,
+               "inputs": {key: digests.digest(path) for key, path in inputs}}
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
@@ -215,6 +271,7 @@ def _stage_digest(name: str, config_subset: dict, inputs, memo: dict) -> str:
 class PipelineRun:
     config: PipelineConfig
     out_dir: Path
+    inputs: InputDigests  # this run's input digests; run.json records their pairs
     run_id: str = ""
     stage_digests: dict = field(default_factory=dict)
     executed: list = field(default_factory=list)
@@ -531,15 +588,23 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> PipelineRu
     config.validate()
     out = Path(config.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    run = PipelineRun(config=config, out_dir=out, started_at=time.time())
 
     manifest_path = out / "run.json"
     try:
-        previous = json.loads(manifest_path.read_text())["stages"]
-    except (OSError, ValueError, TypeError, KeyError):
-        previous = {}
-    if not isinstance(previous, dict):
-        previous = {}  # a run.json of another shape counts as absent, as does none
+        with open(manifest_path, "rb") as fh:
+            manifest = json.load(fh)
+            written_ns = os.fstat(fh.fileno()).st_mtime_ns
+    except (OSError, ValueError):
+        manifest, written_ns = {}, 0
+    # a run.json of another shape counts as absent, as does none, and so does
+    # a misshapen `stages` or `inputs`
+    if not isinstance(manifest, dict):
+        manifest = {}
+    previous, recorded = (value if isinstance(value, dict) else {}
+                          for value in (manifest.get("stages"), manifest.get("inputs")))
+    # an input is hashed at most once per run, until a stage rewrites it
+    run = PipelineRun(config=config, out_dir=out, inputs=InputDigests(recorded, written_ns),
+                      started_at=time.time())
     # stages this run does not reach keep their digests: each digest covers
     # that stage's own inputs, so a later run still re-runs exactly what changed
     run.stage_digests = {name: previous[name] for name, _ in STAGES if name in previous}
@@ -549,13 +614,11 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> PipelineRu
     # each artifact a stage of this run reads -> the last stage that reads it
     last_reader = {a: name for name, _ in stages for a in STAGE_DECLS[name].reads}
     values: dict[str, object] = {}  # this run's artifacts, until their last reader is done
-    # an input is hashed once per run, until a stage rewrites it
-    digests: dict[str, str] = {}
     with pagetext.handoff():
         for name, func in stages:
             decl = STAGE_DECLS[name]
             subset = {k: getattr(config, k) for k in decl.config_keys}
-            digest = _stage_digest(name, subset, decl.inputs(config, out), digests)
+            digest = _stage_digest(name, subset, decl.inputs(config, out), run.inputs)
             outputs_exist = all((out / o).exists() for o in decl.writes)
             if previous.get(name) == digest and outputs_exist:
                 run.skipped.append(name)
@@ -563,6 +626,8 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> PipelineRu
                 log.info("stage %s unchanged; skipping", name)
             else:
                 log.info("stage %s running", name)
+                for written in decl.writes:
+                    run.inputs.forget(out / written)
                 if name in run.stage_digests:
                     # unrecord the stage first, so a kill while it runs or
                     # writes cannot leave its old digest over partial outputs
@@ -579,7 +644,6 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> PipelineRu
                     _write_manifest(run, manifest_path)
                     raise StageError(name, exc) from exc
                 for written in decl.writes:
-                    digests.pop(str(out / written), None)
                     if written in last_reader:
                         values[written] = outputs[written]
                 run.executed.append(name)
@@ -598,8 +662,11 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> PipelineRu
 
 
 def _write_manifest(run: PipelineRun, path: Path):
-    write_json(path, {"v": 1, "run_id": run.run_id, "config": run.config.to_dict(),
-                      "stages": run.stage_digests})
+    """Write run.json whole or not at all: a temp file, then a rename over it."""
+    tmp = path.with_name(path.name + ".tmp")
+    write_json(tmp, {"v": 1, "run_id": run.run_id, "config": run.config.to_dict(),
+                     "stages": run.stage_digests, "inputs": run.inputs.taken})
+    os.replace(tmp, path)
 
 
 # --- tables ---

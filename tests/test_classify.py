@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from datetime import datetime, timezone
@@ -10,7 +11,7 @@ from onionforge.classify import (
     CATEGORIES, TOP_KEYWORDS, Category, ClassifyConfigError, FeatureSet, GroundTruth,
     LabelResult, PageIndex, _best_category, _similarity_label, _tfidf_label,
     aggregate_site_label, build_feature_set, classify_corpus, cosine, ground_truth_index,
-    load_stopwords, term_vector, tfidf_vectors, tokenize,
+    load_ground_truth, load_stopwords, term_vector, tfidf_vectors, tokenize,
 )
 from onionforge.corpus import Corpus, OnionDomain, PageRecord
 from onionforge.pagetext import page_text
@@ -346,6 +347,31 @@ class TestCategoryParse:
     def test_unknown_fatal(self):
         with pytest.raises(ClassifyConfigError):
             Category.parse("Jaywalking")
+
+
+class TestLoadGroundTruth:
+    def test_rows_resolve_against_the_corpus(self, tmp_path):
+        corpus = Corpus()
+        corpus.add(page(dom(0), "/", "pills"))
+        path = tmp_path / "gt.jsonl"
+        path.write_text(json.dumps({"domain": dom(0), "path": "/", "category": "Drugs"})
+                        + "\n\n")
+        assert load_ground_truth(path, corpus).rows == [(corpus.pages[0], Category.DRUGS)]
+
+    @pytest.mark.parametrize("bad", [
+        '[1]', '"x"', 'null', '{"domain": "d', '{"path": "/", "category": "Drugs"}',
+        '{"domain": "d.onion", "category": "Drugs"}', '{"domain": "d.onion", "path": "/"}',
+        '{"domain": "d.onion", "path": "/", "category": 7}',
+        '{"domain": 5, "path": "/", "category": "Drugs"}'])
+    def test_row_that_is_not_an_object_with_text_fields_names_its_line(self, tmp_path, bad):
+        corpus = Corpus()
+        corpus.add(page(dom(0), "/", "pills"))
+        path = tmp_path / "gt.jsonl"
+        path.write_text(json.dumps({"domain": dom(0), "path": "/", "category": "Drugs"})
+                        + "\n\n" + bad + "\n")
+        with pytest.raises(ClassifyConfigError, match="line 3") as err:
+            load_ground_truth(path, corpus)
+        assert repr(bad) in str(err.value)
 
 
 def build_corpus_and_gt():

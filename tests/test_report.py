@@ -25,7 +25,7 @@ from onionforge.report import (
     format_btc, parse_config, run_pipeline,
 )
 
-from planted import EXPECTED_CAMPAIGNS, assert_same_artifacts, build_planted_corpus
+from planted import EXPECTED_CAMPAIGNS, NOISE, assert_same_artifacts, build_planted_corpus
 from rows import illicit_of
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -56,6 +56,14 @@ def planted_run(tmp_path_factory):
     config = parse_config(cfg_file)
     run = run_pipeline(config)
     return planted, config, run, out
+
+
+def age_manifest(out):
+    """Move run.json's mtime a minute later, as if the clock had stepped back:
+    every input is then older than the memo, so none is racily clean."""
+    path = out / "run.json"
+    st = path.stat()
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 60 * 10 ** 9))
 
 
 def read_inputs(out, stage):
@@ -255,7 +263,13 @@ class TestPipeline:
 
         hashed.clear()
         assert run_pipeline(config).executed == []
-        assert hashed and max(hashed.values()) == 1
+        assert max(hashed.values(), default=1) == 1  # an input left racy is hashed
+
+        # a no-op rerun whose memo is not racy hashes nothing
+        age_manifest(out)
+        hashed.clear()
+        assert run_pipeline(config).executed == []
+        assert hashed == Counter()
 
     def test_page_text_does_not_outlive_the_run(self, tmp_path):
         planted = build_planted_corpus(tmp_path / "planted")
@@ -344,6 +358,47 @@ class TestPipeline:
         assert run.executed == list(STAGE_DECLS)
         assert_same_artifacts(out, planted_out)
 
+    @pytest.mark.parametrize("memo", [5, [], "entries"])
+    def test_misshapen_input_memo_counts_as_empty(self, tmp_path, monkeypatch, memo):
+        planted = build_planted_corpus(tmp_path / "planted")
+        out = tmp_path / "out"
+        (tmp_path / "run.cfg").write_text(planted.config_text(out))
+        config = parse_config(tmp_path / "run.cfg")
+        run_pipeline(config)
+        manifest = json.loads((out / "run.json").read_text())
+        if memo == "entries":  # each entry of another shape than a pair of strings
+            shapes = [lambda pair: pair[:1], lambda pair: [pair[0], 5], lambda pair: 5,
+                      lambda pair: pair + pair, lambda pair: dict([pair])]
+            memo = {path: shapes[i % len(shapes)](pair)
+                    for i, (path, pair) in enumerate(sorted(manifest["inputs"].items()))}
+        manifest["inputs"] = memo
+        (out / "run.json").write_text(json.dumps(manifest))
+        age_manifest(out)
+
+        hashed, path_digest = [], report._path_digest
+        monkeypatch.setattr(report, "_path_digest",
+                            lambda path: hashed.append(str(path)) or path_digest(path))
+        assert run_pipeline(config).executed == []
+        assert sorted(hashed) == sorted({str(path) for decl in STAGE_DECLS.values()
+                                         for _, path in decl.inputs(config, out)})
+
+    def test_interrupted_manifest_write_keeps_the_last_manifest(self, tmp_path, monkeypatch):
+        planted = build_planted_corpus(tmp_path / "planted")
+        out = tmp_path / "out"
+        (tmp_path / "run.cfg").write_text(planted.config_text(out))
+        config = parse_config(tmp_path / "run.cfg")
+        run_pipeline(config)
+
+        def torn(path, doc):  # the process dies halfway through the write
+            Path(path).write_text(json.dumps(doc)[:40])
+            raise KeyboardInterrupt
+        monkeypatch.setattr(report, "write_json", torn)
+        with pytest.raises(KeyboardInterrupt):
+            run_pipeline(config)
+        monkeypatch.undo()
+        assert run_pipeline(config).executed == []
+        assert not (out / "run.json.tmp").exists()
+
     def test_kill_during_fetch_tx_leaves_it_unrecorded(self, tmp_path):
         planted = build_planted_corpus(tmp_path / "planted")
         out = tmp_path / "out"
@@ -424,6 +479,116 @@ class TestPipeline:
         with pytest.raises(ConfigError):
             run_pipeline(cfg)
         assert not (tmp_path / "out").exists()
+
+
+# input -> the edits to it that a rerun must notice; the snapshot edits touch
+# the noise site, which no ground-truth row names
+EDITS = {"file": ("same-size", "append", "replace", "retarget"),
+         "snapshot": ("same-size", "append", "delete", "add", "rename", "retarget")}
+READER = {"file": "trace", "snapshot": "ingest"}
+
+
+def edit_bytes(path, kind, at):
+    """Change the file's bytes: one byte at `at` with the mtime kept, or an append."""
+    data = bytearray(path.read_bytes())
+    if kind == "append":
+        path.write_bytes(bytes(data) + b"<p>more.example</p>\n")
+        return
+    st = path.stat()
+    at %= len(data)
+    data[at] = ord("x") if data[at] != ord("x") else ord("y")
+    path.write_bytes(bytes(data))
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+
+
+class TestInputMemo:
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([(i, e) for i, edits in EDITS.items() for e in edits]),
+           st.integers(0, 10 ** 6), st.booleans())
+    def test_edited_input_reruns_its_stage(self, edit, at, aged):
+        target, kind = edit
+        with tempfile.TemporaryDirectory() as tmp:
+            tmp = Path(tmp)
+            planted = build_planted_corpus(tmp / "planted")
+            for name in ("a", "b"):  # symlink targets, outside the snapshot
+                (tmp / ("explorers." + name)).write_text("btc.com\n%s.example\n" % name)
+                (tmp / ("page." + name)).write_text("<p>%s.example</p>" % name)
+            explorers, site = tmp / "explorers", planted.snapshot / NOISE
+            page, link = site / "index.html", (explorers if target == "file"
+                                               else site / "%2Flink.html")
+            if kind == "retarget":
+                os.symlink(tmp / ("explorers.a" if target == "file" else "page.a"), link)
+            if not explorers.exists():
+                shutil.copy(tmp / "explorers.a", explorers)
+            cfg_text = planted.config_text(tmp / "out") + "explorer_domains = %s\n" % explorers
+            (tmp / "run.cfg").write_text(cfg_text)
+            config = parse_config(tmp / "run.cfg")
+            run_pipeline(config)
+            if aged:
+                age_manifest(tmp / "out")
+
+            edited = explorers if target == "file" else page
+            if kind in ("same-size", "append"):
+                edit_bytes(edited, kind, at)
+            elif kind == "replace":
+                os.replace(tmp / "explorers.b", explorers)
+            elif kind == "retarget":
+                link.unlink()
+                os.symlink(tmp / ("explorers.b" if target == "file" else "page.b"), link)
+            elif kind == "delete":
+                page.unlink()
+            elif kind == "add":
+                (site / "%2Fnew.html").write_text("<p>new.example</p>")
+            else:
+                page.rename(site / "%2Frenamed.html")
+            assert READER[target] in run_pipeline(config).executed
+
+            fresh = dataclasses.replace(config, out_dir=str(tmp / "fresh"))
+            run_pipeline(fresh)
+            assert_same_artifacts(tmp / "out", tmp / "fresh")
+
+    def test_input_edited_after_its_digest_reruns_its_stage(self, tmp_path, monkeypatch):
+        planted = build_planted_corpus(tmp_path / "planted")
+        out = tmp_path / "out"
+        (tmp_path / "run.cfg").write_text(planted.config_text(out))
+        config = parse_config(tmp_path / "run.cfg")
+        trace_stage = dict(report.STAGES)["trace"]
+
+        def edit_then_trace(cfg, inputs):  # ingest has read the snapshot by now
+            with open(planted.snapshot / NOISE / "index.html", "ab") as fh:
+                fh.write(b"<p>late.example</p>")
+            return trace_stage(cfg, inputs)
+        monkeypatch.setattr(report, "STAGES", tuple(
+            (name, edit_then_trace if name == "trace" else fn) for name, fn in report.STAGES))
+        run_pipeline(config)
+        monkeypatch.undo()
+        age_manifest(out)
+
+        assert "ingest" in run_pipeline(config).executed
+        run_pipeline(dataclasses.replace(config, out_dir=str(tmp_path / "fresh")))
+        assert_same_artifacts(out, tmp_path / "fresh")
+
+    def test_input_edited_while_hashed_reruns_its_stage(self, tmp_path, monkeypatch):
+        planted = build_planted_corpus(tmp_path / "planted")
+        out = tmp_path / "out"
+        (tmp_path / "run.cfg").write_text(planted.config_text(out))
+        config = parse_config(tmp_path / "run.cfg")
+        path_digest = report._path_digest
+
+        def edit_after_hashing(path):  # the edit lands after the read, before the record
+            digest = path_digest(path)
+            if Path(path) == planted.snapshot:
+                with open(planted.snapshot / NOISE / "index.html", "ab") as fh:
+                    fh.write(b"<p>late.example</p>")
+            return digest
+        monkeypatch.setattr(report, "_path_digest", edit_after_hashing)
+        run_pipeline(config)
+        monkeypatch.undo()
+        age_manifest(out)
+
+        assert "ingest" in run_pipeline(config).executed
+        run_pipeline(dataclasses.replace(config, out_dir=str(tmp_path / "fresh")))
+        assert_same_artifacts(out, tmp_path / "fresh")
 
 
 TXIDS = ["%064x" % n for n in range(4)]  # few, so a ledger repeats txids
