@@ -18,12 +18,26 @@ from importlib import resources
 from pathlib import Path
 
 
-def read_jsonl(path):
-    """Yield the rows of a JSONL file, skipping blank lines."""
+class NotJson(ValueError):
+    """A line of a JSONL file that is not JSON, named by its line number."""
+
+
+def read_jsonl(path, keep_bad_lines: bool = False):
+    """Yield the rows of a JSONL file, skipping blank lines.
+
+    A line that is not JSON raises NotJson, or with `keep_bad_lines` is
+    yielded as its NotJson, for the caller to skip and count.
+    """
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             if line.strip():
-                yield json.loads(line)
+                try:
+                    row = json.loads(line)
+                except ValueError:
+                    row = NotJson("line %d is not JSON: %r" % (lineno, line.strip()))
+                    if not keep_bad_lines:
+                        raise row from None
+                yield row
 
 
 def write_jsonl(path, rows):

@@ -10,13 +10,12 @@ from __future__ import annotations
 import json
 import logging
 import re
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple
 
-from .artifacts import parse_utc, read_jsonl
+from .artifacts import NotJson, parse_utc, read_jsonl
 from .classify import Category
 from .net import NOT_FOUND, Client, FetchError
 
@@ -126,12 +125,15 @@ def ledger_json(transactions) -> str:
         for tx in transactions)
 
 
-@dataclass
 class AddressLedger:
-    address: str
-    transactions: list[Transaction] = field(default_factory=list)
-    received: int = 0
-    sent: int = 0
+    def __init__(self, address: str, transactions: list[Transaction] | None = None,
+                 received: int = 0, sent: int = 0):
+        self.address = address
+        self.transactions = [] if transactions is None else transactions
+        self.received, self.sent = received, sent
+
+    def __eq__(self, other):
+        return type(other) is AddressLedger and vars(self) == vars(other)
 
     @property
     def balance(self) -> int:
@@ -255,9 +257,12 @@ def load_annotations(path) -> dict[tuple[str, str], AddressAnnotation]:
     """Analyst rows {domain, address, zone, prior_tx_with_payment?, note?} by
     (domain, address). A row that is not an object with text domain and
     address, an unknown zone, or a flag that is not a JSON bool (the string
-    "false" is not false) raises ChainError naming the row."""
+    "false" is not false) raises ChainError naming the row, and a line that
+    is not JSON one naming its line number."""
     out = {}
-    for row in read_jsonl(path):
+    for row in read_jsonl(path, keep_bad_lines=True):
+        if isinstance(row, NotJson):
+            raise ChainError("chain annotations %s" % row)
         if not (isinstance(row, dict) and isinstance(row.get("domain"), str)
                 and isinstance(row.get("address"), str)):
             raise ChainError("annotation %r: not an object with text domain and address"
@@ -272,10 +277,9 @@ def load_annotations(path) -> dict[tuple[str, str], AddressAnnotation]:
     return out
 
 
-@dataclass
-class FilterResult:
-    retained: dict[str, str] = field(default_factory=dict)   # address -> reviewed|unreviewed
-    removed: dict[str, str] = field(default_factory=dict)    # address -> reason
+class FilterResult(NamedTuple):
+    retained: dict[str, str]  # address -> reviewed|unreviewed
+    removed: dict[str, str]   # address -> reason
 
 
 def filter_illicit_addresses(domain: str, category: Category, addresses,
@@ -287,7 +291,7 @@ def filter_illicit_addresses(domain: str, category: Category, addresses,
     payment address, visitor addresses on forum pages, and flagged
     non-payment hash strings. Unannotated addresses stay, flagged unreviewed.
     """
-    result = FilterResult()
+    result = FilterResult({}, {})
     for address in addresses:
         ann = annotations.get((domain, address))
         if ann is None:
@@ -330,8 +334,7 @@ def _apportion(value: int, categories) -> dict[Category, int]:
     return {c: share + (1 if i < rem else 0) for i, c in enumerate(cats)}
 
 
-@dataclass
-class IncomeReport:
+class IncomeReport(NamedTuple):
     total: int
     per_address: dict[str, int]
     incoming: dict[str, int]  # address -> counted transactions paying it

@@ -16,7 +16,7 @@ import enum
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .artifacts import word_list
 from .corpus import Corpus, OnionDomain, PageRecord
@@ -161,11 +161,11 @@ def tfidf_vectors(count_vectors: list[TermVector]) -> tuple[list[TermVector], di
             for vec in count_vectors], idf
 
 
-@dataclass
 class GroundTruth:
     """(page, category) annotations with per-site aggregation."""
 
-    rows: list[tuple[PageRecord, Category]] = field(default_factory=list)
+    def __init__(self, rows: list[tuple[PageRecord, Category]] | None = None):
+        self.rows = [] if rows is None else rows
 
     def site_page_labels(self) -> dict[OnionDomain, list[Category]]:
         out: dict[OnionDomain, list[Category]] = {}
@@ -230,7 +230,6 @@ def _best_category(scores: dict[Category, float], threshold: float) -> tuple[Cat
     return Category.OTHER, best_score
 
 
-@dataclass
 class PageIndex:
     """Inverted index of the ground-truth page vectors that phase 2 searches.
 
@@ -241,11 +240,12 @@ class PageIndex:
     `ranks` holds each page's category as its position in `CATEGORIES`.
     """
 
-    postings: dict[str, list[int]] = field(default_factory=dict)
-    max_weight: dict[str, float] = field(default_factory=dict)
-    vectors: list[TermVector] = field(default_factory=list)
-    norms: list[float] = field(default_factory=list)
-    ranks: list[int] = field(default_factory=list)
+    def __init__(self):
+        self.postings: dict[str, list[int]] = {}
+        self.max_weight: dict[str, float] = {}
+        self.vectors: list[TermVector] = []
+        self.norms: list[float] = []
+        self.ranks: list[int] = []
 
     def add(self, vector: TermVector, category: Category):
         page = len(self.vectors)
@@ -317,21 +317,18 @@ def _similarity_label(site_vectors, index: PageIndex, threshold):
     return Category.OTHER, best
 
 
-@dataclass
 class FeatureSet:
     """Merged top-TF-IDF keywords with the vectors needed for projection."""
 
-    keywords: list[str]
-    category_vectors: dict[Category, TermVector]   # full TF-IDF vectors
-    idf: dict[str, float]
-    top_keywords: dict[Category, list[str]]
-    keyword_set: frozenset[str] = field(init=False)
-    projected: dict[Category, TermVector] = field(init=False)  # vectors on keywords
-
-    def __post_init__(self):
-        self.keyword_set = frozenset(self.keywords)
+    def __init__(self, keywords: list[str], category_vectors: dict[Category, TermVector],
+                 idf: dict[str, float], top_keywords: dict[Category, list[str]]):
+        self.keywords = keywords
+        self.category_vectors = category_vectors  # full TF-IDF vectors
+        self.idf = idf
+        self.top_keywords = top_keywords
+        self.keyword_set = frozenset(keywords)
         self.projected = {cat: {t: w for t, w in vec.items() if t in self.keyword_set}
-                          for cat, vec in self.category_vectors.items()}
+                          for cat, vec in category_vectors.items()}  # vectors on keywords
 
 
 def ground_truth_index(gt: GroundTruth, stopwords: set[str]) -> PageIndex:
@@ -385,8 +382,7 @@ def _tfidf_label(site_counts: TermVector, fs: FeatureSet, threshold):
     return _best_category(scores, threshold)
 
 
-@dataclass
-class LabelResult:
+class LabelResult(NamedTuple):
     domain: OnionDomain
     category: Category
     phase: str          # ground-truth | cosine | tfidf | none

@@ -12,7 +12,7 @@ results independent of the order edges are processed in.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from typing import NamedTuple
 from urllib.parse import urlparse
 
 from . import chain
@@ -85,10 +85,10 @@ EDGE_KINDS = ("site-hosts-addr", "site-lists-email", "common-input", "internal-t
               "url-resolves-ip", "url-registered-by", "addr-found-at-url")
 
 
-@dataclass
 class EntityGraph:
-    nodes: dict[str, dict] = field(default_factory=dict)
-    edges: set[tuple[str, str, str]] = field(default_factory=set)  # (kind, min, max)
+    def __init__(self):
+        self.nodes: dict[str, dict] = {}
+        self.edges: set[tuple[str, str, str]] = set()  # (kind, min, max)
 
     def add_node(self, nid: str, **attrs):
         node = self.nodes.setdefault(nid, {"type": node_kind(nid)})
@@ -311,8 +311,7 @@ def campaign_stats(partition: UnionFind, labels: dict[str, Category],
     return raw, stats
 
 
-@dataclass
-class ClusterResult:
+class ClusterResult(NamedTuple):
     campaigns: list[dict]  # campaigns.json rows
     trace: list[dict]      # phase_trace.json rows
     partition: UnionFind

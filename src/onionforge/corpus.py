@@ -15,7 +15,6 @@ import base64
 import json
 import logging
 import re
-from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -32,40 +31,44 @@ class CorpusError(Exception):
     pass
 
 
-@dataclass(frozen=True, order=True)
 class OnionDomain:
     """A syntactically valid .onion name, canonical lowercase."""
 
-    name: str
-
-    def __post_init__(self):
-        canon = self.name.strip().lower()
+    def __init__(self, name: str):
+        canon = name.strip().lower()
         if not ONION_NAME_RE.match(canon):
-            raise ValueError("not a v2/v3 onion name: %r" % self.name)
-        object.__setattr__(self, "name", canon)
+            raise ValueError("not a v2/v3 onion name: %r" % name)
+        self.name = canon
+
+    def __eq__(self, other):
+        return type(other) is OnionDomain and self.name == other.name
+
+    def __lt__(self, other):
+        return self.name < other.name if type(other) is OnionDomain else NotImplemented
+
+    def __hash__(self):
+        return hash(self.name)
+
+    def __repr__(self):
+        return "OnionDomain(%r)" % self.name
 
     def __str__(self):
         return self.name
 
 
-@dataclass(frozen=True)
 class PageRecord:
-    domain: OnionDomain
-    path: str
-    html: bytes
-    fetched_at: datetime
-
-    def __post_init__(self):
-        if not self.html:
+    def __init__(self, domain: OnionDomain, path: str, html: bytes, fetched_at: datetime):
+        if not html:
             raise ValueError("page html must be non-empty")
+        self.domain, self.path, self.html, self.fetched_at = domain, path, html, fetched_at
 
 
-@dataclass
 class Corpus:
     """Pages by domain and path; adding a page at a known (domain, path) replaces it."""
 
-    index: dict[OnionDomain, dict[str, PageRecord]] = field(default_factory=dict)
-    skipped: list[str] = field(default_factory=list)  # ingest warnings
+    def __init__(self):
+        self.index: dict[OnionDomain, dict[str, PageRecord]] = {}
+        self.skipped: list[str] = []  # ingest warnings
 
     def add(self, page: PageRecord):
         self.index.setdefault(page.domain, {})[page.path] = page

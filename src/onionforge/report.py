@@ -25,8 +25,8 @@ import os
 import re
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import NamedTuple
 
 from . import chain, classify, cluster, extract, pagetext, trace
 from .artifacts import read_jsonl, write_json, write_jsonl
@@ -56,8 +56,7 @@ def format_btc(satoshi: int) -> str:
     return "%s%d.%08d" % (sign, whole, frac)
 
 
-@dataclass
-class PipelineConfig:
+class PipelineConfig(NamedTuple):
     corpus_root: str = ""
     ground_truth: str = ""
     out_dir: str = ""
@@ -101,9 +100,6 @@ class PipelineConfig:
             if getattr(self, key) < 1:
                 raise ConfigError("%s must be >= 1" % key)
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 # config keys that name a file or directory whose contents a stage reads
 PATH_KEYS = frozenset({"corpus_root", "ground_truth", "tx_fixtures", "search_fixtures",
@@ -120,8 +116,8 @@ def parse_config(path) -> PipelineConfig:
     A line that starts with "#" is a comment, and so is the rest of a line
     from a "#" that follows whitespace.
     """
-    types = {f.name: f.type for f in fields(PipelineConfig)}
-    cfg = PipelineConfig()
+    defaults = PipelineConfig._field_defaults
+    values = {}
     try:
         lines = Path(path).read_text().splitlines()
     except OSError as exc:
@@ -135,18 +131,13 @@ def parse_config(path) -> PipelineConfig:
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = _INLINE_COMMENT.split(value, 1)[0].strip().strip("'\"")
-        if key not in types:
+        if key not in defaults:
             raise ConfigError("unknown config key %r (line %d)" % (key, lineno))
-        kind = types[key]
         try:
-            if kind in ("float", float):
-                setattr(cfg, key, float(value))
-            elif kind in ("int", int):
-                setattr(cfg, key, int(value))
-            else:
-                setattr(cfg, key, value)
+            values[key] = type(defaults[key])(value)  # each key has its default's type
         except ValueError:
             raise ConfigError("bad value for %s: %r (line %d)" % (key, value, lineno)) from None
+    cfg = PipelineConfig(**values)
     cfg.validate()
     return cfg
 
@@ -235,7 +226,7 @@ class InputDigests:
     modified at or after `written_ns` (git's racy-clean rule); any other
     input is hashed. The signature is taken before the input is read, so an
     edit made while it is hashed leaves a stale signature, never a stale
-    digest. `taken` holds this run's pairs, the ones run.json records.
+    digest. `taken` holds this run's pairs.
     """
 
     def __init__(self, recorded: dict, written_ns: int):
@@ -243,20 +234,37 @@ class InputDigests:
         self.written_ns = written_ns
         self.taken: dict[str, list[str]] = {}
 
+    def _recorded(self, key: str, signature: str, newest: int) -> str | None:
+        """The recorded digest of `key`, if its pair still holds."""
+        pair = self.recorded.get(key)  # an entry of another shape counts as absent
+        if (isinstance(pair, list) and len(pair) == 2 and pair[0] == signature
+                and isinstance(pair[1], str) and newest < self.written_ns):
+            return pair[1]
+        return None
+
     def digest(self, path) -> str:
         key = str(path)
         if key not in self.taken:
             signature, newest = _stat_signature(path)
-            pair = self.recorded.get(key)  # an entry of another shape counts as absent
-            if not (isinstance(pair, list) and len(pair) == 2 and pair[0] == signature
-                    and isinstance(pair[1], str) and newest < self.written_ns):
-                pair = [signature, _path_digest(path)]
-            self.taken[key] = pair
+            digest = self._recorded(key, signature, newest) or _path_digest(path)
+            self.taken[key] = [signature, digest]
         return self.taken[key][1]
 
     def forget(self, path):
         """Drop the pair of a path the run rewrites."""
         self.taken.pop(str(path), None)
+
+    def pairs(self, paths) -> dict[str, list[str]]:
+        """The pairs run.json records: this run's, and the recorded pair of
+        each of `paths` the run did not consult that `digest` would still
+        trust. Checking one reads no bytes."""
+        pairs = dict(self.taken)
+        for key in map(str, paths):
+            if key not in pairs and key in self.recorded:
+                signature, newest = _stat_signature(key)
+                if self._recorded(key, signature, newest):
+                    pairs[key] = self.recorded[key]
+        return pairs
 
 
 def _stage_digest(name: str, config_subset: dict, inputs, digests: InputDigests) -> str:
@@ -267,19 +275,19 @@ def _stage_digest(name: str, config_subset: dict, inputs, digests: InputDigests)
     return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
-@dataclass
 class PipelineRun:
-    config: PipelineConfig
-    out_dir: Path
-    inputs: InputDigests  # this run's input digests; run.json records their pairs
-    run_id: str = ""
-    stage_digests: dict = field(default_factory=dict)
-    executed: list = field(default_factory=list)
-    skipped: list = field(default_factory=list)
-    # wall-clock times stay in memory and logs; persisted artifacts must be
-    # byte-reproducible for identical inputs
-    started_at: float = 0.0
-    finished_at: float = 0.0
+    def __init__(self, config: PipelineConfig, out_dir: Path, inputs: InputDigests):
+        self.config = config
+        self.out_dir = out_dir
+        self.inputs = inputs  # this run's input digests; run.json records their pairs
+        self.run_id = ""
+        self.stage_digests: dict = {}
+        self.executed: list = []
+        self.skipped: list = []
+        # wall-clock times stay in memory and logs; persisted artifacts must be
+        # byte-reproducible for identical inputs
+        self.started_at = time.time()
+        self.finished_at = 0.0
 
 
 # --- the artifacts ---
@@ -345,8 +353,7 @@ def _read_json(path) -> dict:
     return json.loads(Path(path).read_text())
 
 
-@dataclass(frozen=True)
-class Artifact:
+class Artifact(NamedTuple):
     """One artifact under out_dir, declared once.
 
     `write(path, value)` stores a stage's output value. `read(path)` gives
@@ -387,8 +394,7 @@ ARTIFACTS: dict[str, Artifact] = {a.name: a for a in (
 
 # --- the stages ---
 
-@dataclass(frozen=True)
-class Stage:
+class Stage(NamedTuple):
     """One pipeline stage, declared once; `run_pipeline` and the CLI use it.
 
     `fn(config, inputs)` takes the values of the artifacts named in `reads`
@@ -530,7 +536,8 @@ def stage_trace(cfg: PipelineConfig, inputs: dict) -> dict:
     hits, failures = trace.search_all(inputs["illicit.jsonl"], provider, domains)
     facts = []
     if cfg.trace_annotations:
-        hits, facts, _ = trace.import_annotations(read_jsonl(cfg.trace_annotations), hits)
+        hits, facts, _ = trace.import_annotations(
+            read_jsonl(cfg.trace_annotations, keep_bad_lines=True), hits)
     return {"hits.jsonl": trace.hit_rows(hits, failures),
             "surface.jsonl": trace.surface_links(hits, facts)}
 
@@ -603,8 +610,7 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> PipelineRu
     previous, recorded = (value if isinstance(value, dict) else {}
                           for value in (manifest.get("stages"), manifest.get("inputs")))
     # an input is hashed at most once per run, until a stage rewrites it
-    run = PipelineRun(config=config, out_dir=out, inputs=InputDigests(recorded, written_ns),
-                      started_at=time.time())
+    run = PipelineRun(config, out, InputDigests(recorded, written_ns))
     # stages this run does not reach keep their digests: each digest covers
     # that stage's own inputs, so a later run still re-runs exactly what changed
     run.stage_digests = {name: previous[name] for name, _ in STAGES if name in previous}
@@ -653,7 +659,7 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> PipelineRu
                     values.pop(artifact, None)
 
     run.run_id = hashlib.sha256(json.dumps(
-        {"config": config.to_dict(), "stages": run.stage_digests},
+        {"config": config._asdict(), "stages": run.stage_digests},
         sort_keys=True).encode()).hexdigest()[:16]
     run.finished_at = time.time()
     _write_manifest(run, manifest_path)
@@ -664,8 +670,11 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> PipelineRu
 def _write_manifest(run: PipelineRun, path: Path):
     """Write run.json whole or not at all: a temp file, then a rename over it."""
     tmp = path.with_name(path.name + ".tmp")
-    write_json(tmp, {"v": 1, "run_id": run.run_id, "config": run.config.to_dict(),
-                     "stages": run.stage_digests, "inputs": run.inputs.taken})
+    # a stage this run did not reach keeps its inputs' pairs, as it keeps its digest
+    inputs = [path for decl in STAGE_DECLS.values()
+              for _, path in decl.inputs(run.config, run.out_dir)]
+    write_json(tmp, {"v": 1, "run_id": run.run_id, "config": run.config._asdict(),
+                     "stages": run.stage_digests, "inputs": run.inputs.pairs(inputs)})
     os.replace(tmp, path)
 
 

@@ -9,7 +9,7 @@ from pathlib import Path
 from typing import NamedTuple
 from urllib.parse import urlparse
 
-from .artifacts import word_list
+from .artifacts import NotJson, word_list
 from .net import NOT_FOUND, Client
 
 log = logging.getLogger("onionforge.trace")
@@ -130,9 +130,9 @@ def filter_explorer_urls(hits, explorer_domains: set[str]) -> list[SurfaceHit]:
 def import_annotations(rows, hits):
     """Apply analyst rows {url, kind?, ip?, registrant?, note?} to hits.
 
-    A row that is not an object, that names a URL absent from the hit list,
-    or whose kind is unknown or whose ip or registrant is not text, is
-    skipped with a warning.
+    A line that is not JSON (a `NotJson` row), a row that is not an object,
+    that names a URL absent from the hit list, or whose kind is unknown or
+    whose ip or registrant is not text, is skipped with a warning.
     Returns (updated hits, identity facts, skipped row count).
     """
     known_urls = {h.url for h in hits}
@@ -140,6 +140,10 @@ def import_annotations(rows, hits):
     facts: list[IdentityFact] = []
     skipped = 0
     for row in rows:
+        if isinstance(row, NotJson):
+            log.warning("annotation %s; skipped", row)
+            skipped += 1
+            continue
         if not isinstance(row, dict):
             log.warning("annotation that is not an object skipped: %r", row)
             skipped += 1

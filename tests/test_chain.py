@@ -609,6 +609,13 @@ class TestFilter:
             load_annotations(path)
         assert repr(json.loads(bad)) in str(err.value)
 
+    def test_line_that_is_not_json_names_its_line(self, tmp_path):
+        path = tmp_path / "ann.jsonl"
+        path.write_text(json.dumps({"domain": "d.onion", "address": "a", "zone": "payment"})
+                        + '\n\n{"domain": "d\n')
+        with pytest.raises(ChainError, match="line 3 is not JSON"):
+            load_annotations(path)
+
     def test_illicit_set_rejects_other(self):
         # the filter stage keeps no address of a site labelled Other
         address_rows = [{"v": 1, "domain": site, "path": "/", "kind": "btc", "value": value,

@@ -191,3 +191,20 @@ def test_src_imports_neither_html_parser_nor_requests():
             " or None)\n")
     env = dict(os.environ, PYTHONPATH=str(Path(onionforge.__file__).parents[1]))
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_src_imports_no_dataclasses():
+    # each record type is a NamedTuple or a plain class: `dataclasses` and the
+    # modules it pulls in (`inspect`, `ast`, `dis`) would double the import time.
+    # -S keeps site hooks from loading any of them first
+    code = ("import importlib, pathlib, sys\n"
+            "names = sorted(p.stem for p in pathlib.Path(sys.argv[1]).glob('[!_]*.py'))\n"
+            "before = set(sys.modules)\n"
+            "for name in names:\n"
+            "    importlib.import_module('onionforge.' + name)\n"
+            "heavy = {'dataclasses', 'inspect', 'ast', 'dis'}\n"
+            "sys.exit(sorted(heavy & (set(sys.modules) - before)) or None)\n")
+    package = Path(onionforge.__file__).parent
+    env = dict(os.environ, PYTHONPATH=str(package.parent))
+    assert subprocess.run([sys.executable, "-S", "-c", code, str(package)],
+                          env=env).returncode == 0

@@ -1,4 +1,3 @@
-import dataclasses
 import hashlib
 import json
 import os
@@ -107,11 +106,28 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="no_such_key"):
             parse_config(cfg_file)
 
-    def test_bad_value(self, tmp_path):
+    @pytest.mark.parametrize("key", [k for k, v in PipelineConfig._field_defaults.items()
+                                     if not isinstance(v, str)])
+    def test_bad_value(self, tmp_path, key):
         cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text("threshold = lots\n")
-        with pytest.raises(ConfigError, match="threshold"):
+        cfg_file.write_text("%s = lots\n" % key)
+        with pytest.raises(ConfigError, match=key):
             parse_config(cfg_file)
+
+    def test_each_value_has_the_type_of_its_default(self, tmp_path):
+        (tmp_path / "c").mkdir()
+        (tmp_path / "gt.jsonl").write_text("")
+        values = {"corpus_root": tmp_path / "c", "ground_truth": tmp_path / "gt.jsonl",
+                  "out_dir": tmp_path / "out", "threshold": "1", "rate_limit": "2",
+                  "public_threshold": "3", "vanity_prefix": "4", "top_n": "5",
+                  "min_received": "6"}
+        (tmp_path / "run.cfg").write_text("".join(
+            "%s = %s\n" % (key, values.get(key, "x"))
+            for key in PipelineConfig._fields if key != "provider"))
+        cfg = parse_config(tmp_path / "run.cfg")
+        for key, default in PipelineConfig._field_defaults.items():
+            assert type(getattr(cfg, key)) is type(default), key
+        assert (cfg.threshold, cfg.rate_limit, cfg.top_n, cfg.base_url) == (1.0, 2.0, 5, "x")
 
     def test_missing_required(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -235,6 +251,56 @@ class TestPipeline:
         # nothing changed, so the stages past `until` are still up to date
         assert run_pipeline(config).executed == []
 
+    def test_partial_run_keeps_the_memo_of_later_stages(self, tmp_path, monkeypatch):
+        hashed = Counter()
+        path_digest = report._path_digest
+        monkeypatch.setattr(report, "_path_digest",
+                            lambda path: hashed.update([str(path)]) or path_digest(path))
+        planted = build_planted_corpus(tmp_path / "planted")
+        out = tmp_path / "out"
+        (tmp_path / "run.cfg").write_text(planted.config_text(out))
+        config = parse_config(tmp_path / "run.cfg")
+        run_pipeline(config)
+        age_manifest(out)
+        run_pipeline(config)
+        hashed.clear()
+        assert run_pipeline(config, until="extract").executed == []
+        # the inputs of the stages past `until` keep their pairs in run.json
+        assert run_pipeline(config).executed == []
+        assert hashed == Counter()
+
+    def test_input_edited_after_a_partial_run_reruns_its_stage(self, tmp_path):
+        planted = build_planted_corpus(tmp_path / "planted")
+        out = tmp_path / "out"
+        (tmp_path / "run.cfg").write_text(planted.config_text(out))
+        config = parse_config(tmp_path / "run.cfg")
+        run_pipeline(config)
+        age_manifest(out)
+        run_pipeline(config, until="extract")
+        # a same-size edit with the mtime put back: only the ctime moves
+        path = planted.trace_annotations
+        st = path.stat()
+        path.write_text(path.read_text().replace("IllicitSite", "AbuseReport", 1))
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+        assert "trace" in run_pipeline(config).executed
+        run_pipeline(config._replace(out_dir=str(tmp_path / "fresh")))
+        assert_same_artifacts(out, tmp_path / "fresh")
+
+    def test_racy_pair_is_not_carried(self, tmp_path):
+        planted = build_planted_corpus(tmp_path / "planted")
+        out = tmp_path / "out"
+        (tmp_path / "run.cfg").write_text(planted.config_text(out))
+        config = parse_config(tmp_path / "run.cfg")
+        run_pipeline(config)
+        key = str(planted.trace_annotations)
+        signature, newest = report._stat_signature(key)
+        assert json.loads((out / "run.json").read_text())["inputs"][key][0] == signature
+        # run.json as old as the file's last change: its pair is racily clean
+        os.utime(out / "run.json", ns=(newest, newest))
+        run_pipeline(config, until="extract")
+        assert key not in json.loads((out / "run.json").read_text())["inputs"]
+        assert run_pipeline(config).executed == []
+
     def test_each_page_parsed_once_and_each_input_hashed_once(self, tmp_path,
                                                               monkeypatch):
         parsed, hashed = Counter(), Counter()
@@ -313,8 +379,8 @@ class TestPipeline:
         read = []
         for name, artifact in list(ARTIFACTS.items()):
             if artifact.read is not None:
-                monkeypatch.setitem(ARTIFACTS, name, dataclasses.replace(
-                    artifact, read=lambda path, name=name, fn=artifact.read:
+                monkeypatch.setitem(ARTIFACTS, name, artifact._replace(
+                    read=lambda path, name=name, fn=artifact.read:
                     read.append(name) or fn(path)))
         planted = build_planted_corpus(tmp_path / "planted")
         out = tmp_path / "out"
@@ -337,14 +403,14 @@ class TestPipeline:
         assert sorted(read) == sorted({a for s in resumed.executed
                                        for a in STAGE_DECLS[s].reads if a not in written})
         fresh = tmp_path / "fresh"
-        run_pipeline(dataclasses.replace(config, out_dir=str(fresh)))
+        run_pipeline(config._replace(out_dir=str(fresh)))
         assert_same_artifacts(out, fresh)
 
     def test_copied_out_dir_skips_everything(self, planted_run, tmp_path):
         _, config, _, planted_out = planted_run
         out = tmp_path / "moved" / "out"
         shutil.copytree(planted_out, out)
-        run = run_pipeline(dataclasses.replace(config, out_dir=str(out)))
+        run = run_pipeline(config._replace(out_dir=str(out)))
         assert run.executed == []
         assert_same_artifacts(out, planted_out)
 
@@ -354,7 +420,7 @@ class TestPipeline:
         out = tmp_path / "out"
         shutil.copytree(planted_out, out)
         (out / "run.json").write_text(manifest)
-        run = run_pipeline(dataclasses.replace(config, out_dir=str(out)))
+        run = run_pipeline(config._replace(out_dir=str(out)))
         assert run.executed == list(STAGE_DECLS)
         assert_same_artifacts(out, planted_out)
 
@@ -421,7 +487,7 @@ class TestPipeline:
         resumed = run_pipeline(config)
         assert "fetch-tx" in resumed.executed
         fresh = tmp_path / "fresh"
-        run_pipeline(dataclasses.replace(config, out_dir=str(fresh)))
+        run_pipeline(config._replace(out_dir=str(fresh)))
         assert_same_artifacts(out, fresh)
 
     def test_edited_ledger_changes_the_tables(self, tmp_path):
@@ -543,7 +609,7 @@ class TestInputMemo:
                 page.rename(site / "%2Frenamed.html")
             assert READER[target] in run_pipeline(config).executed
 
-            fresh = dataclasses.replace(config, out_dir=str(tmp / "fresh"))
+            fresh = config._replace(out_dir=str(tmp / "fresh"))
             run_pipeline(fresh)
             assert_same_artifacts(tmp / "out", tmp / "fresh")
 
@@ -565,7 +631,7 @@ class TestInputMemo:
         age_manifest(out)
 
         assert "ingest" in run_pipeline(config).executed
-        run_pipeline(dataclasses.replace(config, out_dir=str(tmp_path / "fresh")))
+        run_pipeline(config._replace(out_dir=str(tmp_path / "fresh")))
         assert_same_artifacts(out, tmp_path / "fresh")
 
     def test_input_edited_while_hashed_reruns_its_stage(self, tmp_path, monkeypatch):
@@ -587,7 +653,7 @@ class TestInputMemo:
         age_manifest(out)
 
         assert "ingest" in run_pipeline(config).executed
-        run_pipeline(dataclasses.replace(config, out_dir=str(tmp_path / "fresh")))
+        run_pipeline(config._replace(out_dir=str(tmp_path / "fresh")))
         assert_same_artifacts(out, tmp_path / "fresh")
 
 
@@ -760,7 +826,7 @@ def handed_on(tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         for name, artifact in list(ARTIFACTS.items()):
             mp.setitem(ARTIFACTS, name,
-                       dataclasses.replace(artifact, write=recording(name, artifact.write)))
+                       artifact._replace(write=recording(name, artifact.write)))
         run_pipeline(parse_config(tmp / "run.cfg"))
     return tmp / "out", values
 

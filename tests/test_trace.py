@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from onionforge import net
+from onionforge import net, report
 from onionforge.artifacts import read_jsonl, write_jsonl
 from onionforge.trace import (
     FixtureSearch, HttpSearch, IdentityFact, SurfaceHit, TraceError,
@@ -232,6 +232,24 @@ class TestAnnotations:
                                     "kind": "IllicitSite"}) + "\n")
         updated, _, _ = import_annotations(read_jsonl(path), hits)
         assert updated[0].kind == "IllicitSite"
+
+    def test_line_that_is_not_json_skipped(self, tmp_path, caplog):
+        (tmp_path / "search").mkdir()
+        (tmp_path / "search" / (ADDR + ".json")).write_text(
+            json.dumps(["https://x.example.com/"]))
+        path = tmp_path / "ann.jsonl"
+        path.write_text(json.dumps({"url": "https://x.example.com/", "kind": "IllicitSite",
+                                    "ip": "203.0.113.5"}) + '\n\n{"url": "https://x\n')
+        cfg = report.PipelineConfig(search_fixtures=str(tmp_path / "search"),
+                                    trace_annotations=str(path))
+        outputs = report.stage_trace(cfg, {"illicit.jsonl": {ADDR: {}}})
+        assert [row["kind"] for row in outputs["hits.jsonl"]] == ["IllicitSite"]
+        assert [row["ip"] for row in outputs["surface.jsonl"]] == ["203.0.113.5"]
+        assert "line 3 is not JSON" in caplog.text
+
+        hits = [SurfaceHit(address=ADDR, url="https://x.example.com/")]
+        _, facts, skipped = import_annotations(read_jsonl(path, keep_bad_lines=True), hits)
+        assert skipped == 1 and len(facts) == 1
 
 
 class TestSurfaceLinks:
