@@ -126,11 +126,10 @@ def ledger_json(transactions) -> str:
 
 
 class AddressLedger:
-    def __init__(self, address: str, transactions: list[Transaction] | None = None,
-                 received: int = 0, sent: int = 0):
+    def __init__(self, address: str, transactions: list[Transaction] | None = None):
         self.address = address
         self.transactions = [] if transactions is None else transactions
-        self.received, self.sent = received, sent
+        self.received = self.sent = 0  # from_transactions sums them
 
     def __eq__(self, other):
         return type(other) is AddressLedger and vars(self) == vars(other)
