@@ -259,9 +259,11 @@ def load_annotations(path) -> dict[tuple[str, str], AddressAnnotation]:
     "false" is not false) raises ChainError naming the row, and a line that
     is not JSON one naming its line number."""
     out = {}
-    for row in read_jsonl(path, keep_bad_lines=True):
-        if isinstance(row, NotJson):
-            raise ChainError("chain annotations %s" % row)
+    try:
+        rows = list(read_jsonl(path))
+    except NotJson as exc:
+        raise ChainError("chain annotations %s" % exc) from None
+    for row in rows:
         if not (isinstance(row, dict) and isinstance(row.get("domain"), str)
                 and isinstance(row.get("address"), str)):
             raise ChainError("annotation %r: not an object with text domain and address"

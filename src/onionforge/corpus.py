@@ -32,7 +32,10 @@ class CorpusError(Exception):
 
 
 class OnionDomain:
-    """A syntactically valid .onion name, canonical lowercase."""
+    """A syntactically valid .onion name, canonical lowercase. It is a dict
+    key hashed by `name`, so nothing assigns `name` after `__init__`."""
+
+    __slots__ = ("name",)
 
     def __init__(self, name: str):
         canon = name.strip().lower()

@@ -638,7 +638,7 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> PipelineRu
                     # unrecord the stage first, so a kill while it runs or
                     # writes cannot leave its old digest over partial outputs
                     del run.stage_digests[name]
-                    _write_manifest(run, manifest_path)
+                    _write_manifest(run, manifest_path, carry=False)
                 try:
                     for artifact in decl.reads:
                         if artifact not in values:  # its stage was skipped in this run
@@ -667,12 +667,17 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> PipelineRu
     return run
 
 
-def _write_manifest(run: PipelineRun, path: Path):
-    """Write run.json whole or not at all: a temp file, then a rename over it."""
+def _write_manifest(run: PipelineRun, path: Path, carry: bool = True):
+    """Write run.json whole or not at all: a temp file, then a rename over it.
+
+    With `carry`, a stage this run did not reach keeps its inputs' pairs, as
+    it keeps its digest. The interim write before a stage re-runs records only
+    this run's own pairs: a run killed there re-hashes the rest next time, and
+    the final write, which re-checks them once, still carries them.
+    """
     tmp = path.with_name(path.name + ".tmp")
-    # a stage this run did not reach keeps its inputs' pairs, as it keeps its digest
     inputs = [path for decl in STAGE_DECLS.values()
-              for _, path in decl.inputs(run.config, run.out_dir)]
+              for _, path in decl.inputs(run.config, run.out_dir)] if carry else []
     write_json(tmp, {"v": 1, "run_id": run.run_id, "config": run.config._asdict(),
                      "stages": run.stage_digests, "inputs": run.inputs.pairs(inputs)})
     os.replace(tmp, path)
