@@ -4,9 +4,9 @@ A JSONL artifact holds one object per line, written with sorted keys. A
 JSON document is indented by 2, written with sorted keys, and ends in a
 newline. Byte-identical reruns rest on these choices, so every artifact
 that `report.ARTIFACTS` declares is written through this module. The value
-a stage hands on is the rows or the document itself; only the corpus and
-the ledgers are typed, and only the ledger files and corpus.jsonl have
-their own exact serializers (`chain.ledger_json`,
+a stage hands on is the rows or the document itself (the corpus's rows are
+`PageRecord` tuples); only the ledgers are typed, and only the ledger files
+and corpus.jsonl have their own exact serializers (`chain.ledger_json`,
 `corpus.write_corpus_jsonl`), which write the same bytes in one pass.
 """
 
@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 from datetime import datetime, timezone
-from importlib import resources
 from pathlib import Path
 
 
@@ -70,6 +69,6 @@ def word_list(path, packaged_name: str) -> set[str]:
     if path:
         text = Path(path).read_text()
     else:
-        text = resources.files("onionforge.data").joinpath(packaged_name).read_text()
+        text = (Path(__file__).with_name("data") / packaged_name).read_text()
     return {line.strip().lower() for line in text.split("\n")
             if line.strip() and not line.startswith("#")}

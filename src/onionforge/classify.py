@@ -19,7 +19,7 @@ import re
 from typing import NamedTuple
 
 from .artifacts import word_list
-from .corpus import Corpus, OnionDomain, PageRecord
+from .corpus import Corpus, PageRecord
 from .pagetext import page_text
 
 TOKEN_RE = re.compile(r"[a-z0-9]+")
@@ -161,27 +161,15 @@ def tfidf_vectors(count_vectors: list[TermVector]) -> tuple[list[TermVector], di
             for vec in count_vectors], idf
 
 
-class GroundTruth:
-    """(page, category) annotations with per-site aggregation."""
-
-    def __init__(self, rows: list[tuple[PageRecord, Category]] | None = None):
-        self.rows = [] if rows is None else rows
-
-    def site_page_labels(self) -> dict[OnionDomain, list[Category]]:
-        out: dict[OnionDomain, list[Category]] = {}
-        for page, cat in self.rows:
-            out.setdefault(page.domain, []).append(cat)
-        return out
-
-
-def load_ground_truth(path, corpus: Corpus) -> GroundTruth:
-    """Read {domain, path, category} JSONL, resolving every row against the corpus.
+def load_ground_truth(path, corpus: Corpus) -> list[tuple[PageRecord, Category]]:
+    """Read {domain, path, category} JSONL as (page, category) rows, each page
+    the corpus's own.
 
     A line that is not a JSON object with text domain, path and category
     raises ClassifyConfigError naming the line.
     """
-    by_key = {(p.domain.name, p.path): p for p in corpus.pages}
-    gt = GroundTruth()
+    by_key = {(p.domain, p.path): p for p in corpus}
+    gt = []
     missing = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
@@ -201,7 +189,7 @@ def load_ground_truth(path, corpus: Corpus) -> GroundTruth:
             if page is None:
                 missing.append("%s %s (line %d)" % (row["domain"], row["path"], lineno))
                 continue
-            gt.rows.append((page, cat))
+            gt.append((page, cat))
     if missing:
         raise ClassifyConfigError("ground truth references pages missing from corpus: "
                                   + "; ".join(missing))
@@ -331,11 +319,12 @@ class FeatureSet:
                           for cat, vec in category_vectors.items()}  # vectors on keywords
 
 
-def ground_truth_index(gt: GroundTruth, stopwords: set[str]) -> PageIndex:
+def ground_truth_index(gt: list[tuple[PageRecord, Category]],
+                       stopwords: set[str]) -> PageIndex:
     """Phase 2's index of the ground-truth rows, each distinct page tokenized once."""
     vectors: dict[int, TermVector] = {}
     index = PageIndex()
-    for page, cat in gt.rows:
+    for page, cat in gt:
         if cat is not Category.OTHER:
             if id(page) not in vectors:
                 vectors[id(page)] = page_vector(page, stopwords)
@@ -383,32 +372,35 @@ def _tfidf_label(site_counts: TermVector, fs: FeatureSet, threshold):
 
 
 class LabelResult(NamedTuple):
-    domain: OnionDomain
+    domain: str
     category: Category
     phase: str          # ground-truth | cosine | tfidf | none
     score: float | None = None
 
 
-def classify_corpus(corpus: Corpus, gt: GroundTruth, threshold: float,
-                    stopwords: set[str]) -> dict[OnionDomain, LabelResult]:
-    """Run all three phases over a corpus. Deterministic for fixed inputs.
+def classify_corpus(corpus: Corpus, gt: list[tuple[PageRecord, Category]], threshold: float,
+                    stopwords: set[str]) -> dict[str, LabelResult]:
+    """Run all three phases over a corpus, given its (page, category)
+    ground-truth rows. Deterministic for fixed inputs.
 
     Each classified page is tokenized once: the feature set sums the vectors
     of the ground-truth index, and phase 3 those of the site phase 2 scored.
     """
-    results: dict[OnionDomain, LabelResult] = {}
+    results: dict[str, LabelResult] = {}
 
-    site_labels = gt.site_page_labels()
+    site_labels: dict[str, list[Category]] = {}
+    for page, cat in gt:
+        site_labels.setdefault(page.domain, []).append(cat)
     for domain in sorted(site_labels):
         label = aggregate_site_label(site_labels[domain])
         results[domain] = LabelResult(domain, label, "ground-truth")
 
     index = ground_truth_index(gt, stopwords)
     fs = build_feature_set(index)
-    for domain in corpus.domains():
+    for domain, pages in corpus.sites():
         if domain in results:
             continue
-        site_vectors = [page_vector(p, stopwords) for p in corpus.pages_for(domain)]
+        site_vectors = [page_vector(p, stopwords) for p in pages]
         label, score = _similarity_label(site_vectors, index, threshold)
         if label is not Category.OTHER:
             results[domain] = LabelResult(domain, label, "cosine", score)
@@ -424,13 +416,13 @@ def classify_corpus(corpus: Corpus, gt: GroundTruth, threshold: float,
 
 
 def _label_row(r: LabelResult) -> dict:
-    row = {"v": 1, "domain": r.domain.name, "category": r.category.label, "phase": r.phase}
+    row = {"v": 1, "domain": r.domain, "category": r.category.label, "phase": r.phase}
     if r.score is not None:
         row["score"] = round(r.score, 12)
     return row
 
 
-def label_rows(results: dict[OnionDomain, LabelResult]) -> list[dict]:
+def label_rows(results: dict[str, LabelResult]) -> list[dict]:
     """The labels.jsonl rows of `results`, by domain."""
     return [_label_row(results[d]) for d in sorted(results)]
 

@@ -1,4 +1,4 @@
-"""Offline snapshot corpus: onion domains, pages, and the corpus.jsonl format.
+"""Offline snapshot corpus: onion names, pages, and the corpus.jsonl format.
 
 A snapshot tree looks like
 
@@ -6,7 +6,8 @@ A snapshot tree looks like
     <root>/manifest.jsonl        (optional: {domain, path, fetched_at})
 
 The pipeline never touches the live Tor network: pages come only from a
-snapshot tree.
+snapshot tree. A corpus is its pages, as `PageRecord` rows in (domain,
+path) order, the order corpus.jsonl holds them in.
 """
 
 from __future__ import annotations
@@ -16,8 +17,11 @@ import json
 import logging
 import re
 from datetime import datetime, timezone
+from itertools import groupby
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
 from urllib.parse import unquote
 
 from .artifacts import parse_utc, read_jsonl
@@ -31,74 +35,42 @@ class CorpusError(Exception):
     pass
 
 
-class OnionDomain:
-    """A syntactically valid .onion name, canonical lowercase. It is a dict
-    key hashed by `name`, so nothing assigns `name` after `__init__`."""
-
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        canon = name.strip().lower()
-        if not ONION_NAME_RE.match(canon):
-            raise ValueError("not a v2/v3 onion name: %r" % name)
-        self.name = canon
-
-    def __eq__(self, other):
-        return type(other) is OnionDomain and self.name == other.name
-
-    def __lt__(self, other):
-        return self.name < other.name if type(other) is OnionDomain else NotImplemented
-
-    def __hash__(self):
-        return hash(self.name)
-
-    def __repr__(self):
-        return "OnionDomain(%r)" % self.name
-
-    def __str__(self):
-        return self.name
+def onion_name(name: str) -> str:
+    """A syntactically valid v2/v3 .onion name, canonical lowercase."""
+    canon = name.strip().lower()
+    if not ONION_NAME_RE.match(canon):
+        raise ValueError("not a v2/v3 onion name: %r" % name)
+    return canon
 
 
-class PageRecord:
-    def __init__(self, domain: OnionDomain, path: str, html: bytes, fetched_at: datetime):
-        if not html:
-            raise ValueError("page html must be non-empty")
-        self.domain, self.path, self.html, self.fetched_at = domain, path, html, fetched_at
+class PageRecord(NamedTuple):
+    domain: str         # an `onion_name`
+    path: str
+    html: bytes         # non-empty
+    fetched_at: datetime
 
 
-class Corpus:
-    """Pages by domain and path; adding a page at a known (domain, path) replaces it."""
+class Corpus(tuple):
+    """The pages, always by (domain, path), and the ingest warnings in `skipped`.
 
-    def __init__(self):
-        self.index: dict[OnionDomain, dict[str, PageRecord]] = {}
-        self.skipped: list[str] = []  # ingest warnings
+    Phase 3 sums a site's page vectors in this order, so every corpus,
+    however it is built, sorts its pages here.
+    """
 
-    def add(self, page: PageRecord):
-        self.index.setdefault(page.domain, {})[page.path] = page
+    def __new__(cls, pages=(), skipped=()):
+        corpus = super().__new__(cls, sorted(pages, key=attrgetter("domain", "path")))
+        corpus.skipped = list(skipped)
+        return corpus
 
-    @property
-    def pages(self) -> list[PageRecord]:
-        return [page for bucket in self.index.values() for page in bucket.values()]
-
-    def domains(self) -> list[OnionDomain]:
-        return sorted(self.index)
-
-    def pages_for(self, domain: OnionDomain) -> list[PageRecord]:
-        return list(self.index.get(domain, {}).values())
-
-    def in_path_order(self) -> Corpus:
-        """The same pages by (domain, path), the order corpus.jsonl holds them in."""
-        ordered = Corpus()
-        for page in sorted(self.pages, key=_path_order):
-            ordered.add(page)
-        return ordered
-
-    def __len__(self):
-        return sum(len(bucket) for bucket in self.index.values())
+    def sites(self):
+        """(domain, pages) for each site, by domain."""
+        return groupby(self, key=attrgetter("domain"))
 
 
-def _path_order(page: PageRecord):
-    return page.domain.name, page.path
+def _nonempty(html: bytes) -> bytes:
+    if not html:
+        raise ValueError("empty page")
+    return html
 
 
 def _path_from_filename(name: str) -> str:
@@ -136,14 +108,15 @@ def ingest_snapshot(root) -> Corpus:
             except (ValueError, OverflowError) as exc:  # a time past datetime's range overflows
                 log.warning("manifest line %d unusable: %s", lineno, exc)
 
-    corpus = Corpus()
+    pages: dict[tuple[str, str], PageRecord] = {}
+    skipped: list[str] = []
     for entry in sorted(root.iterdir()):
         if not entry.is_dir():
             continue
         try:
-            domain = OnionDomain(entry.name)
+            domain = onion_name(entry.name)
         except ValueError:
-            corpus.skipped.append(entry.name)
+            skipped.append(entry.name)
             log.warning("skipping non-onion directory %r", entry.name)
             continue
         for page_file in sorted(entry.iterdir()):
@@ -151,45 +124,40 @@ def ingest_snapshot(root) -> Corpus:
                 if not page_file.name.endswith(".html"):
                     raise ValueError("not a page file")
                 path = _path_from_filename(page_file.name)  # UnicodeDecodeError is a ValueError
-                html = page_file.read_bytes()  # a directory or an unreadable file: OSError
-                if not html:
-                    raise ValueError("empty page")
+                html = _nonempty(page_file.read_bytes())  # a directory or unreadable: OSError
             except (ValueError, OSError) as exc:
-                corpus.skipped.append("%s/%s" % (entry.name, page_file.name))
+                skipped.append("%s/%s" % (entry.name, page_file.name))
                 log.warning("skipping %r: %s", page_file.name, exc)
                 continue
-            fetched = manifest.get((domain.name, path))
+            fetched = manifest.get((domain, path))
             if fetched is None:
                 fetched = datetime.fromtimestamp(page_file.stat().st_mtime, tz=timezone.utc)
-            if path in corpus.index.get(domain, {}):
+            if (domain, path) in pages:
                 log.warning("duplicate page %s %s: keeping later file", domain, path)
-            corpus.add(PageRecord(domain=domain, path=path, html=html, fetched_at=fetched))
-    return corpus
+            pages[domain, path] = PageRecord(domain, path, html, fetched)
+    return Corpus(pages.values(), skipped)
 
 
 # --- corpus.jsonl inter-stage format ---
 
 def write_corpus_jsonl(corpus: Corpus, out_path):
-    """One row per page, by (domain, path): the JSONL row `artifacts.write_jsonl`
+    """One row per page, in corpus order: the JSONL row `artifacts.write_jsonl`
     would write, {domain, fetched_at, html_b64, path, v} with sorted keys, built
     by one format because the base64 text needs no escaping."""
     with open(out_path, "w") as fh:
         fh.writelines(
             '{"domain": %s, "fetched_at": %s, "html_b64": "%s", "path": %s, "v": 1}\n'
-            % (encode_basestring_ascii(page.domain.name),
+            % (encode_basestring_ascii(page.domain),
                encode_basestring_ascii(page.fetched_at.isoformat().replace("+00:00", "Z")),
                base64.b64encode(page.html).decode("ascii"),
                encode_basestring_ascii(page.path))
-            for page in sorted(corpus.pages, key=_path_order))
+            for page in corpus)
 
 
 def read_corpus_jsonl(path) -> Corpus:
-    corpus = Corpus()
-    for row in read_jsonl(path):
-        corpus.add(PageRecord(
-            domain=OnionDomain(row["domain"]),
-            path=row["path"],
-            html=base64.b64decode(row["html_b64"]),
-            fetched_at=parse_utc(row["fetched_at"]),
-        ))
-    return corpus
+    """The corpus a corpus.jsonl holds; a row whose domain is not an onion name
+    or whose page is empty raises ValueError."""
+    return Corpus(PageRecord(onion_name(row["domain"]), row["path"],
+                             _nonempty(base64.b64decode(row["html_b64"])),
+                             parse_utc(row["fetched_at"]))
+                  for row in read_jsonl(path))

@@ -366,10 +366,10 @@ class Artifact(NamedTuple):
     read: Callable[[Path], object] | None = None
 
 
-# a JSONL artifact's value is its rows (illicit.jsonl's keyed by address), a
-# JSON document's value the document; only the corpus and the ledgers have
-# typed values. The lambdas look their function up when called, so a caller
-# may rebind it.
+# a JSONL artifact's value is its rows (corpus.jsonl's `PageRecord`s in a
+# `Corpus`, illicit.jsonl's keyed by address), a JSON document's value the
+# document; only the ledgers have a typed value. The lambdas look their
+# function up when called, so a caller may rebind it.
 ARTIFACTS: dict[str, Artifact] = {a.name: a for a in (
     Artifact("corpus.jsonl", lambda path, corpus: write_corpus_jsonl(corpus, path),
              lambda path: read_corpus_jsonl(path)),
@@ -434,8 +434,8 @@ def stage_ingest(cfg: PipelineConfig, inputs: dict) -> dict:
     """Load the snapshot tree into corpus.jsonl."""
     corpus = ingest_snapshot(cfg.corpus_root)
     log.info("ingested %d pages from %d domains (%d entries skipped)",
-             len(corpus), len(corpus.index), len(corpus.skipped))
-    return {"corpus.jsonl": corpus.in_path_order()}  # what read_corpus_jsonl gives back
+             len(corpus), sum(1 for _ in corpus.sites()), len(corpus.skipped))
+    return {"corpus.jsonl": corpus}
 
 
 @stage("extract", reads=["corpus.jsonl"], writes=["addresses.jsonl"],
@@ -444,9 +444,9 @@ def stage_extract(cfg: PipelineConfig, inputs: dict) -> dict:
     """Extract and validate BTC/ETH addresses and emails from every page."""
     tlds = extract.load_tlds(cfg.tlds)
     rows = []
-    for page in sorted(inputs["corpus.jsonl"].pages, key=lambda p: (p.domain.name, p.path)):
+    for page in inputs["corpus.jsonl"]:
         for kind, value, reason in extract.scan_page(page.html, tlds):
-            row = {"v": 1, "domain": page.domain.name, "path": page.path,
+            row = {"v": 1, "domain": page.domain, "path": page.path,
                    "kind": kind, "value": value, "valid": reason is None}
             if reason:
                 row["reject_reason"] = reason
@@ -695,8 +695,8 @@ def emit_tables(inputs: dict, top_n: int = 10, min_received: int = 0) -> tuple[d
     ledgers = inputs["ledgers"]
     income = chain.estimate_income(illicit, ledgers)
 
-    pages_per_domain = {domain.name: len(pages)
-                        for domain, pages in inputs["corpus.jsonl"].index.items()}
+    pages_per_domain = {domain: sum(1 for _ in pages)
+                        for domain, pages in inputs["corpus.jsonl"].sites()}
 
     # table 3 shape: per-category onion/page/address counts
     sites_by_cat: dict[Category, list[str]] = {c: [] for c in list(CATEGORIES) + [Category.OTHER]}

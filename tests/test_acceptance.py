@@ -18,13 +18,13 @@ from onionforge.chain import (
     AddressLedger, Transaction, TxIO, estimate_income,
 )
 from onionforge.classify import (
-    Category, GroundTruth, build_feature_set, classify_corpus, cosine,
+    Category, build_feature_set, classify_corpus, cosine,
     ground_truth_index, load_stopwords, term_vector, tfidf_vectors,
 )
 from onionforge.cluster import (
     detect_mixing, run_clustering, transaction_edges, vanity_groups,
 )
-from onionforge.corpus import Corpus, OnionDomain, PageRecord
+from onionforge.corpus import Corpus, PageRecord, onion_name
 from onionforge.extract import validate_btc
 from onionforge.report import parse_config, run_pipeline
 
@@ -122,13 +122,13 @@ def test_criterion_03_tfidf_toy_oracle():
         for term, weight in want.items():
             assert abs(got[term] - weight) < 1e-9, term
 
-    gt = GroundTruth()
+    gt = []
     for i, (cat, words) in enumerate(TEMPLATES.items()):
         html = ("<p>%s</p>" % " ".join(words * 3)).encode()
-        page = PageRecord(domain=OnionDomain("gt%saaaaaaaaaaaaa.onion"
-                                             % "abcdefghijkl"[i]),
+        page = PageRecord(domain=onion_name("gt%saaaaaaaaaaaaa.onion"
+                                            % "abcdefghijkl"[i]),
                           path="/", html=html, fetched_at=NOW)
-        gt.rows.append((page, cat))
+        gt.append((page, cat))
     fs = build_feature_set(ground_truth_index(gt, STOPWORDS))
     assert len(fs.keywords) <= 240
     ok(3, "3-document weights match the hand table to 1e-9; feature set <= 240 words")
@@ -136,7 +136,7 @@ def test_criterion_03_tfidf_toy_oracle():
 
 def _mkpage(domain, text):
     html = ("<html><body><p>%s</p></body></html>" % text).encode()
-    return PageRecord(domain=OnionDomain(domain), path="/", html=html, fetched_at=NOW)
+    return PageRecord(domain=onion_name(domain), path="/", html=html, fetched_at=NOW)
 
 
 def _dom(prefix, i):
@@ -145,12 +145,9 @@ def _dom(prefix, i):
 
 
 def test_criterion_04_classifier_planted():
-    corpus = Corpus()
-    gt = GroundTruth()
-    for i, (cat, words) in enumerate(TEMPLATES.items()):
-        page = _mkpage(_dom("gt", i), " ".join(words * 3))
-        corpus.add(page)
-        gt.rows.append((page, cat))
+    gt = [(_mkpage(_dom("gt", i), " ".join(words * 3)), cat)
+          for i, (cat, words) in enumerate(TEMPLATES.items())]
+    pages = [page for page, _ in gt]
 
     rng = random.Random(8080)
     noise_vocab = ["banana", "orange", "melon", "grape", "kiwi", "papaya",
@@ -162,28 +159,29 @@ def test_criterion_04_classifier_planted():
             body = words * 3 + [rng.choice(noise_vocab) for _ in range(3)]
             rng.shuffle(body)
             domain = _dom("np", idx)
-            corpus.add(_mkpage(domain, " ".join(body)))
+            pages.append(_mkpage(domain, " ".join(body)))
             truth[domain] = cat
             idx += 1
     for _ in range(20):
         domain = _dom("np", idx)
-        corpus.add(_mkpage(domain, " ".join(
+        pages.append(_mkpage(domain, " ".join(
             rng.choice(noise_vocab) for _ in range(15))))
         truth[domain] = Category.OTHER
         idx += 1
     dup_domains = {}
     for i, (cat, words) in enumerate(TEMPLATES.items()):
         domain = _dom("dp", i)
-        corpus.add(_mkpage(domain, " ".join(words * 3)))  # byte-exact duplicate text
+        pages.append(_mkpage(domain, " ".join(words * 3)))  # byte-exact duplicate text
         dup_domains[domain] = cat
 
+    corpus = Corpus(pages)
     results = classify_corpus(corpus, gt, 0.5, STOPWORDS)
     hits = sum(1 for d, cat in truth.items()
-               if results[OnionDomain(d)].category is cat)
+               if results[d].category is cat)
     accuracy = hits / len(truth)
     assert accuracy >= 0.95, accuracy
     for domain, cat in dup_domains.items():
-        r = results[OnionDomain(domain)]
+        r = results[domain]
         assert r.category is cat and r.phase == "cosine" and r.score >= 0.999
     again = classify_corpus(corpus, gt, 0.5, STOPWORDS)
     for domain, r in results.items():

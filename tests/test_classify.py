@@ -8,12 +8,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from onionforge import classify
 from onionforge.classify import (
-    CATEGORIES, TOP_KEYWORDS, Category, ClassifyConfigError, FeatureSet, GroundTruth,
+    CATEGORIES, TOP_KEYWORDS, Category, ClassifyConfigError, FeatureSet,
     LabelResult, PageIndex, _best_category, _similarity_label, _tfidf_label,
     aggregate_site_label, build_feature_set, classify_corpus, cosine, ground_truth_index,
     load_ground_truth, load_stopwords, term_vector, tfidf_vectors, tokenize,
 )
-from onionforge.corpus import Corpus, OnionDomain, PageRecord
+from onionforge.corpus import Corpus, PageRecord, onion_name
 from onionforge.pagetext import page_text
 
 from planted import TEMPLATES
@@ -24,7 +24,7 @@ STOPWORDS = load_stopwords()
 
 def page(domain, path, text):
     html = ("<html><body><p>%s</p></body></html>" % text).encode()
-    return PageRecord(domain=OnionDomain(domain), path=path, html=html, fetched_at=NOW)
+    return PageRecord(domain=onion_name(domain), path=path, html=html, fetched_at=NOW)
 
 
 def dom(i):
@@ -63,7 +63,7 @@ class TestTokenize:
                 b"<body><h1>Private KEYS for sale</h1>"
                 b"<p>We sell 100 wallets; price from 0.01 BTC.</p>"
                 b"<script>var x=1;</script></body></html>")
-        p = PageRecord(domain=OnionDomain(dom(0)), path="/", html=html, fetched_at=NOW)
+        p = PageRecord(domain=onion_name(dom(0)), path="/", html=html, fetched_at=NOW)
         # manual walk: title + h1 + paragraph, minus stopwords/short/numeric
         assert tokens(p, STOPWORDS) == [
             "best", "wallet", "shop", "private", "keys", "sale", "sell",
@@ -132,10 +132,9 @@ class TestTfidf:
 
 def make_gt(extra_rows=()):
     """Ground truth with one template page per category."""
-    gt = GroundTruth()
-    for i, (cat, words) in enumerate(TEMPLATES.items()):
-        gt.rows.append((page(dom(i), "/", " ".join(words * 3)), cat))
-    gt.rows.extend(extra_rows)
+    gt = [(page(dom(i), "/", " ".join(words * 3)), cat)
+          for i, (cat, words) in enumerate(TEMPLATES.items())]
+    gt.extend(extra_rows)
     return gt
 
 
@@ -150,9 +149,7 @@ class TestFeatureSet:
         # must be exactly the 20 most frequent words
         vocab = ["word%s%s" % (chr(97 + i // 26), chr(97 + i % 26)) for i in range(30)]
         text = " ".join(w for i, w in enumerate(vocab) for _ in range(30 - i))
-        gt = GroundTruth()
-        for i, cat in enumerate(CATEGORIES):
-            gt.rows.append((page(dom(i), "/", text), cat))
+        gt = [(page(dom(i), "/", text), cat) for i, cat in enumerate(CATEGORIES)]
         fs = build_feature_set(ground_truth_index(gt, STOPWORDS))
         assert all(abs(v - 1.0) < 1e-12 for v in fs.idf.values())
         for cat in CATEGORIES:
@@ -169,7 +166,7 @@ class TestFeatureSet:
 
     def test_missing_category_fatal(self):
         gt = make_gt()
-        gt.rows = [r for r in gt.rows if r[1] is not Category.DRUGS]
+        gt = [r for r in gt if r[1] is not Category.DRUGS]
         with pytest.raises(ClassifyConfigError, match="Drugs"):
             build_feature_set(ground_truth_index(gt, STOPWORDS))
 
@@ -187,24 +184,24 @@ class TestSimilarityClassifier:
         assert similarity_label(site, gt, 0.5) is Category.OTHER
 
     def test_highest_score_wins(self):
-        gt = GroundTruth()
-        gt.rows.append((page(dom(0), "/", "alpha beta"), Category.CLONE_CARD))
-        gt.rows.append((page(dom(1), "/", "alpha gamma"), Category.SHOP))
+        gt = []
+        gt.append((page(dom(0), "/", "alpha beta"), Category.CLONE_CARD))
+        gt.append((page(dom(1), "/", "alpha gamma"), Category.SHOP))
         site = [page(dom(42), "/", "alpha beta beta")]
         assert similarity_label(site, gt, 0.5) is Category.CLONE_CARD
 
     def test_tie_breaks_by_table_order(self):
-        gt = GroundTruth()
-        gt.rows.append((page(dom(0), "/", "xray yankee"), Category.WEAPONS))
-        gt.rows.append((page(dom(1), "/", "xray zulu"), Category.HACKER))
+        gt = []
+        gt.append((page(dom(0), "/", "xray yankee"), Category.WEAPONS))
+        gt.append((page(dom(1), "/", "xray zulu"), Category.HACKER))
         site = [page(dom(43), "/", "xray")]
         # both score 1/sqrt(2); Hacker has the lower table index
         assert similarity_label(site, gt, 0.5) is Category.HACKER
 
     def test_score_exactly_at_threshold_assigns(self):
         # cos({x},{x,y,z,w}) = 1/(1*2) = 0.5 with no float error
-        gt = GroundTruth()
-        gt.rows.append((page(dom(0), "/", "xray yankee zulu whiskey"), Category.DRUGS))
+        gt = []
+        gt.append((page(dom(0), "/", "xray yankee zulu whiskey"), Category.DRUGS))
         site = [page(dom(47), "/", "xray")]
         assert similarity_label(site, gt, 0.5) is Category.DRUGS
         assert similarity_label(site, gt, 0.5000001) is Category.OTHER
@@ -326,15 +323,11 @@ class TestAggregate:
 
 class TestLanguageGate:
     def test_flagged_page_still_classified(self):
-        corpus = Corpus()
-        rows = []
-        for i, (cat, words) in enumerate(TEMPLATES.items()):
-            p = page(dom(i), "/", " ".join(words * 3))
-            corpus.add(p)
-            rows.append((p, cat))
-        corpus.add(page(dom(50), "/", "кошелёк оплата товар"))
-        results = classify_corpus(corpus, GroundTruth(rows=rows), 0.5, STOPWORDS)
-        assert results[OnionDomain(dom(50))].category is Category.OTHER
+        rows = [(page(dom(i), "/", " ".join(words * 3)), cat)
+                for i, (cat, words) in enumerate(TEMPLATES.items())]
+        corpus = Corpus([p for p, _ in rows] + [page(dom(50), "/", "кошелёк оплата товар")])
+        results = classify_corpus(corpus, rows, 0.5, STOPWORDS)
+        assert results[dom(50)].category is Category.OTHER
 
 
 class TestCategoryParse:
@@ -351,12 +344,13 @@ class TestCategoryParse:
 
 class TestLoadGroundTruth:
     def test_rows_resolve_against_the_corpus(self, tmp_path):
-        corpus = Corpus()
-        corpus.add(page(dom(0), "/", "pills"))
+        corpus = Corpus([page(dom(0), "/", "pills")])
         path = tmp_path / "gt.jsonl"
         path.write_text(json.dumps({"domain": dom(0), "path": "/", "category": "Drugs"})
                         + "\n\n")
-        assert load_ground_truth(path, corpus).rows == [(corpus.pages[0], Category.DRUGS)]
+        rows = load_ground_truth(path, corpus)
+        assert rows == [(corpus[0], Category.DRUGS)]
+        assert rows[0][0] is corpus[0]
 
     @pytest.mark.parametrize("bad", [
         '[1]', '"x"', 'null', '{"domain": "d', '{"path": "/", "category": "Drugs"}',
@@ -364,8 +358,7 @@ class TestLoadGroundTruth:
         '{"domain": "d.onion", "path": "/", "category": 7}',
         '{"domain": 5, "path": "/", "category": "Drugs"}'])
     def test_row_that_is_not_an_object_with_text_fields_names_its_line(self, tmp_path, bad):
-        corpus = Corpus()
-        corpus.add(page(dom(0), "/", "pills"))
+        corpus = Corpus([page(dom(0), "/", "pills")])
         path = tmp_path / "gt.jsonl"
         path.write_text(json.dumps({"domain": dom(0), "path": "/", "category": "Drugs"})
                         + "\n\n" + bad + "\n")
@@ -374,14 +367,10 @@ class TestLoadGroundTruth:
         assert repr(bad) in str(err.value)
 
 
-def build_corpus_and_gt():
-    corpus = Corpus()
-    rows = []
-    for i, (cat, words) in enumerate(TEMPLATES.items()):
-        p = page(dom(i), "/", " ".join(words * 3))
-        corpus.add(p)
-        rows.append((p, cat))
-    gt = GroundTruth(rows=rows)
+def build_corpus_and_gt(*extra_pages):
+    gt = [(page(dom(i), "/", " ".join(words * 3)), cat)
+          for i, (cat, words) in enumerate(TEMPLATES.items())]
+    pages = [p for p, _ in gt] + list(extra_pages)
     rng = random.Random(99)
     noise_words = ["banana", "orange", "melon", "grape", "kiwi"]
     site_truth = {}
@@ -389,15 +378,15 @@ def build_corpus_and_gt():
     for cat, words in TEMPLATES.items():
         for _ in range(2):
             body = words * 3 + [rng.choice(noise_words) for _ in range(2)]
-            corpus.add(page(dom(idx), "/", " ".join(body)))
+            pages.append(page(dom(idx), "/", " ".join(body)))
             site_truth[dom(idx)] = cat
             idx += 1
     for _ in range(4):
-        corpus.add(page(dom(idx), "/", " ".join(
+        pages.append(page(dom(idx), "/", " ".join(
             rng.choice(noise_words) for _ in range(12))))
         site_truth[dom(idx)] = Category.OTHER
         idx += 1
-    return corpus, gt, site_truth
+    return Corpus(pages), gt, site_truth
 
 
 class TestThreePhase:
@@ -405,10 +394,10 @@ class TestThreePhase:
         corpus, gt, truth = build_corpus_and_gt()
         results = classify_corpus(corpus, gt, 0.5, STOPWORDS)
         hits = sum(1 for d, cat in truth.items()
-                   if results[OnionDomain(d)].category is cat)
+                   if results[d].category is cat)
         assert hits == len(truth)
         for d, cat in truth.items():
-            r = results[OnionDomain(d)]
+            r = results[d]
             assert r.phase == ("none" if cat is Category.OTHER else "cosine")
 
     def test_cosine_labels_never_overwritten(self):
@@ -436,10 +425,13 @@ def reference_classify(corpus, gt, threshold, stopwords):
     pages and of a category's ground-truth pages, and the index groups the
     ground-truth pages by category.
     """
+    site_labels = {}
+    for page, cat in gt:
+        site_labels.setdefault(page.domain, []).append(cat)
     results = {d: LabelResult(d, aggregate_site_label(labels), "ground-truth")
-               for d, labels in gt.site_page_labels().items()}
+               for d, labels in site_labels.items()}
     grouped = {}
-    for page, cat in gt.rows:
+    for page, cat in gt:
         if cat is not Category.OTHER:
             grouped.setdefault(cat, []).append(page)
     index = PageIndex()
@@ -457,10 +449,10 @@ def reference_classify(corpus, gt, threshold, stopwords):
         merged.extend(t for t in top[cat] if t not in merged)
     fs = FeatureSet(keywords=merged, category_vectors=cat_vectors, idf=idf,
                     top_keywords=top)
-    for domain in corpus.domains():
+    for domain, pages in corpus.sites():
         if domain in results:
             continue
-        pages = corpus.pages_for(domain)
+        pages = list(pages)
         label, score = _similarity_label([term_vector(tokens(p, stopwords)) for p in pages],
                                          index, threshold)
         if label is not Category.OTHER:
@@ -481,13 +473,13 @@ words = st.lists(st.sampled_from(VOCAB), min_size=1, max_size=10)
 @st.composite
 def corpora(draw):
     """A corpus whose ground truth covers every category, one shared page among them."""
-    corpus, rows = Corpus(), []
+    pages, rows = [], []
     for i, cat in enumerate(CATEGORIES):
         p = page(dom(i), "/", " ".join(draw(words)))
-        corpus.add(p)
+        pages.append(p)
         rows.append((p, cat))
     shared = page(dom(12), "/", " ".join(draw(words)))
-    corpus.add(shared)
+    pages.append(shared)
     for cat in draw(st.lists(st.sampled_from(CATEGORIES), min_size=2, max_size=2,
                              unique=True)):
         rows.append((shared, cat))
@@ -495,8 +487,8 @@ def corpora(draw):
         first = draw(words)
         texts = [first, draw(st.permutations(first))] + draw(st.lists(words, max_size=2))
         for j, text in enumerate(texts[:draw(st.integers(1, len(texts)))]):
-            corpus.add(page(dom(20 + i), "/p%d" % j, " ".join(text)))
-    return corpus, GroundTruth(rows=rows), draw(st.sampled_from([0.2, 0.5, 0.8]))
+            pages.append(page(dom(20 + i), "/p%d" % j, " ".join(text)))
+    return Corpus(pages), rows, draw(st.sampled_from([0.2, 0.5, 0.8]))
 
 
 class TestSummedVectors:
@@ -516,11 +508,11 @@ class TestSummedVectors:
         assert fs.keywords == want_fs.keywords
 
     def test_each_classified_page_is_tokenized_once(self, monkeypatch):
-        corpus, gt, _ = build_corpus_and_gt()
-        first_gt_page = gt.rows[0][0]
-        gt.rows.append((first_gt_page, Category.SHOP))        # listed under two categories
-        corpus.add(page(first_gt_page.domain.name, "/about", "escrow vendor"))  # phase 1 site
-        corpus.add(page(dom(20), "/more", "powder pistol"))  # a second page, unlabelled site
+        corpus, gt, _ = build_corpus_and_gt(
+            page(dom(0), "/about", "escrow vendor"),  # a second page of a phase 1 site
+            page(dom(20), "/more", "powder pistol"))  # a second page, unlabelled site
+        first_gt_page = gt[0][0]
+        gt.append((first_gt_page, Category.SHOP))        # listed under two categories
         texts = []
         real = classify.tokenize
 
@@ -530,7 +522,7 @@ class TestSummedVectors:
         monkeypatch.setattr(classify, "tokenize", counting)
         results = classify_corpus(corpus, gt, 0.5, STOPWORDS)
 
-        gt_pages = {id(p) for p, _ in gt.rows}
-        unlabeled = [d for d in corpus.domains() if results[d].phase != "ground-truth"]
+        gt_pages = {id(p) for p, _ in gt}
+        unlabeled = [d for d, _ in corpus.sites() if results[d].phase != "ground-truth"]
         assert {results[d].phase for d in unlabeled} >= {"cosine", "none"}
-        assert len(texts) == len(gt_pages) + sum(len(corpus.pages_for(d)) for d in unlabeled)
+        assert len(texts) == len(gt_pages) + sum(1 for p in corpus if p.domain in unlabeled)

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from onionforge.artifacts import write_jsonl
 from onionforge.corpus import (
-    Corpus, CorpusError, OnionDomain, PageRecord, ingest_snapshot, read_corpus_jsonl,
+    Corpus, CorpusError, PageRecord, ingest_snapshot, onion_name, read_corpus_jsonl,
     write_corpus_jsonl,
 )
 
@@ -14,7 +14,7 @@ NOW = datetime(2022, 3, 1, tzinfo=timezone.utc)
 
 
 def page(domain, path="/", html=b"<html></html>"):
-    return PageRecord(domain=OnionDomain(domain), path=path, html=html, fetched_at=NOW)
+    return PageRecord(domain=onion_name(domain), path=path, html=html, fetched_at=NOW)
 
 
 def name_for(i):
@@ -24,13 +24,13 @@ def name_for(i):
 
 class TestOnionDomain:
     def test_v2_accepted(self):
-        assert OnionDomain("edx2f26lcagct5po.onion").name == "edx2f26lcagct5po.onion"
+        assert onion_name("edx2f26lcagct5po.onion") == "edx2f26lcagct5po.onion"
 
     def test_v3_accepted(self):
-        OnionDomain("a" * 56 + ".onion")
+        onion_name("a" * 56 + ".onion")
 
     def test_case_insensitive_canonical(self):
-        assert OnionDomain("EDX2F26LCAGCT5PO.ONION") == OnionDomain("edx2f26lcagct5po.onion")
+        assert onion_name("EDX2F26LCAGCT5PO.ONION") == onion_name("edx2f26lcagct5po.onion")
 
     @pytest.mark.parametrize("bad", [
         "notanonion.com", "short.onion", "a" * 17 + ".onion",
@@ -39,7 +39,7 @@ class TestOnionDomain:
     ])
     def test_rejects(self, bad):
         with pytest.raises(ValueError):
-            OnionDomain(bad)
+            onion_name(bad)
 
 
 class TestIngest:
@@ -51,7 +51,7 @@ class TestIngest:
                 (site / fname).write_bytes(b"<html>x</html>")
         corpus = ingest_snapshot(tmp_path)
         assert len(corpus) == 6
-        assert len(corpus.index) == 2
+        assert [domain for domain, _ in corpus.sites()] == [name_for(0), name_for(1)]
 
     def test_empty_dir(self, tmp_path):
         assert len(ingest_snapshot(tmp_path)) == 0
@@ -96,7 +96,7 @@ class TestIngest:
         (site / "%2F.html").write_bytes(b"<html>second</html>")  # also decodes to "/"
         corpus = ingest_snapshot(tmp_path)
         assert len(corpus) == 1
-        assert corpus.pages[0].html == b"<html>first</html>"  # index sorts after %2F
+        assert corpus[0].html == b"<html>first</html>"  # index sorts after %2F
 
     def test_manifest_timestamps(self, tmp_path):
         site = tmp_path / name_for(0)
@@ -106,7 +106,7 @@ class TestIngest:
             '{"domain": "%s", "path": "/", "fetched_at": "2021-06-01T12:00:00Z"}\n'
             % name_for(0))
         corpus = ingest_snapshot(tmp_path)
-        assert corpus.pages[0].fetched_at == datetime(2021, 6, 1, 12, tzinfo=timezone.utc)
+        assert corpus[0].fetched_at == datetime(2021, 6, 1, 12, tzinfo=timezone.utc)
 
     @pytest.mark.parametrize("bad_line", [
         "[1]", "null", '"x"',
@@ -121,47 +121,53 @@ class TestIngest:
             bad_line + '\n{"domain": "%s", "path": "/", "fetched_at": "2021-06-01T12:00:00Z"}\n'
             % name_for(0))
         corpus = ingest_snapshot(tmp_path)
-        assert corpus.pages[0].fetched_at == datetime(2021, 6, 1, 12, tzinfo=timezone.utc)
+        assert corpus[0].fetched_at == datetime(2021, 6, 1, 12, tzinfo=timezone.utc)
         assert "manifest line 1 unusable" in caplog.text
 
     def test_jsonl_roundtrip(self, tmp_path):
-        corpus = Corpus()
-        corpus.add(page(name_for(0), "/", b"\x00binary\xff"))
+        corpus = Corpus([page(name_for(0), "/", b"\x00binary\xff")])
         write_corpus_jsonl(corpus, tmp_path / "c.jsonl")
         again = read_corpus_jsonl(tmp_path / "c.jsonl")
-        assert again.pages[0].html == b"\x00binary\xff"
-        assert again.pages[0].fetched_at == NOW
+        assert again[0].html == b"\x00binary\xff"
+        assert again[0].fetched_at == NOW
 
+    @pytest.mark.parametrize("field, bad", [
+        ("html_b64", ""), ("domain", "notanonion.com")], ids=["empty-page", "non-onion"])
+    def test_reader_rejects_a_row_no_ingest_would_keep(self, tmp_path, field, bad):
+        row = {"v": 1, "domain": name_for(0), "path": "/", "fetched_at": "2022-03-01T00:00:00Z",
+               "html_b64": base64.b64encode(b"<html></html>").decode("ascii")}
+        write_jsonl(tmp_path / "c.jsonl", [row, dict(row, path="/a", **{field: bad})])
+        with pytest.raises(ValueError):
+            read_corpus_jsonl(tmp_path / "c.jsonl")
 
 
 class TestCorpus:
-    def test_add_replaces_in_place(self):
-        corpus = Corpus()
-        for p in (page(name_for(0), "/"), page(name_for(0), "/a"), page(name_for(1), "/")):
-            corpus.add(p)
-        newer = page(name_for(0), "/", b"<html>newer</html>")
-        corpus.add(newer)
+    def test_built_in_domain_and_path_order(self):
+        first = page(name_for(0), "/")
+        corpus = Corpus([page(name_for(1), "/"), page(name_for(0), "/a"), first], ["skipped"])
         assert len(corpus) == 3
-        assert [(p.domain.name, p.path) for p in corpus.pages] == [
+        assert [(p.domain, p.path) for p in corpus] == [
             (name_for(0), "/"), (name_for(0), "/a"), (name_for(1), "/")]
-        assert corpus.pages[0] is newer
-        assert corpus.pages_for(OnionDomain(name_for(0)))[0] is newer
+        assert corpus[0] is first
+        assert corpus.skipped == ["skipped"]
+        assert [(domain, list(pages)) for domain, pages in corpus.sites()] == [
+            (name_for(0), list(corpus[:2])), (name_for(1), [corpus[2]])]
 
 
 def reference_write_corpus_jsonl(corpus, out_path):
     """The generic writer `write_corpus_jsonl` must match byte for byte."""
     write_jsonl(out_path, ({
         "v": 1,
-        "domain": page.domain.name,
+        "domain": page.domain,
         "path": page.path,
         "fetched_at": page.fetched_at.isoformat().replace("+00:00", "Z"),
         "html_b64": base64.b64encode(page.html).decode("ascii"),
-    } for page in sorted(corpus.pages, key=lambda p: (p.domain.name, p.path))))
+    } for page in sorted(corpus, key=lambda p: (p.domain, p.path))))
 
 
 page_records = st.builds(
     PageRecord,
-    domain=st.sampled_from([name_for(0), name_for(1), "b" * 56 + ".onion"]).map(OnionDomain),
+    domain=st.sampled_from([name_for(0), name_for(1), "b" * 56 + ".onion"]).map(onion_name),
     # quotes, backslashes, control characters, non-ASCII and lone surrogates
     path=st.one_of(st.text(), st.text(alphabet='"\\\x00\x1f\x7f/é€\U0001f600\ud800 ')),
     html=st.binary(min_size=1, max_size=200),
@@ -172,12 +178,10 @@ page_records = st.builds(
 
 class TestCorpusJsonlWriter:
     @settings(max_examples=300, deadline=None)
-    @given(pages=st.lists(page_records, max_size=8))
+    @given(pages=st.lists(page_records, max_size=8, unique_by=lambda p: (p.domain, p.path)))
     def test_same_bytes_as_the_generic_writer(self, tmp_path_factory, pages):
         tmp = tmp_path_factory.mktemp("writer")
-        corpus = Corpus()
-        for p in pages:
-            corpus.add(p)
+        corpus = Corpus(pages)
         write_corpus_jsonl(corpus, tmp / "fast.jsonl")
         reference_write_corpus_jsonl(corpus, tmp / "reference.jsonl")
         assert (tmp / "fast.jsonl").read_bytes() == (tmp / "reference.jsonl").read_bytes()

@@ -196,15 +196,15 @@ def test_src_imports_neither_html_parser_nor_requests():
 def test_src_imports_no_dataclasses():
     # each record type is a NamedTuple or a plain class: `dataclasses` and the
     # modules it pulls in (`inspect`, `ast`, `dis`) would double the import time.
-    # -S keeps site hooks from loading any of them first. importlib.resources,
-    # which artifacts uses, loads `inspect` itself on CPython 3.12 and later, so
-    # it is imported before the snapshot: only what the package adds is checked
-    code = ("import importlib, importlib.resources, pathlib, sys\n"
+    # `importlib.resources` loads `inspect` itself on CPython 3.12 and later, so
+    # packaged data files are read by path. -S keeps site hooks from loading any
+    # of them first
+    code = ("import importlib, pathlib, sys\n"
             "names = sorted(p.stem for p in pathlib.Path(sys.argv[1]).glob('[!_]*.py'))\n"
             "before = set(sys.modules)\n"
             "for name in names:\n"
             "    importlib.import_module('onionforge.' + name)\n"
-            "heavy = {'dataclasses', 'inspect', 'ast', 'dis'}\n"
+            "heavy = {'dataclasses', 'inspect', 'ast', 'dis', 'importlib.resources'}\n"
             "sys.exit(sorted(heavy & (set(sys.modules) - before)) or None)\n")
     package = Path(onionforge.__file__).parent
     env = dict(os.environ, PYTHONPATH=str(package.parent))
