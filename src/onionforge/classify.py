@@ -92,6 +92,7 @@ _ALIASES.update({
 CATEGORIES = tuple(c for c in Category if c is not Category.OTHER)
 
 TermVector = dict               # word -> count or weight, no zero entries
+GroundTruthRows = list          # (PageRecord, Category) pairs, each page the corpus's own
 
 
 def load_stopwords(path=None) -> set[str]:
@@ -161,9 +162,8 @@ def tfidf_vectors(count_vectors: list[TermVector]) -> tuple[list[TermVector], di
             for vec in count_vectors], idf
 
 
-def load_ground_truth(path, corpus: Corpus) -> list[tuple[PageRecord, Category]]:
-    """Read {domain, path, category} JSONL as (page, category) rows, each page
-    the corpus's own.
+def load_ground_truth(path, corpus: Corpus) -> GroundTruthRows:
+    """Read {domain, path, category} JSONL, resolving every row against the corpus.
 
     A line that is not a JSON object with text domain, path and category
     raises ClassifyConfigError naming the line.
@@ -319,8 +319,7 @@ class FeatureSet:
                           for cat, vec in category_vectors.items()}  # vectors on keywords
 
 
-def ground_truth_index(gt: list[tuple[PageRecord, Category]],
-                       stopwords: set[str]) -> PageIndex:
+def ground_truth_index(gt: GroundTruthRows, stopwords: set[str]) -> PageIndex:
     """Phase 2's index of the ground-truth rows, each distinct page tokenized once."""
     vectors: dict[int, TermVector] = {}
     index = PageIndex()
@@ -378,10 +377,9 @@ class LabelResult(NamedTuple):
     score: float | None = None
 
 
-def classify_corpus(corpus: Corpus, gt: list[tuple[PageRecord, Category]], threshold: float,
+def classify_corpus(corpus: Corpus, gt: GroundTruthRows, threshold: float,
                     stopwords: set[str]) -> dict[str, LabelResult]:
-    """Run all three phases over a corpus, given its (page, category)
-    ground-truth rows. Deterministic for fixed inputs.
+    """Run all three phases over a corpus. Deterministic for fixed inputs.
 
     Each classified page is tokenized once: the feature set sums the vectors
     of the ground-truth index, and phase 3 those of the site phase 2 scored.
@@ -391,9 +389,8 @@ def classify_corpus(corpus: Corpus, gt: list[tuple[PageRecord, Category]], thres
     site_labels: dict[str, list[Category]] = {}
     for page, cat in gt:
         site_labels.setdefault(page.domain, []).append(cat)
-    for domain in sorted(site_labels):
-        label = aggregate_site_label(site_labels[domain])
-        results[domain] = LabelResult(domain, label, "ground-truth")
+    for domain, labels in site_labels.items():
+        results[domain] = LabelResult(domain, aggregate_site_label(labels), "ground-truth")
 
     index = ground_truth_index(gt, stopwords)
     fs = build_feature_set(index)

@@ -51,14 +51,16 @@ class PageRecord(NamedTuple):
 
 
 class Corpus(tuple):
-    """The pages, always by (domain, path), and the ingest warnings in `skipped`.
+    """One page per (domain, path), a later page replacing an earlier one, in
+    (domain, path) order; the ingest warnings are in `skipped`.
 
     Phase 3 sums a site's page vectors in this order, so every corpus,
     however it is built, sorts its pages here.
     """
 
     def __new__(cls, pages=(), skipped=()):
-        corpus = super().__new__(cls, sorted(pages, key=attrgetter("domain", "path")))
+        by_key = {(page.domain, page.path): page for page in pages}
+        corpus = super().__new__(cls, (by_key[key] for key in sorted(by_key)))
         corpus.skipped = list(skipped)
         return corpus
 
@@ -156,7 +158,8 @@ def write_corpus_jsonl(corpus: Corpus, out_path):
 
 def read_corpus_jsonl(path) -> Corpus:
     """The corpus a corpus.jsonl holds; a row whose domain is not an onion name
-    or whose page is empty raises ValueError."""
+    or whose page is empty raises ValueError, and a later row for the same
+    (domain, path) replaces an earlier one."""
     return Corpus(PageRecord(onion_name(row["domain"]), row["path"],
                              _nonempty(base64.b64decode(row["html_b64"])),
                              parse_utc(row["fetched_at"]))
