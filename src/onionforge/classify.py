@@ -25,7 +25,6 @@ from .pagetext import page_text
 TOKEN_RE = re.compile(r"[a-z0-9]+")
 MIN_TOKEN_LEN = 3
 TOP_KEYWORDS = 20
-DEFAULT_THRESHOLD = 0.5
 
 
 class ClassifyConfigError(Exception):

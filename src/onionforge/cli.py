@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import os
 import sys
 
 from . import report
@@ -54,5 +55,20 @@ def main(argv=None) -> int:
     return EXIT_OK
 
 
+def console_main():
+    """Run `main`, flush the logs and both streams, then end the process
+    without interpreter teardown.
+
+    Every artifact is closed and run.json renamed into place before `main`
+    returns, so the teardown would only free memory the kernel reclaims
+    anyway. An exception that escapes `main` takes the normal exit instead.
+    """
+    code = main()
+    logging.shutdown()
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

@@ -18,11 +18,9 @@ from urllib.parse import urlparse
 from . import chain
 from .chain import AddressLedger, Transaction
 from .classify import Category
+from .report import DEFAULT_PUBLIC_THRESHOLD, DEFAULT_VANITY_PREFIX
 
 log = logging.getLogger("onionforge.cluster")
-
-DEFAULT_PUBLIC_THRESHOLD = 50
-DEFAULT_VANITY_PREFIX = 7  # length of "deepmar"
 
 MIXING_MIN_PARTICIPANTS = 3
 

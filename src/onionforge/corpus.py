@@ -88,8 +88,8 @@ def ingest_snapshot(root) -> Corpus:
 
     Malformed domain directories are skipped with a warning; so are entries
     that are not non-empty, readable `.html` files with a percent-decodable
-    name, and unusable manifest lines.
-    Duplicate (domain, path) entries are last-write-wins.
+    name, and unusable manifest lines, such as one whose domain is not an
+    onion name. Duplicate (domain, path) entries are last-write-wins.
     """
     root = Path(root)
     if not root.is_dir():
@@ -106,7 +106,8 @@ def ingest_snapshot(root) -> Corpus:
                 if not (isinstance(row, dict) and all(
                         isinstance(row.get(k), str) for k in ("domain", "path", "fetched_at"))):
                     raise ValueError("not an object with text domain, path and fetched_at")
-                manifest[(row["domain"], row["path"])] = parse_utc(row["fetched_at"])
+                key = (onion_name(row["domain"]), row["path"])  # case-blind, as directories
+                manifest[key] = parse_utc(row["fetched_at"])
             except (ValueError, OverflowError) as exc:  # a time past datetime's range overflows
                 log.warning("manifest line %d unusable: %s", lineno, exc)
 

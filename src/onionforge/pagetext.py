@@ -364,8 +364,9 @@ _handoff: dict[bytes, list] | None = None
 def handoff():
     """Inside the block, `page_text` reuses the text `page_text_and_attrs` scanned.
 
-    `report.run_pipeline` holds one block open for the whole run; when it
-    ends, every text not taken yet is dropped.
+    `report.run_pipeline` opens one block before the first stage of a run
+    that reads the pages and holds it to the end of the run; when it ends,
+    every text not taken yet is dropped.
     """
     global _handoff
     _handoff = {}

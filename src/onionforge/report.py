@@ -11,10 +11,15 @@ makes a run resumable from any completed stage. run.json keeps each input's
 content digest under its stat signature, so a re-run hashes only the inputs
 whose signature changed or that are racily clean. Outputs carry no
 wall-clock state, so identical inputs produce byte-identical outputs.
+
+A stage's modules load when it first runs: each function here imports the
+modules it calls in its own body, so a run loads only those of the stages
+it executes, and looks their functions up when called.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import hashlib
 import io
@@ -28,14 +33,15 @@ from collections.abc import Callable
 from pathlib import Path
 from typing import NamedTuple
 
-from . import chain, classify, cluster, extract, pagetext, trace
 from .artifacts import read_jsonl, write_json, write_jsonl
-from .classify import CATEGORIES, Category
 from .corpus import ingest_snapshot, read_corpus_jsonl, write_corpus_jsonl
 
 log = logging.getLogger("onionforge.report")
 
 SATOSHI_PER_BTC = 10 ** 8
+# the defaults of PipelineConfig's clustering keys, and of `cluster`'s functions
+DEFAULT_PUBLIC_THRESHOLD = 50
+DEFAULT_VANITY_PREFIX = 7  # length of "deepmar"
 
 
 class ConfigError(Exception):
@@ -60,7 +66,7 @@ class PipelineConfig(NamedTuple):
     corpus_root: str = ""
     ground_truth: str = ""
     out_dir: str = ""
-    threshold: float = classify.DEFAULT_THRESHOLD
+    threshold: float = 0.5
     provider: str = "fixtures"                # fixtures | http
     base_url: str = ""
     rate_limit: float = 0.0
@@ -69,8 +75,8 @@ class PipelineConfig(NamedTuple):
     search_base_url: str = ""
     chain_annotations: str = ""
     trace_annotations: str = ""
-    public_threshold: int = cluster.DEFAULT_PUBLIC_THRESHOLD
-    vanity_prefix: int = cluster.DEFAULT_VANITY_PREFIX
+    public_threshold: int = DEFAULT_PUBLIC_THRESHOLD
+    vanity_prefix: int = DEFAULT_VANITY_PREFIX
     stopwords: str = ""
     tlds: str = ""
     explorer_domains: str = ""
@@ -302,6 +308,7 @@ class Ledgers(dict):
 
 def write_ledgers(ledgers_dir: Path, ledgers: Ledgers):
     """One JSON file per ledger plus `_index.jsonl`, replacing an earlier run's files."""
+    from . import chain
     ledgers_dir.mkdir(exist_ok=True)
     for stale in ledgers_dir.glob("*.json"):
         stale.unlink()  # read_ledgers reads every ledger file in the directory
@@ -323,6 +330,7 @@ def write_ledgers(ledgers_dir: Path, ledgers: Ledgers):
 
 def read_ledgers(ledgers_dir) -> Ledgers:
     """The ledgers `write_ledgers` wrote under `ledgers_dir`."""
+    from . import chain
     ledgers_dir = Path(ledgers_dir)
     ledgers = {}
     for path in sorted(ledgers_dir.glob("*.json")):
@@ -442,6 +450,7 @@ def stage_ingest(cfg: PipelineConfig, inputs: dict) -> dict:
        config_keys=["tlds"])
 def stage_extract(cfg: PipelineConfig, inputs: dict) -> dict:
     """Extract and validate BTC/ETH addresses and emails from every page."""
+    from . import extract
     tlds = extract.load_tlds(cfg.tlds)
     rows = []
     for page in inputs["corpus.jsonl"]:
@@ -467,6 +476,7 @@ def valid_by_site(address_rows, kind: str) -> dict[str, set[str]]:
        config_keys=["ground_truth", "threshold", "stopwords"])
 def stage_classify(cfg: PipelineConfig, inputs: dict) -> dict:
     """Label every site with the three-phase illicit-site classifier."""
+    from . import classify
     corpus = inputs["corpus.jsonl"]
     stopwords = classify.load_stopwords(cfg.stopwords)
     gt = classify.load_ground_truth(cfg.ground_truth, corpus)
@@ -483,6 +493,7 @@ def stage_filter(cfg: PipelineConfig, inputs: dict) -> dict:
     The illicit.jsonl value is {address: row} in address order; each row
     merges the address's sites, category labels and flags.
     """
+    from . import chain, classify
     labels = classify.label_categories(inputs["labels.jsonl"])
     annotations = (chain.load_annotations(cfg.chain_annotations)
                    if cfg.chain_annotations else {})
@@ -490,8 +501,8 @@ def stage_filter(cfg: PipelineConfig, inputs: dict) -> dict:
     retained: dict[str, tuple[set, set, set]] = {}  # address -> sites, labels, flags
     audit = []
     for domain in sorted(by_site):
-        category = labels.get(domain, Category.OTHER)
-        if category is Category.OTHER:
+        category = labels.get(domain, classify.Category.OTHER)
+        if category is classify.Category.OTHER:
             continue
         result = chain.filter_illicit_addresses(domain, category, by_site[domain], annotations)
         for address, flag in sorted(result.retained.items()):
@@ -514,6 +525,7 @@ def stage_filter(cfg: PipelineConfig, inputs: dict) -> dict:
        config_keys=["provider", "base_url", "rate_limit", "tx_fixtures"])
 def stage_fetch_tx(cfg: PipelineConfig, inputs: dict) -> dict:
     """Fetch the transaction ledger of every illicit address."""
+    from . import chain
     if cfg.provider == "http":
         explorer = chain.HttpExplorer(cfg.base_url, rate_limit=cfg.rate_limit or None)
     else:
@@ -528,6 +540,7 @@ def stage_fetch_tx(cfg: PipelineConfig, inputs: dict) -> dict:
                     "explorer_domains", "rate_limit"])
 def stage_trace(cfg: PipelineConfig, inputs: dict) -> dict:
     """Search the surface web for every illicit address."""
+    from . import trace
     domains = trace.load_explorer_domains(cfg.explorer_domains)
     if cfg.search_base_url:
         provider = trace.HttpSearch(cfg.search_base_url, rate_limit=cfg.rate_limit or None)
@@ -549,6 +562,7 @@ def stage_trace(cfg: PipelineConfig, inputs: dict) -> dict:
        config_keys=["public_threshold", "vanity_prefix"])
 def stage_cluster(cfg: PipelineConfig, inputs: dict) -> dict:
     """Merge sites, addresses and identity facts into campaigns in five phases."""
+    from . import classify, cluster
     result = cluster.run_clustering(
         classify.label_categories(inputs["labels.jsonl"]), inputs["illicit.jsonl"],
         inputs["ledgers"], valid_by_site(inputs["addresses.jsonl"], "email"),
@@ -620,7 +634,8 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> PipelineRu
     # each artifact a stage of this run reads -> the last stage that reads it
     last_reader = {a: name for name, _ in stages for a in STAGE_DECLS[name].reads}
     values: dict[str, object] = {}  # this run's artifacts, until their last reader is done
-    with pagetext.handoff():
+    handing_off = False
+    with contextlib.ExitStack() as scope:
         for name, func in stages:
             decl = STAGE_DECLS[name]
             subset = {k: getattr(config, k) for k in decl.config_keys}
@@ -632,6 +647,12 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> PipelineRu
                 log.info("stage %s unchanged; skipping", name)
             else:
                 log.info("stage %s running", name)
+                if "corpus.jsonl" in decl.reads and not handing_off:
+                    # the page text one stage parses is handed to the next that
+                    # reads the pages; a run that reads none never loads pagetext
+                    from . import pagetext
+                    scope.enter_context(pagetext.handoff())
+                    handing_off = True
                 for written in decl.writes:
                     run.inputs.forget(out / written)
                 if name in run.stage_digests:
@@ -690,6 +711,8 @@ def emit_tables(inputs: dict, top_n: int = 10, min_received: int = 0) -> tuple[d
 
     Returns (tables, summary), the values of `tables` and `summary.json`.
     """
+    from . import chain, classify
+    from .classify import CATEGORIES, Category
     labels = classify.label_categories(inputs["labels.jsonl"])
     illicit = inputs["illicit.jsonl"]
     ledgers = inputs["ledgers"]
@@ -830,6 +853,7 @@ def export_graph(graph: dict) -> tuple[str, str]:
     nodes that carry a `campaign` id and the edges between them. Address
     node size is proportional to satoshis received.
     """
+    from . import cluster
     nodes = graph["nodes"]
     node_ids = sorted(n for n in nodes if "campaign" in nodes[n])
     members = set(node_ids)

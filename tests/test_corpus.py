@@ -108,11 +108,22 @@ class TestIngest:
         corpus = ingest_snapshot(tmp_path)
         assert corpus[0].fetched_at == datetime(2021, 6, 1, 12, tzinfo=timezone.utc)
 
+    def test_manifest_domain_matches_case_insensitively(self, tmp_path):
+        site = tmp_path / name_for(0)
+        site.mkdir()
+        (site / "index.html").write_bytes(b"<html></html>")
+        (tmp_path / "manifest.jsonl").write_text(
+            '{"domain": "%s", "path": "/", "fetched_at": "2021-06-01T12:00:00Z"}\n'
+            % name_for(0).upper())
+        corpus = ingest_snapshot(tmp_path)
+        assert corpus[0].fetched_at == datetime(2021, 6, 1, 12, tzinfo=timezone.utc)
+
     @pytest.mark.parametrize("bad_line", [
         "[1]", "null", '"x"',
         '{"domain": "%s", "path": "/", "fetched_at": 5}' % name_for(0),
         '{"domain": "%s", "path": "/", "fetched_at": "0001-01-01T00:00:00+01:00"}' % name_for(0),
-    ], ids=["list", "null", "string", "number-time", "time-out-of-range"])
+        '{"domain": "example.com", "path": "/", "fetched_at": "2020-01-01T00:00:00Z"}',
+    ], ids=["list", "null", "string", "number-time", "time-out-of-range", "not-an-onion"])
     def test_unusable_manifest_line_is_skipped(self, tmp_path, caplog, bad_line):
         site = tmp_path / name_for(0)
         site.mkdir()
