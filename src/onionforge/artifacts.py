@@ -40,9 +40,10 @@ def read_jsonl(path, keep_bad_lines: bool = False):
 
 
 def write_jsonl(path, rows):
+    encode = json.JSONEncoder(sort_keys=True).encode  # what json.dumps builds per call
     with open(path, "w") as fh:
         for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+            fh.write(encode(row) + "\n")
 
 
 def write_json(path, doc):

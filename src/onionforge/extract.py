@@ -10,11 +10,10 @@ domain label is a known TLD. Bech32 (bc1...) addresses fall outside the
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 
 from . import base58
 from .artifacts import word_list
-from .keccak import keccak256
+from .keccak import keccak256, keccak256_batch
 from .pagetext import page_text_and_attrs
 
 # maximal alphanumeric runs only: a candidate embedded in a longer run is noise
@@ -61,10 +60,10 @@ def find_candidates(text: str) -> tuple[list[str], list[str]]:
 
 def validate_btc(text: str) -> str | None:
     """Base58Check validation; accepts only version 0x00 / 0x05 payloads."""
-    for c in text:
-        if c not in base58.ALPHABET:
-            return "bad-alphabet"
-    raw = base58.b58decode(text)
+    try:
+        raw = base58.b58decode(text)
+    except base58.Base58Error:
+        return "bad-alphabet"
     if len(raw) != 25:
         return "bad-length"
     if base58.checksum(raw[:-4]) != raw[-4:]:
@@ -74,31 +73,51 @@ def validate_btc(text: str) -> str | None:
     return None
 
 
-# a page repeats its addresses, and pages share them: each body is hashed once
-@lru_cache(maxsize=1024)
+def _eip55_cased(lower: str, digest: bytes) -> str:
+    """`lower` with each letter upper-cased where the digest's nibble is >= 8."""
+    nibbles = digest.hex()
+    return "".join(c.upper() if c.isalpha() and int(nibbles[i], 16) >= 8 else c
+                   for i, c in enumerate(lower))
+
+
 def eip55_checksum(hex_body: str) -> str:
     """Canonical mixed-case form of a 40-char hex address body."""
     lower = hex_body.lower()
-    digest = keccak256(lower.encode("ascii")).hex()
-    out = []
-    for i, c in enumerate(lower):
-        if c.isalpha() and int(digest[i], 16) >= 8:
-            out.append(c.upper())
-        else:
-            out.append(c)
-    return "".join(out)
+    return _eip55_cased(lower, keccak256(lower.encode("ascii")))
 
 
-def validate_eth(candidate: str) -> str | None:
-    """Hex + EIP-55 validation. Single-case bodies carry no checksum."""
-    body = candidate[2:] if candidate[:2] in ("0x", "0X") else candidate
+def eip55_checksums(hex_bodies) -> dict[str, str]:
+    """`eip55_checksum` of each body, keyed by the body lowercased: the
+    distinct bodies are hashed once each, all in one Keccak batch."""
+    lowers = list(dict.fromkeys(body.lower() for body in hex_bodies))
+    digests = keccak256_batch([lower.encode("ascii") for lower in lowers])
+    return dict(zip(lowers, map(_eip55_cased, lowers, digests)))
+
+
+def _eth_body(candidate: str) -> str:
+    return candidate[2:] if candidate[:2] in ("0x", "0X") else candidate
+
+
+def _mixed_case(body: str) -> bool:
+    """Whether the body carries an EIP-55 checksum: single-case bodies do not."""
+    return body != body.lower() and body != body.upper()
+
+
+def validate_eth(candidate: str, checksums: dict[str, str] | None = None) -> str | None:
+    """Hex + EIP-55 validation. Single-case bodies carry no checksum.
+
+    `checksums` is `eip55_checksums` of a batch that holds this body; without
+    it, a mixed-case body is hashed on its own.
+    """
+    body = _eth_body(candidate)
     if len(body) != 40:
         return "bad-length"
     if not _HEX_RE.match(body):
         return "bad-hex"
-    if body == body.lower() or body == body.upper() or body == eip55_checksum(body):
+    if not _mixed_case(body):
         return None
-    return "bad-eip55"
+    canonical = eip55_checksum(body) if checksums is None else checksums[body.lower()]
+    return None if body == canonical else "bad-eip55"
 
 
 def _valid_hostname(host: str) -> bool:
@@ -150,12 +169,27 @@ def find_emails(text: str, known_tlds: set[str]) -> list[str]:
     return list(dict.fromkeys(out))
 
 
+def scan_pages(pages, known_tlds: set[str]) -> list[list[tuple[str, str, str | None]]]:
+    """Each page's (kind, value, reject reason) triples, in page order: every
+    BTC candidate, then every ETH candidate, then every email (always valid);
+    a valid address has reason None.
+
+    The mixed-case ETH bodies of all the pages are hashed in one Keccak batch,
+    each distinct body once.
+    """
+    found = []
+    for html in pages:
+        text = page_text_and_attrs(html)
+        btc, eth = find_candidates(text)
+        found.append((btc, eth, find_emails(text, known_tlds)))
+    checksums = eip55_checksums(body for _, eth, _ in found for body in map(_eth_body, eth)
+                                if _mixed_case(body))
+    return [[("btc", cand, validate_btc(cand)) for cand in btc]
+            + [("eth", cand, validate_eth(cand, checksums)) for cand in eth]
+            + [("email", email, None) for email in emails]
+            for btc, eth, emails in found]
+
+
 def scan_page(html: bytes, known_tlds: set[str]) -> list[tuple[str, str, str | None]]:
-    """One page's (kind, value, reject reason) triples: every BTC candidate,
-    then every ETH candidate, then every email (always valid); a valid
-    address has reason None."""
-    text = page_text_and_attrs(html)
-    btc, eth = find_candidates(text)
-    return ([("btc", cand, validate_btc(cand)) for cand in btc]
-            + [("eth", cand, validate_eth(cand)) for cand in eth]
-            + [("email", email, None) for email in find_emails(text, known_tlds)])
+    """`scan_pages` of one page."""
+    return scan_pages([html], known_tlds)[0]

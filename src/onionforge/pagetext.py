@@ -23,19 +23,24 @@ from html import unescape
 _SKIP_CONTENT = {"script", "style", "noscript"}
 _LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
-# The fast path, one token a match: text up to "<" (group 1); a start tag
-# whose attributes are separated by ASCII whitespace, each bare value followed
-# by whitespace or ">", where names and values that `html.parser` would split
-# otherwise never match (name 2, attributes 3, "/" if self-closing 4); an end
-# tag (name 5).
+# The fast path, one step a match: the text up to "<" (group 1, maybe empty),
+# then the tag there if it is a plain one: a start tag whose attributes are
+# separated by ASCII whitespace, each bare value followed by whitespace or ">",
+# where names and values that `html.parser` would split otherwise never match
+# (name 2, attributes 3, "/" if self-closing 4), or an end tag (name 5). The
+# empty alternative takes the text alone when no plain tag follows it, with
+# no backtracking into the text; an empty match means `_markup`'s turn.
 _TOKEN = re.compile(r"""
-    ([^<]+)
-  | <([a-zA-Z][^\s/>\x00<]*)
-    ((?:[ \t\n\r\f]+[^\s/>="'<]+(?:=(?:"[^"]*"|'[^']*'|[^\s>"'=][^\s>]*))?)*)
-    [ \t\n\r\f]*(/?)>
-  | </\s*([a-zA-Z][-.a-zA-Z0-9:_]*)\s*>
+    ([^<]*)
+    (?: <([a-zA-Z][^\s/>\x00<]*)
+        ((?:[ \t\n\r\f]+[^\s/>="'<]+(?:=(?:"[^"]*"|'[^']*'|[^\s>"'=][^\s>]*))?)*)
+        [ \t\n\r\f]*(/?)>
+      | </\s*([a-zA-Z][-.a-zA-Z0-9:_]*)\s*>
+      |
+    )
 """, re.X)
-_VALUE = re.compile(r"""=("[^"]*"|'[^']*'|[^\s>"'=][^\s>]*)""")
+# an attribute value of a fast-path start tag: double-quoted, single-quoted or bare
+_VALUE = re.compile(r"""=(?:"([^"]*)"|'([^']*)'|([^\s>"'=][^\s>]*))""")
 
 # `html.parser` and `_markupbase`, CPython 3.11.7
 _TAGFIND = re.compile(r"([a-zA-Z][^\t\n\r\f />\x00]*)(?:\s|/(?!>))*")
@@ -100,7 +105,7 @@ class _Scanner:
     def scan(self):
         """Fill `chunks` and `values`; raises `_Stop` where `html.parser` gives up."""
         s, n = self.s, len(self.s)
-        chunks, values, token = self.chunks, self.values, _TOKEN.match
+        chunks, values, token, findall = self.chunks, self.values, _TOKEN.match, _VALUE.findall
         i = 0
         while i < n:
             if self.raw is not None:
@@ -111,29 +116,34 @@ class _Scanner:
                 continue
             # inside an unterminated start tag the fast path could rescan it
             m = token(s, i) if i >= self.failed_to else None
-            if m is None:
+            j = m.end() if m else i
+            if j == i:
                 i = self._markup(i)
                 continue
-            i = m.end()
-            kind = m.lastindex
-            if kind == 1:
-                if not self.skip:
-                    text = unescape(m[1])
-                    if text:
-                        chunks.append(text)
-            elif kind == 5:
-                self._end(m[5].lower())
-            else:
-                if m[3]:
-                    for value in _VALUE.findall(m[3]):
-                        if value[0] in "\"'":
-                            value = value[1:-1]
-                        if value:
+            i = j
+            text, tag, attrs, closed, end_tag = m.groups()
+            # `unescape` returns a text without "&" as it is: skip the call
+            if text and not self.skip:
+                if "&" in text:
+                    text = unescape(text)
+                if text:
+                    chunks.append(text)
+            if end_tag:
+                end_tag = end_tag.lower()
+                if end_tag in _SKIP_CONTENT:
+                    self._end(end_tag)
+            elif tag:
+                if attrs:
+                    for double, single, bare in findall(attrs):
+                        value = double or single or bare
+                        if "&" in value:
                             value = unescape(value)
-                            if value:
-                                values.append(value)
-                if not m[4]:
-                    self._start(m[2].lower())
+                        if value:
+                            values.append(value)
+                if not closed:
+                    tag = tag.lower()
+                    if tag in _SKIP_CONTENT:
+                        self._start(tag)
 
     def _text(self, data):
         if not self.skip and data:

@@ -451,10 +451,11 @@ def stage_ingest(cfg: PipelineConfig, inputs: dict) -> dict:
 def stage_extract(cfg: PipelineConfig, inputs: dict) -> dict:
     """Extract and validate BTC/ETH addresses and emails from every page."""
     from . import extract
-    tlds = extract.load_tlds(cfg.tlds)
+    corpus = inputs["corpus.jsonl"]
+    found = extract.scan_pages([page.html for page in corpus], extract.load_tlds(cfg.tlds))
     rows = []
-    for page in inputs["corpus.jsonl"]:
-        for kind, value, reason in extract.scan_page(page.html, tlds):
+    for page, triples in zip(corpus, found):
+        for kind, value, reason in triples:
             row = {"v": 1, "domain": page.domain, "path": page.path,
                    "kind": kind, "value": value, "valid": reason is None}
             if reason:

@@ -25,6 +25,22 @@ def test_write_jsonl_writes_one_sorted_key_row_per_line(tmp_path_factory, rows):
     assert path.read_text() == "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
 
 
+# any JSON value Python's json module writes, NaN and the infinities included
+any_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12)
+
+
+@settings(max_examples=200)
+@given(st.lists(st.dictionaries(st.text(), any_json_values, max_size=5), max_size=5))
+def test_write_jsonl_bytes_equal_json_dumps_lines(tmp_path_factory, rows):
+    path = tmp_path_factory.getbasetemp() / "write_jsonl_bytes.jsonl"
+    write_jsonl(path, rows)
+    assert path.read_bytes() == "".join(
+        json.dumps(row, sort_keys=True) + "\n" for row in rows).encode()
+
+
 @settings(max_examples=100)
 @given(rows, st.lists(st.sampled_from(["", "\n", "  \n", "\t\n"]), min_size=6, max_size=6))
 def test_read_jsonl_round_trips_and_skips_blank_lines(tmp_path_factory, rows, blanks):

@@ -6,10 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from onionforge import base58, extract, pagetext
 from onionforge.extract import (
-    eip55_checksum, find_candidates, find_emails, load_tlds, scan_page,
-    validate_btc, validate_eth,
+    eip55_checksum, eip55_checksums, find_candidates, find_emails, load_tlds, scan_page,
+    scan_pages, validate_btc, validate_eth,
 )
-from onionforge.keccak import keccak256
+from onionforge.keccak import keccak256, keccak256_batch
 
 ADDR = "1CHvWk36MR5aCz72jViS7jSub9utJf3jii"
 TLDS = load_tlds()
@@ -110,6 +110,31 @@ class TestValidateBtc:
         assert validate_btc(addr) is None
         assert base58.b58check_encode(base58.b58check_decode(addr)) == addr
 
+    @settings(max_examples=500)
+    @given(st.one_of(
+        st.text(alphabet=base58.ALPHABET + "0OIl.-_:/ é", max_size=40),
+        st.builds(lambda version, payload: base58.b58check_encode(bytes([version]) + payload),
+                  st.sampled_from([0x00, 0x05, 0x6f]), st.binary(min_size=19, max_size=21)),
+        st.builds(lambda pos, c: ADDR[:pos] + c + ADDR[pos + 1:],
+                  st.integers(0, len(ADDR) - 1), st.sampled_from("0OIl" + base58.ALPHABET))))
+    def test_same_verdict_as_an_alphabet_check_before_the_decode(self, text):
+        assert validate_btc(text) == reference_validate_btc(text)
+
+
+def reference_validate_btc(text):
+    """`validate_btc` as it was with a per-character alphabet check before the decode."""
+    for c in text:
+        if c not in base58.ALPHABET:
+            return "bad-alphabet"
+    raw = base58.b58decode(text)
+    if len(raw) != 25:
+        return "bad-length"
+    if base58.checksum(raw[:-4]) != raw[-4:]:
+        return "bad-checksum"
+    if raw[0] not in (0x00, 0x05):
+        return "bad-version"
+    return None
+
 
 EIP55_VECTORS = [
     "5aAeb6053F3E94C9b9A09f33669435E7Ef1BeAed",
@@ -159,19 +184,19 @@ class TestValidateEth:
                     assert validate_eth(broken) == "bad-eip55"
 
     @settings(max_examples=300)
-    @given(st.text(alphabet="0123456789abcdefABCDEF", min_size=40, max_size=40))
-    def test_cached_checksum_equals_the_uncached(self, body):
-        assert eip55_checksum(body) == eip55_checksum.__wrapped__(body)
+    @given(st.lists(st.text(alphabet="0123456789abcdefABCDEF", min_size=40, max_size=40),
+                    max_size=8))
+    def test_batched_checksums_equal_the_one_body_ones(self, bodies):
+        assert eip55_checksums(bodies) == {body.lower(): eip55_checksum(body) for body in bodies}
 
     def test_address_on_two_pages_is_hashed_once(self, monkeypatch):
-        hashed = []
-        monkeypatch.setattr(extract, "keccak256",
-                            lambda data: hashed.append(data) or keccak256(data))
-        eip55_checksum.cache_clear()
+        batches = []
+        monkeypatch.setattr(extract, "keccak256_batch",
+                            lambda messages: batches.append(messages) or keccak256_batch(messages))
         html = ("<p>pay 0x%s</p>" % EIP55_VECTORS[0]).encode()
-        for _ in range(2):  # the same page body at two paths
-            assert scan_page(html, TLDS) == [("eth", "0x" + EIP55_VECTORS[0], None)]
-        assert hashed == [EIP55_VECTORS[0].lower().encode()]
+        # the same page body at two paths
+        assert scan_pages([html, html], TLDS) == [[("eth", "0x" + EIP55_VECTORS[0], None)]] * 2
+        assert batches == [[EIP55_VECTORS[0].lower().encode()]]
 
 
 class TestEthCandidates:

@@ -1,11 +1,15 @@
 """The permutation is checked two ways: published Keccak-256 digests for
 short inputs, and equivalence with hashlib's SHA3-256 (same sponge, only
-the padding byte differs) across random multi-block inputs."""
+the padding byte differs) across random multi-block inputs. A batch is
+checked against the one-message sponge, message by message."""
 
 import hashlib
 import random
 
-from onionforge.keccak import _RATE, _keccak_f, keccak256
+from hypothesis import given, settings, strategies as st
+
+from onionforge import keccak
+from onionforge.keccak import _RATE, _keccak_f, keccak256, keccak256_batch
 
 VECTORS = {
     b"": "c5d2460186f7233c927e7db2dcc703c0e500b653ca82273b7bfad8045d85a470",
@@ -18,6 +22,10 @@ VECTORS = {
 def test_published_vectors():
     for data, digest in VECTORS.items():
         assert keccak256(data).hex() == digest
+
+
+def test_published_vectors_in_one_batch():
+    assert [d.hex() for d in keccak256_batch(list(VECTORS) * 2)] == list(VECTORS.values()) * 2
 
 
 def _sponge_with_pad(data: bytes, pad_byte: int) -> bytes:
@@ -47,3 +55,24 @@ def test_permutation_matches_sha3_on_multiblock_inputs():
 def test_keccak_differs_from_sha3():
     # same sponge, different domain padding
     assert keccak256(b"abc") != hashlib.sha3_256(b"abc").digest()
+
+
+def test_batch_equals_the_one_message_sponge_at_every_size():
+    rng = random.Random(55)
+    lengths = [0, 1, 40, 135, 136, 137, 271, 272, 400]
+    for k in range(1, 71):
+        messages = [bytes(rng.randrange(256) for _ in range(rng.choice(lengths)))
+                    for _ in range(k)]
+        assert keccak256_batch(messages) == [_sponge_with_pad(m, 0x01) for m in messages], k
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.binary(max_size=400), min_size=1, max_size=70))
+def test_batch_equals_the_one_message_sponge(messages):
+    assert keccak256_batch(messages) == [_sponge_with_pad(m, 0x01) for m in messages]
+
+
+def test_a_group_larger_than_one_state_is_split(monkeypatch):
+    monkeypatch.setattr(keccak, "_MAX_FIELDS", 3)
+    messages = [bytes([i]) * (29 * i) for i in range(12)]  # 1 to 3 blocks, interleaved
+    assert keccak256_batch(messages) == [_sponge_with_pad(m, 0x01) for m in messages]

@@ -18,7 +18,10 @@ FRAGMENTS = ["<p>", "</p>", "<script>", "</script>", "</ script >", "<style>x{}<
              "<!--", "-->", "<a href=\"", "\">", "<img src='x' alt=q/>", "<a x=y/>", "&amp;",
              "&#", "&#x1F;", "href=\"&#x1F;\"", "<![CDATA[", "]]>", "<![if x]>", "<![foo",
              "<?x", "<!DOCTYPE", "<noscript>", "</noscript>", "<", ">", "\"", "'", " ", "\n",
-             "\x0b", "\xa0", "=", "/", "1CHvWk36MR5aCz72jViS7jSub9utJf3jii", "café", "ÿ"]
+             "\x0b", "\xa0", "=", "/", "1CHvWk36MR5aCz72jViS7jSub9utJf3jii", "café", "ÿ",
+             # a text run then a tag, taken in one step of the scan or not
+             "x<p>", "x</p>", "&amp;<b>", "x<noscript>", "x</noscript>", "x<script>", "x<!--",
+             "x<a b=c>"]
 
 
 class StdlibCollector(HTMLParser):
@@ -171,8 +174,10 @@ def test_golden_table_is_what_the_stdlib_parser_gives():
         assert stdlib_scan(page.encode("utf-8")) == (chunks, values), page
 
 
-# n is large enough that html.parser's rescans dominate its run time there
-@pytest.mark.parametrize("unit, n", [("<a ", 1000), ("<!--x", 1000), ("x<", 4000)])
+# n is large enough that html.parser's rescans dominate its run time there;
+# in the last two a text run comes before a "<" that the fast path rejects
+@pytest.mark.parametrize("unit, n", [("<a ", 1000), ("<!--x", 1000), ("x<", 4000),
+                                     ("xyz<!", 4000), ("abc<a ", 1000)])
 def test_scan_time_grows_linearly(unit, n):
     assert growth(page_text_and_attrs, lambda k: (unit * k).encode(), n) < 8
 

@@ -945,6 +945,43 @@ class TestTables:
         assert rows == [{"v": 1, "domain": "ethpageaaaaaaaaa.onion", "path": "/",
                          "kind": "eth", "value": eth, "valid": True}]
 
+    def test_extract_rows_equal_per_page_scans_and_hash_each_body_once(self, planted_run,
+                                                                       monkeypatch):
+        from onionforge import extract
+        from onionforge.corpus import PageRecord
+        from onionforge.keccak import keccak256_batch
+        _, config, _, out = planted_run
+        planted = read_inputs(out, "extract")["corpus.jsonl"]
+        valid = "0x5aAeb6053F3E94C9b9A09f33669435E7Ef1BeAed"  # EIP-55 reference vectors
+        other = "fB6916095ca1df60bB79Ce92cE3Ea74c37c5d359"
+        flipped = valid[:3] + valid[3].swapcase() + valid[4:]
+        pages = ["<p>pay %s or %s</p>" % (valid, flipped),
+                 "<a href='ethereum:%s'>%s</a>" % (other, valid),
+                 "<p>%s %s %s</p>" % (other.lower(), valid.upper(), other)]
+        fetched_at = planted[0].fetched_at
+        corpus = Corpus(list(planted) + [
+            PageRecord("ethpage%s.onion" % (c * 9), "/", html.encode(), fetched_at)
+            for c, html in zip("bcd", pages)])
+        tlds = extract.load_tlds(config.tlds)
+        expected = []
+        for page in corpus:
+            for kind, value, reason in extract.scan_page(page.html, tlds):
+                row = {"v": 1, "domain": page.domain, "path": page.path,
+                       "kind": kind, "value": value, "valid": reason is None}
+                if reason:
+                    row["reject_reason"] = reason
+                expected.append(row)
+        batches = []
+        monkeypatch.setattr(extract, "keccak256_batch",
+                            lambda messages: batches.append(messages) or keccak256_batch(messages))
+        rows = report.stage_extract(config, {"corpus.jsonl": corpus})["addresses.jsonl"]
+        assert rows == expected
+        assert [(row["value"], row["valid"]) for row in rows if row["kind"] == "eth"] == [
+            (valid, True), (flipped, False), (valid, True), (other, True),
+            (other.lower(), True), (valid.upper(), True), (other, True)]
+        # one batch for the stage run, each distinct mixed-case body in it once
+        assert batches == [[valid[2:].lower().encode(), other.lower().encode()]]
+
     def test_empty_corpus_run_fails_in_classify(self, tmp_path):
         # a truly empty snapshot cannot satisfy the 12-category ground truth
         snapshot = tmp_path / "snap"
