@@ -132,14 +132,14 @@ def _keccak_f(state: list, m: int = _LANE, rcs=_ROUND_CONSTANTS) -> list:
             a13, a14, a15, a16, a17, a18, a19, a20, a21, a22, a23, a24]
 
 
-def _sponge(blocks: list, size: int) -> list[bytes]:
+def _sponge(padded: list, size: int) -> list[bytes]:
     """The digests of messages padded to `size` bytes each, in one state."""
-    k, per = len(blocks), size // 8
+    k, per = len(padded), size // 8
     ones = int.from_bytes((b"\x01" + bytes(15)) * k, "little")  # a 1 in every field
     m, rcs = _LANE * ones, [rc * ones for rc in _ROUND_CONSTANTS]
     # the messages' 8-byte lanes, copied as they are (no byte order is read):
     # lane i of the block that starts at unit b of message j is units[j*per + b + i]
-    units = memoryview(b"".join(blocks)).cast("Q")
+    units = memoryview(b"".join(padded)).cast("Q")
     packed = bytearray(16 * k)  # one lane of every message, each followed by its gap
     fields = memoryview(packed).cast("Q")[::2]
     state = [0] * 25
@@ -173,7 +173,7 @@ def keccak256_batch(messages) -> list[bytes]:
     for size, group in groups.items():
         for start in range(0, len(group), _MAX_FIELDS):
             chunk = group[start:start + _MAX_FIELDS]
-            for (index, _), digest in zip(chunk, _sponge([b for _, b in chunk], size)):
+            for (index, _), digest in zip(chunk, _sponge([p for _, p in chunk], size)):
                 digests[index] = digest
     return digests
 

@@ -114,7 +114,8 @@ class _Scanner:
                     return  # unterminated raw text is dropped, as all raw text is
                 i = self._end_tag(m.start())
                 continue
-            # inside an unterminated start tag the fast path could rescan it
+            # inside an unterminated start tag the fast path could rescan it;
+            # an empty match has neither text nor a plain tag at i
             m = token(s, i) if i >= self.failed_to else None
             j = m.end() if m else i
             if j == i:
