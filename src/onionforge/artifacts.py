@@ -61,6 +61,11 @@ def parse_utc(text: str) -> datetime:
     return when.astimezone(timezone.utc)
 
 
+def format_utc(when: datetime) -> str:
+    """A UTC datetime as the ISO 8601 text `parse_utc` reads, "Z"-suffixed."""
+    return when.isoformat().replace("+00:00", "Z")
+
+
 def word_list(path, packaged_name: str) -> set[str]:
     """The lowercased entries of a word-list file, one per line.
 

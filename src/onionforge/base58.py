@@ -51,16 +51,5 @@ def checksum(payload: bytes) -> bytes:
     return hashlib.sha256(hashlib.sha256(payload).digest()).digest()[:4]
 
 
-def b58check_decode(s: str) -> bytes:
-    """Decode and verify a Base58Check string, returning payload without checksum."""
-    raw = b58decode(s)
-    if len(raw) < 4:
-        raise Base58Error("too short for a checksummed payload")
-    body, chk = raw[:-4], raw[-4:]
-    if checksum(body) != chk:
-        raise Base58Error("checksum mismatch")
-    return body
-
-
 def b58check_encode(payload: bytes) -> str:
     return b58encode(payload + checksum(payload))

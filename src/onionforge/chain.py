@@ -15,7 +15,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import NamedTuple
 
-from .artifacts import NotJson, parse_utc, read_jsonl
+from .artifacts import NotJson, format_utc, parse_utc, read_jsonl
 from .classify import Category
 from .net import NOT_FOUND, Client, FetchError
 
@@ -120,47 +120,35 @@ def ledger_json(transactions) -> str:
         '  {\n    "coinbase": %s,\n    "inputs": %s,\n    "outputs": %s,\n'
         '    "timestamp": %s,\n    "txid": %s\n  }'
         % ("true" if tx.coinbase else "false", _io_json(tx.inputs), _io_json(tx.outputs),
-           encode_basestring_ascii(tx.timestamp.isoformat().replace("+00:00", "Z")),
+           encode_basestring_ascii(format_utc(tx.timestamp)),
            encode_basestring_ascii(tx.txid))
         for tx in transactions)
 
 
-class AddressLedger:
-    def __init__(self, address: str, transactions: list[Transaction] | None = None):
-        self.address = address
-        self.transactions = [] if transactions is None else transactions
-        self.received = self.sent = 0  # from_transactions sums them
+def ledger(address: str, txs) -> tuple[Transaction, ...]:
+    """An address's ledger: `txs` deduplicated by txid and in (timestamp, txid)
+    order, the rows of its ledger file. A ledger that spends more than it
+    received raises ChainError."""
+    ordered = _in_time_order(txs)
+    received, sent = received_and_sent(address, ordered)
+    if sent > received:
+        raise ChainError("ledger for %s spends more than it received "
+                         "(history incomplete?)" % address)
+    return ordered
 
-    def __eq__(self, other):
-        return type(other) is AddressLedger and vars(self) == vars(other)
 
-    @property
-    def balance(self) -> int:
-        return self.received - self.sent
+def received_and_sent(address: str, txs) -> tuple[int, int]:
+    """The satoshis `address` received and sent over `txs`."""
+    return (sum(o.value for tx in txs for o in tx.outputs if o.address == address),
+            sum(i.value for tx in txs for i in tx.inputs if i.address == address))
 
-    @property
-    def first_seen(self) -> datetime | None:
-        return self.transactions[0].timestamp if self.transactions else None
 
-    @property
-    def last_seen(self) -> datetime | None:
-        return self.transactions[-1].timestamp if self.transactions else None
-
-    @classmethod
-    def from_transactions(cls, address: str, txs) -> "AddressLedger":
-        """Build a ledger: txid-deduplicated, time-ordered, sums recomputed."""
-        unique: dict[str, Transaction] = {}
-        for tx in txs:
-            unique.setdefault(tx.txid, tx)
-        ordered = sorted(unique.values(), key=lambda t: (t.timestamp, t.txid))
-        ledger = cls(address=address, transactions=ordered)
-        for tx in ordered:
-            ledger.received += tx.output_to(address)
-            ledger.sent += tx.input_from(address)
-        if ledger.balance < 0:
-            raise ChainError("ledger for %s spends more than it received "
-                             "(history incomplete?)" % address)
-        return ledger
+def _in_time_order(txs) -> tuple[Transaction, ...]:
+    """The first transaction of each txid, in (timestamp, txid) order."""
+    unique: dict[str, Transaction] = {}
+    for tx in txs:
+        unique.setdefault(tx.txid, tx)
+    return tuple(sorted(unique.values(), key=lambda t: (t.timestamp, t.txid)))
 
 
 class FixtureExplorer:
@@ -221,18 +209,14 @@ class HttpExplorer:
             page += 1
 
 
-def fetch_transactions(address: str, provider) -> AddressLedger:
-    """Full normalized history for one address; empty ledger when unknown."""
-    return AddressLedger.from_transactions(address, provider.transactions(address))
-
-
 def fetch_all(addresses, provider):
-    """Fetch every address, recording per-address failures instead of dying."""
-    ledgers: dict[str, AddressLedger] = {}
+    """The `ledger` of every address, empty when the provider does not know
+    it, recording per-address failures instead of dying."""
+    ledgers: dict[str, tuple[Transaction, ...]] = {}
     failures: dict[str, str] = {}
     for address in sorted(set(addresses)):
         try:
-            ledgers[address] = fetch_transactions(address, provider)
+            ledgers[address] = ledger(address, provider.transactions(address))
         except (FetchError, ChainError, ValueError) as exc:
             failures[address] = str(exc)
             log.warning("fetch failed for %s: %s", address, exc)
@@ -319,13 +303,9 @@ def is_internal(tx: Transaction, illicit) -> bool:
             and any(o.address in illicit for o in tx.outputs))
 
 
-def unique_transactions(ledgers: dict[str, AddressLedger]) -> list[Transaction]:
+def unique_transactions(ledgers: dict[str, tuple[Transaction, ...]]) -> tuple[Transaction, ...]:
     """All distinct transactions across ledgers, deterministic order."""
-    seen: dict[str, Transaction] = {}
-    for address in sorted(ledgers):
-        for tx in ledgers[address].transactions:
-            seen.setdefault(tx.txid, tx)
-    return sorted(seen.values(), key=lambda t: (t.timestamp, t.txid))
+    return _in_time_order(tx for address in sorted(ledgers) for tx in ledgers[address])
 
 
 def _apportion(value: int, categories) -> dict[Category, int]:
@@ -345,7 +325,7 @@ class IncomeReport(NamedTuple):
 
 
 def estimate_income(illicit: dict[str, dict],
-                    ledgers: dict[str, AddressLedger]) -> IncomeReport:
+                    ledgers: dict[str, tuple[Transaction, ...]]) -> IncomeReport:
     """Sum outputs received by illicit addresses in non-internal transactions.
 
     `illicit` is the illicit.jsonl value, {address: row}. Internal
@@ -358,9 +338,8 @@ def estimate_income(illicit: dict[str, dict],
     incoming: dict[str, int] = {}
     internal: set[str] = set()
     for address in illicit:
-        ledger = ledgers.get(address)
         income = count = 0
-        for tx in (ledger.transactions if ledger else ()):
+        for tx in ledgers.get(address, ()):
             if is_internal(tx, illicit):
                 internal.add(tx.txid)
                 continue
@@ -385,11 +364,11 @@ def estimate_income(illicit: dict[str, dict],
                         by_category_full=full, internal_txids=internal)
 
 
-def active_period(ledger: AddressLedger) -> int | None:
-    """Inclusive whole-day span of activity; a one-shot address is 1 day."""
-    if not ledger.transactions:
+def active_period(txs: tuple[Transaction, ...]) -> int | None:
+    """Inclusive whole-day span of a ledger's activity; a one-shot address is 1 day."""
+    if not txs:
         return None
-    delta = ledger.last_seen - ledger.first_seen
+    delta = txs[-1].timestamp - txs[0].timestamp
     return int(delta.total_seconds() // SECONDS_PER_DAY) + 1
 
 
@@ -398,10 +377,11 @@ def multi_category(illicit: dict[str, dict]) -> int:
     return sum(len(row["categories"]) >= 2 for row in illicit.values())
 
 
-def dormant_addresses(ledgers: dict[str, AddressLedger], min_received: int = 0) -> list[str]:
+def dormant_addresses(ledgers: dict[str, tuple[Transaction, ...]],
+                      min_received: int = 0) -> list[str]:
     """Reporting flag: addresses whose cumulative received is below a floor."""
     if min_received <= 0:
         return []
-    return sorted(a for a, led in ledgers.items()
-                  if led.transactions and led.received < min_received)
+    return sorted(a for a, txs in ledgers.items()
+                  if txs and received_and_sent(a, txs)[0] < min_received)
 

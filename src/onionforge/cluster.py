@@ -16,9 +16,8 @@ from typing import NamedTuple
 from urllib.parse import urlparse
 
 from . import chain
-from .chain import AddressLedger, Transaction
+from .chain import Transaction
 from .classify import Category
-from .report import DEFAULT_PUBLIC_THRESHOLD, DEFAULT_VANITY_PREFIX
 
 log = logging.getLogger("onionforge.cluster")
 
@@ -144,7 +143,8 @@ def detect_mixing(tx: Transaction, min_participants: int = MIXING_MIN_PARTICIPAN
     return any(n >= min_participants for n in counts.values())
 
 
-def transaction_edges(ledgers: dict[str, AddressLedger], members) -> tuple[list, list]:
+def transaction_edges(ledgers: dict[str, tuple[Transaction, ...]],
+                      members) -> tuple[list, list]:
     """Common-input and internal-tx edges among member addresses, in one pass.
 
     Multi-input heuristic: the member inputs of a transaction merge. Internal
@@ -220,7 +220,7 @@ def identity_edges(surface_links, public_threshold: int, members) -> tuple[list,
     return edges, excluded
 
 
-def vanity_groups(domains, min_prefix: int = DEFAULT_VANITY_PREFIX) -> list[tuple[str, list[str]]]:
+def vanity_groups(domains, min_prefix: int) -> list[tuple[str, list[str]]]:
     """Report-only: onion names sharing a leading prefix of >= min_prefix chars."""
     buckets: dict[str, list[str]] = {}
     for domain in sorted({str(d) for d in domains}):
@@ -319,11 +319,9 @@ class ClusterResult(NamedTuple):
 
 
 def run_clustering(labels: dict[str, Category], illicit: dict[str, dict],
-                   ledgers: dict[str, AddressLedger],
-                   site_emails: dict[str, set[str]] | None = None,
-                   surface_links=(),
-                   public_threshold: int = DEFAULT_PUBLIC_THRESHOLD,
-                   vanity_prefix: int = DEFAULT_VANITY_PREFIX) -> ClusterResult:
+                   ledgers: dict[str, tuple[Transaction, ...]],
+                   site_emails: dict[str, set[str]], surface_links,
+                   public_threshold: int, vanity_prefix: int) -> ClusterResult:
     """All five phases in order, tracing counts after each.
 
     The partition starts as the graph's sites and addresses; each phase's

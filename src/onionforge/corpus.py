@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import NamedTuple
 from urllib.parse import unquote
 
-from .artifacts import parse_utc, read_jsonl
+from .artifacts import format_utc, parse_utc, read_jsonl
 
 log = logging.getLogger("onionforge.corpus")
 
@@ -151,7 +151,7 @@ def write_corpus_jsonl(corpus: Corpus, out_path):
         fh.writelines(
             '{"domain": %s, "fetched_at": %s, "html_b64": "%s", "path": %s, "v": 1}\n'
             % (encode_basestring_ascii(page.domain),
-               encode_basestring_ascii(page.fetched_at.isoformat().replace("+00:00", "Z")),
+               encode_basestring_ascii(format_utc(page.fetched_at)),
                base64.b64encode(page.html).decode("ascii"),
                encode_basestring_ascii(page.path))
             for page in corpus)

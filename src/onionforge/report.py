@@ -39,9 +39,6 @@ from .corpus import ingest_snapshot, read_corpus_jsonl, write_corpus_jsonl
 log = logging.getLogger("onionforge.report")
 
 SATOSHI_PER_BTC = 10 ** 8
-# the defaults of PipelineConfig's clustering keys, and of `cluster`'s functions
-DEFAULT_PUBLIC_THRESHOLD = 50
-DEFAULT_VANITY_PREFIX = 7  # length of "deepmar"
 
 
 class ConfigError(Exception):
@@ -75,8 +72,8 @@ class PipelineConfig(NamedTuple):
     search_base_url: str = ""
     chain_annotations: str = ""
     trace_annotations: str = ""
-    public_threshold: int = DEFAULT_PUBLIC_THRESHOLD
-    vanity_prefix: int = DEFAULT_VANITY_PREFIX
+    public_threshold: int = 50
+    vanity_prefix: int = 7  # length of "deepmar"
     stopwords: str = ""
     tlds: str = ""
     explorer_domains: str = ""
@@ -299,7 +296,8 @@ class PipelineRun:
 # --- the artifacts ---
 
 class Ledgers(dict):
-    """Fetched ledgers by address; `failures` says why each other address has none."""
+    """The `chain.ledger` of each fetched address; `failures` says why each
+    other address has none."""
 
     def __init__(self, ledgers=(), failures=None):
         super().__init__(ledgers)
@@ -314,14 +312,14 @@ def write_ledgers(ledgers_dir: Path, ledgers: Ledgers):
         stale.unlink()  # read_ledgers reads every ledger file in the directory
     index_rows = []
     for address in sorted(ledgers):
-        ledger = ledgers[address]
+        txs = ledgers[address]
         with open(ledgers_dir / (address + ".json"), "w") as fh:
-            fh.write(chain.ledger_json(ledger.transactions) + "\n")
+            fh.write(chain.ledger_json(txs) + "\n")
+        received, sent = chain.received_and_sent(address, txs)
         index_rows.append({
-            "v": 1, "address": address, "transactions": len(ledger.transactions),
-            "received": ledger.received, "sent": ledger.sent,
-            "balance": ledger.balance,
-            "active_days": chain.active_period(ledger),
+            "v": 1, "address": address, "transactions": len(txs),
+            "received": received, "sent": sent, "balance": received - sent,
+            "active_days": chain.active_period(txs),
         })
     for address in sorted(ledgers.failures):
         index_rows.append({"v": 1, "address": address, "error": ledgers.failures[address]})
@@ -336,7 +334,7 @@ def read_ledgers(ledgers_dir) -> Ledgers:
     for path in sorted(ledgers_dir.glob("*.json")):
         address = path.stem
         txs = [chain.parse_transaction(row) for row in json.loads(path.read_text())]
-        ledgers[address] = chain.AddressLedger.from_transactions(address, txs)
+        ledgers[address] = chain.ledger(address, txs)
     failures = {row["address"]: row["error"]
                 for row in read_jsonl(ledgers_dir / "_index.jsonl") if "error" in row}
     return Ledgers(ledgers, failures)
@@ -376,8 +374,8 @@ class Artifact(NamedTuple):
 
 # a JSONL artifact's value is its rows (corpus.jsonl's `PageRecord`s in a
 # `Corpus`, illicit.jsonl's keyed by address), a JSON document's value the
-# document; only the ledgers have a typed value. The lambdas look their
-# function up when called, so a caller may rebind it.
+# document, and the ledgers' value each ledger file's rows by address. The
+# lambdas look their function up when called, so a caller may rebind it.
 ARTIFACTS: dict[str, Artifact] = {a.name: a for a in (
     Artifact("corpus.jsonl", lambda path, corpus: write_corpus_jsonl(corpus, path),
              lambda path: read_corpus_jsonl(path)),

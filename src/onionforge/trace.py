@@ -132,42 +132,45 @@ def import_annotations(rows, hits):
 
     A line that is not JSON (a `NotJson` row), a row that is not an object,
     that names a URL absent from the hit list, or whose kind is unknown or
-    whose ip or registrant is not text, is skipped with a warning.
+    whose ip or registrant is not text, is skipped with a warning. A URL's
+    last kind applies to every hit of that URL.
     Returns (updated hits, identity facts, skipped row count).
     """
     known_urls = {h.url for h in hits}
-    updated = list(hits)
+    kinds: dict[str, str] = {}
     facts: list[IdentityFact] = []
     skipped = 0
     for row in rows:
-        if isinstance(row, NotJson):
-            log.warning("annotation %s; skipped", row)
+        problem = _annotation_problem(row, known_urls)
+        if problem:
+            log.warning("%s", problem)
             skipped += 1
             continue
-        if not isinstance(row, dict):
-            log.warning("annotation that is not an object skipped: %r", row)
-            skipped += 1
-            continue
-        url = row.get("url")
-        if not isinstance(url, str) or url not in known_urls:  # a list is unhashable
-            log.warning("annotation for unknown url skipped: %r", url)
-            skipped += 1
-            continue
-        kind = row.get("kind")
-        if kind is not None and kind not in ANALYST_KINDS:
-            log.warning("annotation with unknown kind %r skipped", kind)
-            skipped += 1
-            continue
-        ip, registrant = row.get("ip"), row.get("registrant")
-        if not all(v is None or isinstance(v, str) for v in (ip, registrant)):
-            log.warning("annotation with a non-text ip or registrant skipped: %r", row)
-            skipped += 1
-            continue
+        url, kind, ip, registrant = (row["url"], row.get("kind"), row.get("ip"),
+                                     row.get("registrant"))
         if kind is not None:
-            updated = [h._replace(kind=kind) if h.url == url else h for h in updated]
+            kinds[url] = kind
         if ip or registrant:
             facts.append(IdentityFact(url=url, ip=ip, registrant=registrant))
+    updated = [h._replace(kind=kinds[h.url]) if h.url in kinds else h for h in hits]
     return updated, facts, skipped
+
+
+def _annotation_problem(row, known_urls) -> str | None:
+    """Why `import_annotations` skips `row`, or None if it applies."""
+    if isinstance(row, NotJson):
+        return "annotation %s; skipped" % (row,)
+    if not isinstance(row, dict):
+        return "annotation that is not an object skipped: %r" % (row,)
+    url = row.get("url")
+    if not isinstance(url, str) or url not in known_urls:  # a list is unhashable
+        return "annotation for unknown url skipped: %r" % (url,)
+    kind = row.get("kind")
+    if kind is not None and kind not in ANALYST_KINDS:
+        return "annotation with unknown kind %r skipped" % (kind,)
+    if not all(v is None or isinstance(v, str) for v in (row.get("ip"), row.get("registrant"))):
+        return "annotation with a non-text ip or registrant skipped: %r" % (row,)
+    return None
 
 
 def surface_links(hits, facts) -> list[dict]:

@@ -13,10 +13,8 @@ from datetime import datetime, timedelta, timezone
 import networkx as nx
 import pytest
 
-from onionforge import base58
-from onionforge.chain import (
-    AddressLedger, Transaction, TxIO, estimate_income,
-)
+from onionforge import base58, chain
+from onionforge.chain import Transaction, TxIO, estimate_income
 from onionforge.classify import (
     Category, build_feature_set, classify_corpus, cosine,
     ground_truth_index, load_stopwords, term_vector, tfidf_vectors,
@@ -222,15 +220,15 @@ def _random_ledger_world(rng, max_txs=30):
         spent = sum(t.input_from(addr) for t in mine)
         if spent > recv:  # top up so the ledger invariant holds
             mine.append(_mktx(10000 + i, [("efund", spent)], [(addr, spent)]))
-        ledgers[addr] = AddressLedger.from_transactions(addr, mine)
+        ledgers[addr] = chain.ledger(addr, mine)
     return illicit, ledgers
 
 
 def _oracle_income(illicit, ledgers):
     seen = set()
     total = 0
-    for ledger in ledgers.values():
-        for tx in ledger.transactions:
+    for txs in ledgers.values():
+        for tx in txs:
             if tx.txid in seen:
                 continue
             seen.add(tx.txid)
@@ -250,7 +248,7 @@ def test_criterion_05_income_oracle():
         illicit, ledgers = _random_ledger_world(rng)
         report = estimate_income(illicit, ledgers)
         assert report.total == _oracle_income(illicit, ledgers), trial
-        gross = sum(led.received for led in ledgers.values())
+        gross = sum(tx.output_to(a) for a, txs in ledgers.items() for tx in txs)
         assert report.total <= gross
         if report.internal_txids:
             internal_seen = True
@@ -298,7 +296,7 @@ def _random_entity_world(rng):
         if spent > recv:
             mine.append(_mktx(20000 + i, [("efund", spent)], [(addr, spent)]))
         if mine:
-            ledgers[addr] = AddressLedger.from_transactions(addr, mine)
+            ledgers[addr] = chain.ledger(addr, mine)
     emails = {}
     for _ in range(rng.randint(0, 6)):
         emails.setdefault(rng.choice(list(labels)), set()).add(
@@ -333,8 +331,8 @@ def _oracle_component_graph(labels, illicit, ledgers, emails, links, threshold):
         for m in mails:
             g.add_edge("site:" + site, "email:" + m)
     unique = {}
-    for led in ledgers.values():
-        for tx in led.transactions:
+    for txs in ledgers.values():
+        for tx in txs:
             unique.setdefault(tx.txid, tx)
     for tx in unique.values():
         distinct_ins = {i.address for i in tx.inputs}
@@ -380,8 +378,7 @@ def test_criterion_06_clustering_oracle():
     rng = random.Random(606060)
     for trial in range(100):
         labels, illicit, ledgers, emails, links, threshold = _random_entity_world(rng)
-        result = run_clustering(labels, illicit, ledgers, emails, links,
-                                public_threshold=threshold)
+        result = run_clustering(labels, illicit, ledgers, emails, links, threshold, 7)
         oracle = _oracle_component_graph(labels, illicit, ledgers, emails, links,
                                          threshold)
         expected = frozenset(frozenset(c) for c in nx.connected_components(oracle))
@@ -395,7 +392,7 @@ def test_criterion_06_clustering_oracle():
             rng.shuffle(shuffled_links)
             shuffled_ledgers = dict(sorted(ledgers.items(), reverse=True))
             again = run_clustering(labels, illicit, shuffled_ledgers, emails,
-                                   shuffled_links, public_threshold=threshold)
+                                   shuffled_links, threshold, 7)
             assert again.partition.partition() == result.partition.partition(), trial
     ok(6, "100 random entity graphs: partition equals brute-force components; "
           "clustered-site counts non-decreasing; edge order irrelevant")
@@ -415,7 +412,7 @@ def test_criterion_07_mixing_suppression():
     for k in range(5):
         addr = "a%d" % k
         fund = _mktx(100 + k, [("efund", 50 * 10 ** 6)], [(addr, 50 * 10 ** 6)])
-        ledgers[addr] = AddressLedger.from_transactions(addr, [fund, jm])
+        ledgers[addr] = chain.ledger(addr, [fund, jm])
     # zero merge edges from the flagged tx
     assert transaction_edges(ledgers, set(illicit)) == ([], [])
     ok(7, "JoinMarket-pattern tx flagged and contributes zero merges; "
@@ -473,7 +470,7 @@ def test_criterion_10_paper_pattern_smoke(planted_pipeline):
     prefixes = {g["prefix"]: g["domains"] for g in vanity["groups"]}
     assert prefixes == {"deepmar": ["deepmarxaaaaaaaa.onion", "deepmaryaaaaaaaa.onion"]}
 
-    groups = vanity_groups(["deepmar27rpxago5.onion", "deepmar3k3qtzszd.onion"])
+    groups = vanity_groups(["deepmar27rpxago5.onion", "deepmar3k3qtzszd.onion"], 7)
     assert groups == [("deepmar", ["deepmar27rpxago5.onion", "deepmar3k3qtzszd.onion"])]
     ok(10, "Shop collapse, single-day active period = 1, and deepmar-style "
            "vanity grouping all hold")

@@ -8,9 +8,9 @@ from hypothesis import example, given, settings, strategies as st
 
 from onionforge import chain, net, report
 from onionforge.chain import (
-    AddressAnnotation, AddressLedger, ChainError, FetchError, FixtureExplorer,
+    AddressAnnotation, ChainError, FetchError, FixtureExplorer,
     HttpExplorer, Transaction, TxIO, active_period,
-    dormant_addresses, estimate_income, fetch_all, fetch_transactions,
+    dormant_addresses, estimate_income, fetch_all,
     filter_illicit_addresses, is_internal, ledger_json, load_annotations,
     multi_category, parse_transaction, unique_transactions,
 )
@@ -95,45 +95,41 @@ class TestLedger:
              "inputs": [{"address": "addr", "value": 250}],
              "outputs": [{"address": "ext3", "value": 250}]},
         ]
-        (tmp_path / "addr.json").write_text(json.dumps(txs))
-        ledger = fetch_transactions("addr", FixtureExplorer(tmp_path))
+        (tmp_path / "fixtures").mkdir()
+        (tmp_path / "fixtures" / "addr.json").write_text(json.dumps(txs))
+        ledgers, _ = fetch_all(["addr"], FixtureExplorer(tmp_path / "fixtures"))
+        assert len(ledgers["addr"]) == 3
         # hand sums: received 300 + 400, sent 250
-        assert ledger.received == 700
-        assert ledger.sent == 250
-        assert ledger.balance == 450
-        assert len(ledger.transactions) == 3
+        assert index_row(tmp_path, ledgers, "addr") == {
+            "v": 1, "address": "addr", "transactions": 3, "received": 700, "sent": 250,
+            "balance": 450, "active_days": 3}
 
     def test_unknown_address_empty(self, tmp_path):
-        ledger = fetch_transactions("missing", FixtureExplorer(tmp_path))
-        assert ledger.transactions == []
-        assert ledger.first_seen is None and ledger.last_seen is None
+        ledgers, failures = fetch_all(["missing"], FixtureExplorer(tmp_path))
+        assert ledgers == {"missing": ()} and not failures
+        assert active_period(ledgers["missing"]) is None
 
     def test_fetch_idempotent(self, tmp_path):
         (tmp_path / "a.json").write_text(json.dumps([transaction_to_dict(
             mktx(1, [("x", 5)], [("a", 5)]))]))
-        l1 = fetch_transactions("a", FixtureExplorer(tmp_path))
-        l2 = fetch_transactions("a", FixtureExplorer(tmp_path))
-        assert l1.transactions == l2.transactions
-        assert (l1.received, l1.sent) == (l2.received, l2.sent)
+        assert fetch_all(["a"], FixtureExplorer(tmp_path)) == \
+            fetch_all(["a"], FixtureExplorer(tmp_path))
 
     def test_duplicate_txids_collapsed(self):
         tx = mktx(1, [("x", 5)], [("a", 5)])
-        ledger = AddressLedger.from_transactions("a", [tx, tx, tx])
-        assert len(ledger.transactions) == 1
-        assert ledger.received == 5
+        assert chain.ledger("a", [tx, tx, tx]) == (tx,)
 
     def test_time_ordering(self):
         t2 = mktx(2, [("x", 1)], [("a", 1)], when=T0 + timedelta(days=2))
         t1 = mktx(1, [("x", 1)], [("a", 1)], when=T0)
-        ledger = AddressLedger.from_transactions("a", [t2, t1])
-        assert [t.txid for t in ledger.transactions] == [txid(1), txid(2)]
+        assert chain.ledger("a", [t2, t1]) == (t1, t2)
 
     def test_overdrawn_history_rejected(self):
         tx = mktx(1, [("a", 100)], [("x", 100)])
         with pytest.raises(ChainError, match="spends more"):
-            AddressLedger.from_transactions("a", [tx])
+            chain.ledger("a", [tx])
 
-    def test_recomputed_fields_match(self):
+    def test_recomputed_fields_match(self, tmp_path):
         rng = random.Random(5)
         txs = []
         funded = 0
@@ -143,10 +139,17 @@ class TestLedger:
             funded += v
         spend = rng.randint(0, funded)
         txs.append(mktx(99, [("a", spend)], [("ext", spend)]))
-        ledger = AddressLedger.from_transactions("a", txs)
-        assert ledger.received == sum(t.output_to("a") for t in ledger.transactions)
-        assert ledger.sent == sum(t.input_from("a") for t in ledger.transactions)
-        assert ledger.balance == ledger.received - ledger.sent >= 0
+        row = index_row(tmp_path, {"a": chain.ledger("a", txs)}, "a")
+        assert row["received"] == sum(t.output_to("a") for t in txs) == funded
+        assert row["sent"] == sum(t.input_from("a") for t in txs) == spend
+        assert row["balance"] == row["received"] - row["sent"] >= 0
+
+
+def index_row(tmp_path, ledgers, address):
+    """`address`'s row of the `_index.jsonl` that `report.write_ledgers` writes for `ledgers`."""
+    report.write_ledgers(tmp_path, report.Ledgers(ledgers))
+    rows = [json.loads(line) for line in (tmp_path / "_index.jsonl").read_text().splitlines()]
+    return next(row for row in rows if row["address"] == address)
 
 
 def tx_rows(start, count):
@@ -185,7 +188,7 @@ class TestMalformedLedgerRows:
         (tmp_path / "bad.json").write_text(json.dumps([self.GOOD, bad_row]))
         (tmp_path / "good.json").write_text(json.dumps([self.GOOD]))
         ledgers, failures = fetch_all(["bad", "good"], FixtureExplorer(tmp_path))
-        assert list(ledgers) == ["good"] and ledgers["good"].received == 5
+        assert list(ledgers) == ["good"] and ledgers["good"] == (parse_transaction(self.GOOD),)
         assert list(failures) == ["bad"]
         with pytest.raises(ChainError):
             parse_transaction(bad_row)
@@ -201,7 +204,7 @@ class TestMalformedLedgerRows:
         (tmp_path / "bad.json").write_text(json.dumps(payload))
         (tmp_path / "good.json").write_text(json.dumps([self.GOOD]))
         ledgers, failures = fetch_all(["bad", "good"], FixtureExplorer(tmp_path))
-        assert list(ledgers) == ["good"] and ledgers["good"].received == 5
+        assert list(ledgers) == ["good"] and ledgers["good"] == (parse_transaction(self.GOOD),)
         assert list(failures) == ["bad"]
         assert "not a JSON array" in failures["bad"]
 
@@ -209,7 +212,7 @@ class TestMalformedLedgerRows:
         row = dict(self.GOOD, outputs=[{"address": "good", "value": 5.0}])
         (tmp_path / "good.json").write_text(json.dumps([row]))
         ledgers, failures = fetch_all(["good"], FixtureExplorer(tmp_path))
-        assert not failures and ledgers["good"].received == 5
+        assert not failures and ledgers["good"][0].output_to("good") == 5
 
     def test_parse_raises_chain_error(self):
         with pytest.raises(ChainError, match="txid"):
@@ -229,9 +232,9 @@ class TestHttpExplorer:
             FakeResponse(200, {"page": 2, "total_pages": 2, "transactions": tx_rows(50, 50)}),
         ])
         explorer = HttpExplorer("http://x", session=session)
-        ledger = fetch_transactions("a", explorer)
-        assert len(ledger.transactions) == 100
-        assert len({t.txid for t in ledger.transactions}) == 100
+        txs = chain.ledger("a", explorer.transactions("a"))
+        assert len(txs) == 100
+        assert len({t.txid for t in txs}) == 100
 
     def test_retry_then_success(self):
         session = FakeSession([
@@ -280,7 +283,7 @@ class TestHttpExplorer:
                                FakeResponse(200, {"page": 1, "total_pages": 1,
                                                   "transactions": tx_rows(0, 2)})])
         ledgers, failures = fetch_all(["bad", "good"], HttpExplorer("http://x", session=session))
-        assert list(ledgers) == ["good"] and len(ledgers["good"].transactions) == 2
+        assert list(ledgers) == ["good"] and len(ledgers["good"]) == 2
         assert list(failures) == ["bad"]
         assert "malformed page" in failures["bad"]
 
@@ -291,7 +294,7 @@ class TestHttpExplorer:
                                FakeResponse(200, {"page": 1, "total_pages": 1,
                                                   "transactions": tx_rows(0, 2)})])
         ledgers, failures = fetch_all(["bad", "good"], HttpExplorer("http://x", session=session))
-        assert list(ledgers) == ["good"] and len(ledgers["good"].transactions) == 2
+        assert list(ledgers) == ["good"] and len(ledgers["good"]) == 2
         assert list(failures) == ["bad"]
 
     @pytest.mark.parametrize("second_page, reason", [
@@ -306,7 +309,7 @@ class TestHttpExplorer:
             FakeResponse(200, {"page": 1, "total_pages": 1, "transactions": tx_rows(3, 2)}),
         ])
         ledgers, failures = fetch_all(["bad", "good"], HttpExplorer("http://x", session=session))
-        assert list(ledgers) == ["good"] and len(ledgers["good"].transactions) == 2
+        assert list(ledgers) == ["good"] and len(ledgers["good"]) == 2
         assert list(failures) == ["bad"] and reason in failures["bad"]
 
     def test_429_is_retried(self):
@@ -325,7 +328,7 @@ class TestHttpExplorer:
         explorer = HttpExplorer("http://x", session=session)
         ledgers, failures = fetch_all(["busy", "good"], explorer)
         assert "429" in failures["busy"]
-        assert list(ledgers) == ["good"] and len(ledgers["good"].transactions) == 2
+        assert list(ledgers) == ["good"] and len(ledgers["good"]) == 2
         assert len(session.calls) == net.MAX_RETRIES + 2
 
     @pytest.mark.parametrize("status", [400, 401, 403, 410])
@@ -415,8 +418,8 @@ def brute_force_income(illicit, ledgers):
     """Oracle: walk every distinct output and test the internality rule."""
     seen = set()
     total = 0
-    for ledger in ledgers.values():
-        for tx in ledger.transactions:
+    for txs in ledgers.values():
+        for tx in txs:
             if tx.txid in seen:
                 continue
             seen.add(tx.txid)
@@ -449,7 +452,7 @@ def random_ledger_set(rng, n_addresses=6, n_txs=20):
         if spent > received:   # keep the ledger invariant satisfiable
             mine.append(mktx(1000 + hash(addr) % 1000, [("efund", spent)],
                              [(addr, spent)]))
-        ledgers[addr] = AddressLedger.from_transactions(addr, mine)
+        ledgers[addr] = chain.ledger(addr, mine)
     return illicit, ledgers
 
 
@@ -459,11 +462,11 @@ class TestIncome:
                              ("B", "t.onion", Category.DRUGS))
         btc = 10 ** 8
         ledgers = {
-            "A": AddressLedger.from_transactions("A", [
+            "A": chain.ledger("A", [
                 mktx(1, [("ext", btc)], [("A", btc)]),
                 mktx(2, [("A", 9 * btc // 10)], [("B", 9 * btc // 10)]),
             ]),
-            "B": AddressLedger.from_transactions("B", [
+            "B": chain.ledger("B", [
                 mktx(2, [("A", 9 * btc // 10)], [("B", 9 * btc // 10)]),
             ]),
         }
@@ -487,7 +490,7 @@ class TestIncome:
         for _ in range(15):
             illicit, ledgers = random_ledger_set(rng)
             report = estimate_income(illicit, ledgers)
-            gross = sum(led.received for led in ledgers.values())
+            gross = sum(tx.output_to(a) for a, txs in ledgers.items() for tx in txs)
             assert report.total <= gross
             if not report.internal_txids:
                 assert report.total == gross
@@ -498,16 +501,16 @@ class TestIncome:
         base = estimate_income(illicit, ledgers).total
         shuffled = {}
         for addr, led in ledgers.items():
-            txs = list(led.transactions)
+            txs = list(led)
             rng.shuffle(txs)
-            shuffled[addr] = AddressLedger.from_transactions(addr, txs)
+            shuffled[addr] = chain.ledger(addr, txs)
         assert estimate_income(illicit, shuffled).total == base
 
     def test_split_attribution_preserves_total(self):
         illicit = illicit_of(("A", "s.onion", Category.CLONE_CARD),
                              ("A", "t.onion", Category.SEXUAL_ABUSE),
                              ("A", "u.onion", Category.MEMBERSHIPS))
-        ledgers = {"A": AddressLedger.from_transactions("A", [
+        ledgers = {"A": chain.ledger("A", [
             mktx(1, [("e", 100)], [("A", 100)])])}
         report = estimate_income(illicit, ledgers)
         assert sum(report.by_category_split.values()) == report.total == 100
@@ -517,21 +520,21 @@ class TestIncome:
 
 class TestActivePeriod:
     def test_same_moment_is_one_day(self):
-        ledger = AddressLedger.from_transactions("a", [
+        txs = chain.ledger("a", [
             mktx(1, [("x", 1)], [("a", 1)], when=T0),
             mktx(2, [("x", 1)], [("a", 1)], when=T0),
         ])
-        assert active_period(ledger) == 1
+        assert active_period(txs) == 1
 
     def test_inclusive_day_count(self):
-        ledger = AddressLedger.from_transactions("a", [
+        txs = chain.ledger("a", [
             mktx(1, [("x", 1)], [("a", 1)], when=T0),
             mktx(2, [("x", 1)], [("a", 1)], when=T0 + timedelta(days=365)),
         ])
-        assert active_period(ledger) == 366
+        assert active_period(txs) == 366
 
     def test_empty_is_none(self):
-        assert active_period(AddressLedger(address="a")) is None
+        assert active_period(()) is None
 
 
 class TestMultiCategory:
@@ -636,9 +639,9 @@ class TestDormant:
 
     def test_threshold(self):
         ledgers = {
-            "low": AddressLedger.from_transactions("low", [
+            "low": chain.ledger("low", [
                 mktx(1, [("x", 10)], [("low", 10)])]),
-            "high": AddressLedger.from_transactions("high", [
+            "high": chain.ledger("high", [
                 mktx(2, [("x", 1000)], [("high", 1000)])]),
         }
         assert dormant_addresses(ledgers, 100) == ["low"]
@@ -647,9 +650,9 @@ class TestDormant:
 def test_unique_transactions_dedups_and_orders_by_time():
     tx1 = mktx(1, [("a", 1)], [("b", 1)])
     tx2 = mktx(2, [("b", 1)], [("a", 1)])
-    l1 = AddressLedger.from_transactions("a", [
+    l1 = chain.ledger("a", [
         mktx(0, [("x", 2)], [("a", 2)]), tx1, tx2])
-    l2 = AddressLedger.from_transactions("b", [
+    l2 = chain.ledger("b", [
         mktx(3, [("x", 2)], [("b", 2)]), tx1, tx2])
     merged = unique_transactions({"a": l1, "b": l2})
     assert len(merged) == 4  # tx1/tx2 shared between ledgers appear once

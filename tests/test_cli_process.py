@@ -78,6 +78,14 @@ def test_a_command_loads_only_the_modules_of_the_stages_it_executes(planted, tmp
     assert not loaded & STAGE_MODULES
 
 
+def test_the_cluster_module_does_not_load_the_pipeline():
+    loaded = python("-c", "import sys, onionforge.cluster; "
+                          "print(' '.join(m for m in sys.modules if m.startswith('onionforge.')))")
+    assert loaded.returncode == 0, loaded.stderr
+    assert "onionforge.cluster" in loaded.stdout.split()
+    assert "onionforge.report" not in loaded.stdout.split()
+
+
 def test_module_run_exits_with_each_code(planted, tmp_path):
     corpus_obj, config = planted
     ok = python("-m", "onionforge.cli", "run", "--config", str(config("out")))

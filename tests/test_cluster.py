@@ -3,7 +3,8 @@ from datetime import datetime, timedelta, timezone
 
 import networkx as nx
 
-from onionforge.chain import AddressLedger, Transaction, TxIO
+from onionforge import chain
+from onionforge.chain import Transaction, TxIO
 from onionforge.classify import Category
 from onionforge.cluster import (
     BTC, EMAIL, SITE, EntityGraph, UnionFind, build_entity_graph, campaign_stats,
@@ -14,6 +15,7 @@ from onionforge.cluster import (
 from rows import illicit_of
 
 T0 = datetime(2020, 1, 1, tzinfo=timezone.utc)
+PUBLIC_THRESHOLD, VANITY_PREFIX = 50, 7  # PipelineConfig's defaults
 
 
 def txid(n):
@@ -35,7 +37,7 @@ def ledgers_for(illicit, txs):
         if spent > recv:
             mine.append(mktx(5000 + list(illicit).index(addr),
                              [("fund", spent)], [(addr, spent)]))
-        out[addr] = AddressLedger.from_transactions(addr, mine)
+        out[addr] = chain.ledger(addr, mine)
     return out
 
 
@@ -258,24 +260,27 @@ class TestIdentityPhase:
 
 class TestVanity:
     def test_deepmar_pair(self):
-        groups = vanity_groups(["deepmar27rpxago5.onion", "deepmar3k3qtzszd.onion"])
+        groups = vanity_groups(["deepmar27rpxago5.onion", "deepmar3k3qtzszd.onion"],
+                               VANITY_PREFIX)
         assert groups == [("deepmar", ["deepmar27rpxago5.onion",
                                        "deepmar3k3qtzszd.onion"])]
 
     def test_numeric_prefix_pair(self):
-        groups = vanity_groups(["22222222sty2trl2.onion", "22222222gkxknocu.onion"])
+        groups = vanity_groups(["22222222sty2trl2.onion", "22222222gkxknocu.onion"],
+                               VANITY_PREFIX)
         assert len(groups) == 1
         assert groups[0][0] == "22222222"
 
     def test_random_names_no_groups(self):
-        assert vanity_groups(["edx2f26lcagct5po.onion", "vsmgkgnltwzrc7tx.onion"]) == []
+        assert vanity_groups(["edx2f26lcagct5po.onion", "vsmgkgnltwzrc7tx.onion"],
+                             VANITY_PREFIX) == []
 
     def test_never_merges_anything(self):
         labels = {"deepmar27rpxago5.onion": Category.DRUGS,
                   "deepmar3k3qtzszd.onion": Category.WEAPONS}
         illicit = illicit_of(("A", "deepmar27rpxago5.onion", Category.DRUGS),
                              ("B", "deepmar3k3qtzszd.onion", Category.WEAPONS))
-        result = run_clustering(labels, illicit, {}, {}, ())
+        result = run_clustering(labels, illicit, {}, {}, (), PUBLIC_THRESHOLD, VANITY_PREFIX)
         assert len(result.vanity) == 1
         assert len(result.campaigns) == 0  # two isolated site+addr pairs
 
@@ -284,9 +289,9 @@ class TestCampaignStats:
     def test_single_address_many_sites(self):
         labels = {dom(i): Category.INVESTMENT_SCAMS for i in range(31)}
         illicit = illicit_of(*(("A", site, cat) for site, cat in labels.items()))
-        ledger = AddressLedger.from_transactions("A", [
-            mktx(1, [("e", 14_640_000)], [("A", 14_640_000)])])
-        result = run_clustering(labels, illicit, {"A": ledger}, {}, ())
+        txs = chain.ledger("A", [mktx(1, [("e", 14_640_000)], [("A", 14_640_000)])])
+        result = run_clustering(labels, illicit, {"A": txs}, {}, (),
+                                PUBLIC_THRESHOLD, VANITY_PREFIX)
         [campaign] = result.campaigns
         assert len(campaign["sites"]) == 31
         assert campaign["btc_addresses"] == ["A"]
@@ -303,7 +308,8 @@ class TestCampaignStats:
         illicit = illicit_of(("A", dom(0), Category.DRUGS), ("A", dom(1), Category.DRUGS),
                              ("B", dom(2), Category.WEAPONS), ("C", dom(3), Category.WEAPONS))
         txs = [mktx(1, [("B", 5)], [("C", 5)])]
-        result = run_clustering(labels, illicit, ledgers_for(illicit, txs), {}, ())
+        result = run_clustering(labels, illicit, ledgers_for(illicit, txs), {}, (),
+                                PUBLIC_THRESHOLD, VANITY_PREFIX)
         sites_series = [s["onions"] for s in result.trace]
         assert sites_series == sorted(sites_series)
         assert sites_series[0] == 2 and sites_series[-1] == 4
@@ -324,7 +330,7 @@ class TestPlantedMixingIsLoadBearing:
             (planted.B1, planted.S3, Category.INVESTMENT_SCAMS),
             (planted.B2, planted.S4, Category.INVESTMENT_SCAMS))
         ledgers = {
-            addr: AddressLedger.from_transactions(
+            addr: chain.ledger(
                 addr, [parse_transaction(t) for t in txs])
             for addr, txs in planted.LEDGER_FIXTURES.items()
             if addr in illicit
@@ -336,7 +342,8 @@ class TestPlantedMixingIsLoadBearing:
     def test_suppressed(self):
         import planted
         labels, illicit, ledgers = self._planted_world()
-        result = run_clustering(labels, illicit, ledgers)
+        result = run_clustering(labels, illicit, ledgers, {}, (),
+                                PUBLIC_THRESHOLD, VANITY_PREFIX)
         # only the shared-address cards pair clusters; the mixing tx must
         # not pull the investment sites in
         [campaign] = result.campaigns
@@ -347,7 +354,8 @@ class TestPlantedMixingIsLoadBearing:
         labels, illicit, ledgers = self._planted_world()
         monkeypatch.setattr("onionforge.cluster.detect_mixing",
                             lambda tx, min_participants=3: False)
-        result = run_clustering(labels, illicit, ledgers)
+        result = run_clustering(labels, illicit, ledgers, {}, (),
+                                PUBLIC_THRESHOLD, VANITY_PREFIX)
         # the common-input heuristic now links A1 (cards) with B1 (deepmar)
         [campaign] = result.campaigns
         assert {planted.S1, planted.S2, planted.S3} <= set(campaign["sites"])
@@ -421,8 +429,8 @@ def oracle_edge_union(labels, illicit, ledgers, emails, links, public_threshold=
             g.add_edge("site:" + site, "email:" + m)
     members = set(illicit)
     seen = {}
-    for led in ledgers.values():
-        for tx in led.transactions:
+    for txs in ledgers.values():
+        for tx in txs:
             seen.setdefault(tx.txid, tx)
     for tx in seen.values():
         in_addrs = {i.address for i in tx.inputs}
@@ -470,7 +478,8 @@ class TestWholePipelineInvariants:
         rng = random.Random(77)
         for trial in range(25):
             labels, illicit, ledgers, emails, links = random_world(rng)
-            result = run_clustering(labels, illicit, ledgers, emails, links)
+            result = run_clustering(labels, illicit, ledgers, emails, links,
+                                    PUBLIC_THRESHOLD, VANITY_PREFIX)
             oracle = oracle_edge_union(labels, illicit, ledgers, emails, links)
             expected = frozenset(frozenset(c) for c in nx.connected_components(oracle))
             assert result.partition.partition() == expected, trial
@@ -502,8 +511,10 @@ class TestWholePipelineInvariants:
     def test_surface_link_order_irrelevant(self):
         rng = random.Random(79)
         labels, illicit, ledgers, emails, links = random_world(rng)
-        r1 = run_clustering(labels, illicit, ledgers, emails, links)
+        r1 = run_clustering(labels, illicit, ledgers, emails, links,
+                            PUBLIC_THRESHOLD, VANITY_PREFIX)
         shuffled = links[:]
         rng.shuffle(shuffled)
-        r2 = run_clustering(labels, illicit, ledgers, emails, shuffled)
+        r2 = run_clustering(labels, illicit, ledgers, emails, shuffled,
+                            PUBLIC_THRESHOLD, VANITY_PREFIX)
         assert r1.partition.partition() == r2.partition.partition()

@@ -920,7 +920,7 @@ class TestTables:
             return chain.Transaction("%064x" % n, datetime(2020, 1, n, tzinfo=timezone.utc),
                                      (chain.TxIO(source, sum(values)),),
                                      tuple(chain.TxIO("A", v) for v in values))
-        ledger = chain.AddressLedger.from_transactions("A", [
+        ledger = chain.ledger("A", [
             paying(1, "ext", [10, 20]), paying(2, "ext", [5]), paying(3, "B", [7])])
         inputs = {"corpus.jsonl": Corpus(), "labels.jsonl": [], "addresses.jsonl": [],
                   "illicit.jsonl": illicit_of(("A", "s.onion", Category.DRUGS),

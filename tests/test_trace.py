@@ -184,6 +184,17 @@ class TestAnnotations:
         assert updated[0].kind == "AbuseReport"
         assert not facts and not skipped
 
+    def test_later_kind_wins_on_every_hit_of_its_url(self):
+        url, other = "https://x.example.com/", "https://y.example.com/"
+        hits = [SurfaceHit(address="A", url=url), SurfaceHit(address="A", url=other),
+                SurfaceHit(address="B", url=url)]
+        updated, _, skipped = import_annotations(
+            [{"url": url, "kind": "AbuseReport"}, {"url": url, "kind": "Benign"},
+             {"url": url, "ip": "203.0.113.5"}], hits)
+        assert [(h.address, h.url, h.kind) for h in updated] == [
+            ("A", url, "Benign"), ("A", other, "Unreviewed"), ("B", url, "Benign")]
+        assert not skipped
+
     def test_identity_fact_emitted(self):
         hits = [SurfaceHit(address=ADDR, url="https://x.example.com/")]
         _, facts, _ = import_annotations(
