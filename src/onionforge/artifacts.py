@@ -13,8 +13,11 @@ and corpus.jsonl have their own exact serializers (`chain.ledger_json`,
 from __future__ import annotations
 
 import json
-from datetime import datetime, timezone
 from pathlib import Path
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from datetime import datetime
 
 
 class NotJson(ValueError):
@@ -55,10 +58,11 @@ def write_json(path, doc):
 def parse_utc(text: str) -> datetime:
     """An ISO 8601 time ("Z" suffix allowed) as an aware UTC datetime; a time
     without an offset is read as UTC. A malformed text raises ValueError."""
-    when = datetime.fromisoformat(text.replace("Z", "+00:00"))
+    import datetime as dt  # on first use, so a run that parses no time never loads it
+    when = dt.datetime.fromisoformat(text.replace("Z", "+00:00"))
     if when.tzinfo is None:
-        when = when.replace(tzinfo=timezone.utc)
-    return when.astimezone(timezone.utc)
+        when = when.replace(tzinfo=dt.timezone.utc)
+    return when.astimezone(dt.timezone.utc)
 
 
 def format_utc(when: datetime) -> str:

@@ -12,6 +12,7 @@ import logging
 import re
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -297,10 +298,16 @@ def filter_illicit_addresses(domain: str, category: Category, addresses,
     return result
 
 
+_address = attrgetter("address")
+
+
 def is_internal(tx: Transaction, illicit) -> bool:
-    """True iff some input address and some output address are both illicit."""
-    return (any(i.address in illicit for i in tx.inputs)
-            and any(o.address in illicit for o in tx.outputs))
+    """True iff some input address and some output address are both illicit.
+
+    `illicit` is keyed by address (the illicit.jsonl value)."""
+    keys = illicit.keys()
+    return not (keys.isdisjoint(map(_address, tx.inputs))
+                or keys.isdisjoint(map(_address, tx.outputs)))
 
 
 def unique_transactions(ledgers: dict[str, tuple[Transaction, ...]]) -> tuple[Transaction, ...]:
@@ -343,7 +350,10 @@ def estimate_income(illicit: dict[str, dict],
             if is_internal(tx, illicit):
                 internal.add(tx.txid)
                 continue
-            received = tx.output_to(address)
+            received = 0
+            for output in tx.outputs:
+                if output.address == address:
+                    received += output.value
             income += received
             count += received > 0
         per_address[address] = income

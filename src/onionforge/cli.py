@@ -1,15 +1,17 @@
-"""Command-line entry points: one subcommand per pipeline stage plus the full run.
+"""Command-line entry points: one command per pipeline stage plus the full run.
+
+    onionforge [-v|--verbose] COMMAND --config FILE
 
 `onionforge <stage> --config FILE` runs the pipeline up to and including
 that stage; earlier stages whose inputs are unchanged are skipped, exactly
-as in `onionforge run --config FILE`.
+as in `onionforge run --config FILE`. `--config=FILE` is accepted too, and
+`-h`/`--help` lists the commands.
 
-Exit codes: 0 success, 2 configuration error, 3 stage failure.
+Exit codes: 0 success, 2 usage or configuration error, 3 stage failure.
 """
 
 from __future__ import annotations
 
-import argparse
 import logging
 import os
 import sys
@@ -22,28 +24,68 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_STAGE = 3
 
+USAGE = "usage: onionforge [-h] [-v] COMMAND --config FILE"
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="onionforge",
-                                     description="Onion-snapshot forensics pipeline")
-    parser.add_argument("-v", "--verbose", action="store_true")
-    sub = parser.add_subparsers(dest="command", required=True)
-    # a stage command runs the pipeline up to that stage
-    commands = [(s.name, s.fn.__doc__, s.name) for s in report.STAGE_DECLS.values()]
-    commands.append(("run", "Run the full staged pipeline.", None))
-    for name, help_text, until in commands:
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True)
-        p.set_defaults(until=until)
-    return parser
+
+class UsageError(Exception):
+    pass
+
+
+def commands() -> dict[str, str]:
+    """Each command's name and one-line help: a stage command runs the
+    pipeline up to that stage, `run` runs all of it."""
+    helps = {s.name: s.fn.__doc__.strip().split("\n", 1)[0]
+             for s in report.STAGE_DECLS.values()}
+    helps["run"] = "Run the full staged pipeline."
+    return helps
+
+
+def help_text() -> str:
+    lines = [USAGE, "", "Onion-snapshot forensics pipeline", "", "commands:"]
+    lines += ["  %-10s %s" % item for item in commands().items()]
+    lines += ["", "options:",
+              "  -h, --help     show this help and exit",
+              "  -v, --verbose  log debug messages too",
+              "  --config FILE  the run's config file"]
+    return "\n".join(lines)
+
+
+def parse_args(argv) -> tuple[bool, str, str]:
+    """(verbose, command, config path) of `[-v] COMMAND --config FILE`;
+    any other argv raises UsageError."""
+    verbose = argv[:1] in (["-v"], ["--verbose"])
+    args = argv[1:] if verbose else argv
+    if not args:
+        raise UsageError("a command is required")
+    command, *rest = args
+    if command not in commands():
+        raise UsageError("unknown command %r (choose from %s)"
+                         % (command, ", ".join(commands())))
+    config = ""
+    if len(rest) == 2 and rest[0] == "--config":
+        config = rest[1]
+    elif len(rest) == 1 and rest[0].startswith("--config="):
+        config = rest[0][len("--config="):]
+    if not config:
+        raise UsageError("%s takes --config FILE and nothing else" % command)
+    return verbose, command, config
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    logging.basicConfig(level=logging.DEBUG if args.verbose else logging.INFO,
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        print(help_text())
+        return EXIT_OK
+    try:
+        verbose, command, config = parse_args(argv)
+    except UsageError as exc:
+        print("%s\nonionforge: error: %s" % (USAGE, exc), file=sys.stderr)
+        return EXIT_CONFIG
+    logging.basicConfig(level=logging.DEBUG if verbose else logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     try:
-        run = report.run_pipeline(report.parse_config(args.config), args.until)
+        run = report.run_pipeline(report.parse_config(config),
+                                  None if command == "run" else command)
     except report.ConfigError as exc:
         log.error("config error: %s", exc)
         return EXIT_CONFIG

@@ -154,9 +154,9 @@ def transaction_edges(ledgers: dict[str, tuple[Transaction, ...]],
     """
     common, internal = [], []
     for tx in chain.unique_transactions(ledgers):
-        if detect_mixing(tx):
-            continue
         ins = sorted({i.address for i in tx.inputs if i.address in members})
+        if not ins or detect_mixing(tx):  # no member input: no edge
+            continue
         outs = sorted({o.address for o in tx.outputs if o.address in members})
         common += [("common-input", node_id(BTC, ins[0]), node_id(BTC, other))
                    for other in ins[1:]]

@@ -7,24 +7,26 @@ A snapshot tree looks like
 
 The pipeline never touches the live Tor network: pages come only from a
 snapshot tree. A corpus is its pages, as `PageRecord` rows in (domain,
-path) order, the order corpus.jsonl holds them in.
+path) order, the order corpus.jsonl holds them in. `base64` and `datetime`
+load on first use, so a run that skips ingest and reads no page loads neither.
 """
 
 from __future__ import annotations
 
-import base64
 import json
 import logging
 import re
-from datetime import datetime, timezone
 from itertools import groupby
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 from urllib.parse import unquote
 
 from .artifacts import format_utc, parse_utc, read_jsonl
+
+if TYPE_CHECKING:
+    from datetime import datetime
 
 log = logging.getLogger("onionforge.corpus")
 
@@ -91,6 +93,7 @@ def ingest_snapshot(root) -> Corpus:
     name, and unusable manifest lines, such as one whose domain is not an
     onion name. Duplicate (domain, path) entries are last-write-wins.
     """
+    from datetime import datetime, timezone
     root = Path(root)
     if not root.is_dir():
         raise CorpusError("snapshot root not readable: %s" % root)
@@ -147,6 +150,7 @@ def write_corpus_jsonl(corpus: Corpus, out_path):
     """One row per page, in corpus order: the JSONL row `artifacts.write_jsonl`
     would write, {domain, fetched_at, html_b64, path, v} with sorted keys, built
     by one format because the base64 text needs no escaping."""
+    import base64
     with open(out_path, "w") as fh:
         fh.writelines(
             '{"domain": %s, "fetched_at": %s, "html_b64": "%s", "path": %s, "v": 1}\n'
@@ -161,6 +165,7 @@ def read_corpus_jsonl(path) -> Corpus:
     """The corpus a corpus.jsonl holds; a row whose domain is not an onion name
     or whose page is empty raises ValueError, and a later row for the same
     (domain, path) replaces an earlier one."""
+    import base64
     return Corpus(PageRecord(onion_name(row["domain"]), row["path"],
                              _nonempty(base64.b64decode(row["html_b64"])),
                              parse_utc(row["fetched_at"]))

@@ -407,7 +407,10 @@ def page_text_and_attrs(html: bytes) -> str:
     scanned once.
     """
     chunks, values = _scan(html)
+    text = _normalize(chunks)
     if _handoff is not None:
-        entry = _handoff.setdefault(html, [_normalize(chunks), 0])
+        entry = _handoff.setdefault(html, [text, 0])
         entry[1] += 1
-    return _normalize(chunks + values)
+    # `_normalize(chunks + values)`: str.split never joins words across the
+    # space between the two parts, so each part is normalized on its own
+    return " ".join(filter(None, (text, _normalize(values))))

@@ -13,14 +13,13 @@ whose signature changed or that are racily clean. Outputs carry no
 wall-clock state, so identical inputs produce byte-identical outputs.
 
 A stage's modules load when it first runs: each function here imports the
-modules it calls in its own body, so a run loads only those of the stages
-it executes, and looks their functions up when called.
+modules it calls in its own body (`csv` too), so a run loads only those of
+the stages it executes, and looks their functions up when called.
 """
 
 from __future__ import annotations
 
 import contextlib
-import csv
 import hashlib
 import io
 import json
@@ -342,6 +341,7 @@ def read_ledgers(ledgers_dir) -> Ledgers:
 
 def write_tables(tables_dir: Path, tables: dict[str, tuple[list[str], list[dict]]]):
     """Each table as `<name>.csv` and `<name>.json`; `tables` maps name to (headers, rows)."""
+    import csv
     tables_dir.mkdir(exist_ok=True)
     for name, (headers, rows) in tables.items():
         with open(tables_dir / (name + ".csv"), "w", newline="") as fh:

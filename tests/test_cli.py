@@ -3,7 +3,7 @@ import json
 import pytest
 
 from onionforge.cli import EXIT_CONFIG, EXIT_OK, EXIT_STAGE, main
-from onionforge.report import parse_config, run_pipeline
+from onionforge.report import STAGE_DECLS, parse_config, run_pipeline
 
 from planted import EXPECTED_CAMPAIGNS, assert_same_artifacts, build_planted_corpus
 
@@ -90,3 +90,42 @@ def test_missing_input_file_exit_code(tmp_path):
                    % (tmp_path / "snapshot", tmp_path / "gt.jsonl", tmp_path / "out",
                       tmp_path / "absent.txt"))
     assert main(["extract", "--config", str(cfg)]) == EXIT_STAGE
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help"])
+def test_help_lists_every_command(flag, capsys):
+    assert main([flag]) == EXIT_OK
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: onionforge") and not err
+    listed = [line.split()[0] for line in out.split("commands:\n")[1].split("\n\n")[0]
+              .splitlines()]
+    assert listed == [*STAGE_DECLS, "run"]
+
+
+@pytest.mark.parametrize("argv", [
+    [],                                      # no command
+    ["no-such-command", "--config", "x"],
+    ["run"],                                 # no --config
+    ["run", "--config"],                     # --config without FILE
+    ["run", "--config="],
+    ["run", "--config", "x", "extra"],
+    ["run", "-v", "--config", "x"],          # -v goes before the command
+    ["run", "--config", "x", "-v"],
+    ["--config", "x", "run"],
+])
+def test_usage_errors_exit_2(argv, capsys):
+    assert main(argv) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert not out
+    usage, error = err.splitlines()
+    assert usage.startswith("usage: onionforge") and error.startswith("onionforge: error: ")
+
+
+@pytest.mark.parametrize("argv", [["-v", "run", "--config", "{}"],
+                                  ["--verbose", "run", "--config", "{}"],
+                                  ["run", "--config={}"]])
+def test_verbose_flag_and_config_forms_run(argv, planted):
+    corpus_obj, tmp = planted
+    cfg = write_config(corpus_obj, tmp, "out")
+    assert main([arg.format(cfg) for arg in argv]) == EXIT_OK
+    assert (tmp / "out" / "summary.json").is_file()

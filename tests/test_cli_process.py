@@ -1,9 +1,10 @@
 """The CLI as a process: what it loads, and how it ends.
 
 A command imports only the modules of the stages it executes, so a no-op
-rerun or an ingest never loads a stage's parsers or regexes. The entry
-point ends the process with a hard exit once the logs and both streams are
-flushed; these tests run real child processes to see both.
+rerun or an ingest never loads a stage's parsers or regexes, nor a stdlib
+module that only other commands use. The entry point ends the process with
+a hard exit once the logs and both streams are flushed; these tests run
+real child processes to see both.
 """
 
 import importlib.util
@@ -24,10 +25,16 @@ ROOT = Path(__file__).resolve().parents[1]
 STAGE_MODULES = {"onionforge." + name for name in (
     "chain", "classify", "cluster", "extract", "pagetext", "trace", "keccak", "base58", "net")}
 
-# runs the CLI in-process, then prints the package modules it left loaded
-PRINT_LOADED = ("import sys; from onionforge.cli import main; code = main(sys.argv[1:]); "
-                "print(' '.join(m for m in sys.modules if m.startswith('onionforge.'))); "
+# runs the CLI in-process, then prints every module that importing and running
+# it added, so a module that the interpreter's site hooks loaded does not count
+PRINT_LOADED = ("import sys; before = set(sys.modules); from onionforge.cli import main; "
+                "code = main(sys.argv[1:]); print(' '.join(set(sys.modules) - before)); "
                 "sys.exit(code)")
+
+# stdlib modules a command has no use for: an ingest writes no table and
+# parses its argv by hand, and a no-op rerun also decodes no page or time
+UNUSED_BY_INGEST = {"argparse", "gettext", "csv"}
+UNUSED_BY_RERUN = UNUSED_BY_INGEST | {"base64", "datetime"}
 
 
 def python(*args):
@@ -68,6 +75,7 @@ def test_a_command_loads_only_the_modules_of_the_stages_it_executes(planted, tmp
     loaded = set(rerun.stdout.split())
     assert "onionforge.report" in loaded
     assert not loaded & STAGE_MODULES
+    assert not loaded & UNUSED_BY_RERUN
 
     ingest = python("-c", PRINT_LOADED, "ingest", "--config", str(config("fresh")))
     assert ingest.returncode == cli.EXIT_OK, ingest.stderr
@@ -76,6 +84,7 @@ def test_a_command_loads_only_the_modules_of_the_stages_it_executes(planted, tmp
     loaded = set(ingest.stdout.split())
     assert "onionforge.corpus" in loaded
     assert not loaded & STAGE_MODULES
+    assert not loaded & UNUSED_BY_INGEST
 
 
 def test_the_cluster_module_does_not_load_the_pipeline():

@@ -3,6 +3,7 @@ import subprocess
 import sys
 from html.parser import HTMLParser
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from growth import growth
@@ -109,6 +110,19 @@ def test_text_and_attrs():
             b"<body><p>pay  to</p>\n<a href=\"bitcoin:addr\">here</a></body></html>")
     assert page_text_and_attrs(html) == "pay to here bitcoin:addr"
     assert page_text(html) == "pay to here"
+
+
+# text pieces as the scanner may give them: empty, whitespace-only, and with
+# whitespace that str.split knows beyond ASCII
+pieces = st.lists(st.text(st.sampled_from("ab \t\n\xa0\u2003\x1c")) | st.text(max_size=4),
+                  max_size=6)
+
+
+@settings(max_examples=500)
+@given(pieces, pieces)
+def test_text_and_attrs_is_all_pieces_normalized_as_one(chunks, values):
+    with mock.patch.object(pagetext, "_scan", lambda html: (chunks, values)):
+        assert page_text_and_attrs(b"page") == " ".join(" ".join(chunks + values).split())
 
 
 # the oracle is the installed html.parser, and the scanner is pinned to 3.11.7's
