@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .artifacts import NotJson, format_utc, parse_utc, read_jsonl
-from .classify import Category
+from .classify import CATEGORIES, OTHER, parse_category
 from .net import NOT_FOUND, Client, FetchError
 
 log = logging.getLogger("onionforge.chain")
@@ -42,12 +42,6 @@ class Transaction(NamedTuple):
     inputs: tuple[TxIO, ...]
     outputs: tuple[TxIO, ...]
     coinbase: bool = False
-
-    def output_to(self, address: str) -> int:
-        return sum(o.value for o in self.outputs if o.address == address)
-
-    def input_from(self, address: str) -> int:
-        return sum(i.value for i in self.inputs if i.address == address)
 
 
 def _timestamp(ts) -> datetime:
@@ -268,7 +262,7 @@ class FilterResult(NamedTuple):
     removed: dict[str, str]   # address -> reason
 
 
-def filter_illicit_addresses(domain: str, category: Category, addresses,
+def filter_illicit_addresses(domain: str, category: str, addresses,
                              annotations: dict[tuple[str, str], AddressAnnotation]) -> FilterResult:
     """Keep only addresses plausibly owned by the site operator.
 
@@ -289,7 +283,7 @@ def filter_illicit_addresses(domain: str, category: Category, addresses,
         elif ann.zone == "other":
             result.removed[address] = "non-payment-hash"
         elif ann.zone == "listing":
-            if category is Category.PRIVATE_KEY:
+            if category == "PrivateKey":
                 result.removed[address] = "sold-wallet"
             elif ann.prior_tx_with_payment:
                 result.removed[address] = "prior-tx-with-payment"
@@ -315,9 +309,12 @@ def unique_transactions(ledgers: dict[str, tuple[Transaction, ...]]) -> tuple[Tr
     return _in_time_order(tx for address in sorted(ledgers) for tx in ledgers[address])
 
 
-def _apportion(value: int, categories) -> dict[Category, int]:
+_TABLE_ORDER = CATEGORIES + (OTHER,)
+
+
+def _apportion(value: int, categories) -> dict[str, int]:
     """Equal integer split, remainder to the earliest table entries."""
-    cats = sorted(categories, key=lambda c: c.value)
+    cats = sorted(categories, key=_TABLE_ORDER.index)
     share, rem = divmod(value, len(cats))
     return {c: share + (1 if i < rem else 0) for i, c in enumerate(cats)}
 
@@ -326,8 +323,8 @@ class IncomeReport(NamedTuple):
     total: int
     per_address: dict[str, int]
     incoming: dict[str, int]  # address -> counted transactions paying it
-    by_category_split: dict[Category, int]
-    by_category_full: dict[Category, int]
+    by_category_split: dict[str, int]  # by category label
+    by_category_full: dict[str, int]
     internal_txids: set[str]
 
 
@@ -359,10 +356,10 @@ def estimate_income(illicit: dict[str, dict],
         per_address[address] = income
         incoming[address] = count
 
-    split: dict[Category, int] = {}
-    full: dict[Category, int] = {}
+    split: dict[str, int] = {}
+    full: dict[str, int] = {}
     for address, income in per_address.items():
-        cats = [Category.parse(label) for label in illicit[address]["categories"]]
+        cats = [parse_category(label) for label in illicit[address]["categories"]]
         if not cats:
             continue
         for cat, share in _apportion(income, cats).items():

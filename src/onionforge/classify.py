@@ -12,11 +12,9 @@ relabel earlier ones.
 
 from __future__ import annotations
 
-import enum
 import json
 import math
 import re
-from typing import NamedTuple
 
 from .artifacts import word_list
 from .corpus import Corpus, PageRecord
@@ -31,67 +29,38 @@ class ClassifyConfigError(Exception):
     pass
 
 
-class Category(enum.Enum):
-    """The twelve illicit categories, in ground-truth table order, plus Other."""
-
-    INVESTMENT_SCAMS = 1
-    PRIVATE_KEY = 2
-    CLONE_CARD = 3
-    COUNTERFEIT_BILLS = 4
-    CITIZENSHIP = 5
-    DRUGS = 6
-    HACKER = 7
-    HITMEN = 8
-    SEXUAL_ABUSE = 9
-    MEMBERSHIPS = 10
-    WEAPONS = 11
-    SHOP = 12
-    OTHER = 99
-
-    @property
-    def label(self) -> str:
-        return _LABELS[self]
-
-    @classmethod
-    def parse(cls, text: str) -> "Category":
-        key = re.sub(r"[\s_-]+", "", text).lower()
-        try:
-            return _ALIASES[key]
-        except KeyError:
-            raise ClassifyConfigError("unknown category %r" % text) from None
+CATEGORIES = ("InvestmentScams", "PrivateKey", "CloneCard", "CounterfeitBills",
+              "Citizenship", "Drugs", "Hacker", "Hitmen", "SexualAbuse", "Memberships",
+              "Weapons", "Shop")  # the twelve illicit categories, in table order
+OTHER = "Other"
 
 
-_LABELS = {
-    Category.INVESTMENT_SCAMS: "InvestmentScams",
-    Category.PRIVATE_KEY: "PrivateKey",
-    Category.CLONE_CARD: "CloneCard",
-    Category.COUNTERFEIT_BILLS: "CounterfeitBills",
-    Category.CITIZENSHIP: "Citizenship",
-    Category.DRUGS: "Drugs",
-    Category.HACKER: "Hacker",
-    Category.HITMEN: "Hitmen",
-    Category.SEXUAL_ABUSE: "SexualAbuse",
-    Category.MEMBERSHIPS: "Memberships",
-    Category.WEAPONS: "Weapons",
-    Category.SHOP: "Shop",
-    Category.OTHER: "Other",
-}
+def _alias_key(text: str) -> str:
+    return re.sub(r"[\s_-]+", "", text).lower()
 
-_ALIASES = {re.sub(r"[\s_-]+", "", v).lower(): k for k, v in _LABELS.items()}
+
+_ALIASES = {_alias_key(label): label for label in CATEGORIES + (OTHER,)}
 _ALIASES.update({
-    "investmentscam": Category.INVESTMENT_SCAMS,
-    "privatekeys": Category.PRIVATE_KEY,
-    "clonedcard": Category.CLONE_CARD,
-    "clonedcards": Category.CLONE_CARD,
-    "hacking": Category.HACKER,
-    "sexualabuses": Category.SEXUAL_ABUSE,
-    "shops": Category.SHOP,
+    "investmentscam": "InvestmentScams",
+    "privatekeys": "PrivateKey",
+    "clonedcard": "CloneCard",
+    "clonedcards": "CloneCard",
+    "hacking": "Hacker",
+    "sexualabuses": "SexualAbuse",
+    "shops": "Shop",
 })
 
-CATEGORIES = tuple(c for c in Category if c is not Category.OTHER)
+
+def parse_category(text: str) -> str:
+    """The table label `text` names, ignoring case, spaces, `_` and `-`, or an alias."""
+    try:
+        return _ALIASES[_alias_key(text)]
+    except KeyError:
+        raise ClassifyConfigError("unknown category %r" % text) from None
+
 
 TermVector = dict               # word -> count or weight, no zero entries
-GroundTruthRows = list          # (PageRecord, Category) pairs, each page the corpus's own
+GroundTruthRows = list          # (PageRecord, category) pairs, each page the corpus's own
 
 
 def load_stopwords(path=None) -> set[str]:
@@ -183,7 +152,7 @@ def load_ground_truth(path, corpus: Corpus) -> GroundTruthRows:
                 raise ClassifyConfigError(
                     "ground truth line %d: not a JSON object with text domain, path and "
                     "category: %r" % (lineno, line.strip()))
-            cat = Category.parse(row["category"])
+            cat = parse_category(row["category"])
             page = by_key.get((row["domain"], row["path"]))
             if page is None:
                 missing.append("%s %s (line %d)" % (row["domain"], row["path"], lineno))
@@ -195,26 +164,26 @@ def load_ground_truth(path, corpus: Corpus) -> GroundTruthRows:
     return gt
 
 
-def aggregate_site_label(page_labels: list[Category]) -> Category:
+def aggregate_site_label(page_labels: list[str]) -> str:
     """Zero distinct non-Other labels -> Other; one -> itself; several -> Shop."""
-    distinct = {c for c in page_labels if c is not Category.OTHER}
+    distinct = {c for c in page_labels if c != OTHER}
     if not distinct:
-        return Category.OTHER
+        return OTHER
     if len(distinct) == 1:
         return distinct.pop()
-    return Category.SHOP
+    return "Shop"
 
 
-def _best_category(scores: dict[Category, float], threshold: float) -> tuple[Category, float]:
+def _best_category(scores: dict[str, float], threshold: float) -> tuple[str, float]:
     """Highest score wins if it clears the threshold; ties fall to table order."""
-    best, best_score = Category.OTHER, 0.0
+    best, best_score = OTHER, 0.0
     for cat in CATEGORIES:
         score = scores.get(cat, 0.0)
         if score > best_score:
             best, best_score = cat, score
-    if best_score >= threshold and best is not Category.OTHER:
+    if best_score >= threshold and best != OTHER:
         return best, best_score
-    return Category.OTHER, best_score
+    return OTHER, best_score
 
 
 class PageIndex:
@@ -234,7 +203,7 @@ class PageIndex:
         self.norms: list[float] = []
         self.ranks: list[int] = []
 
-    def add(self, vector: TermVector, category: Category):
+    def add(self, vector: TermVector, category: str):
         page = len(self.vectors)
         norm = math.sqrt(sum(w * w for w in vector.values()))
         for term, w in vector.items():
@@ -301,14 +270,14 @@ def _similarity_label(site_vectors, index: PageIndex, threshold):
                 best, best_rank = sim, ranks[page]
     if best_rank < len(CATEGORIES) and best >= threshold:
         return CATEGORIES[best_rank], best
-    return Category.OTHER, best
+    return OTHER, best
 
 
 class FeatureSet:
     """Merged top-TF-IDF keywords with the vectors needed for projection."""
 
-    def __init__(self, keywords: list[str], category_vectors: dict[Category, TermVector],
-                 idf: dict[str, float], top_keywords: dict[Category, list[str]]):
+    def __init__(self, keywords: list[str], category_vectors: dict[str, TermVector],
+                 idf: dict[str, float], top_keywords: dict[str, list[str]]):
         self.keywords = keywords
         self.category_vectors = category_vectors  # full TF-IDF vectors
         self.idf = idf
@@ -323,7 +292,7 @@ def ground_truth_index(gt: GroundTruthRows, stopwords: set[str]) -> PageIndex:
     vectors: dict[int, TermVector] = {}
     index = PageIndex()
     for page, cat in gt:
-        if cat is not Category.OTHER:
+        if cat != OTHER:
             if id(page) not in vectors:
                 vectors[id(page)] = page_vector(page, stopwords)
             index.add(vectors[id(page)], cat)
@@ -339,14 +308,14 @@ def build_feature_set(index: PageIndex) -> FeatureSet:
     docs: list[TermVector] = [{} for _ in CATEGORIES]
     for vec, rank in zip(index.vectors, index.ranks):
         add_counts(docs[rank], vec)
-    empty = [cat.label for cat, doc in zip(CATEGORIES, docs) if not doc]
+    empty = [cat for cat, doc in zip(CATEGORIES, docs) if not doc]
     if empty:
         raise ClassifyConfigError("ground truth lacks content for: " + ", ".join(empty))
 
     weighted, idf = tfidf_vectors(docs)
     cat_vectors = dict(zip(CATEGORIES, weighted))
 
-    top: dict[Category, list[str]] = {}
+    top: dict[str, list[str]] = {}
     merged: list[str] = []
     seen = set()
     for cat in CATEGORIES:
@@ -364,65 +333,49 @@ def _tfidf_label(site_counts: TermVector, fs: FeatureSet, threshold):
     """Phase-3 rule: cosine in feature-set space, same threshold and ties."""
     site_vec = {t: c * fs.idf[t] for t, c in site_counts.items() if t in fs.keyword_set}
     if not site_vec:
-        return Category.OTHER, 0.0
+        return OTHER, 0.0
     scores = {cat: cosine(site_vec, fs.projected[cat]) for cat in CATEGORIES}
     return _best_category(scores, threshold)
 
 
-class LabelResult(NamedTuple):
-    domain: str
-    category: Category
-    phase: str          # ground-truth | cosine | tfidf | none
-    score: float | None = None
+def _label_row(domain: str, category: str, phase: str, score: float | None = None) -> dict:
+    row = {"v": 1, "domain": domain, "category": category, "phase": phase}
+    if score is not None:
+        row["score"] = round(score, 12)
+    return row
 
 
 def classify_corpus(corpus: Corpus, gt: GroundTruthRows, threshold: float,
-                    stopwords: set[str]) -> dict[str, LabelResult]:
-    """Run all three phases over a corpus. Deterministic for fixed inputs.
+                    stopwords: set[str]) -> list[dict]:
+    """Run all three phases over a corpus: the labels.jsonl rows, by domain.
 
-    Each classified page is tokenized once: the feature set sums the vectors
-    of the ground-truth index, and phase 3 those of the site phase 2 scored.
+    A row's phase is ground-truth, cosine, tfidf or none. Deterministic for
+    fixed inputs. Each classified page is tokenized once: the feature set
+    sums the vectors of the ground-truth index, and phase 3 those of the
+    site phase 2 scored.
     """
-    results: dict[str, LabelResult] = {}
+    rows: dict[str, dict] = {}
 
-    site_labels: dict[str, list[Category]] = {}
+    site_labels: dict[str, list[str]] = {}
     for page, cat in gt:
         site_labels.setdefault(page.domain, []).append(cat)
     for domain, labels in site_labels.items():
-        results[domain] = LabelResult(domain, aggregate_site_label(labels), "ground-truth")
+        rows[domain] = _label_row(domain, aggregate_site_label(labels), "ground-truth")
 
     index = ground_truth_index(gt, stopwords)
     fs = build_feature_set(index)
     for domain, pages in corpus.sites():
-        if domain in results:
+        if domain in rows:
             continue
         site_vectors = [page_vector(p, stopwords) for p in pages]
         label, score = _similarity_label(site_vectors, index, threshold)
-        if label is not Category.OTHER:
-            results[domain] = LabelResult(domain, label, "cosine", score)
+        if label != OTHER:
+            rows[domain] = _label_row(domain, label, "cosine", score)
             continue  # cosine labels are final
         counts: TermVector = {}
         for vec in site_vectors:
             add_counts(counts, vec)
         label, score = _tfidf_label(counts, fs, threshold)
-        phase = "none" if label is Category.OTHER else "tfidf"
-        results[domain] = LabelResult(domain, label, phase, score)
+        rows[domain] = _label_row(domain, label, "none" if label == OTHER else "tfidf", score)
 
-    return results
-
-
-def _label_row(r: LabelResult) -> dict:
-    row = {"v": 1, "domain": r.domain, "category": r.category.label, "phase": r.phase}
-    if r.score is not None:
-        row["score"] = round(r.score, 12)
-    return row
-
-
-def label_rows(results: dict[str, LabelResult]) -> list[dict]:
-    """The labels.jsonl rows of `results`, by domain."""
-    return [_label_row(results[d]) for d in sorted(results)]
-
-
-def label_categories(rows) -> dict[str, Category]:
-    """Domain to category, from labels.jsonl rows."""
-    return {row["domain"]: Category.parse(row["category"]) for row in rows}
+    return [rows[d] for d in sorted(rows)]

@@ -17,7 +17,7 @@ from urllib.parse import urlparse
 
 from . import chain
 from .chain import Transaction
-from .classify import Category
+from .classify import OTHER
 
 log = logging.getLogger("onionforge.cluster")
 
@@ -105,7 +105,7 @@ class EntityGraph:
         return sorted(e for e in self.edges if e[0] == kind)
 
 
-def build_entity_graph(labels: dict[str, Category],
+def build_entity_graph(labels: dict[str, str],
                        illicit: dict[str, dict],
                        site_emails: dict[str, set[str]] | None = None) -> EntityGraph:
     """Seed graph: labeled non-Other sites, their addresses and emails.
@@ -114,15 +114,15 @@ def build_entity_graph(labels: dict[str, Category],
     """
     graph = EntityGraph()
     for domain in sorted(labels):
-        if labels[domain] is Category.OTHER:
+        if labels[domain] == OTHER:
             continue
-        graph.add_node(node_id(SITE, domain), category=labels[domain].label)
+        graph.add_node(node_id(SITE, domain), category=labels[domain])
     for address, row in illicit.items():
         graph.add_node(node_id(BTC, address))
         for site in row["sites"]:
             graph.add_edge("site-hosts-addr", node_id(SITE, site), node_id(BTC, address))
     for domain, emails in sorted((site_emails or {}).items()):
-        if labels.get(domain, Category.OTHER) is Category.OTHER:
+        if labels.get(domain, OTHER) == OTHER:
             continue
         for email in sorted(emails):
             graph.add_edge("site-lists-email", node_id(SITE, domain), node_id(EMAIL, email))
@@ -273,7 +273,7 @@ def snapshot(partition: UnionFind, phase: str) -> dict:
     return row
 
 
-def campaign_stats(partition: UnionFind, labels: dict[str, Category],
+def campaign_stats(partition: UnionFind, labels: dict[str, str],
                    received: dict[str, int]) -> tuple[list[dict], dict]:
     """Campaigns = clustered components holding at least one address.
 
@@ -297,8 +297,7 @@ def campaign_stats(partition: UnionFind, labels: dict[str, Category],
         raw.append({
             "v": 1, "id": "", "sites": sites, "btc_addresses": addrs,
             "emails": values[EMAIL], "ips": values[IP], "urls": values[URL],
-            "categories": sorted({labels[s].label for s in sites
-                                  if labels.get(s, Category.OTHER) is not Category.OTHER}),
+            "categories": sorted({labels[s] for s in sites if labels.get(s, OTHER) != OTHER}),
             "received": sum(received.get(a, 0) for a in addrs),
         })
     raw.sort(key=lambda c: (-c["received"], -len(c["sites"]), c["sites"][0] if c["sites"] else ""))
@@ -318,7 +317,7 @@ class ClusterResult(NamedTuple):
     exclusions: dict
 
 
-def run_clustering(labels: dict[str, Category], illicit: dict[str, dict],
+def run_clustering(labels: dict[str, str], illicit: dict[str, dict],
                    ledgers: dict[str, tuple[Transaction, ...]],
                    site_emails: dict[str, set[str]], surface_links,
                    public_threshold: int, vanity_prefix: int) -> ClusterResult:
@@ -360,8 +359,7 @@ def run_clustering(labels: dict[str, Category], illicit: dict[str, dict],
     if public_facts:
         exclusions["public_identity_facts"] = [
             {"kind": k, "value": v, "url": u} for k, v, u in public_facts]
-    vanity = vanity_groups([s for s in labels
-                            if labels[s] is not Category.OTHER], vanity_prefix)
+    vanity = vanity_groups([s for s in labels if labels[s] != OTHER], vanity_prefix)
     return ClusterResult(campaigns=campaigns, trace=trace, partition=partition,
                          graph=graph, vanity=vanity, exclusions=exclusions)
 

@@ -91,14 +91,15 @@ def ingest_snapshot(root) -> Corpus:
     Malformed domain directories are skipped with a warning; so are entries
     that are not non-empty, readable `.html` files with a percent-decodable
     name, and unusable manifest lines, such as one whose domain is not an
-    onion name. Duplicate (domain, path) entries are last-write-wins.
+    onion name. A manifest line that matches no page is logged and listed in
+    `skipped`. Duplicate (domain, path) entries are last-write-wins.
     """
     from datetime import datetime, timezone
     root = Path(root)
     if not root.is_dir():
         raise CorpusError("snapshot root not readable: %s" % root)
 
-    manifest: dict[tuple[str, str], datetime] = {}
+    manifest: dict[tuple[str, str], tuple[int, datetime]] = {}  # key -> line, fetched_at
     manifest_path = root / "manifest.jsonl"
     if manifest_path.is_file():
         for lineno, line in enumerate(manifest_path.read_text().splitlines(), 1):
@@ -110,7 +111,7 @@ def ingest_snapshot(root) -> Corpus:
                         isinstance(row.get(k), str) for k in ("domain", "path", "fetched_at"))):
                     raise ValueError("not an object with text domain, path and fetched_at")
                 key = (onion_name(row["domain"]), row["path"])  # case-blind, as directories
-                manifest[key] = parse_utc(row["fetched_at"])
+                manifest[key] = lineno, parse_utc(row["fetched_at"])
             except (ValueError, OverflowError) as exc:  # a time past datetime's range overflows
                 log.warning("manifest line %d unusable: %s", lineno, exc)
 
@@ -135,12 +136,16 @@ def ingest_snapshot(root) -> Corpus:
                 skipped.append("%s/%s" % (entry.name, page_file.name))
                 log.warning("skipping %r: %s", page_file.name, exc)
                 continue
-            fetched = manifest.get((domain, path))
-            if fetched is None:
+            if (domain, path) in manifest:
+                fetched = manifest[domain, path][1]
+            else:
                 fetched = datetime.fromtimestamp(page_file.stat().st_mtime, tz=timezone.utc)
             if (domain, path) in pages:
                 log.warning("duplicate page %s %s: keeping later file", domain, path)
             pages[domain, path] = PageRecord(domain, path, html, fetched)
+    for lineno in sorted(line for key, (line, _) in manifest.items() if key not in pages):
+        skipped.append("manifest line %d" % lineno)
+        log.warning("manifest line %d matches no page", lineno)
     return Corpus(pages.values(), skipped)
 
 

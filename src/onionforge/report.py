@@ -462,6 +462,13 @@ def stage_extract(cfg: PipelineConfig, inputs: dict) -> dict:
     return {"addresses.jsonl": rows}
 
 
+def labels_by_site(rows) -> dict[str, str]:
+    """Site domain to category label, from labels.jsonl rows; a hand-edited
+    row is read as the ground truth is, so an alias names its category."""
+    from .classify import parse_category
+    return {row["domain"]: parse_category(row["category"]) for row in rows}
+
+
 def valid_by_site(address_rows, kind: str) -> dict[str, set[str]]:
     """The valid values of one kind in addresses.jsonl rows, by site domain."""
     out: dict[str, set[str]] = {}
@@ -479,8 +486,7 @@ def stage_classify(cfg: PipelineConfig, inputs: dict) -> dict:
     corpus = inputs["corpus.jsonl"]
     stopwords = classify.load_stopwords(cfg.stopwords)
     gt = classify.load_ground_truth(cfg.ground_truth, corpus)
-    results = classify.classify_corpus(corpus, gt, cfg.threshold, stopwords)
-    return {"labels.jsonl": classify.label_rows(results)}
+    return {"labels.jsonl": classify.classify_corpus(corpus, gt, cfg.threshold, stopwords)}
 
 
 @stage("filter", reads=["labels.jsonl", "addresses.jsonl"],
@@ -492,22 +498,23 @@ def stage_filter(cfg: PipelineConfig, inputs: dict) -> dict:
     The illicit.jsonl value is {address: row} in address order; each row
     merges the address's sites, category labels and flags.
     """
-    from . import chain, classify
-    labels = classify.label_categories(inputs["labels.jsonl"])
+    from . import chain
+    from .classify import OTHER
+    labels = labels_by_site(inputs["labels.jsonl"])
     annotations = (chain.load_annotations(cfg.chain_annotations)
                    if cfg.chain_annotations else {})
     by_site = valid_by_site(inputs["addresses.jsonl"], "btc")
     retained: dict[str, tuple[set, set, set]] = {}  # address -> sites, labels, flags
     audit = []
     for domain in sorted(by_site):
-        category = labels.get(domain, classify.Category.OTHER)
-        if category is classify.Category.OTHER:
+        category = labels.get(domain, OTHER)
+        if category == OTHER:
             continue
         result = chain.filter_illicit_addresses(domain, category, by_site[domain], annotations)
         for address, flag in sorted(result.retained.items()):
             sites, cats, flags = retained.setdefault(address, (set(), set(), set()))
             sites.add(domain)
-            cats.add(category.label)
+            cats.add(category)
             flags.add(flag)
             audit.append({"v": 1, "domain": domain, "address": address,
                           "action": "retained", "flag": flag})
@@ -561,9 +568,9 @@ def stage_trace(cfg: PipelineConfig, inputs: dict) -> dict:
        config_keys=["public_threshold", "vanity_prefix"])
 def stage_cluster(cfg: PipelineConfig, inputs: dict) -> dict:
     """Merge sites, addresses and identity facts into campaigns in five phases."""
-    from . import classify, cluster
+    from . import cluster
     result = cluster.run_clustering(
-        classify.label_categories(inputs["labels.jsonl"]), inputs["illicit.jsonl"],
+        labels_by_site(inputs["labels.jsonl"]), inputs["illicit.jsonl"],
         inputs["ledgers"], valid_by_site(inputs["addresses.jsonl"], "email"),
         inputs["surface.jsonl"], cfg.public_threshold, cfg.vanity_prefix)
     nodes = result.graph.nodes
@@ -710,9 +717,9 @@ def emit_tables(inputs: dict, top_n: int = 10, min_received: int = 0) -> tuple[d
 
     Returns (tables, summary), the values of `tables` and `summary.json`.
     """
-    from . import chain, classify
-    from .classify import CATEGORIES, Category
-    labels = classify.label_categories(inputs["labels.jsonl"])
+    from . import chain
+    from .classify import CATEGORIES, OTHER
+    labels = labels_by_site(inputs["labels.jsonl"])
     illicit = inputs["illicit.jsonl"]
     ledgers = inputs["ledgers"]
     income = chain.estimate_income(illicit, ledgers)
@@ -721,23 +728,23 @@ def emit_tables(inputs: dict, top_n: int = 10, min_received: int = 0) -> tuple[d
                         for domain, pages in inputs["corpus.jsonl"].sites()}
 
     # table 3 shape: per-category onion/page/address counts
-    sites_by_cat: dict[Category, list[str]] = {c: [] for c in list(CATEGORIES) + [Category.OTHER]}
+    sites_by_cat: dict[str, list[str]] = {c: [] for c in CATEGORIES + (OTHER,)}
     for domain, cat in labels.items():
         sites_by_cat[cat].append(domain)
     valid_btc_by_site = valid_by_site(inputs["addresses.jsonl"], "btc")
 
     class_rows = []
     totals = {"onions": 0, "pages": 0, "btc_addresses": 0, "illicit_btc_addresses": 0}
-    for cat in list(CATEGORIES) + [Category.OTHER]:
+    for cat in CATEGORIES + (OTHER,):
         sites = sorted(sites_by_cat[cat])
         extracted = set()
         for s in sites:
             extracted |= valid_btc_by_site.get(s, set())
-        row = {"category": cat.label,
+        row = {"category": cat,
                "onions": len(sites),
                "pages": sum(pages_per_domain.get(s, 0) for s in sites),
                "btc_addresses": len(extracted),
-               "illicit_btc_addresses": sum(cat.label in entry["categories"]
+               "illicit_btc_addresses": sum(cat in entry["categories"]
                                             for entry in illicit.values())}
         class_rows.append(row)
         for key in totals:
@@ -799,12 +806,8 @@ def emit_tables(inputs: dict, top_n: int = 10, min_received: int = 0) -> tuple[d
         "btc_addresses_illicit": len(illicit),
         "income_satoshi": income.total,
         "income_btc": format_btc(income.total),
-        "income_by_category_split": {c.label: v for c, v in
-                                     sorted(income.by_category_split.items(),
-                                            key=lambda kv: kv[0].value)},
-        "income_by_category_full": {c.label: v for c, v in
-                                    sorted(income.by_category_full.items(),
-                                           key=lambda kv: kv[0].value)},
+        "income_by_category_split": income.by_category_split,
+        "income_by_category_full": income.by_category_full,
         "internal_transactions": len(income.internal_txids),
         "campaigns": len(campaigns),
         "multi_category_addresses": chain.multi_category(illicit),

@@ -16,36 +16,35 @@ from pathlib import Path
 from urllib.parse import unquote
 
 from onionforge.base58 import b58check_encode
-from onionforge.classify import Category
 
 SAT = 1  # readability for satoshi literals
 
 TEMPLATES = {
-    Category.INVESTMENT_SCAMS: ["flaw", "multiply", "bitcoins", "client", "transaction",
-                                "innovative", "digital", "investment", "found", "history"],
-    Category.PRIVATE_KEY: ["balance", "electrum", "privkey", "lordpay", "wallet",
-                           "private", "wallets", "key", "accounts", "price"],
-    Category.CLONE_CARD: ["buyed", "says", "transfer", "product", "cards", "money",
-                          "western", "card", "paypal", "union"],
-    Category.COUNTERFEIT_BILLS: ["bills", "euro", "value", "price", "usd", "bill",
-                                 "dollar", "amounts", "costs", "ship"],
-    Category.CITIZENSHIP: ["dateofbirth", "addresscity", "ahmet", "erdogan",
-                           "motherfirst", "addressdistrict", "addressneighborhood",
-                           "birthcity", "doororentrancenumber", "fatherfirst"],
-    Category.DRUGS: ["name", "courses", "middle", "effects", "extreme", "zip",
-                     "contacts", "city", "country", "drug"],
-    Category.HACKER: ["hack", "tutorials", "programs", "confirmation", "begin",
-                      "archive", "automatically", "message", "zip", "send"],
-    Category.HITMEN: ["target", "hitmen", "provide", "information", "identifying",
-                      "identify", "murder", "profile", "address", "job"],
-    Category.SEXUAL_ABUSE: ["porno", "porn", "video", "sex", "free", "teen", "film",
-                            "gay", "online", "russian"],
-    Category.MEMBERSHIPS: ["access", "pin", "payment", "redirect", "page", "deposit",
-                           "authorization", "creation", "reversed", "red"],
-    Category.WEAPONS: ["darkseid", "armour", "calibers", "drkseid", "modify",
-                       "succesfully", "arms", "guns", "years", "expertise"],
-    Category.SHOP: ["onion", "index", "hidden", "marketplace", "cards", "tor",
-                    "card", "credit", "hosting", "service"],
+    "InvestmentScams": ["flaw", "multiply", "bitcoins", "client", "transaction",
+                        "innovative", "digital", "investment", "found", "history"],
+    "PrivateKey": ["balance", "electrum", "privkey", "lordpay", "wallet",
+                   "private", "wallets", "key", "accounts", "price"],
+    "CloneCard": ["buyed", "says", "transfer", "product", "cards", "money",
+                  "western", "card", "paypal", "union"],
+    "CounterfeitBills": ["bills", "euro", "value", "price", "usd", "bill",
+                         "dollar", "amounts", "costs", "ship"],
+    "Citizenship": ["dateofbirth", "addresscity", "ahmet", "erdogan",
+                    "motherfirst", "addressdistrict", "addressneighborhood",
+                    "birthcity", "doororentrancenumber", "fatherfirst"],
+    "Drugs": ["name", "courses", "middle", "effects", "extreme", "zip",
+              "contacts", "city", "country", "drug"],
+    "Hacker": ["hack", "tutorials", "programs", "confirmation", "begin",
+               "archive", "automatically", "message", "zip", "send"],
+    "Hitmen": ["target", "hitmen", "provide", "information", "identifying",
+               "identify", "murder", "profile", "address", "job"],
+    "SexualAbuse": ["porno", "porn", "video", "sex", "free", "teen", "film",
+                    "gay", "online", "russian"],
+    "Memberships": ["access", "pin", "payment", "redirect", "page", "deposit",
+                    "authorization", "creation", "reversed", "red"],
+    "Weapons": ["darkseid", "armour", "calibers", "drkseid", "modify",
+                "succesfully", "arms", "guns", "years", "expertise"],
+    "Shop": ["onion", "index", "hidden", "marketplace", "cards", "tor",
+             "card", "credit", "hosting", "service"],
 }
 
 GT_DOMAINS = {cat: "gt%saaaaaaaaaaaaa.onion" % "abcdefghijkl"[i]
@@ -182,24 +181,24 @@ def build_planted_corpus(root) -> PlantedCorpus:
     gt_rows = []
     for cat, domain in GT_DOMAINS.items():
         _write_page(snapshot, domain, "index.html", _page_html(TEMPLATES[cat]))
-        gt_rows.append({"domain": domain, "path": "/", "category": cat.label})
+        gt_rows.append({"domain": domain, "path": "/", "category": cat})
     # one ground-truth site whose pages span two categories (collapses to Shop)
     _write_page(snapshot, GT_SHOP_MIX_DOMAIN, "%2Fdrugs.html",
-                _page_html(TEMPLATES[Category.DRUGS]))
+                _page_html(TEMPLATES["Drugs"]))
     _write_page(snapshot, GT_SHOP_MIX_DOMAIN, "%2Fweapons.html",
-                _page_html(TEMPLATES[Category.WEAPONS]))
+                _page_html(TEMPLATES["Weapons"]))
     gt_rows.append({"domain": GT_SHOP_MIX_DOMAIN, "path": "/drugs",
-                    "category": Category.DRUGS.label})
+                    "category": "Drugs"})
     gt_rows.append({"domain": GT_SHOP_MIX_DOMAIN, "path": "/weapons",
-                    "category": Category.WEAPONS.label})
+                    "category": "Weapons"})
 
     planted.ground_truth = root / "gt.jsonl"
     planted.ground_truth.write_text(
         "".join(json.dumps(r, sort_keys=True) + "\n" for r in gt_rows))
 
-    cards = TEMPLATES[Category.CLONE_CARD]
-    invest = TEMPLATES[Category.INVESTMENT_SCAMS]
-    members = TEMPLATES[Category.MEMBERSHIPS]
+    cards = TEMPLATES["CloneCard"]
+    invest = TEMPLATES["InvestmentScams"]
+    members = TEMPLATES["Memberships"]
     _write_page(snapshot, S1, "index.html",
                 _page_html(cards, "<p>pay here %s</p><a href=\"http://%s/\">mirror</a>"
                            % (A1, S2)))

@@ -1,3 +1,4 @@
+import contextlib
 import json
 import math
 import random
@@ -8,10 +9,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from onionforge import classify
 from onionforge.classify import (
-    CATEGORIES, TOP_KEYWORDS, Category, ClassifyConfigError, FeatureSet,
-    LabelResult, PageIndex, _best_category, _similarity_label, _tfidf_label,
-    aggregate_site_label, build_feature_set, classify_corpus, cosine, ground_truth_index,
-    load_ground_truth, load_stopwords, term_vector, tfidf_vectors, tokenize,
+    CATEGORIES, OTHER, TOP_KEYWORDS, ClassifyConfigError, FeatureSet, PageIndex,
+    _best_category, _label_row, _similarity_label, _tfidf_label, aggregate_site_label,
+    build_feature_set, classify_corpus, cosine, ground_truth_index, load_ground_truth,
+    load_stopwords, parse_category, term_vector, tfidf_vectors, tokenize,
 )
 from onionforge.corpus import Corpus, PageRecord, onion_name
 from onionforge.pagetext import page_text
@@ -40,6 +41,11 @@ def similarity_label(site_pages, gt, threshold):
     """Phase-2 label of a site, from the same vectors classify_corpus builds."""
     site_vectors = [term_vector(tokens(p, STOPWORDS)) for p in site_pages]
     return _similarity_label(site_vectors, ground_truth_index(gt, STOPWORDS), threshold)[0]
+
+
+def by_domain(rows):
+    """labels.jsonl rows, keyed by domain."""
+    return {row["domain"]: row for row in rows}
 
 
 def tfidf_label(site_pages, fs, threshold):
@@ -141,8 +147,8 @@ def make_gt(extra_rows=()):
 class TestFeatureSet:
     def test_template_keywords_rank_top(self):
         fs = build_feature_set(ground_truth_index(make_gt(), STOPWORDS))
-        for word in TEMPLATES[Category.HITMEN]:
-            assert word in fs.top_keywords[Category.HITMEN]
+        for word in TEMPLATES["Hitmen"]:
+            assert word in fs.top_keywords["Hitmen"]
 
     def test_identical_documents_rank_by_frequency(self):
         # same text for every category: idf degenerates to 1, so the top-20
@@ -166,7 +172,7 @@ class TestFeatureSet:
 
     def test_missing_category_fatal(self):
         gt = make_gt()
-        gt = [r for r in gt if r[1] is not Category.DRUGS]
+        gt = [r for r in gt if r[1] != "Drugs"]
         with pytest.raises(ClassifyConfigError, match="Drugs"):
             build_feature_set(ground_truth_index(gt, STOPWORDS))
 
@@ -174,37 +180,37 @@ class TestFeatureSet:
 class TestSimilarityClassifier:
     def test_byte_identical_page_scores_one(self):
         gt = make_gt()
-        clone_text = " ".join(TEMPLATES[Category.CLONE_CARD] * 3)
+        clone_text = " ".join(TEMPLATES["CloneCard"] * 3)
         site = [page(dom(40), "/", clone_text)]
-        assert similarity_label(site, gt, 0.5) is Category.CLONE_CARD
+        assert similarity_label(site, gt, 0.5) == "CloneCard"
 
     def test_below_threshold_stays_other(self):
         gt = make_gt()
         site = [page(dom(41), "/", "rutabaga parsnip turnip")]
-        assert similarity_label(site, gt, 0.5) is Category.OTHER
+        assert similarity_label(site, gt, 0.5) == "Other"
 
     def test_highest_score_wins(self):
         gt = []
-        gt.append((page(dom(0), "/", "alpha beta"), Category.CLONE_CARD))
-        gt.append((page(dom(1), "/", "alpha gamma"), Category.SHOP))
+        gt.append((page(dom(0), "/", "alpha beta"), "CloneCard"))
+        gt.append((page(dom(1), "/", "alpha gamma"), "Shop"))
         site = [page(dom(42), "/", "alpha beta beta")]
-        assert similarity_label(site, gt, 0.5) is Category.CLONE_CARD
+        assert similarity_label(site, gt, 0.5) == "CloneCard"
 
     def test_tie_breaks_by_table_order(self):
         gt = []
-        gt.append((page(dom(0), "/", "xray yankee"), Category.WEAPONS))
-        gt.append((page(dom(1), "/", "xray zulu"), Category.HACKER))
+        gt.append((page(dom(0), "/", "xray yankee"), "Weapons"))
+        gt.append((page(dom(1), "/", "xray zulu"), "Hacker"))
         site = [page(dom(43), "/", "xray")]
-        # both score 1/sqrt(2); Hacker has the lower table index
-        assert similarity_label(site, gt, 0.5) is Category.HACKER
+        # both score 1/sqrt(2); Hacker comes earlier in table order
+        assert similarity_label(site, gt, 0.5) == "Hacker"
 
     def test_score_exactly_at_threshold_assigns(self):
         # cos({x},{x,y,z,w}) = 1/(1*2) = 0.5 with no float error
         gt = []
-        gt.append((page(dom(0), "/", "xray yankee zulu whiskey"), Category.DRUGS))
+        gt.append((page(dom(0), "/", "xray yankee zulu whiskey"), "Drugs"))
         site = [page(dom(47), "/", "xray")]
-        assert similarity_label(site, gt, 0.5) is Category.DRUGS
-        assert similarity_label(site, gt, 0.5000001) is Category.OTHER
+        assert similarity_label(site, gt, 0.5) == "Drugs"
+        assert similarity_label(site, gt, 0.5000001) == "Other"
 
 
 def count_vectors(vocab):
@@ -249,7 +255,7 @@ COPIED = {"a": 997, "b": 2, "c": 3, "d": 602, "e": 867, "f": 1}
 class TestPageIndex:
     @settings(max_examples=300)
     @given(phase2_cases())
-    @example(([COPIED], {Category.DRUGS: [COPIED]}, 1.0))
+    @example(([COPIED], {"Drugs": [COPIED]}, 1.0))
     def test_matches_brute_force_cosine(self, case):
         site_vectors, gt_vectors, threshold = case
         index = PageIndex()
@@ -262,8 +268,8 @@ class TestPageIndex:
                   for cat, vectors in gt_vectors.items()}
         want, want_score = _best_category(scores, threshold)
         label, score = _similarity_label(site_vectors, index, threshold)
-        assert label is want
-        if label is Category.OTHER:
+        assert label == want
+        if label == "Other":
             # the score below the threshold is not computed; no pair reached it
             assert want_score < threshold or want_score == 0.0
         else:
@@ -271,20 +277,20 @@ class TestPageIndex:
 
     def test_empty_index_labels_other(self):
         label, score = _similarity_label([{"alpha": 2}], PageIndex(), 0.5)
-        assert label is Category.OTHER and score < 0.5
+        assert label == "Other" and score < 0.5
 
 
 class TestTfidfClassifier:
     def test_zero_overlap_is_other(self):
         fs = build_feature_set(ground_truth_index(make_gt(), STOPWORDS))
         site = [page(dom(44), "/", "quokka wombat dingo")]
-        assert tfidf_label(site, fs, 0.5) is Category.OTHER
+        assert tfidf_label(site, fs, 0.5) == "Other"
 
     def test_keyword_list_maps_to_its_category(self):
         fs = build_feature_set(ground_truth_index(make_gt(), STOPWORDS))
         for cat, words in TEMPLATES.items():
             site = [page(dom(45), "/", " ".join(words))]
-            assert tfidf_label(site, fs, 0.5) is cat, cat
+            assert tfidf_label(site, fs, 0.5) == cat, cat
 
     def test_twelve_planted_sites_brute_force_verified(self):
         gt = make_gt()
@@ -306,19 +312,18 @@ class TestTfidfClassifier:
                 score = dot / (n1 * n2) if n1 and n2 else 0.0
                 if score > best_score:
                     best, best_score = other, score
-            assert got is best is cat
+            assert got == best == cat
 
 
 class TestAggregate:
     def test_majority_single(self):
-        assert aggregate_site_label(
-            [Category.DRUGS, Category.DRUGS, Category.OTHER]) is Category.DRUGS
+        assert aggregate_site_label(["Drugs", "Drugs", "Other"]) == "Drugs"
 
     def test_multi_label_collapses_to_shop(self):
-        assert aggregate_site_label([Category.DRUGS, Category.WEAPONS]) is Category.SHOP
+        assert aggregate_site_label(["Drugs", "Weapons"]) == "Shop"
 
     def test_empty_is_other(self):
-        assert aggregate_site_label([]) is Category.OTHER
+        assert aggregate_site_label([]) == "Other"
 
 
 class TestLanguageGate:
@@ -326,20 +331,26 @@ class TestLanguageGate:
         rows = [(page(dom(i), "/", " ".join(words * 3)), cat)
                 for i, (cat, words) in enumerate(TEMPLATES.items())]
         corpus = Corpus([p for p, _ in rows] + [page(dom(50), "/", "кошелёк оплата товар")])
-        results = classify_corpus(corpus, rows, 0.5, STOPWORDS)
-        assert results[dom(50)].category is Category.OTHER
+        results = by_domain(classify_corpus(corpus, rows, 0.5, STOPWORDS))
+        assert results[dom(50)]["category"] == "Other"
 
 
 class TestCategoryParse:
     def test_spaced_variants(self):
-        assert Category.parse("Investment Scams") is Category.INVESTMENT_SCAMS
-        assert Category.parse("investment-scams") is Category.INVESTMENT_SCAMS
-        assert Category.parse("Cloned Card") is Category.CLONE_CARD
-        assert Category.parse("Sexual Abuses") is Category.SEXUAL_ABUSE
+        assert parse_category("Investment Scams") == "InvestmentScams"
+        assert parse_category("investment-scams") == "InvestmentScams"
+        assert parse_category("Cloned Card") == "CloneCard"
+        assert parse_category("Sexual Abuses") == "SexualAbuse"
+
+    def test_every_table_label_parses_to_itself(self):
+        labels = CATEGORIES + (OTHER,)
+        assert len(set(labels)) == 13
+        for label in labels:
+            assert parse_category(label) == label
 
     def test_unknown_fatal(self):
-        with pytest.raises(ClassifyConfigError):
-            Category.parse("Jaywalking")
+        with pytest.raises(ClassifyConfigError, match="Jaywalking"):
+            parse_category("Jaywalking")
 
 
 class TestLoadGroundTruth:
@@ -349,7 +360,7 @@ class TestLoadGroundTruth:
         path.write_text(json.dumps({"domain": dom(0), "path": "/", "category": "Drugs"})
                         + "\n\n")
         rows = load_ground_truth(path, corpus)
-        assert rows == [(corpus[0], Category.DRUGS)]
+        assert rows == [(corpus[0], "Drugs")]
         assert rows[0][0] is corpus[0]
 
     @pytest.mark.parametrize("bad", [
@@ -384,7 +395,7 @@ def build_corpus_and_gt(*extra_pages):
     for _ in range(4):
         pages.append(page(dom(idx), "/", " ".join(
             rng.choice(noise_words) for _ in range(12))))
-        site_truth[dom(idx)] = Category.OTHER
+        site_truth[dom(idx)] = "Other"
         idx += 1
     return Corpus(pages), gt, site_truth
 
@@ -392,30 +403,50 @@ def build_corpus_and_gt(*extra_pages):
 class TestThreePhase:
     def test_planted_accuracy_and_phases(self):
         corpus, gt, truth = build_corpus_and_gt()
-        results = classify_corpus(corpus, gt, 0.5, STOPWORDS)
+        results = by_domain(classify_corpus(corpus, gt, 0.5, STOPWORDS))
         hits = sum(1 for d, cat in truth.items()
-                   if results[d].category is cat)
+                   if results[d]["category"] == cat)
         assert hits == len(truth)
         for d, cat in truth.items():
             r = results[d]
-            assert r.phase == ("none" if cat is Category.OTHER else "cosine")
+            assert r["phase"] == ("none" if cat == "Other" else "cosine")
 
     def test_cosine_labels_never_overwritten(self):
         corpus, gt, truth = build_corpus_and_gt()
         results = classify_corpus(corpus, gt, 0.5, STOPWORDS)
-        cosine_labeled = {d: r.category for d, r in results.items() if r.phase == "cosine"}
+        cosine_labeled = {r["domain"]: r["category"] for r in results if r["phase"] == "cosine"}
         assert cosine_labeled  # phase 2 did something
-        again = classify_corpus(corpus, gt, 0.5, STOPWORDS)
+        again = by_domain(classify_corpus(corpus, gt, 0.5, STOPWORDS))
         for d, cat in cosine_labeled.items():
-            assert again[d].category is cat
-            assert again[d].phase == "cosine"
+            assert again[d]["category"] == cat
+            assert again[d]["phase"] == "cosine"
 
     def test_deterministic(self):
         corpus, gt, _ = build_corpus_and_gt()
-        r1 = classify_corpus(corpus, gt, 0.5, STOPWORDS)
-        r2 = classify_corpus(corpus, gt, 0.5, STOPWORDS)
-        assert {d: (r.category, r.phase, r.score) for d, r in r1.items()} == \
-               {d: (r.category, r.phase, r.score) for d, r in r2.items()}
+        with unrounded_scores():
+            r1 = classify_corpus(corpus, gt, 0.5, STOPWORDS)
+            r2 = classify_corpus(corpus, gt, 0.5, STOPWORDS)
+        assert r1 == r2
+
+    def test_rows_are_by_domain_and_round_the_score(self):
+        corpus, gt, _ = build_corpus_and_gt()
+        rows = classify_corpus(corpus, gt, 0.5, STOPWORDS)
+        assert [r["domain"] for r in rows] == sorted(d for d, _ in corpus.sites())
+        with unrounded_scores():
+            raw = classify_corpus(corpus, gt, 0.5, STOPWORDS)
+        for row, raw_row in zip(rows, raw):
+            assert set(row) == {"v", "domain", "category", "phase"} | (
+                set() if row["phase"] == "ground-truth" else {"score"})
+            if "score" in row:
+                assert row["score"] == round(raw_row["score"], 12)
+
+
+@contextlib.contextmanager
+def unrounded_scores():
+    """Inside the block, labels rows carry the score at full precision."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classify, "round", lambda score, digits: score, raising=False)
+        yield
 
 
 def reference_classify(corpus, gt, threshold, stopwords):
@@ -428,11 +459,11 @@ def reference_classify(corpus, gt, threshold, stopwords):
     site_labels = {}
     for page, cat in gt:
         site_labels.setdefault(page.domain, []).append(cat)
-    results = {d: LabelResult(d, aggregate_site_label(labels), "ground-truth")
+    results = {d: _label_row(d, aggregate_site_label(labels), "ground-truth")
                for d, labels in site_labels.items()}
     grouped = {}
     for page, cat in gt:
-        if cat is not Category.OTHER:
+        if cat != "Other":
             grouped.setdefault(cat, []).append(page)
     index = PageIndex()
     for cat, pages in grouped.items():
@@ -455,14 +486,14 @@ def reference_classify(corpus, gt, threshold, stopwords):
         pages = list(pages)
         label, score = _similarity_label([term_vector(tokens(p, stopwords)) for p in pages],
                                          index, threshold)
-        if label is not Category.OTHER:
-            results[domain] = LabelResult(domain, label, "cosine", score)
+        if label != "Other":
+            results[domain] = _label_row(domain, label, "cosine", score)
             continue
         counts = term_vector([t for p in pages for t in tokens(p, stopwords)])
         label, score = _tfidf_label(counts, fs, threshold)
-        results[domain] = LabelResult(domain, label,
-                                      "none" if label is Category.OTHER else "tfidf", score)
-    return results, fs
+        results[domain] = _label_row(domain, label,
+                                     "none" if label == "Other" else "tfidf", score)
+    return [results[d] for d in sorted(results)], fs
 
 
 VOCAB = ["wallet", "escrow", "vendor", "powder", "pistol", "forged", "passport",
@@ -496,10 +527,10 @@ class TestSummedVectors:
     @given(corpora())
     def test_matches_concatenated_token_counts(self, case):
         corpus, gt, threshold = case
-        got = classify_corpus(corpus, gt, threshold, STOPWORDS)
-        want, want_fs = reference_classify(corpus, gt, threshold, STOPWORDS)
-        assert {d: (r.category, r.phase, r.score) for d, r in got.items()} == \
-            {d: (r.category, r.phase, r.score) for d, r in want.items()}
+        with unrounded_scores():
+            got = classify_corpus(corpus, gt, threshold, STOPWORDS)
+            want, want_fs = reference_classify(corpus, gt, threshold, STOPWORDS)
+        assert got == want
         fs = build_feature_set(ground_truth_index(gt, STOPWORDS))
         for cat in CATEGORIES:  # same weights, in the same key order
             assert list(fs.category_vectors[cat].items()) == \
@@ -512,7 +543,7 @@ class TestSummedVectors:
             page(dom(0), "/about", "escrow vendor"),  # a second page of a phase 1 site
             page(dom(20), "/more", "powder pistol"))  # a second page, unlabelled site
         first_gt_page = gt[0][0]
-        gt.append((first_gt_page, Category.SHOP))        # listed under two categories
+        gt.append((first_gt_page, "Shop"))        # listed under two categories
         texts = []
         real = classify.tokenize
 
@@ -520,9 +551,9 @@ class TestSummedVectors:
             texts.append(text)
             return real(text, stopwords)
         monkeypatch.setattr(classify, "tokenize", counting)
-        results = classify_corpus(corpus, gt, 0.5, STOPWORDS)
+        results = by_domain(classify_corpus(corpus, gt, 0.5, STOPWORDS))
 
         gt_pages = {id(p) for p, _ in gt}
-        unlabeled = [d for d, _ in corpus.sites() if results[d].phase != "ground-truth"]
-        assert {results[d].phase for d in unlabeled} >= {"cosine", "none"}
+        unlabeled = [d for d, _ in corpus.sites() if results[d]["phase"] != "ground-truth"]
+        assert {results[d]["phase"] for d in unlabeled} >= {"cosine", "none"}
         assert len(texts) == len(gt_pages) + sum(1 for p in corpus if p.domain in unlabeled)

@@ -5,14 +5,13 @@ import networkx as nx
 
 from onionforge import chain
 from onionforge.chain import Transaction, TxIO
-from onionforge.classify import Category
 from onionforge.cluster import (
     BTC, EMAIL, SITE, EntityGraph, UnionFind, build_entity_graph, campaign_stats,
     detect_mixing, identity_edges, node_id, run_clustering, transaction_edges,
     vanity_groups,
 )
 
-from rows import illicit_of
+from rows import illicit_of, input_from, output_to
 
 T0 = datetime(2020, 1, 1, tzinfo=timezone.utc)
 PUBLIC_THRESHOLD, VANITY_PREFIX = 50, 7  # PipelineConfig's defaults
@@ -31,9 +30,9 @@ def mktx(n, ins, outs):
 def ledgers_for(illicit, txs):
     out = {}
     for addr in illicit:
-        mine = [t for t in txs if t.output_to(addr) or t.input_from(addr)]
-        spent = sum(t.input_from(addr) for t in mine)
-        recv = sum(t.output_to(addr) for t in mine)
+        mine = [t for t in txs if output_to(t, addr) or input_from(t, addr)]
+        spent = sum(input_from(t, addr) for t in mine)
+        recv = sum(output_to(t, addr) for t in mine)
         if spent > recv:
             mine.append(mktx(5000 + list(illicit).index(addr),
                              [("fund", spent)], [(addr, spent)]))
@@ -42,7 +41,7 @@ def ledgers_for(illicit, txs):
 
 
 def simple_illicit(pairs):
-    return illicit_of(*((addr, site, Category.DRUGS) for addr, site in pairs))
+    return illicit_of(*((addr, site, "Drugs") for addr, site in pairs))
 
 
 def dom(i):
@@ -189,7 +188,7 @@ class TestInternalTx:
 
 class TestEmailPhase:
     def test_addressless_site_joins_cluster(self):
-        labels = {dom(0): Category.DRUGS, dom(1): Category.DRUGS}
+        labels = {dom(0): "Drugs", dom(1): "Drugs"}
         illicit = simple_illicit([("A", dom(0))])
         emails = {dom(0): {"ops@secmail.pro"}, dom(1): {"ops@secmail.pro"}}
         graph = build_entity_graph(labels, illicit, emails)
@@ -200,7 +199,7 @@ class TestEmailPhase:
         assert uf.find(node_id(EMAIL, "ops@secmail.pro")) == root
 
     def test_email_only_cluster_excluded_from_campaigns(self):
-        labels = {dom(0): Category.DRUGS, dom(1): Category.DRUGS}
+        labels = {dom(0): "Drugs", dom(1): "Drugs"}
         illicit = {}
         emails = {dom(0): {"x@secmail.pro"}, dom(1): {"x@secmail.pro"}}
         graph = build_entity_graph(labels, illicit, emails)
@@ -212,7 +211,7 @@ class TestEmailPhase:
         assert stats["clusters_before_exclusion"] == 1
 
     def test_three_sites_one_email(self):
-        labels = {dom(i): Category.DRUGS for i in range(3)}
+        labels = {dom(i): "Drugs" for i in range(3)}
         emails = {dom(i): {"z@secmail.pro"} for i in range(3)}
         graph = build_entity_graph(labels, {}, emails)
         uf = merge(merge(UnionFind(graph.nodes), graph.edges_of_kind("site-hosts-addr")),
@@ -276,10 +275,10 @@ class TestVanity:
                              VANITY_PREFIX) == []
 
     def test_never_merges_anything(self):
-        labels = {"deepmar27rpxago5.onion": Category.DRUGS,
-                  "deepmar3k3qtzszd.onion": Category.WEAPONS}
-        illicit = illicit_of(("A", "deepmar27rpxago5.onion", Category.DRUGS),
-                             ("B", "deepmar3k3qtzszd.onion", Category.WEAPONS))
+        labels = {"deepmar27rpxago5.onion": "Drugs",
+                  "deepmar3k3qtzszd.onion": "Weapons"}
+        illicit = illicit_of(("A", "deepmar27rpxago5.onion", "Drugs"),
+                             ("B", "deepmar3k3qtzszd.onion", "Weapons"))
         result = run_clustering(labels, illicit, {}, {}, (), PUBLIC_THRESHOLD, VANITY_PREFIX)
         assert len(result.vanity) == 1
         assert len(result.campaigns) == 0  # two isolated site+addr pairs
@@ -287,7 +286,7 @@ class TestVanity:
 
 class TestCampaignStats:
     def test_single_address_many_sites(self):
-        labels = {dom(i): Category.INVESTMENT_SCAMS for i in range(31)}
+        labels = {dom(i): "InvestmentScams" for i in range(31)}
         illicit = illicit_of(*(("A", site, cat) for site, cat in labels.items()))
         txs = chain.ledger("A", [mktx(1, [("e", 14_640_000)], [("A", 14_640_000)])])
         result = run_clustering(labels, illicit, {"A": txs}, {}, (),
@@ -303,10 +302,10 @@ class TestCampaignStats:
         assert campaigns == []
 
     def test_trace_counts_non_decreasing(self):
-        labels = {dom(0): Category.DRUGS, dom(1): Category.DRUGS,
-                  dom(2): Category.WEAPONS, dom(3): Category.WEAPONS}
-        illicit = illicit_of(("A", dom(0), Category.DRUGS), ("A", dom(1), Category.DRUGS),
-                             ("B", dom(2), Category.WEAPONS), ("C", dom(3), Category.WEAPONS))
+        labels = {dom(0): "Drugs", dom(1): "Drugs",
+                  dom(2): "Weapons", dom(3): "Weapons"}
+        illicit = illicit_of(("A", dom(0), "Drugs"), ("A", dom(1), "Drugs"),
+                             ("B", dom(2), "Weapons"), ("C", dom(3), "Weapons"))
         txs = [mktx(1, [("B", 5)], [("C", 5)])]
         result = run_clustering(labels, illicit, ledgers_for(illicit, txs), {}, (),
                                 PUBLIC_THRESHOLD, VANITY_PREFIX)
@@ -324,19 +323,19 @@ class TestPlantedMixingIsLoadBearing:
         from onionforge.chain import parse_transaction
 
         illicit = illicit_of(
-            (planted.A1, planted.S1, Category.CLONE_CARD),
-            (planted.A1, planted.S2, Category.CLONE_CARD),
-            (planted.A2, planted.S2, Category.CLONE_CARD),
-            (planted.B1, planted.S3, Category.INVESTMENT_SCAMS),
-            (planted.B2, planted.S4, Category.INVESTMENT_SCAMS))
+            (planted.A1, planted.S1, "CloneCard"),
+            (planted.A1, planted.S2, "CloneCard"),
+            (planted.A2, planted.S2, "CloneCard"),
+            (planted.B1, planted.S3, "InvestmentScams"),
+            (planted.B2, planted.S4, "InvestmentScams"))
         ledgers = {
             addr: chain.ledger(
                 addr, [parse_transaction(t) for t in txs])
             for addr, txs in planted.LEDGER_FIXTURES.items()
             if addr in illicit
         }
-        labels = {s: Category.CLONE_CARD for s in (planted.S1, planted.S2)}
-        labels.update({s: Category.INVESTMENT_SCAMS for s in (planted.S3, planted.S4)})
+        labels = {s: "CloneCard" for s in (planted.S1, planted.S2)}
+        labels.update({s: "InvestmentScams" for s in (planted.S3, planted.S4)})
         return labels, illicit, ledgers
 
     def test_suppressed(self):
@@ -365,15 +364,15 @@ class TestPlantedMixingIsLoadBearing:
 # --- randomized full-pipeline invariants ---
 
 def random_world(rng, n_sites=14, n_addrs=12):
-    labels = {dom(i): rng.choice([Category.DRUGS, Category.CLONE_CARD,
-                                  Category.WEAPONS, Category.OTHER])
+    labels = {dom(i): rng.choice(["Drugs", "CloneCard",
+                                  "Weapons", "Other"])
               for i in range(n_sites)}
     entries = []
     addrs = ["a%02d" % i for i in range(n_addrs)]
     for addr in addrs:
-        candidates = [d for d, c in labels.items() if c is not Category.OTHER]
+        candidates = [d for d, c in labels.items() if c != "Other"]
         if not candidates:
-            labels[dom(0)] = Category.DRUGS
+            labels[dom(0)] = "Drugs"
             candidates = [dom(0)]
         for site in rng.sample(candidates, rng.randint(1, min(2, len(candidates)))):
             entries.append((addr, site, labels[site]))
@@ -416,14 +415,14 @@ def oracle_edge_union(labels, illicit, ledgers, emails, links, public_threshold=
     from urllib.parse import urlparse
     g = nx.Graph()
     for site, cat in labels.items():
-        if cat is not Category.OTHER:
+        if cat != "Other":
             g.add_node("site:" + site)
     for addr, row in illicit.items():
         g.add_node("btc:" + addr)
         for site in row["sites"]:
             g.add_edge("site:" + site, "btc:" + addr)
     for site, mails in emails.items():
-        if labels.get(site, Category.OTHER) is Category.OTHER:
+        if labels.get(site, "Other") == "Other":
             continue
         for m in mails:
             g.add_edge("site:" + site, "email:" + m)

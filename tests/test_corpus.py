@@ -135,6 +135,22 @@ class TestIngest:
         assert corpus[0].fetched_at == datetime(2021, 6, 1, 12, tzinfo=timezone.utc)
         assert "manifest line 1 unusable" in caplog.text
 
+    def test_manifest_line_matching_no_page_is_skipped(self, tmp_path, caplog):
+        site = tmp_path / name_for(0)
+        site.mkdir()
+        (site / "index.html").write_bytes(b"<html></html>")
+        (tmp_path / "manifest.jsonl").write_text("".join(
+            '{"domain": "%s", "path": "%s", "fetched_at": "2021-06-01T12:00:00Z"}\n'
+            % (domain, path)
+            for domain, path in ((name_for(0), "/gone"), (name_for(0), "/"),
+                                 (name_for(1), "/"))))
+        corpus = ingest_snapshot(tmp_path)
+        assert corpus[0].fetched_at == datetime(2021, 6, 1, 12, tzinfo=timezone.utc)
+        assert corpus.skipped == ["manifest line 1", "manifest line 3"]
+        assert "manifest line 1 matches no page" in caplog.text
+        assert "manifest line 3 matches no page" in caplog.text
+        assert "manifest line 2" not in caplog.text
+
     def test_jsonl_roundtrip(self, tmp_path):
         corpus = Corpus([page(name_for(0), "/", b"\x00binary\xff")])
         write_corpus_jsonl(corpus, tmp_path / "c.jsonl")

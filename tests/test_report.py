@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from onionforge import chain, pagetext, report
-from onionforge.classify import Category
 from onionforge.corpus import Corpus, read_corpus_jsonl
 from onionforge.cluster import EntityGraph
 from onionforge.report import (
@@ -539,6 +538,36 @@ class TestPipeline:
         assert (out / "addresses.jsonl").exists()
         assert not (out / "labels.jsonl").exists()
 
+    def test_illicit_label_that_is_no_category_fails_cluster(self, tmp_path):
+        planted = build_planted_corpus(tmp_path / "planted")
+        out = tmp_path / "out"
+        (tmp_path / "run.cfg").write_text(planted.config_text(out))
+        config = parse_config(tmp_path / "run.cfg")
+        run_pipeline(config)
+        path = out / "illicit.jsonl"
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        rows[0]["categories"] = ["Jaywalking"]
+        path.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
+        with pytest.raises(StageError) as err:
+            run_pipeline(config)  # filter is skipped: its inputs are unchanged
+        assert err.value.stage == "cluster"
+        assert "Jaywalking" in str(err.value)
+
+    def test_hand_edited_label_alias_names_its_category(self, tmp_path):
+        planted = build_planted_corpus(tmp_path / "planted")
+        out = tmp_path / "out"
+        (tmp_path / "run.cfg").write_text(planted.config_text(out))
+        config = parse_config(tmp_path / "run.cfg")
+        run_pipeline(config)
+        before = {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+        path = out / "labels.jsonl"
+        path.write_text(path.read_text().replace('"CloneCard"', '"clone card"'))
+        resumed = run_pipeline(config)
+        assert resumed.executed == ["filter", "cluster", "report"]
+        after = {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+        assert after.keys() == before.keys()
+        assert [p.name for p in before if before[p] != after[p]] == ["labels.jsonl", "run.json"]
+
     def test_invalid_config_fails_before_stages(self, tmp_path):
         cfg = PipelineConfig(corpus_root=str(tmp_path / "absent"),
                              ground_truth="x", out_dir=str(tmp_path / "out"))
@@ -696,7 +725,7 @@ class TestLedgerStore:
             out.mkdir()
             for address, rows in fixtures.items():
                 (txs / (address + ".json")).write_text(json.dumps(rows))
-            illicit = illicit_of(*((address, "s.onion", Category.DRUGS) for address in ADDRESSES))
+            illicit = illicit_of(*((address, "s.onion", "Drugs") for address in ADDRESSES))
 
             fetched, _ = chain.fetch_all(ADDRESSES, chain.FixtureExplorer(txs))
             shared = report.stage_fetch_tx(PipelineConfig(tx_fixtures=str(txs)),
@@ -923,8 +952,8 @@ class TestTables:
         ledger = chain.ledger("A", [
             paying(1, "ext", [10, 20]), paying(2, "ext", [5]), paying(3, "B", [7])])
         inputs = {"corpus.jsonl": Corpus(), "labels.jsonl": [], "addresses.jsonl": [],
-                  "illicit.jsonl": illicit_of(("A", "s.onion", Category.DRUGS),
-                                              ("B", "t.onion", Category.DRUGS)),
+                  "illicit.jsonl": illicit_of(("A", "s.onion", "Drugs"),
+                                              ("B", "t.onion", "Drugs")),
                   "ledgers": report.Ledgers({"A": ledger}),
                   "campaigns.json": {"campaigns": []}, "phase_trace.json": {"phases": []},
                   "vanity.json": {"groups": []}}
@@ -1040,7 +1069,7 @@ class TestGraphExport:
         # a shared registrant links A's and B's sites, a shared IP C's and D's
         ip = "198.51.100.7"
         hosted = {"a.onion": "A", "b.onion": "B", "c.onion": "C", "d.onion": "D"}
-        illicit = illicit_of(*((address, site, Category.DRUGS)
+        illicit = illicit_of(*((address, site, "Drugs")
                                for site, address in hosted.items()))
         surface = [{"url": "https://%s.example.com/" % address.lower(),
                     "ip": ip if address in "CD" else None,
