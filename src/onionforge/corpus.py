@@ -13,13 +13,14 @@ load on first use, so a run that skips ingest and reads no page loads neither.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
+import os
 import re
 from itertools import groupby
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
-from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 from urllib.parse import unquote
 
@@ -30,6 +31,7 @@ if TYPE_CHECKING:
 
 log = logging.getLogger("onionforge.corpus")
 
+MANIFEST = "manifest.jsonl"
 ONION_NAME_RE = re.compile(r"^([a-z2-7]{16}|[a-z2-7]{56})\.onion$")
 
 
@@ -54,16 +56,18 @@ class PageRecord(NamedTuple):
 
 class Corpus(tuple):
     """One page per (domain, path), a later page replacing an earlier one, in
-    (domain, path) order; the ingest warnings are in `skipped`.
+    (domain, path) order; the ingest warnings are in `skipped`, and the
+    snapshot's [signature, digest], when `ingest_snapshot` read it, in `pair`.
 
     Phase 3 sums a site's page vectors in this order, so every corpus,
     however it is built, sorts its pages here.
     """
 
-    def __new__(cls, pages=(), skipped=()):
+    def __new__(cls, pages=(), skipped=(), pair=None):
         by_key = {(page.domain, page.path): page for page in pages}
         corpus = super().__new__(cls, (by_key[key] for key in sorted(by_key)))
         corpus.skipped = list(skipped)
+        corpus.pair = pair
         return corpus
 
     def sites(self):
@@ -85,68 +89,159 @@ def _path_from_filename(name: str) -> str:
     return unquote(stem, errors="strict")
 
 
+class StatSignature:
+    """The stat signature of the files a walk visits, hashed as it visits
+    them: each file's relative name, size, mtime, ctime, inode and device.
+    `newest` is the latest mtime or ctime among them, in ns."""
+
+    def __init__(self):
+        self.hash = hashlib.sha256()
+        self._update = self.hash.update
+        self.newest = 0
+
+    def add(self, name: str, st: os.stat_result):
+        mtime, ctime = st.st_mtime_ns, st.st_ctime_ns
+        self._update(b"%s\0%d %d %d %d %d\n" % (name.encode(), st.st_size, mtime, ctime,
+                                                st.st_ino, st.st_dev))
+        if mtime > self.newest or ctime > self.newest:
+            self.newest = max(mtime, ctime)
+
+    def taken(self) -> tuple[str, int]:
+        return self.hash.hexdigest(), self.newest
+
+
+def _sorted_entries(path) -> list[os.DirEntry]:
+    with os.scandir(path) as it:
+        return sorted(it, key=attrgetter("name"))
+
+
+def _snapshot_files(root, skip=lambda name, entry_name, reason: None):
+    """Yield (relative name, DirEntry, domain) of each file `ingest_snapshot`
+    reads under `root`, by name at each level: the manifest with domain
+    None, and each `.html` entry of a site directory with its site's domain.
+
+    A top-level link to a directory is entered. `skip(name, entry name,
+    reason)` is told of each entry that is passed over, but for a top-level
+    one that is no directory or a symlink loop.
+    """
+    for top in _sorted_entries(root):
+        try:
+            is_dir = top.is_dir()
+            is_manifest = not is_dir and top.name == MANIFEST and top.is_file()
+        except OSError:  # a symlink loop
+            continue
+        if is_manifest:
+            yield MANIFEST, top, None
+        if not is_dir:
+            continue
+        try:
+            domain = onion_name(top.name)
+        except ValueError as exc:
+            skip(top.name, top.name, exc)
+            continue
+        prefix = top.name + "/"
+        for page in _sorted_entries(top.path):
+            if page.name.endswith(".html"):
+                yield prefix + page.name, page, domain
+            else:
+                skip(prefix + page.name, page.name, "not a page file")
+
+
+def snapshot_signature(root) -> tuple[str, int]:
+    """(signature, newest) of the files `ingest_snapshot` reads under
+    `root`, taken without reading a byte: the signature its read takes."""
+    signature = StatSignature()
+    for name, entry, _ in _snapshot_files(root):
+        try:
+            signature.add(name, entry.stat())
+        except OSError:  # ingest skips a page it cannot stat
+            pass
+    return signature.taken()
+
+
+def _read_manifest(text: str) -> dict[tuple[str, str], tuple[int, datetime]]:
+    """(domain, path) -> (line number, fetched_at) of each usable manifest line."""
+    manifest = {}
+    for lineno, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        try:
+            row = json.loads(line)
+            if not (isinstance(row, dict) and all(
+                    isinstance(row.get(k), str) for k in ("domain", "path", "fetched_at"))):
+                raise ValueError("not an object with text domain, path and fetched_at")
+            key = (onion_name(row["domain"]), row["path"])  # case-blind, as directories
+            manifest[key] = lineno, parse_utc(row["fetched_at"])
+        except (ValueError, OverflowError) as exc:  # a time past datetime's range overflows
+            log.warning("manifest line %d unusable: %s", lineno, exc)
+    return manifest
+
+
 def ingest_snapshot(root) -> Corpus:
-    """Load a snapshot tree into a Corpus.
+    """Load a snapshot tree into a Corpus, with the snapshot's (signature,
+    digest) as its `pair`.
 
     Malformed domain directories are skipped with a warning; so are entries
     that are not non-empty, readable `.html` files with a percent-decodable
     name, and unusable manifest lines, such as one whose domain is not an
     onion name. A manifest line that matches no page is logged and listed in
     `skipped`. Duplicate (domain, path) entries are last-write-wins.
+
+    One walk stats, then reads, then hashes each file it reads: its
+    signature is `snapshot_signature`'s, taken before the file is read, so
+    an edit made during the read leaves a stale signature, never a stale
+    digest. The digest hashes each file's relative name and bytes, then the
+    name and mtime of each page without a manifest line, since its
+    `fetched_at` is that mtime.
     """
     from datetime import datetime, timezone
-    root = Path(root)
-    if not root.is_dir():
+    if not os.path.isdir(root):
         raise CorpusError("snapshot root not readable: %s" % root)
-
-    manifest: dict[tuple[str, str], tuple[int, datetime]] = {}  # key -> line, fetched_at
-    manifest_path = root / "manifest.jsonl"
-    if manifest_path.is_file():
-        for lineno, line in enumerate(manifest_path.read_text().splitlines(), 1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-                if not (isinstance(row, dict) and all(
-                        isinstance(row.get(k), str) for k in ("domain", "path", "fetched_at"))):
-                    raise ValueError("not an object with text domain, path and fetched_at")
-                key = (onion_name(row["domain"]), row["path"])  # case-blind, as directories
-                manifest[key] = lineno, parse_utc(row["fetched_at"])
-            except (ValueError, OverflowError) as exc:  # a time past datetime's range overflows
-                log.warning("manifest line %d unusable: %s", lineno, exc)
-
-    pages: dict[tuple[str, str], PageRecord] = {}
+    signature, digest = StatSignature(), hashlib.sha256()
     skipped: list[str] = []
-    for entry in sorted(root.iterdir()):
-        if not entry.is_dir():
+
+    def skip(name, entry_name, reason):
+        skipped.append(name)
+        log.warning("skipping %r: %s", entry_name, reason)
+
+    def read(name, entry) -> tuple[os.stat_result, bytes]:
+        st = entry.stat()
+        signature.add(name, st)
+        digest.update(name.encode())
+        with open(entry.path, "rb", buffering=0) as fh:
+            data = fh.read()
+        digest.update(data)
+        return st, data
+
+    manifest: dict[tuple[str, str], tuple[int, datetime]] = {}
+    pages: dict[tuple[str, str], tuple[str, bytes, os.stat_result]] = {}
+    for name, entry, domain in _snapshot_files(root, skip):
+        if domain is None:
+            manifest = _read_manifest(read(name, entry)[1].decode())
             continue
         try:
-            domain = onion_name(entry.name)
-        except ValueError:
-            skipped.append(entry.name)
-            log.warning("skipping non-onion directory %r", entry.name)
+            st, html = read(name, entry)  # a directory or unreadable: OSError
+            key = domain, _path_from_filename(entry.name)  # UnicodeDecodeError is a ValueError
+            _nonempty(html)
+        except (ValueError, OSError) as exc:
+            skip(name, entry.name, exc)
             continue
-        for page_file in sorted(entry.iterdir()):
-            try:
-                if not page_file.name.endswith(".html"):
-                    raise ValueError("not a page file")
-                path = _path_from_filename(page_file.name)  # UnicodeDecodeError is a ValueError
-                html = _nonempty(page_file.read_bytes())  # a directory or unreadable: OSError
-            except (ValueError, OSError) as exc:
-                skipped.append("%s/%s" % (entry.name, page_file.name))
-                log.warning("skipping %r: %s", page_file.name, exc)
-                continue
-            if (domain, path) in manifest:
-                fetched = manifest[domain, path][1]
-            else:
-                fetched = datetime.fromtimestamp(page_file.stat().st_mtime, tz=timezone.utc)
-            if (domain, path) in pages:
-                log.warning("duplicate page %s %s: keeping later file", domain, path)
-            pages[domain, path] = PageRecord(domain, path, html, fetched)
+        if key in pages:
+            log.warning("duplicate page %s %s: keeping later file", *key)
+        pages[key] = name, html, st
+
+    records = []
+    for key, (name, html, st) in pages.items():
+        if key in manifest:
+            fetched = manifest[key][1]
+        else:
+            fetched = datetime.fromtimestamp(st.st_mtime, tz=timezone.utc)
+            digest.update(b"%s\0%d\n" % (name.encode(), st.st_mtime_ns))
+        records.append(PageRecord(*key, html, fetched))
     for lineno in sorted(line for key, (line, _) in manifest.items() if key not in pages):
         skipped.append("manifest line %d" % lineno)
         log.warning("manifest line %d matches no page", lineno)
-    return Corpus(pages.values(), skipped)
+    return Corpus(records, skipped, [signature.taken()[0], digest.hexdigest()])
 
 
 # --- corpus.jsonl inter-stage format ---

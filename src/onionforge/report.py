@@ -33,7 +33,9 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .artifacts import read_jsonl, write_json, write_jsonl
-from .corpus import ingest_snapshot, read_corpus_jsonl, write_corpus_jsonl
+from .corpus import (
+    StatSignature, ingest_snapshot, read_corpus_jsonl, snapshot_signature, write_corpus_jsonl,
+)
 
 log = logging.getLogger("onionforge.report")
 
@@ -204,19 +206,15 @@ def _stat_signature(path) -> tuple[str, int]:
     name. `newest` is the latest mtime or ctime among them, in ns.
     """
     path = Path(path)
+    signature = StatSignature()
     if path.is_file():
-        stats = [("", os.stat(path))]
+        signature.add("", os.stat(path))
     elif path.is_dir():
-        stats = [(name, entry.stat()) for name, entry in _tree_files(path)]
+        for name, entry in _tree_files(path):
+            signature.add(name, entry.stat())
     else:
         return "<absent>", 0
-    h = hashlib.sha256()
-    newest = 0
-    for name, st in stats:
-        h.update(b"%s\0%d %d %d %d %d\n" % (name.encode(), st.st_size, st.st_mtime_ns,
-                                           st.st_ctime_ns, st.st_ino, st.st_dev))
-        newest = max(newest, st.st_mtime_ns, st.st_ctime_ns)
-    return h.hexdigest(), newest
+    return signature.taken()
 
 
 class InputDigests:
@@ -229,28 +227,49 @@ class InputDigests:
     input is hashed. The signature is taken before the input is read, so an
     edit made while it is hashed leaves a stale signature, never a stale
     digest. `taken` holds this run's pairs.
+
+    The pair of `snapshot`, the corpus root, covers what `ingest_snapshot`
+    reads, and only the read that gives ingest its corpus takes it; see
+    `read_snapshot`.
     """
 
-    def __init__(self, recorded: dict, written_ns: int):
+    def __init__(self, recorded: dict, written_ns: int, snapshot: str):
         self.recorded = recorded
         self.written_ns = written_ns
+        self.snapshot = snapshot
         self.taken: dict[str, list[str]] = {}
 
-    def _recorded(self, key: str, signature: str, newest: int) -> str | None:
-        """The recorded digest of `key`, if its pair still holds."""
+    def _check(self, key: str) -> tuple[str, str | None]:
+        """`key`'s signature, and its recorded digest if that pair still holds."""
+        signature, newest = (snapshot_signature if key == self.snapshot
+                             else _stat_signature)(key)
         pair = self.recorded.get(key)  # an entry of another shape counts as absent
         if (isinstance(pair, list) and len(pair) == 2 and pair[0] == signature
                 and isinstance(pair[1], str) and newest < self.written_ns):
-            return pair[1]
-        return None
+            return signature, pair[1]
+        return signature, None
 
     def digest(self, path) -> str:
         key = str(path)
         if key not in self.taken:
-            signature, newest = _stat_signature(path)
-            digest = self._recorded(key, signature, newest) or _path_digest(path)
-            self.taken[key] = [signature, digest]
+            signature, digest = self._check(key)
+            self.taken[key] = [signature, digest or _path_digest(path)]
         return self.taken[key][1]
+
+    def read_snapshot(self):
+        """Take the snapshot's pair: the recorded one, reading no byte, if it
+        still holds; otherwise read the snapshot once with `ingest_snapshot`,
+        whose walk takes the pair, and return the corpus."""
+        key = self.snapshot
+        if key not in self.taken and key in self.recorded:
+            signature, digest = self._check(key)
+            if digest:
+                self.taken[key] = [signature, digest]
+        if key in self.taken:
+            return None
+        corpus = ingest_snapshot(key)
+        self.taken[key] = corpus.pair
+        return corpus
 
     def forget(self, path):
         """Drop the pair of a path the run rewrites."""
@@ -262,10 +281,8 @@ class InputDigests:
         trust. Checking one reads no bytes."""
         pairs = dict(self.taken)
         for key in map(str, paths):
-            if key not in pairs and key in self.recorded:
-                signature, newest = _stat_signature(key)
-                if self._recorded(key, signature, newest):
-                    pairs[key] = self.recorded[key]
+            if key not in pairs and key in self.recorded and self._check(key)[1]:
+                pairs[key] = self.recorded[key]
         return pairs
 
 
@@ -437,8 +454,13 @@ def stage(name: str, reads=(), writes=(), config_keys=()):
 
 @stage("ingest", writes=["corpus.jsonl"], config_keys=["corpus_root"])
 def stage_ingest(cfg: PipelineConfig, inputs: dict) -> dict:
-    """Load the snapshot tree into corpus.jsonl."""
-    corpus = ingest_snapshot(cfg.corpus_root)
+    """Load the snapshot tree into corpus.jsonl.
+
+    `inputs` holds the corpus under "corpus_root" when the run read the
+    snapshot to digest it; otherwise the snapshot is read here.
+    """
+    corpus = (inputs["corpus_root"] if "corpus_root" in inputs
+              else ingest_snapshot(cfg.corpus_root))
     log.info("ingested %d pages from %d domains (%d entries skipped)",
              len(corpus), sum(1 for _ in corpus.sites()), len(corpus.skipped))
     return {"corpus.jsonl": corpus}
@@ -630,7 +652,7 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> PipelineRu
     previous, recorded = (value if isinstance(value, dict) else {}
                           for value in (manifest.get("stages"), manifest.get("inputs")))
     # an input is hashed at most once per run, until a stage rewrites it
-    run = PipelineRun(config, out, InputDigests(recorded, written_ns))
+    run = PipelineRun(config, out, InputDigests(recorded, written_ns, config.corpus_root))
     # stages this run does not reach keep their digests: each digest covers
     # that stage's own inputs, so a later run still re-runs exactly what changed
     run.stage_digests = {name: previous[name] for name, _ in STAGES if name in previous}
@@ -645,6 +667,14 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> PipelineRu
         for name, func in stages:
             decl = STAGE_DECLS[name]
             subset = {k: getattr(config, k) for k in decl.config_keys}
+            given = {}  # what the run read of the stage's inputs to digest them
+            if "corpus_root" in decl.config_keys:
+                try:
+                    snapshot = run.inputs.read_snapshot()
+                except Exception as exc:
+                    raise StageError(name, exc) from exc
+                if snapshot is not None:
+                    given["corpus_root"] = snapshot
             digest = _stage_digest(name, subset, decl.inputs(config, out), run.inputs)
             outputs_exist = all((out / o).exists() for o in decl.writes)
             if previous.get(name) == digest and outputs_exist:
@@ -670,7 +700,8 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> PipelineRu
                     for artifact in decl.reads:
                         if artifact not in values:  # its stage was skipped in this run
                             values[artifact] = ARTIFACTS[artifact].read(out / artifact)
-                    outputs = func(config, {a: values[a] for a in decl.reads})
+                    given.update((a, values[a]) for a in decl.reads)
+                    outputs = func(config, given)
                     for artifact in decl.writes:
                         ARTIFACTS[artifact].write(out / artifact, outputs[artifact])
                 except Exception as exc:

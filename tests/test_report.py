@@ -1,4 +1,6 @@
+import builtins
 import hashlib
+import io
 import json
 import os
 import re
@@ -6,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from collections import Counter
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -13,10 +16,10 @@ from xml.sax import saxutils
 
 import networkx as nx
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from onionforge import chain, pagetext, report
-from onionforge.corpus import Corpus, read_corpus_jsonl
+from onionforge.corpus import Corpus, read_corpus_jsonl, snapshot_signature
 from onionforge.cluster import EntityGraph
 from onionforge.report import (
     ARTIFACTS, STAGE_DECLS, ConfigError, PipelineConfig, StageError, export_graph,
@@ -336,6 +339,42 @@ class TestPipeline:
         assert run_pipeline(config).executed == []
         assert hashed == Counter()
 
+    def test_each_snapshot_file_opened_once(self, tmp_path, monkeypatch):
+        planted = build_planted_corpus(tmp_path / "planted")
+        out = tmp_path / "out"
+        (tmp_path / "run.cfg").write_text(planted.config_text(out))
+        config = parse_config(tmp_path / "run.cfg")
+        snapshot_files = {str(p) for p in planted.snapshot.rglob("*") if p.is_file()}
+        opened, real_open = Counter(), io.open
+
+        def counting_open(file, *args, **kwargs):
+            if not isinstance(file, int) and os.fspath(file) in snapshot_files:
+                opened[os.fspath(file)] += 1
+            return real_open(file, *args, **kwargs)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        monkeypatch.setattr(io, "open", counting_open)
+
+        # the read that gives ingest its corpus also digests the snapshot
+        assert run_pipeline(config).skipped == []
+        assert opened == Counter(snapshot_files)
+        age_manifest(out)
+        opened.clear()
+        assert run_pipeline(config).executed == []
+        assert opened == Counter()
+        # ingest runs while the snapshot's recorded pair holds: one read
+        (out / "corpus.jsonl").unlink()
+        assert run_pipeline(config).executed == ["ingest"]
+        assert opened == Counter(snapshot_files)
+
+    def test_snapshot_that_cannot_be_read_fails_ingest(self, tmp_path):
+        planted = build_planted_corpus(tmp_path / "planted")
+        (planted.snapshot / "manifest.jsonl").write_bytes(b"\xff\n")  # not UTF-8
+        (tmp_path / "run.cfg").write_text(planted.config_text(tmp_path / "out"))
+        with pytest.raises(StageError) as err:
+            run_pipeline(parse_config(tmp_path / "run.cfg"))
+        assert err.value.stage == "ingest"
+        assert isinstance(err.value.cause, UnicodeDecodeError)
+
     def test_page_text_does_not_outlive_the_run(self, tmp_path):
         planted = build_planted_corpus(tmp_path / "planted")
         (tmp_path / "run.cfg").write_text(planted.config_text(tmp_path / "out"))
@@ -440,9 +479,12 @@ class TestPipeline:
         (out / "run.json").write_text(json.dumps(manifest))
         age_manifest(out)
 
-        hashed, path_digest = [], report._path_digest
+        # each input is read once to digest it, the snapshot by ingest's walk
+        hashed, path_digest, ingest = [], report._path_digest, report.ingest_snapshot
         monkeypatch.setattr(report, "_path_digest",
                             lambda path: hashed.append(str(path)) or path_digest(path))
+        monkeypatch.setattr(report, "ingest_snapshot",
+                            lambda root: hashed.append(str(root)) or ingest(root))
         assert run_pipeline(config).executed == []
         assert sorted(hashed) == sorted({str(path) for decl in STAGE_DECLS.values()
                                          for _, path in decl.inputs(config, out)})
@@ -579,7 +621,8 @@ class TestPipeline:
 # input -> the edits to it that a rerun must notice; the snapshot edits touch
 # the noise site, which no ground-truth row names
 EDITS = {"file": ("same-size", "append", "replace", "retarget"),
-         "snapshot": ("same-size", "append", "delete", "add", "rename", "retarget")}
+         "snapshot": ("same-size", "append", "delete", "add", "rename", "retarget",
+                      "linked-site", "touch-unlisted")}
 READER = {"file": "trace", "snapshot": "ingest"}
 
 
@@ -600,6 +643,8 @@ class TestInputMemo:
     @settings(max_examples=30, deadline=None)
     @given(st.sampled_from([(i, e) for i, edits in EDITS.items() for e in edits]),
            st.integers(0, 10 ** 6), st.booleans())
+    @example(("snapshot", "linked-site"), 0, True)
+    @example(("snapshot", "touch-unlisted"), 0, True)
     def test_edited_input_reruns_its_stage(self, edit, at, aged):
         target, kind = edit
         with tempfile.TemporaryDirectory() as tmp:
@@ -613,6 +658,13 @@ class TestInputMemo:
                                                else site / "%2Flink.html")
             if kind == "retarget":
                 os.symlink(tmp / ("explorers.a" if target == "file" else "page.a"), link)
+            elif kind == "linked-site":  # the site lives outside the snapshot, linked in
+                os.replace(site, tmp / "site")
+                os.symlink(tmp / "site", site)
+            elif kind == "touch-unlisted":  # no manifest line: the mtime is fetched_at
+                manifest = planted.snapshot / "manifest.jsonl"
+                manifest.write_text("".join(line for line in manifest.read_text().splitlines(True)
+                                            if NOISE not in line))
             if not explorers.exists():
                 shutil.copy(tmp / "explorers.a", explorers)
             cfg_text = planted.config_text(tmp / "out") + "explorer_domains = %s\n" % explorers
@@ -625,6 +677,11 @@ class TestInputMemo:
             edited = explorers if target == "file" else page
             if kind in ("same-size", "append"):
                 edit_bytes(edited, kind, at)
+            elif kind == "linked-site":
+                edit_bytes(edited, "same-size", at)
+            elif kind == "touch-unlisted":  # three days back, the bytes kept
+                st = page.stat()
+                os.utime(page, ns=(st.st_atime_ns, st.st_mtime_ns - 3 * 86400 * 10 ** 9))
             elif kind == "replace":
                 os.replace(tmp / "explorers.b", explorers)
             elif kind == "retarget":
@@ -668,15 +725,19 @@ class TestInputMemo:
         out = tmp_path / "out"
         (tmp_path / "run.cfg").write_text(planted.config_text(out))
         config = parse_config(tmp_path / "run.cfg")
-        path_digest = report._path_digest
+        page, real_open = planted.snapshot / NOISE / "index.html", io.open
 
-        def edit_after_hashing(path):  # the edit lands after the read, before the record
-            digest = path_digest(path)
-            if Path(path) == planted.snapshot:
-                with open(planted.snapshot / NOISE / "index.html", "ab") as fh:
-                    fh.write(b"<p>late.example</p>")
-            return digest
-        monkeypatch.setattr(report, "_path_digest", edit_after_hashing)
+        def edit_after_reading(file, mode="r", *args, **kwargs):
+            if isinstance(file, int) or os.fspath(file) != str(page):
+                return real_open(file, mode, *args, **kwargs)
+            with real_open(file, mode, *args, **kwargs) as fh:
+                data = fh.read()
+            # the edit lands right after the page is read, before the run records it
+            with real_open(page, "ab") as fh:
+                fh.write(b"<p>late.example</p>")
+            return io.BytesIO(data)
+        monkeypatch.setattr(builtins, "open", edit_after_reading)
+        monkeypatch.setattr(io, "open", edit_after_reading)
         run_pipeline(config)
         monkeypatch.undo()
         age_manifest(out)
@@ -790,6 +851,42 @@ class TestPathDigest:
             assert report._path_digest(tree) == reference_path_digest(tree)
 
 
+def reference_stat_signature(tree) -> str:
+    """`report._stat_signature` of a directory, from a list of every file's stat."""
+    stats = [(str(p.relative_to(tree)), p.stat()) for p in sorted(tree.rglob("*"))
+             if p.is_file()]
+    h = hashlib.sha256()
+    for name, s in stats:
+        h.update(b"%s\0%d %d %d %d %d\n" % (name.encode(), s.st_size, s.st_mtime_ns,
+                                            s.st_ctime_ns, s.st_ino, s.st_dev))
+    return h.hexdigest()
+
+
+BASE32 = "abcdefghijklmnopqrstuvwxyz234567"
+
+
+class TestStatSignature:
+    # an input's walk and the snapshot's stat-only walk, which a no-op rerun takes
+    @pytest.mark.parametrize("signature_of", [report._stat_signature, snapshot_signature],
+                             ids=["input", "snapshot"])
+    def test_streams_the_walk(self, tmp_path, signature_of):
+        tree = tmp_path / "tree"
+        for d in range(400):  # 400 sites of 8 pages, every file one the snapshot walk takes
+            sub = tree / ("site%s%s%s.onion" % (BASE32[d // 32], BASE32[d % 32], "a" * 10))
+            sub.mkdir(parents=True)
+            for f in range(8):
+                (sub / ("f%d.html" % f)).write_bytes(b"x" * f)
+        tracemalloc.start()
+        try:
+            signature, _ = signature_of(tree)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert signature == reference_stat_signature(tree)
+        # a list of 3,200 (name, stat_result) pairs alone takes about 2 MiB
+        assert peak < 512 * 1024
+
+
 # "B...B.ONION" is the site "b...b.onion" again: its directory walks before
 # "a...a.onion", so the raw walk order is not domain order
 ONIONS = ("a" * 16 + ".onion", "b" * 56 + ".onion", "A" * 16 + ".ONION", "B" * 56 + ".ONION")
@@ -831,6 +928,8 @@ class TestCorpusMemo:
                 for (d, p), t in manifest.items()))
             shared = report.stage_ingest(PipelineConfig(corpus_root=str(root)),
                                          {})["corpus.jsonl"]
+            # the read's signature is the one a no-op rerun's stat-only walk takes
+            assert shared.pair[0] == snapshot_signature(root)[0]
             ARTIFACTS["corpus.jsonl"].write(out / "corpus.jsonl", shared)
             read_back = read_corpus_jsonl(out / "corpus.jsonl")
 
