@@ -61,6 +61,7 @@ def parse_category(text: str) -> str:
 
 TermVector = dict               # word -> count or weight, no zero entries
 GroundTruthRows = list          # (PageRecord, category) pairs, each page the corpus's own
+PageTexts = dict                # id(page) -> its visible text, for the pages of one corpus
 
 
 def load_stopwords(path=None) -> set[str]:
@@ -86,8 +87,11 @@ def term_vector(tokens: list[str]) -> TermVector:
     return vec
 
 
-def page_vector(page: PageRecord, stopwords: set[str]) -> TermVector:
-    return term_vector(tokenize(page_text(page.html), stopwords))
+def page_vector(page: PageRecord, stopwords: set[str],
+                texts: PageTexts | None = None) -> TermVector:
+    """The page's term counts, from its text in `texts`, or else from a scan."""
+    text = page_text(page.html) if texts is None else texts[id(page)]
+    return term_vector(tokenize(text, stopwords))
 
 
 def add_counts(total: TermVector, vec: TermVector):
@@ -287,14 +291,15 @@ class FeatureSet:
                           for cat, vec in category_vectors.items()}  # vectors on keywords
 
 
-def ground_truth_index(gt: GroundTruthRows, stopwords: set[str]) -> PageIndex:
+def ground_truth_index(gt: GroundTruthRows, stopwords: set[str],
+                       texts: PageTexts | None = None) -> PageIndex:
     """Phase 2's index of the ground-truth rows, each distinct page tokenized once."""
     vectors: dict[int, TermVector] = {}
     index = PageIndex()
     for page, cat in gt:
         if cat != OTHER:
             if id(page) not in vectors:
-                vectors[id(page)] = page_vector(page, stopwords)
+                vectors[id(page)] = page_vector(page, stopwords, texts)
             index.add(vectors[id(page)], cat)
     return index
 
@@ -346,14 +351,16 @@ def _label_row(domain: str, category: str, phase: str, score: float | None = Non
 
 
 def classify_corpus(corpus: Corpus, gt: GroundTruthRows, threshold: float,
-                    stopwords: set[str]) -> list[dict]:
+                    stopwords: set[str], texts: list[str] | None = None) -> list[dict]:
     """Run all three phases over a corpus: the labels.jsonl rows, by domain.
 
     A row's phase is ground-truth, cosine, tfidf or none. Deterministic for
     fixed inputs. Each classified page is tokenized once: the feature set
     sums the vectors of the ground-truth index, and phase 3 those of the
-    site phase 2 scored.
+    site phase 2 scored. `texts` holds each page's `page_text`, in corpus
+    order; without it, each classified page is scanned here.
     """
+    by_id = None if texts is None else dict(zip(map(id, corpus), texts))
     rows: dict[str, dict] = {}
 
     site_labels: dict[str, list[str]] = {}
@@ -362,12 +369,12 @@ def classify_corpus(corpus: Corpus, gt: GroundTruthRows, threshold: float,
     for domain, labels in site_labels.items():
         rows[domain] = _label_row(domain, aggregate_site_label(labels), "ground-truth")
 
-    index = ground_truth_index(gt, stopwords)
+    index = ground_truth_index(gt, stopwords, by_id)
     fs = build_feature_set(index)
     for domain, pages in corpus.sites():
         if domain in rows:
             continue
-        site_vectors = [page_vector(p, stopwords) for p in pages]
+        site_vectors = [page_vector(p, stopwords, by_id) for p in pages]
         label, score = _similarity_label(site_vectors, index, threshold)
         if label != OTHER:
             rows[domain] = _label_row(domain, label, "cosine", score)

@@ -169,17 +169,20 @@ def find_emails(text: str, known_tlds: set[str]) -> list[str]:
     return list(dict.fromkeys(out))
 
 
-def scan_pages(pages, known_tlds: set[str]) -> list[list[tuple[str, str, str | None]]]:
-    """Each page's (kind, value, reject reason) triples, in page order: every
-    BTC candidate, then every ETH candidate, then every email (always valid);
-    a valid address has reason None.
+def scan_pages(pages, known_tlds: set[str]) -> tuple[list[list[tuple[str, str, str | None]]],
+                                                     list[str]]:
+    """Each page's (kind, value, reject reason) triples, and each page's
+    visible text (`page_text`), in page order. A page's triples are every BTC
+    candidate, then every ETH candidate, then every email (always valid); a
+    valid address has reason None.
 
     The mixed-case ETH bodies of all the pages are hashed in one Keccak batch,
     each distinct body once.
     """
-    found = []
+    found, texts = [], []
     for html in pages:
-        text = page_text_and_attrs(html)
+        visible, text = page_text_and_attrs(html)
+        texts.append(visible)
         btc, eth = find_candidates(text)
         found.append((btc, eth, find_emails(text, known_tlds)))
     checksums = eip55_checksums(body for _, eth, _ in found for body in map(_eth_body, eth)
@@ -187,9 +190,9 @@ def scan_pages(pages, known_tlds: set[str]) -> list[list[tuple[str, str, str | N
     return [[("btc", cand, validate_btc(cand)) for cand in btc]
             + [("eth", cand, validate_eth(cand, checksums)) for cand in eth]
             + [("email", email, None) for email in emails]
-            for btc, eth, emails in found]
+            for btc, eth, emails in found], texts
 
 
 def scan_page(html: bytes, known_tlds: set[str]) -> list[tuple[str, str, str | None]]:
-    """`scan_pages` of one page."""
-    return scan_pages([html], known_tlds)[0]
+    """`scan_pages` of one page: its triples."""
+    return scan_pages([html], known_tlds)[0][0]

@@ -12,12 +12,12 @@ hostile sites, so where that parser rescans the rest of the page for every
 unterminated construct (`"<a " * n` takes quadratic time), the scan
 remembers what each rescan would find: its run time is linear in the page.
 
-A run asks for both views of every page, the second one stage later, so
-the scan behind the first also yields the second: see `handoff`.
+A run needs both views of each page, extract first and classify next:
+`page_text_and_attrs` gives both from one scan, and extract hands the
+visible text on to classify.
 """
 
 import re
-from contextlib import contextmanager
 from html import unescape
 
 _SKIP_CONTENT = {"script", "style", "noscript"}
@@ -362,55 +362,16 @@ def _normalize(pieces) -> str:
     return " ".join(" ".join(pieces).split())
 
 
-# visible text that `page_text_and_attrs` already scanned, for the `page_text`
-# call that follows on the same page: page bytes -> [text, pending uses].
-# Keyed by the page itself: inside a run, extract and classify share one
-# parsed corpus, so the lookup meets the very object that was recorded, whose
-# hash CPython caches, and the pages it keeps alive are the run's own. None
-# outside a `handoff` block, so nothing is recorded that no run will take.
-_handoff: dict[bytes, list] | None = None
-
-
-@contextmanager
-def handoff():
-    """Inside the block, `page_text` reuses the text `page_text_and_attrs` scanned.
-
-    `report.run_pipeline` opens one block before the first stage of a run
-    that reads the pages and holds it to the end of the run; when it ends,
-    every text not taken yet is dropped.
-    """
-    global _handoff
-    _handoff = {}
-    try:
-        yield
-    finally:
-        _handoff = None
-
-
 def page_text(html: bytes) -> str:
     """Visible text of a page, whitespace-normalized."""
-    if _handoff:
-        entry = _handoff.get(html)
-        if entry is not None:
-            entry[1] -= 1
-            if not entry[1]:
-                del _handoff[html]
-            return entry[0]
     return _normalize(_scan(html)[0])
 
 
-def page_text_and_attrs(html: bytes) -> str:
-    """Visible text plus all attribute values, for address/email scanning.
-
-    Inside a `handoff` block, leaves the page's visible text for the next
-    `page_text(html)`, so a page that is scanned and then classified is
-    scanned once.
-    """
+def page_text_and_attrs(html: bytes) -> tuple[str, str]:
+    """`page_text(html)`, and the visible text plus all attribute values for
+    address/email scanning, from one scan of the page."""
     chunks, values = _scan(html)
     text = _normalize(chunks)
-    if _handoff is not None:
-        entry = _handoff.setdefault(html, [text, 0])
-        entry[1] += 1
     # `_normalize(chunks + values)`: str.split never joins words across the
     # space between the two parts, so each part is normalized on its own
-    return " ".join(filter(None, (text, _normalize(values))))
+    return text, " ".join(filter(None, (text, _normalize(values))))

@@ -19,7 +19,6 @@ the stages it executes, and looks their functions up when called.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import io
 import json
@@ -422,6 +421,9 @@ class Stage(NamedTuple):
 
     `fn(config, inputs)` takes the values of the artifacts named in `reads`
     and returns a dict with the value of each artifact named in `writes`.
+    It may return other values besides: the runner passes them in the
+    inputs of the next stage of the run, if that stage executes, and then
+    drops them.
     The stage's digest covers its `config_keys` values, the artifacts it
     reads, and the contents of every file or directory that one of its
     config keys names.
@@ -469,10 +471,15 @@ def stage_ingest(cfg: PipelineConfig, inputs: dict) -> dict:
 @stage("extract", reads=["corpus.jsonl"], writes=["addresses.jsonl"],
        config_keys=["tlds"])
 def stage_extract(cfg: PipelineConfig, inputs: dict) -> dict:
-    """Extract and validate BTC/ETH addresses and emails from every page."""
+    """Extract and validate BTC/ETH addresses and emails from every page.
+
+    Also returns each page's visible text, in corpus order, under
+    "page_texts", so that classify need not scan the pages again.
+    """
     from . import extract
     corpus = inputs["corpus.jsonl"]
-    found = extract.scan_pages([page.html for page in corpus], extract.load_tlds(cfg.tlds))
+    found, texts = extract.scan_pages([page.html for page in corpus],
+                                      extract.load_tlds(cfg.tlds))
     rows = []
     for page, triples in zip(corpus, found):
         for kind, value, reason in triples:
@@ -481,7 +488,7 @@ def stage_extract(cfg: PipelineConfig, inputs: dict) -> dict:
             if reason:
                 row["reject_reason"] = reason
             rows.append(row)
-    return {"addresses.jsonl": rows}
+    return {"addresses.jsonl": rows, "page_texts": texts}
 
 
 def labels_by_site(rows) -> dict[str, str]:
@@ -503,12 +510,14 @@ def valid_by_site(address_rows, kind: str) -> dict[str, set[str]]:
 @stage("classify", reads=["corpus.jsonl"], writes=["labels.jsonl"],
        config_keys=["ground_truth", "threshold", "stopwords"])
 def stage_classify(cfg: PipelineConfig, inputs: dict) -> dict:
-    """Label every site with the three-phase illicit-site classifier."""
+    """Label every site with the three-phase illicit-site classifier; the
+    page texts extract returned in this run spare a second scan."""
     from . import classify
     corpus = inputs["corpus.jsonl"]
     stopwords = classify.load_stopwords(cfg.stopwords)
     gt = classify.load_ground_truth(cfg.ground_truth, corpus)
-    return {"labels.jsonl": classify.classify_corpus(corpus, gt, cfg.threshold, stopwords)}
+    return {"labels.jsonl": classify.classify_corpus(corpus, gt, cfg.threshold, stopwords,
+                                                     inputs.get("page_texts"))}
 
 
 @stage("filter", reads=["labels.jsonl", "addresses.jsonl"],
@@ -662,59 +671,55 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> PipelineRu
     # each artifact a stage of this run reads -> the last stage that reads it
     last_reader = {a: name for name, _ in stages for a in STAGE_DECLS[name].reads}
     values: dict[str, object] = {}  # this run's artifacts, until their last reader is done
-    handing_off = False
-    with contextlib.ExitStack() as scope:
-        for name, func in stages:
-            decl = STAGE_DECLS[name]
-            subset = {k: getattr(config, k) for k in decl.config_keys}
-            given = {}  # what the run read of the stage's inputs to digest them
-            if "corpus_root" in decl.config_keys:
-                try:
-                    snapshot = run.inputs.read_snapshot()
-                except Exception as exc:
-                    raise StageError(name, exc) from exc
-                if snapshot is not None:
-                    given["corpus_root"] = snapshot
-            digest = _stage_digest(name, subset, decl.inputs(config, out), run.inputs)
-            outputs_exist = all((out / o).exists() for o in decl.writes)
-            if previous.get(name) == digest and outputs_exist:
-                run.skipped.append(name)
-                run.stage_digests[name] = digest
-                log.info("stage %s unchanged; skipping", name)
-            else:
-                log.info("stage %s running", name)
-                if "corpus.jsonl" in decl.reads and not handing_off:
-                    # the page text one stage parses is handed to the next that
-                    # reads the pages; a run that reads none never loads pagetext
-                    from . import pagetext
-                    scope.enter_context(pagetext.handoff())
-                    handing_off = True
-                for written in decl.writes:
-                    run.inputs.forget(out / written)
-                if name in run.stage_digests:
-                    # unrecord the stage first, so a kill while it runs or
-                    # writes cannot leave its old digest over partial outputs
-                    del run.stage_digests[name]
-                    _write_manifest(run, manifest_path, carry=False)
-                try:
-                    for artifact in decl.reads:
-                        if artifact not in values:  # its stage was skipped in this run
-                            values[artifact] = ARTIFACTS[artifact].read(out / artifact)
-                    given.update((a, values[a]) for a in decl.reads)
-                    outputs = func(config, given)
-                    for artifact in decl.writes:
-                        ARTIFACTS[artifact].write(out / artifact, outputs[artifact])
-                except Exception as exc:
-                    _write_manifest(run, manifest_path)
-                    raise StageError(name, exc) from exc
-                for written in decl.writes:
-                    if written in last_reader:
-                        values[written] = outputs[written]
-                run.executed.append(name)
-                run.stage_digests[name] = digest
-            for artifact in decl.reads:
-                if last_reader[artifact] == name:
-                    values.pop(artifact, None)
+    extras: dict[str, object] = {}  # what the last stage returned besides its artifacts
+    for name, func in stages:
+        decl = STAGE_DECLS[name]
+        handed, extras = extras, {}
+        subset = {k: getattr(config, k) for k in decl.config_keys}
+        given = {}  # what the run read of the stage's inputs to digest them
+        if "corpus_root" in decl.config_keys:
+            try:
+                snapshot = run.inputs.read_snapshot()
+            except Exception as exc:
+                raise StageError(name, exc) from exc
+            if snapshot is not None:
+                given["corpus_root"] = snapshot
+        digest = _stage_digest(name, subset, decl.inputs(config, out), run.inputs)
+        outputs_exist = all((out / o).exists() for o in decl.writes)
+        if previous.get(name) == digest and outputs_exist:
+            run.skipped.append(name)
+            run.stage_digests[name] = digest
+            log.info("stage %s unchanged; skipping", name)
+        else:
+            log.info("stage %s running", name)
+            for written in decl.writes:
+                run.inputs.forget(out / written)
+            if name in run.stage_digests:
+                # unrecord the stage first, so a kill while it runs or
+                # writes cannot leave its old digest over partial outputs
+                del run.stage_digests[name]
+                _write_manifest(run, manifest_path, carry=False)
+            try:
+                for artifact in decl.reads:
+                    if artifact not in values:  # its stage was skipped in this run
+                        values[artifact] = ARTIFACTS[artifact].read(out / artifact)
+                given.update((a, values[a]) for a in decl.reads)
+                given.update(handed)
+                outputs = func(config, given)
+                for artifact in decl.writes:
+                    ARTIFACTS[artifact].write(out / artifact, outputs[artifact])
+            except Exception as exc:
+                _write_manifest(run, manifest_path)
+                raise StageError(name, exc) from exc
+            for written in decl.writes:
+                if written in last_reader:
+                    values[written] = outputs[written]
+            extras = {k: v for k, v in outputs.items() if k not in decl.writes}
+            run.executed.append(name)
+            run.stage_digests[name] = digest
+        for artifact in decl.reads:
+            if last_reader[artifact] == name:
+                values.pop(artifact, None)
 
     run.run_id = hashlib.sha256(json.dumps(
         {"config": config._asdict(), "stages": run.stage_digests},

@@ -444,13 +444,13 @@ def random_ledger_set(rng, n_addresses=6, n_txs=20):
         outs = [(rng.choice(pool), rng.randint(1, 500)) for _ in range(rng.randint(1, 3))]
         txs.append(mktx(n, ins, outs))
     ledgers = {}
-    for addr in illicit:
+    for k, addr in enumerate(illicit):
         mine = [t for t in txs
                 if output_to(t, addr) or input_from(t, addr)]
         received = sum(output_to(t, addr) for t in mine)
         spent = sum(input_from(t, addr) for t in mine)
         if spent > received:   # keep the ledger invariant satisfiable
-            mine.append(mktx(1000 + hash(addr) % 1000, [("efund", spent)],
+            mine.append(mktx(1000 + k, [("efund", spent)],
                              [(addr, spent)]))
         ledgers[addr] = chain.ledger(addr, mine)
     return illicit, ledgers

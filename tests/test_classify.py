@@ -3,6 +3,7 @@ import json
 import math
 import random
 from datetime import datetime, timezone
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -537,6 +538,15 @@ class TestSummedVectors:
                 list(want_fs.category_vectors[cat].items())
         assert list(fs.idf.items()) == list(want_fs.idf.items())
         assert fs.keywords == want_fs.keywords
+
+    @settings(max_examples=100, deadline=None)
+    @given(corpora())
+    def test_handed_texts_give_the_rows_a_scan_gives(self, case):
+        corpus, gt, threshold = case
+        texts = [page_text(p.html) for p in corpus]
+        scanned = classify_corpus(corpus, gt, threshold, STOPWORDS)
+        with mock.patch.object(classify, "page_text", side_effect=AssertionError("scanned")):
+            assert classify_corpus(corpus, gt, threshold, STOPWORDS, texts) == scanned
 
     def test_each_classified_page_is_tokenized_once(self, monkeypatch):
         corpus, gt, _ = build_corpus_and_gt(

@@ -4,7 +4,7 @@ import pytest
 from growth import growth
 from hypothesis import given, settings, strategies as st
 
-from onionforge import base58, extract, pagetext
+from onionforge import base58, extract
 from onionforge.extract import (
     eip55_checksum, eip55_checksums, find_candidates, find_emails, load_tlds, scan_page,
     scan_pages, validate_btc, validate_eth,
@@ -195,7 +195,9 @@ class TestValidateEth:
                             lambda messages: batches.append(messages) or keccak256_batch(messages))
         html = ("<p>pay 0x%s</p>" % EIP55_VECTORS[0]).encode()
         # the same page body at two paths
-        assert scan_pages([html, html], TLDS) == [[("eth", "0x" + EIP55_VECTORS[0], None)]] * 2
+        found, texts = scan_pages([html, html], TLDS)
+        assert found == [[("eth", "0x" + EIP55_VECTORS[0], None)]] * 2
+        assert texts == ["pay 0x" + EIP55_VECTORS[0]] * 2
         assert batches == [[EIP55_VECTORS[0].lower().encode()]]
 
 
@@ -289,7 +291,3 @@ class TestScanPage:
         html = ("<p>mail a@b.com, pay %s or %s or %s</p>" % (eth, ADDR, "1" * 30)).encode()
         assert scan_page(html, TLDS) == [("btc", ADDR, None), ("btc", "1" * 30, "bad-length"),
                                          ("eth", eth, None), ("email", "a@b.com", None)]
-
-    def test_outside_a_run_leaves_no_page_text_behind(self):
-        scan_page(b"<p>visible text</p>", TLDS)
-        assert not pagetext._handoff

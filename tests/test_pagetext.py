@@ -70,45 +70,22 @@ pages = st.one_of(
 @settings(max_examples=300)
 @given(pages)
 def test_never_raises(html):
-    with pagetext.handoff():
-        assert isinstance(page_text(html), str)
-        assert isinstance(page_text_and_attrs(html), str)
+    assert isinstance(page_text(html), str)
+    text, text_and_attrs = page_text_and_attrs(html)
+    assert isinstance(text, str) and isinstance(text_and_attrs, str)
 
 
 @settings(max_examples=300)
 @given(pages)
 def test_handed_off_text_equals_a_fresh_parse(html):
-    with pagetext.handoff():
-        fresh = page_text(html)
-        page_text_and_attrs(html)
-        assert page_text(html) == fresh
-        assert pagetext._handoff == {}  # an entry is removed when it is used
-
-
-def test_identical_pages_each_take_their_own_entry(monkeypatch):
-    html = b"<p>same mirror page</p><a href='x'>pay</a>"
-    with pagetext.handoff():
-        page_text_and_attrs(html)
-        page_text_and_attrs(html)
-        parsed = []
-        monkeypatch.setattr(pagetext, "_scan", lambda h: parsed.append(h) or ([], []))
-        assert page_text(html) == page_text(html) == "same mirror page pay"
-        assert parsed == [] and pagetext._handoff == {}
-        page_text(html)
-        assert parsed == [html]  # nothing handed off any more: parsed again
-
-
-def test_untaken_text_ends_with_the_block():
-    with pagetext.handoff():
-        page_text_and_attrs(b"<p>scanned, never classified</p>")
-        assert len(pagetext._handoff) == 1
-    assert pagetext._handoff is None
+    # the visible text that extract hands on to classify
+    assert page_text_and_attrs(html)[0] == page_text(html)
 
 
 def test_text_and_attrs():
     html = (b"<html><head><style>p{}</style><script>var a='hidden';</script></head>"
             b"<body><p>pay  to</p>\n<a href=\"bitcoin:addr\">here</a></body></html>")
-    assert page_text_and_attrs(html) == "pay to here bitcoin:addr"
+    assert page_text_and_attrs(html) == ("pay to here", "pay to here bitcoin:addr")
     assert page_text(html) == "pay to here"
 
 
@@ -122,7 +99,9 @@ pieces = st.lists(st.text(st.sampled_from("ab \t\n\xa0\u2003\x1c")) | st.text(ma
 @given(pieces, pieces)
 def test_text_and_attrs_is_all_pieces_normalized_as_one(chunks, values):
     with mock.patch.object(pagetext, "_scan", lambda html: (chunks, values)):
-        assert page_text_and_attrs(b"page") == " ".join(" ".join(chunks + values).split())
+        text, text_and_attrs = page_text_and_attrs(b"page")
+    assert text == " ".join(" ".join(chunks).split())
+    assert text_and_attrs == " ".join(" ".join(chunks + values).split())
 
 
 # the oracle is the installed html.parser, and the scanner is pinned to 3.11.7's

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+import weakref
 from collections import Counter
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
@@ -18,7 +19,7 @@ import networkx as nx
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from onionforge import chain, pagetext, report
+from onionforge import chain, classify, pagetext, report
 from onionforge.corpus import Corpus, read_corpus_jsonl, snapshot_signature
 from onionforge.cluster import EntityGraph
 from onionforge.report import (
@@ -326,7 +327,6 @@ class TestPipeline:
         pages = read_corpus_jsonl(out / "corpus.jsonl")
         # extract's parse also serves classify, ground-truth pages included
         assert parsed == Counter(p.html for p in pages)
-        assert pagetext._handoff is None
         assert hashed and max(hashed.values()) == 1
 
         hashed.clear()
@@ -380,14 +380,81 @@ class TestPipeline:
         (tmp_path / "run.cfg").write_text(planted.config_text(tmp_path / "out"))
         config = parse_config(tmp_path / "run.cfg")
         run_pipeline(config, until="extract")  # classify never takes the text
-        assert pagetext._handoff is None
         planted.ground_truth.write_text(
             '{"domain": "missing.onion", "path": "/", "category": "Drugs"}\n')
         (tmp_path / "out" / "addresses.jsonl").unlink()
         with pytest.raises(StageError) as err:
             run_pipeline(config)  # extract runs again, then classify fails
         assert err.value.stage == "classify"
-        assert pagetext._handoff is None
+
+    def test_page_texts_reach_only_the_next_stage(self, tmp_path, monkeypatch):
+        class Texts(list):
+            """A list that a weak reference can watch."""
+        keys, texts = {}, []
+
+        def recording(name, fn):
+            def stage_fn(cfg, inputs):
+                keys[name] = set(inputs)
+                outputs = fn(cfg, inputs)
+                if "page_texts" in outputs:
+                    outputs["page_texts"] = Texts(outputs["page_texts"])
+                    texts.append(weakref.ref(outputs["page_texts"]))
+                return outputs
+            return stage_fn
+        monkeypatch.setattr(report, "STAGES", tuple(
+            (name, recording(name, fn)) for name, fn in report.STAGES))
+        planted = build_planted_corpus(tmp_path / "planted")
+        out = tmp_path / "out"
+        (tmp_path / "run.cfg").write_text(planted.config_text(out))
+        config = parse_config(tmp_path / "run.cfg")
+
+        assert run_pipeline(config).skipped == []
+        assert [name for name in keys if "page_texts" in keys[name]] == ["classify"]
+        assert len(texts) == 1 and texts[0]() is None
+
+        # extract runs again and classify is skipped: filter, next to run, gets no texts
+        keys.clear()
+        texts.clear()
+        (out / "addresses.jsonl").unlink()
+        (out / "illicit.jsonl").unlink()
+        run = run_pipeline(config)
+        assert run.executed[:2] == ["extract", "filter"] and "classify" in run.skipped
+        assert not any("page_texts" in keys[name] for name in keys)
+        assert len(texts) == 1 and texts[0]() is None
+
+        # a run that ends with extract drops them too
+        texts.clear()
+        (out / "addresses.jsonl").unlink()
+        assert run_pipeline(config, until="extract").executed == ["extract"]
+        assert len(texts) == 1 and texts[0]() is None
+
+    def test_stopwords_edit_scans_each_classified_page_once(self, tmp_path, monkeypatch):
+        planted = build_planted_corpus(tmp_path / "planted")
+        stopwords = tmp_path / "stopwords.txt"
+        shutil.copy(Path(classify.__file__).parent / "data" / "stopwords.txt", stopwords)
+        out = tmp_path / "out"
+        (tmp_path / "run.cfg").write_text(
+            planted.config_text(out) + "stopwords = %s\n" % stopwords)
+        config = parse_config(tmp_path / "run.cfg")
+        assert run_pipeline(config).skipped == []
+
+        parsed, scan = Counter(), pagetext._scan
+        monkeypatch.setattr(pagetext, "_scan", lambda html: parsed.update([html]) or scan(html))
+        with open(stopwords, "a") as fh:
+            fh.write("bitcoin\n")
+        run = run_pipeline(config)
+        assert run.skipped[:2] == ["ingest", "extract"] and run.executed[0] == "classify"
+        # classify scans the ground-truth pages and the pages of every other site
+        pages = read_corpus_jsonl(out / "corpus.jsonl")
+        gt = classify.load_ground_truth(planted.ground_truth, pages)
+        gt_domains = {page.domain for page, _ in gt}
+        classified = {id(page): page for page, cat in gt if cat != classify.OTHER}
+        classified.update((id(page), page) for page in pages if page.domain not in gt_domains)
+        assert parsed == Counter(page.html for page in classified.values())
+
+        fresh = tmp_path / "fresh"
+        run_pipeline(config._replace(out_dir=str(fresh)))
+        assert (out / "labels.jsonl").read_bytes() == (fresh / "labels.jsonl").read_bytes()
 
     def test_each_ledger_row_parsed_once(self, tmp_path, monkeypatch):
         parsed = []

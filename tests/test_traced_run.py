@@ -40,10 +40,11 @@ def test_planted_run_under_tracer(tmp_path):
     # ingest writes corpus.jsonl once and hands its corpus to the later stages
     assert spans.count("corpus.write_corpus_jsonl") == 1
     assert "corpus.read_corpus_jsonl" not in spans
-    # every page is parsed for classification once, ground-truth pages included
-    assert spans.count("pagetext.page_text") == doc["facts"]["corpus.pages"]
+    # every page is scanned once, by extract, which hands its text on to classify
+    assert spans.count("pagetext.page_text_and_attrs") == doc["facts"]["corpus.pages"]
+    assert "pagetext.page_text" not in spans
     # and tokenized once: phase 3 and the feature set sum the phase-2 vectors
-    assert spans.count("classify.tokenize") == spans.count("pagetext.page_text")
+    assert spans.count("classify.tokenize") == doc["facts"]["corpus.pages"]
     # every ledger row is parsed once, by fetch-tx; cluster and report reuse its ledgers
     rows = sum(len(json.loads(p.read_text())) for p in planted.tx_fixtures.glob("*.json"))
     assert doc["counts"]["chain.parse_transaction"] == rows
