@@ -26,6 +26,9 @@ _TXID_RE = re.compile(r"[0-9a-f]{64}")
 
 SECONDS_PER_DAY = 86400
 
+# builds a NamedTuple without the Python-level `__new__` its class defines
+_new = tuple.__new__
+
 
 class ChainError(Exception):
     pass
@@ -70,7 +73,7 @@ def _tx_ios(items, key: str) -> tuple[TxIO, ...]:
             value = int(value)
         if type(value) is not int or value < 0:
             raise ChainError("value is not a whole number of satoshis: %r" % (value,))
-        out.append(TxIO(address, value))
+        out.append(_new(TxIO, (address, value)))
     return tuple(out)
 
 
@@ -88,16 +91,30 @@ def parse_transaction(row) -> Transaction:
     inputs = _tx_ios(row.get("inputs", []), "inputs")
     if not inputs and not coinbase:
         raise ChainError("non-coinbase transaction %s has no inputs" % txid)
-    return Transaction(txid, _timestamp(row.get("timestamp", row.get("time"))),
-                       inputs, _tx_ios(row.get("outputs", []), "outputs"), coinbase)
+    timestamp = _timestamp(row["timestamp"] if "timestamp" in row else row.get("time"))
+    return _new(Transaction, (txid, timestamp, inputs,
+                              _tx_ios(row.get("outputs", []), "outputs"), coinbase))
 
 
-def _io_json(items) -> str:
-    if not items:
-        return "[]"
-    return "[\n%s\n    ]" % ",\n".join(
-        '      {\n        "address": %s,\n        "value": %d\n      }'
-        % (encode_basestring_ascii(io.address), io.value) for io in items)
+_IO_JSON = '      {\n        "address": %s,\n        "value": %d\n      }'
+_TEMPLATES: dict[tuple[int, int], str] = {}
+_TEMPLATE_IOS = 16  # the most inputs plus outputs of a cached template, so the cache stays small
+
+
+def _ios_template(count: int) -> str:
+    return "[\n%s\n    ]" % ",\n".join([_IO_JSON] * count) if count else "[]"
+
+
+def _template(shape: tuple[int, int]) -> str:
+    """The text of a transaction with `shape`, its (inputs, outputs) count,
+    with a placeholder for each value: coinbase, each input's and then each
+    output's address and value, timestamp and txid."""
+    template = ('  {\n    "coinbase": %s,\n    "inputs": ' + _ios_template(shape[0])
+                + ',\n    "outputs": ' + _ios_template(shape[1])
+                + ',\n    "timestamp": "%s",\n    "txid": %s\n  }')
+    if sum(shape) <= _TEMPLATE_IOS:
+        _TEMPLATES[shape] = template
+    return template
 
 
 def ledger_json(transactions) -> str:
@@ -107,26 +124,40 @@ def ledger_json(transactions) -> str:
     timestamp (ISO 8601 in UTC, "Z"-suffixed) and txid, and each input or
     output one with address and value. The text is byte for byte what
     `json.dumps(rows, indent=2, sort_keys=True)` makes of those objects, built
-    in one pass because the stdlib's indenting encoder is pure Python.
+    in one pass because the stdlib's indenting encoder is pure Python: each
+    transaction is one `%` of the template of its shape. An ISO 8601 time
+    needs no JSON escape, so its text goes between the quotes as it is.
     """
     if not transactions:
         return "[]"
-    return "[\n%s\n]" % ",\n".join(
-        '  {\n    "coinbase": %s,\n    "inputs": %s,\n    "outputs": %s,\n'
-        '    "timestamp": %s,\n    "txid": %s\n  }'
-        % ("true" if tx.coinbase else "false", _io_json(tx.inputs), _io_json(tx.outputs),
-           encode_basestring_ascii(format_utc(tx.timestamp)),
-           encode_basestring_ascii(tx.txid))
-        for tx in transactions)
+    texts = []
+    for txid, timestamp, inputs, outputs, coinbase in transactions:
+        values = ["true" if coinbase else "false"]
+        for address, value in inputs:
+            values += encode_basestring_ascii(address), value
+        for address, value in outputs:
+            values += encode_basestring_ascii(address), value
+        values += format_utc(timestamp), encode_basestring_ascii(txid)
+        shape = len(inputs), len(outputs)
+        texts.append((_TEMPLATES.get(shape) or _template(shape)) % tuple(values))
+    return "[\n%s\n]" % ",\n".join(texts)
 
 
-def ledger(address: str, txs) -> tuple[Transaction, ...]:
+class Ledger(tuple):
+    """An address's ledger (see `ledger`), with the satoshis the address
+    `received` and `sent` over it."""
+
+    received: int
+    sent: int
+
+
+def ledger(address: str, txs) -> Ledger:
     """An address's ledger: `txs` deduplicated by txid and in (timestamp, txid)
     order, the rows of its ledger file. A ledger that spends more than it
     received raises ChainError."""
-    ordered = _in_time_order(txs)
-    received, sent = received_and_sent(address, ordered)
-    if sent > received:
+    ordered = Ledger(_in_time_order(txs))
+    ordered.received, ordered.sent = received_and_sent(address, ordered)
+    if ordered.sent > ordered.received:
         raise ChainError("ledger for %s spends more than it received "
                          "(history incomplete?)" % address)
     return ordered
@@ -138,12 +169,15 @@ def received_and_sent(address: str, txs) -> tuple[int, int]:
             sum(i.value for tx in txs for i in tx.inputs if i.address == address))
 
 
+_TIME_ORDER = attrgetter("timestamp", "txid")
+
+
 def _in_time_order(txs) -> tuple[Transaction, ...]:
     """The first transaction of each txid, in (timestamp, txid) order."""
     unique: dict[str, Transaction] = {}
     for tx in txs:
         unique.setdefault(tx.txid, tx)
-    return tuple(sorted(unique.values(), key=lambda t: (t.timestamp, t.txid)))
+    return tuple(sorted(unique.values(), key=_TIME_ORDER))
 
 
 class FixtureExplorer:
@@ -171,8 +205,9 @@ class HttpExplorer:
     Expects GET {base_url}/address/{addr}/transactions?page=N to return
     {"page": N, "total_pages": M, "transactions": [...]}. A 404 on page 1 is
     an unknown (empty) address. A 404 on a later page, a page of another
-    shape (`null` or `{"error": ...}` too), a bad `total_pages` or more than
-    MAX_PAGES pages raises ChainError; other failed requests raise FetchError.
+    shape (`null` or `{"error": ...}` too), a `total_pages` that is not a
+    whole, non-bool number or more than MAX_PAGES pages raises ChainError;
+    other failed requests raise FetchError.
     """
 
     def __init__(self, base_url: str, session=None, rate_limit: float | None = None):
@@ -193,10 +228,12 @@ class HttpExplorer:
             if not isinstance(rows, list):
                 raise ChainError("malformed page from %s: no transactions array" % url)
             out.extend(parse_transaction(row) for row in rows)
-            try:
-                last = int(payload.get("total_pages", 1))
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise ChainError("malformed page from %s: total_pages %s" % (url, exc)) from exc
+            last = payload.get("total_pages", 1)
+            if type(last) is float and last.is_integer():
+                last = int(last)
+            if type(last) is not int:
+                raise ChainError("malformed page from %s: total_pages %r is not a whole number"
+                                 % (url, last))
             if page >= last:
                 return out
             if page >= MAX_PAGES:
@@ -207,7 +244,7 @@ class HttpExplorer:
 def fetch_all(addresses, provider):
     """The `ledger` of every address, empty when the provider does not know
     it, recording per-address failures instead of dying."""
-    ledgers: dict[str, tuple[Transaction, ...]] = {}
+    ledgers: dict[str, Ledger] = {}
     failures: dict[str, str] = {}
     for address in sorted(set(addresses)):
         try:

@@ -315,6 +315,7 @@ class ClusterResult(NamedTuple):
     graph: EntityGraph
     vanity: list[tuple[str, list[str]]]
     exclusions: dict
+    income: chain.IncomeReport  # what `chain.estimate_income` made of the ledgers
 
 
 def run_clustering(labels: dict[str, str], illicit: dict[str, dict],
@@ -345,7 +346,8 @@ def run_clustering(labels: dict[str, str], illicit: dict[str, dict],
             partition.union(u, v)
         trace.append(snapshot(partition, phase))
 
-    received = chain.estimate_income(illicit, ledgers).per_address
+    income = chain.estimate_income(illicit, ledgers)
+    received = income.per_address
     for address, satoshi in received.items():
         graph.nodes[node_id(BTC, address)]["received"] = satoshi
     campaigns, exclusions = campaign_stats(partition, labels, received)
@@ -361,5 +363,5 @@ def run_clustering(labels: dict[str, str], illicit: dict[str, dict],
             {"kind": k, "value": v, "url": u} for k, v, u in public_facts]
     vanity = vanity_groups([s for s in labels if labels[s] != OTHER], vanity_prefix)
     return ClusterResult(campaigns=campaigns, trace=trace, partition=partition,
-                         graph=graph, vanity=vanity, exclusions=exclusions)
+                         graph=graph, vanity=vanity, exclusions=exclusions, income=income)
 

@@ -330,10 +330,9 @@ def write_ledgers(ledgers_dir: Path, ledgers: Ledgers):
         txs = ledgers[address]
         with open(ledgers_dir / (address + ".json"), "w") as fh:
             fh.write(chain.ledger_json(txs) + "\n")
-        received, sent = chain.received_and_sent(address, txs)
         index_rows.append({
             "v": 1, "address": address, "transactions": len(txs),
-            "received": received, "sent": sent, "balance": received - sent,
+            "received": txs.received, "sent": txs.sent, "balance": txs.received - txs.sent,
             "active_days": chain.active_period(txs),
         })
     for address in sorted(ledgers.failures):
@@ -598,7 +597,11 @@ def stage_trace(cfg: PipelineConfig, inputs: dict) -> dict:
        writes=["campaigns.json", "phase_trace.json", "vanity.json", "entity_graph.json"],
        config_keys=["public_threshold", "vanity_prefix"])
 def stage_cluster(cfg: PipelineConfig, inputs: dict) -> dict:
-    """Merge sites, addresses and identity facts into campaigns in five phases."""
+    """Merge sites, addresses and identity facts into campaigns in five phases.
+
+    Also returns the `chain.IncomeReport` of the illicit addresses' ledgers
+    under "income", so that report need not estimate it again.
+    """
     from . import cluster
     result = cluster.run_clustering(
         labels_by_site(inputs["labels.jsonl"]), inputs["illicit.jsonl"],
@@ -613,6 +616,7 @@ def stage_cluster(cfg: PipelineConfig, inputs: dict) -> dict:
                                            for p, d in result.vanity]},
         "entity_graph.json": {"v": 1, "nodes": {nid: nodes[nid] for nid in sorted(nodes)},
                               "edges": [list(e) for e in sorted(result.graph.edges)]},
+        "income": result.income,
     }
 
 
@@ -751,14 +755,17 @@ def _write_manifest(run: PipelineRun, path: Path, carry: bool = True):
 def emit_tables(inputs: dict, top_n: int = 10, min_received: int = 0) -> tuple[dict, dict]:
     """The four paper-shaped tables and the summary, from the report stage's inputs.
 
-    Returns (tables, summary), the values of `tables` and `summary.json`.
+    The income report is the one cluster returned in this run, under
+    "income", or else estimated here. Returns (tables, summary), the values
+    of `tables` and `summary.json`.
     """
     from . import chain
     from .classify import CATEGORIES, OTHER
     labels = labels_by_site(inputs["labels.jsonl"])
     illicit = inputs["illicit.jsonl"]
     ledgers = inputs["ledgers"]
-    income = chain.estimate_income(illicit, ledgers)
+    income = (inputs["income"] if "income" in inputs
+              else chain.estimate_income(illicit, ledgers))
 
     pages_per_domain = {domain: sum(1 for _ in pages)
                         for domain, pages in inputs["corpus.jsonl"].sites()}

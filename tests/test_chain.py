@@ -109,6 +109,15 @@ class TestLedger:
         assert ledgers == {"missing": ()} and not failures
         assert active_period(ledgers["missing"]) is None
 
+    @pytest.mark.parametrize("kind", ["directory", "broken link", "looping link"])
+    def test_fixture_that_is_no_file_is_an_unknown_address(self, tmp_path, kind):
+        path = tmp_path / "a.json"
+        if kind == "directory":
+            path.mkdir()
+        else:
+            path.symlink_to(path if kind == "looping link" else tmp_path / "absent.json")
+        assert fetch_all(["a"], FixtureExplorer(tmp_path)) == ({"a": ()}, {})
+
     def test_fetch_idempotent(self, tmp_path):
         (tmp_path / "a.json").write_text(json.dumps([transaction_to_dict(
             mktx(1, [("x", 5)], [("a", 5)]))]))
@@ -277,6 +286,10 @@ class TestHttpExplorer:
         [], "transactions", {"transactions": 5},
         {"transactions": [], "total_pages": None}, None,
         {"error": "rate limited"}, {"total_pages": 1},
+        # total_pages is a whole, non-bool number, as a value is: not 2, 1 and 2
+        {"transactions": [], "total_pages": "2"},
+        {"transactions": [], "total_pages": True},
+        {"transactions": [], "total_pages": 2.5},
     ])
     def test_malformed_page_is_a_per_address_failure(self, payload):
         session = FakeSession([FakeResponse(200, payload),
@@ -697,6 +710,27 @@ class TestLedgerJson:
             '    "timestamp": "2020-01-01T00:00:00.000007Z",\n    "txid": "%s"\n  }\n]'
             % txid(1))
         assert ledger_json([]) == "[]"
+
+    def test_every_shape_to_20_ios_and_shapes_that_come_back(self):
+        # shapes on both sides of the 16-IO bound of the template cache, and
+        # each met again in the same ledger with other addresses and values
+        rng = random.Random(28)
+
+        def tx(n, n_in, n_out):
+            def ios(prefix, count):
+                return [('%s"%d\u00e9' % (prefix, rng.randrange(10 ** 6)),
+                         rng.choice([0, rng.randrange(2 ** 70)])) for _ in range(count)]
+            return mktx(n, ios("in", n_in), ios("out", n_out),
+                        coinbase=not n_in or rng.random() < 0.5)
+        shapes = [(n_in, n_out) for n_in in range(21) for n_out in range(21)]
+        first = [tx(n, *shape) for n, shape in enumerate(shapes)]
+        again = [tx(len(shapes) + n, *shape)
+                 for n, shape in enumerate(rng.sample(shapes, len(shapes)))]
+        mixed = [tx(1000 + n, *shape) for n, shape in enumerate([(1, 1), (1, 4), (1, 1), (3, 1),
+                                                                 (1, 4), (17, 0), (1, 1)])]
+        for txs in (first, first[::-1] + again, mixed):
+            rows = [transaction_to_dict(t) for t in txs]
+            assert ledger_json(txs) == json.dumps(rows, indent=2, sort_keys=True)
 
 
 json_values = st.recursive(

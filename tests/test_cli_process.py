@@ -1,13 +1,15 @@
-"""The CLI as a process: what it loads, and how it ends.
+"""The CLI as a process: what it loads, how it ends, and what its hash seed changes.
 
 A command imports only the modules of the stages it executes, so a no-op
 rerun or an ingest never loads a stage's parsers or regexes, nor a stdlib
 module that only other commands use. The entry point ends the process with
-a hard exit once the logs and both streams are flushed; these tests run
-real child processes to see both.
+a hard exit once the logs and both streams are flushed. No artifact depends
+on the order of a set or dict of strings, which `PYTHONHASHSEED` sets. These
+tests run real child processes to see all three.
 """
 
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -18,7 +20,7 @@ import pytest
 
 from onionforge import cli
 
-from planted import build_planted_corpus
+from planted import assert_same_artifacts, build_planted_corpus
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -37,9 +39,9 @@ UNUSED_BY_INGEST = {"argparse", "gettext", "csv"}
 UNUSED_BY_RERUN = UNUSED_BY_INGEST | {"base64", "datetime"}
 
 
-def python(*args):
+def python(*args, **env_vars):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]), **env_vars)
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
                           timeout=120)
 
@@ -127,3 +129,17 @@ def test_entry_point_flushes_then_skips_teardown(planted, tmp_path):
     assert "teardown" not in proc.stdout
     assert "complete; executed ['ingest']" in proc.stderr.splitlines()[-1]
     assert (tmp_path / "out" / "run.json").is_file()
+
+
+def test_artifacts_do_not_depend_on_the_hash_seed(planted, tmp_path):
+    _, config = planted
+    cfg, out = config("out"), tmp_path / "out"
+    manifests = []
+    for seed in ("0", "12345"):
+        proc = python("-m", "onionforge.cli", "run", "--config", str(cfg), PYTHONHASHSEED=seed)
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        manifest = json.loads((out / "run.json").read_text())
+        manifests.append((manifest["run_id"], manifest["stages"]))
+        out.rename(tmp_path / ("seed-" + seed))  # the next run is a fresh one into `out`
+    assert_same_artifacts(tmp_path / "seed-0", tmp_path / "seed-12345")
+    assert manifests[0] == manifests[1]

@@ -428,6 +428,59 @@ class TestPipeline:
         assert run_pipeline(config, until="extract").executed == ["extract"]
         assert len(texts) == 1 and texts[0]() is None
 
+    def test_income_estimated_once_per_run(self, tmp_path, monkeypatch):
+        # cluster hands its income report to report, which no other stage sees
+        keys, estimated, incomes, running = {}, [], [], []
+        estimate_income = chain.estimate_income
+        monkeypatch.setattr(chain, "estimate_income", lambda *args: (
+            estimated.append(running[-1]) or estimate_income(*args)))
+
+        def recording(name, fn):
+            def stage_fn(cfg, inputs):
+                keys[name] = set(inputs)
+                running.append(name)
+                outputs = fn(cfg, inputs)
+                if "income" in outputs:  # a set, which a weak reference can watch
+                    incomes.append(weakref.ref(outputs["income"].internal_txids))
+                return outputs
+            return stage_fn
+        monkeypatch.setattr(report, "STAGES", tuple(
+            (name, recording(name, fn)) for name, fn in report.STAGES))
+        planted = build_planted_corpus(tmp_path / "planted")
+        out = tmp_path / "out"
+        (tmp_path / "run.cfg").write_text(planted.config_text(out))
+        config = parse_config(tmp_path / "run.cfg")
+
+        def tables(out_dir):
+            return {p.name: p.read_bytes() for p in (out_dir / "tables").iterdir()}
+
+        assert run_pipeline(config).skipped == []
+        assert estimated == ["cluster"]
+        assert [name for name in keys if "income" in keys[name]] == ["report"]
+        assert len(incomes) == 1 and incomes[0]() is None
+        fresh_tables = tables(out)
+
+        # a resumed report estimates it once itself, to the same tables
+        keys.clear()
+        estimated.clear()
+        (out / "summary.json").unlink()
+        assert run_pipeline(config).executed == ["report"]
+        assert estimated == ["report"] and "income" not in keys["report"]
+        assert tables(out) == fresh_tables
+
+        # a run that ends with cluster drops it; the next run's report estimates it
+        keys.clear()
+        estimated.clear()
+        incomes.clear()
+        split = config._replace(out_dir=str(tmp_path / "split"))
+        assert run_pipeline(split, until="cluster").executed[-1] == "cluster"
+        assert estimated == ["cluster"] and len(incomes) == 1 and incomes[0]() is None
+        estimated.clear()
+        assert run_pipeline(split).executed == ["report"]
+        assert estimated == ["report"]
+        assert not any("income" in keys[name] for name in keys)
+        assert tables(tmp_path / "split") == fresh_tables
+
     def test_stopwords_edit_scans_each_classified_page_once(self, tmp_path, monkeypatch):
         planted = build_planted_corpus(tmp_path / "planted")
         stopwords = tmp_path / "stopwords.txt"

@@ -50,3 +50,5 @@ def test_planted_run_under_tracer(tmp_path):
     assert doc["counts"]["chain.parse_transaction"] == rows
     # clustering walks the distinct transactions once for both transaction phases
     assert spans.count("chain.unique_transactions") == 1
+    # income is estimated once, by cluster, which hands it on to report
+    assert spans.count("chain.estimate_income") == 1
