@@ -20,8 +20,9 @@ from .artifacts import word_list
 from .corpus import Corpus, PageRecord
 from .pagetext import page_text
 
-TOKEN_RE = re.compile(r"[a-z0-9]+")
 MIN_TOKEN_LEN = 3
+_WORD_BYTES = b"0123456789abcdefghijklmnopqrstuvwxyz"
+_NON_WORD_TO_SPACE = bytes(b if b in _WORD_BYTES else 0x20 for b in range(256))
 TOP_KEYWORDS = 20
 
 
@@ -69,15 +70,14 @@ def load_stopwords(path=None) -> set[str]:
 
 
 def tokenize(text: str, stopwords: set[str]) -> list[str]:
-    """Lowercase word tokens, minus punctuation, numerics, stopwords, short words."""
-    out = []
-    for token in TOKEN_RE.findall(text.lower()):
-        if not token.isalpha():
-            continue
-        if len(token) < MIN_TOKEN_LEN or token in stopwords:
-            continue
-        out.append(token)
-    return out
+    """Lowercase word tokens, minus punctuation, numerics, stopwords, short words.
+
+    The words are the `[a-z0-9]+` runs of `text.lower()`: every non-ASCII
+    code point becomes "?" and every other byte outside `[0-9a-z]` a space.
+    """
+    words = text.lower().encode("ascii", "replace").translate(_NON_WORD_TO_SPACE)
+    return [w for w in words.decode("ascii").split()
+            if len(w) >= MIN_TOKEN_LEN and w.isalpha() and w not in stopwords]
 
 
 def term_vector(tokens: list[str]) -> TermVector:

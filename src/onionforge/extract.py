@@ -40,11 +40,15 @@ def find_candidates(text: str) -> tuple[list[str], list[str]]:
 
     BTC: runs of 25-39 chars. ETH: runs of exactly 40 hex chars, or 0x/0X +
     40 hex chars. The length ranges are disjoint, so a run is at most one of
-    the two. Each list is in document order, deduplicated.
+    the two. Each list is in document order, deduplicated. A run holds no
+    whitespace, so every run this long lies inside a whitespace-split word of
+    25+ chars; only those words are searched, joined by a space that merges
+    no two runs.
     """
     btc: dict[str, None] = {}
     eth: dict[str, None] = {}
-    for run in _ALNUM_RUN_RE.findall(text):
+    long_words = " ".join(w for w in text.split() if len(w) >= BTC_MIN_LEN)
+    for run in _ALNUM_RUN_RE.findall(long_words):
         n = len(run)
         if n < BTC_MIN_LEN:
             continue

@@ -80,8 +80,8 @@ class HttpSearch:
 
 
 def _host_matches(url: str, domains: set[str]) -> bool:
-    host = urlparse(url).netloc.lower().split(":")[0]
-    return any(host == d or host.endswith("." + d) for d in domains)
+    host = urlparse(url).hostname  # lowercased, without userinfo, port or [ ]
+    return host is not None and any(host == d or host.endswith("." + d) for d in domains)
 
 
 def _is_web_url(url: str) -> bool:

@@ -2,6 +2,7 @@ import contextlib
 import json
 import math
 import random
+import re
 from datetime import datetime, timezone
 from unittest import mock
 
@@ -55,6 +56,30 @@ def tfidf_label(site_pages, fs, threshold):
     return _tfidf_label(counts, fs, threshold)[0]
 
 
+TOKEN_RE = re.compile(r"[a-z0-9]+")
+
+
+def reference_tokenize(text, stopwords):
+    """The definition `tokenize` must agree with: the filtered `[a-z0-9]+` runs."""
+    out = []
+    for token in TOKEN_RE.findall(text.lower()):
+        if token.isalpha() and len(token) >= 3 and token not in stopwords:
+            out.append(token)
+    return out
+
+
+# characters whose case mapping, class or encoding differs between ASCII and
+# Unicode: KELVIN SIGN lowers to "k", I WITH DOT ABOVE to "i" + a combining
+# dot; NBSP, LINE SEPARATOR and IDEOGRAPHIC SPACE are Unicode-only whitespace
+EDGE_PIECES = ["\u212a", "\u0130", "\xa0", "\u2028", "\u3000", "\ud800", "\xe9",
+               "a" * 25 + "\xe9", "0X", "0x", "the", "Fox", "b2b", "42", " ", "-", "_"]
+
+
+def edge_texts():
+    return st.lists(st.one_of(st.sampled_from(EDGE_PIECES), st.text(max_size=8)),
+                    max_size=30).map("".join)
+
+
 class TestTokenize:
     def test_rule_application(self):
         p = page(dom(0), "/", "Buy CLONED cards, 100% safe!")
@@ -78,6 +103,12 @@ class TestTokenize:
 
     def test_stopwords_and_short_removed(self):
         assert tokenize("it is an ox and the fox", STOPWORDS) == ["fox"]
+
+    @settings(max_examples=500)
+    @given(edge_texts())
+    @example("\u212aey \u0130stanbul caf\xe9s" + "a" * 25 + "\xe9 0Xdead\ud800beef")
+    def test_agrees_with_the_regex_definition(self, text):
+        assert tokenize(text, STOPWORDS) == reference_tokenize(text, STOPWORDS)
 
     def test_stopwords_file_is_case_insensitive(self, tmp_path):
         # tokens are lowercased, so an upper-case entry must match its lowercase token

@@ -2,7 +2,7 @@ import re
 
 import pytest
 from growth import growth
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from onionforge import base58, extract
 from onionforge.extract import (
@@ -213,6 +213,26 @@ class TestEthCandidates:
 ETH_REFERENCE_RE = re.compile(r"(?<![0-9a-zA-Z])(?:0[xX])?[0-9a-fA-F]{40}(?![0-9a-zA-Z])")
 
 
+def reference_find_candidates(text):
+    """The all-runs loop `find_candidates` must agree with."""
+    btc, eth = {}, {}
+    for run in re.findall(r"[0-9a-zA-Z]+", text):
+        if 25 <= len(run) <= 39:
+            btc[run] = None
+        elif len(run) == 40 and re.fullmatch(r"[0-9a-fA-F]{40}", run):
+            eth[run] = None
+        elif len(run) == 42 and re.fullmatch(r"0[xX][0-9a-fA-F]{40}", run):
+            eth[run] = None
+    return list(btc), list(eth)
+
+
+# Unicode-only whitespace (NBSP, NEL, LINE SEPARATOR, IDEOGRAPHIC SPACE) and
+# the ASCII separators str.split takes as whitespace, next to candidate runs
+CANDIDATE_PIECES = ["\xa0", "\x85", "\x1c", "\u2028", "\u3000", "\u212a", "\u0130",
+                    "\ud800", "\xe9", "a" * 25 + "\xe9", "0x", "0X", " ", "-", "\n",
+                    ADDR, "c" * 24, "c" * 38, "d" * 40, "Ab" * 20]
+
+
 class TestCandidates:
     def test_one_pass_finds_both_kinds_in_document_order(self):
         eth1, eth2 = "0X" + "Ab" * 20, "cd" * 20
@@ -228,6 +248,13 @@ class TestCandidates:
         btc, eth = find_candidates(text)
         assert btc == list(dict.fromkeys(REFERENCE_RE.findall(text)))
         assert eth == list(dict.fromkeys(ETH_REFERENCE_RE.findall(text)))
+
+    @settings(max_examples=500)
+    @given(st.lists(st.one_of(st.sampled_from(CANDIDATE_PIECES), st.text(max_size=8)),
+                    max_size=30).map("".join))
+    @example("c" * 25 + "\u3000" + ADDR)  # two long words that must not be glued
+    def test_agrees_with_the_all_runs_loop(self, text):
+        assert find_candidates(text) == reference_find_candidates(text)
 
 
 class TestEmails:

@@ -175,6 +175,18 @@ class TestExplorerFilter:
         hits = [SurfaceHit(address=ADDR, url="https://notbtc.com.example.com/x")]
         assert filter_explorer_urls(hits, EXPLORERS)[0].kind == "Unreviewed"
 
+    @pytest.mark.parametrize("url", ["https://user@blockchair.com/x",
+                                     "https://user:pw@BTC.com:8443/x",
+                                     "https://[2001:db8::1]:8080/x"])
+    def test_host_is_the_url_hostname(self, url):
+        # userinfo, port, case and IPv6 brackets are not part of the host
+        hits = [SurfaceHit(address=ADDR, url=url)]
+        assert filter_explorer_urls(hits, EXPLORERS | {"2001:db8::1"})[0].kind == "Explorer"
+
+    def test_a_hostless_url_matches_no_domain(self):
+        hits = [SurfaceHit(address=ADDR, url="file:///btc.com")]
+        assert filter_explorer_urls(hits, EXPLORERS)[0].kind == "Unreviewed"
+
 
 class TestAnnotations:
     def test_kind_update(self):
