@@ -70,6 +70,17 @@ def format_utc(when: datetime) -> str:
     return when.isoformat().replace("+00:00", "Z")
 
 
+def read_replay(path: Path) -> list:
+    """The JSON array of a replay fixture file, [] if there is none; any
+    other JSON value raises ValueError naming the file."""
+    if not path.is_file():
+        return []
+    rows = json.loads(path.read_text())
+    if not isinstance(rows, list):
+        raise ValueError("%s is not a JSON array" % path.name)
+    return rows
+
+
 def word_list(path, packaged_name: str) -> set[str]:
     """The lowercased entries of a word-list file, one per line.
 

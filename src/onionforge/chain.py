@@ -7,7 +7,6 @@ per-address JSON fixtures or a paginated HTTP endpoint.
 
 from __future__ import annotations
 
-import json
 import logging
 import re
 from datetime import datetime, timezone
@@ -16,7 +15,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
-from .artifacts import NotJson, format_utc, parse_utc, read_jsonl
+from .artifacts import NotJson, format_utc, parse_utc, read_jsonl, read_replay
 from .classify import CATEGORIES, OTHER, parse_category
 from .net import NOT_FOUND, Client, FetchError
 
@@ -187,13 +186,8 @@ class FixtureExplorer:
         self.fixtures_dir = Path(fixtures_dir)
 
     def transactions(self, address: str) -> list[Transaction]:
-        path = self.fixtures_dir / (address + ".json")
-        if not path.is_file():
-            return []
-        rows = json.loads(path.read_text())
-        if not isinstance(rows, list):
-            raise ChainError("%s is not a JSON array" % path.name)
-        return [parse_transaction(row) for row in rows]
+        return [parse_transaction(row)
+                for row in read_replay(self.fixtures_dir / (address + ".json"))]
 
 
 MAX_PAGES = 10_000  # so a server whose total_pages keeps growing cannot page forever

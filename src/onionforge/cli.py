@@ -7,7 +7,9 @@ that stage; earlier stages whose inputs are unchanged are skipped, exactly
 as in `onionforge run --config FILE`. `--config=FILE` is accepted too, and
 `-h`/`--help` lists the commands.
 
-Exit codes: 0 success, 2 usage or configuration error, 3 stage failure.
+Exit codes: 0 success, 2 usage or configuration error (an out dir that
+cannot be made is one), 3 stage failure (an input that a stage cannot read
+while it is digested is that stage's failure).
 """
 
 from __future__ import annotations

@@ -129,18 +129,18 @@ def build_entity_graph(labels: dict[str, str],
     return graph
 
 
-def detect_mixing(tx: Transaction, min_participants: int = MIXING_MIN_PARTICIPANTS) -> bool:
+def detect_mixing(tx: Transaction) -> bool:
     """JoinMarket-style CoinJoin signature: many distinct inputs feeding a
     block of equal-value outputs. Approximate by design; a false positive
     only suppresses a merge."""
-    if len(tx.inputs) < min_participants:
+    if len(tx.inputs) < MIXING_MIN_PARTICIPANTS:
         return False
-    if len({i.address for i in tx.inputs}) < min_participants:
+    if len({i.address for i in tx.inputs}) < MIXING_MIN_PARTICIPANTS:
         return False
     counts: dict[int, int] = {}
     for out in tx.outputs:
         counts[out.value] = counts.get(out.value, 0) + 1
-    return any(n >= min_participants for n in counts.values())
+    return any(n >= MIXING_MIN_PARTICIPANTS for n in counts.values())
 
 
 def transaction_edges(ledgers: dict[str, tuple[Transaction, ...]],

@@ -19,6 +19,7 @@ the stages it executes, and looks their functions up when called.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import json
@@ -228,8 +229,9 @@ class InputDigests:
     digest. `taken` holds this run's pairs.
 
     The pair of `snapshot`, the corpus root, covers what `ingest_snapshot`
-    reads, and only the read that gives ingest its corpus takes it; see
-    `read_snapshot`.
+    reads, and is taken by the read that gives ingest its corpus: `digest`
+    keeps that corpus in `corpus`, and the runner hands it to ingest as it
+    hands on page texts and income.
     """
 
     def __init__(self, recorded: dict, written_ns: int, snapshot: str):
@@ -237,6 +239,9 @@ class InputDigests:
         self.written_ns = written_ns
         self.snapshot = snapshot
         self.taken: dict[str, list[str]] = {}
+        # the snapshot's corpus, if digesting it read it: the runner hands it
+        # to the stage that takes corpus_root and empties the slot
+        self.corpus = None
 
     def _check(self, key: str) -> tuple[str, str | None]:
         """`key`'s signature, and its recorded digest if that pair still holds."""
@@ -250,25 +255,17 @@ class InputDigests:
 
     def digest(self, path) -> str:
         key = str(path)
-        if key not in self.taken:
+        if key in self.taken:
+            return self.taken[key][1]
+        if key != self.snapshot:
             signature, digest = self._check(key)
             self.taken[key] = [signature, digest or _path_digest(path)]
+        elif key in self.recorded and (held := self._check(key))[1]:
+            self.taken[key] = list(held)
+        else:  # a snapshot with no pair to trust is read at once; its walk takes the pair
+            self.corpus = ingest_snapshot(key)
+            self.taken[key] = self.corpus.pair
         return self.taken[key][1]
-
-    def read_snapshot(self):
-        """Take the snapshot's pair: the recorded one, reading no byte, if it
-        still holds; otherwise read the snapshot once with `ingest_snapshot`,
-        whose walk takes the pair, and return the corpus."""
-        key = self.snapshot
-        if key not in self.taken and key in self.recorded:
-            signature, digest = self._check(key)
-            if digest:
-                self.taken[key] = [signature, digest]
-        if key in self.taken:
-            return None
-        corpus = ingest_snapshot(key)
-        self.taken[key] = corpus.pair
-        return corpus
 
     def forget(self, path):
         """Drop the pair of a path the run rewrites."""
@@ -277,11 +274,13 @@ class InputDigests:
     def pairs(self, paths) -> dict[str, list[str]]:
         """The pairs run.json records: this run's, and the recorded pair of
         each of `paths` the run did not consult that `digest` would still
-        trust. Checking one reads no bytes."""
+        trust. Checking one reads no bytes; one that cannot be checked is
+        not trusted."""
         pairs = dict(self.taken)
         for key in map(str, paths):
-            if key not in pairs and key in self.recorded and self._check(key)[1]:
-                pairs[key] = self.recorded[key]
+            with contextlib.suppress(OSError):
+                if key not in pairs and key in self.recorded and self._check(key)[1]:
+                    pairs[key] = self.recorded[key]
         return pairs
 
 
@@ -422,7 +421,8 @@ class Stage(NamedTuple):
     and returns a dict with the value of each artifact named in `writes`.
     It may return other values besides: the runner passes them in the
     inputs of the next stage of the run, if that stage executes, and then
-    drops them.
+    drops them. Through the same hand-off, ingest gets the snapshot's
+    corpus under "corpus_root" when digesting the snapshot read it.
     The stage's digest covers its `config_keys` values, the artifacts it
     reads, and the contents of every file or directory that one of its
     config keys names.
@@ -649,7 +649,10 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> PipelineRu
     """
     config.validate()
     out = Path(config.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError("out_dir cannot be made: %s" % exc) from exc
 
     manifest_path = out / "run.json"
     try:
@@ -680,47 +683,40 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> PipelineRu
         decl = STAGE_DECLS[name]
         handed, extras = extras, {}
         subset = {k: getattr(config, k) for k in decl.config_keys}
-        given = {}  # what the run read of the stage's inputs to digest them
-        if "corpus_root" in decl.config_keys:
-            try:
-                snapshot = run.inputs.read_snapshot()
-            except Exception as exc:
-                raise StageError(name, exc) from exc
-            if snapshot is not None:
-                given["corpus_root"] = snapshot
-        digest = _stage_digest(name, subset, decl.inputs(config, out), run.inputs)
-        outputs_exist = all((out / o).exists() for o in decl.writes)
-        if previous.get(name) == digest and outputs_exist:
-            run.skipped.append(name)
-            run.stage_digests[name] = digest
-            log.info("stage %s unchanged; skipping", name)
-        else:
-            log.info("stage %s running", name)
-            for written in decl.writes:
-                run.inputs.forget(out / written)
-            if name in run.stage_digests:
-                # unrecord the stage first, so a kill while it runs or
-                # writes cannot leave its old digest over partial outputs
-                del run.stage_digests[name]
-                _write_manifest(run, manifest_path, carry=False)
-            try:
+        try:
+            digest = _stage_digest(name, subset, decl.inputs(config, out), run.inputs)
+            if "corpus_root" in decl.config_keys and run.inputs.corpus is not None:
+                handed["corpus_root"], run.inputs.corpus = run.inputs.corpus, None
+            if previous.get(name) == digest and all((out / o).exists() for o in decl.writes):
+                run.skipped.append(name)
+                log.info("stage %s unchanged; skipping", name)
+            else:
+                log.info("stage %s running", name)
+                for written in decl.writes:
+                    run.inputs.forget(out / written)
+                if name in run.stage_digests:
+                    # unrecord the stage first, so a kill while it runs or
+                    # writes cannot leave its old digest over partial outputs
+                    del run.stage_digests[name]
+                    _write_manifest(run, manifest_path, carry=False)
                 for artifact in decl.reads:
                     if artifact not in values:  # its stage was skipped in this run
                         values[artifact] = ARTIFACTS[artifact].read(out / artifact)
-                given.update((a, values[a]) for a in decl.reads)
-                given.update(handed)
-                outputs = func(config, given)
+                outputs = func(config, {a: values[a] for a in decl.reads} | handed)
                 for artifact in decl.writes:
                     ARTIFACTS[artifact].write(out / artifact, outputs[artifact])
-            except Exception as exc:
+                for written in decl.writes:
+                    if written in last_reader:
+                        values[written] = outputs[written]
+                extras = {k: v for k, v in outputs.items() if k not in decl.writes}
+                run.executed.append(name)
+        except Exception as exc:
+            try:  # a run.json that cannot be written must not hide the stage's failure
                 _write_manifest(run, manifest_path)
-                raise StageError(name, exc) from exc
-            for written in decl.writes:
-                if written in last_reader:
-                    values[written] = outputs[written]
-            extras = {k: v for k, v in outputs.items() if k not in decl.writes}
-            run.executed.append(name)
-            run.stage_digests[name] = digest
+            except OSError as unwritten:
+                log.error("run.json not written: %s", unwritten)
+            raise StageError(name, exc) from exc
+        run.stage_digests[name] = digest
         for artifact in decl.reads:
             if last_reader[artifact] == name:
                 values.pop(artifact, None)

@@ -3,13 +3,12 @@ endpoint), plus analyst-annotation import (abuse reports, identity facts)."""
 
 from __future__ import annotations
 
-import json
 import logging
 from pathlib import Path
 from typing import NamedTuple
 from urllib.parse import urlparse
 
-from .artifacts import NotJson, word_list
+from .artifacts import NotJson, read_replay, word_list
 from .net import NOT_FOUND, Client
 
 log = logging.getLogger("onionforge.trace")
@@ -47,13 +46,8 @@ class FixtureSearch:
         self.fixtures_dir = Path(fixtures_dir)
 
     def results(self, address: str) -> list[str]:
-        path = self.fixtures_dir / (address + ".json")
-        if not path.is_file():
-            return []
-        rows = json.loads(path.read_text())
-        if not isinstance(rows, list):
-            raise TraceError("%s is not a JSON array" % path.name)
-        return [row.get("url") if isinstance(row, dict) else row for row in rows]
+        return [row.get("url") if isinstance(row, dict) else row
+                for row in read_replay(self.fixtures_dir / (address + ".json"))]
 
 
 class HttpSearch:

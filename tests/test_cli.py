@@ -73,6 +73,16 @@ def test_bad_config_exit_code(tmp_path):
     assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
 
 
+def test_out_dir_that_cannot_be_made_exit_code(tmp_path):
+    (tmp_path / "snapshot").mkdir()
+    (tmp_path / "gt.jsonl").write_text("")
+    (tmp_path / "out").write_text("a file, not a directory\n")
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("corpus_root = %s\nground_truth = %s\nout_dir = %s\n"
+                   % (tmp_path / "snapshot", tmp_path / "gt.jsonl", tmp_path / "out"))
+    assert main(["run", "--config", str(cfg)]) == EXIT_CONFIG
+
+
 def test_stage_failure_exit_code(planted):
     corpus_obj, tmp = planted
     corpus_obj.ground_truth.write_text(

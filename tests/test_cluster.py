@@ -352,7 +352,7 @@ class TestPlantedMixingIsLoadBearing:
         import planted
         labels, illicit, ledgers = self._planted_world()
         monkeypatch.setattr("onionforge.cluster.detect_mixing",
-                            lambda tx, min_participants=3: False)
+                            lambda tx: False)
         result = run_clustering(labels, illicit, ledgers, {}, (),
                                 PUBLIC_THRESHOLD, VANITY_PREFIX)
         # the common-input heuristic now links A1 (cards) with B1 (deepmar)

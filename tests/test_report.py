@@ -19,7 +19,7 @@ import networkx as nx
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from onionforge import chain, classify, pagetext, report
+from onionforge import chain, classify, cli, pagetext, report
 from onionforge.corpus import Corpus, read_corpus_jsonl, snapshot_signature
 from onionforge.cluster import EntityGraph
 from onionforge.report import (
@@ -374,6 +374,106 @@ class TestPipeline:
             run_pipeline(parse_config(tmp_path / "run.cfg"))
         assert err.value.stage == "ingest"
         assert isinstance(err.value.cause, UnicodeDecodeError)
+
+    def test_input_that_cannot_be_hashed_fails_its_stage(self, tmp_path, monkeypatch):
+        planted = build_planted_corpus(tmp_path / "planted")
+        out = tmp_path / "out"
+        stopwords = tmp_path / "stopwords.txt"
+        stopwords.write_text("the\n")
+        (tmp_path / "run.cfg").write_text(planted.config_text(out)
+                                          + "stopwords = %s\n" % stopwords)
+        hash_file = report._hash_file
+
+        def denied(h, path):
+            if Path(path) == stopwords:
+                raise PermissionError(13, "Permission denied", str(path))
+            hash_file(h, path)
+        monkeypatch.setattr(report, "_hash_file", denied)
+
+        with pytest.raises(StageError) as err:
+            run_pipeline(parse_config(tmp_path / "run.cfg"))
+        assert err.value.stage == "classify"
+        assert isinstance(err.value.cause, PermissionError)
+        assert set(json.loads((out / "run.json").read_text())["stages"]) == {
+            "ingest", "extract"}
+        assert cli.main(["run", "--config", str(tmp_path / "run.cfg")]) == cli.EXIT_STAGE
+
+    def test_snapshot_that_cannot_be_listed_fails_ingest_on_rerun(self, tmp_path, monkeypatch):
+        planted = build_planted_corpus(tmp_path / "planted")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(planted.config_text(tmp_path / "out"))
+        run_pipeline(parse_config(cfg))
+        manifest = tmp_path / "out" / "run.json"
+        recorded = manifest.read_bytes()
+
+        def denied(root):
+            raise PermissionError(13, "Permission denied", str(root))
+        monkeypatch.setattr(report, "snapshot_signature", denied)
+        with pytest.raises(StageError) as err:
+            run_pipeline(parse_config(cfg))
+        assert err.value.stage == "ingest"
+        assert isinstance(err.value.cause, PermissionError)
+        # run.json keeps every stage's digest, but not the pair it could not check
+        rewritten = json.loads(manifest.read_text())
+        assert set(rewritten["stages"]) == set(STAGE_DECLS)
+        assert str(planted.snapshot) not in rewritten["inputs"]
+        assert str(planted.ground_truth) in rewritten["inputs"]
+        manifest.write_bytes(recorded)
+        assert cli.main(["run", "--config", str(cfg)]) == cli.EXIT_STAGE
+
+    def test_unwritable_run_json_keeps_the_stage_failure(self, tmp_path, monkeypatch):
+        planted = build_planted_corpus(tmp_path / "planted")
+        stopwords = tmp_path / "stopwords.txt"
+        stopwords.write_text("the\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(planted.config_text(tmp_path / "out") + "stopwords = %s\n" % stopwords)
+        hash_file, write_json = report._hash_file, report.write_json
+
+        def denied(h, path):
+            if Path(path) == stopwords:
+                raise PermissionError(13, "Permission denied", str(path))
+            hash_file(h, path)
+
+        def refusing(path, doc):
+            if Path(path).name == "run.json.tmp":
+                raise PermissionError(13, "Permission denied", str(path))
+            write_json(path, doc)
+        monkeypatch.setattr(report, "_hash_file", denied)
+        monkeypatch.setattr(report, "write_json", refusing)
+        with pytest.raises(StageError) as err:
+            run_pipeline(parse_config(cfg))
+        assert err.value.stage == "classify"
+        assert cli.main(["run", "--config", str(cfg)]) == cli.EXIT_STAGE
+
+    @pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0,
+                        reason="root reads a file of mode 000")
+    def test_unreadable_input_fails_its_stage(self, tmp_path):
+        planted = build_planted_corpus(tmp_path / "planted")
+        stopwords = tmp_path / "stopwords.txt"
+        stopwords.write_text("the\n")
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(planted.config_text(tmp_path / "out") + "stopwords = %s\n" % stopwords)
+        stopwords.chmod(0)
+        try:
+            assert cli.main(["run", "--config", str(cfg)]) == cli.EXIT_STAGE
+        finally:
+            stopwords.chmod(0o644)
+        run = run_pipeline(parse_config(cfg))
+        assert run.skipped == ["ingest", "extract"]
+
+    def test_fresh_run_takes_no_snapshot_signature(self, tmp_path, monkeypatch):
+        # with no pair to trust, the read that gives ingest its corpus is the
+        # only walk of the snapshot
+        signatures = []
+
+        def counting(root):
+            signatures.append(root)
+            return snapshot_signature(root)
+        monkeypatch.setattr(report, "snapshot_signature", counting)
+        planted = build_planted_corpus(tmp_path / "planted")
+        (tmp_path / "run.cfg").write_text(planted.config_text(tmp_path / "out"))
+        assert run_pipeline(parse_config(tmp_path / "run.cfg")).skipped == []
+        assert signatures == []
 
     def test_page_text_does_not_outlive_the_run(self, tmp_path):
         planted = build_planted_corpus(tmp_path / "planted")
