@@ -415,11 +415,9 @@ def multi_category(illicit: dict[str, dict]) -> int:
     return sum(len(row["categories"]) >= 2 for row in illicit.values())
 
 
-def dormant_addresses(ledgers: dict[str, tuple[Transaction, ...]],
-                      min_received: int = 0) -> list[str]:
+def dormant_addresses(ledgers: dict[str, Ledger], min_received: int = 0) -> list[str]:
     """Reporting flag: addresses whose cumulative received is below a floor."""
     if min_received <= 0:
         return []
-    return sorted(a for a, txs in ledgers.items()
-                  if txs and received_and_sent(a, txs)[0] < min_received)
+    return sorted(a for a, txs in ledgers.items() if txs and txs.received < min_received)
 

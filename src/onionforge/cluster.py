@@ -1,23 +1,24 @@
 """Entity resolution: five concatenated merge phases over sites, addresses,
 emails, and surface-web identity facts.
 
-Each phase is a list of (kind, u, v) edges. Every edge is recorded in the
-entity graph and merges its two ends, so the partition is the connected
-components of the graph's edges and every phase only merges: clustered-site
-counts can never shrink. The partition is a union-find whose extracted
-components are keyed by their lexicographically smallest member, which makes
-results independent of the order edges are processed in.
+Each phase is a list of (kind, u, v) edges, and one loop records every edge
+and merges its two ends. The entity graph is the partition's members plus
+those edges, so the partition is the connected components of the seed
+sites and addresses and the recorded edges, and every phase only merges:
+clustered-site counts can never shrink. The partition is a union-find whose
+extracted components are keyed by their lexicographically smallest member,
+which makes results independent of the order edges are processed in.
 """
 
 from __future__ import annotations
 
 import logging
 from typing import NamedTuple
-from urllib.parse import urlparse
 
 from . import chain
 from .chain import Transaction
 from .classify import OTHER
+from .trace import url_host
 
 log = logging.getLogger("onionforge.cluster")
 
@@ -78,55 +79,20 @@ class UnionFind:
         return frozenset(frozenset(m) for m in self.components().values())
 
 
-EDGE_KINDS = ("site-hosts-addr", "site-lists-email", "common-input", "internal-tx",
-              "url-resolves-ip", "url-registered-by", "addr-found-at-url")
+def seed_edges(labels: dict[str, str], illicit: dict[str, dict],
+               site_emails: dict[str, set[str]]) -> tuple[list, list]:
+    """Site-hosts-addr and site-lists-email edges, each list sorted.
 
-
-class EntityGraph:
-    def __init__(self):
-        self.nodes: dict[str, dict] = {}
-        self.edges: set[tuple[str, str, str]] = set()  # (kind, min, max)
-
-    def add_node(self, nid: str, **attrs):
-        node = self.nodes.setdefault(nid, {"type": node_kind(nid)})
-        node.update(attrs)
-        return nid
-
-    def add_edge(self, kind: str, u: str, v: str):
-        if kind not in EDGE_KINDS:
-            raise ValueError("unknown edge kind %r" % kind)
-        if u == v:
-            return
-        self.add_node(u)
-        self.add_node(v)
-        self.edges.add((kind, u, v) if u <= v else (kind, v, u))
-
-    def edges_of_kind(self, kind: str) -> list[tuple[str, str, str]]:
-        return sorted(e for e in self.edges if e[0] == kind)
-
-
-def build_entity_graph(labels: dict[str, str],
-                       illicit: dict[str, dict],
-                       site_emails: dict[str, set[str]] | None = None) -> EntityGraph:
-    """Seed graph: labeled non-Other sites, their addresses and emails.
-
-    `illicit` is the illicit.jsonl value, {address: row} in address order.
+    `illicit` is the illicit.jsonl value, {address: row}, and each site a
+    row names hosts its address. Only a labeled non-Other site's emails
+    make edges.
     """
-    graph = EntityGraph()
-    for domain in sorted(labels):
-        if labels[domain] == OTHER:
-            continue
-        graph.add_node(node_id(SITE, domain), category=labels[domain])
-    for address, row in illicit.items():
-        graph.add_node(node_id(BTC, address))
-        for site in row["sites"]:
-            graph.add_edge("site-hosts-addr", node_id(SITE, site), node_id(BTC, address))
-    for domain, emails in sorted((site_emails or {}).items()):
-        if labels.get(domain, OTHER) == OTHER:
-            continue
-        for email in sorted(emails):
-            graph.add_edge("site-lists-email", node_id(SITE, domain), node_id(EMAIL, email))
-    return graph
+    hosts = {("site-hosts-addr", node_id(BTC, address), node_id(SITE, site))
+             for address, row in illicit.items() for site in row["sites"]}
+    emails = {("site-lists-email", node_id(EMAIL, email), node_id(SITE, domain))
+              for domain, found in site_emails.items()
+              if labels.get(domain, OTHER) != OTHER for email in found}
+    return sorted(hosts), sorted(emails)
 
 
 def detect_mixing(tx: Transaction) -> bool:
@@ -165,10 +131,6 @@ def transaction_edges(ledgers: dict[str, tuple[Transaction, ...]],
     return common, internal
 
 
-def _url_host(url: str) -> str:
-    return urlparse(url).netloc.lower()
-
-
 def _norm_registrant(name: str) -> str:
     return name.strip().casefold()
 
@@ -185,7 +147,7 @@ def identity_edges(surface_links, public_threshold: int, members) -> tuple[list,
     hosts_by_ip: dict[str, set[str]] = {}
     hosts_by_reg: dict[str, set[str]] = {}
     for row in surface_links:
-        host = _url_host(row["url"])
+        host = url_host(row["url"])
         if row["ip"]:
             hosts_by_ip.setdefault(row["ip"], set()).add(host)
         if row["registrant"]:
@@ -312,7 +274,8 @@ class ClusterResult(NamedTuple):
     campaigns: list[dict]  # campaigns.json rows
     trace: list[dict]      # phase_trace.json rows
     partition: UnionFind
-    graph: EntityGraph
+    nodes: dict[str, dict]  # every partition member -> its attributes
+    edges: set[tuple[str, str, str]]  # every phase's (kind, min, max) edges
     vanity: list[tuple[str, list[str]]]
     exclusions: dict
     income: chain.IncomeReport  # what `chain.estimate_income` made of the ledgers
@@ -324,44 +287,52 @@ def run_clustering(labels: dict[str, str], illicit: dict[str, dict],
                    public_threshold: int, vanity_prefix: int) -> ClusterResult:
     """All five phases in order, tracing counts after each.
 
-    The partition starts as the graph's sites and addresses; each phase's
-    edges are added to the graph and merge their ends. Each address node
-    gets its `received` satoshis, and each node a campaign lists (every
-    member but a registrant) gets that campaign's `campaign` id.
+    The partition starts as the labeled non-Other sites, the illicit
+    addresses and the sites their rows name; each phase's edges are
+    recorded and merge their ends. Every member is a node with its `type`;
+    a labeled site also has its `category`, an address its `received`
+    satoshis, and each node a campaign lists (every member but a
+    registrant) that campaign's `campaign` id.
     """
-    graph = build_entity_graph(labels, illicit, site_emails)
+    hosts, emails = seed_edges(labels, illicit, site_emails)
     members = set(illicit)
     common, internal = transaction_edges(ledgers, members)
     identity, public_facts = identity_edges(surface_links, public_threshold, members)
-    partition = UnionFind(nid for nid, attrs in sorted(graph.nodes.items())
-                          if attrs["type"] in (SITE, BTC))
+    labeled = [domain for domain, label in labels.items() if label != OTHER]
+    sites = {site for row in illicit.values() for site in row["sites"]}.union(labeled)
+    partition = UnionFind(sorted([node_id(SITE, s) for s in sites]
+                                 + [node_id(BTC, a) for a in illicit]))
+    edges: set[tuple[str, str, str]] = set()
     trace = []
-    for phase, edges in (("shared-site", graph.edges_of_kind("site-hosts-addr")),
-                         ("common-input", common),
-                         ("internal-tx", internal),
-                         ("email", graph.edges_of_kind("site-lists-email")),
-                         ("identity", identity)):
-        for kind, u, v in edges:
-            graph.add_edge(kind, u, v)
+    for phase, phase_edges in (("shared-site", hosts), ("common-input", common),
+                               ("internal-tx", internal), ("email", emails),
+                               ("identity", identity)):
+        for kind, u, v in phase_edges:
+            edges.add((kind, u, v) if u <= v else (kind, v, u))
             partition.union(u, v)
         trace.append(snapshot(partition, phase))
 
     income = chain.estimate_income(illicit, ledgers)
     received = income.per_address
-    for address, satoshi in received.items():
-        graph.nodes[node_id(BTC, address)]["received"] = satoshi
     campaigns, exclusions = campaign_stats(partition, labels, received)
     # a campaign holds an address, so that address's root names its component
     campaign_of = {partition.find(node_id(BTC, c["btc_addresses"][0])): c["id"]
                    for c in campaigns}
-    for nid, attrs in graph.nodes.items():
+    nodes = {}
+    for nid in partition.parent:
+        kind, value = nid.split(":", 1)
+        attrs = nodes[nid] = {"type": kind}
+        if kind == SITE and labels.get(value, OTHER) != OTHER:
+            attrs["category"] = labels[value]
+        elif kind == BTC:
+            attrs["received"] = received[value]
         root = partition.find(nid)
-        if root in campaign_of and node_kind(nid) != REG:
+        if root in campaign_of and kind != REG:
             attrs["campaign"] = campaign_of[root]
     if public_facts:
         exclusions["public_identity_facts"] = [
             {"kind": k, "value": v, "url": u} for k, v, u in public_facts]
-    vanity = vanity_groups([s for s in labels if labels[s] != OTHER], vanity_prefix)
+    vanity = vanity_groups(labeled, vanity_prefix)
     return ClusterResult(campaigns=campaigns, trace=trace, partition=partition,
-                         graph=graph, vanity=vanity, exclusions=exclusions, income=income)
-
+                         nodes=nodes, edges=edges, vanity=vanity,
+                         exclusions=exclusions, income=income)

@@ -214,7 +214,9 @@ def ingest_snapshot(root) -> Corpus:
         return st, data
 
     manifest: dict[tuple[str, str], tuple[int, datetime]] = {}
-    pages: dict[tuple[str, str], tuple[str, bytes, os.stat_result]] = {}
+    # (name, html, st_mtime, st_mtime_ns): a whole stat_result per page
+    # would outweigh the page records the walk returns
+    pages: dict[tuple[str, str], tuple[str, bytes, float, int]] = {}
     for name, entry, domain in _snapshot_files(root, skip):
         if domain is None:
             manifest = _read_manifest(read(name, entry)[1].decode())
@@ -228,15 +230,15 @@ def ingest_snapshot(root) -> Corpus:
             continue
         if key in pages:
             log.warning("duplicate page %s %s: keeping later file", *key)
-        pages[key] = name, html, st
+        pages[key] = name, html, st.st_mtime, st.st_mtime_ns
 
     records = []
-    for key, (name, html, st) in pages.items():
+    for key, (name, html, mtime, mtime_ns) in pages.items():
         if key in manifest:
             fetched = manifest[key][1]
         else:
-            fetched = datetime.fromtimestamp(st.st_mtime, tz=timezone.utc)
-            digest.update(b"%s\0%d\n" % (name.encode(), st.st_mtime_ns))
+            fetched = datetime.fromtimestamp(mtime, tz=timezone.utc)
+            digest.update(b"%s\0%d\n" % (name.encode(), mtime_ns))
         records.append(PageRecord(*key, html, fetched))
     for lineno in sorted(line for key, (line, _) in manifest.items() if key not in pages):
         skipped.append("manifest line %d" % lineno)

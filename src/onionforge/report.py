@@ -607,7 +607,7 @@ def stage_cluster(cfg: PipelineConfig, inputs: dict) -> dict:
         labels_by_site(inputs["labels.jsonl"]), inputs["illicit.jsonl"],
         inputs["ledgers"], valid_by_site(inputs["addresses.jsonl"], "email"),
         inputs["surface.jsonl"], cfg.public_threshold, cfg.vanity_prefix)
-    nodes = result.graph.nodes
+    nodes = result.nodes
     log.info("%d campaigns", len(result.campaigns))
     return {
         "campaigns.json": {"v": 1, "campaigns": result.campaigns, **result.exclusions},
@@ -615,7 +615,7 @@ def stage_cluster(cfg: PipelineConfig, inputs: dict) -> dict:
         "vanity.json": {"v": 1, "groups": [{"prefix": p, "domains": d}
                                            for p, d in result.vanity]},
         "entity_graph.json": {"v": 1, "nodes": {nid: nodes[nid] for nid in sorted(nodes)},
-                              "edges": [list(e) for e in sorted(result.graph.edges)]},
+                              "edges": [list(e) for e in sorted(result.edges)]},
         "income": result.income,
     }
 

@@ -73,9 +73,16 @@ class HttpSearch:
         return urls
 
 
+def url_host(url: str) -> str:
+    """The URL's host, lowercased and without userinfo, port or [ ]; the
+    lowercased netloc of a URL without a host, such as `http://:80/`."""
+    parsed = urlparse(url)
+    return parsed.hostname or parsed.netloc.lower()
+
+
 def _host_matches(url: str, domains: set[str]) -> bool:
-    host = urlparse(url).hostname  # lowercased, without userinfo, port or [ ]
-    return host is not None and any(host == d or host.endswith("." + d) for d in domains)
+    host = url_host(url)
+    return any(host == d or host.endswith("." + d) for d in domains)
 
 
 def _is_web_url(url: str) -> bool:

@@ -6,9 +6,8 @@ import networkx as nx
 from onionforge import chain
 from onionforge.chain import Transaction, TxIO
 from onionforge.cluster import (
-    BTC, EMAIL, SITE, EntityGraph, UnionFind, build_entity_graph, campaign_stats,
-    detect_mixing, identity_edges, node_id, run_clustering, transaction_edges,
-    vanity_groups,
+    BTC, EMAIL, SITE, UnionFind, campaign_stats, detect_mixing, identity_edges,
+    node_id, run_clustering, seed_edges, transaction_edges, vanity_groups,
 )
 
 from rows import illicit_of, input_from, output_to
@@ -48,9 +47,10 @@ def dom(i):
     return "x%s%s%s.onion" % (chr(97 + i // 26), chr(97 + i % 26), "a" * 13)
 
 
-def merge(uf, edges):
-    for _, u, v in edges:
-        uf.union(u, v)
+def merge(uf, *phases):
+    for edges in phases:
+        for _, u, v in edges:
+            uf.union(u, v)
     return uf
 
 
@@ -77,35 +77,31 @@ class TestUnionFind:
 
 class TestSharedSite:
     def test_transitive_shared_address(self):
-        graph = EntityGraph()
-        graph.add_edge("site-hosts-addr", "site:s", "btc:A1")
-        graph.add_edge("site-hosts-addr", "site:s", "btc:A2")
-        graph.add_edge("site-hosts-addr", "site:t", "btc:A2")
-        uf = merge(UnionFind(graph.nodes), graph.edges_of_kind("site-hosts-addr"))
+        illicit = simple_illicit([("A1", "s"), ("A2", "s"), ("A2", "t")])
+        hosts, emails = seed_edges({}, illicit, {})
+        assert emails == []
+        uf = merge(UnionFind(), hosts)
         assert uf.components() == {"btc:A1": ["btc:A1", "btc:A2", "site:s", "site:t"]}
 
     def test_disjoint_pairs_stay_apart(self):
-        graph = EntityGraph()
-        graph.add_edge("site-hosts-addr", "site:s", "btc:A")
-        graph.add_edge("site-hosts-addr", "site:t", "btc:B")
-        uf = merge(UnionFind(graph.nodes), graph.edges_of_kind("site-hosts-addr"))
+        hosts, _ = seed_edges({}, simple_illicit([("A", "s"), ("B", "t")]), {})
+        uf = merge(UnionFind(), hosts)
         assert len(uf.components()) == 2
 
     def test_random_bipartite_vs_nx_oracle(self):
         rng = random.Random(30)
-        graph = EntityGraph()
         oracle = nx.Graph()
         for i in range(15):
             oracle.add_node("site:s%d" % i)
             oracle.add_node("btc:a%d" % i)
-            graph.add_node("site:s%d" % i)
-            graph.add_node("btc:a%d" % i)
+        pairs = []
         for _ in range(18):
-            u = "site:s%d" % rng.randrange(15)
-            v = "btc:a%d" % rng.randrange(15)
-            graph.add_edge("site-hosts-addr", u, v)
-            oracle.add_edge(u, v)
-        uf = merge(UnionFind(graph.nodes), graph.edges_of_kind("site-hosts-addr"))
+            site, address = "s%d" % rng.randrange(15), "a%d" % rng.randrange(15)
+            pairs.append((address, site))
+            oracle.add_edge(node_id(SITE, site), node_id(BTC, address))
+        hosts, _ = seed_edges({}, simple_illicit(pairs), {})
+        assert len(hosts) == len(set(pairs))  # each edge once, however often drawn
+        uf = merge(UnionFind(oracle.nodes), hosts)
         expected = {frozenset(c) for c in nx.connected_components(oracle)}
         assert uf.partition() == frozenset(expected)
 
@@ -191,9 +187,7 @@ class TestEmailPhase:
         labels = {dom(0): "Drugs", dom(1): "Drugs"}
         illicit = simple_illicit([("A", dom(0))])
         emails = {dom(0): {"ops@secmail.pro"}, dom(1): {"ops@secmail.pro"}}
-        graph = build_entity_graph(labels, illicit, emails)
-        uf = merge(merge(UnionFind(graph.nodes), graph.edges_of_kind("site-hosts-addr")),
-                   graph.edges_of_kind("site-lists-email"))
+        uf = merge(UnionFind(), *seed_edges(labels, illicit, emails))
         root = uf.find(node_id(SITE, dom(0)))
         assert uf.find(node_id(SITE, dom(1))) == root
         assert uf.find(node_id(EMAIL, "ops@secmail.pro")) == root
@@ -202,9 +196,7 @@ class TestEmailPhase:
         labels = {dom(0): "Drugs", dom(1): "Drugs"}
         illicit = {}
         emails = {dom(0): {"x@secmail.pro"}, dom(1): {"x@secmail.pro"}}
-        graph = build_entity_graph(labels, illicit, emails)
-        uf = merge(merge(UnionFind(graph.nodes), graph.edges_of_kind("site-hosts-addr")),
-                   graph.edges_of_kind("site-lists-email"))
+        uf = merge(UnionFind(), *seed_edges(labels, illicit, emails))
         campaigns, stats = campaign_stats(uf, labels, {})
         assert campaigns == []
         assert stats["excluded_no_btc_address"] == 1
@@ -213,9 +205,7 @@ class TestEmailPhase:
     def test_three_sites_one_email(self):
         labels = {dom(i): "Drugs" for i in range(3)}
         emails = {dom(i): {"z@secmail.pro"} for i in range(3)}
-        graph = build_entity_graph(labels, {}, emails)
-        uf = merge(merge(UnionFind(graph.nodes), graph.edges_of_kind("site-hosts-addr")),
-                   graph.edges_of_kind("site-lists-email"))
+        uf = merge(UnionFind(), *seed_edges(labels, {}, emails))
         roots = {uf.find(node_id(SITE, dom(i))) for i in range(3)}
         assert len(roots) == 1
 
@@ -240,6 +230,17 @@ class TestIdentityPhase:
         edges, excluded = identity_edges(links, 50, {"A", "B"})
         assert edges == []
         assert excluded  # flagged for manual review
+
+    def test_userinfo_and_port_name_no_other_host(self):
+        # three ways to write one host: one host behind the IP, not three
+        urls = ("https://a@x.example.com/", "https://x.example.com:443/",
+                "https://x.example.com/")
+        links = [{"url": url, "ip": "198.51.100.9", "registrant": None,
+                  "addresses": (address,)} for url, address in zip(urls, "ABC")]
+        edges, excluded = identity_edges(links, 2, {"A", "B", "C"})
+        assert excluded == []
+        uf = merge(UnionFind(), edges)
+        assert uf.find("btc:A") == uf.find("btc:B") == uf.find("btc:C")
 
     def test_no_surface_facts_no_change(self):
         assert identity_edges([], 50, {"A", "B"}) == ([], [])
@@ -448,7 +449,7 @@ def oracle_edge_union(labels, illicit, ledgers, emails, links, public_threshold=
                         g.add_edge("btc:" + src, "btc:" + dst)
     ip_hosts, reg_hosts = {}, {}
     for row in links:
-        host = urlparse(row["url"]).netloc.lower()
+        host = urlparse(row["url"]).hostname
         if row["ip"]:
             ip_hosts.setdefault(row["ip"], set()).add(host)
         if row["registrant"]:
@@ -484,23 +485,43 @@ class TestWholePipelineInvariants:
             assert result.partition.partition() == expected, trial
             # the partition is the components of the recorded edges
             recorded = nx.Graph()
-            recorded.add_nodes_from(n for n, attrs in result.graph.nodes.items()
+            recorded.add_nodes_from(n for n, attrs in result.nodes.items()
                                     if attrs["type"] in (SITE, BTC))
-            recorded.add_edges_from((u, v) for _, u, v in result.graph.edges)
+            recorded.add_edges_from((u, v) for _, u, v in result.edges)
             assert result.partition.partition() == frozenset(
                 frozenset(c) for c in nx.connected_components(recorded)), trial
+
+    def test_nodes_are_the_partition_and_each_edge_is_recorded_once(self):
+        rng = random.Random(80)
+        for trial in range(25):
+            labels, illicit, ledgers, emails, links = random_world(rng)
+            result = run_clustering(labels, illicit, ledgers, emails, links,
+                                    PUBLIC_THRESHOLD, VANITY_PREFIX)
+            assert result.nodes.keys() == result.partition.parent.keys(), trial
+            for nid, attrs in result.nodes.items():
+                assert attrs["type"] == nid.split(":", 1)[0], trial
+            members = set(illicit)
+            made = [*seed_edges(labels, illicit, emails),
+                    *transaction_edges(ledgers, members),
+                    identity_edges(links, PUBLIC_THRESHOLD, members)[0]]
+            assert result.edges == {(kind, min(u, v), max(u, v))
+                                    for edges in made for kind, u, v in edges}, trial
+            for kind, u, v in result.edges:
+                # one orientation per edge, so none is recorded twice
+                assert u < v and u in result.nodes and v in result.nodes, trial
 
     def test_phases_only_merge(self):
         rng = random.Random(78)
         labels, illicit, ledgers, emails, links = random_world(rng)
-        graph = build_entity_graph(labels, illicit, emails)
+        hosts, site_emails = seed_edges(labels, illicit, emails)
         members = set(illicit)
         common, internal = transaction_edges(ledgers, members)
         identity, _ = identity_edges(links, 50, members)
-        uf = UnionFind(n for n, attrs in graph.nodes.items() if attrs["type"] in (SITE, BTC))
+        uf = UnionFind([node_id(SITE, s) for s, label in labels.items() if label != "Other"]
+                       + [node_id(SITE, s) for row in illicit.values() for s in row["sites"]]
+                       + [node_id(BTC, a) for a in illicit])
         history = [uf.partition()]
-        for edges in (graph.edges_of_kind("site-hosts-addr"), common, internal,
-                      graph.edges_of_kind("site-lists-email"), identity):
+        for edges in (hosts, common, internal, site_emails, identity):
             merge(uf, edges)
             history.append(uf.partition())
         for before, after in zip(history, history[1:]):

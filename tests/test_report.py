@@ -2,6 +2,7 @@ import builtins
 import hashlib
 import io
 import json
+import logging
 import os
 import re
 import shutil
@@ -20,8 +21,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from onionforge import chain, classify, cli, pagetext, report
-from onionforge.corpus import Corpus, read_corpus_jsonl, snapshot_signature
-from onionforge.cluster import EntityGraph
+from onionforge.corpus import (
+    Corpus, ingest_snapshot, read_corpus_jsonl, snapshot_signature,
+)
 from onionforge.report import (
     ARTIFACTS, STAGE_DECLS, ConfigError, PipelineConfig, StageError, export_graph,
     format_btc, parse_config, run_pipeline,
@@ -1085,17 +1087,24 @@ def reference_stat_signature(tree) -> str:
 BASE32 = "abcdefghijklmnopqrstuvwxyz234567"
 
 
+def site_tree(tmp_path):
+    """A snapshot tree of 400 sites with 8 pages each, every file one the
+    snapshot walk takes; the first page of each site is empty."""
+    tree = tmp_path / "tree"
+    for d in range(400):
+        sub = tree / ("site%s%s%s.onion" % (BASE32[d // 32], BASE32[d % 32], "a" * 10))
+        sub.mkdir(parents=True)
+        for f in range(8):
+            (sub / ("f%d.html" % f)).write_bytes(b"x" * f)
+    return tree
+
+
 class TestStatSignature:
     # an input's walk and the snapshot's stat-only walk, which a no-op rerun takes
     @pytest.mark.parametrize("signature_of", [report._stat_signature, snapshot_signature],
                              ids=["input", "snapshot"])
     def test_streams_the_walk(self, tmp_path, signature_of):
-        tree = tmp_path / "tree"
-        for d in range(400):  # 400 sites of 8 pages, every file one the snapshot walk takes
-            sub = tree / ("site%s%s%s.onion" % (BASE32[d // 32], BASE32[d % 32], "a" * 10))
-            sub.mkdir(parents=True)
-            for f in range(8):
-                (sub / ("f%d.html" % f)).write_bytes(b"x" * f)
+        tree = site_tree(tmp_path)
         tracemalloc.start()
         try:
             signature, _ = signature_of(tree)
@@ -1105,6 +1114,23 @@ class TestStatSignature:
         assert signature == reference_stat_signature(tree)
         # a list of 3,200 (name, stat_result) pairs alone takes about 2 MiB
         assert peak < 512 * 1024
+
+    def test_ingest_holds_little_beyond_its_corpus(self, tmp_path):
+        tree = site_tree(tmp_path)
+        # pytest keeps each logged record, and the record of a skipped page
+        # holds its exception, whose traceback holds the walk's frames
+        logging.disable(logging.WARNING)
+        tracemalloc.start()
+        try:
+            corpus = ingest_snapshot(tree)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            logging.disable(logging.NOTSET)
+        assert len(corpus) == 400 * 7 and len(corpus.skipped) == 400
+        # the walk's own memory above what it returns, per file: a stat_result
+        # kept for each page until the walk ends would take over 400 B
+        assert (peak - held) / (400 * 8) < 400
 
 
 # "B...B.ONION" is the site "b...b.onion" again: its directory walks before
@@ -1357,20 +1383,21 @@ def check_dot_grammar(text):
 
 
 def write_graph(graph, out):
-    """`export_graph` of an EntityGraph, as g.graphml and g.dot."""
-    graphml, dot = export_graph({"nodes": graph.nodes, "edges": graph.edges})
+    """`export_graph` of an entity_graph.json document, as g.graphml and g.dot."""
+    graphml, dot = export_graph(graph)
     (out / "g.graphml").write_text(graphml)
     (out / "g.dot").write_text(dot)
 
 
 class TestGraphExport:
     def test_three_node_campaign_dot(self, tmp_path):
-        graph = EntityGraph()
-        graph.add_node("site:a.onion", category="Drugs", campaign="c001")
-        graph.add_node("btc:X", received=5, campaign="c001")
-        graph.add_node("btc:Y", received=7, campaign="c001")
-        graph.add_edge("site-hosts-addr", "site:a.onion", "btc:X")
-        graph.add_edge("site-hosts-addr", "site:a.onion", "btc:Y")
+        graph = {"v": 1,
+                 "nodes": {"btc:X": {"type": "btc", "received": 5, "campaign": "c001"},
+                           "btc:Y": {"type": "btc", "received": 7, "campaign": "c001"},
+                           "site:a.onion": {"type": "site", "category": "Drugs",
+                                            "campaign": "c001"}},
+                 "edges": [["site-hosts-addr", "btc:X", "site:a.onion"],
+                           ["site-hosts-addr", "btc:Y", "site:a.onion"]]}
         write_graph(graph, tmp_path)
         dot = (tmp_path / "g.dot").read_text()
         check_dot_grammar(dot)
@@ -1379,7 +1406,7 @@ class TestGraphExport:
         assert len(parsed) == 3 and parsed.number_of_edges() == 2
 
     def test_empty_campaign_list(self, tmp_path):
-        write_graph(EntityGraph(), tmp_path)
+        write_graph({"v": 1, "nodes": {}, "edges": []}, tmp_path)
         check_dot_grammar((tmp_path / "g.dot").read_text())
         parsed = nx.read_graphml(tmp_path / "g.graphml")
         assert len(parsed) == 0
