@@ -70,9 +70,13 @@ def format_utc(when: datetime) -> str:
     return when.isoformat().replace("+00:00", "Z")
 
 
-def read_replay(path: Path) -> list:
-    """The JSON array of a replay fixture file, [] if there is none; any
-    other JSON value raises ValueError naming the file."""
+def read_replay(fixtures_dir, address: str) -> list:
+    """The JSON array of the replay fixture `<fixtures_dir>/<address>.json`,
+    [] if there is none or `fixtures_dir` is empty; any other JSON value
+    raises ValueError naming the file."""
+    if not fixtures_dir:
+        return []
+    path = Path(fixtures_dir) / (address + ".json")
     if not path.is_file():
         return []
     rows = json.loads(path.read_text())

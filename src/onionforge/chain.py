@@ -12,7 +12,6 @@ import re
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
 from operator import attrgetter
-from pathlib import Path
 from typing import NamedTuple
 
 from .artifacts import NotJson, format_utc, parse_utc, read_jsonl, read_replay
@@ -180,14 +179,14 @@ def _in_time_order(txs) -> tuple[Transaction, ...]:
 
 
 class FixtureExplorer:
-    """Replay mode: <fixtures>/<address>.json holds an array of transactions."""
+    """Replay mode: <fixtures>/<address>.json holds an array of transactions;
+    with no fixtures directory, every ledger is empty."""
 
     def __init__(self, fixtures_dir):
-        self.fixtures_dir = Path(fixtures_dir)
+        self.fixtures_dir = fixtures_dir
 
     def transactions(self, address: str) -> list[Transaction]:
-        return [parse_transaction(row)
-                for row in read_replay(self.fixtures_dir / (address + ".json"))]
+        return [parse_transaction(row) for row in read_replay(self.fixtures_dir, address)]
 
 
 MAX_PAGES = 10_000  # so a server whose total_pages keeps growing cannot page forever
@@ -245,7 +244,7 @@ def fetch_all(addresses, provider):
             ledgers[address] = ledger(address, provider.transactions(address))
         except (FetchError, ChainError, ValueError) as exc:
             failures[address] = str(exc)
-            log.warning("fetch failed for %s: %s", address, exc)
+            log.warning("fetch failed for %s: %s", address, failures[address])
     return ledgers, failures
 
 

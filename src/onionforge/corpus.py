@@ -173,7 +173,7 @@ def _read_manifest(text: str) -> dict[tuple[str, str], tuple[int, datetime]]:
             key = (onion_name(row["domain"]), row["path"])  # case-blind, as directories
             manifest[key] = lineno, parse_utc(row["fetched_at"])
         except (ValueError, OverflowError) as exc:  # a time past datetime's range overflows
-            log.warning("manifest line %d unusable: %s", lineno, exc)
+            log.warning("manifest line %d unusable: %s", lineno, str(exc))
     return manifest
 
 
@@ -202,7 +202,8 @@ def ingest_snapshot(root) -> Corpus:
 
     def skip(name, entry_name, reason):
         skipped.append(name)
-        log.warning("skipping %r: %s", entry_name, reason)
+        # the text only: a logged exception's traceback would keep the walk alive
+        log.warning("skipping %r: %s", entry_name, str(reason))
 
     def read(name, entry) -> tuple[os.stat_result, bytes]:
         st = entry.stat()

@@ -27,6 +27,13 @@ _LANE = 0xFFFFFFFFFFFFFFFF
 # takes 16 bytes of every one of the state's ints
 _MAX_FIELDS = 1024
 
+# lane i = x + 5*y: its rho rotation, and the lane (y, 2x + 3y) pi moves it to
+_LANES = tuple(
+    (i, r, i // 5 + 5 * ((2 * (i % 5) + 3 * (i // 5)) % 5))
+    for i, r in enumerate((0, 1, 62, 28, 27, 36, 44, 6, 55, 20, 3, 10, 43, 25, 39,
+                           41, 45, 15, 21, 8, 18, 2, 61, 56, 14))
+)
+
 
 def _keccak_f(state: list, m: int = _LANE, rcs=_ROUND_CONSTANTS) -> list:
     """Keccak-f[1600] on 25 lanes, lane (x, y) at index x + 5*y.
@@ -34,102 +41,24 @@ def _keccak_f(state: list, m: int = _LANE, rcs=_ROUND_CONSTANTS) -> list:
     One message's lanes are 64-bit ints, with the defaults. A batch's lanes
     carry a field per message (see the module docstring); `m` is the mask
     of their low halves, and `rcs` the round constants, one copy per field.
-    Written out with the lanes in locals: each rotation offset and pi
-    destination is a literal, and `m` masks a rotation back to its field
-    (chi's `~b & c` needs no mask, since c is non-negative).
+    `m` masks a rotation back to its field, also the rotation by 0, whose
+    `t >> 64` lands in a gap; chi's `~b1 & b2` needs no mask, since b2 is
+    non-negative.
     """
-    (a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12,
-     a13, a14, a15, a16, a17, a18, a19, a20, a21, a22, a23, a24) = state
+    a, b = list(state), [0] * 25
     for rc in rcs:
-        # theta
-        c0 = a0 ^ a5 ^ a10 ^ a15 ^ a20
-        c1 = a1 ^ a6 ^ a11 ^ a16 ^ a21
-        c2 = a2 ^ a7 ^ a12 ^ a17 ^ a22
-        c3 = a3 ^ a8 ^ a13 ^ a18 ^ a23
-        c4 = a4 ^ a9 ^ a14 ^ a19 ^ a24
-        d0 = c4 ^ (((c1 << 1) | (c1 >> 63)) & m)
-        d1 = c0 ^ (((c2 << 1) | (c2 >> 63)) & m)
-        d2 = c1 ^ (((c3 << 1) | (c3 >> 63)) & m)
-        d3 = c2 ^ (((c4 << 1) | (c4 >> 63)) & m)
-        d4 = c3 ^ (((c0 << 1) | (c0 >> 63)) & m)
-        # rho + pi, lane (x, y) moves to (y, 2x + 3y)
-        b0 = a0 ^ d0
-        t = a5 ^ d0
-        b16 = ((t << 36) | (t >> 28)) & m
-        t = a10 ^ d0
-        b7 = ((t << 3) | (t >> 61)) & m
-        t = a15 ^ d0
-        b23 = ((t << 41) | (t >> 23)) & m
-        t = a20 ^ d0
-        b14 = ((t << 18) | (t >> 46)) & m
-        t = a1 ^ d1
-        b10 = ((t << 1) | (t >> 63)) & m
-        t = a6 ^ d1
-        b1 = ((t << 44) | (t >> 20)) & m
-        t = a11 ^ d1
-        b17 = ((t << 10) | (t >> 54)) & m
-        t = a16 ^ d1
-        b8 = ((t << 45) | (t >> 19)) & m
-        t = a21 ^ d1
-        b24 = ((t << 2) | (t >> 62)) & m
-        t = a2 ^ d2
-        b20 = ((t << 62) | (t >> 2)) & m
-        t = a7 ^ d2
-        b11 = ((t << 6) | (t >> 58)) & m
-        t = a12 ^ d2
-        b2 = ((t << 43) | (t >> 21)) & m
-        t = a17 ^ d2
-        b18 = ((t << 15) | (t >> 49)) & m
-        t = a22 ^ d2
-        b9 = ((t << 61) | (t >> 3)) & m
-        t = a3 ^ d3
-        b5 = ((t << 28) | (t >> 36)) & m
-        t = a8 ^ d3
-        b21 = ((t << 55) | (t >> 9)) & m
-        t = a13 ^ d3
-        b12 = ((t << 25) | (t >> 39)) & m
-        t = a18 ^ d3
-        b3 = ((t << 21) | (t >> 43)) & m
-        t = a23 ^ d3
-        b19 = ((t << 56) | (t >> 8)) & m
-        t = a4 ^ d4
-        b15 = ((t << 27) | (t >> 37)) & m
-        t = a9 ^ d4
-        b6 = ((t << 20) | (t >> 44)) & m
-        t = a14 ^ d4
-        b22 = ((t << 39) | (t >> 25)) & m
-        t = a19 ^ d4
-        b13 = ((t << 8) | (t >> 56)) & m
-        t = a24 ^ d4
-        b4 = ((t << 14) | (t >> 50)) & m
-        # chi + iota
-        a0 = (b0 ^ (~b1 & b2)) ^ rc
-        a1 = b1 ^ (~b2 & b3)
-        a2 = b2 ^ (~b3 & b4)
-        a3 = b3 ^ (~b4 & b0)
-        a4 = b4 ^ (~b0 & b1)
-        a5 = b5 ^ (~b6 & b7)
-        a6 = b6 ^ (~b7 & b8)
-        a7 = b7 ^ (~b8 & b9)
-        a8 = b8 ^ (~b9 & b5)
-        a9 = b9 ^ (~b5 & b6)
-        a10 = b10 ^ (~b11 & b12)
-        a11 = b11 ^ (~b12 & b13)
-        a12 = b12 ^ (~b13 & b14)
-        a13 = b13 ^ (~b14 & b10)
-        a14 = b14 ^ (~b10 & b11)
-        a15 = b15 ^ (~b16 & b17)
-        a16 = b16 ^ (~b17 & b18)
-        a17 = b17 ^ (~b18 & b19)
-        a18 = b18 ^ (~b19 & b15)
-        a19 = b19 ^ (~b15 & b16)
-        a20 = b20 ^ (~b21 & b22)
-        a21 = b21 ^ (~b22 & b23)
-        a22 = b22 ^ (~b23 & b24)
-        a23 = b23 ^ (~b24 & b20)
-        a24 = b24 ^ (~b20 & b21)
-    return [a0, a1, a2, a3, a4, a5, a6, a7, a8, a9, a10, a11, a12,
-            a13, a14, a15, a16, a17, a18, a19, a20, a21, a22, a23, a24]
+        # theta; c[x - 1] and c[x - 4] are c[(x + 4) % 5] and c[(x + 1) % 5]
+        c = [a[x] ^ a[x + 5] ^ a[x + 10] ^ a[x + 15] ^ a[x + 20] for x in range(5)]
+        d = [c[x - 1] ^ (((c[x - 4] << 1) | (c[x - 4] >> 63)) & m) for x in range(5)]
+        for i, r, dest in _LANES:  # theta's XOR, rho + pi
+            t = a[i] ^ d[i % 5]
+            b[dest] = ((t << r) | (t >> (64 - r))) & m
+        for y in range(0, 25, 5):  # chi, a row at a time
+            b0, b1, b2, b3, b4 = b[y:y + 5]
+            a[y:y + 5] = (b0 ^ (~b1 & b2), b1 ^ (~b2 & b3), b2 ^ (~b3 & b4),
+                          b3 ^ (~b4 & b0), b4 ^ (~b0 & b1))
+        a[0] ^= rc  # iota
+    return a
 
 
 def _sponge(padded: list, size: int) -> list[bytes]:

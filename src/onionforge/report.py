@@ -565,7 +565,7 @@ def stage_fetch_tx(cfg: PipelineConfig, inputs: dict) -> dict:
     if cfg.provider == "http":
         explorer = chain.HttpExplorer(cfg.base_url, rate_limit=cfg.rate_limit or None)
     else:
-        explorer = chain.FixtureExplorer(cfg.tx_fixtures or ".")
+        explorer = chain.FixtureExplorer(cfg.tx_fixtures)
     ledgers, failures = chain.fetch_all(inputs["illicit.jsonl"], explorer)
     log.info("fetched %d ledgers, %d failures", len(ledgers), len(failures))
     return {"ledgers": Ledgers(ledgers, failures)}
@@ -581,7 +581,7 @@ def stage_trace(cfg: PipelineConfig, inputs: dict) -> dict:
     if cfg.search_base_url:
         provider = trace.HttpSearch(cfg.search_base_url, rate_limit=cfg.rate_limit or None)
     else:
-        provider = trace.FixtureSearch(cfg.search_fixtures or ".")
+        provider = trace.FixtureSearch(cfg.search_fixtures)
     hits, failures = trace.search_all(inputs["illicit.jsonl"], provider, domains)
     facts = []
     if cfg.trace_annotations:
@@ -642,12 +642,16 @@ STAGES = tuple((s.name, s.fn) for s in STAGE_DECLS.values())
 def run_pipeline(config: PipelineConfig, until: str | None = None) -> PipelineRun:
     """Execute the stages in order, skipping any whose inputs are unchanged.
 
-    With `until` set to a stage name, stop after that stage. Each output
-    is written once and handed on in memory to the later stages of the
-    run that read it; an input whose stage was skipped is read from disk
-    once.
+    With `until` set to a stage name, stop after that stage; an `until`
+    that names no stage is a ConfigError, raised before `out_dir` is made.
+    Each output is written once and handed on in memory to the later
+    stages of the run that read it; an input whose stage was skipped is
+    read from disk once.
     """
     config.validate()
+    names = [name for name, _ in STAGES]
+    if until is not None and until not in names:
+        raise ConfigError("unknown stage %r (choose from %s)" % (until, ", ".join(names)))
     out = Path(config.out_dir)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -673,8 +677,7 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> PipelineRu
     # that stage's own inputs, so a later run still re-runs exactly what changed
     run.stage_digests = {name: previous[name] for name, _ in STAGES if name in previous}
 
-    names = [name for name, _ in STAGES]
-    stages = STAGES[:names.index(until) + 1] if until in names else STAGES
+    stages = STAGES if until is None else STAGES[:names.index(until) + 1]
     # each artifact a stage of this run reads -> the last stage that reads it
     last_reader = {a: name for name, _ in stages for a in STAGE_DECLS[name].reads}
     values: dict[str, object] = {}  # this run's artifacts, until their last reader is done
@@ -714,7 +717,7 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> PipelineRu
             try:  # a run.json that cannot be written must not hide the stage's failure
                 _write_manifest(run, manifest_path)
             except OSError as unwritten:
-                log.error("run.json not written: %s", unwritten)
+                log.error("run.json not written: %s", str(unwritten))
             raise StageError(name, exc) from exc
         run.stage_digests[name] = digest
         for artifact in decl.reads:

@@ -4,7 +4,6 @@ endpoint), plus analyst-annotation import (abuse reports, identity facts)."""
 from __future__ import annotations
 
 import logging
-from pathlib import Path
 from typing import NamedTuple
 from urllib.parse import urlparse
 
@@ -38,16 +37,17 @@ def load_explorer_domains(path=None) -> set[str]:
 
 
 class FixtureSearch:
-    """Replay mode: <fixtures>/<address>.json holds an array of URLs (or {"url": ...})."""
+    """Replay mode: <fixtures>/<address>.json holds an array of URLs (or
+    {"url": ...}); with no fixtures directory, no address has a result."""
 
     source = "fixtures"
 
     def __init__(self, fixtures_dir):
-        self.fixtures_dir = Path(fixtures_dir)
+        self.fixtures_dir = fixtures_dir
 
     def results(self, address: str) -> list[str]:
         return [row.get("url") if isinstance(row, dict) else row
-                for row in read_replay(self.fixtures_dir / (address + ".json"))]
+                for row in read_replay(self.fixtures_dir, address)]
 
 
 class HttpSearch:
@@ -117,7 +117,7 @@ def search_all(addresses, provider, explorer_domains: set[str]):
             hits.extend(search_address(address, provider, explorer_domains))
         except Exception as exc:
             failures[address] = str(exc)
-            log.warning("search failed for %s: %s", address, exc)
+            log.warning("search failed for %s: %s", address, failures[address])
     return hits, failures
 
 

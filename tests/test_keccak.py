@@ -9,7 +9,9 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from onionforge import keccak
-from onionforge.keccak import _RATE, _keccak_f, keccak256, keccak256_batch
+from onionforge.keccak import (
+    _LANE, _RATE, _ROUND_CONSTANTS, _keccak_f, keccak256, keccak256_batch,
+)
 
 VECTORS = {
     b"": "c5d2460186f7233c927e7db2dcc703c0e500b653ca82273b7bfad8045d85a470",
@@ -26,6 +28,33 @@ def test_published_vectors():
 
 def test_published_vectors_in_one_batch():
     assert [d.hex() for d in keccak256_batch(list(VECTORS) * 2)] == list(VECTORS.values()) * 2
+
+
+# lanes 0-4 of Keccak-f[1600] applied once, then twice, to the all-zero state
+PERMUTED_ZERO = [
+    [0xF1258F7940E1DDE7, 0x84D5CCF933C0478A, 0xD598261EA65AA9EE,
+     0xBD1547306F80494D, 0x8B284E056253D057],
+    [0x2D5C954DF96ECB3C, 0x6A332CD07057B56D, 0x093D8D1270D76B6C,
+     0x8A20D9B25569D094, 0x4F9C4F99E5E7F156],
+]
+
+
+def test_permutation_known_answers():
+    once = _keccak_f([0] * 25)
+    assert once[:5] == PERMUTED_ZERO[0]
+    assert _keccak_f(once)[:5] == PERMUTED_ZERO[1]
+
+
+def test_permutation_known_answers_in_two_fields():
+    # field 0 holds the zero state and field 1 the state permuted once,
+    # with the mask and round constants built as the batch sponge builds them
+    ones = 1 | 1 << 128
+    once = _keccak_f([0] * 25)
+    state = _keccak_f([lane << 128 for lane in once], _LANE * ones,
+                      [rc * ones for rc in _ROUND_CONSTANTS])
+    assert [lane & _LANE for lane in state[:5]] == PERMUTED_ZERO[0]
+    assert [lane >> 128 for lane in state[:5]] == PERMUTED_ZERO[1]
+    assert all(lane >> 64 & _LANE == 0 for lane in state)  # the gaps stay zero
 
 
 def _sponge_with_pad(data: bytes, pad_byte: int) -> bytes:

@@ -1,8 +1,10 @@
 import builtins
+import gc
 import hashlib
 import io
 import json
 import logging
+import logging.handlers
 import os
 import re
 import shutil
@@ -244,6 +246,30 @@ class TestPipeline:
         assert hits != hits_before
         assert hits == (tmp_path / "fresh" / "hits.jsonl").read_bytes()
         assert_same_artifacts(tmp_path / "out", tmp_path / "fresh")
+
+    @pytest.mark.parametrize("key", ["tx_fixtures", "search_fixtures"])
+    def test_an_empty_fixtures_key_reads_no_files(self, tmp_path, monkeypatch, key):
+        planted = build_planted_corpus(tmp_path / "planted")
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(planted.config_text(tmp_path / "out"))
+        config = parse_config(cfg_file)._replace(**{key: ""})
+        # run from the directory that holds the <address>.json files the key named
+        monkeypatch.chdir(getattr(planted, key))
+        run_pipeline(config)
+        out = tmp_path / "out"
+        if key == "tx_fixtures":
+            ledgers = ARTIFACTS["ledgers"].read(out / "ledgers")
+            assert ledgers and not any(ledgers.values()) and not ledgers.failures
+        else:
+            assert (out / "hits.jsonl").read_bytes() == b""
+
+    def test_an_unknown_until_is_a_config_error(self, tmp_path):
+        planted = build_planted_corpus(tmp_path / "planted")
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text(planted.config_text(tmp_path / "out"))
+        with pytest.raises(ConfigError, match="'fetch_tx'"):
+            run_pipeline(parse_config(cfg_file), until="fetch_tx")
+        assert not (tmp_path / "out").exists()
 
     def test_partial_run_keeps_digests_of_later_stages(self, tmp_path):
         planted = build_planted_corpus(tmp_path / "planted")
@@ -1087,15 +1113,16 @@ def reference_stat_signature(tree) -> str:
 BASE32 = "abcdefghijklmnopqrstuvwxyz234567"
 
 
-def site_tree(tmp_path):
+def site_tree(tmp_path, size=None):
     """A snapshot tree of 400 sites with 8 pages each, every file one the
-    snapshot walk takes; the first page of each site is empty."""
+    snapshot walk takes; the first page of each site is empty, and the
+    others have `size` bytes, or f bytes for page f."""
     tree = tmp_path / "tree"
     for d in range(400):
         sub = tree / ("site%s%s%s.onion" % (BASE32[d // 32], BASE32[d % 32], "a" * 10))
         sub.mkdir(parents=True)
         for f in range(8):
-            (sub / ("f%d.html" % f)).write_bytes(b"x" * f)
+            (sub / ("f%d.html" % f)).write_bytes(b"x" * (f and (size or f)))
     return tree
 
 
@@ -1117,20 +1144,40 @@ class TestStatSignature:
 
     def test_ingest_holds_little_beyond_its_corpus(self, tmp_path):
         tree = site_tree(tmp_path)
-        # pytest keeps each logged record, and the record of a skipped page
-        # holds its exception, whose traceback holds the walk's frames
-        logging.disable(logging.WARNING)
         tracemalloc.start()
         try:
             corpus = ingest_snapshot(tree)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-            logging.disable(logging.NOTSET)
         assert len(corpus) == 400 * 7 and len(corpus.skipped) == 400
         # the walk's own memory above what it returns, per file: a stat_result
         # kept for each page until the walk ends would take over 400 B
         assert (peak - held) / (400 * 8) < 400
+
+    def test_kept_log_records_hold_no_walk(self, tmp_path):
+        tree = site_tree(tmp_path, size=200)
+        # a handler that keeps every record, as a test harness or a buffer
+        # does; the records reach it alone, so that it is all that is measured
+        kept = logging.handlers.BufferingHandler(capacity=10_000)
+        logger = logging.getLogger("onionforge.corpus")
+        logger.addHandler(kept)
+        logger.propagate = False
+        tracemalloc.start()
+        try:
+            corpus = ingest_snapshot(tree)
+            assert len(corpus.skipped) == 400
+            del corpus
+            gc.collect()  # which also empties the free lists of tuples and floats
+            held, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+            logger.removeHandler(kept)
+            logger.propagate = True
+        assert len(kept.buffer) == 400
+        # a record that held its exception would keep, through the
+        # traceback, the walk's frames and every page read so far
+        assert held / (400 * 8) < 200
 
 
 # "B...B.ONION" is the site "b...b.onion" again: its directory walks before
