@@ -25,32 +25,48 @@ class NotJson(ValueError):
 
 
 def read_jsonl(path, keep_bad_lines: bool = False):
-    """Yield the rows of a JSONL file, skipping blank lines.
+    """Yield the rows of a JSONL file, skipping blank lines; see `jsonl_rows`."""
+    with open(path, "rb") as fh:
+        for _, row in jsonl_rows(fh, keep_bad_lines):
+            yield row
 
-    A line that is not JSON raises NotJson, or with `keep_bad_lines` is
-    yielded as its NotJson, for the caller to skip and count.
+
+def jsonl_rows(chunks, keep_bad_lines: bool = False):
+    """Yield (line number, row) of each non-blank JSONL line in `chunks`: a
+    file's bytes whole, or in pieces that end at line ends, such as the
+    lines of a file opened in binary mode.
+
+    A line ends at an LF, a CR or a CR LF only, never inside a JSON string
+    (a raw U+2028 there ends no line), and is decoded as UTF-8 on its own.
+    A line that is not UTF-8 JSON raises NotJson, or with `keep_bad_lines`
+    is yielded as its NotJson, for the caller to skip and count.
     """
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            if line.strip():
-                try:
-                    row = json.loads(line)
-                except ValueError:
-                    row = NotJson("line %d is not JSON: %r" % (lineno, line.strip()))
-                    if not keep_bad_lines:
-                        raise row from None
-                yield row
+    lineno = 0
+    for chunk in chunks:
+        for line in chunk.splitlines():
+            lineno += 1
+            try:
+                text = line.decode("utf-8")
+                if not text.strip():
+                    continue
+                row = json.loads(text)
+            except ValueError:  # a UnicodeDecodeError is one
+                row = NotJson("line %d is not JSON: %r"
+                              % (lineno, line.decode("utf-8", "backslashreplace").strip()))
+                if not keep_bad_lines:
+                    raise row from None
+            yield lineno, row
 
 
 def write_jsonl(path, rows):
     encode = json.JSONEncoder(sort_keys=True).encode  # what json.dumps builds per call
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for row in rows:
             fh.write(encode(row) + "\n")
 
 
 def write_json(path, doc):
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -79,7 +95,7 @@ def read_replay(fixtures_dir, address: str) -> list:
     path = Path(fixtures_dir) / (address + ".json")
     if not path.is_file():
         return []
-    rows = json.loads(path.read_text())
+    rows = json.loads(path.read_text(encoding="utf-8"))
     if not isinstance(rows, list):
         raise ValueError("%s is not a JSON array" % path.name)
     return rows
@@ -92,8 +108,8 @@ def word_list(path, packaged_name: str) -> set[str]:
     empty. Blank lines and lines that start with "#" are skipped.
     """
     if path:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     else:
-        text = (Path(__file__).with_name("data") / packaged_name).read_text()
+        text = (Path(__file__).with_name("data") / packaged_name).read_text(encoding="utf-8")
     return {line.strip().lower() for line in text.split("\n")
             if line.strip() and not line.startswith("#")}

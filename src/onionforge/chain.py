@@ -253,15 +253,7 @@ def fetch_all(addresses, provider):
 ZONES = ("listing", "forum", "payment", "other")
 
 
-class AddressAnnotation(NamedTuple):
-    domain: str
-    address: str
-    zone: str
-    prior_tx_with_payment: bool = False
-    note: str = ""
-
-
-def load_annotations(path) -> dict[tuple[str, str], AddressAnnotation]:
+def load_annotations(path) -> dict[tuple[str, str], dict]:
     """Analyst rows {domain, address, zone, prior_tx_with_payment?, note?} by
     (domain, address). A row that is not an object with text domain and
     address, an unknown zone, or a flag that is not a JSON bool (the string
@@ -279,47 +271,43 @@ def load_annotations(path) -> dict[tuple[str, str], AddressAnnotation]:
                              % (row,))
         if row.get("zone") not in ZONES:
             raise ChainError("annotation %r: unknown zone" % (row,))
-        prior = row.get("prior_tx_with_payment", False)
-        if not isinstance(prior, bool):
+        if not isinstance(row.get("prior_tx_with_payment", False), bool):
             raise ChainError("annotation %r: prior_tx_with_payment is not a JSON bool" % (row,))
-        out[(row["domain"], row["address"])] = AddressAnnotation(
-            row["domain"], row["address"], row["zone"], prior, row.get("note", ""))
+        out[(row["domain"], row["address"])] = row
     return out
 
 
-class FilterResult(NamedTuple):
-    retained: dict[str, str]  # address -> reviewed|unreviewed
-    removed: dict[str, str]   # address -> reason
-
-
 def filter_illicit_addresses(domain: str, category: str, addresses,
-                             annotations: dict[tuple[str, str], AddressAnnotation]) -> FilterResult:
+                             annotations: dict[tuple[str, str], dict]) -> list[dict]:
     """Keep only addresses plausibly owned by the site operator.
 
-    Removal reasons map to the four retention criteria: wallet addresses
-    sold on PrivateKey sites, listed addresses already transacting with the
-    payment address, visitor addresses on forum pages, and flagged
-    non-payment hash strings. Unannotated addresses stay, flagged unreviewed.
+    Returns one site's filter_audit.jsonl rows: the retained rows by
+    address, flagged reviewed or unreviewed, then the removed rows by
+    address with their reason. Removal reasons map to the four retention
+    criteria: wallet addresses sold on PrivateKey sites, listed addresses
+    already transacting with the payment address, visitor addresses on
+    forum pages, and flagged non-payment hash strings. Unannotated
+    addresses stay, flagged unreviewed.
     """
-    result = FilterResult({}, {})
-    for address in addresses:
+    retained, removed = [], []
+    for address in sorted(addresses):
         ann = annotations.get((domain, address))
-        if ann is None:
-            result.retained[address] = "unreviewed"
-        elif ann.zone == "payment":
-            result.retained[address] = "reviewed"
-        elif ann.zone == "forum":
-            result.removed[address] = "forum-visitor"
-        elif ann.zone == "other":
-            result.removed[address] = "non-payment-hash"
-        elif ann.zone == "listing":
-            if category == "PrivateKey":
-                result.removed[address] = "sold-wallet"
-            elif ann.prior_tx_with_payment:
-                result.removed[address] = "prior-tx-with-payment"
-            else:
-                result.retained[address] = "reviewed"
-    return result
+        zone = ann["zone"] if ann else None
+        if zone == "forum":
+            reason = "forum-visitor"
+        elif zone == "other":
+            reason = "non-payment-hash"
+        elif zone == "listing" and category == "PrivateKey":
+            reason = "sold-wallet"
+        elif zone == "listing" and ann.get("prior_tx_with_payment"):
+            reason = "prior-tx-with-payment"
+        else:
+            retained.append({"v": 1, "domain": domain, "address": address,
+                             "action": "retained", "flag": "reviewed" if ann else "unreviewed"})
+            continue
+        removed.append({"v": 1, "domain": domain, "address": address,
+                        "action": "removed", "reason": reason})
+    return retained + removed
 
 
 _address = attrgetter("address")

@@ -16,7 +16,7 @@ import json
 import math
 import re
 
-from .artifacts import word_list
+from .artifacts import NotJson, jsonl_rows, word_list
 from .corpus import Corpus, PageRecord
 from .pagetext import page_text
 
@@ -143,19 +143,15 @@ def load_ground_truth(path, corpus: Corpus) -> GroundTruthRows:
     by_key = {(p.domain, p.path): p for p in corpus}
     gt = []
     missing = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, 1):
-            if not line.strip():
-                continue
-            try:
-                row = json.loads(line)
-            except ValueError:
-                row = None
+    with open(path, "rb") as fh:
+        for lineno, row in jsonl_rows(fh, keep_bad_lines=True):
+            if isinstance(row, NotJson):
+                raise ClassifyConfigError("ground truth %s" % row)
             if not (isinstance(row, dict) and all(
                     isinstance(row.get(key), str) for key in ("domain", "path", "category"))):
                 raise ClassifyConfigError(
                     "ground truth line %d: not a JSON object with text domain, path and "
-                    "category: %r" % (lineno, line.strip()))
+                    "category: %r" % (lineno, json.dumps(row)))
             cat = parse_category(row["category"])
             page = by_key.get((row["domain"], row["path"]))
             if page is None:

@@ -14,7 +14,6 @@ load on first use, so a run that skips ingest and reads no page loads neither.
 from __future__ import annotations
 
 import hashlib
-import json
 import logging
 import os
 import re
@@ -24,7 +23,7 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, NamedTuple
 from urllib.parse import unquote
 
-from .artifacts import format_utc, parse_utc, read_jsonl
+from .artifacts import NotJson, format_utc, jsonl_rows, parse_utc, read_jsonl
 
 if TYPE_CHECKING:
     from datetime import datetime
@@ -159,14 +158,13 @@ def snapshot_signature(root) -> tuple[str, int]:
     return signature.taken()
 
 
-def _read_manifest(text: str) -> dict[tuple[str, str], tuple[int, datetime]]:
+def _read_manifest(data: bytes) -> dict[tuple[str, str], tuple[int, datetime]]:
     """(domain, path) -> (line number, fetched_at) of each usable manifest line."""
     manifest = {}
-    for lineno, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
+    for lineno, row in jsonl_rows([data], keep_bad_lines=True):
         try:
-            row = json.loads(line)
+            if isinstance(row, NotJson):
+                raise row
             if not (isinstance(row, dict) and all(
                     isinstance(row.get(k), str) for k in ("domain", "path", "fetched_at"))):
                 raise ValueError("not an object with text domain, path and fetched_at")
@@ -220,7 +218,7 @@ def ingest_snapshot(root) -> Corpus:
     pages: dict[tuple[str, str], tuple[str, bytes, float, int]] = {}
     for name, entry, domain in _snapshot_files(root, skip):
         if domain is None:
-            manifest = _read_manifest(read(name, entry)[1].decode())
+            manifest = _read_manifest(read(name, entry)[1])
             continue
         try:
             st, html = read(name, entry)  # a directory or unreadable: OSError
@@ -254,7 +252,7 @@ def write_corpus_jsonl(corpus: Corpus, out_path):
     would write, {domain, fetched_at, html_b64, path, v} with sorted keys, built
     by one format because the base64 text needs no escaping."""
     import base64
-    with open(out_path, "w") as fh:
+    with open(out_path, "w", encoding="utf-8") as fh:
         fh.writelines(
             '{"domain": %s, "fetched_at": %s, "html_b64": "%s", "path": %s, "v": 1}\n'
             % (encode_basestring_ascii(page.domain),

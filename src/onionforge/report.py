@@ -123,7 +123,7 @@ def parse_config(path) -> PipelineConfig:
     defaults = PipelineConfig._field_defaults
     values = {}
     try:
-        lines = Path(path).read_text().splitlines()
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
     except OSError as exc:
         raise ConfigError("cannot read config: %s" % exc) from exc
     for lineno, line in enumerate(lines, 1):
@@ -327,7 +327,7 @@ def write_ledgers(ledgers_dir: Path, ledgers: Ledgers):
     index_rows = []
     for address in sorted(ledgers):
         txs = ledgers[address]
-        with open(ledgers_dir / (address + ".json"), "w") as fh:
+        with open(ledgers_dir / (address + ".json"), "w", encoding="utf-8") as fh:
             fh.write(chain.ledger_json(txs) + "\n")
         index_rows.append({
             "v": 1, "address": address, "transactions": len(txs),
@@ -346,7 +346,7 @@ def read_ledgers(ledgers_dir) -> Ledgers:
     ledgers = {}
     for path in sorted(ledgers_dir.glob("*.json")):
         address = path.stem
-        txs = [chain.parse_transaction(row) for row in json.loads(path.read_text())]
+        txs = [chain.parse_transaction(row) for row in json.loads(path.read_text(encoding="utf-8"))]
         ledgers[address] = chain.ledger(address, txs)
     failures = {row["address"]: row["error"]
                 for row in read_jsonl(ledgers_dir / "_index.jsonl") if "error" in row}
@@ -358,7 +358,7 @@ def write_tables(tables_dir: Path, tables: dict[str, tuple[list[str], list[dict]
     import csv
     tables_dir.mkdir(exist_ok=True)
     for name, (headers, rows) in tables.items():
-        with open(tables_dir / (name + ".csv"), "w", newline="") as fh:
+        with open(tables_dir / (name + ".csv"), "w", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, fieldnames=headers, lineterminator="\n")
             writer.writeheader()
             writer.writerows(rows)
@@ -369,8 +369,12 @@ def _read_rows(path) -> list[dict]:
     return list(read_jsonl(path))
 
 
+def _write_text(path, text: str):
+    Path(path).write_text(text, encoding="utf-8")
+
+
 def _read_json(path) -> dict:
-    return json.loads(Path(path).read_text())
+    return json.loads(Path(path).read_text(encoding="utf-8"))
 
 
 class Artifact(NamedTuple):
@@ -406,8 +410,8 @@ ARTIFACTS: dict[str, Artifact] = {a.name: a for a in (
     Artifact("vanity.json", write_json, _read_json),
     Artifact("entity_graph.json", write_json, _read_json),
     Artifact("tables", write_tables),
-    Artifact("graph.graphml", Path.write_text),
-    Artifact("graph.dot", Path.write_text),
+    Artifact("graph.graphml", _write_text),
+    Artifact("graph.dot", _write_text),
     Artifact("summary.json", write_json),
 )}
 
@@ -540,17 +544,14 @@ def stage_filter(cfg: PipelineConfig, inputs: dict) -> dict:
         category = labels.get(domain, OTHER)
         if category == OTHER:
             continue
-        result = chain.filter_illicit_addresses(domain, category, by_site[domain], annotations)
-        for address, flag in sorted(result.retained.items()):
-            sites, cats, flags = retained.setdefault(address, (set(), set(), set()))
-            sites.add(domain)
-            cats.add(category)
-            flags.add(flag)
-            audit.append({"v": 1, "domain": domain, "address": address,
-                          "action": "retained", "flag": flag})
-        for address, reason in sorted(result.removed.items()):
-            audit.append({"v": 1, "domain": domain, "address": address,
-                          "action": "removed", "reason": reason})
+        rows = chain.filter_illicit_addresses(domain, category, by_site[domain], annotations)
+        audit += rows
+        for row in rows:
+            if row["action"] == "retained":
+                sites, cats, flags = retained.setdefault(row["address"], (set(), set(), set()))
+                sites.add(domain)
+                cats.add(category)
+                flags.add(row["flag"])
     illicit = {address: {"v": 1, "address": address, "sites": sorted(sites),
                          "categories": sorted(cats), "flags": sorted(flags)}
                for address, (sites, cats, flags) in sorted(retained.items())}
@@ -583,12 +584,11 @@ def stage_trace(cfg: PipelineConfig, inputs: dict) -> dict:
     else:
         provider = trace.FixtureSearch(cfg.search_fixtures)
     hits, failures = trace.search_all(inputs["illicit.jsonl"], provider, domains)
-    facts = []
+    surface = []
     if cfg.trace_annotations:
-        hits, facts, _ = trace.import_annotations(
+        surface, _ = trace.import_annotations(
             read_jsonl(cfg.trace_annotations, keep_bad_lines=True), hits)
-    return {"hits.jsonl": trace.hit_rows(hits, failures),
-            "surface.jsonl": trace.surface_links(hits, facts)}
+    return {"hits.jsonl": trace.hit_rows(hits, failures), "surface.jsonl": surface}
 
 
 @stage("cluster",

@@ -4,7 +4,6 @@ endpoint), plus analyst-annotation import (abuse reports, identity facts)."""
 from __future__ import annotations
 
 import logging
-from typing import NamedTuple
 from urllib.parse import urlparse
 
 from .artifacts import NotJson, read_replay, word_list
@@ -17,19 +16,6 @@ ANALYST_KINDS = ("AbuseReport", "IllicitSite", "Benign")
 
 class TraceError(Exception):
     pass
-
-
-class SurfaceHit(NamedTuple):
-    address: str
-    url: str
-    source: str = "search"
-    kind: str = "Unreviewed"  # or "Explorer", or one of ANALYST_KINDS
-
-
-class IdentityFact(NamedTuple):
-    url: str
-    ip: str | None = None
-    registrant: str | None = None
 
 
 def load_explorer_domains(path=None) -> set[str]:
@@ -93,9 +79,11 @@ def _is_web_url(url: str) -> bool:
     return parsed.scheme in ("http", "https") and bool(parsed.netloc)
 
 
-def search_address(address: str, provider, explorer_domains: set[str]) -> list[SurfaceHit]:
-    """Deduplicated hits for one address, explorer URLs auto-marked; a result
-    that is not a string http(s) URL with a host raises TraceError."""
+def search_address(address: str, provider, explorer_domains: set[str]) -> list[dict]:
+    """The hits.jsonl rows {v, address, url, source, kind} of each distinct
+    URL found for one address, of kind "Explorer" on an explorer host and
+    "Unreviewed" elsewhere; a result that is not a string http(s) URL with
+    a host raises TraceError."""
     hits = []
     seen = set()
     for url in provider.results(address):
@@ -104,13 +92,15 @@ def search_address(address: str, provider, explorer_domains: set[str]) -> list[S
         if url in seen:
             continue
         seen.add(url)
-        hits.append(SurfaceHit(address=address, url=url, source=provider.source))
-    return filter_explorer_urls(hits, explorer_domains)
+        kind = "Explorer" if _host_matches(url, explorer_domains) else "Unreviewed"
+        hits.append({"v": 1, "address": address, "url": url, "source": provider.source,
+                     "kind": kind})
+    return hits
 
 
 def search_all(addresses, provider, explorer_domains: set[str]):
     """Search every address; failures are recorded, not fatal."""
-    hits: list[SurfaceHit] = []
+    hits: list[dict] = []
     failures: dict[str, str] = {}
     for address in sorted(set(addresses)):
         try:
@@ -121,40 +111,40 @@ def search_all(addresses, provider, explorer_domains: set[str]):
     return hits, failures
 
 
-def filter_explorer_urls(hits, explorer_domains: set[str]) -> list[SurfaceHit]:
-    """Mark unreviewed hits on explorer hosts; analyst kinds stay untouched."""
-    return [hit._replace(kind="Explorer")
-            if hit.kind == "Unreviewed" and _host_matches(hit.url, explorer_domains) else hit
-            for hit in hits]
-
-
 def import_annotations(rows, hits):
-    """Apply analyst rows {url, kind?, ip?, registrant?, note?} to hits.
+    """Apply analyst rows {url, kind?, ip?, registrant?, note?} to the hit rows.
 
     A line that is not JSON (a `NotJson` row), a row that is not an object,
-    that names a URL absent from the hit list, or whose kind is unknown or
+    that names a URL absent from the hit rows, or whose kind is unknown or
     whose ip or registrant is not text, is skipped with a warning. A URL's
-    last kind applies to every hit of that URL.
-    Returns (updated hits, identity facts, skipped row count).
+    last kind is set on every hit row of that URL. Each URL with an
+    identity fact gets a surface.jsonl row {v, url, ip, registrant,
+    addresses}: its last non-empty ip and registrant (None if it has none)
+    and the addresses of its hits, which identity clustering consumes.
+    Returns (surface rows by URL, skipped row count).
     """
-    known_urls = {h.url for h in hits}
-    kinds: dict[str, str] = {}
-    facts: list[IdentityFact] = []
+    hits_by_url: dict[str, list[dict]] = {}
+    for hit in hits:
+        hits_by_url.setdefault(hit["url"], []).append(hit)
+    facts: dict[str, dict] = {}
     skipped = 0
     for row in rows:
-        problem = _annotation_problem(row, known_urls)
+        problem = _annotation_problem(row, hits_by_url)
         if problem:
             log.warning("%s", problem)
             skipped += 1
             continue
-        url, kind, ip, registrant = (row["url"], row.get("kind"), row.get("ip"),
-                                     row.get("registrant"))
+        url, kind = row["url"], row.get("kind")
         if kind is not None:
-            kinds[url] = kind
-        if ip or registrant:
-            facts.append(IdentityFact(url=url, ip=ip, registrant=registrant))
-    updated = [h._replace(kind=kinds[h.url]) if h.url in kinds else h for h in hits]
-    return updated, facts, skipped
+            for hit in hits_by_url[url]:
+                hit["kind"] = kind
+        for key in ("ip", "registrant"):
+            if row.get(key):
+                facts.setdefault(url, {"v": 1, "url": url, "ip": None, "registrant": None})
+                facts[url][key] = row[key]
+    surface = [dict(facts[url], addresses=sorted({hit["address"] for hit in hits_by_url[url]}))
+               for url in sorted(facts)]
+    return surface, skipped
 
 
 def _annotation_problem(row, known_urls) -> str | None:
@@ -174,30 +164,7 @@ def _annotation_problem(row, known_urls) -> str | None:
     return None
 
 
-def surface_links(hits, facts) -> list[dict]:
-    """Join identity facts with the addresses seen at each URL.
-
-    Produces the surface.jsonl rows {v, url, ip, registrant, addresses}, by
-    URL, that identity clustering consumes.
-    """
-    addrs_by_url: dict[str, set[str]] = {}
-    for hit in hits:
-        addrs_by_url.setdefault(hit.url, set()).add(hit.address)
-    merged: dict[str, dict] = {}
-    for fact in facts:
-        row = merged.setdefault(fact.url, {"v": 1, "url": fact.url, "ip": None,
-                                           "registrant": None})
-        if fact.ip:
-            row["ip"] = fact.ip
-        if fact.registrant:
-            row["registrant"] = fact.registrant
-    for url, row in merged.items():
-        row["addresses"] = sorted(addrs_by_url.get(url, ()))
-    return [merged[url] for url in sorted(merged)]
-
-
 def hit_rows(hits, failures) -> list[dict]:
-    """The hits.jsonl rows: each hit by (address, url), then each failed address."""
-    rows = [{"v": 1, "address": hit.address, "url": hit.url, "source": hit.source,
-             "kind": hit.kind} for hit in sorted(hits, key=lambda h: (h.address, h.url))]
-    return rows + [{"v": 1, "address": a, "error": failures[a]} for a in sorted(failures)]
+    """The hits.jsonl rows: the hit rows by (address, url), then each failed address."""
+    return (sorted(hits, key=lambda hit: (hit["address"], hit["url"]))
+            + [{"v": 1, "address": a, "error": failures[a]} for a in sorted(failures)])

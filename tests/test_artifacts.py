@@ -1,8 +1,9 @@
 import json
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from onionforge.artifacts import read_jsonl, word_list, write_json, write_jsonl
+from onionforge.artifacts import NotJson, read_jsonl, word_list, write_json, write_jsonl
 
 # JSON values as the stages write them: any text (non-ASCII included), ints,
 # finite floats, and values nested in lists and objects
@@ -55,6 +56,26 @@ def test_read_jsonl_skips_blank_lines_between_rows(tmp_path):
     path = tmp_path / "rows.jsonl"
     path.write_text('{"a": 1}\n\n   \n{"b": [2, "\\u00e9"]}\n')
     assert list(read_jsonl(path)) == [{"a": 1}, {"b": [2, "\u00e9"]}]
+
+
+def test_read_jsonl_ends_a_line_at_cr_lf_and_crlf_only(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    text = "a\u2028b\u2029c\x85d"  # raw in a JSON string, so no line end
+    path.write_bytes(json.dumps({"s": text}, ensure_ascii=False).encode("utf-8")
+                     + b'\r{"n": 2}\r\n\x0c\x1c{\n')
+    rows = list(read_jsonl(path, keep_bad_lines=True))
+    assert rows[:2] == [{"s": text}, {"n": 2}]
+    assert str(rows[2]).startswith("line 3 is not JSON")
+
+
+def test_read_jsonl_line_that_is_not_utf8_is_not_json(tmp_path):
+    path = tmp_path / "rows.jsonl"
+    path.write_bytes(b'{"n": 1}\n\xff\xfe\n{"n": 3}\n')
+    with pytest.raises(NotJson, match=r"line 2 is not JSON: '\\\\xff\\\\xfe'"):
+        list(read_jsonl(path))
+    first, bad, last = read_jsonl(path, keep_bad_lines=True)
+    assert (first, last) == ({"n": 1}, {"n": 3})
+    assert isinstance(bad, NotJson)
 
 
 @settings(max_examples=100)

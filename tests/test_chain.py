@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from onionforge import chain, net, report
 from onionforge.chain import (
-    AddressAnnotation, ChainError, FetchError, FixtureExplorer,
+    ChainError, FetchError, FixtureExplorer,
     HttpExplorer, Transaction, TxIO, active_period,
     dormant_addresses, estimate_income, fetch_all,
     filter_illicit_addresses, is_internal, ledger_json, load_annotations,
@@ -564,42 +564,56 @@ class TestMultiCategory:
         assert multi_category(illicit) == 0
 
 
+def annotation(domain, address, zone, **fields):
+    """One checked chain-annotation row, keyed as `load_annotations` keys it."""
+    return {(domain, address): dict(fields, domain=domain, address=address, zone=zone)}
+
+
+def verdicts(audit_rows):
+    """({address: flag} retained, {address: reason} removed) of a site's audit rows."""
+    retained = {r["address"]: r["flag"] for r in audit_rows if r["action"] == "retained"}
+    removed = {r["address"]: r["reason"] for r in audit_rows if r["action"] == "removed"}
+    return retained, removed
+
+
 class TestFilter:
     def test_private_key_listings_removed(self):
         listed = ["w%d" % i for i in range(10)]
-        anns = {("pk.onion", w): AddressAnnotation("pk.onion", w, "listing")
-                for w in listed}
-        anns[("pk.onion", "pay")] = AddressAnnotation("pk.onion", "pay", "payment")
-        result = filter_illicit_addresses("pk.onion", "PrivateKey", listed + ["pay"], anns)
-        assert list(result.retained) == ["pay"]
-        assert all(reason == "sold-wallet" for reason in result.removed.values())
+        anns = {}
+        for w in listed:
+            anns |= annotation("pk.onion", w, "listing")
+        anns |= annotation("pk.onion", "pay", "payment")
+        retained, removed = verdicts(
+            filter_illicit_addresses("pk.onion", "PrivateKey", listed + ["pay"], anns))
+        assert list(retained) == ["pay"]
+        assert all(reason == "sold-wallet" for reason in removed.values())
 
     def test_forum_address_removed(self):
-        anns = {("f.onion", "visitor"): AddressAnnotation("f.onion", "visitor", "forum")}
-        result = filter_illicit_addresses("f.onion", "Drugs", ["visitor"], anns)
-        assert result.removed == {"visitor": "forum-visitor"}
+        anns = annotation("f.onion", "visitor", "forum")
+        _, removed = verdicts(filter_illicit_addresses("f.onion", "Drugs", ["visitor"], anns))
+        assert removed == {"visitor": "forum-visitor"}
 
     def test_listing_with_prior_tx_removed(self):
-        anns = {("inv.onion", "shill"): AddressAnnotation(
-            "inv.onion", "shill", "listing", prior_tx_with_payment=True)}
-        result = filter_illicit_addresses("inv.onion", "InvestmentScams", ["shill"], anns)
-        assert result.removed == {"shill": "prior-tx-with-payment"}
+        anns = annotation("inv.onion", "shill", "listing", prior_tx_with_payment=True)
+        _, removed = verdicts(
+            filter_illicit_addresses("inv.onion", "InvestmentScams", ["shill"], anns))
+        assert removed == {"shill": "prior-tx-with-payment"}
 
     def test_flagged_hash_removed(self):
-        anns = {("x.onion", "hash"): AddressAnnotation("x.onion", "hash", "other")}
-        result = filter_illicit_addresses("x.onion", "Hacker", ["hash"], anns)
-        assert result.removed == {"hash": "non-payment-hash"}
+        anns = annotation("x.onion", "hash", "other")
+        _, removed = verdicts(filter_illicit_addresses("x.onion", "Hacker", ["hash"], anns))
+        assert removed == {"hash": "non-payment-hash"}
 
     def test_unannotated_retained_unreviewed(self):
-        result = filter_illicit_addresses("y.onion", "Drugs", ["addr"], {})
-        assert result.retained == {"addr": "unreviewed"}
+        retained, _ = verdicts(filter_illicit_addresses("y.onion", "Drugs", ["addr"], {}))
+        assert retained == {"addr": "unreviewed"}
 
     def test_annotation_file_roundtrip(self, tmp_path):
         path = tmp_path / "ann.jsonl"
         path.write_text(json.dumps({"domain": "d.onion", "address": "a",
                                     "zone": "forum", "note": "visitor"}) + "\n")
         anns = load_annotations(path)
-        assert anns[("d.onion", "a")].zone == "forum"
+        assert anns[("d.onion", "a")]["zone"] == "forum"
 
     @pytest.mark.parametrize("bad", [
         {"zone": "listing", "prior_tx_with_payment": "false"},  # not read as true
@@ -630,6 +644,13 @@ class TestFilter:
         path.write_text(json.dumps({"domain": "d.onion", "address": "a", "zone": "payment"})
                         + '\n\n{"domain": "d\n')
         with pytest.raises(ChainError, match="line 3 is not JSON"):
+            load_annotations(path)
+
+    def test_line_that_is_not_utf8_names_its_line(self, tmp_path):
+        path = tmp_path / "ann.jsonl"
+        path.write_bytes(json.dumps({"domain": "d.onion", "address": "a",
+                                     "zone": "payment"}).encode() + b"\n\xff\n")
+        with pytest.raises(ChainError, match=r"line 2 is not JSON: '\\\\xff'"):
             load_annotations(path)
 
     def test_illicit_set_rejects_other(self):

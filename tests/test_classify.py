@@ -409,6 +409,14 @@ class TestLoadGroundTruth:
             load_ground_truth(path, corpus)
         assert repr(bad) in str(err.value)
 
+    def test_line_that_is_not_utf8_names_its_line(self, tmp_path):
+        corpus = Corpus([page(dom(0), "/", "pills")])
+        path = tmp_path / "gt.jsonl"
+        path.write_bytes(json.dumps({"domain": dom(0), "path": "/", "category": "Drugs"})
+                         .encode() + b"\n\xff\n")
+        with pytest.raises(ClassifyConfigError, match="ground truth line 2 is not JSON"):
+            load_ground_truth(path, corpus)
+
 
 def build_corpus_and_gt(*extra_pages):
     gt = [(page(dom(i), "/", " ".join(words * 3)), cat)

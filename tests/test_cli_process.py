@@ -1,13 +1,16 @@
-"""The CLI as a process: what it loads, how it ends, and what its hash seed changes.
+"""The CLI as a process: what it loads, how it ends, and what its hash seed
+and locale change.
 
 A command imports only the modules of the stages it executes, so a no-op
 rerun or an ingest never loads a stage's parsers or regexes, nor a stdlib
 module that only other commands use. The entry point ends the process with
 a hard exit once the logs and both streams are flushed. No artifact depends
-on the order of a set or dict of strings, which `PYTHONHASHSEED` sets. These
-tests run real child processes to see all three.
+on the order of a set or dict of strings, which `PYTHONHASHSEED` sets, nor
+on the locale's encoding. These tests run real child processes to see all
+four.
 """
 
+import codecs
 import importlib.util
 import json
 import os
@@ -143,3 +146,38 @@ def test_artifacts_do_not_depend_on_the_hash_seed(planted, tmp_path):
         out.rename(tmp_path / ("seed-" + seed))  # the next run is a fresh one into `out`
     assert_same_artifacts(tmp_path / "seed-0", tmp_path / "seed-12345")
     assert manifests[0] == manifests[1]
+
+
+# a locale whose encoding is ASCII: UTF-8 mode and locale coercion both off
+ASCII_LOCALE = {"PYTHONCOERCECLOCALE": "0", "LC_ALL": "C", "PYTHONUTF8": "0"}
+
+
+def test_text_files_are_utf8_whatever_the_locale(planted, tmp_path):
+    encoding = python("-c", "import locale; print(locale.getpreferredencoding(False))",
+                      **ASCII_LOCALE).stdout.strip()
+    if codecs.lookup(encoding).name != "ascii":
+        pytest.skip("the C locale's encoding here is %s, not ASCII" % encoding)
+    corpus_obj, config = planted
+    tlds = tmp_path / "tlds.txt"
+    tlds.write_text("# \u00e9\n" + (ROOT / "src/onionforge/data/tlds.txt").read_text("utf-8"),
+                    encoding="utf-8")
+    for path, key, value in ((corpus_obj.chain_annotations, "note", "caf\u00e9"),
+                             (corpus_obj.trace_annotations, "registrant", "Caf\u00e9 Ltd")):
+        rows = [json.loads(line) for line in path.read_text("utf-8").splitlines()]
+        rows[0][key] = value
+        path.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows),
+                        encoding="utf-8")
+    cfg = config("out")
+    cfg.write_text(cfg.read_text() + "tlds = %s\n" % tlds)
+    out = tmp_path / "out"
+    manifests = []
+    for name, env in (("utf8", {"PYTHONUTF8": "1"}), ("ascii", ASCII_LOCALE)):
+        proc = python("-m", "onionforge.cli", "run", "--config", str(cfg), **env)
+        assert proc.returncode == cli.EXIT_OK, proc.stderr
+        manifest = json.loads((out / "run.json").read_text())
+        manifests.append((manifest["run_id"], manifest["stages"]))
+        out.rename(tmp_path / name)  # the next run is a fresh one into `out`
+    assert_same_artifacts(tmp_path / "utf8", tmp_path / "ascii")
+    assert manifests[0] == manifests[1]
+    surface = (tmp_path / "ascii" / "surface.jsonl").read_text()
+    assert "Caf\\u00e9 Ltd" in surface

@@ -1,4 +1,5 @@
 import base64
+import json
 from datetime import datetime, timedelta, timezone
 
 import pytest
@@ -134,6 +135,36 @@ class TestIngest:
         corpus = ingest_snapshot(tmp_path)
         assert corpus[0].fetched_at == datetime(2021, 6, 1, 12, tzinfo=timezone.utc)
         assert "manifest line 1 unusable" in caplog.text
+
+    def test_manifest_line_that_is_not_utf8_is_unusable(self, tmp_path, caplog):
+        site = tmp_path / name_for(0)
+        site.mkdir()
+        (site / "index.html").write_bytes(b"<html></html>")
+        (tmp_path / "manifest.jsonl").write_bytes(
+            b'\xff\n{"domain": "%s", "path": "/", "fetched_at": "2021-06-01T12:00:00Z"}\n'
+            % name_for(0).encode())
+        corpus = ingest_snapshot(tmp_path)
+        assert corpus[0].fetched_at == datetime(2021, 6, 1, 12, tzinfo=timezone.utc)
+        assert "manifest line 1 unusable" in caplog.text
+
+    def test_manifest_lines_end_only_at_line_ends(self, tmp_path, caplog):
+        # U+2028 and U+0085 are line boundaries to str.splitlines, not to JSONL
+        site = tmp_path / name_for(0)
+        site.mkdir()
+        (site / "index.html").write_bytes(b"<html></html>")
+        (site / "%2Fa%E2%80%A8b%C2%85c.html").write_bytes(b"<html></html>")
+        rows = [{"domain": name_for(0), "path": path, "fetched_at": "2021-06-01T12:00:00Z"}
+                for path in ("/", "/a\u2028b\x85c")]
+        (tmp_path / "manifest.jsonl").write_bytes(
+            "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in rows).encode()
+            + b"[1]\n")
+        corpus = ingest_snapshot(tmp_path)
+        assert {p.path: p.fetched_at for p in corpus} == {
+            "/": datetime(2021, 6, 1, 12, tzinfo=timezone.utc),
+            "/a\u2028b\x85c": datetime(2021, 6, 1, 12, tzinfo=timezone.utc)}
+        assert "manifest line 3 unusable" in caplog.text
+        assert "manifest line 2" not in caplog.text
+        assert "manifest line 4" not in caplog.text
 
     def test_manifest_line_matching_no_page_is_skipped(self, tmp_path, caplog):
         site = tmp_path / name_for(0)

@@ -394,14 +394,21 @@ class TestPipeline:
         assert run_pipeline(config).executed == ["ingest"]
         assert opened == Counter(snapshot_files)
 
-    def test_snapshot_that_cannot_be_read_fails_ingest(self, tmp_path):
+    def test_snapshot_that_cannot_be_read_fails_ingest(self, tmp_path, monkeypatch):
         planted = build_planted_corpus(tmp_path / "planted")
-        (planted.snapshot / "manifest.jsonl").write_bytes(b"\xff\n")  # not UTF-8
+        manifest = str(planted.snapshot / "manifest.jsonl")
         (tmp_path / "run.cfg").write_text(planted.config_text(tmp_path / "out"))
+        real_open = io.open
+
+        def denied(file, *args, **kwargs):
+            if not isinstance(file, int) and os.fspath(file) == manifest:
+                raise PermissionError(13, "Permission denied", manifest)
+            return real_open(file, *args, **kwargs)
+        monkeypatch.setattr(builtins, "open", denied)
         with pytest.raises(StageError) as err:
             run_pipeline(parse_config(tmp_path / "run.cfg"))
         assert err.value.stage == "ingest"
-        assert isinstance(err.value.cause, UnicodeDecodeError)
+        assert isinstance(err.value.cause, PermissionError)
 
     def test_input_that_cannot_be_hashed_fails_its_stage(self, tmp_path, monkeypatch):
         planted = build_planted_corpus(tmp_path / "planted")
