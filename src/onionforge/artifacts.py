@@ -1,18 +1,22 @@
-"""The file format of the artifacts the stages hand to each other.
+"""The file format of the artifacts the stages hand to each other, and their writer.
 
 A JSONL artifact holds one object per line, written with sorted keys. A
 JSON document is indented by 2, written with sorted keys, and ends in a
-newline. Byte-identical reruns rest on these choices, so every artifact
-that `report.ARTIFACTS` declares is written through this module. The value
-a stage hands on is the rows or the document itself (the corpus's rows are
+newline. Byte-identical reruns rest on these choices. The value a stage
+hands on is the rows or the document itself (the corpus's rows are
 `PageRecord` tuples); only the ledgers are typed, and only the ledger files
 and corpus.jsonl have their own exact serializers (`chain.ledger_json`,
-`corpus.write_corpus_jsonl`), which write the same bytes in one pass.
+`corpus.write_corpus_jsonl`), which make the same bytes in one pass.
+`write_file` and `write_tree` write each artifact and run.json, hash them
+as they go, and leave a killed process the old artifact or the new one,
+never a partial one; they do not fsync (see the README).
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -58,17 +62,60 @@ def jsonl_rows(chunks, keep_bad_lines: bool = False):
             yield lineno, row
 
 
-def write_jsonl(path, rows):
+def write_file(path, pieces) -> str:
+    """Write the text `pieces` into `<name>.tmp`, rename it over `path`, and
+    return the digest `report._path_digest` takes of it."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    h = hashlib.sha256(path.name.encode())
+    _write(tmp, h, pieces)
+    tmp.replace(path)
+    return h.hexdigest()
+
+
+def write_tree(path, files) -> str:
+    """Write each file of `files`, a name -> text pieces mapping, once and in
+    name order into `<name>.tmp/`, swap that in for the directory `path`,
+    and return the digest `report._path_digest` takes of it."""
+    import shutil
+    path = Path(path)
+    tmp, old = (path.with_name(path.name + suffix) for suffix in (".tmp", ".old"))
+    for stale in (tmp, old):  # left by a killed run
+        shutil.rmtree(stale, ignore_errors=True)
+    tmp.mkdir()
+    h = hashlib.sha256()
+    for name in sorted(files):
+        h.update(name.encode())
+        _write(tmp / name, h, files[name])
+    if path.exists():  # a directory is renamed only over an empty one
+        path.rename(old)
+    tmp.rename(path)
+    shutil.rmtree(old, ignore_errors=True)
+    return h.hexdigest()
+
+
+def _write(path, h, pieces):
+    with open(path, "wb") as fh:
+        for data in map(str.encode, pieces):
+            h.update(data)
+            fh.write(data)
+
+
+def jsonl_pieces(rows):
     encode = json.JSONEncoder(sort_keys=True).encode  # what json.dumps builds per call
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in rows:
-            fh.write(encode(row) + "\n")
+    return (encode(row) + "\n" for row in rows)
 
 
-def write_json(path, doc):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+def json_pieces(doc):
+    return chain(json.JSONEncoder(indent=2, sort_keys=True).iterencode(doc), "\n")
+
+
+def write_jsonl(path, rows) -> str:
+    return write_file(path, jsonl_pieces(rows))
+
+
+def write_json(path, doc) -> str:
+    return write_file(path, json_pieces(doc))
 
 
 def parse_utc(text: str) -> datetime:

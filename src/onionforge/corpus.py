@@ -23,7 +23,7 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, NamedTuple
 from urllib.parse import unquote
 
-from .artifacts import NotJson, format_utc, jsonl_rows, parse_utc, read_jsonl
+from .artifacts import NotJson, format_utc, jsonl_rows, parse_utc, read_jsonl, write_file
 
 if TYPE_CHECKING:
     from datetime import datetime
@@ -247,19 +247,19 @@ def ingest_snapshot(root) -> Corpus:
 
 # --- corpus.jsonl inter-stage format ---
 
-def write_corpus_jsonl(corpus: Corpus, out_path):
+def write_corpus_jsonl(corpus: Corpus, out_path) -> str:
     """One row per page, in corpus order: the JSONL row `artifacts.write_jsonl`
     would write, {domain, fetched_at, html_b64, path, v} with sorted keys, built
-    by one format because the base64 text needs no escaping."""
+    by one format because the base64 text needs no escaping. Returns the
+    file's digest."""
     import base64
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.writelines(
-            '{"domain": %s, "fetched_at": %s, "html_b64": "%s", "path": %s, "v": 1}\n'
-            % (encode_basestring_ascii(page.domain),
-               encode_basestring_ascii(format_utc(page.fetched_at)),
-               base64.b64encode(page.html).decode("ascii"),
-               encode_basestring_ascii(page.path))
-            for page in corpus)
+    return write_file(out_path, (
+        '{"domain": %s, "fetched_at": %s, "html_b64": "%s", "path": %s, "v": 1}\n'
+        % (encode_basestring_ascii(page.domain),
+           encode_basestring_ascii(format_utc(page.fetched_at)),
+           base64.b64encode(page.html).decode("ascii"),
+           encode_basestring_ascii(page.path))
+        for page in corpus))
 
 
 def read_corpus_jsonl(path) -> Corpus:

@@ -7,10 +7,12 @@ format that `artifacts` fixes. Only `run_pipeline` touches the disk: it
 writes each output, hands it on in memory to the later stages of the run,
 and reads an artifact back only when the stage that writes it was skipped,
 once. Stages are skipped on re-runs when their input digests match, which
-makes a run resumable from any completed stage. run.json keeps each input's
-content digest under its stat signature, so a re-run hashes only the inputs
-whose signature changed or that are racily clean. Outputs carry no
-wall-clock state, so identical inputs produce byte-identical outputs.
+makes a run resumable from any completed stage. A run takes the digest of
+an artifact it writes from the writer, which hashes it as it writes it.
+run.json keeps each input's content digest under its stat signature, so a
+re-run hashes only the inputs whose signature changed or that are racily
+clean. Outputs carry no wall-clock state, so identical inputs produce
+byte-identical outputs.
 
 A stage's modules load when it first runs: each function here imports the
 modules it calls in its own body (`csv` too), so a run loads only those of
@@ -32,7 +34,9 @@ from collections.abc import Callable
 from pathlib import Path
 from typing import NamedTuple
 
-from .artifacts import read_jsonl, write_json, write_jsonl
+from .artifacts import (
+    json_pieces, jsonl_pieces, read_jsonl, write_file, write_json, write_jsonl, write_tree,
+)
 from .corpus import (
     StatSignature, ingest_snapshot, read_corpus_jsonl, snapshot_signature, write_corpus_jsonl,
 )
@@ -123,7 +127,8 @@ def parse_config(path) -> PipelineConfig:
     defaults = PipelineConfig._field_defaults
     values = {}
     try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        # text mode has made every CR LF and CR an LF; no other character ends a line
+        lines = Path(path).read_text(encoding="utf-8").split("\n")
     except OSError as exc:
         raise ConfigError("cannot read config: %s" % exc) from exc
     for lineno, line in enumerate(lines, 1):
@@ -165,11 +170,8 @@ def _tree_files(root, prefix=""):
     a link to a file is yielded, a link to a directory is not entered, and
     a broken or looping link is skipped.
     """
-    try:
-        with os.scandir(root) as it:
-            entries = sorted(it, key=lambda entry: entry.name)
-    except PermissionError:
-        return
+    with os.scandir(root) as it:
+        entries = sorted(it, key=lambda entry: entry.name)
     for entry in entries:
         try:
             is_file = entry.is_file()
@@ -218,7 +220,7 @@ def _stat_signature(path) -> tuple[str, int]:
 
 
 class InputDigests:
-    """Each stage input's content digest, hashed at most once per run.
+    """Each stage input's content digest, taken at most once per run.
 
     `recorded` holds the last run's [signature, digest] pairs by path, from
     a run.json last modified at `written_ns`. A recorded digest is reused
@@ -267,9 +269,9 @@ class InputDigests:
             self.taken[key] = self.corpus.pair
         return self.taken[key][1]
 
-    def forget(self, path):
-        """Drop the pair of a path the run rewrites."""
-        self.taken.pop(str(path), None)
+    def record(self, path, digest: str):
+        """Take the pair of an artifact just written, with its writer's digest."""
+        self.taken[str(path)] = [_stat_signature(path)[0], digest]
 
     def pairs(self, paths) -> dict[str, list[str]]:
         """The pairs run.json records: this run's, and the recorded pair of
@@ -318,25 +320,21 @@ class Ledgers(dict):
         self.failures = dict(failures or {})
 
 
-def write_ledgers(ledgers_dir: Path, ledgers: Ledgers):
-    """One JSON file per ledger plus `_index.jsonl`, replacing an earlier run's files."""
+def write_ledgers(ledgers_dir: Path, ledgers: Ledgers) -> str:
+    """One JSON file per ledger plus `_index.jsonl`; returns the directory's digest."""
     from . import chain
-    ledgers_dir.mkdir(exist_ok=True)
-    for stale in ledgers_dir.glob("*.json"):
-        stale.unlink()  # read_ledgers reads every ledger file in the directory
-    index_rows = []
-    for address in sorted(ledgers):
-        txs = ledgers[address]
-        with open(ledgers_dir / (address + ".json"), "w", encoding="utf-8") as fh:
-            fh.write(chain.ledger_json(txs) + "\n")
-        index_rows.append({
-            "v": 1, "address": address, "transactions": len(txs),
-            "received": txs.received, "sent": txs.sent, "balance": txs.received - txs.sent,
-            "active_days": chain.active_period(txs),
-        })
+    index_rows = [{
+        "v": 1, "address": address, "transactions": len(txs),
+        "received": txs.received, "sent": txs.sent, "balance": txs.received - txs.sent,
+        "active_days": chain.active_period(txs),
+    } for address, txs in sorted(ledgers.items())]
     for address in sorted(ledgers.failures):
         index_rows.append({"v": 1, "address": address, "error": ledgers.failures[address]})
-    write_jsonl(ledgers_dir / "_index.jsonl", index_rows)
+    # each ledger's text is made as its file is written, so one is held at a time
+    files = {address + ".json": (chain.ledger_json(t) + "\n" for t in (txs,))
+             for address, txs in ledgers.items()}
+    files["_index.jsonl"] = jsonl_pieces(index_rows)
+    return write_tree(ledgers_dir, files)
 
 
 def read_ledgers(ledgers_dir) -> Ledgers:
@@ -353,24 +351,22 @@ def read_ledgers(ledgers_dir) -> Ledgers:
     return Ledgers(ledgers, failures)
 
 
-def write_tables(tables_dir: Path, tables: dict[str, tuple[list[str], list[dict]]]):
+def write_tables(tables_dir: Path, tables: dict[str, tuple[list[str], list[dict]]]) -> str:
     """Each table as `<name>.csv` and `<name>.json`; `tables` maps name to (headers, rows)."""
     import csv
-    tables_dir.mkdir(exist_ok=True)
+    files = {}
     for name, (headers, rows) in tables.items():
-        with open(tables_dir / (name + ".csv"), "w", newline="", encoding="utf-8") as fh:
-            writer = csv.DictWriter(fh, fieldnames=headers, lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(rows)
-        write_json(tables_dir / (name + ".json"), {"v": 1, "rows": rows})
+        text = io.StringIO()
+        writer = csv.DictWriter(text, fieldnames=headers, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+        files[name + ".csv"] = [text.getvalue()]
+        files[name + ".json"] = json_pieces({"v": 1, "rows": rows})
+    return write_tree(tables_dir, files)
 
 
 def _read_rows(path) -> list[dict]:
     return list(read_jsonl(path))
-
-
-def _write_text(path, text: str):
-    Path(path).write_text(text, encoding="utf-8")
 
 
 def _read_json(path) -> dict:
@@ -380,13 +376,13 @@ def _read_json(path) -> dict:
 class Artifact(NamedTuple):
     """One artifact under out_dir, declared once.
 
-    `write(path, value)` stores a stage's output value. `read(path)` gives
-    the same value back to a later stage; an artifact that no stage reads
-    has no reader.
+    `write(path, value)` stores a stage's output value and returns its
+    digest. `read(path)` gives the same value back to a later stage; an
+    artifact that no stage reads has no reader.
     """
 
     name: str
-    write: Callable[[Path, object], None]
+    write: Callable[[Path, object], str]
     read: Callable[[Path], object] | None = None
 
 
@@ -410,8 +406,8 @@ ARTIFACTS: dict[str, Artifact] = {a.name: a for a in (
     Artifact("vanity.json", write_json, _read_json),
     Artifact("entity_graph.json", write_json, _read_json),
     Artifact("tables", write_tables),
-    Artifact("graph.graphml", _write_text),
-    Artifact("graph.dot", _write_text),
+    Artifact("graph.graphml", lambda path, text: write_file(path, [text])),
+    Artifact("graph.dot", lambda path, text: write_file(path, [text])),
     Artifact("summary.json", write_json),
 )}
 
@@ -671,7 +667,7 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> PipelineRu
         manifest = {}
     previous, recorded = (value if isinstance(value, dict) else {}
                           for value in (manifest.get("stages"), manifest.get("inputs")))
-    # an input is hashed at most once per run, until a stage rewrites it
+    # an input is hashed at most once per run, and an artifact the run writes not at all
     run = PipelineRun(config, out, InputDigests(recorded, written_ns, config.corpus_root))
     # stages this run does not reach keep their digests: each digest covers
     # that stage's own inputs, so a later run still re-runs exactly what changed
@@ -695,8 +691,6 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> PipelineRu
                 log.info("stage %s unchanged; skipping", name)
             else:
                 log.info("stage %s running", name)
-                for written in decl.writes:
-                    run.inputs.forget(out / written)
                 if name in run.stage_digests:
                     # unrecord the stage first, so a kill while it runs or
                     # writes cannot leave its old digest over partial outputs
@@ -707,10 +701,11 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> PipelineRu
                         values[artifact] = ARTIFACTS[artifact].read(out / artifact)
                 outputs = func(config, {a: values[a] for a in decl.reads} | handed)
                 for artifact in decl.writes:
-                    ARTIFACTS[artifact].write(out / artifact, outputs[artifact])
-                for written in decl.writes:
-                    if written in last_reader:
-                        values[written] = outputs[written]
+                    written = ARTIFACTS[artifact].write(out / artifact, outputs[artifact])
+                    if ARTIFACTS[artifact].read:  # run.json keeps pairs only of what a stage reads
+                        run.inputs.record(out / artifact, written)
+                    if artifact in last_reader:
+                        values[artifact] = outputs[artifact]
                 extras = {k: v for k, v in outputs.items() if k not in decl.writes}
                 run.executed.append(name)
         except Exception as exc:
@@ -734,19 +729,17 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> PipelineRu
 
 
 def _write_manifest(run: PipelineRun, path: Path, carry: bool = True):
-    """Write run.json whole or not at all: a temp file, then a rename over it.
+    """Write run.json, whole or not at all as every artifact is.
 
     With `carry`, a stage this run did not reach keeps its inputs' pairs, as
     it keeps its digest. The interim write before a stage re-runs records only
     this run's own pairs: a run killed there re-hashes the rest next time, and
     the final write, which re-checks them once, still carries them.
     """
-    tmp = path.with_name(path.name + ".tmp")
     inputs = [path for decl in STAGE_DECLS.values()
               for _, path in decl.inputs(run.config, run.out_dir)] if carry else []
-    write_json(tmp, {"v": 1, "run_id": run.run_id, "config": run.config._asdict(),
-                     "stages": run.stage_digests, "inputs": run.inputs.pairs(inputs)})
-    os.replace(tmp, path)
+    write_json(path, {"v": 1, "run_id": run.run_id, "config": run.config._asdict(),
+                      "stages": run.stage_digests, "inputs": run.inputs.pairs(inputs)})
 
 
 # --- tables ---

@@ -8,8 +8,11 @@ Builds the planted corpus (tests/planted.py) and each perfbench workload
 on each with BASE_SRC and then with HEAD_SRC first on the PYTHONPATH, both
 into the same out dir path. Every file but run.json must be byte-identical,
 and run.json's stage digests and run_id equal. HEAD_SRC run over a copy of
-the out dir BASE_SRC wrote must then skip all eight stages. Prints each
-difference and exits 1 if there is one.
+the out dir BASE_SRC wrote must then skip all eight stages. Last, a fresh
+HEAD_SRC run is killed mid-write at its first, a middle and its last
+artifact write (tests/killed.py): each artifact it leaves must be absent or
+whole, and run.json JSON. Resumed, it must then leave what its clean run
+left. Prints each difference and exits 1 if there is one.
 """
 
 import argparse
@@ -24,6 +27,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 import gen  # noqa: E402
+from killed import KILLED  # noqa: E402
 from planted import assert_same_artifacts, build_planted_corpus  # noqa: E402
 
 
@@ -59,6 +63,59 @@ def run(src: Path, config: Path) -> str:
         sys.exit("onionforge run with %s failed (exit %d):\n%s"
                  % (src, proc.returncode, proc.stderr))
     return proc.stderr
+
+
+def killed(src: Path, config: Path, at: int) -> subprocess.CompletedProcess:
+    """tests/killed.py with `src` first on the path, dying at write `at` (0: never)."""
+    env = dict(os.environ, PYTHONPATH=str(src))
+    return subprocess.run([sys.executable, str(ROOT / "tests" / "killed.py"), str(config),
+                           str(at)], env=env, capture_output=True, text=True)
+
+
+def kill_and_resume(src: Path, config: Path, out: Path, clean: Path) -> list[str]:
+    """Kill a fresh run at its first, a middle and its last write, resume it
+    each time, and compare the out dir with `clean`."""
+    counted = killed(src, config, 0)
+    if counted.returncode != 0:
+        sys.exit("tests/killed.py with %s failed (exit %d):\n%s"
+                 % (src, counted.returncode, counted.stderr))
+    shutil.rmtree(out)
+    writes = int(counted.stdout)
+    found = []
+    for at in sorted({1, (writes + 1) // 2, writes}):
+        proc = killed(src, config, at)
+        if proc.returncode != KILLED:
+            found.append("a run to be killed at write %d exited %d" % (at, proc.returncode))
+        found += ["killed at write %d of %d: %s is partial" % (at, writes, name)
+                  for name in partial(out, clean)]
+        run(src, config)
+        found += ["resumed after a kill at write %d of %d: %s" % (at, writes, difference)
+                  for difference in differences(clean, out)]
+        shutil.rmtree(out)
+    return found
+
+
+def partial(out: Path, clean: Path) -> list[str]:
+    """The artifacts a killed fresh run left in `out` that differ from those
+    of its clean run in `clean`; run.json must only be JSON, and a .tmp or
+    .old that the writer left is no artifact."""
+    found = []
+    for path in sorted(out.iterdir()):
+        if path.name == "run.json":
+            try:
+                json.loads(path.read_text())
+            except ValueError:
+                found.append(path.name)
+        elif path.suffix not in (".tmp", ".old") and contents(path) != contents(clean / path.name):
+            found.append(path.name)
+    return found
+
+
+def contents(path: Path):
+    """A file's bytes, or a directory's {relative name: bytes}."""
+    if path.is_dir():
+        return {str(p.relative_to(path)): p.read_bytes() for p in path.rglob("*") if p.is_file()}
+    return path.read_bytes()
 
 
 def differences(base: Path, head: Path) -> list[str]:
@@ -102,6 +159,7 @@ def main(argv=None) -> int:
         if "executed nothing" not in run(head_src, config):
             found.append("a rerun over the base's out dir executed a stage")
         shutil.rmtree(out)
+        found += kill_and_resume(head_src, config, out, work / "head" / name)
         print("%s: %s" % (name, "; ".join(found) or "same"))
         failed += bool(found)
     return 1 if failed else 0

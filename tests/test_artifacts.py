@@ -3,7 +3,10 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from onionforge.artifacts import NotJson, read_jsonl, word_list, write_json, write_jsonl
+from onionforge.artifacts import (
+    NotJson, read_jsonl, word_list, write_file, write_json, write_jsonl, write_tree,
+)
+from onionforge.report import _path_digest
 
 # JSON values as the stages write them: any text (non-ASCII included), ints,
 # finite floats, and values nested in lists and objects
@@ -84,6 +87,41 @@ def test_write_json_is_indented_sorted_and_newline_terminated(tmp_path_factory, 
     path = tmp_path_factory.getbasetemp() / "write_json.json"
     write_json(path, doc)
     assert path.read_text() == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+# file names as a directory artifact holds them, non-ASCII ones included
+file_names = st.text("ab_.-0\u00e9\u4e2d", min_size=1, max_size=6).filter(
+    lambda name: name not in (".", ".."))
+texts = st.lists(st.text(max_size=8), max_size=3)
+
+
+@settings(max_examples=100)
+@given(texts)
+def test_write_file_returns_the_digest_of_what_it_wrote(tmp_path_factory, pieces):
+    path = tmp_path_factory.getbasetemp() / "write_file.txt"
+    digest = write_file(path, iter(pieces))
+    assert path.read_bytes() == "".join(pieces).encode()
+    assert digest == _path_digest(path)
+    assert not path.with_name(path.name + ".tmp").exists()
+
+
+@settings(max_examples=100)
+@given(st.dictionaries(file_names, texts, max_size=4), st.sets(file_names, max_size=3),
+       st.sets(st.sampled_from([".tmp", ".old"])))
+def test_write_tree_replaces_the_directory_and_returns_its_digest(tmp_path_factory, files,
+                                                                   stale, leftovers):
+    path = tmp_path_factory.getbasetemp() / "write_tree"
+    path.mkdir(exist_ok=True)
+    for name in stale:  # an earlier run's files, which must not survive
+        (path / name).write_text("stale")
+    for suffix in leftovers:  # what a run killed while it wrote the directory leaves
+        path.with_name(path.name + suffix).mkdir()
+        path.with_name(path.name + suffix).joinpath("x").write_text("partial")
+    digest = write_tree(path, {name: iter(pieces) for name, pieces in files.items()})
+    assert {p.name: p.read_bytes() for p in path.iterdir()} == {
+        name: "".join(pieces).encode() for name, pieces in files.items()}
+    assert digest == _path_digest(path)
+    assert not any(path.with_name(path.name + suffix).exists() for suffix in (".tmp", ".old"))
 
 
 class TestWordList:

@@ -31,10 +31,18 @@ from onionforge.report import (
     format_btc, parse_config, run_pipeline,
 )
 
+from killed import KILLED, tear_writes
 from planted import EXPECTED_CAMPAIGNS, NOISE, assert_same_artifacts, build_planted_corpus
 from rows import illicit_of
 
 ROOT = Path(__file__).resolve().parents[1]
+
+
+def src_env() -> dict:
+    """The environment with this tree's src/ first on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+
 
 # runs the pipeline of the config file argv[1] and exits with 9 at the
 # second ledger file written
@@ -169,6 +177,16 @@ class TestParseConfig:
         cfg_file.write_text("corpus_root = %s\nground_truth = %s\n%s\n"
                             % (tmp_path / "c", tmp_path / "gt.jsonl", line))
         assert parse_config(cfg_file).out_dir == value
+
+    @pytest.mark.parametrize("char", ["\u2028", "\x0c", "\x85", "\x1c"])
+    def test_value_keeps_a_character_that_ends_no_line(self, tmp_path, char):
+        (tmp_path / "c").mkdir()
+        (tmp_path / "gt.jsonl").write_text("")
+        out = tmp_path / ("o%sut" % char)
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_bytes(("corpus_root = %s\r\nground_truth = %s\rout_dir = %s\n"
+                              % (tmp_path / "c", tmp_path / "gt.jsonl", out)).encode())
+        assert parse_config(cfg_file).out_dir == str(out)
 
     def test_http_requires_base_url(self, tmp_path):
         (tmp_path / "c").mkdir()
@@ -367,6 +385,32 @@ class TestPipeline:
         assert run_pipeline(config).executed == []
         assert hashed == Counter()
 
+    def test_fresh_run_reads_back_no_artifact(self, tmp_path, monkeypatch):
+        planted = build_planted_corpus(tmp_path / "planted")
+        out = tmp_path / "out"
+        (tmp_path / "run.cfg").write_text(planted.config_text(out))
+        read, real_open, hash_file = [], io.open, report._hash_file
+
+        def under_out(file):
+            return not isinstance(file, int) and out in Path(file).parents
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            if under_out(file) and not set(mode) & set("wax"):
+                read.append(str(file))
+            return fh
+
+        def counting_hash(h, path):
+            if under_out(path):
+                read.append(str(path))
+            hash_file(h, path)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        monkeypatch.setattr(io, "open", counting_open)
+        monkeypatch.setattr(report, "_hash_file", counting_hash)
+        # each artifact's digest is the one its writer took as it wrote it
+        assert run_pipeline(parse_config(tmp_path / "run.cfg")).skipped == []
+        assert read == []
+
     def test_each_snapshot_file_opened_once(self, tmp_path, monkeypatch):
         planted = build_planted_corpus(tmp_path / "planted")
         out = tmp_path / "out"
@@ -456,29 +500,52 @@ class TestPipeline:
         manifest.write_bytes(recorded)
         assert cli.main(["run", "--config", str(cfg)]) == cli.EXIT_STAGE
 
+    def test_input_directory_that_cannot_be_listed_fails_its_stage(self, tmp_path, monkeypatch):
+        planted = build_planted_corpus(tmp_path / "planted")
+        out = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(planted.config_text(out))
+        scandir = os.scandir
+
+        def refusing(path="."):  # as for a directory of mode 000, which root can list
+            if Path(path) == planted.tx_fixtures:
+                raise PermissionError(13, "Permission denied", str(path))
+            return scandir(path)
+        monkeypatch.setattr(os, "scandir", refusing)
+        with pytest.raises(StageError) as err:
+            run_pipeline(parse_config(cfg))
+        assert err.value.stage == "fetch-tx"
+        assert isinstance(err.value.cause, PermissionError)
+        assert not (out / "ledgers").exists()
+        assert cli.main(["run", "--config", str(cfg)]) == cli.EXIT_STAGE
+
     def test_unwritable_run_json_keeps_the_stage_failure(self, tmp_path, monkeypatch):
         planted = build_planted_corpus(tmp_path / "planted")
         stopwords = tmp_path / "stopwords.txt"
         stopwords.write_text("the\n")
         cfg = tmp_path / "run.cfg"
         cfg.write_text(planted.config_text(tmp_path / "out") + "stopwords = %s\n" % stopwords)
-        hash_file, write_json = report._hash_file, report.write_json
+        hash_file, real_open, refused = report._hash_file, io.open, []
 
         def denied(h, path):
             if Path(path) == stopwords:
                 raise PermissionError(13, "Permission denied", str(path))
             hash_file(h, path)
 
-        def refusing(path, doc):
-            if Path(path).name == "run.json.tmp":
-                raise PermissionError(13, "Permission denied", str(path))
-            write_json(path, doc)
+        def refusing(file, mode="r", *args, **kwargs):
+            # run.json, under whatever name its writer gives it while it writes
+            if not isinstance(file, int) and "w" in mode and Path(file).name.startswith("run.json"):
+                refused.append(file)
+                raise PermissionError(13, "Permission denied", str(file))
+            return real_open(file, mode, *args, **kwargs)
         monkeypatch.setattr(report, "_hash_file", denied)
-        monkeypatch.setattr(report, "write_json", refusing)
+        monkeypatch.setattr(builtins, "open", refusing)
+        monkeypatch.setattr(io, "open", refusing)
         with pytest.raises(StageError) as err:
             run_pipeline(parse_config(cfg))
         assert err.value.stage == "classify"
         assert cli.main(["run", "--config", str(cfg)]) == cli.EXIT_STAGE
+        assert refused
 
     @pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0,
                         reason="root reads a file of mode 000")
@@ -717,7 +784,7 @@ class TestPipeline:
         assert run.executed == list(STAGE_DECLS)
         assert_same_artifacts(out, planted_out)
 
-    @pytest.mark.parametrize("memo", [5, [], "entries"])
+    @pytest.mark.parametrize("memo", [5, [], "entries", None])
     def test_misshapen_input_memo_counts_as_empty(self, tmp_path, monkeypatch, memo):
         planted = build_planted_corpus(tmp_path / "planted")
         out = tmp_path / "out"
@@ -731,6 +798,8 @@ class TestPipeline:
             memo = {path: shapes[i % len(shapes)](pair)
                     for i, (path, pair) in enumerate(sorted(manifest["inputs"].items()))}
         manifest["inputs"] = memo
+        if memo is None:  # no memo at all
+            del manifest["inputs"]
         (out / "run.json").write_text(json.dumps(manifest))
         age_manifest(out)
 
@@ -750,14 +819,18 @@ class TestPipeline:
         (tmp_path / "run.cfg").write_text(planted.config_text(out))
         config = parse_config(tmp_path / "run.cfg")
         run_pipeline(config)
+        manifest = (out / "run.json").read_bytes()
 
-        def torn(path, doc):  # the process dies halfway through the write
-            Path(path).write_text(json.dumps(doc)[:40])
+        def interrupt():
             raise KeyboardInterrupt
-        monkeypatch.setattr(report, "write_json", torn)
-        with pytest.raises(KeyboardInterrupt):
-            run_pipeline(config)
-        monkeypatch.undo()
+        # the process is interrupted halfway through writing run.json
+        undo = tear_writes(lambda path: path.name.startswith("run.json"), interrupt)
+        try:
+            with pytest.raises(KeyboardInterrupt):
+                run_pipeline(config)
+        finally:
+            undo()
+        assert (out / "run.json").read_bytes() == manifest
         assert run_pipeline(config).executed == []
         assert not (out / "run.json.tmp").exists()
 
@@ -773,12 +846,12 @@ class TestPipeline:
         # the process dies while fetch-tx writes its second ledger file
         killed = subprocess.run([sys.executable, "-c", KILLED_IN_FETCH_TX,
                                  str(tmp_path / "run.cfg")],
-                                env=dict(os.environ, PYTHONPATH=os.pathsep.join(
-                                    [str(ROOT / "src")] + [p for p in [
-                                        os.environ.get("PYTHONPATH")] if p])),
-                                capture_output=True, text=True, timeout=120)
+                                env=src_env(), capture_output=True, text=True, timeout=120)
         assert killed.returncode == 9, killed.stderr
-        assert 0 < len(list((out / "ledgers").glob("*.json"))) < ledger_files
+        # the ledgers are written into ledgers.tmp/, which takes the place of
+        # ledgers/ only when it is whole
+        assert not (out / "ledgers").exists()
+        assert 0 < len(list((out / "ledgers.tmp").glob("*.json"))) < ledger_files
 
         resumed = run_pipeline(config)
         assert "fetch-tx" in resumed.executed
@@ -871,6 +944,76 @@ class TestPipeline:
         with pytest.raises(ConfigError):
             run_pipeline(cfg)
         assert not (tmp_path / "out").exists()
+
+
+def tree_state(path: Path):
+    """A file's bytes, a directory's {relative name: bytes}, or None if absent."""
+    if path.is_dir():
+        return {str(p.relative_to(path)): p.read_bytes() for p in path.rglob("*") if p.is_file()}
+    return path.read_bytes() if path.exists() else None
+
+
+@pytest.fixture(scope="module")
+def resume_cases(tmp_path_factory):
+    """(work dir, config, writes) for a run of the planted corpus at threshold
+    1.0 into work/out. work/clean holds that run's clean out dir, and
+    work/prior the out dir a run at 0.5 leaves, with more ledgers than the
+    run at 1.0 writes. `writes` counts the files the run at 1.0 writes,
+    fresh and over work/prior."""
+    work = tmp_path_factory.mktemp("resume")
+    planted = build_planted_corpus(work / "planted")
+    out = work / "out"
+    (work / "prior.cfg").write_text(planted.config_text(out))
+    cfg = work / "run.cfg"
+    cfg.write_text(planted.config_text(out).replace("threshold = 0.5", "threshold = 1.0"))
+    run_pipeline(parse_config(work / "prior.cfg"))
+    out.rename(work / "prior")
+    run_pipeline(parse_config(cfg)._replace(out_dir=str(work / "clean")))
+    writes = {}
+    for prior in ("fresh", "rerun"):
+        place_prior(work, prior)
+        counted = subprocess.run([sys.executable, str(ROOT / "tests" / "killed.py"), str(cfg), "0"],
+                                 env=src_env(), capture_output=True, text=True, timeout=120)
+        assert counted.returncode == 0, counted.stderr
+        writes[prior] = int(counted.stdout)
+    return work, cfg, writes
+
+
+def place_prior(work: Path, prior: str):
+    """Make work/out empty, or a copy of work/prior."""
+    shutil.rmtree(work / "out", ignore_errors=True)
+    if prior == "rerun":
+        shutil.copytree(work / "prior", work / "out")
+
+
+class TestResume:
+    @settings(max_examples=12, deadline=None)
+    @given(st.sampled_from(["fresh", "rerun"]), st.floats(0, 1))
+    @example("rerun", 0.0)
+    @example("rerun", 0.5)
+    @example("rerun", 1.0)
+    @example("fresh", 0.0)
+    def test_killed_mid_write_then_resumed_equals_a_clean_run(self, resume_cases, prior, where):
+        work, cfg, writes = resume_cases
+        out, clean = work / "out", work / "clean"
+        place_prior(work, prior)
+        before = {name: tree_state(out / name) for name in ARTIFACTS}
+        at = 1 + round(where * (writes[prior] - 1))
+        killed = subprocess.run([sys.executable, str(ROOT / "tests" / "killed.py"), str(cfg),
+                                 str(at)], env=src_env(), capture_output=True, text=True,
+                                timeout=120)
+        assert killed.returncode == KILLED, killed.stderr
+        # each artifact is the one the run found or the one it makes, never partial
+        for name in ARTIFACTS:
+            assert tree_state(out / name) in (before[name], tree_state(clean / name)), name
+        if (out / "run.json").exists():
+            assert isinstance(json.loads((out / "run.json").read_text()), dict)
+
+        run_pipeline(parse_config(cfg))
+        assert_same_artifacts(out, clean)
+        assert [p.name for p in out.iterdir() if p.suffix in (".tmp", ".old")] == []
+        assert (json.loads((out / "run.json").read_text())["stages"]
+                == json.loads((clean / "run.json").read_text())["stages"])
 
 
 # input -> the edits to it that a rerun must notice; the snapshot edits touch
