@@ -10,13 +10,21 @@ and corpus.jsonl have their own exact serializers (`chain.ledger_json`,
 `write_file` and `write_tree` write each artifact and run.json, hash them
 as they go, and leave a killed process the old artifact or the new one,
 never a partial one; they do not fsync (see the README).
+
+It also fixes the fingerprint a stage is skipped on. A content digest
+(`path_digest`, which the writers return) hashes a file's name and bytes,
+or each file's relative name and bytes in `tree_files` order. A stat
+signature (`stat_signature`) hashes a line per file the digest covers, of
+its relative name, size, mtime, ctime, inode and device, reading no byte.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 from itertools import chain
+from operator import attrgetter
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -64,9 +72,10 @@ def jsonl_rows(chunks, keep_bad_lines: bool = False):
 
 def write_file(path, pieces) -> str:
     """Write the text `pieces` into `<name>.tmp`, rename it over `path`, and
-    return the digest `report._path_digest` takes of it."""
+    return its `path_digest`."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
+    _clear(tmp)
     h = hashlib.sha256(path.name.encode())
     _write(tmp, h, pieces)
     tmp.replace(path)
@@ -76,22 +85,30 @@ def write_file(path, pieces) -> str:
 def write_tree(path, files) -> str:
     """Write each file of `files`, a name -> text pieces mapping, once and in
     name order into `<name>.tmp/`, swap that in for the directory `path`,
-    and return the digest `report._path_digest` takes of it."""
-    import shutil
+    and return its `path_digest`."""
     path = Path(path)
     tmp, old = (path.with_name(path.name + suffix) for suffix in (".tmp", ".old"))
     for stale in (tmp, old):  # left by a killed run
-        shutil.rmtree(stale, ignore_errors=True)
+        _clear(stale)
     tmp.mkdir()
     h = hashlib.sha256()
     for name in sorted(files):
         h.update(name.encode())
         _write(tmp / name, h, files[name])
-    if path.exists():  # a directory is renamed only over an empty one
+    if os.path.lexists(path):  # a directory is renamed only over an empty one
         path.rename(old)
     tmp.rename(path)
-    shutil.rmtree(old, ignore_errors=True)
+    _clear(old)
     return h.hexdigest()
+
+
+def _clear(path):
+    """Remove a file, a link (not its target) or a directory tree at `path`."""
+    if os.path.isdir(path) and not os.path.islink(path):
+        import shutil
+        shutil.rmtree(path)
+    elif os.path.lexists(path):
+        os.unlink(path)
 
 
 def _write(path, h, pieces):
@@ -99,6 +116,87 @@ def _write(path, h, pieces):
         for data in map(str.encode, pieces):
             h.update(data)
             fh.write(data)
+
+
+_HASH_CHUNK = 1 << 20  # files are hashed in pieces, so no input is held whole
+
+
+def hash_file(h, path):
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(_HASH_CHUNK), b""):
+            h.update(chunk)
+
+
+def sorted_entries(path) -> list[os.DirEntry]:
+    with os.scandir(path) as it:
+        return sorted(it, key=attrgetter("name"))
+
+
+def tree_files(root, prefix=""):
+    """Yield (relative name, DirEntry) of each file under `root`, in the
+    order of `sorted(Path(root).rglob("*"))` and with its symlinks: a link to
+    a file is yielded, one to a directory is not entered, a broken or looping
+    one is skipped."""
+    for entry in sorted_entries(root):
+        try:
+            is_file = entry.is_file()
+        except OSError:  # a symlink loop
+            continue
+        if is_file:
+            yield prefix + entry.name, entry
+        elif entry.is_dir(follow_symlinks=False):
+            yield from tree_files(entry.path, prefix + entry.name + "/")
+
+
+def path_digest(path) -> str:
+    """The content digest of a file, a directory, or "<absent>"."""
+    path = Path(path)
+    h = hashlib.sha256()
+    if path.is_file():
+        h.update(path.name.encode())
+        hash_file(h, path)
+    elif path.is_dir():
+        for name, entry in tree_files(path):
+            h.update(name.encode())
+            hash_file(h, entry.path)
+    else:
+        h.update(b"<absent>")
+    return h.hexdigest()
+
+
+class StatSignature:
+    """The stat signature of the files a walk visits, hashed as it visits
+    them. `newest` is the latest mtime or ctime among them, in ns."""
+
+    def __init__(self):
+        self.hash = hashlib.sha256()
+        self._update = self.hash.update
+        self.newest = 0
+
+    def add(self, name: str, st: os.stat_result):
+        mtime, ctime = st.st_mtime_ns, st.st_ctime_ns
+        self._update(b"%s\0%d %d %d %d %d\n" % (name.encode(), st.st_size, mtime, ctime,
+                                                st.st_ino, st.st_dev))
+        if mtime > self.newest or ctime > self.newest:
+            self.newest = max(mtime, ctime)
+
+    def taken(self) -> tuple[str, int]:
+        return self.hash.hexdigest(), self.newest
+
+
+def stat_signature(path) -> tuple[str, int]:
+    """(signature, newest) of the files `path_digest` would hash; an absent
+    path is ("<absent>", 0)."""
+    path = Path(path)
+    signature = StatSignature()
+    if path.is_file():
+        signature.add("", os.stat(path))
+    elif path.is_dir():
+        for name, entry in tree_files(path):
+            signature.add(name, entry.stat())
+    else:
+        return "<absent>", 0
+    return signature.taken()
 
 
 def jsonl_pieces(rows):

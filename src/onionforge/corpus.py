@@ -7,8 +7,10 @@ A snapshot tree looks like
 
 The pipeline never touches the live Tor network: pages come only from a
 snapshot tree. A corpus is its pages, as `PageRecord` rows in (domain,
-path) order, the order corpus.jsonl holds them in. `base64` and `datetime`
-load on first use, so a run that skips ingest and reads no page loads neither.
+path) order, the order corpus.jsonl holds them in. The snapshot's signature
+and digest are the fingerprint `artifacts` defines, over the files ingest
+reads. `base64` and `datetime` load on first use, so a run that skips
+ingest and reads no page loads neither.
 """
 
 from __future__ import annotations
@@ -23,7 +25,10 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, NamedTuple
 from urllib.parse import unquote
 
-from .artifacts import NotJson, format_utc, jsonl_rows, parse_utc, read_jsonl, write_file
+from .artifacts import (
+    NotJson, StatSignature, format_utc, jsonl_rows, parse_utc, read_jsonl, sorted_entries,
+    write_file,
+)
 
 if TYPE_CHECKING:
     from datetime import datetime
@@ -88,32 +93,6 @@ def _path_from_filename(name: str) -> str:
     return unquote(stem, errors="strict")
 
 
-class StatSignature:
-    """The stat signature of the files a walk visits, hashed as it visits
-    them: each file's relative name, size, mtime, ctime, inode and device.
-    `newest` is the latest mtime or ctime among them, in ns."""
-
-    def __init__(self):
-        self.hash = hashlib.sha256()
-        self._update = self.hash.update
-        self.newest = 0
-
-    def add(self, name: str, st: os.stat_result):
-        mtime, ctime = st.st_mtime_ns, st.st_ctime_ns
-        self._update(b"%s\0%d %d %d %d %d\n" % (name.encode(), st.st_size, mtime, ctime,
-                                                st.st_ino, st.st_dev))
-        if mtime > self.newest or ctime > self.newest:
-            self.newest = max(mtime, ctime)
-
-    def taken(self) -> tuple[str, int]:
-        return self.hash.hexdigest(), self.newest
-
-
-def _sorted_entries(path) -> list[os.DirEntry]:
-    with os.scandir(path) as it:
-        return sorted(it, key=attrgetter("name"))
-
-
 def _snapshot_files(root, skip=lambda name, entry_name, reason: None):
     """Yield (relative name, DirEntry, domain) of each file `ingest_snapshot`
     reads under `root`, by name at each level: the manifest with domain
@@ -123,7 +102,7 @@ def _snapshot_files(root, skip=lambda name, entry_name, reason: None):
     reason)` is told of each entry that is passed over, but for a top-level
     one that is no directory or a symlink loop.
     """
-    for top in _sorted_entries(root):
+    for top in sorted_entries(root):
         try:
             is_dir = top.is_dir()
             is_manifest = not is_dir and top.name == MANIFEST and top.is_file()
@@ -139,7 +118,7 @@ def _snapshot_files(root, skip=lambda name, entry_name, reason: None):
             skip(top.name, top.name, exc)
             continue
         prefix = top.name + "/"
-        for page in _sorted_entries(top.path):
+        for page in sorted_entries(top.path):
             if page.name.endswith(".html"):
                 yield prefix + page.name, page, domain
             else:
@@ -185,12 +164,10 @@ def ingest_snapshot(root) -> Corpus:
     onion name. A manifest line that matches no page is logged and listed in
     `skipped`. Duplicate (domain, path) entries are last-write-wins.
 
-    One walk stats, then reads, then hashes each file it reads: its
-    signature is `snapshot_signature`'s, taken before the file is read, so
-    an edit made during the read leaves a stale signature, never a stale
-    digest. The digest hashes each file's relative name and bytes, then the
-    name and mtime of each page without a manifest line, since its
-    `fetched_at` is that mtime.
+    One walk stats, reads, then hashes each file it reads, so an edit made
+    during the read leaves a stale signature (`snapshot_signature`'s), never
+    a stale digest. The digest hashes each file as `path_digest` does, then
+    the name and mtime of each page without a manifest line: its `fetched_at`.
     """
     from datetime import datetime, timezone
     if not os.path.isdir(root):

@@ -13,6 +13,7 @@ import re
 
 from . import base58
 from .artifacts import word_list
+# perfbench/tracer.py rebinds `extract.keccak256`, so the name stays bound here
 from .keccak import keccak256, keccak256_batch
 from .pagetext import page_text_and_attrs
 
@@ -77,25 +78,15 @@ def validate_btc(text: str) -> str | None:
     return None
 
 
-def _eip55_cased(lower: str, digest: bytes) -> str:
-    """`lower` with each letter upper-cased where the digest's nibble is >= 8."""
-    nibbles = digest.hex()
-    return "".join(c.upper() if c.isalpha() and int(nibbles[i], 16) >= 8 else c
-                   for i, c in enumerate(lower))
-
-
-def eip55_checksum(hex_body: str) -> str:
-    """Canonical mixed-case form of a 40-char hex address body."""
-    lower = hex_body.lower()
-    return _eip55_cased(lower, keccak256(lower.encode("ascii")))
-
-
 def eip55_checksums(hex_bodies) -> dict[str, str]:
-    """`eip55_checksum` of each body, keyed by the body lowercased: the
-    distinct bodies are hashed once each, all in one Keccak batch."""
+    """Each 40-char hex body's canonical mixed-case form, its letters
+    upper-cased where the Keccak digest's nibble is >= 8, keyed by the body
+    lowercased: the distinct bodies are hashed once each, in one batch."""
     lowers = list(dict.fromkeys(body.lower() for body in hex_bodies))
     digests = keccak256_batch([lower.encode("ascii") for lower in lowers])
-    return dict(zip(lowers, map(_eip55_cased, lowers, digests)))
+    return {lower: "".join(c.upper() if c.isalpha() and nibble >= "8" else c
+                           for c, nibble in zip(lower, digest.hex()))
+            for lower, digest in zip(lowers, digests)}
 
 
 def _eth_body(candidate: str) -> str:
@@ -111,7 +102,7 @@ def validate_eth(candidate: str, checksums: dict[str, str] | None = None) -> str
     """Hex + EIP-55 validation. Single-case bodies carry no checksum.
 
     `checksums` is `eip55_checksums` of a batch that holds this body; without
-    it, a mixed-case body is hashed on its own.
+    it, a mixed-case body is hashed as a batch of one.
     """
     body = _eth_body(candidate)
     if len(body) != 40:
@@ -120,7 +111,7 @@ def validate_eth(candidate: str, checksums: dict[str, str] | None = None) -> str
         return "bad-hex"
     if not _mixed_case(body):
         return None
-    canonical = eip55_checksum(body) if checksums is None else checksums[body.lower()]
+    canonical = (eip55_checksums([body]) if checksums is None else checksums)[body.lower()]
     return None if body == canonical else "bad-eip55"
 
 

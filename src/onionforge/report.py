@@ -7,12 +7,12 @@ format that `artifacts` fixes. Only `run_pipeline` touches the disk: it
 writes each output, hands it on in memory to the later stages of the run,
 and reads an artifact back only when the stage that writes it was skipped,
 once. Stages are skipped on re-runs when their input digests match, which
-makes a run resumable from any completed stage. A run takes the digest of
-an artifact it writes from the writer, which hashes it as it writes it.
-run.json keeps each input's content digest under its stat signature, so a
-re-run hashes only the inputs whose signature changed or that are racily
-clean. Outputs carry no wall-clock state, so identical inputs produce
-byte-identical outputs.
+makes a run resumable from any completed stage. `artifacts` defines that
+fingerprint: each input's content digest, which an artifact's writer takes
+as it writes it, and its stat signature, under which run.json keeps the
+digest, so a re-run hashes only the inputs whose signature changed or that
+are racily clean. Outputs carry no wall-clock state, so identical inputs
+produce byte-identical outputs.
 
 A stage's modules load when it first runs: each function here imports the
 modules it calls in its own body (`csv` too), so a run loads only those of
@@ -35,11 +35,11 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .artifacts import (
-    json_pieces, jsonl_pieces, read_jsonl, write_file, write_json, write_jsonl, write_tree,
+    json_pieces, jsonl_pieces, read_jsonl, stat_signature, write_file, write_json, write_jsonl,
+    write_tree,
 )
-from .corpus import (
-    StatSignature, ingest_snapshot, read_corpus_jsonl, snapshot_signature, write_corpus_jsonl,
-)
+from .artifacts import path_digest as _path_digest  # a global perfbench/tracer.py rebinds
+from .corpus import ingest_snapshot, read_corpus_jsonl, snapshot_signature, write_corpus_jsonl
 
 log = logging.getLogger("onionforge.report")
 
@@ -151,73 +151,7 @@ def parse_config(path) -> PipelineConfig:
     return cfg
 
 
-# --- content digests for stage skipping ---
-
-_HASH_CHUNK = 1 << 20  # files are hashed in pieces, so no input is held whole
-
-
-def _hash_file(h, path):
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(_HASH_CHUNK), b""):
-            h.update(chunk)
-
-
-def _tree_files(root, prefix=""):
-    """Yield (relative name, DirEntry) of each file under `root`.
-
-    One scandir walk, by name at each level, visits files in the order of
-    `sorted(Path(root).rglob("*"))`, and treats symlinks as that walk does:
-    a link to a file is yielded, a link to a directory is not entered, and
-    a broken or looping link is skipped.
-    """
-    with os.scandir(root) as it:
-        entries = sorted(it, key=lambda entry: entry.name)
-    for entry in entries:
-        try:
-            is_file = entry.is_file()
-        except OSError:  # a symlink loop
-            continue
-        if is_file:
-            yield prefix + entry.name, entry
-        elif entry.is_dir(follow_symlinks=False):
-            yield from _tree_files(entry.path, prefix + entry.name + "/")
-
-
-def _path_digest(path) -> str:
-    """Hash a file as its name, then its bytes; a directory as each file's
-    relative name, then its bytes."""
-    path = Path(path)
-    h = hashlib.sha256()
-    if path.is_file():
-        h.update(path.name.encode())
-        _hash_file(h, path)
-    elif path.is_dir():
-        for name, entry in _tree_files(path):
-            h.update(name.encode())
-            _hash_file(h, entry.path)
-    else:
-        h.update(b"<absent>")
-    return h.hexdigest()
-
-
-def _stat_signature(path) -> tuple[str, int]:
-    """(signature, newest) of an input, taken without reading its bytes.
-
-    The signature covers size, mtime, ctime, inode and device of each file
-    `_path_digest` would hash, and for a directory each file's relative
-    name. `newest` is the latest mtime or ctime among them, in ns.
-    """
-    path = Path(path)
-    signature = StatSignature()
-    if path.is_file():
-        signature.add("", os.stat(path))
-    elif path.is_dir():
-        for name, entry in _tree_files(path):
-            signature.add(name, entry.stat())
-    else:
-        return "<absent>", 0
-    return signature.taken()
-
+# --- input digests for stage skipping ---
 
 class InputDigests:
     """Each stage input's content digest, taken at most once per run.
@@ -248,7 +182,7 @@ class InputDigests:
     def _check(self, key: str) -> tuple[str, str | None]:
         """`key`'s signature, and its recorded digest if that pair still holds."""
         signature, newest = (snapshot_signature if key == self.snapshot
-                             else _stat_signature)(key)
+                             else stat_signature)(key)
         pair = self.recorded.get(key)  # an entry of another shape counts as absent
         if (isinstance(pair, list) and len(pair) == 2 and pair[0] == signature
                 and isinstance(pair[1], str) and newest < self.written_ns):
@@ -271,7 +205,7 @@ class InputDigests:
 
     def record(self, path, digest: str):
         """Take the pair of an artifact just written, with its writer's digest."""
-        self.taken[str(path)] = [_stat_signature(path)[0], digest]
+        self.taken[str(path)] = [stat_signature(path)[0], digest]
 
     def pairs(self, paths) -> dict[str, list[str]]:
         """The pairs run.json records: this run's, and the recorded pair of

@@ -7,12 +7,14 @@ Builds the planted corpus (tests/planted.py) and each perfbench workload
 (perfbench/gen.py, for each seed) under WORK_DIR, then runs `onionforge run`
 on each with BASE_SRC and then with HEAD_SRC first on the PYTHONPATH, both
 into the same out dir path. Every file but run.json must be byte-identical,
-and run.json's stage digests and run_id equal. HEAD_SRC run over a copy of
-the out dir BASE_SRC wrote must then skip all eight stages. Last, a fresh
-HEAD_SRC run is killed mid-write at its first, a middle and its last
-artifact write (tests/killed.py): each artifact it leaves must be absent or
-whole, and run.json JSON. Resumed, it must then leave what its clean run
-left. Prints each difference and exits 1 if there is one.
+and run.json's stage digests and run_id equal. Of run.json's input pairs,
+the pair of each input outside the out dir must be equal, and the digest
+half of each artifact's (its signature is a new file's). HEAD_SRC run over
+a copy of the out dir BASE_SRC wrote must then skip all eight stages.
+Last, a fresh HEAD_SRC run is killed mid-write at its first, a middle and
+its last artifact write (tests/killed.py): each artifact it leaves must be
+absent or whole, and run.json JSON. Resumed, it must then leave what its
+clean run left. Prints each difference and exits 1 if there is one.
 """
 
 import argparse
@@ -131,6 +133,22 @@ def differences(base: Path, head: Path) -> list[str]:
     return found
 
 
+def input_pairs(base: Path, head: Path, out: Path) -> list[str]:
+    """The run.json input pairs that differ between the BASE and HEAD out
+    dirs of a run into `out`: whole for an input, the digest for an artifact."""
+    found = []
+    inputs = [json.loads((d / "run.json").read_text())["inputs"] for d in (base, head)]
+    for key in sorted(inputs[0].keys() | inputs[1].keys()):
+        pairs = [side.get(key) for side in inputs]
+        artifact = out in Path(key).parents
+        if artifact:
+            pairs = [pair and pair[1] for pair in pairs]
+        if pairs[0] != pairs[1]:
+            found.append("run.json inputs %s of %s differs"
+                         % ("digest" if artifact else "pair", key))
+    return found
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("base_src", type=Path)
@@ -155,6 +173,7 @@ def main(argv=None) -> int:
             run(src, config)
             out.rename(work / side / name)
         found = differences(work / "base" / name, work / "head" / name)
+        found += input_pairs(work / "base" / name, work / "head" / name, out)
         shutil.copytree(work / "base" / name, out)
         if "executed nothing" not in run(head_src, config):
             found.append("a rerun over the base's out dir executed a stage")

@@ -1,12 +1,15 @@
 import json
+import os
+import tempfile
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from onionforge.artifacts import (
-    NotJson, read_jsonl, word_list, write_file, write_json, write_jsonl, write_tree,
+    NotJson, path_digest, read_jsonl, word_list, write_file, write_json, write_jsonl,
+    write_tree,
 )
-from onionforge.report import _path_digest
 
 # JSON values as the stages write them: any text (non-ASCII included), ints,
 # finite floats, and values nested in lists and objects
@@ -95,33 +98,60 @@ file_names = st.text("ab_.-0\u00e9\u4e2d", min_size=1, max_size=6).filter(
 texts = st.lists(st.text(max_size=8), max_size=3)
 
 
+def leave(path: Path, kind):
+    """Put an entry of `kind` at `path`, as a killed run or a stray command
+    may leave one where a writer puts its temp entry or its artifact."""
+    if kind == "dir":
+        path.mkdir()
+        (path / "x").write_text("partial")
+    elif kind == "file":
+        path.write_text("partial")
+    elif kind == "link":  # a dangling symlink
+        os.symlink(path.name + ".missing", path)
+
+
+kinds = st.sampled_from([None, "dir", "file", "link"])
+
+
 @settings(max_examples=100)
-@given(texts)
-def test_write_file_returns_the_digest_of_what_it_wrote(tmp_path_factory, pieces):
-    path = tmp_path_factory.getbasetemp() / "write_file.txt"
-    digest = write_file(path, iter(pieces))
-    assert path.read_bytes() == "".join(pieces).encode()
-    assert digest == _path_digest(path)
-    assert not path.with_name(path.name + ".tmp").exists()
+@given(texts, kinds)
+@example(["x"], "dir")
+def test_write_file_returns_the_digest_of_what_it_wrote(tmp_path_factory, pieces, leftover):
+    with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as tmp:
+        path = Path(tmp) / "write_file.txt"
+        tmp_entry = path.with_name(path.name + ".tmp")
+        leave(tmp_entry, leftover)
+        digest = write_file(path, iter(pieces))
+        assert path.read_bytes() == "".join(pieces).encode()
+        assert not path.is_symlink()
+        assert digest == path_digest(path)
+        assert not os.path.lexists(tmp_entry)
 
 
 @settings(max_examples=100)
 @given(st.dictionaries(file_names, texts, max_size=4), st.sets(file_names, max_size=3),
-       st.sets(st.sampled_from([".tmp", ".old"])))
+       kinds, st.fixed_dictionaries({".tmp": kinds, ".old": kinds}))
+@example({"a": ["x"]}, set(), "dir", {".tmp": "file", ".old": None})
+@example({"a": ["x"]}, set(), "dir", {".tmp": "link", ".old": None})
+@example({"a": ["x"]}, set(), "file", {".tmp": None, ".old": None})
+@example({"a": ["x"]}, set(), "dir", {".tmp": None, ".old": "file"})
 def test_write_tree_replaces_the_directory_and_returns_its_digest(tmp_path_factory, files,
-                                                                   stale, leftovers):
-    path = tmp_path_factory.getbasetemp() / "write_tree"
-    path.mkdir(exist_ok=True)
-    for name in stale:  # an earlier run's files, which must not survive
-        (path / name).write_text("stale")
-    for suffix in leftovers:  # what a run killed while it wrote the directory leaves
-        path.with_name(path.name + suffix).mkdir()
-        path.with_name(path.name + suffix).joinpath("x").write_text("partial")
-    digest = write_tree(path, {name: iter(pieces) for name, pieces in files.items()})
-    assert {p.name: p.read_bytes() for p in path.iterdir()} == {
-        name: "".join(pieces).encode() for name, pieces in files.items()}
-    assert digest == _path_digest(path)
-    assert not any(path.with_name(path.name + suffix).exists() for suffix in (".tmp", ".old"))
+                                                                   stale, before, leftovers):
+    with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as tmp:
+        path = Path(tmp) / "write_tree"
+        leave(path, before)
+        if before == "dir":
+            for name in stale:  # an earlier run's files, which must not survive
+                (path / name).write_text("stale")
+        for suffix, kind in leftovers.items():
+            leave(path.with_name(path.name + suffix), kind)
+        digest = write_tree(path, {name: iter(pieces) for name, pieces in files.items()})
+        assert not path.is_symlink()
+        assert {p.name: p.read_bytes() for p in path.iterdir()} == {
+            name: "".join(pieces).encode() for name, pieces in files.items()}
+        assert digest == path_digest(path)
+        assert not any(os.path.lexists(path.with_name(path.name + suffix))
+                       for suffix in (".tmp", ".old"))
 
 
 class TestWordList:

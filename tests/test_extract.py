@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from onionforge import base58, extract
 from onionforge.extract import (
-    eip55_checksum, eip55_checksums, find_candidates, find_emails, load_tlds, scan_page,
+    eip55_checksums, find_candidates, find_emails, load_tlds, scan_page,
     scan_pages, validate_btc, validate_eth,
 )
 from onionforge.keccak import keccak256, keccak256_batch
@@ -144,6 +144,13 @@ EIP55_VECTORS = [
 ]
 
 
+def keccak_cased(body: str) -> str:
+    """EIP-55's nibble rule applied to the one-message Keccak of a body."""
+    digest = keccak256(body.lower().encode()).hex()
+    return "".join(c.upper() if c.isalpha() and int(digest[i], 16) >= 8 else c
+                   for i, c in enumerate(body.lower()))
+
+
 class TestValidateEth:
     def test_lowercase_accepted(self):
         assert validate_eth("a" * 40) is None
@@ -172,11 +179,8 @@ class TestValidateEth:
         import hashlib
         for seed in ("ethcase-1", "ethcase-2", "ethcase-3"):
             body = hashlib.sha256(seed.encode()).hexdigest()[:40]
-            digest = keccak256(body.lower().encode()).hex()
-            cased = "".join(
-                c.upper() if c.isalpha() and int(digest[i], 16) >= 8 else c
-                for i, c in enumerate(body.lower()))
-            assert eip55_checksum(body) == cased
+            cased = keccak_cased(body)
+            assert eip55_checksums([body]) == {body.lower(): cased}
             assert validate_eth(cased) is None
             if any(c.isalpha() for c in cased) and cased != cased.lower():
                 broken = cased.lower()[:1] + cased[1:]
@@ -187,7 +191,7 @@ class TestValidateEth:
     @given(st.lists(st.text(alphabet="0123456789abcdefABCDEF", min_size=40, max_size=40),
                     max_size=8))
     def test_batched_checksums_equal_the_one_body_ones(self, bodies):
-        assert eip55_checksums(bodies) == {body.lower(): eip55_checksum(body) for body in bodies}
+        assert eip55_checksums(bodies) == {body.lower(): keccak_cased(body) for body in bodies}
 
     def test_address_on_two_pages_is_hashed_once(self, monkeypatch):
         batches = []

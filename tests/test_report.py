@@ -22,7 +22,7 @@ import networkx as nx
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from onionforge import chain, classify, cli, pagetext, report
+from onionforge import artifacts, chain, classify, cli, pagetext, report
 from onionforge.corpus import (
     Corpus, ingest_snapshot, read_corpus_jsonl, snapshot_signature,
 )
@@ -342,7 +342,7 @@ class TestPipeline:
         config = parse_config(tmp_path / "run.cfg")
         run_pipeline(config)
         key = str(planted.trace_annotations)
-        signature, newest = report._stat_signature(key)
+        signature, newest = artifacts.stat_signature(key)
         assert json.loads((out / "run.json").read_text())["inputs"][key][0] == signature
         # run.json as old as the file's last change: its pair is racily clean
         os.utime(out / "run.json", ns=(newest, newest))
@@ -389,7 +389,7 @@ class TestPipeline:
         planted = build_planted_corpus(tmp_path / "planted")
         out = tmp_path / "out"
         (tmp_path / "run.cfg").write_text(planted.config_text(out))
-        read, real_open, hash_file = [], io.open, report._hash_file
+        read, real_open, hash_file = [], io.open, artifacts.hash_file
 
         def under_out(file):
             return not isinstance(file, int) and out in Path(file).parents
@@ -406,7 +406,7 @@ class TestPipeline:
             hash_file(h, path)
         monkeypatch.setattr(builtins, "open", counting_open)
         monkeypatch.setattr(io, "open", counting_open)
-        monkeypatch.setattr(report, "_hash_file", counting_hash)
+        monkeypatch.setattr(artifacts, "hash_file", counting_hash)
         # each artifact's digest is the one its writer took as it wrote it
         assert run_pipeline(parse_config(tmp_path / "run.cfg")).skipped == []
         assert read == []
@@ -461,13 +461,13 @@ class TestPipeline:
         stopwords.write_text("the\n")
         (tmp_path / "run.cfg").write_text(planted.config_text(out)
                                           + "stopwords = %s\n" % stopwords)
-        hash_file = report._hash_file
+        hash_file = artifacts.hash_file
 
         def denied(h, path):
             if Path(path) == stopwords:
                 raise PermissionError(13, "Permission denied", str(path))
             hash_file(h, path)
-        monkeypatch.setattr(report, "_hash_file", denied)
+        monkeypatch.setattr(artifacts, "hash_file", denied)
 
         with pytest.raises(StageError) as err:
             run_pipeline(parse_config(tmp_path / "run.cfg"))
@@ -525,7 +525,7 @@ class TestPipeline:
         stopwords.write_text("the\n")
         cfg = tmp_path / "run.cfg"
         cfg.write_text(planted.config_text(tmp_path / "out") + "stopwords = %s\n" % stopwords)
-        hash_file, real_open, refused = report._hash_file, io.open, []
+        hash_file, real_open, refused = artifacts.hash_file, io.open, []
 
         def denied(h, path):
             if Path(path) == stopwords:
@@ -538,7 +538,7 @@ class TestPipeline:
                 refused.append(file)
                 raise PermissionError(13, "Permission denied", str(file))
             return real_open(file, mode, *args, **kwargs)
-        monkeypatch.setattr(report, "_hash_file", denied)
+        monkeypatch.setattr(artifacts, "hash_file", denied)
         monkeypatch.setattr(builtins, "open", refusing)
         monkeypatch.setattr(io, "open", refusing)
         with pytest.raises(StageError) as err:
@@ -1195,7 +1195,7 @@ class TestLedgerStore:
 
 
 def reference_path_digest(path) -> str:
-    """`report._path_digest` as it was when it read each file whole."""
+    """`artifacts.path_digest` as it was when it read each file whole."""
     path = Path(path)
     h = hashlib.sha256()
     if path.is_file():
@@ -1220,11 +1220,11 @@ class TestPathDigest:
         tree = tmp_path / "tree"
         (tree / "sub").mkdir(parents=True)
         big = tree / "big.bin"
-        big.write_bytes(bytes(range(256)) * (3 * report._HASH_CHUNK // 256) + b"tail")
+        big.write_bytes(bytes(range(256)) * (3 * artifacts._HASH_CHUNK // 256) + b"tail")
         (tree / "sub" / "small.json").write_text("[]\n")
         (tree / "empty").write_bytes(b"")
         for path in (big, tree / "empty", tree, tmp_path / "absent"):
-            assert report._path_digest(path) == reference_path_digest(path)
+            assert artifacts.path_digest(path) == reference_path_digest(path)
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.lists(st.sampled_from(TREE_NAMES), min_size=1, max_size=3),
@@ -1246,11 +1246,11 @@ class TestPathDigest:
             for name, to in links:  # "." links to itself, a loop
                 if not os.path.lexists(tree / name):
                     os.symlink(name if to == "." else to, tree / name)
-            assert report._path_digest(tree) == reference_path_digest(tree)
+            assert artifacts.path_digest(tree) == reference_path_digest(tree)
 
 
 def reference_stat_signature(tree) -> str:
-    """`report._stat_signature` of a directory, from a list of every file's stat."""
+    """`artifacts.stat_signature` of a directory, from a list of every file's stat."""
     stats = [(str(p.relative_to(tree)), p.stat()) for p in sorted(tree.rglob("*"))
              if p.is_file()]
     h = hashlib.sha256()
@@ -1278,7 +1278,7 @@ def site_tree(tmp_path, size=None):
 
 class TestStatSignature:
     # an input's walk and the snapshot's stat-only walk, which a no-op rerun takes
-    @pytest.mark.parametrize("signature_of", [report._stat_signature, snapshot_signature],
+    @pytest.mark.parametrize("signature_of", [artifacts.stat_signature, snapshot_signature],
                              ids=["input", "snapshot"])
     def test_streams_the_walk(self, tmp_path, signature_of):
         tree = site_tree(tmp_path)
