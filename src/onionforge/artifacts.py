@@ -71,14 +71,16 @@ def jsonl_rows(chunks, keep_bad_lines: bool = False):
 
 
 def write_file(path, pieces) -> str:
-    """Write the text `pieces` into `<name>.tmp`, rename it over `path`, and
-    return its `path_digest`."""
+    """Write the text `pieces` into `<name>.tmp`, swap that in for the file
+    `path`, and return its `path_digest`."""
     path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
-    _clear(tmp)
+    tmp, old = _siblings(path)
     h = hashlib.sha256(path.name.encode())
     _write(tmp, h, pieces)
+    if os.path.isdir(path) and not os.path.islink(path):  # a rename replaces no directory
+        path.rename(old)
     tmp.replace(path)
+    _clear(old)
     return h.hexdigest()
 
 
@@ -87,9 +89,7 @@ def write_tree(path, files) -> str:
     name order into `<name>.tmp/`, swap that in for the directory `path`,
     and return its `path_digest`."""
     path = Path(path)
-    tmp, old = (path.with_name(path.name + suffix) for suffix in (".tmp", ".old"))
-    for stale in (tmp, old):  # left by a killed run
-        _clear(stale)
+    tmp, old = _siblings(path)
     tmp.mkdir()
     h = hashlib.sha256()
     for name in sorted(files):
@@ -100,6 +100,15 @@ def write_tree(path, files) -> str:
     tmp.rename(path)
     _clear(old)
     return h.hexdigest()
+
+
+def _siblings(path: Path) -> tuple[Path, Path]:
+    """`<name>.tmp` and `<name>.old` beside `path`, cleared of what a killed run left:
+    the writers move aside to `<name>.old` what a rename cannot replace."""
+    pair = tuple(path.with_name(path.name + suffix) for suffix in (".tmp", ".old"))
+    for stale in pair:
+        _clear(stale)
+    return pair
 
 
 def _clear(path):

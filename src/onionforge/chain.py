@@ -7,7 +7,6 @@ per-address JSON fixtures or a paginated HTTP endpoint.
 
 from __future__ import annotations
 
-import logging
 import re
 from datetime import datetime, timezone
 from json.encoder import encode_basestring_ascii
@@ -16,9 +15,10 @@ from typing import NamedTuple
 
 from .artifacts import NotJson, format_utc, parse_utc, read_jsonl, read_replay
 from .classify import CATEGORIES, OTHER, parse_category
+from .logs import Logger
 from .net import NOT_FOUND, Client, FetchError
 
-log = logging.getLogger("onionforge.chain")
+log = Logger("onionforge.chain")
 
 _TXID_RE = re.compile(r"[0-9a-f]{64}")
 

@@ -14,13 +14,12 @@ while it is digested is that stage's failure).
 
 from __future__ import annotations
 
-import logging
 import os
 import sys
 
-from . import report
+from . import logs, report
 
-log = logging.getLogger("onionforge")
+log = logs.Logger("onionforge")
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -83,8 +82,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print("%s\nonionforge: error: %s" % (USAGE, exc), file=sys.stderr)
         return EXIT_CONFIG
-    logging.basicConfig(level=logging.DEBUG if verbose else logging.INFO,
-                        format="%(levelname)s %(name)s: %(message)s")
+    logs.threshold = logs.DEBUG if verbose else logs.INFO
     try:
         run = report.run_pipeline(report.parse_config(config),
                                   None if command == "run" else command)
@@ -100,15 +98,14 @@ def main(argv=None) -> int:
 
 
 def console_main():
-    """Run `main`, flush the logs and both streams, then end the process
-    without interpreter teardown.
+    """Run `main`, flush both streams, then end the process without
+    interpreter teardown.
 
     Every artifact is closed and run.json renamed into place before `main`
     returns, so the teardown would only free memory the kernel reclaims
     anyway. An exception that escapes `main` takes the normal exit instead.
     """
     code = main()
-    logging.shutdown()
     sys.stdout.flush()
     sys.stderr.flush()
     os._exit(code)

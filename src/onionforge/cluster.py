@@ -12,15 +12,15 @@ which makes results independent of the order edges are processed in.
 
 from __future__ import annotations
 
-import logging
 from typing import NamedTuple
 
 from . import chain
 from .chain import Transaction
 from .classify import OTHER
+from .logs import Logger
 from .trace import url_host
 
-log = logging.getLogger("onionforge.cluster")
+log = Logger("onionforge.cluster")
 
 MIXING_MIN_PARTICIPANTS = 3
 

@@ -16,7 +16,6 @@ ingest and reads no page loads neither.
 from __future__ import annotations
 
 import hashlib
-import logging
 import os
 import re
 from itertools import groupby
@@ -29,11 +28,12 @@ from .artifacts import (
     NotJson, StatSignature, format_utc, jsonl_rows, parse_utc, read_jsonl, sorted_entries,
     write_file,
 )
+from .logs import Logger
 
 if TYPE_CHECKING:
     from datetime import datetime
 
-log = logging.getLogger("onionforge.corpus")
+log = Logger("onionforge.corpus")
 
 MANIFEST = "manifest.jsonl"
 ONION_NAME_RE = re.compile(r"^([a-z2-7]{16}|[a-z2-7]{56})\.onion$")

@@ -25,7 +25,6 @@ import contextlib
 import hashlib
 import io
 import json
-import logging
 import math
 import os
 import re
@@ -40,8 +39,9 @@ from .artifacts import (
 )
 from .artifacts import path_digest as _path_digest  # a global perfbench/tracer.py rebinds
 from .corpus import ingest_snapshot, read_corpus_jsonl, snapshot_signature, write_corpus_jsonl
+from .logs import Logger
 
-log = logging.getLogger("onionforge.report")
+log = Logger("onionforge.report")
 
 SATOSHI_PER_BTC = 10 ** 8
 
@@ -312,12 +312,18 @@ class Artifact(NamedTuple):
 
     `write(path, value)` stores a stage's output value and returns its
     digest. `read(path)` gives the same value back to a later stage; an
-    artifact that no stage reads has no reader.
+    artifact that no stage reads has no reader. A `tree` is a directory of
+    files, any other artifact one regular file.
     """
 
     name: str
     write: Callable[[Path, object], str]
     read: Callable[[Path], object] | None = None
+    tree: bool = False
+
+    def present(self, path: Path) -> bool:
+        """Whether `path` holds an entry of this artifact's kind."""
+        return path.is_dir() if self.tree else path.is_file()
 
 
 # a JSONL artifact's value is its rows (corpus.jsonl's `PageRecord`s in a
@@ -332,14 +338,14 @@ ARTIFACTS: dict[str, Artifact] = {a.name: a for a in (
     Artifact("illicit.jsonl", lambda path, illicit: write_jsonl(path, illicit.values()),
              lambda path: {row["address"]: row for row in read_jsonl(path)}),
     Artifact("filter_audit.jsonl", write_jsonl),
-    Artifact("ledgers", write_ledgers, lambda path: read_ledgers(path)),
+    Artifact("ledgers", write_ledgers, lambda path: read_ledgers(path), tree=True),
     Artifact("hits.jsonl", write_jsonl),
     Artifact("surface.jsonl", write_jsonl, _read_rows),
     Artifact("campaigns.json", write_json, _read_json),
     Artifact("phase_trace.json", write_json, _read_json),
     Artifact("vanity.json", write_json, _read_json),
     Artifact("entity_graph.json", write_json, _read_json),
-    Artifact("tables", write_tables),
+    Artifact("tables", write_tables, tree=True),
     Artifact("graph.graphml", lambda path, text: write_file(path, [text])),
     Artifact("graph.dot", lambda path, text: write_file(path, [text])),
     Artifact("summary.json", write_json),
@@ -620,7 +626,8 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> PipelineRu
             digest = _stage_digest(name, subset, decl.inputs(config, out), run.inputs)
             if "corpus_root" in decl.config_keys and run.inputs.corpus is not None:
                 handed["corpus_root"], run.inputs.corpus = run.inputs.corpus, None
-            if previous.get(name) == digest and all((out / o).exists() for o in decl.writes):
+            if previous.get(name) == digest and all(ARTIFACTS[o].present(out / o)
+                                                    for o in decl.writes):
                 run.skipped.append(name)
                 log.info("stage %s unchanged; skipping", name)
             else:

@@ -3,13 +3,13 @@ endpoint), plus analyst-annotation import (abuse reports, identity facts)."""
 
 from __future__ import annotations
 
-import logging
 from urllib.parse import urlparse
 
 from .artifacts import NotJson, read_replay, word_list
+from .logs import Logger
 from .net import NOT_FOUND, Client
 
-log = logging.getLogger("onionforge.trace")
+log = Logger("onionforge.trace")
 
 ANALYST_KINDS = ("AbuseReport", "IllicitSite", "Benign")
 

@@ -9,8 +9,10 @@ on each with BASE_SRC and then with HEAD_SRC first on the PYTHONPATH, both
 into the same out dir path. Every file but run.json must be byte-identical,
 and run.json's stage digests and run_id equal. Of run.json's input pairs,
 the pair of each input outside the out dir must be equal, and the digest
-half of each artifact's (its signature is a new file's). HEAD_SRC run over
-a copy of the out dir BASE_SRC wrote must then skip all eight stages.
+half of each artifact's (its signature is a new file's). Both runs must
+print the same stderr lines, with only the elapsed time masked. HEAD_SRC
+run over a copy of the out dir BASE_SRC wrote must then skip all eight
+stages.
 Last, a fresh HEAD_SRC run is killed mid-write at its first, a middle and
 its last artifact write (tests/killed.py): each artifact it leaves must be
 absent or whole, and run.json JSON. Resumed, it must then leave what its
@@ -20,6 +22,7 @@ clean run left. Prints each difference and exits 1 if there is one.
 import argparse
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -133,6 +136,20 @@ def differences(base: Path, head: Path) -> list[str]:
     return found
 
 
+# the one part of a run's log that differs from run to run
+ELAPSED = re.compile(r"(finished in )\d+\.\d\ds$", re.MULTILINE)
+
+
+def log_lines(base: str, head: str) -> list[str]:
+    """The stderr lines of the BASE and HEAD runs that differ, elapsed time masked."""
+    base, head = (ELAPSED.sub(r"\1N.NNs", log).splitlines() for log in (base, head))
+    found = ["stderr line %d differs: %r != %r" % (i + 1, b, h)
+             for i, (b, h) in enumerate(zip(base, head)) if b != h]
+    if len(base) != len(head):
+        found.append("stderr has %d lines, against %d" % (len(head), len(base)))
+    return found
+
+
 def input_pairs(base: Path, head: Path, out: Path) -> list[str]:
     """The run.json input pairs that differ between the BASE and HEAD out
     dirs of a run into `out`: whole for an input, the digest for an artifact."""
@@ -169,10 +186,12 @@ def main(argv=None) -> int:
         out = work / "out" / name
         config = work / (name + ".cfg")
         config.write_text(text.replace("{out}", str(out)))
+        logs = []
         for side, src in (("base", base_src), ("head", head_src)):
-            run(src, config)
+            logs.append(run(src, config))
             out.rename(work / side / name)
         found = differences(work / "base" / name, work / "head" / name)
+        found += log_lines(*logs)
         found += input_pairs(work / "base" / name, work / "head" / name, out)
         shutil.copytree(work / "base" / name, out)
         if "executed nothing" not in run(head_src, config):

@@ -114,18 +114,23 @@ kinds = st.sampled_from([None, "dir", "file", "link"])
 
 
 @settings(max_examples=100)
-@given(texts, kinds)
-@example(["x"], "dir")
-def test_write_file_returns_the_digest_of_what_it_wrote(tmp_path_factory, pieces, leftover):
+@given(texts, kinds, st.fixed_dictionaries({".tmp": kinds, ".old": kinds}))
+@example(["x"], None, {".tmp": "dir", ".old": None})
+@example(["x"], "dir", {".tmp": None, ".old": None})
+@example(["x"], "dir", {".tmp": None, ".old": "dir"})
+def test_write_file_returns_the_digest_of_what_it_wrote(tmp_path_factory, pieces, before,
+                                                        leftovers):
     with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as tmp:
         path = Path(tmp) / "write_file.txt"
-        tmp_entry = path.with_name(path.name + ".tmp")
-        leave(tmp_entry, leftover)
+        leave(path, before)
+        for suffix, kind in leftovers.items():
+            leave(path.with_name(path.name + suffix), kind)
         digest = write_file(path, iter(pieces))
         assert path.read_bytes() == "".join(pieces).encode()
         assert not path.is_symlink()
         assert digest == path_digest(path)
-        assert not os.path.lexists(tmp_entry)
+        assert not any(os.path.lexists(path.with_name(path.name + suffix))
+                       for suffix in (".tmp", ".old"))
 
 
 @settings(max_examples=100)

@@ -77,14 +77,14 @@ class TestIngest:
         assert len(corpus) == 1
         assert any("%ff.html" in s for s in corpus.skipped)
 
-    def test_page_entry_that_is_no_file_skipped(self, tmp_path, caplog):
+    def test_page_entry_that_is_no_file_skipped(self, tmp_path, capsys):
         site = tmp_path / name_for(0)
         (site / "sub.html").mkdir(parents=True)
         (site / "index.html").write_bytes(b"<html></html>")
         corpus = ingest_snapshot(tmp_path)
         assert len(corpus) == 1
         assert corpus.skipped == ["%s/sub.html" % name_for(0)]
-        assert "'sub.html'" in caplog.text
+        assert "'sub.html'" in capsys.readouterr().err
 
     def test_missing_root_fatal(self, tmp_path):
         with pytest.raises(CorpusError):
@@ -125,7 +125,7 @@ class TestIngest:
         '{"domain": "%s", "path": "/", "fetched_at": "0001-01-01T00:00:00+01:00"}' % name_for(0),
         '{"domain": "example.com", "path": "/", "fetched_at": "2020-01-01T00:00:00Z"}',
     ], ids=["list", "null", "string", "number-time", "time-out-of-range", "not-an-onion"])
-    def test_unusable_manifest_line_is_skipped(self, tmp_path, caplog, bad_line):
+    def test_unusable_manifest_line_is_skipped(self, tmp_path, capsys, bad_line):
         site = tmp_path / name_for(0)
         site.mkdir()
         (site / "index.html").write_bytes(b"<html></html>")
@@ -134,9 +134,9 @@ class TestIngest:
             % name_for(0))
         corpus = ingest_snapshot(tmp_path)
         assert corpus[0].fetched_at == datetime(2021, 6, 1, 12, tzinfo=timezone.utc)
-        assert "manifest line 1 unusable" in caplog.text
+        assert "manifest line 1 unusable" in capsys.readouterr().err
 
-    def test_manifest_line_that_is_not_utf8_is_unusable(self, tmp_path, caplog):
+    def test_manifest_line_that_is_not_utf8_is_unusable(self, tmp_path, capsys):
         site = tmp_path / name_for(0)
         site.mkdir()
         (site / "index.html").write_bytes(b"<html></html>")
@@ -145,9 +145,9 @@ class TestIngest:
             % name_for(0).encode())
         corpus = ingest_snapshot(tmp_path)
         assert corpus[0].fetched_at == datetime(2021, 6, 1, 12, tzinfo=timezone.utc)
-        assert "manifest line 1 unusable" in caplog.text
+        assert "manifest line 1 unusable" in capsys.readouterr().err
 
-    def test_manifest_lines_end_only_at_line_ends(self, tmp_path, caplog):
+    def test_manifest_lines_end_only_at_line_ends(self, tmp_path, capsys):
         # U+2028 and U+0085 are line boundaries to str.splitlines, not to JSONL
         site = tmp_path / name_for(0)
         site.mkdir()
@@ -162,11 +162,12 @@ class TestIngest:
         assert {p.path: p.fetched_at for p in corpus} == {
             "/": datetime(2021, 6, 1, 12, tzinfo=timezone.utc),
             "/a\u2028b\x85c": datetime(2021, 6, 1, 12, tzinfo=timezone.utc)}
-        assert "manifest line 3 unusable" in caplog.text
-        assert "manifest line 2" not in caplog.text
-        assert "manifest line 4" not in caplog.text
+        err = capsys.readouterr().err
+        assert "manifest line 3 unusable" in err
+        assert "manifest line 2" not in err
+        assert "manifest line 4" not in err
 
-    def test_manifest_line_matching_no_page_is_skipped(self, tmp_path, caplog):
+    def test_manifest_line_matching_no_page_is_skipped(self, tmp_path, capsys):
         site = tmp_path / name_for(0)
         site.mkdir()
         (site / "index.html").write_bytes(b"<html></html>")
@@ -178,9 +179,10 @@ class TestIngest:
         corpus = ingest_snapshot(tmp_path)
         assert corpus[0].fetched_at == datetime(2021, 6, 1, 12, tzinfo=timezone.utc)
         assert corpus.skipped == ["manifest line 1", "manifest line 3"]
-        assert "manifest line 1 matches no page" in caplog.text
-        assert "manifest line 3 matches no page" in caplog.text
-        assert "manifest line 2" not in caplog.text
+        err = capsys.readouterr().err
+        assert "manifest line 1 matches no page" in err
+        assert "manifest line 3 matches no page" in err
+        assert "manifest line 2" not in err
 
     def test_jsonl_roundtrip(self, tmp_path):
         corpus = Corpus([page(name_for(0), "/", b"\x00binary\xff")])

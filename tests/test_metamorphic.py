@@ -2,6 +2,8 @@
 corpus's inputs that no rule of the paper gives a meaning to, and that must
 leave every artifact but run.json byte-identical."""
 
+import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -42,3 +44,30 @@ def test_line_order_of_a_keyed_input_changes_no_artifact(unchanged, name, data):
 
     with tempfile.TemporaryDirectory() as tmp:
         assert_same_artifacts(unchanged, planted_run(Path(tmp), shuffle))
+
+
+# a ledger is its transactions in (timestamp, txid) order, and an address's
+# hits are sorted, so the order a replayed explorer lists them in is noise
+@pytest.mark.parametrize("fixtures", ["tx_fixtures", "search_fixtures"])
+def test_order_of_a_replay_fixture_changes_no_artifact(unchanged, tmp_path, fixtures):
+    def reverse(planted):
+        for path in sorted(getattr(planted, fixtures).glob("*.json")):
+            rows = json.loads(path.read_text(encoding="utf-8"))
+            path.write_text(json.dumps(rows[::-1], indent=2), encoding="utf-8")
+
+    assert_same_artifacts(unchanged, planted_run(tmp_path, reverse))
+
+
+# a page's fetch time is its manifest row's, and only a page without one
+# takes its file's mtime; the planted manifest has a row for every page
+@settings(max_examples=10, deadline=None)
+@given(st.data())
+def test_mtime_of_a_page_with_a_manifest_row_changes_no_artifact(unchanged, data):
+    def touch(planted):
+        page = data.draw(st.sampled_from(sorted(planted.snapshot.glob("*/*.html"))),
+                         label="page")
+        mtime_ns = data.draw(st.integers(0, 2 ** 32 * 10 ** 9), label="mtime_ns")
+        os.utime(page, ns=(mtime_ns, mtime_ns))
+
+    with tempfile.TemporaryDirectory() as tmp:
+        assert_same_artifacts(unchanged, planted_run(Path(tmp), touch))

@@ -3,8 +3,6 @@ import gc
 import hashlib
 import io
 import json
-import logging
-import logging.handlers
 import os
 import re
 import shutil
@@ -774,6 +772,27 @@ class TestPipeline:
         assert run.executed == []
         assert_same_artifacts(out, planted_out)
 
+    # an output that is there but of the wrong kind is no output: its stage
+    # runs again and its writer replaces what stands at its path
+    @pytest.mark.parametrize("artifact, stage", [
+        ("summary.json", "report"), ("labels.jsonl", "classify"), ("ledgers", "fetch-tx")])
+    def test_output_of_the_wrong_kind_is_rewritten(self, planted_run, tmp_path, artifact,
+                                                   stage):
+        _, config, _, planted_out = planted_run
+        out = tmp_path / "out"
+        shutil.copytree(planted_out, out)
+        wrong = out / artifact
+        if wrong.is_dir():
+            shutil.rmtree(wrong)
+            wrong.write_text("stray")
+        else:
+            wrong.unlink()
+            wrong.mkdir()
+            (wrong / "stray").write_text("stray")
+        run = run_pipeline(config._replace(out_dir=str(out)))
+        assert run.executed == [stage]
+        assert_same_artifacts(out, planted_out)
+
     @pytest.mark.parametrize("manifest", ["[]", "null", '{"stages": []}', '{"stages": null}'])
     def test_misshapen_manifest_counts_as_none(self, planted_run, tmp_path, manifest):
         _, config, _, planted_out = planted_run
@@ -1305,14 +1324,10 @@ class TestStatSignature:
         # kept for each page until the walk ends would take over 400 B
         assert (peak - held) / (400 * 8) < 400
 
-    def test_kept_log_records_hold_no_walk(self, tmp_path):
+    def test_kept_log_records_hold_no_walk(self, tmp_path, capsys):
         tree = site_tree(tmp_path, size=200)
-        # a handler that keeps every record, as a test harness or a buffer
-        # does; the records reach it alone, so that it is all that is measured
-        kept = logging.handlers.BufferingHandler(capacity=10_000)
-        logger = logging.getLogger("onionforge.corpus")
-        logger.addHandler(kept)
-        logger.propagate = False
+        # stderr is captured to a buffer that keeps every line, as a test
+        # harness or a log collector does
         tracemalloc.start()
         try:
             corpus = ingest_snapshot(tree)
@@ -1322,11 +1337,9 @@ class TestStatSignature:
             held, _ = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-            logger.removeHandler(kept)
-            logger.propagate = True
-        assert len(kept.buffer) == 400
-        # a record that held its exception would keep, through the
-        # traceback, the walk's frames and every page read so far
+        assert len(capsys.readouterr().err.splitlines()) == 400
+        # a kept line is text; one that held the exception it reports would
+        # keep, through the traceback, the walk's frames and every page read so far
         assert held / (400 * 8) < 200
 
 

@@ -242,23 +242,23 @@ class TestAnnotations:
         assert skipped == 1
 
     @pytest.mark.parametrize("bad", [[1], "x", None, 5, {"url": ["https://x.example.com/"]}])
-    def test_row_that_is_not_an_object_with_a_text_url_skipped(self, caplog, bad):
+    def test_row_that_is_not_an_object_with_a_text_url_skipped(self, capsys, bad):
         hits = [hit(ADDR, "https://x.example.com/")]
         surface, skipped = import_annotations(
             [bad, {"url": "https://x.example.com/", "kind": "Benign"}], hits)
         assert skipped == 1 and not surface
         assert hits[0]["kind"] == "Benign"
-        assert "skipped" in caplog.text
+        assert "skipped" in capsys.readouterr().err
 
     @pytest.mark.parametrize("fact", [{"registrant": 5}, {"ip": [1]}, {"ip": 7},
                                       {"ip": "203.0.113.5", "registrant": {"n": 1}}])
-    def test_non_text_identity_field_skipped(self, caplog, fact):
+    def test_non_text_identity_field_skipped(self, capsys, fact):
         hits = [hit(ADDR, "https://x.example.com/")]
         surface, skipped = import_annotations(
             [{"url": "https://x.example.com/", "kind": "AbuseReport", **fact}], hits)
         assert skipped == 1 and not surface
         assert hits[0]["kind"] == "Unreviewed"
-        assert "non-text" in caplog.text
+        assert "non-text" in capsys.readouterr().err
 
     def test_file_form(self, tmp_path):
         hits = [hit(ADDR, "https://x.example.com/")]
@@ -268,7 +268,7 @@ class TestAnnotations:
         import_annotations(read_jsonl(path), hits)
         assert hits[0]["kind"] == "IllicitSite"
 
-    def test_line_that_is_not_json_skipped(self, tmp_path, caplog):
+    def test_line_that_is_not_json_skipped(self, tmp_path, capsys):
         (tmp_path / "search").mkdir()
         (tmp_path / "search" / (ADDR + ".json")).write_text(
             json.dumps(["https://x.example.com/"]))
@@ -280,13 +280,13 @@ class TestAnnotations:
         outputs = report.stage_trace(cfg, {"illicit.jsonl": {ADDR: {}}})
         assert [row["kind"] for row in outputs["hits.jsonl"]] == ["IllicitSite"]
         assert [row["ip"] for row in outputs["surface.jsonl"]] == ["203.0.113.5"]
-        assert "line 3 is not JSON" in caplog.text
+        assert "line 3 is not JSON" in capsys.readouterr().err
 
         hits = [hit(ADDR, "https://x.example.com/")]
         surface, skipped = import_annotations(read_jsonl(path, keep_bad_lines=True), hits)
         assert skipped == 1 and len(surface) == 1
 
-    def test_line_that_is_not_utf8_skipped(self, tmp_path, caplog):
+    def test_line_that_is_not_utf8_skipped(self, tmp_path, capsys):
         (tmp_path / "search").mkdir()
         (tmp_path / "search" / (ADDR + ".json")).write_text(
             json.dumps(["https://x.example.com/"]))
@@ -298,7 +298,7 @@ class TestAnnotations:
         outputs = report.stage_trace(cfg, {"illicit.jsonl": {ADDR: {}}})
         assert [row["kind"] for row in outputs["hits.jsonl"]] == ["Benign"]
         assert [row["ip"] for row in outputs["surface.jsonl"]] == ["203.0.113.5"]
-        assert "line 2 is not JSON: '\\\\xff'" in caplog.text
+        assert "line 2 is not JSON: '\\\\xff'" in capsys.readouterr().err
 
 
 class TestSurfaceLinks:
