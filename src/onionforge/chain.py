@@ -15,6 +15,7 @@ from typing import NamedTuple
 
 from .artifacts import NotJson, format_utc, parse_utc, read_jsonl, read_replay
 from .classify import CATEGORIES, OTHER, parse_category
+from .corpus import onion_name
 from .logs import Logger
 from .net import NOT_FOUND, Client, FetchError
 
@@ -255,10 +256,11 @@ ZONES = ("listing", "forum", "payment", "other")
 
 def load_annotations(path) -> dict[tuple[str, str], dict]:
     """Analyst rows {domain, address, zone, prior_tx_with_payment?, note?} by
-    (domain, address). A row that is not an object with text domain and
-    address, an unknown zone, or a flag that is not a JSON bool (the string
-    "false" is not false) raises ChainError naming the row, and a line that
-    is not JSON one naming its line number."""
+    (`onion_name` of the domain, address). A row that is not an object with
+    text domain and address, a domain that is not an onion name, an unknown
+    zone, or a flag that is not a JSON bool (the string "false" is not
+    false) raises ChainError naming the row, and a line that is not JSON one
+    naming its line number."""
     out = {}
     try:
         rows = list(read_jsonl(path))
@@ -269,11 +271,15 @@ def load_annotations(path) -> dict[tuple[str, str], dict]:
                 and isinstance(row.get("address"), str)):
             raise ChainError("annotation %r: not an object with text domain and address"
                              % (row,))
+        try:
+            domain = onion_name(row["domain"])
+        except ValueError:
+            raise ChainError("annotation %r: domain is not an onion name" % (row,)) from None
         if row.get("zone") not in ZONES:
             raise ChainError("annotation %r: unknown zone" % (row,))
         if not isinstance(row.get("prior_tx_with_payment", False), bool):
             raise ChainError("annotation %r: prior_tx_with_payment is not a JSON bool" % (row,))
-        out[(row["domain"], row["address"])] = row
+        out[(domain, row["address"])] = row
     return out
 
 

@@ -1,6 +1,6 @@
 """Command-line entry points: one command per pipeline stage plus the full run.
 
-    onionforge [-v|--verbose] COMMAND --config FILE
+    onionforge COMMAND --config FILE
 
 `onionforge <stage> --config FILE` runs the pipeline up to and including
 that stage; earlier stages whose inputs are unchanged are skipped, exactly
@@ -25,7 +25,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_STAGE = 3
 
-USAGE = "usage: onionforge [-h] [-v] COMMAND --config FILE"
+USAGE = "usage: onionforge [-h] COMMAND --config FILE"
 
 
 class UsageError(Exception):
@@ -46,19 +46,16 @@ def help_text() -> str:
     lines += ["  %-10s %s" % item for item in commands().items()]
     lines += ["", "options:",
               "  -h, --help     show this help and exit",
-              "  -v, --verbose  log debug messages too",
               "  --config FILE  the run's config file"]
     return "\n".join(lines)
 
 
-def parse_args(argv) -> tuple[bool, str, str]:
-    """(verbose, command, config path) of `[-v] COMMAND --config FILE`;
-    any other argv raises UsageError."""
-    verbose = argv[:1] in (["-v"], ["--verbose"])
-    args = argv[1:] if verbose else argv
-    if not args:
+def parse_args(argv) -> tuple[str, str]:
+    """(command, config path) of `COMMAND --config FILE`; any other argv
+    raises UsageError."""
+    if not argv:
         raise UsageError("a command is required")
-    command, *rest = args
+    command, *rest = argv
     if command not in commands():
         raise UsageError("unknown command %r (choose from %s)"
                          % (command, ", ".join(commands())))
@@ -69,7 +66,7 @@ def parse_args(argv) -> tuple[bool, str, str]:
         config = rest[0][len("--config="):]
     if not config:
         raise UsageError("%s takes --config FILE and nothing else" % command)
-    return verbose, command, config
+    return command, config
 
 
 def main(argv=None) -> int:
@@ -78,11 +75,11 @@ def main(argv=None) -> int:
         print(help_text())
         return EXIT_OK
     try:
-        verbose, command, config = parse_args(argv)
+        command, config = parse_args(argv)
     except UsageError as exc:
         print("%s\nonionforge: error: %s" % (USAGE, exc), file=sys.stderr)
         return EXIT_CONFIG
-    logs.threshold = logs.DEBUG if verbose else logs.INFO
+    logs.threshold = logs.INFO
     try:
         run = report.run_pipeline(report.parse_config(config),
                                   None if command == "run" else command)

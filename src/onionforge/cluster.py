@@ -32,14 +32,6 @@ def node_id(kind: str, value: str) -> str:
     return "%s:%s" % (kind, value)
 
 
-def node_kind(nid: str) -> str:
-    return nid.split(":", 1)[0]
-
-
-def node_value(nid: str) -> str:
-    return nid.split(":", 1)[1]
-
-
 class UnionFind:
     """Disjoint sets over string ids with path compression."""
 
@@ -204,35 +196,37 @@ def vanity_groups(domains, min_prefix: int) -> list[tuple[str, list[str]]]:
 
 # --- campaign extraction and the per-phase trace ---
 
-def _component_counts(members) -> dict[str, int]:
-    counts = {SITE: 0, BTC: 0, EMAIL: 0, IP: 0, URL: 0, REG: 0}
-    for nid in members:
-        kind = node_kind(nid)
-        if kind in counts:
-            counts[kind] += 1
-    return counts
+def clusters(partition: UnionFind):
+    """Each clustered component's member values by node kind, each list sorted.
 
-
-def _is_cluster(counts: dict[str, int]) -> bool:
-    # a grouping worth the name: sites sharing an address, or one site
-    # commanding several addresses
-    return counts[SITE] >= 2 or counts[BTC] >= 2
+    A clustered component is a grouping worth the name: sites sharing an
+    address, or one site commanding several addresses.
+    """
+    for members in partition.components().values():
+        values = {SITE: [], BTC: [], EMAIL: [], IP: [], REG: [], URL: []}
+        for nid in members:  # sorted ids, so each kind's values come sorted
+            kind, value = nid.split(":", 1)
+            values[kind].append(value)
+        if len(values[SITE]) >= 2 or len(values[BTC]) >= 2:
+            yield values
 
 
 def snapshot(partition: UnionFind, phase: str) -> dict:
     """The phase_trace.json row of the clustered components after one phase."""
     row = {"phase": phase, "clusters": 0, "onions": 0, "btc_addresses": 0,
            "email_addresses": 0, "ips": 0}
-    for members in partition.components().values():
-        counts = _component_counts(members)
-        if not _is_cluster(counts):
-            continue
+    for values in clusters(partition):
         row["clusters"] += 1
-        row["onions"] += counts[SITE]
-        row["btc_addresses"] += counts[BTC]
-        row["email_addresses"] += counts[EMAIL]
-        row["ips"] += counts[IP]
+        row["onions"] += len(values[SITE])
+        row["btc_addresses"] += len(values[BTC])
+        row["email_addresses"] += len(values[EMAIL])
+        row["ips"] += len(values[IP])
     return row
+
+
+# the node kinds a campaign lists, each with its campaigns.json field
+CAMPAIGN_FIELDS = ((SITE, "sites"), (BTC, "btc_addresses"), (EMAIL, "emails"),
+                   (IP, "ips"), (URL, "urls"))
 
 
 def campaign_stats(partition: UnionFind, labels: dict[str, str],
@@ -246,19 +240,13 @@ def campaign_stats(partition: UnionFind, labels: dict[str, str],
     """
     raw = []
     excluded_no_btc = 0
-    for members in partition.components().values():
-        counts = _component_counts(members)
-        if not _is_cluster(counts):
-            continue
-        if counts[BTC] == 0:
+    for values in clusters(partition):
+        sites, addrs = values[SITE], values[BTC]
+        if not addrs:
             excluded_no_btc += 1
             continue
-        values = {kind: sorted(node_value(n) for n in members if node_kind(n) == kind)
-                  for kind in (SITE, BTC, EMAIL, IP, URL)}
-        sites, addrs = values[SITE], values[BTC]
         raw.append({
-            "v": 1, "id": "", "sites": sites, "btc_addresses": addrs,
-            "emails": values[EMAIL], "ips": values[IP], "urls": values[URL],
+            "v": 1, "id": "", **{field: values[kind] for kind, field in CAMPAIGN_FIELDS},
             "categories": sorted({labels[s] for s in sites if labels.get(s, OTHER) != OTHER}),
             "received": sum(received.get(a, 0) for a in addrs),
         })
@@ -315,9 +303,6 @@ def run_clustering(labels: dict[str, str], illicit: dict[str, dict],
     income = chain.estimate_income(illicit, ledgers)
     received = income.per_address
     campaigns, exclusions = campaign_stats(partition, labels, received)
-    # a campaign holds an address, so that address's root names its component
-    campaign_of = {partition.find(node_id(BTC, c["btc_addresses"][0])): c["id"]
-                   for c in campaigns}
     nodes = {}
     for nid in partition.parent:
         kind, value = nid.split(":", 1)
@@ -326,9 +311,10 @@ def run_clustering(labels: dict[str, str], illicit: dict[str, dict],
             attrs["category"] = labels[value]
         elif kind == BTC:
             attrs["received"] = received[value]
-        root = partition.find(nid)
-        if root in campaign_of and kind != REG:
-            attrs["campaign"] = campaign_of[root]
+    for campaign in campaigns:
+        for kind, field in CAMPAIGN_FIELDS:
+            for value in campaign[field]:
+                nodes[node_id(kind, value)]["campaign"] = campaign["id"]
     if public_facts:
         exclusions["public_identity_facts"] = [
             {"kind": k, "value": v, "url": u} for k, v, u in public_facts]

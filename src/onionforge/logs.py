@@ -1,10 +1,10 @@
 """Log lines, "LEVEL name: message", each written whole to `sys.stderr` as it is
 then. A line shows when its level is at least `threshold`: WARNING for a
-library caller, INFO (DEBUG with -v) once `cli.main` sets it."""
+library caller, INFO once `cli.main` sets it."""
 
 import sys
 
-DEBUG, INFO, WARNING, ERROR = 10, 20, 30, 40
+INFO, WARNING, ERROR = 20, 30, 40
 threshold = WARNING
 
 

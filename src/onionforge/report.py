@@ -86,16 +86,14 @@ class PipelineConfig(NamedTuple):
     min_received: int = 0
 
     def validate(self):
-        if not self.corpus_root:
-            raise ConfigError("corpus_root is required")
-        if not Path(self.corpus_root).is_dir():
-            raise ConfigError("corpus_root is not a directory: %s" % self.corpus_root)
-        if not self.ground_truth:
-            raise ConfigError("ground_truth is required")
-        if not Path(self.ground_truth).is_file():
-            raise ConfigError("ground_truth file missing: %s" % self.ground_truth)
-        if not self.out_dir:
-            raise ConfigError("out_dir is required")
+        for key in self._fields:  # in field order: corpus_root is checked first
+            value = getattr(self, key)
+            if not value and key in ("corpus_root", "ground_truth", "out_dir"):
+                raise ConfigError("%s is required" % key)
+            if value and key in DIR_KEYS and not Path(value).is_dir():
+                raise ConfigError("%s is not a directory: %s" % (key, value))
+            if value and key in PATH_KEYS - DIR_KEYS and not Path(value).is_file():
+                raise ConfigError("%s is not a file: %s" % (key, value))
         if not 0.0 <= self.threshold <= 1.0:
             raise ConfigError("threshold must be within [0, 1]")
         if self.provider not in ("fixtures", "http"):
@@ -109,10 +107,12 @@ class PipelineConfig(NamedTuple):
                 raise ConfigError("%s must be >= 1" % key)
 
 
-# config keys that name a file or directory whose contents a stage reads
+# config keys that name a file or directory whose contents a stage reads;
+# a set one must name a directory if it is in DIR_KEYS and a file if not
 PATH_KEYS = frozenset({"corpus_root", "ground_truth", "tx_fixtures", "search_fixtures",
                        "chain_annotations", "trace_annotations", "stopwords", "tlds",
                        "explorer_domains"})
+DIR_KEYS = frozenset({"corpus_root", "tx_fixtures", "search_fixtures"})
 
 # a "#" after whitespace starts a comment; "a#b" is a value
 _INLINE_COMMENT = re.compile(r"\s#")

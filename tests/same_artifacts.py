@@ -59,9 +59,9 @@ def package_dir(src: Path) -> Path:
 
 
 def run(src: Path, config: Path) -> str:
-    """`onionforge -v run` with `src` first on the path; its log."""
+    """`onionforge run` with `src` first on the path; its log."""
     env = dict(os.environ, PYTHONPATH=str(src))
-    proc = subprocess.run([sys.executable, "-m", "onionforge.cli", "-v", "run",
+    proc = subprocess.run([sys.executable, "-m", "onionforge.cli", "run",
                            "--config", str(config)],
                           env=env, capture_output=True, text=True)
     if proc.returncode != 0:

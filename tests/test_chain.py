@@ -564,6 +564,9 @@ class TestMultiCategory:
         assert multi_category(illicit) == 0
 
 
+ANNOTATED = "dannotatedsite23.onion"  # a valid v2 onion name
+
+
 def annotation(domain, address, zone, **fields):
     """One checked chain-annotation row, keyed as `load_annotations` keys it."""
     return {(domain, address): dict(fields, domain=domain, address=address, zone=zone)}
@@ -610,10 +613,26 @@ class TestFilter:
 
     def test_annotation_file_roundtrip(self, tmp_path):
         path = tmp_path / "ann.jsonl"
-        path.write_text(json.dumps({"domain": "d.onion", "address": "a",
+        path.write_text(json.dumps({"domain": ANNOTATED, "address": "a",
                                     "zone": "forum", "note": "visitor"}) + "\n")
         anns = load_annotations(path)
-        assert anns[("d.onion", "a")]["zone"] == "forum"
+        assert anns[(ANNOTATED, "a")]["zone"] == "forum"
+
+    def test_annotation_domain_is_read_as_an_onion_name(self, tmp_path):
+        path = tmp_path / "ann.jsonl"
+        path.write_text(json.dumps({"domain": " %s " % ANNOTATED.upper(),
+                                    "address": "visitor", "zone": "forum"}) + "\n")
+        anns = load_annotations(path)
+        _, removed = verdicts(filter_illicit_addresses(ANNOTATED, "Drugs", ["visitor"], anns))
+        assert removed == {"visitor": "forum-visitor"}
+
+    def test_annotation_domain_that_is_no_onion_name_names_the_row(self, tmp_path):
+        path = tmp_path / "ann.jsonl"
+        path.write_text(json.dumps({"domain": ANNOTATED, "address": "a", "zone": "payment"})
+                        + "\n" + json.dumps({"domain": "d.onion", "address": "b",
+                                             "zone": "forum"}) + "\n")
+        with pytest.raises(ChainError, match="'address': 'b'.*not an onion name"):
+            load_annotations(path)
 
     @pytest.mark.parametrize("bad", [
         {"zone": "listing", "prior_tx_with_payment": "false"},  # not read as true
@@ -623,17 +642,17 @@ class TestFilter:
     ])
     def test_malformed_annotation_names_the_row(self, tmp_path, bad):
         path = tmp_path / "ann.jsonl"
-        path.write_text(json.dumps({"domain": "d.onion", "address": "a", "zone": "payment"})
-                        + "\n" + json.dumps(dict(bad, domain="d.onion", address="b")) + "\n")
+        path.write_text(json.dumps({"domain": ANNOTATED, "address": "a", "zone": "payment"})
+                        + "\n" + json.dumps(dict(bad, domain=ANNOTATED, address="b")) + "\n")
         with pytest.raises(ChainError, match="'address': 'b'"):
             load_annotations(path)
 
     @pytest.mark.parametrize("bad", ['[1]', '"x"', '{"address": "b", "zone": "payment"}',
-                                     '{"domain": "d.onion", "zone": "payment"}',
+                                     '{"domain": "%s", "zone": "payment"}' % ANNOTATED,
                                      '{"domain": 5, "address": "b", "zone": "payment"}'])
     def test_annotation_without_text_domain_and_address_names_the_row(self, tmp_path, bad):
         path = tmp_path / "ann.jsonl"
-        path.write_text(json.dumps({"domain": "d.onion", "address": "a", "zone": "payment"})
+        path.write_text(json.dumps({"domain": ANNOTATED, "address": "a", "zone": "payment"})
                         + "\n" + bad + "\n")
         with pytest.raises(ChainError) as err:
             load_annotations(path)
@@ -641,14 +660,14 @@ class TestFilter:
 
     def test_line_that_is_not_json_names_its_line(self, tmp_path):
         path = tmp_path / "ann.jsonl"
-        path.write_text(json.dumps({"domain": "d.onion", "address": "a", "zone": "payment"})
+        path.write_text(json.dumps({"domain": ANNOTATED, "address": "a", "zone": "payment"})
                         + '\n\n{"domain": "d\n')
         with pytest.raises(ChainError, match="line 3 is not JSON"):
             load_annotations(path)
 
     def test_line_that_is_not_utf8_names_its_line(self, tmp_path):
         path = tmp_path / "ann.jsonl"
-        path.write_bytes(json.dumps({"domain": "d.onion", "address": "a",
+        path.write_bytes(json.dumps({"domain": ANNOTATED, "address": "a",
                                      "zone": "payment"}).encode() + b"\n\xff\n")
         with pytest.raises(ChainError, match=r"line 2 is not JSON: '\\\\xff'"):
             load_annotations(path)

@@ -99,7 +99,7 @@ def test_missing_input_file_exit_code(tmp_path):
     cfg.write_text("corpus_root = %s\nground_truth = %s\nout_dir = %s\ntlds = %s\n"
                    % (tmp_path / "snapshot", tmp_path / "gt.jsonl", tmp_path / "out",
                       tmp_path / "absent.txt"))
-    assert main(["extract", "--config", str(cfg)]) == EXIT_STAGE
+    assert main(["extract", "--config", str(cfg)]) == EXIT_CONFIG
 
 
 @pytest.mark.parametrize("flag", ["-h", "--help"])
@@ -119,9 +119,11 @@ def test_help_lists_every_command(flag, capsys):
     ["run", "--config"],                     # --config without FILE
     ["run", "--config="],
     ["run", "--config", "x", "extra"],
-    ["run", "-v", "--config", "x"],          # -v goes before the command
+    ["run", "-v", "--config", "x"],          # there is no -v
     ["run", "--config", "x", "-v"],
     ["--config", "x", "run"],
+    ["-v", "run", "--config", "x"],
+    ["--verbose", "run", "--config", "x"],
 ])
 def test_usage_errors_exit_2(argv, capsys):
     assert main(argv) == EXIT_CONFIG
@@ -131,10 +133,8 @@ def test_usage_errors_exit_2(argv, capsys):
     assert usage.startswith("usage: onionforge") and error.startswith("onionforge: error: ")
 
 
-@pytest.mark.parametrize("argv", [["-v", "run", "--config", "{}"],
-                                  ["--verbose", "run", "--config", "{}"],
-                                  ["run", "--config={}"]])
-def test_verbose_flag_and_config_forms_run(argv, planted):
+@pytest.mark.parametrize("argv", [["run", "--config", "{}"], ["run", "--config={}"]])
+def test_config_forms_run(argv, planted):
     corpus_obj, tmp = planted
     cfg = write_config(corpus_obj, tmp, "out")
     assert main([arg.format(cfg) for arg in argv]) == EXIT_OK

@@ -25,7 +25,7 @@ from onionforge.corpus import (
     Corpus, ingest_snapshot, read_corpus_jsonl, snapshot_signature,
 )
 from onionforge.report import (
-    ARTIFACTS, STAGE_DECLS, ConfigError, PipelineConfig, StageError, export_graph,
+    ARTIFACTS, PATH_KEYS, STAGE_DECLS, ConfigError, PipelineConfig, StageError, export_graph,
     format_btc, parse_config, run_pipeline,
 )
 
@@ -34,6 +34,8 @@ from planted import EXPECTED_CAMPAIGNS, NOISE, assert_same_artifacts, build_plan
 from rows import illicit_of
 
 ROOT = Path(__file__).resolve().parents[1]
+# the path keys that name a directory; every other one names a file
+DIR_KEYS = {"corpus_root", "tx_fixtures", "search_fixtures"}
 
 
 def src_env() -> dict:
@@ -130,10 +132,11 @@ class TestParseConfig:
     def test_each_value_has_the_type_of_its_default(self, tmp_path):
         (tmp_path / "c").mkdir()
         (tmp_path / "gt.jsonl").write_text("")
-        values = {"corpus_root": tmp_path / "c", "ground_truth": tmp_path / "gt.jsonl",
-                  "out_dir": tmp_path / "out", "threshold": "1", "rate_limit": "2",
-                  "public_threshold": "3", "vanity_prefix": "4", "top_n": "5",
-                  "min_received": "6"}
+        values = {key: tmp_path / ("c" if key in DIR_KEYS else "gt.jsonl")
+                  for key in PATH_KEYS}
+        values.update({"out_dir": tmp_path / "out", "threshold": "1", "rate_limit": "2",
+                       "public_threshold": "3", "vanity_prefix": "4", "top_n": "5",
+                       "min_received": "6"})
         (tmp_path / "run.cfg").write_text("".join(
             "%s = %s\n" % (key, values.get(key, "x"))
             for key in PipelineConfig._fields if key != "provider"))
@@ -141,6 +144,23 @@ class TestParseConfig:
         for key, default in PipelineConfig._field_defaults.items():
             assert type(getattr(cfg, key)) is type(default), key
         assert (cfg.threshold, cfg.rate_limit, cfg.top_n, cfg.base_url) == (1.0, 2.0, 5, "x")
+
+    @pytest.mark.parametrize("key", sorted(PATH_KEYS - {"corpus_root", "ground_truth"}))
+    @pytest.mark.parametrize("kind", ["absent", "wrong kind"])
+    def test_a_set_path_key_names_what_it_reads(self, tmp_path, key, kind):
+        # a misspelled fixture directory must not run as "no history, no hits"
+        (tmp_path / "c").mkdir()
+        (tmp_path / "gt.jsonl").write_text("")
+        wrong = tmp_path / ("gt.jsonl" if key in DIR_KEYS else "c")
+        cfg_file = tmp_path / "run.cfg"
+        cfg_file.write_text("corpus_root = %s\nground_truth = %s\nout_dir = %s\n%s = %s\n"
+                            % (tmp_path / "c", tmp_path / "gt.jsonl", tmp_path / "out", key,
+                               tmp_path / "absent" if kind == "absent" else wrong))
+        with pytest.raises(ConfigError, match="^%s is not a " % key):
+            parse_config(cfg_file)
+        cfg_file.write_text("corpus_root = %s\nground_truth = %s\nout_dir = %s\n%s =\n"
+                            % (tmp_path / "c", tmp_path / "gt.jsonl", tmp_path / "out", key))
+        assert getattr(parse_config(cfg_file), key) == ""
 
     def test_missing_required(self, tmp_path):
         cfg_file = tmp_path / "run.cfg"
@@ -153,8 +173,10 @@ class TestParseConfig:
         example = readme.split("Config is a `key = value` file:\n\n```\n", 1)[1]
         (tmp_path / "run.cfg").write_text(example.split("```", 1)[0])
         monkeypatch.chdir(tmp_path)  # the example's relative paths
-        (tmp_path / "captures").mkdir()
-        (tmp_path / "gt.jsonl").write_text("")
+        for directory in ("captures", "fixtures/txs", "fixtures/search"):
+            (tmp_path / directory).mkdir(parents=True)
+        for name in ("gt.jsonl", "chain_ann.jsonl", "trace_ann.jsonl"):
+            (tmp_path / name).write_text("")
         cfg = parse_config(tmp_path / "run.cfg")
         assert (cfg.corpus_root, cfg.ground_truth, cfg.provider, cfg.tx_fixtures) == (
             "captures/", "gt.jsonl", "fixtures", "fixtures/txs/")

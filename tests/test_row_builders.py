@@ -215,7 +215,7 @@ def test_trace_rows_are_the_record_paths_rows(drawn):
     assert skipped == ref_skipped
 
 
-SITES = ["s.onion", "t.onion", "u.onion"]
+SITES = [letter * 16 + ".onion" for letter in "stu"]  # valid v2 onion names
 
 
 @st.composite
