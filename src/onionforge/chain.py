@@ -14,7 +14,7 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .artifacts import NotJson, format_utc, parse_utc, read_jsonl, read_replay
-from .classify import CATEGORIES, OTHER, parse_category
+from .classify import CATEGORIES, OTHER
 from .corpus import onion_name
 from .logs import Logger
 from .net import NOT_FOUND, Client, FetchError
@@ -383,7 +383,7 @@ def estimate_income(illicit: dict[str, dict],
     split: dict[str, int] = {}
     full: dict[str, int] = {}
     for address, income in per_address.items():
-        cats = [parse_category(label) for label in illicit[address]["categories"]]
+        cats = illicit[address]["categories"]
         if not cats:
             continue
         for cat, share in _apportion(income, cats).items():

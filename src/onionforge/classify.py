@@ -17,7 +17,7 @@ import math
 import re
 
 from .artifacts import NotJson, jsonl_rows, word_list
-from .corpus import Corpus, PageRecord
+from .corpus import Corpus, PageRecord, onion_name
 from .pagetext import page_text
 
 MIN_TOKEN_LEN = 3
@@ -137,8 +137,9 @@ def tfidf_vectors(count_vectors: list[TermVector]) -> tuple[list[TermVector], di
 def load_ground_truth(path, corpus: Corpus) -> GroundTruthRows:
     """Read {domain, path, category} JSONL, resolving every row against the corpus.
 
-    A line that is not a JSON object with text domain, path and category
-    raises ClassifyConfigError naming the line.
+    A row names its page by the `onion_name` of its domain. A line that is
+    not a JSON object with text domain, path and category, or whose domain
+    is not an onion name, raises ClassifyConfigError naming the line.
     """
     by_key = {(p.domain, p.path): p for p in corpus}
     gt = []
@@ -153,7 +154,12 @@ def load_ground_truth(path, corpus: Corpus) -> GroundTruthRows:
                     "ground truth line %d: not a JSON object with text domain, path and "
                     "category: %r" % (lineno, json.dumps(row)))
             cat = parse_category(row["category"])
-            page = by_key.get((row["domain"], row["path"]))
+            try:
+                domain = onion_name(row["domain"])
+            except ValueError:
+                raise ClassifyConfigError("ground truth line %d: domain is not an onion name: %r"
+                                          % (lineno, row["domain"])) from None
+            page = by_key.get((domain, row["path"]))
             if page is None:
                 missing.append("%s %s (line %d)" % (row["domain"], row["path"], lineno))
                 continue

@@ -3,9 +3,10 @@
 Each stage is a computation: it takes the values of the artifacts it reads
 and returns the values of those it writes. `ARTIFACTS` declares every
 artifact once, with its writer and, if a stage reads it, its reader, in the
-format that `artifacts` fixes. Only `run_pipeline` touches the disk: it
-writes each output, hands it on in memory to the later stages of the run,
-and reads an artifact back only when the stage that writes it was skipped,
+format that `artifacts` fixes. Only the runner, `run_pipeline` and the
+`RunRecord` that reads and writes run.json, touches the disk: it writes
+each output, hands it on in memory to the later stages of the run, and
+reads an artifact back only when the stage that writes it was skipped,
 once. Stages are skipped on re-runs when their input digests match, which
 makes a run resumable from any completed stage. `artifacts` defines that
 fingerprint: each input's content digest, which an artifact's writer takes
@@ -151,96 +152,12 @@ def parse_config(path) -> PipelineConfig:
     return cfg
 
 
-# --- input digests for stage skipping ---
+class PipelineRun(NamedTuple):
+    """What one run did: its id and the stages it executed and skipped, in order."""
 
-class InputDigests:
-    """Each stage input's content digest, taken at most once per run.
-
-    `recorded` holds the last run's [signature, digest] pairs by path, from
-    a run.json last modified at `written_ns`. A recorded digest is reused
-    when the input's signature is unchanged and none of its files was
-    modified at or after `written_ns` (git's racy-clean rule); any other
-    input is hashed. The signature is taken before the input is read, so an
-    edit made while it is hashed leaves a stale signature, never a stale
-    digest. `taken` holds this run's pairs.
-
-    The pair of `snapshot`, the corpus root, covers what `ingest_snapshot`
-    reads, and is taken by the read that gives ingest its corpus: `digest`
-    keeps that corpus in `corpus`, and the runner hands it to ingest as it
-    hands on page texts and income.
-    """
-
-    def __init__(self, recorded: dict, written_ns: int, snapshot: str):
-        self.recorded = recorded
-        self.written_ns = written_ns
-        self.snapshot = snapshot
-        self.taken: dict[str, list[str]] = {}
-        # the snapshot's corpus, if digesting it read it: the runner hands it
-        # to the stage that takes corpus_root and empties the slot
-        self.corpus = None
-
-    def _check(self, key: str) -> tuple[str, str | None]:
-        """`key`'s signature, and its recorded digest if that pair still holds."""
-        signature, newest = (snapshot_signature if key == self.snapshot
-                             else stat_signature)(key)
-        pair = self.recorded.get(key)  # an entry of another shape counts as absent
-        if (isinstance(pair, list) and len(pair) == 2 and pair[0] == signature
-                and isinstance(pair[1], str) and newest < self.written_ns):
-            return signature, pair[1]
-        return signature, None
-
-    def digest(self, path) -> str:
-        key = str(path)
-        if key in self.taken:
-            return self.taken[key][1]
-        if key != self.snapshot:
-            signature, digest = self._check(key)
-            self.taken[key] = [signature, digest or _path_digest(path)]
-        elif key in self.recorded and (held := self._check(key))[1]:
-            self.taken[key] = list(held)
-        else:  # a snapshot with no pair to trust is read at once; its walk takes the pair
-            self.corpus = ingest_snapshot(key)
-            self.taken[key] = self.corpus.pair
-        return self.taken[key][1]
-
-    def record(self, path, digest: str):
-        """Take the pair of an artifact just written, with its writer's digest."""
-        self.taken[str(path)] = [stat_signature(path)[0], digest]
-
-    def pairs(self, paths) -> dict[str, list[str]]:
-        """The pairs run.json records: this run's, and the recorded pair of
-        each of `paths` the run did not consult that `digest` would still
-        trust. Checking one reads no bytes; one that cannot be checked is
-        not trusted."""
-        pairs = dict(self.taken)
-        for key in map(str, paths):
-            with contextlib.suppress(OSError):
-                if key not in pairs and key in self.recorded and self._check(key)[1]:
-                    pairs[key] = self.recorded[key]
-        return pairs
-
-
-def _stage_digest(name: str, config_subset: dict, inputs, digests: InputDigests) -> str:
-    """Digest of a stage's config and its (key, path) inputs. Inputs are keyed
-    by name, not path, so an out dir that is moved or copied keeps its digests."""
-    payload = {"stage": name, "config": config_subset,
-               "inputs": {key: digests.digest(path) for key, path in inputs}}
-    return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
-
-
-class PipelineRun:
-    def __init__(self, config: PipelineConfig, out_dir: Path, inputs: InputDigests):
-        self.config = config
-        self.out_dir = out_dir
-        self.inputs = inputs  # this run's input digests; run.json records their pairs
-        self.run_id = ""
-        self.stage_digests: dict = {}
-        self.executed: list = []
-        self.skipped: list = []
-        # wall-clock times stay in memory and logs; persisted artifacts must be
-        # byte-reproducible for identical inputs
-        self.started_at = time.time()
-        self.finished_at = 0.0
+    run_id: str
+    executed: list[str]
+    skipped: list[str]
 
 
 # --- the artifacts ---
@@ -299,6 +216,17 @@ def write_tables(tables_dir: Path, tables: dict[str, tuple[list[str], list[dict]
     return write_tree(tables_dir, files)
 
 
+def read_illicit(path) -> dict[str, dict]:
+    """illicit.jsonl's rows by address. A hand-edited row is read as the
+    ground truth is: its categories become their labels, each once, sorted."""
+    from .classify import parse_category
+    rows = {}
+    for row in read_jsonl(path):
+        row["categories"] = sorted({parse_category(c) for c in row["categories"]})
+        rows[row["address"]] = row
+    return rows
+
+
 def _read_rows(path) -> list[dict]:
     return list(read_jsonl(path))
 
@@ -336,7 +264,7 @@ ARTIFACTS: dict[str, Artifact] = {a.name: a for a in (
     Artifact("addresses.jsonl", write_jsonl, _read_rows),
     Artifact("labels.jsonl", write_jsonl, _read_rows),
     Artifact("illicit.jsonl", lambda path, illicit: write_jsonl(path, illicit.values()),
-             lambda path: {row["address"]: row for row in read_jsonl(path)}),
+             read_illicit),
     Artifact("filter_audit.jsonl", write_jsonl),
     Artifact("ledgers", write_ledgers, lambda path: read_ledgers(path), tree=True),
     Artifact("hits.jsonl", write_jsonl),
@@ -575,6 +503,103 @@ def stage_report(cfg: PipelineConfig, inputs: dict) -> dict:
 STAGES = tuple((s.name, s.fn) for s in STAGE_DECLS.values())
 
 
+class RunRecord:
+    """run.json: each stage's digest and each input's [signature, digest] pair.
+
+    It is read once, from `out`, when the record is built; a file, `stages`
+    or `inputs` of another shape counts as absent. `stages` holds the last
+    run's stage digests, each replaced as this run completes its stage: a
+    stage the run does not reach keeps its digest, which covers only that
+    stage's own inputs, so a later run still re-runs exactly what changed.
+
+    `recorded` holds the last run's pairs by path, from a run.json last
+    modified at `written_ns`. A recorded digest is reused when the input's
+    signature is unchanged and none of its files was modified at or after
+    `written_ns` (git's racy-clean rule); any other input is hashed, at
+    most once per run. The signature is taken before the input is read, so
+    an edit made while it is hashed leaves a stale signature, never a stale
+    digest. `taken` holds this run's pairs.
+
+    The pair of the corpus root covers what `ingest_snapshot` reads, and is
+    taken by the read that gives ingest its corpus: `digest` keeps that
+    corpus in `corpus`, and the runner hands it to ingest as it hands on
+    page texts and income, and empties the slot.
+    """
+
+    def __init__(self, config: PipelineConfig, out: Path):
+        self.config, self.out = config, out
+        try:
+            with open(out / "run.json", "rb") as fh:
+                manifest = json.load(fh)
+                self.written_ns = os.fstat(fh.fileno()).st_mtime_ns
+        except (OSError, ValueError):
+            manifest, self.written_ns = {}, 0
+        if not isinstance(manifest, dict):
+            manifest = {}
+        previous, self.recorded = (value if isinstance(value, dict) else {}
+                                   for value in (manifest.get("stages"), manifest.get("inputs")))
+        self.stages = {name: previous[name] for name, _ in STAGES if name in previous}
+        self.taken: dict[str, list[str]] = {}
+        self.corpus = None
+
+    def _check(self, key: str) -> tuple[str, str | None]:
+        """`key`'s signature, and its recorded digest if that pair still holds."""
+        signature, newest = (snapshot_signature if key == self.config.corpus_root
+                             else stat_signature)(key)
+        pair = self.recorded.get(key)  # an entry of another shape counts as absent
+        if (isinstance(pair, list) and len(pair) == 2 and pair[0] == signature
+                and isinstance(pair[1], str) and newest < self.written_ns):
+            return signature, pair[1]
+        return signature, None
+
+    def digest(self, path) -> str:
+        key = str(path)
+        if key in self.taken:
+            return self.taken[key][1]
+        if key != self.config.corpus_root:
+            signature, digest = self._check(key)
+            self.taken[key] = [signature, digest or _path_digest(path)]
+        elif key in self.recorded and (held := self._check(key))[1]:
+            self.taken[key] = list(held)
+        else:  # a snapshot with no pair to trust is read at once; its walk takes the pair
+            self.corpus = ingest_snapshot(key)
+            self.taken[key] = self.corpus.pair
+        return self.taken[key][1]
+
+    def stage_digest(self, decl: Stage) -> str:
+        """Digest of a stage's config values and its inputs. Inputs are keyed
+        by name, not path, so an out dir that is moved or copied keeps its digests."""
+        payload = {"stage": decl.name,
+                   "config": {k: getattr(self.config, k) for k in decl.config_keys},
+                   "inputs": {key: self.digest(path)
+                              for key, path in decl.inputs(self.config, self.out)}}
+        return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+
+    def record(self, path, digest: str):
+        """Take the pair of an artifact just written, with its writer's digest."""
+        self.taken[str(path)] = [stat_signature(path)[0], digest]
+
+    def write(self, run_id: str = "", carry: bool = True):
+        """Write run.json, whole or not at all as every artifact is.
+
+        With `carry`, each input of a stage that the run did not consult
+        keeps its recorded pair, as the stage keeps its digest, if `digest`
+        would still trust it; checking one reads no bytes, and one that
+        cannot be checked is not trusted. The interim write before a stage
+        re-runs records only this run's own pairs: a run killed there
+        re-hashes the rest next time, and the final write still carries them.
+        """
+        pairs = dict(self.taken)
+        for decl in STAGE_DECLS.values() if carry else ():
+            for key in (str(path) for _, path in decl.inputs(self.config, self.out)):
+                with contextlib.suppress(OSError):
+                    if key not in pairs and key in self.recorded and self._check(key)[1]:
+                        pairs[key] = self.recorded[key]
+        write_json(self.out / "run.json", {"v": 1, "run_id": run_id,
+                                           "config": self.config._asdict(),
+                                           "stages": self.stages, "inputs": pairs})
+
+
 def run_pipeline(config: PipelineConfig, until: str | None = None) -> PipelineRun:
     """Execute the stages in order, skipping any whose inputs are unchanged.
 
@@ -584,6 +609,7 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> PipelineRu
     stages of the run that read it; an input whose stage was skipped is
     read from disk once.
     """
+    started = time.time()  # wall-clock time stays in the log, never in an artifact
     config.validate()
     names = [name for name, _ in STAGES]
     if until is not None and until not in names:
@@ -594,25 +620,8 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> PipelineRu
     except OSError as exc:
         raise ConfigError("out_dir cannot be made: %s" % exc) from exc
 
-    manifest_path = out / "run.json"
-    try:
-        with open(manifest_path, "rb") as fh:
-            manifest = json.load(fh)
-            written_ns = os.fstat(fh.fileno()).st_mtime_ns
-    except (OSError, ValueError):
-        manifest, written_ns = {}, 0
-    # a run.json of another shape counts as absent, as does none, and so does
-    # a misshapen `stages` or `inputs`
-    if not isinstance(manifest, dict):
-        manifest = {}
-    previous, recorded = (value if isinstance(value, dict) else {}
-                          for value in (manifest.get("stages"), manifest.get("inputs")))
-    # an input is hashed at most once per run, and an artifact the run writes not at all
-    run = PipelineRun(config, out, InputDigests(recorded, written_ns, config.corpus_root))
-    # stages this run does not reach keep their digests: each digest covers
-    # that stage's own inputs, so a later run still re-runs exactly what changed
-    run.stage_digests = {name: previous[name] for name, _ in STAGES if name in previous}
-
+    record = RunRecord(config, out)
+    executed, skipped = [], []
     stages = STAGES if until is None else STAGES[:names.index(until) + 1]
     # each artifact a stage of this run reads -> the last stage that reads it
     last_reader = {a: name for name, _ in stages for a in STAGE_DECLS[name].reads}
@@ -621,22 +630,21 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> PipelineRu
     for name, func in stages:
         decl = STAGE_DECLS[name]
         handed, extras = extras, {}
-        subset = {k: getattr(config, k) for k in decl.config_keys}
         try:
-            digest = _stage_digest(name, subset, decl.inputs(config, out), run.inputs)
-            if "corpus_root" in decl.config_keys and run.inputs.corpus is not None:
-                handed["corpus_root"], run.inputs.corpus = run.inputs.corpus, None
-            if previous.get(name) == digest and all(ARTIFACTS[o].present(out / o)
-                                                    for o in decl.writes):
-                run.skipped.append(name)
+            digest = record.stage_digest(decl)
+            if "corpus_root" in decl.config_keys and record.corpus is not None:
+                handed["corpus_root"], record.corpus = record.corpus, None
+            if record.stages.get(name) == digest and all(ARTIFACTS[o].present(out / o)
+                                                         for o in decl.writes):
+                skipped.append(name)
                 log.info("stage %s unchanged; skipping", name)
             else:
                 log.info("stage %s running", name)
-                if name in run.stage_digests:
+                if name in record.stages:
                     # unrecord the stage first, so a kill while it runs or
                     # writes cannot leave its old digest over partial outputs
-                    del run.stage_digests[name]
-                    _write_manifest(run, manifest_path, carry=False)
+                    del record.stages[name]
+                    record.write(carry=False)
                 for artifact in decl.reads:
                     if artifact not in values:  # its stage was skipped in this run
                         values[artifact] = ARTIFACTS[artifact].read(out / artifact)
@@ -644,43 +652,27 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> PipelineRu
                 for artifact in decl.writes:
                     written = ARTIFACTS[artifact].write(out / artifact, outputs[artifact])
                     if ARTIFACTS[artifact].read:  # run.json keeps pairs only of what a stage reads
-                        run.inputs.record(out / artifact, written)
+                        record.record(out / artifact, written)
                     if artifact in last_reader:
                         values[artifact] = outputs[artifact]
                 extras = {k: v for k, v in outputs.items() if k not in decl.writes}
-                run.executed.append(name)
+                executed.append(name)
         except Exception as exc:
             try:  # a run.json that cannot be written must not hide the stage's failure
-                _write_manifest(run, manifest_path)
+                record.write()
             except OSError as unwritten:
                 log.error("run.json not written: %s", str(unwritten))
             raise StageError(name, exc) from exc
-        run.stage_digests[name] = digest
+        record.stages[name] = digest
         for artifact in decl.reads:
             if last_reader[artifact] == name:
                 values.pop(artifact, None)
 
-    run.run_id = hashlib.sha256(json.dumps(
-        {"config": config._asdict(), "stages": run.stage_digests},
-        sort_keys=True).encode()).hexdigest()[:16]
-    run.finished_at = time.time()
-    _write_manifest(run, manifest_path)
-    log.info("run %s finished in %.2fs", run.run_id, run.finished_at - run.started_at)
-    return run
-
-
-def _write_manifest(run: PipelineRun, path: Path, carry: bool = True):
-    """Write run.json, whole or not at all as every artifact is.
-
-    With `carry`, a stage this run did not reach keeps its inputs' pairs, as
-    it keeps its digest. The interim write before a stage re-runs records only
-    this run's own pairs: a run killed there re-hashes the rest next time, and
-    the final write, which re-checks them once, still carries them.
-    """
-    inputs = [path for decl in STAGE_DECLS.values()
-              for _, path in decl.inputs(run.config, run.out_dir)] if carry else []
-    write_json(path, {"v": 1, "run_id": run.run_id, "config": run.config._asdict(),
-                      "stages": run.stage_digests, "inputs": run.inputs.pairs(inputs)})
+    run_id = hashlib.sha256(json.dumps({"config": config._asdict(), "stages": record.stages},
+                                       sort_keys=True).encode()).hexdigest()[:16]
+    record.write(run_id)
+    log.info("run %s finished in %.2fs", run_id, time.time() - started)
+    return PipelineRun(run_id, executed, skipped)
 
 
 # --- tables ---

@@ -409,6 +409,33 @@ class TestLoadGroundTruth:
             load_ground_truth(path, corpus)
         assert repr(bad) in str(err.value)
 
+    def test_row_names_its_page_by_onion_name(self, tmp_path):
+        corpus = Corpus([page(dom(0), "/", "pills")])
+        path = tmp_path / "gt.jsonl"
+        path.write_text(json.dumps({"domain": " %s " % dom(0).upper(), "path": "/",
+                                    "category": "Drugs"}) + "\n")
+        assert load_ground_truth(path, corpus) == [(corpus[0], "Drugs")]
+
+    def test_domain_that_is_no_onion_name_names_its_line(self, tmp_path):
+        corpus = Corpus([page(dom(0), "/", "pills")])
+        path = tmp_path / "gt.jsonl"
+        path.write_text(json.dumps({"domain": dom(0), "path": "/", "category": "Drugs"})
+                        + "\n" + json.dumps({"domain": "missing.onion", "path": "/",
+                                             "category": "Drugs"}) + "\n")
+        with pytest.raises(ClassifyConfigError,
+                           match="line 2: domain is not an onion name: 'missing.onion'"):
+            load_ground_truth(path, corpus)
+
+    def test_page_missing_from_corpus_names_its_line(self, tmp_path):
+        corpus = Corpus([page(dom(0), "/", "pills")])
+        path = tmp_path / "gt.jsonl"
+        path.write_text(json.dumps({"domain": dom(0), "path": "/", "category": "Drugs"})
+                        + "\n" + json.dumps({"domain": dom(1), "path": "/",
+                                             "category": "Drugs"}) + "\n")
+        with pytest.raises(ClassifyConfigError, match="missing from corpus: %s / \\(line 2\\)"
+                           % re.escape(dom(1))):
+            load_ground_truth(path, corpus)
+
     def test_line_that_is_not_utf8_names_its_line(self, tmp_path):
         corpus = Corpus([page(dom(0), "/", "pills")])
         path = tmp_path / "gt.jsonl"

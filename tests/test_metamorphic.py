@@ -1,10 +1,15 @@
 """Metamorphic relations of the whole pipeline: changes to the planted
 corpus's inputs that no rule of the paper gives a meaning to, and that must
-leave every artifact but run.json byte-identical."""
+leave every artifact but run.json byte-identical, or map every artifact the
+same way the inputs were mapped."""
 
+import csv
 import json
 import os
+import re
+import shutil
 import tempfile
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
@@ -12,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from onionforge.report import parse_config, run_pipeline
 
-from planted import assert_same_artifacts, build_planted_corpus
+from planted import TEMPLATES, assert_same_artifacts, build_planted_corpus
 
 # inputs whose rows are keyed, each key on one line, so their line order is
 # noise; a trace annotation is keyed by its URL only while no URL has two rows
@@ -110,3 +115,155 @@ def test_mtime_of_a_page_with_a_manifest_row_changes_no_artifact(unchanged, data
 
     with tempfile.TemporaryDirectory() as tmp:
         assert_same_artifacts(unchanged, planted_run(Path(tmp), touch))
+
+
+# --- equivariance: a change to the inputs maps every artifact the same way ---
+
+ALPHABET = "abcdefghijklmnopqrstuvwxyz234567"
+ONION_LABEL = re.compile(r"(?<![a-z2-7])(?:[a-z2-7]{56}|[a-z2-7]{16})(?=\.onion)")
+# fields whose value is a position in a sorted list, not a fact: a campaign's
+# id and rank, and the first two sites it lists
+POSITIONAL = {"id", "rank", "campaign", "d_campaign", "example_sites"}
+
+
+def relabel(source: str, target: str):
+    """`rename(text)` maps each character of every onion label in `text` from
+    `source` to `target`; `rename(text, whole=True)` maps all of `text`."""
+    table = str.maketrans(source, target)
+
+    def rename(text: str, whole: bool = False) -> str:
+        if whole:
+            return text.translate(table)
+        return ONION_LABEL.sub(lambda m: m.group().translate(table), text)
+    return rename
+
+
+def graph_doc(path: Path) -> dict:
+    """graph.graphml or graph.dot as {"nodes": {id: attrs}, "edges": [[kind, u, v]]}."""
+    nodes, edges = {}, []
+    if path.suffix == ".graphml":
+        ns = {"g": "http://graphml.graphdrawing.org/xmlns"}
+        graph = ET.parse(path).getroot().find("g:graph", ns)
+        for node in graph.findall("g:node", ns):
+            nodes[node.get("id")] = {d.get("key"): d.text for d in node.findall("g:data", ns)}
+        for edge in graph.findall("g:edge", ns):
+            edges.append([edge.find("g:data", ns).text, edge.get("source"), edge.get("target")])
+        return {"nodes": nodes, "edges": edges}
+    quoted = r'"((?:[^"\\]|\\.)*)"'
+    for line in path.read_text(encoding="utf-8").splitlines()[1:-1]:
+        if edge := re.fullmatch(r"  %s -- %s \[kind=%s\];" % (quoted, quoted, quoted), line):
+            edges.append([edge[3], edge[1], edge[2]])
+        else:
+            node = re.fullmatch(r"  %s \[(.*)\];" % quoted, line)
+            nodes[node[1]] = dict(re.findall(r"(\w+)=%s" % quoted, node[2]))
+    return {"nodes": nodes, "edges": edges}
+
+
+def canonical(value, rename):
+    """`value` with its onion names renamed, positional fields dropped, and
+    every list sorted, so that the order renaming moves is not compared."""
+    if isinstance(value, dict):
+        return {rename(k): rename(v, whole=True) if k == "prefix" else canonical(v, rename)
+                for k, v in value.items() if k not in POSITIONAL}
+    if isinstance(value, list):
+        return sorted((canonical(v, rename) for v in value),
+                      key=lambda v: json.dumps(v, sort_keys=True))
+    return rename(value) if isinstance(value, str) else value
+
+
+def artifact_values(out: Path, rename=lambda text, whole=False: text) -> dict:
+    """Every artifact file but run.json, parsed, by its path under `out`."""
+    values = {}
+    for path in sorted(p for p in out.rglob("*") if p.is_file() and p.name != "run.json"):
+        if path.suffix == ".jsonl":
+            value = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        elif path.suffix == ".json":
+            value = json.loads(path.read_text(encoding="utf-8"))
+        elif path.suffix == ".csv":
+            with path.open(encoding="utf-8", newline="") as f:
+                value = list(csv.DictReader(f))
+        else:
+            value = graph_doc(path)
+        values[str(path.relative_to(out))] = canonical(value, rename)
+    return values
+
+
+def rename_sites(planted, rename):
+    """Rename every site of the planted snapshot, and each row that names one,
+    keeping every file's mtime."""
+    renamed = planted.root / "renamed"
+    renamed.mkdir()
+    for entry in sorted(planted.snapshot.iterdir()):
+        shutil.move(entry, renamed / rename(entry.name))
+    planted.snapshot.rmdir()
+    renamed.rename(planted.snapshot)
+    for path in (planted.snapshot / "manifest.jsonl", planted.ground_truth,
+                 planted.chain_annotations):
+        st = path.stat()
+        path.write_text(rename(path.read_text(encoding="utf-8")), encoding="utf-8")
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+
+
+# one permutation of the label alphabet, applied at every position, keeps
+# each name valid and keeps which names share a prefix, so vanity groups map
+@settings(max_examples=25, deadline=None)
+@given(st.permutations(ALPHABET))
+def test_renaming_every_site_renames_it_in_every_artifact(unchanged, permutation):
+    permutation = "".join(permutation)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = planted_run(Path(tmp), lambda planted: rename_sites(
+            planted, relabel(ALPHABET, permutation)))
+        assert artifact_values(out, relabel(permutation, ALPHABET)) == artifact_values(
+            unchanged)
+
+
+def test_renaming_is_seen_by_the_comparison(unchanged, tmp_path):
+    swap = ALPHABET[1] + ALPHABET[0] + ALPHABET[2:]
+    out = planted_run(tmp_path, lambda planted: rename_sites(planted, relabel(ALPHABET, swap)))
+    renamed, back = artifact_values(out), artifact_values(out, relabel(swap, ALPHABET))
+    assert renamed != back == artifact_values(unchanged)
+
+
+OFF_TOPIC = "offtopicsiteaaaa.onion"
+OFF_TOPIC_WORDS = ["violin", "cello", "oboe", "bassoon", "timpani", "harp"]
+
+
+def add_off_topic_site(planted):
+    """One site, with a manifest row, whose words are on no ground-truth page."""
+    (planted.snapshot / OFF_TOPIC).mkdir()
+    (planted.snapshot / OFF_TOPIC / "index.html").write_text(
+        "<html><body><p>%s</p></body></html>" % " ".join(OFF_TOPIC_WORDS * 3),
+        encoding="utf-8")
+    with (planted.snapshot / "manifest.jsonl").open("a", encoding="utf-8") as f:
+        f.write(json.dumps({"domain": OFF_TOPIC, "fetched_at": "2022-03-01T00:00:00Z",
+                            "path": "/"}, sort_keys=True) + "\n")
+
+
+def test_an_off_topic_site_adds_one_other_label_and_its_page(unchanged, tmp_path):
+    assert not set(OFF_TOPIC_WORDS) & {w for words in TEMPLATES.values() for w in words}
+    out = planted_run(tmp_path, add_off_topic_site)
+    grown = {"corpus.jsonl", "labels.jsonl", "tables/classification.csv",
+             "tables/classification.json", "summary.json"}
+    names = {str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()}
+    assert names == {str(p.relative_to(unchanged)) for p in unchanged.rglob("*") if p.is_file()}
+    assert [name for name in sorted(names - grown) if name != "run.json"
+            and (out / name).read_bytes() != (unchanged / name).read_bytes()] == []
+    for name in ("corpus.jsonl", "labels.jsonl"):
+        lines = (out / name).read_text(encoding="utf-8").splitlines(keepends=True)
+        added = [line for line in lines if json.loads(line)["domain"] == OFF_TOPIC]
+        assert len(added) == 1
+        assert "".join(line for line in lines if line not in added) == (
+            unchanged / name).read_text(encoding="utf-8")
+    label = json.loads(added[0])
+    assert (label["category"], label["phase"]) == ("Other", "none")
+    before, after = artifact_values(unchanged), artifact_values(out)
+    for rows in (after["tables/classification.json"]["rows"],
+                 after["tables/classification.csv"]):
+        for row in rows:
+            if row["category"] in ("Other", "Total"):
+                for key in ("onions", "pages"):
+                    row[key] = type(row[key])(int(row[key]) - 1)
+    after["summary.json"]["sites_total"] -= 1
+    after["summary.json"]["pages_total"] -= 1
+    assert {name: after[name] for name in grown - {"corpus.jsonl", "labels.jsonl"}} == {
+        name: before[name] for name in grown - {"corpus.jsonl", "labels.jsonl"}}

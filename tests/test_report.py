@@ -900,6 +900,25 @@ class TestPipeline:
         run_pipeline(config._replace(out_dir=str(fresh)))
         assert_same_artifacts(out, fresh)
 
+    def test_null_stage_digest_is_dropped_before_its_stage_runs(self, tmp_path, monkeypatch):
+        planted = build_planted_corpus(tmp_path / "planted")
+        out = tmp_path / "out"
+        (tmp_path / "run.cfg").write_text(planted.config_text(out))
+        config = parse_config(tmp_path / "run.cfg")
+        run_pipeline(config)
+        manifest = json.loads((out / "run.json").read_text())
+        manifest["stages"]["ingest"] = None
+        (out / "run.json").write_text(json.dumps(manifest))
+        recorded = []
+
+        def ingest(cfg, inputs):
+            recorded.append(json.loads((out / "run.json").read_text())["stages"])
+            return STAGE_DECLS["ingest"].fn(cfg, inputs)
+        monkeypatch.setattr(report, "STAGES", (("ingest", ingest),) + report.STAGES[1:])
+        assert run_pipeline(config).executed == ["ingest"]
+        # a recorded name is dropped and written, whatever its value
+        assert sorted(recorded[0]) == sorted(name for name, _ in report.STAGES[1:])
+
     def test_edited_ledger_changes_the_tables(self, tmp_path):
         planted = build_planted_corpus(tmp_path / "planted")
         out = tmp_path / "out"
@@ -949,7 +968,7 @@ class TestPipeline:
         assert (out / "addresses.jsonl").exists()
         assert not (out / "labels.jsonl").exists()
 
-    def test_illicit_label_that_is_no_category_fails_cluster(self, tmp_path):
+    def test_illicit_label_that_is_no_category_fails_fetch_tx(self, tmp_path):
         planted = build_planted_corpus(tmp_path / "planted")
         out = tmp_path / "out"
         (tmp_path / "run.cfg").write_text(planted.config_text(out))
@@ -961,8 +980,44 @@ class TestPipeline:
         path.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
         with pytest.raises(StageError) as err:
             run_pipeline(config)  # filter is skipped: its inputs are unchanged
-        assert err.value.stage == "cluster"
+        # fetch-tx is the first stage of the run to read the file
+        assert err.value.stage == "fetch-tx"
         assert "Jaywalking" in str(err.value)
+
+    def test_hand_edited_illicit_category_spelling_names_its_category(self, tmp_path):
+        planted = build_planted_corpus(tmp_path / "planted")
+        out = tmp_path / "out"
+        (tmp_path / "run.cfg").write_text(planted.config_text(out))
+        config = parse_config(tmp_path / "run.cfg")
+        run_pipeline(config)
+        before = {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+        path = out / "illicit.jsonl"
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        spelled = {"Memberships": ["memberships"], "CloneCard": ["clone card", "CloneCard"]}
+        for row in rows:
+            if row["categories"][0] in spelled:
+                row["categories"] = spelled.pop(row["categories"][0])
+        assert not spelled
+        path.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
+        # every reader sees each row's labels once, as filter wrote them
+        assert run_pipeline(config).executed == ["fetch-tx", "trace", "cluster", "report"]
+        after = {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
+        assert after.keys() == before.keys()
+        assert [p.name for p in before if before[p] != after[p]] == ["illicit.jsonl", "run.json"]
+
+    def test_ground_truth_row_names_its_page_by_onion_name(self, tmp_path):
+        planted = build_planted_corpus(tmp_path / "planted")
+        out = tmp_path / "out"
+        (tmp_path / "run.cfg").write_text(planted.config_text(out))
+        config = parse_config(tmp_path / "run.cfg")
+        run_pipeline(config)
+        labels = (out / "labels.jsonl").read_bytes()
+        lines = planted.ground_truth.read_text().splitlines()
+        row = json.loads(lines[0])
+        row["domain"] = row["domain"].upper()
+        planted.ground_truth.write_text("\n".join([json.dumps(row)] + lines[1:]) + "\n")
+        assert "classify" in run_pipeline(config).executed
+        assert (out / "labels.jsonl").read_bytes() == labels
 
     def test_hand_edited_label_alias_names_its_category(self, tmp_path):
         planted = build_planted_corpus(tmp_path / "planted")
