@@ -9,7 +9,8 @@ and corpus.jsonl have their own exact serializers (`chain.ledger_json`,
 `corpus.write_corpus_jsonl`), which make the same bytes in one pass.
 `write_file` and `write_tree` write each artifact and run.json, hash them
 as they go, and leave a killed process the old artifact or the new one,
-never a partial one; they do not fsync (see the README).
+never a partial one; a write that raises removes its own `.tmp` first.
+They do not fsync (see the README).
 
 It also fixes the fingerprint a stage is skipped on. A content digest
 (`path_digest`, which the writers return) hashes a file's name and bytes,
@@ -20,6 +21,7 @@ its relative name, size, mtime, ctime, inode and device, reading no byte.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -76,10 +78,15 @@ def write_file(path, pieces) -> str:
     path = Path(path)
     tmp, old = _siblings(path)
     h = hashlib.sha256(path.name.encode())
-    _write(tmp, h, pieces)
-    if os.path.isdir(path) and not os.path.islink(path):  # a rename replaces no directory
-        path.rename(old)
-    tmp.replace(path)
+    try:
+        _write(tmp, h, pieces)
+        if os.path.isdir(path) and not os.path.islink(path):  # a rename replaces no directory
+            path.rename(old)
+        tmp.replace(path)
+    except BaseException:
+        with contextlib.suppress(OSError):  # the write's own error is the one to raise
+            _clear(tmp)
+        raise
     _clear(old)
     return h.hexdigest()
 
@@ -92,12 +99,17 @@ def write_tree(path, files) -> str:
     tmp, old = _siblings(path)
     tmp.mkdir()
     h = hashlib.sha256()
-    for name in sorted(files):
-        h.update(name.encode())
-        _write(tmp / name, h, files[name])
-    if os.path.lexists(path):  # a directory is renamed only over an empty one
-        path.rename(old)
-    tmp.rename(path)
+    try:
+        for name in sorted(files):
+            h.update(name.encode())
+            _write(tmp / name, h, files[name])
+        if os.path.lexists(path):  # a directory is renamed only over an empty one
+            path.rename(old)
+        tmp.rename(path)
+    except BaseException:
+        with contextlib.suppress(OSError):  # the write's own error is the one to raise
+            _clear(tmp)
+        raise
     _clear(old)
     return h.hexdigest()
 

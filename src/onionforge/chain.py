@@ -408,7 +408,7 @@ def multi_category(illicit: dict[str, dict]) -> int:
     return sum(len(row["categories"]) >= 2 for row in illicit.values())
 
 
-def dormant_addresses(ledgers: dict[str, Ledger], min_received: int = 0) -> list[str]:
+def dormant_addresses(ledgers: dict[str, Ledger], min_received: int) -> list[str]:
     """Reporting flag: addresses whose cumulative received is below a floor."""
     if min_received <= 0:
         return []

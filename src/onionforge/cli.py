@@ -9,7 +9,8 @@ as in `onionforge run --config FILE`. `--config=FILE` is accepted too, and
 
 Exit codes: 0 success, 2 usage or configuration error (an out dir that
 cannot be made is one), 3 stage failure (an input that a stage cannot read
-while it is digested is that stage's failure).
+while it is digested is that stage's failure; a final run.json write that
+fails is one too, named "run.json").
 """
 
 from __future__ import annotations

@@ -67,9 +67,6 @@ class UnionFind:
             groups.setdefault(self.find(item), []).append(item)
         return {min(members): sorted(members) for members in groups.values()}
 
-    def partition(self) -> frozenset[frozenset[str]]:
-        return frozenset(frozenset(m) for m in self.components().values())
-
 
 def seed_edges(labels: dict[str, str], illicit: dict[str, dict],
                site_emails: dict[str, set[str]]) -> tuple[list, list]:

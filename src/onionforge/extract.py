@@ -98,11 +98,11 @@ def _mixed_case(body: str) -> bool:
     return body != body.lower() and body != body.upper()
 
 
-def validate_eth(candidate: str, checksums: dict[str, str] | None = None) -> str | None:
+def validate_eth(candidate: str, checksums: dict[str, str]) -> str | None:
     """Hex + EIP-55 validation. Single-case bodies carry no checksum.
 
-    `checksums` is `eip55_checksums` of a batch that holds this body; without
-    it, a mixed-case body is hashed as a batch of one.
+    `checksums` is `eip55_checksums` of a batch that holds this body when it
+    is mixed-case; no other body is looked up in it.
     """
     body = _eth_body(candidate)
     if len(body) != 40:
@@ -111,8 +111,7 @@ def validate_eth(candidate: str, checksums: dict[str, str] | None = None) -> str
         return "bad-hex"
     if not _mixed_case(body):
         return None
-    canonical = (eip55_checksums([body]) if checksums is None else checksums)[body.lower()]
-    return None if body == canonical else "bad-eip55"
+    return None if body == checksums[body.lower()] else "bad-eip55"
 
 
 def _valid_hostname(host: str) -> bool:

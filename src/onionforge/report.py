@@ -670,14 +670,17 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> PipelineRu
 
     run_id = hashlib.sha256(json.dumps({"config": config._asdict(), "stages": record.stages},
                                        sort_keys=True).encode()).hexdigest()[:16]
-    record.write(run_id)
+    try:
+        record.write(run_id)
+    except OSError as exc:
+        raise StageError("run.json", exc) from exc
     log.info("run %s finished in %.2fs", run_id, time.time() - started)
     return PipelineRun(run_id, executed, skipped)
 
 
 # --- tables ---
 
-def emit_tables(inputs: dict, top_n: int = 10, min_received: int = 0) -> tuple[dict, dict]:
+def emit_tables(inputs: dict, top_n: int, min_received: int) -> tuple[dict, dict]:
     """The four paper-shaped tables and the summary, from the report stage's inputs.
 
     The income report is the one cluster returned in this run, under

@@ -48,17 +48,16 @@ def http_response(status, payload=None):
 def serve(respond):
     """A stdlib HTTP server on 127.0.0.1; yields its base URL.
 
-    `respond(path)` gives the (status, JSON payload) for each GET; a status
-    other than 200 is sent as an error page.
+    `respond(path)` gives the (status, JSON payload) for each GET, or
+    (status, payload, headers) to send more headers with it.
     """
     class Handler(http.server.BaseHTTPRequestHandler):
         def do_GET(self):
-            status, payload = respond(self.path)
-            if status != 200:
-                self.send_error(status)
-                return
+            status, payload, *headers = respond(self.path)
             body = json.dumps(payload).encode()
-            self.send_response(200)
+            self.send_response(status)
+            for name, value in (headers[0] if headers else {}).items():
+                self.send_header(name, value)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
             self.end_headers()

@@ -1,4 +1,5 @@
-"""Rows and sums built by hand, for test oracles that stay independent of the package."""
+"""Rows, sums and partitions built by hand, for test oracles that stay independent
+of the package."""
 
 
 def illicit_of(*entries):
@@ -22,3 +23,8 @@ def output_to(tx, address: str) -> int:
 def input_from(tx, address: str) -> int:
     """The satoshis `tx`'s inputs take from `address`."""
     return sum(i.value for i in tx.inputs if i.address == address)
+
+
+def partition(uf) -> frozenset:
+    """The sets of a `cluster.UnionFind`, as a set of frozensets of members."""
+    return frozenset(frozenset(members) for members in uf.components().values())

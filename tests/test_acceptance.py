@@ -29,7 +29,7 @@ from onionforge.report import parse_config, run_pipeline
 from planted import (
     B2, EXPECTED_CAMPAIGNS, GT_SHOP_MIX_DOMAIN, TEMPLATES, build_planted_corpus,
 )
-from rows import illicit_of, input_from, output_to
+from rows import illicit_of, input_from, output_to, partition
 
 STOPWORDS = load_stopwords()
 NOW = datetime(2022, 3, 1, tzinfo=timezone.utc)
@@ -382,7 +382,7 @@ def test_criterion_06_clustering_oracle():
         oracle = _oracle_component_graph(labels, illicit, ledgers, emails, links,
                                          threshold)
         expected = frozenset(frozenset(c) for c in nx.connected_components(oracle))
-        assert result.partition.partition() == expected, trial
+        assert partition(result.partition) == expected, trial
 
         sites_series = [s["onions"] for s in result.trace]
         assert sites_series == sorted(sites_series), trial
@@ -393,7 +393,7 @@ def test_criterion_06_clustering_oracle():
             shuffled_ledgers = dict(sorted(ledgers.items(), reverse=True))
             again = run_clustering(labels, illicit, shuffled_ledgers, emails,
                                    shuffled_links, threshold, 7)
-            assert again.partition.partition() == result.partition.partition(), trial
+            assert partition(again.partition) == partition(result.partition), trial
     ok(6, "100 random entity graphs: partition equals brute-force components; "
           "clustered-site counts non-decreasing; edge order irrelevant")
 

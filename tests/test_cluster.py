@@ -10,7 +10,7 @@ from onionforge.cluster import (
     node_id, run_clustering, seed_edges, transaction_edges, vanity_groups,
 )
 
-from rows import illicit_of, input_from, output_to
+from rows import illicit_of, input_from, output_to, partition
 
 T0 = datetime(2020, 1, 1, tzinfo=timezone.utc)
 PUBLIC_THRESHOLD, VANITY_PREFIX = 50, 7  # PipelineConfig's defaults
@@ -71,7 +71,7 @@ class TestUnionFind:
             uf = UnionFind("abcdef")
             for u, v in shuffled:
                 uf.union(u, v)
-            partitions.add(uf.partition())
+            partitions.add(partition(uf))
         assert len(partitions) == 1
 
 
@@ -103,7 +103,7 @@ class TestSharedSite:
         assert len(hosts) == len(set(pairs))  # each edge once, however often drawn
         uf = merge(UnionFind(oracle.nodes), hosts)
         expected = {frozenset(c) for c in nx.connected_components(oracle)}
-        assert uf.partition() == frozenset(expected)
+        assert partition(uf) == frozenset(expected)
 
 
 class TestDetectMixing:
@@ -179,7 +179,7 @@ class TestInternalTx:
         oracle.add_nodes_from("ABC")
         expected = {frozenset("btc:%s" % m for m in c)
                     for c in nx.connected_components(oracle)}
-        assert uf.partition() == frozenset(expected)
+        assert partition(uf) == frozenset(expected)
 
 
 class TestEmailPhase:
@@ -482,13 +482,13 @@ class TestWholePipelineInvariants:
                                     PUBLIC_THRESHOLD, VANITY_PREFIX)
             oracle = oracle_edge_union(labels, illicit, ledgers, emails, links)
             expected = frozenset(frozenset(c) for c in nx.connected_components(oracle))
-            assert result.partition.partition() == expected, trial
+            assert partition(result.partition) == expected, trial
             # the partition is the components of the recorded edges
             recorded = nx.Graph()
             recorded.add_nodes_from(n for n, attrs in result.nodes.items()
                                     if attrs["type"] in (SITE, BTC))
             recorded.add_edges_from((u, v) for _, u, v in result.edges)
-            assert result.partition.partition() == frozenset(
+            assert partition(result.partition) == frozenset(
                 frozenset(c) for c in nx.connected_components(recorded)), trial
 
     def test_nodes_are_the_partition_and_each_edge_is_recorded_once(self):
@@ -520,10 +520,10 @@ class TestWholePipelineInvariants:
         uf = UnionFind([node_id(SITE, s) for s, label in labels.items() if label != "Other"]
                        + [node_id(SITE, s) for row in illicit.values() for s in row["sites"]]
                        + [node_id(BTC, a) for a in illicit])
-        history = [uf.partition()]
+        history = [partition(uf)]
         for edges in (hosts, common, internal, site_emails, identity):
             merge(uf, edges)
-            history.append(uf.partition())
+            history.append(partition(uf))
         for before, after in zip(history, history[1:]):
             for old_cluster in before:
                 assert any(old_cluster <= new_cluster for new_cluster in after)
@@ -537,4 +537,4 @@ class TestWholePipelineInvariants:
         rng.shuffle(shuffled)
         r2 = run_clustering(labels, illicit, ledgers, emails, shuffled,
                             PUBLIC_THRESHOLD, VANITY_PREFIX)
-        assert r1.partition.partition() == r2.partition.partition()
+        assert partition(r1.partition) == partition(r2.partition)

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from onionforge.report import parse_config, run_pipeline
 
-from planted import TEMPLATES, assert_same_artifacts, build_planted_corpus
+from planted import LEDGER_FIXTURES, TEMPLATES, assert_same_artifacts, build_planted_corpus
 
 # inputs whose rows are keyed, each key on one line, so their line order is
 # noise; a trace annotation is keyed by its URL only while no URL has two rows
@@ -100,6 +100,34 @@ def test_order_of_a_replay_fixture_changes_no_artifact(unchanged, tmp_path, fixt
             path.write_text(json.dumps(rows[::-1], indent=2), encoding="utf-8")
 
     assert_same_artifacts(unchanged, planted_run(tmp_path, reverse))
+
+
+# a documented non-relation: a ledger file lists each transaction's inputs
+# and outputs in the order the explorer gave them, and every other reader
+# sums them or takes them as a set, so reversing them changes only the ledger
+# files that hold a transaction with more than one input or output
+def test_io_order_of_a_replay_fixture_changes_only_its_ledger_files(unchanged, tmp_path):
+    def reverse_ios(rows):
+        return [dict(row, inputs=row["inputs"][::-1], outputs=row["outputs"][::-1])
+                for row in rows]
+
+    def reverse(planted):
+        for path in sorted(planted.tx_fixtures.glob("*.json")):
+            rows = json.loads(path.read_text(encoding="utf-8"))
+            path.write_text(json.dumps(reverse_ios(rows), indent=2), encoding="utf-8")
+
+    out = planted_run(tmp_path, reverse)
+    names = {p.relative_to(out) for p in out.rglob("*") if p.is_file()}
+    assert names == {p.relative_to(unchanged) for p in unchanged.rglob("*") if p.is_file()}
+    changed = [rel for rel in sorted(names) if rel.name != "run.json"
+               and (out / rel).read_bytes() != (unchanged / rel).read_bytes()]
+    multi_io = sorted(address for address, txs in LEDGER_FIXTURES.items()
+                      if any(len(tx["inputs"]) > 1 or len(tx["outputs"]) > 1 for tx in txs))
+    assert len(multi_io) == 3
+    assert changed == [Path("ledgers", address + ".json") for address in multi_io]
+    for rel in changed:
+        assert (json.loads((out / rel).read_text(encoding="utf-8"))
+                == reverse_ios(json.loads((unchanged / rel).read_text(encoding="utf-8"))))
 
 
 # a page's fetch time is its manifest row's, and only a page without one

@@ -1,4 +1,5 @@
 import builtins
+import errno
 import gc
 import hashlib
 import io
@@ -29,7 +30,7 @@ from onionforge.report import (
     format_btc, parse_config, run_pipeline,
 )
 
-from killed import KILLED, tear_writes
+from killed import KILLED, Torn, tear_writes
 from planted import EXPECTED_CAMPAIGNS, NOISE, assert_same_artifacts, build_planted_corpus
 from rows import illicit_of
 
@@ -1049,6 +1050,81 @@ def tree_state(path: Path):
     return path.read_bytes() if path.exists() else None
 
 
+def no_space(monkeypatch, at, hit):
+    """Make the open for writing, the first write or the rename (`at`) of
+    each path for which `hit(path)` is true raise ENOSPC; the write keeps
+    half its data first."""
+    real_open, real_replace, real_rename = io.open, Path.replace, Path.rename
+
+    def full(path):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+    def opening(file, mode="r", *args, **kwargs):
+        if isinstance(file, int) or not set(mode) & set("wax") or not hit(Path(file)):
+            return real_open(file, mode, *args, **kwargs)
+        if at == "open":
+            full(file)
+        fh = real_open(file, mode, *args, **kwargs)
+        return Torn(fh, lambda: full(file)) if at == "write" else fh
+
+    def renaming(rename):
+        def refusing(self, target):
+            if at == "rename" and hit(self):
+                full(self)
+            return rename(self, target)
+        return refusing
+    monkeypatch.setattr(builtins, "open", opening)
+    monkeypatch.setattr(io, "open", opening)
+    monkeypatch.setattr(Path, "replace", renaming(real_replace))
+    monkeypatch.setattr(Path, "rename", renaming(real_rename))
+
+
+class TestFailedWrites:
+    @pytest.mark.parametrize("at", ["open", "write", "rename"])
+    def test_final_run_json_write_fails_the_run_with_exit_3(self, tmp_path, monkeypatch, capsys,
+                                                           at):
+        planted = build_planted_corpus(tmp_path / "planted")
+        out, clean = tmp_path / "out", tmp_path / "clean"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(planted.config_text(out))
+        run_pipeline(parse_config(cfg)._replace(out_dir=str(clean)))
+        with monkeypatch.context() as patched:
+            no_space(patched, at, lambda path: path.name == "run.json.tmp")
+            assert cli.main(["run", "--config", str(cfg)]) == cli.EXIT_STAGE
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if line.startswith("ERROR")]
+        assert len(errors) == 1 and "run.json" in errors[0], err
+        # every artifact is whole, and only run.json is missing
+        for name in ARTIFACTS:
+            assert tree_state(out / name) == tree_state(clean / name), name
+        assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS)
+        assert run_pipeline(parse_config(cfg)).skipped == []
+        assert_same_artifacts(out, clean)
+
+    @pytest.mark.parametrize("artifact", ["corpus.jsonl", "ledgers"])
+    def test_failed_write_removes_its_tmp_and_keeps_the_old_artifact(self, tmp_path,
+                                                                     monkeypatch, artifact):
+        planted = build_planted_corpus(tmp_path / "planted")
+        out = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(planted.config_text(out))
+        run_pipeline(parse_config(cfg))
+        before = tree_state(out / artifact)
+        if artifact == "corpus.jsonl":  # a page edit re-runs ingest
+            page = planted.snapshot / NOISE / "index.html"
+            page.write_bytes(page.read_bytes() + b"<p>kiwi</p>")
+            hit, stage = (lambda path: path.name == "corpus.jsonl.tmp"), "ingest"
+        else:  # fewer illicit sites re-run fetch-tx
+            cfg.write_text(planted.config_text(out).replace("threshold = 0.5", "threshold = 1.0"))
+            hit, stage = (lambda path: path.parent.name == "ledgers.tmp"), "fetch-tx"
+        no_space(monkeypatch, "write", hit)
+        with pytest.raises(StageError) as err:
+            run_pipeline(parse_config(cfg))
+        assert err.value.stage == stage
+        assert tree_state(out / artifact) == before
+        assert [p.name for p in out.iterdir() if p.suffix in (".tmp", ".old")] == []
+
+
 @pytest.fixture(scope="module")
 def resume_cases(tmp_path_factory):
     """(work dir, config, writes) for a run of the planted corpus at threshold
@@ -1589,7 +1665,7 @@ class TestTables:
                   "ledgers": report.Ledgers({"A": ledger}),
                   "campaigns.json": {"campaigns": []}, "phase_trace.json": {"phases": []},
                   "vanity.json": {"groups": []}}
-        tables, _ = report.emit_tables(inputs)
+        tables, _ = report.emit_tables(inputs, top_n=10, min_received=0)
         _, rows = tables["top_addresses"]
         assert [(r["address"], r["incoming_transactions"], r["received_satoshi"])
                 for r in rows] == [("A", 2, 35)]
