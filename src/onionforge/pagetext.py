@@ -243,20 +243,14 @@ class _Scanner:
         if gtpos < 0:
             return -1
         m = _ENDTAGFIND.match(s, i)
-        if m is None:
-            if self.raw is not None:
-                return gtpos
+        if m is None:  # never in raw text, whose end tag `scan` has just matched
             name = _TAGFIND.match(s, i + 2)
             if name is None:
                 return i + 3 if s.startswith("</>", i) else self._gt(i + 2)
             self._end(name.group(1).lower())
             return s.find(">", name.end()) + 1
-        tag = m.group(1).lower()
-        if self.raw is not None:
-            if tag != self.raw:
-                return gtpos
-            self.raw = None
-        self._end(tag)
+        self.raw = None
+        self._end(m.group(1).lower())
         return gtpos
 
     def _start_tag(self, i):

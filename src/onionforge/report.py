@@ -32,6 +32,7 @@ import re
 import time
 from collections.abc import Callable
 from pathlib import Path
+from types import SimpleNamespace
 from typing import NamedTuple
 
 from .artifacts import (
@@ -286,14 +287,15 @@ class Stage(NamedTuple):
     """One pipeline stage, declared once; `run_pipeline` and the CLI use it.
 
     `fn(config, inputs)` takes the values of the artifacts named in `reads`
-    and returns a dict with the value of each artifact named in `writes`.
-    It may return other values besides: the runner passes them in the
-    inputs of the next stage of the run, if that stage executes, and then
-    drops them. Through the same hand-off, ingest gets the snapshot's
-    corpus under "corpus_root" when digesting the snapshot read it.
-    The stage's digest covers its `config_keys` values, the artifacts it
-    reads, and the contents of every file or directory that one of its
-    config keys names.
+    and of the hand-offs named in `takes`, and returns a dict with the value
+    of each artifact named in `writes`. A hand-off is a value that is no
+    artifact, such as one a stage returns beside its artifacts: the runner
+    keeps it until the last stage of the run that takes it has had its turn,
+    run or skipped, and a taker that finds none makes the value itself. In
+    a run, `config` holds only the `config_keys` values, so reading another
+    key fails the stage. The stage's digest covers its `config_keys`
+    values, the artifacts it reads, and the contents of every file or
+    directory that one of its config keys names.
     """
 
     name: str
@@ -301,6 +303,7 @@ class Stage(NamedTuple):
     reads: tuple[str, ...]
     writes: tuple[str, ...]
     config_keys: tuple[str, ...]
+    takes: tuple[str, ...]
 
     def inputs(self, cfg: PipelineConfig, out: Path) -> list[tuple[str, object]]:
         """(key, path) of each input: an artifact by its name, a file or
@@ -312,20 +315,20 @@ class Stage(NamedTuple):
 STAGE_DECLS: dict[str, Stage] = {}
 
 
-def stage(name: str, reads=(), writes=(), config_keys=()):
+def stage(name: str, reads=(), writes=(), config_keys=(), takes=()):
     """Declare the decorated function as the next stage of the pipeline."""
     def declare(fn):
         STAGE_DECLS[name] = Stage(name, fn, tuple(reads), tuple(writes),
-                                  tuple(config_keys))
+                                  tuple(config_keys), tuple(takes))
         return fn
     return declare
 
 
-@stage("ingest", writes=["corpus.jsonl"], config_keys=["corpus_root"])
+@stage("ingest", writes=["corpus.jsonl"], config_keys=["corpus_root"], takes=["corpus_root"])
 def stage_ingest(cfg: PipelineConfig, inputs: dict) -> dict:
     """Load the snapshot tree into corpus.jsonl.
 
-    `inputs` holds the corpus under "corpus_root" when the run read the
+    It takes the corpus under "corpus_root" when the run record read the
     snapshot to digest it; otherwise the snapshot is read here.
     """
     corpus = (inputs["corpus_root"] if "corpus_root" in inputs
@@ -341,7 +344,7 @@ def stage_extract(cfg: PipelineConfig, inputs: dict) -> dict:
     """Extract and validate BTC/ETH addresses and emails from every page.
 
     Also returns each page's visible text, in corpus order, under
-    "page_texts", so that classify need not scan the pages again.
+    "page_texts", which classify takes so as not to scan the pages again.
     """
     from . import extract
     corpus = inputs["corpus.jsonl"]
@@ -375,7 +378,7 @@ def valid_by_site(address_rows, kind: str) -> dict[str, set[str]]:
 
 
 @stage("classify", reads=["corpus.jsonl"], writes=["labels.jsonl"],
-       config_keys=["ground_truth", "threshold", "stopwords"])
+       config_keys=["ground_truth", "threshold", "stopwords"], takes=["page_texts"])
 def stage_classify(cfg: PipelineConfig, inputs: dict) -> dict:
     """Label every site with the three-phase illicit-site classifier; the
     page texts extract returned in this run spare a second scan."""
@@ -464,7 +467,7 @@ def stage_cluster(cfg: PipelineConfig, inputs: dict) -> dict:
     """Merge sites, addresses and identity facts into campaigns in five phases.
 
     Also returns the `chain.IncomeReport` of the illicit addresses' ledgers
-    under "income", so that report need not estimate it again.
+    under "income", which report takes so as not to estimate it again.
     """
     from . import cluster
     result = cluster.run_clustering(
@@ -489,7 +492,7 @@ def stage_cluster(cfg: PipelineConfig, inputs: dict) -> dict:
               "ledgers", "campaigns.json", "phase_trace.json", "vanity.json",
               "entity_graph.json"],
        writes=["tables", "graph.graphml", "graph.dot", "summary.json"],
-       config_keys=["top_n", "min_received"])
+       config_keys=["top_n", "min_received"], takes=["income"])
 def stage_report(cfg: PipelineConfig, inputs: dict) -> dict:
     """Write the paper-style tables, the summary and the campaign graph."""
     tables, summary = emit_tables(inputs, top_n=cfg.top_n, min_received=cfg.min_received)
@@ -521,13 +524,13 @@ class RunRecord:
     digest. `taken` holds this run's pairs.
 
     The pair of the corpus root covers what `ingest_snapshot` reads, and is
-    taken by the read that gives ingest its corpus: `digest` keeps that
-    corpus in `corpus`, and the runner hands it to ingest as it hands on
-    page texts and income, and empties the slot.
+    taken by the read that gives ingest its corpus: `digest` puts that
+    corpus in the runner's `values`, as the hand-off "corpus_root", which
+    ingest takes.
     """
 
-    def __init__(self, config: PipelineConfig, out: Path):
-        self.config, self.out = config, out
+    def __init__(self, config: PipelineConfig, out: Path, values: dict):
+        self.config, self.out, self.values = config, out, values
         try:
             with open(out / "run.json", "rb") as fh:
                 manifest = json.load(fh)
@@ -540,7 +543,6 @@ class RunRecord:
                                    for value in (manifest.get("stages"), manifest.get("inputs")))
         self.stages = {name: previous[name] for name, _ in STAGES if name in previous}
         self.taken: dict[str, list[str]] = {}
-        self.corpus = None
 
     def _check(self, key: str) -> tuple[str, str | None]:
         """`key`'s signature, and its recorded digest if that pair still holds."""
@@ -562,8 +564,8 @@ class RunRecord:
         elif key in self.recorded and (held := self._check(key))[1]:
             self.taken[key] = list(held)
         else:  # a snapshot with no pair to trust is read at once; its walk takes the pair
-            self.corpus = ingest_snapshot(key)
-            self.taken[key] = self.corpus.pair
+            corpus = self.values["corpus_root"] = ingest_snapshot(key)
+            self.taken[key] = corpus.pair
         return self.taken[key][1]
 
     def stage_digest(self, decl: Stage) -> str:
@@ -620,20 +622,18 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> PipelineRu
     except OSError as exc:
         raise ConfigError("out_dir cannot be made: %s" % exc) from exc
 
-    record = RunRecord(config, out)
+    values: dict[str, object] = {}  # artifacts and hand-offs, until their last user's turn
+    record = RunRecord(config, out, values)
     executed, skipped = [], []
     stages = STAGES if until is None else STAGES[:names.index(until) + 1]
-    # each artifact a stage of this run reads -> the last stage that reads it
-    last_reader = {a: name for name, _ in stages for a in STAGE_DECLS[name].reads}
-    values: dict[str, object] = {}  # this run's artifacts, until their last reader is done
-    extras: dict[str, object] = {}  # what the last stage returned besides its artifacts
+    # each artifact or hand-off a stage of this run reads or takes -> the last such stage
+    last_user = {key: name for name, _ in stages
+                 for key in STAGE_DECLS[name].reads + STAGE_DECLS[name].takes}
     for name, func in stages:
         decl = STAGE_DECLS[name]
-        handed, extras = extras, {}
+        used = decl.reads + decl.takes
         try:
             digest = record.stage_digest(decl)
-            if "corpus_root" in decl.config_keys and record.corpus is not None:
-                handed["corpus_root"], record.corpus = record.corpus, None
             if record.stages.get(name) == digest and all(ARTIFACTS[o].present(out / o)
                                                          for o in decl.writes):
                 skipped.append(name)
@@ -648,14 +648,14 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> PipelineRu
                 for artifact in decl.reads:
                     if artifact not in values:  # its stage was skipped in this run
                         values[artifact] = ARTIFACTS[artifact].read(out / artifact)
-                outputs = func(config, {a: values[a] for a in decl.reads} | handed)
+                outputs = func(SimpleNamespace(**{k: getattr(config, k) for k in decl.config_keys}),
+                               {k: values[k] for k in used if k in values})
                 for artifact in decl.writes:
                     written = ARTIFACTS[artifact].write(out / artifact, outputs[artifact])
                     if ARTIFACTS[artifact].read:  # run.json keeps pairs only of what a stage reads
                         record.record(out / artifact, written)
-                    if artifact in last_reader:
-                        values[artifact] = outputs[artifact]
-                extras = {k: v for k, v in outputs.items() if k not in decl.writes}
+                values.update({k: v for k, v in outputs.items() if k in last_user})
+                del outputs  # so that what no later stage uses is dropped now
                 executed.append(name)
         except Exception as exc:
             try:  # a run.json that cannot be written must not hide the stage's failure
@@ -664,9 +664,9 @@ def run_pipeline(config: PipelineConfig, until: str | None = None) -> PipelineRu
                 log.error("run.json not written: %s", str(unwritten))
             raise StageError(name, exc) from exc
         record.stages[name] = digest
-        for artifact in decl.reads:
-            if last_reader[artifact] == name:
-                values.pop(artifact, None)
+        for key in used:
+            if last_user[key] == name:
+                values.pop(key, None)
 
     run_id = hashlib.sha256(json.dumps({"config": config._asdict(), "stages": record.stages},
                                        sort_keys=True).encode()).hexdigest()[:16]

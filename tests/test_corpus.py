@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from onionforge.artifacts import write_jsonl
 from onionforge.corpus import (
     Corpus, CorpusError, PageRecord, ingest_snapshot, onion_name, read_corpus_jsonl,
-    write_corpus_jsonl,
+    snapshot_signature, write_corpus_jsonl,
 )
 
 NOW = datetime(2022, 3, 1, tzinfo=timezone.utc)
@@ -85,6 +85,22 @@ class TestIngest:
         assert len(corpus) == 1
         assert corpus.skipped == ["%s/sub.html" % name_for(0)]
         assert "'sub.html'" in capsys.readouterr().err
+
+    def test_stray_file_in_a_site_is_skipped_and_left_out_of_the_pair(self, tmp_path, capsys):
+        site = tmp_path / name_for(0)
+        site.mkdir()
+        (site / "index.html").write_bytes(b"<html>x</html>")
+        clean = ingest_snapshot(tmp_path)
+        assert clean.skipped == []
+        capsys.readouterr()
+        for text in (b"notes", b"other notes"):
+            (site / "notes.txt").write_bytes(text)
+            corpus = ingest_snapshot(tmp_path)
+            assert corpus == clean
+            assert corpus.skipped == ["%s/notes.txt" % name_for(0)]
+            assert "skipping 'notes.txt': not a page file" in capsys.readouterr().err
+            assert corpus.pair == clean.pair
+            assert snapshot_signature(tmp_path)[0] == clean.pair[0]
 
     def test_missing_root_fatal(self, tmp_path):
         with pytest.raises(CorpusError):

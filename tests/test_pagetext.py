@@ -153,6 +153,13 @@ GOLDEN = [
     ("<a b==c>t</a>", ["t"], ["c"]),
     ("<a \"x\"=y>t</a>", ["t"], ["y"]),
     ("<a x='1>t", ["<a x='1>", "t"], []),
+    # scanner branches that only a lucky draw of the property above enters
+    ("a<![1]>b", ["a"], []),  # a marked section with no name ends the scan
+    ("a</b", ["a", "<", "/b"], []),  # an end tag with no ">" after it
+    ("a</b c>d", ["a", "d"], []),  # junk before an end tag's ">"
+    ("x<a\x00>y", ["x", "<a", "\x00>y"], []),  # a start tag cut at a NUL is text
+    ("<F\n\"/>", [], []),  # a slow-path start tag that ends in "/>"
+    ("<a <a =\"\"x", ["<a ", "<", "a =\"\"x"], []),  # an earlier chain's name end, reused
 ]
 
 

@@ -704,6 +704,121 @@ class TestPipeline:
         assert not any("income" in keys[name] for name in keys)
         assert tables(tmp_path / "split") == fresh_tables
 
+    def test_each_hand_off_reaches_only_its_taker_and_ends_with_its_turn(
+            self, tmp_path, monkeypatch):
+        class Watched(list):
+            """A list that a weak reference can watch."""
+        refs, got, alive = {}, {}, {}  # hand-off -> weak ref; stage -> hand-offs taken
+
+        def watching(name, fn):
+            def stage_fn(cfg, inputs):
+                got[name] = set(inputs) & {"corpus_root", "page_texts", "income"}
+                outputs = fn(cfg, inputs)
+                if "page_texts" in outputs:
+                    outputs["page_texts"] = Watched(outputs["page_texts"])
+                    refs["page_texts"] = weakref.ref(outputs["page_texts"])
+                if "income" in outputs:  # a set, which a weak reference can watch
+                    refs["income"] = weakref.ref(outputs["income"].internal_txids)
+                return outputs
+            return stage_fn
+        monkeypatch.setattr(report, "STAGES", tuple(
+            (name, watching(name, fn)) for name, fn in report.STAGES))
+        snapshot = report.ingest_snapshot
+
+        def watched_snapshot(root):  # the corpus holds its list of skipped entries
+            corpus = snapshot(root)
+            corpus.skipped = Watched(corpus.skipped)
+            refs["corpus_root"] = weakref.ref(corpus.skipped)
+            return corpus
+        monkeypatch.setattr(report, "ingest_snapshot", watched_snapshot)
+
+        # `alive` holds the hand-offs still held as each stage's turn starts,
+        # and at the final run.json write ("end")
+        def probe(turn):
+            alive[turn] = {key for key, ref in refs.items() if ref() is not None}
+        stage_digest, write = report.RunRecord.stage_digest, report.RunRecord.write
+
+        def probing_stage_digest(record, decl):
+            probe(decl.name)
+            return stage_digest(record, decl)
+
+        def probing_write(record, run_id="", carry=True):
+            if run_id:
+                probe("end")
+            return write(record, run_id, carry)
+        monkeypatch.setattr(report.RunRecord, "stage_digest", probing_stage_digest)
+        monkeypatch.setattr(report.RunRecord, "write", probing_write)
+
+        def run(config, until=None):
+            refs.clear()
+            got.clear()
+            alive.clear()
+            return run_pipeline(config, until)
+        planted = build_planted_corpus(tmp_path / "planted")
+        out = tmp_path / "out"
+        (tmp_path / "run.cfg").write_text(planted.config_text(out))
+        config = parse_config(tmp_path / "run.cfg")
+        names = list(STAGE_DECLS)
+
+        # a fresh run: each taker executes. The corpus ingest takes is its
+        # corpus.jsonl value too, which report is the last to read
+        assert run(config).skipped == []
+        assert {name: taken for name, taken in got.items() if taken} == {
+            "ingest": {"corpus_root"}, "classify": {"page_texts"}, "report": {"income"}}
+        assert [turn for turn in alive if "corpus_root" in alive[turn]] == names[1:]
+        assert [turn for turn in alive if "page_texts" in alive[turn]] == ["classify"]
+        assert [turn for turn in alive if "income" in alive[turn]] == ["report"]
+
+        # extract executes and classify, its texts' taker, is skipped
+        (out / "addresses.jsonl").unlink()
+        (out / "illicit.jsonl").unlink()
+        assert "classify" in run(config).skipped
+        assert "page_texts" in refs and not any(got.values())
+        assert [turn for turn in alive if "page_texts" in alive[turn]] == ["classify"]
+
+        # a snapshot that is racily clean is read again; ingest is skipped
+        os.utime(out / "run.json", ns=(0, 0))
+        assert run(config).executed == []
+        assert "corpus_root" in refs and not got
+        assert [turn for turn in alive if "corpus_root" in alive[turn]] == []
+
+        # cluster executes and report, the income's taker, is skipped
+        assert run(config._replace(public_threshold=2)).executed == ["cluster"]
+        assert "income" in refs and got == {"cluster": set()}
+        assert [turn for turn in alive if "income" in alive[turn]] == ["report"]
+
+        # a run that stops before the taker keeps nothing to its end
+        for until, hand_off in (("extract", "page_texts"), ("cluster", "income")):
+            split = config._replace(out_dir=str(tmp_path / until))
+            run(split, until)
+            assert hand_off in refs and alive["end"] == set()
+
+    def test_a_stage_sees_only_its_own_config_keys(self, tmp_path, monkeypatch):
+        seen = {}
+
+        def recording(name, fn):
+            def stage_fn(cfg, inputs):
+                seen[name] = sorted(vars(cfg))
+                return fn(cfg, inputs)
+            return stage_fn
+        monkeypatch.setattr(report, "STAGES", tuple(
+            (name, recording(name, fn)) for name, fn in report.STAGES))
+        planted = build_planted_corpus(tmp_path / "planted")
+        (tmp_path / "run.cfg").write_text(planted.config_text(tmp_path / "out"))
+        config = parse_config(tmp_path / "run.cfg")
+        assert run_pipeline(config).skipped == []  # each stage reads only its own keys
+        assert seen == {name: sorted(decl.config_keys) for name, decl in STAGE_DECLS.items()}
+
+        # a stage that reads another key fails, naming itself and the key
+        def classify(cfg, inputs):
+            return {"labels.jsonl": [], "threshold": cfg.threshold, "top_n": cfg.top_n}
+        monkeypatch.setattr(report, "STAGES", tuple(
+            (name, classify if name == "classify" else fn) for name, fn in report.STAGES))
+        with pytest.raises(StageError) as err:
+            run_pipeline(config._replace(threshold=0.6))
+        assert err.value.stage == "classify"
+        assert "stage 'classify' failed" in str(err.value) and "'top_n'" in str(err.value)
+
     def test_stopwords_edit_scans_each_classified_page_once(self, tmp_path, monkeypatch):
         planted = build_planted_corpus(tmp_path / "planted")
         stopwords = tmp_path / "stopwords.txt"
