@@ -52,8 +52,9 @@ def jsonl_rows(chunks, keep_bad_lines: bool = False):
 
     A line ends at an LF, a CR or a CR LF only, never inside a JSON string
     (a raw U+2028 there ends no line), and is decoded as UTF-8 on its own.
-    A line that is not UTF-8 JSON raises NotJson, or with `keep_bad_lines`
-    is yielded as its NotJson, for the caller to skip and count.
+    A line that is not UTF-8 JSON, or is nested deeper than the parser can
+    follow, raises NotJson, or with `keep_bad_lines` is yielded as its
+    NotJson, for the caller to skip and count.
     """
     lineno = 0
     for chunk in chunks:
@@ -64,7 +65,7 @@ def jsonl_rows(chunks, keep_bad_lines: bool = False):
                 if not text.strip():
                     continue
                 row = json.loads(text)
-            except ValueError:  # a UnicodeDecodeError is one
+            except (ValueError, RecursionError):  # a UnicodeDecodeError is a ValueError
                 row = NotJson("line %d is not JSON: %r"
                               % (lineno, line.decode("utf-8", "backslashreplace").strip()))
                 if not keep_bad_lines:
@@ -254,14 +255,18 @@ def format_utc(when: datetime) -> str:
 
 def read_replay(fixtures_dir, address: str) -> list:
     """The JSON array of the replay fixture `<fixtures_dir>/<address>.json`,
-    [] if there is none or `fixtures_dir` is empty; any other JSON value
-    raises ValueError naming the file."""
+    [] if there is none or `fixtures_dir` is empty. Text that is not JSON,
+    or is nested deeper than the parser can follow, raises ValueError, and
+    so does any other JSON value, naming the file."""
     if not fixtures_dir:
         return []
     path = Path(fixtures_dir) / (address + ".json")
     if not path.is_file():
         return []
-    rows = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        rows = json.loads(path.read_text(encoding="utf-8"))
+    except RecursionError:
+        raise ValueError("%s is nested too deeply to parse" % path.name) from None
     if not isinstance(rows, list):
         raise ValueError("%s is not a JSON array" % path.name)
     return rows

@@ -54,7 +54,8 @@ class Client:
 
     def get_json(self, url: str, params: dict | None = None):
         """The JSON body of GET `url`, or NOT_FOUND for a 404; any other 4xx,
-        or running out of retries, raises FetchError."""
+        or running out of retries, raises FetchError. A body that is not JSON,
+        or is nested deeper than the parser can follow, raises ValueError."""
         last = None
         for attempt in range(MAX_RETRIES + 1):
             self._throttle()
@@ -67,7 +68,11 @@ class Client:
                 if resp.status_code == 404:
                     return NOT_FOUND
                 if resp.status_code < 400:
-                    return resp.json()
+                    try:
+                        return resp.json()
+                    except RecursionError:
+                        raise ValueError("body from %s is nested too deeply to parse"
+                                         % url) from None
                 last = FetchError("HTTP %d from %s" % (resp.status_code, url))
                 if resp.status_code < 500 and resp.status_code != 429:
                     raise last

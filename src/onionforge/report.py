@@ -535,7 +535,7 @@ class RunRecord:
             with open(out / "run.json", "rb") as fh:
                 manifest = json.load(fh)
                 self.written_ns = os.fstat(fh.fileno()).st_mtime_ns
-        except (OSError, ValueError):
+        except (OSError, ValueError, RecursionError):  # nested too deeply to parse
             manifest, self.written_ns = {}, 0
         if not isinstance(manifest, dict):
             manifest = {}

@@ -67,7 +67,9 @@ def serve(respond):
             pass
 
     server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    # `shutdown` waits for the loop's next poll: 0.5 s by default
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
+                              daemon=True)
     thread.start()
     try:
         yield "http://127.0.0.1:%d" % server.server_address[1]

@@ -16,6 +16,7 @@ from pathlib import Path
 from urllib.parse import unquote
 
 from onionforge.base58 import b58check_encode
+from onionforge.report import parse_config
 
 SAT = 1  # readability for satoshi literals
 
@@ -268,6 +269,17 @@ def build_planted_corpus(root) -> PlantedCorpus:
     planted.trace_annotations.write_text(
         "".join(json.dumps(r, sort_keys=True) + "\n" for r in trace_ann))
     return planted
+
+
+def plant(root, *lines):
+    """Build the planted corpus under `root`/planted and write its config to
+    `root`/run.cfg, out_dir `root`/out, with `lines` appended. Returns the
+    corpus, the parsed config and the out dir."""
+    root = Path(root)
+    planted = build_planted_corpus(root / "planted")
+    (root / "run.cfg").write_text(planted.config_text(root / "out") + "".join(
+        line + "\n" for line in lines), encoding="utf-8")
+    return planted, parse_config(root / "run.cfg"), root / "out"
 
 
 def assert_same_artifacts(out1, out2):

@@ -310,6 +310,16 @@ class TestHttpExplorer:
         assert list(ledgers) == ["good"] and len(ledgers["good"]) == 2
         assert list(failures) == ["bad"]
 
+    def test_body_nested_too_deeply_is_a_per_address_failure(self):
+        deep = http_response(200)
+        deep._content = b"[" * 100000 + b"]" * 100000  # json.loads raises RecursionError
+        session = FakeSession([deep, FakeResponse(200, {"page": 1, "total_pages": 1,
+                                                        "transactions": tx_rows(0, 2)})])
+        ledgers, failures = fetch_all(["bad", "good"], HttpExplorer("http://x", session=session))
+        assert list(ledgers) == ["good"] and len(ledgers["good"]) == 2
+        assert failures == {"bad": "body from http://x/address/bad/transactions?page=1 is "
+                                   "nested too deeply to parse"}
+
     @pytest.mark.parametrize("second_page, reason", [
         (FakeResponse(404), "page 2 of 2 not found"),
         (FakeResponse(200, None), "malformed page"),

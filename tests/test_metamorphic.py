@@ -15,9 +15,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from onionforge.report import parse_config, run_pipeline
+from onionforge.report import run_pipeline
 
-from planted import LEDGER_FIXTURES, TEMPLATES, assert_same_artifacts, build_planted_corpus
+from planted import LEDGER_FIXTURES, TEMPLATES, assert_same_artifacts, plant
 
 # inputs whose rows are keyed, each key on one line, so their line order is
 # noise; a trace annotation is keyed by its URL only while no URL has two rows
@@ -25,19 +25,18 @@ ORDERLESS_INPUTS = ("gt.jsonl", "snapshot/manifest.jsonl", "chain_annotations.js
                     "trace_annotations.jsonl")
 
 
-def planted_run(root: Path, edit=lambda planted: None) -> Path:
+def edited_run(root: Path, edit=lambda planted: None) -> Path:
     """The out dir of a run over the planted corpus built under `root`,
     after `edit(planted)` changed its inputs."""
-    planted = build_planted_corpus(root / "planted")
+    planted, config, out = plant(root)
     edit(planted)
-    (root / "run.cfg").write_text(planted.config_text(root / "out"), encoding="utf-8")
-    assert run_pipeline(parse_config(root / "run.cfg")).skipped == []
-    return root / "out"
+    assert run_pipeline(config).skipped == []
+    return out
 
 
 @pytest.fixture(scope="module")
 def unchanged(tmp_path_factory):
-    return planted_run(tmp_path_factory.mktemp("unchanged"))
+    return edited_run(tmp_path_factory.mktemp("unchanged"))
 
 
 @settings(max_examples=50, deadline=None)
@@ -50,7 +49,7 @@ def test_line_order_of_a_keyed_input_changes_no_artifact(unchanged, name, data):
                         encoding="utf-8")
 
     with tempfile.TemporaryDirectory() as tmp:
-        assert_same_artifacts(unchanged, planted_run(Path(tmp), shuffle))
+        assert_same_artifacts(unchanged, edited_run(Path(tmp), shuffle))
 
 
 def test_no_url_has_two_trace_annotation_rows(unchanged):
@@ -72,8 +71,8 @@ def test_order_of_two_kinds_for_one_url_sets_its_kind(tmp_path):
                 f.writelines(json.dumps({"url": url, "kind": k}) + "\n" for k in kinds)
         return edit
 
-    first = planted_run(tmp_path / "first", annotate(["AbuseReport", "Benign"]))
-    second = planted_run(tmp_path / "second", annotate(["Benign", "AbuseReport"]))
+    first = edited_run(tmp_path / "first", annotate(["AbuseReport", "Benign"]))
+    second = edited_run(tmp_path / "second", annotate(["Benign", "AbuseReport"]))
     names = {p.relative_to(first) for p in first.rglob("*") if p.is_file()}
     assert names == {p.relative_to(second) for p in second.rglob("*") if p.is_file()}
     assert [rel for rel in sorted(names) if rel.name != "run.json"
@@ -99,7 +98,7 @@ def test_order_of_a_replay_fixture_changes_no_artifact(unchanged, tmp_path, fixt
             rows = json.loads(path.read_text(encoding="utf-8"))
             path.write_text(json.dumps(rows[::-1], indent=2), encoding="utf-8")
 
-    assert_same_artifacts(unchanged, planted_run(tmp_path, reverse))
+    assert_same_artifacts(unchanged, edited_run(tmp_path, reverse))
 
 
 # a documented non-relation: a ledger file lists each transaction's inputs
@@ -116,7 +115,7 @@ def test_io_order_of_a_replay_fixture_changes_only_its_ledger_files(unchanged, t
             rows = json.loads(path.read_text(encoding="utf-8"))
             path.write_text(json.dumps(reverse_ios(rows), indent=2), encoding="utf-8")
 
-    out = planted_run(tmp_path, reverse)
+    out = edited_run(tmp_path, reverse)
     names = {p.relative_to(out) for p in out.rglob("*") if p.is_file()}
     assert names == {p.relative_to(unchanged) for p in unchanged.rglob("*") if p.is_file()}
     changed = [rel for rel in sorted(names) if rel.name != "run.json"
@@ -142,7 +141,7 @@ def test_mtime_of_a_page_with_a_manifest_row_changes_no_artifact(unchanged, data
         os.utime(page, ns=(mtime_ns, mtime_ns))
 
     with tempfile.TemporaryDirectory() as tmp:
-        assert_same_artifacts(unchanged, planted_run(Path(tmp), touch))
+        assert_same_artifacts(unchanged, edited_run(Path(tmp), touch))
 
 
 # --- equivariance: a change to the inputs maps every artifact the same way ---
@@ -239,7 +238,7 @@ def rename_sites(planted, rename):
 def test_renaming_every_site_renames_it_in_every_artifact(unchanged, permutation):
     permutation = "".join(permutation)
     with tempfile.TemporaryDirectory() as tmp:
-        out = planted_run(Path(tmp), lambda planted: rename_sites(
+        out = edited_run(Path(tmp), lambda planted: rename_sites(
             planted, relabel(ALPHABET, permutation)))
         assert artifact_values(out, relabel(permutation, ALPHABET)) == artifact_values(
             unchanged)
@@ -247,7 +246,7 @@ def test_renaming_every_site_renames_it_in_every_artifact(unchanged, permutation
 
 def test_renaming_is_seen_by_the_comparison(unchanged, tmp_path):
     swap = ALPHABET[1] + ALPHABET[0] + ALPHABET[2:]
-    out = planted_run(tmp_path, lambda planted: rename_sites(planted, relabel(ALPHABET, swap)))
+    out = edited_run(tmp_path, lambda planted: rename_sites(planted, relabel(ALPHABET, swap)))
     renamed, back = artifact_values(out), artifact_values(out, relabel(swap, ALPHABET))
     assert renamed != back == artifact_values(unchanged)
 
@@ -269,7 +268,7 @@ def add_off_topic_site(planted):
 
 def test_an_off_topic_site_adds_one_other_label_and_its_page(unchanged, tmp_path):
     assert not set(OFF_TOPIC_WORDS) & {w for words in TEMPLATES.values() for w in words}
-    out = planted_run(tmp_path, add_off_topic_site)
+    out = edited_run(tmp_path, add_off_topic_site)
     grown = {"corpus.jsonl", "labels.jsonl", "tables/classification.csv",
              "tables/classification.json", "summary.json"}
     names = {str(p.relative_to(out)) for p in out.rglob("*") if p.is_file()}

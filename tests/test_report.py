@@ -30,13 +30,15 @@ from onionforge.report import (
     format_btc, parse_config, run_pipeline,
 )
 
-from killed import KILLED, Torn, tear_writes
-from planted import EXPECTED_CAMPAIGNS, NOISE, assert_same_artifacts, build_planted_corpus
+from killed import KILLED, inject, oserror
+from planted import A1, EXPECTED_CAMPAIGNS, NOISE, assert_same_artifacts, plant
 from rows import illicit_of
 
 ROOT = Path(__file__).resolve().parents[1]
 # the path keys that name a directory; every other one names a file
 DIR_KEYS = {"corpus_root", "tx_fixtures", "search_fixtures"}
+# a JSON value nested deeper than `json.loads` can follow: it raises RecursionError
+DEEP = "[" * 100000 + "]" * 100000
 
 
 def src_env() -> dict:
@@ -45,32 +47,11 @@ def src_env() -> dict:
         [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
 
-# runs the pipeline of the config file argv[1] and exits with 9 at the
-# second ledger file written
-KILLED_IN_FETCH_TX = """
-import os, sys
-from onionforge import chain, report
-ledger_json, written = chain.ledger_json, []
-def dying(transactions):
-    written.append(1)
-    if len(written) == 2:
-        os._exit(9)
-    return ledger_json(transactions)
-chain.ledger_json = dying
-report.run_pipeline(report.parse_config(sys.argv[1]))
-"""
-
-
 @pytest.fixture(scope="module")
-def planted_run(tmp_path_factory):
-    tmp = tmp_path_factory.mktemp("planted_run")
-    planted = build_planted_corpus(tmp / "planted")
-    out = tmp / "out"
-    cfg_file = tmp / "run.cfg"
-    cfg_file.write_text(planted.config_text(out))
-    config = parse_config(cfg_file)
-    run = run_pipeline(config)
-    return planted, config, run, out
+def fresh(tmp_path_factory):
+    """The config, out dir and result of a fresh run over the planted corpus."""
+    _, config, out = plant(tmp_path_factory.mktemp("fresh"))
+    return config, out, run_pipeline(config)
 
 
 def age_manifest(out):
@@ -230,29 +211,42 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="rate_limit"):
             parse_config(cfg_file)
 
+    @pytest.mark.parametrize("line, named", [
+        ("threshold = 1.5", "^threshold "), ("provider = carrier", "^provider "),
+        ("public_threshold = 0", "^public_threshold "), ("vanity_prefix = 0", "^vanity_prefix "),
+        ("top_n = 0", "^top_n "), ("threshold 0.5", "^line 10 "),
+        ("", "^cannot read config: .*run.cfg")],
+        ids=["threshold", "provider", "public_threshold", "vanity_prefix", "top_n", "no-equals",
+             "unreadable"])
+    def test_config_error_names_its_key_or_line(self, tmp_path, line, named):
+        if line:
+            with pytest.raises(ConfigError, match=named):
+                plant(tmp_path, line)
+        else:  # a config path that names a directory
+            (tmp_path / "run.cfg").mkdir()
+            with pytest.raises(ConfigError, match=named):
+                parse_config(tmp_path / "run.cfg")
+        assert cli.main(["run", "--config", str(tmp_path / "run.cfg")]) == cli.EXIT_CONFIG
+
 
 class TestPipeline:
-    def test_campaigns_match_planted_truth(self, planted_run):
-        _, _, _, out = planted_run
+    def test_campaigns_match_planted_truth(self, fresh):
+        _, out, _ = fresh
         doc = json.loads((out / "campaigns.json").read_text())
         got = [{k: c[k] for k in ("sites", "btc_addresses", "emails", "ips",
                                   "urls", "categories", "received")}
                for c in doc["campaigns"]]
         assert got == EXPECTED_CAMPAIGNS
 
-    def test_resume_skips_everything(self, planted_run):
-        _, config, first, out = planted_run
+    def test_resume_skips_everything(self, fresh):
+        config, _, first = fresh
         assert first.executed  # first invocation did real work
         second = run_pipeline(config)
         assert second.executed == []
         assert set(second.skipped) == {name for name, _ in report.STAGES}
 
     def test_resume_reruns_only_missing_stage(self, tmp_path):
-        planted = build_planted_corpus(tmp_path / "planted")
-        out = tmp_path / "out"
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text(planted.config_text(out))
-        config = parse_config(cfg_file)
+        _, config, out = plant(tmp_path)
         run_pipeline(config)
         for p in (out / "ledgers").iterdir():
             p.unlink()
@@ -263,39 +257,31 @@ class TestPipeline:
         assert "classify" in resumed.skipped and "cluster" in resumed.skipped
 
     def test_changed_explorer_domains_file_reruns_trace(self, tmp_path):
-        planted = build_planted_corpus(tmp_path / "planted")
         domains = tmp_path / "explorers.txt"
         domains.write_text("btc.com\nblockchair.com\n")
-        cfg_text = planted.config_text(tmp_path / "out") + "explorer_domains = %s\n" % domains
-        (tmp_path / "run.cfg").write_text(cfg_text)
-        run_pipeline(parse_config(tmp_path / "run.cfg"))
-        hits_before = (tmp_path / "out" / "hits.jsonl").read_bytes()
+        _, config, out = plant(tmp_path, "explorer_domains = %s" % domains)
+        run_pipeline(config)
+        hits_before = (out / "hits.jsonl").read_bytes()
 
         domains.write_text("blockchair.com\n")  # same path, new content
-        resumed = run_pipeline(parse_config(tmp_path / "run.cfg"))
+        resumed = run_pipeline(config)
         # only hits.jsonl changes; surface.jsonl, which cluster reads, does not
         assert resumed.executed == ["trace"]
         assert resumed.skipped == ["ingest", "extract", "classify", "filter",
                                    "fetch-tx", "cluster", "report"]
 
-        (tmp_path / "fresh.cfg").write_text(cfg_text.replace(
-            "out_dir = %s" % (tmp_path / "out"), "out_dir = %s" % (tmp_path / "fresh")))
-        run_pipeline(parse_config(tmp_path / "fresh.cfg"))
-        hits = (tmp_path / "out" / "hits.jsonl").read_bytes()
+        run_pipeline(config._replace(out_dir=str(tmp_path / "fresh")))
+        hits = (out / "hits.jsonl").read_bytes()
         assert hits != hits_before
         assert hits == (tmp_path / "fresh" / "hits.jsonl").read_bytes()
-        assert_same_artifacts(tmp_path / "out", tmp_path / "fresh")
+        assert_same_artifacts(out, tmp_path / "fresh")
 
     @pytest.mark.parametrize("key", ["tx_fixtures", "search_fixtures"])
     def test_an_empty_fixtures_key_reads_no_files(self, tmp_path, monkeypatch, key):
-        planted = build_planted_corpus(tmp_path / "planted")
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text(planted.config_text(tmp_path / "out"))
-        config = parse_config(cfg_file)._replace(**{key: ""})
+        planted, config, out = plant(tmp_path)
         # run from the directory that holds the <address>.json files the key named
         monkeypatch.chdir(getattr(planted, key))
-        run_pipeline(config)
-        out = tmp_path / "out"
+        run_pipeline(config._replace(**{key: ""}))
         if key == "tx_fixtures":
             ledgers = ARTIFACTS["ledgers"].read(out / "ledgers")
             assert ledgers and not any(ledgers.values()) and not ledgers.failures
@@ -303,18 +289,13 @@ class TestPipeline:
             assert (out / "hits.jsonl").read_bytes() == b""
 
     def test_an_unknown_until_is_a_config_error(self, tmp_path):
-        planted = build_planted_corpus(tmp_path / "planted")
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text(planted.config_text(tmp_path / "out"))
+        _, config, out = plant(tmp_path)
         with pytest.raises(ConfigError, match="'fetch_tx'"):
-            run_pipeline(parse_config(cfg_file), until="fetch_tx")
-        assert not (tmp_path / "out").exists()
+            run_pipeline(config, until="fetch_tx")
+        assert not out.exists()
 
     def test_partial_run_keeps_digests_of_later_stages(self, tmp_path):
-        planted = build_planted_corpus(tmp_path / "planted")
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text(planted.config_text(tmp_path / "out"))
-        config = parse_config(cfg_file)
+        _, config, _ = plant(tmp_path)
         run_pipeline(config)
         partial = run_pipeline(config, until="extract")
         assert partial.skipped == ["ingest", "extract"]
@@ -326,10 +307,7 @@ class TestPipeline:
         path_digest = report._path_digest
         monkeypatch.setattr(report, "_path_digest",
                             lambda path: hashed.update([str(path)]) or path_digest(path))
-        planted = build_planted_corpus(tmp_path / "planted")
-        out = tmp_path / "out"
-        (tmp_path / "run.cfg").write_text(planted.config_text(out))
-        config = parse_config(tmp_path / "run.cfg")
+        _, config, out = plant(tmp_path)
         run_pipeline(config)
         age_manifest(out)
         run_pipeline(config)
@@ -340,10 +318,7 @@ class TestPipeline:
         assert hashed == Counter()
 
     def test_input_edited_after_a_partial_run_reruns_its_stage(self, tmp_path):
-        planted = build_planted_corpus(tmp_path / "planted")
-        out = tmp_path / "out"
-        (tmp_path / "run.cfg").write_text(planted.config_text(out))
-        config = parse_config(tmp_path / "run.cfg")
+        planted, config, out = plant(tmp_path)
         run_pipeline(config)
         age_manifest(out)
         run_pipeline(config, until="extract")
@@ -357,10 +332,7 @@ class TestPipeline:
         assert_same_artifacts(out, tmp_path / "fresh")
 
     def test_racy_pair_is_not_carried(self, tmp_path):
-        planted = build_planted_corpus(tmp_path / "planted")
-        out = tmp_path / "out"
-        (tmp_path / "run.cfg").write_text(planted.config_text(out))
-        config = parse_config(tmp_path / "run.cfg")
+        planted, config, out = plant(tmp_path)
         run_pipeline(config)
         key = str(planted.trace_annotations)
         signature, newest = artifacts.stat_signature(key)
@@ -386,10 +358,7 @@ class TestPipeline:
         monkeypatch.setattr(pagetext, "_scan", counting_scan)
         monkeypatch.setattr(report, "_path_digest", counting_digest)
 
-        planted = build_planted_corpus(tmp_path / "planted")
-        out = tmp_path / "out"
-        (tmp_path / "run.cfg").write_text(planted.config_text(out))
-        config = parse_config(tmp_path / "run.cfg")
+        _, config, out = plant(tmp_path)
         assert run_pipeline(config).skipped == []
         pages = read_corpus_jsonl(out / "corpus.jsonl")
         # extract's parse also serves classify, ground-truth pages included
@@ -407,9 +376,7 @@ class TestPipeline:
         assert hashed == Counter()
 
     def test_fresh_run_reads_back_no_artifact(self, tmp_path, monkeypatch):
-        planted = build_planted_corpus(tmp_path / "planted")
-        out = tmp_path / "out"
-        (tmp_path / "run.cfg").write_text(planted.config_text(out))
+        _, config, out = plant(tmp_path)
         read, real_open, hash_file = [], io.open, artifacts.hash_file
 
         def under_out(file):
@@ -429,14 +396,11 @@ class TestPipeline:
         monkeypatch.setattr(io, "open", counting_open)
         monkeypatch.setattr(artifacts, "hash_file", counting_hash)
         # each artifact's digest is the one its writer took as it wrote it
-        assert run_pipeline(parse_config(tmp_path / "run.cfg")).skipped == []
+        assert run_pipeline(config).skipped == []
         assert read == []
 
     def test_each_snapshot_file_opened_once(self, tmp_path, monkeypatch):
-        planted = build_planted_corpus(tmp_path / "planted")
-        out = tmp_path / "out"
-        (tmp_path / "run.cfg").write_text(planted.config_text(out))
-        config = parse_config(tmp_path / "run.cfg")
+        planted, config, out = plant(tmp_path)
         snapshot_files = {str(p) for p in planted.snapshot.rglob("*") if p.is_file()}
         opened, real_open = Counter(), io.open
 
@@ -460,57 +424,37 @@ class TestPipeline:
         assert opened == Counter(snapshot_files)
 
     def test_snapshot_that_cannot_be_read_fails_ingest(self, tmp_path, monkeypatch):
-        planted = build_planted_corpus(tmp_path / "planted")
-        manifest = str(planted.snapshot / "manifest.jsonl")
-        (tmp_path / "run.cfg").write_text(planted.config_text(tmp_path / "out"))
-        real_open = io.open
-
-        def denied(file, *args, **kwargs):
-            if not isinstance(file, int) and os.fspath(file) == manifest:
-                raise PermissionError(13, "Permission denied", manifest)
-            return real_open(file, *args, **kwargs)
-        monkeypatch.setattr(builtins, "open", denied)
+        planted, config, _ = plant(tmp_path)
+        manifest = planted.snapshot / "manifest.jsonl"
+        inject(monkeypatch.setattr, "read", manifest.__eq__, oserror(errno.EACCES))
         with pytest.raises(StageError) as err:
-            run_pipeline(parse_config(tmp_path / "run.cfg"))
+            run_pipeline(config)
         assert err.value.stage == "ingest"
         assert isinstance(err.value.cause, PermissionError)
 
     def test_input_that_cannot_be_hashed_fails_its_stage(self, tmp_path, monkeypatch):
-        planted = build_planted_corpus(tmp_path / "planted")
-        out = tmp_path / "out"
         stopwords = tmp_path / "stopwords.txt"
         stopwords.write_text("the\n")
-        (tmp_path / "run.cfg").write_text(planted.config_text(out)
-                                          + "stopwords = %s\n" % stopwords)
-        hash_file = artifacts.hash_file
-
-        def denied(h, path):
-            if Path(path) == stopwords:
-                raise PermissionError(13, "Permission denied", str(path))
-            hash_file(h, path)
-        monkeypatch.setattr(artifacts, "hash_file", denied)
-
+        _, config, out = plant(tmp_path, "stopwords = %s" % stopwords)
+        # the first read of the file in a run is its digest's
+        inject(monkeypatch.setattr, "read", stopwords.__eq__, oserror(errno.EACCES), at=1)
         with pytest.raises(StageError) as err:
-            run_pipeline(parse_config(tmp_path / "run.cfg"))
+            run_pipeline(config)
         assert err.value.stage == "classify"
         assert isinstance(err.value.cause, PermissionError)
         assert set(json.loads((out / "run.json").read_text())["stages"]) == {
             "ingest", "extract"}
+        inject(monkeypatch.setattr, "read", stopwords.__eq__, oserror(errno.EACCES), at=1)
         assert cli.main(["run", "--config", str(tmp_path / "run.cfg")]) == cli.EXIT_STAGE
 
     def test_snapshot_that_cannot_be_listed_fails_ingest_on_rerun(self, tmp_path, monkeypatch):
-        planted = build_planted_corpus(tmp_path / "planted")
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(planted.config_text(tmp_path / "out"))
-        run_pipeline(parse_config(cfg))
-        manifest = tmp_path / "out" / "run.json"
+        planted, config, out = plant(tmp_path)
+        run_pipeline(config)
+        manifest = out / "run.json"
         recorded = manifest.read_bytes()
-
-        def denied(root):
-            raise PermissionError(13, "Permission denied", str(root))
-        monkeypatch.setattr(report, "snapshot_signature", denied)
+        inject(monkeypatch.setattr, "scandir", planted.snapshot.__eq__, oserror(errno.EACCES))
         with pytest.raises(StageError) as err:
-            run_pipeline(parse_config(cfg))
+            run_pipeline(config)
         assert err.value.stage == "ingest"
         assert isinstance(err.value.cause, PermissionError)
         # run.json keeps every stage's digest, but not the pair it could not check
@@ -519,69 +463,47 @@ class TestPipeline:
         assert str(planted.snapshot) not in rewritten["inputs"]
         assert str(planted.ground_truth) in rewritten["inputs"]
         manifest.write_bytes(recorded)
-        assert cli.main(["run", "--config", str(cfg)]) == cli.EXIT_STAGE
+        assert cli.main(["run", "--config", str(tmp_path / "run.cfg")]) == cli.EXIT_STAGE
 
     def test_input_directory_that_cannot_be_listed_fails_its_stage(self, tmp_path, monkeypatch):
-        planted = build_planted_corpus(tmp_path / "planted")
-        out = tmp_path / "out"
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(planted.config_text(out))
-        scandir = os.scandir
-
-        def refusing(path="."):  # as for a directory of mode 000, which root can list
-            if Path(path) == planted.tx_fixtures:
-                raise PermissionError(13, "Permission denied", str(path))
-            return scandir(path)
-        monkeypatch.setattr(os, "scandir", refusing)
+        planted, config, out = plant(tmp_path)
+        # as for a directory of mode 000, which root can list
+        inject(monkeypatch.setattr, "scandir", planted.tx_fixtures.__eq__, oserror(errno.EACCES))
         with pytest.raises(StageError) as err:
-            run_pipeline(parse_config(cfg))
+            run_pipeline(config)
         assert err.value.stage == "fetch-tx"
         assert isinstance(err.value.cause, PermissionError)
         assert not (out / "ledgers").exists()
-        assert cli.main(["run", "--config", str(cfg)]) == cli.EXIT_STAGE
+        assert cli.main(["run", "--config", str(tmp_path / "run.cfg")]) == cli.EXIT_STAGE
 
     def test_unwritable_run_json_keeps_the_stage_failure(self, tmp_path, monkeypatch):
-        planted = build_planted_corpus(tmp_path / "planted")
         stopwords = tmp_path / "stopwords.txt"
         stopwords.write_text("the\n")
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(planted.config_text(tmp_path / "out") + "stopwords = %s\n" % stopwords)
-        hash_file, real_open, refused = artifacts.hash_file, io.open, []
-
-        def denied(h, path):
-            if Path(path) == stopwords:
-                raise PermissionError(13, "Permission denied", str(path))
-            hash_file(h, path)
-
-        def refusing(file, mode="r", *args, **kwargs):
-            # run.json, under whatever name its writer gives it while it writes
-            if not isinstance(file, int) and "w" in mode and Path(file).name.startswith("run.json"):
-                refused.append(file)
-                raise PermissionError(13, "Permission denied", str(file))
-            return real_open(file, mode, *args, **kwargs)
-        monkeypatch.setattr(artifacts, "hash_file", denied)
-        monkeypatch.setattr(builtins, "open", refusing)
-        monkeypatch.setattr(io, "open", refusing)
+        _, config, _ = plant(tmp_path, "stopwords = %s" % stopwords)
+        # the first read of the file in a run is its digest's
+        inject(monkeypatch.setattr, "read", stopwords.__eq__, oserror(errno.EACCES), at=1)
+        # run.json, under whatever name its writer gives it while it writes
+        refused = inject(monkeypatch.setattr, "open", lambda path: path.name.startswith("run.json"),
+                         oserror(errno.EACCES))
         with pytest.raises(StageError) as err:
-            run_pipeline(parse_config(cfg))
+            run_pipeline(config)
         assert err.value.stage == "classify"
-        assert cli.main(["run", "--config", str(cfg)]) == cli.EXIT_STAGE
+        inject(monkeypatch.setattr, "read", stopwords.__eq__, oserror(errno.EACCES), at=1)
+        assert cli.main(["run", "--config", str(tmp_path / "run.cfg")]) == cli.EXIT_STAGE
         assert refused
 
     @pytest.mark.skipif(not hasattr(os, "geteuid") or os.geteuid() == 0,
                         reason="root reads a file of mode 000")
     def test_unreadable_input_fails_its_stage(self, tmp_path):
-        planted = build_planted_corpus(tmp_path / "planted")
         stopwords = tmp_path / "stopwords.txt"
         stopwords.write_text("the\n")
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(planted.config_text(tmp_path / "out") + "stopwords = %s\n" % stopwords)
+        _, config, _ = plant(tmp_path, "stopwords = %s" % stopwords)
         stopwords.chmod(0)
         try:
-            assert cli.main(["run", "--config", str(cfg)]) == cli.EXIT_STAGE
+            assert cli.main(["run", "--config", str(tmp_path / "run.cfg")]) == cli.EXIT_STAGE
         finally:
             stopwords.chmod(0o644)
-        run = run_pipeline(parse_config(cfg))
+        run = run_pipeline(config)
         assert run.skipped == ["ingest", "extract"]
 
     def test_fresh_run_takes_no_snapshot_signature(self, tmp_path, monkeypatch):
@@ -593,19 +515,16 @@ class TestPipeline:
             signatures.append(root)
             return snapshot_signature(root)
         monkeypatch.setattr(report, "snapshot_signature", counting)
-        planted = build_planted_corpus(tmp_path / "planted")
-        (tmp_path / "run.cfg").write_text(planted.config_text(tmp_path / "out"))
-        assert run_pipeline(parse_config(tmp_path / "run.cfg")).skipped == []
+        _, config, _ = plant(tmp_path)
+        assert run_pipeline(config).skipped == []
         assert signatures == []
 
     def test_page_text_does_not_outlive_the_run(self, tmp_path):
-        planted = build_planted_corpus(tmp_path / "planted")
-        (tmp_path / "run.cfg").write_text(planted.config_text(tmp_path / "out"))
-        config = parse_config(tmp_path / "run.cfg")
+        planted, config, out = plant(tmp_path)
         run_pipeline(config, until="extract")  # classify never takes the text
         planted.ground_truth.write_text(
             '{"domain": "missing.onion", "path": "/", "category": "Drugs"}\n')
-        (tmp_path / "out" / "addresses.jsonl").unlink()
+        (out / "addresses.jsonl").unlink()
         with pytest.raises(StageError) as err:
             run_pipeline(config)  # extract runs again, then classify fails
         assert err.value.stage == "classify"
@@ -626,10 +545,7 @@ class TestPipeline:
             return stage_fn
         monkeypatch.setattr(report, "STAGES", tuple(
             (name, recording(name, fn)) for name, fn in report.STAGES))
-        planted = build_planted_corpus(tmp_path / "planted")
-        out = tmp_path / "out"
-        (tmp_path / "run.cfg").write_text(planted.config_text(out))
-        config = parse_config(tmp_path / "run.cfg")
+        _, config, out = plant(tmp_path)
 
         assert run_pipeline(config).skipped == []
         assert [name for name in keys if "page_texts" in keys[name]] == ["classify"]
@@ -669,10 +585,7 @@ class TestPipeline:
             return stage_fn
         monkeypatch.setattr(report, "STAGES", tuple(
             (name, recording(name, fn)) for name, fn in report.STAGES))
-        planted = build_planted_corpus(tmp_path / "planted")
-        out = tmp_path / "out"
-        (tmp_path / "run.cfg").write_text(planted.config_text(out))
-        config = parse_config(tmp_path / "run.cfg")
+        _, config, out = plant(tmp_path)
 
         def tables(out_dir):
             return {p.name: p.read_bytes() for p in (out_dir / "tables").iterdir()}
@@ -754,10 +667,7 @@ class TestPipeline:
             got.clear()
             alive.clear()
             return run_pipeline(config, until)
-        planted = build_planted_corpus(tmp_path / "planted")
-        out = tmp_path / "out"
-        (tmp_path / "run.cfg").write_text(planted.config_text(out))
-        config = parse_config(tmp_path / "run.cfg")
+        _, config, out = plant(tmp_path)
         names = list(STAGE_DECLS)
 
         # a fresh run: each taker executes. The corpus ingest takes is its
@@ -803,9 +713,7 @@ class TestPipeline:
             return stage_fn
         monkeypatch.setattr(report, "STAGES", tuple(
             (name, recording(name, fn)) for name, fn in report.STAGES))
-        planted = build_planted_corpus(tmp_path / "planted")
-        (tmp_path / "run.cfg").write_text(planted.config_text(tmp_path / "out"))
-        config = parse_config(tmp_path / "run.cfg")
+        _, config, _ = plant(tmp_path)
         assert run_pipeline(config).skipped == []  # each stage reads only its own keys
         assert seen == {name: sorted(decl.config_keys) for name, decl in STAGE_DECLS.items()}
 
@@ -820,13 +728,9 @@ class TestPipeline:
         assert "stage 'classify' failed" in str(err.value) and "'top_n'" in str(err.value)
 
     def test_stopwords_edit_scans_each_classified_page_once(self, tmp_path, monkeypatch):
-        planted = build_planted_corpus(tmp_path / "planted")
         stopwords = tmp_path / "stopwords.txt"
         shutil.copy(Path(classify.__file__).parent / "data" / "stopwords.txt", stopwords)
-        out = tmp_path / "out"
-        (tmp_path / "run.cfg").write_text(
-            planted.config_text(out) + "stopwords = %s\n" % stopwords)
-        config = parse_config(tmp_path / "run.cfg")
+        planted, config, out = plant(tmp_path, "stopwords = %s" % stopwords)
         assert run_pipeline(config).skipped == []
 
         parsed, scan = Counter(), pagetext._scan
@@ -852,10 +756,7 @@ class TestPipeline:
         parse_transaction = chain.parse_transaction
         monkeypatch.setattr(chain, "parse_transaction",
                             lambda row: parsed.append(row) or parse_transaction(row))
-        planted = build_planted_corpus(tmp_path / "planted")
-        out = tmp_path / "out"
-        (tmp_path / "run.cfg").write_text(planted.config_text(out))
-        config = parse_config(tmp_path / "run.cfg")
+        planted, config, out = plant(tmp_path)
         assert run_pipeline(config).skipped == []
         fixture_rows = [row for path in sorted(planted.tx_fixtures.glob("*.json"))
                         for row in json.loads(path.read_text())]
@@ -878,10 +779,7 @@ class TestPipeline:
                 monkeypatch.setitem(ARTIFACTS, name, artifact._replace(
                     read=lambda path, name=name, fn=artifact.read:
                     read.append(name) or fn(path)))
-        planted = build_planted_corpus(tmp_path / "planted")
-        out = tmp_path / "out"
-        (tmp_path / "run.cfg").write_text(planted.config_text(out))
-        config = parse_config(tmp_path / "run.cfg")
+        _, config, out = plant(tmp_path)
         # each stage takes what the earlier stages of the run made
         assert run_pipeline(config).skipped == []
         assert read == []
@@ -902,8 +800,8 @@ class TestPipeline:
         run_pipeline(config._replace(out_dir=str(fresh)))
         assert_same_artifacts(out, fresh)
 
-    def test_copied_out_dir_skips_everything(self, planted_run, tmp_path):
-        _, config, _, planted_out = planted_run
+    def test_copied_out_dir_skips_everything(self, fresh, tmp_path):
+        config, planted_out, _ = fresh
         out = tmp_path / "moved" / "out"
         shutil.copytree(planted_out, out)
         run = run_pipeline(config._replace(out_dir=str(out)))
@@ -914,9 +812,8 @@ class TestPipeline:
     # runs again and its writer replaces what stands at its path
     @pytest.mark.parametrize("artifact, stage", [
         ("summary.json", "report"), ("labels.jsonl", "classify"), ("ledgers", "fetch-tx")])
-    def test_output_of_the_wrong_kind_is_rewritten(self, planted_run, tmp_path, artifact,
-                                                   stage):
-        _, config, _, planted_out = planted_run
+    def test_output_of_the_wrong_kind_is_rewritten(self, fresh, tmp_path, artifact, stage):
+        config, planted_out, _ = fresh
         out = tmp_path / "out"
         shutil.copytree(planted_out, out)
         wrong = out / artifact
@@ -932,8 +829,8 @@ class TestPipeline:
         assert_same_artifacts(out, planted_out)
 
     @pytest.mark.parametrize("manifest", ["[]", "null", '{"stages": []}', '{"stages": null}'])
-    def test_misshapen_manifest_counts_as_none(self, planted_run, tmp_path, manifest):
-        _, config, _, planted_out = planted_run
+    def test_misshapen_manifest_counts_as_none(self, fresh, tmp_path, manifest):
+        config, planted_out, _ = fresh
         out = tmp_path / "out"
         shutil.copytree(planted_out, out)
         (out / "run.json").write_text(manifest)
@@ -941,12 +838,35 @@ class TestPipeline:
         assert run.executed == list(STAGE_DECLS)
         assert_same_artifacts(out, planted_out)
 
+    # a value nested too deeply to parse is not JSON, as a line, a replay
+    # fixture or run.json: it fails what text that is not JSON fails, and only that
+    @pytest.mark.parametrize("name, code, logged", [
+        ("planted/snapshot/manifest.jsonl", cli.EXIT_OK,
+         "manifest line {n} unusable: line {n} is not JSON"),
+        ("planted/txs/{A1}.json", cli.EXIT_OK,
+         "fetch failed for {A1}: {A1}.json is nested too deeply to parse"),
+        ("planted/trace_annotations.jsonl", cli.EXIT_OK, "annotation line {n} is not JSON"),
+        ("out/run.json", cli.EXIT_OK, "executed {stages}, skipped nothing"),
+        ("planted/gt.jsonl", cli.EXIT_STAGE, "ground truth line {n} is not JSON"),
+        ("planted/chain_annotations.jsonl", cli.EXIT_STAGE,
+         "chain annotations line {n} is not JSON"),
+    ], ids=["manifest", "tx-fixture", "trace-annotations", "run.json", "ground-truth",
+            "chain-annotations"])
+    def test_json_nested_too_deeply_is_not_json(self, tmp_path, capsys, name, code, logged):
+        _, config, _ = plant(tmp_path)
+        path = tmp_path / name.format(A1=A1)
+        if path.name == "run.json":
+            run_pipeline(config)
+        lines = path.read_text().splitlines() if path.suffix == ".jsonl" else []
+        path.write_text("".join(line + "\n" for line in lines + [DEEP]))
+        capsys.readouterr()
+        assert cli.main(["run", "--config", str(tmp_path / "run.cfg")]) == code
+        assert logged.format(n=len(lines) + 1, A1=A1, stages=list(STAGE_DECLS)) in (
+            capsys.readouterr().err)
+
     @pytest.mark.parametrize("memo", [5, [], "entries", None])
     def test_misshapen_input_memo_counts_as_empty(self, tmp_path, monkeypatch, memo):
-        planted = build_planted_corpus(tmp_path / "planted")
-        out = tmp_path / "out"
-        (tmp_path / "run.cfg").write_text(planted.config_text(out))
-        config = parse_config(tmp_path / "run.cfg")
+        _, config, out = plant(tmp_path)
         run_pipeline(config)
         manifest = json.loads((out / "run.json").read_text())
         if memo == "entries":  # each entry of another shape than a pair of strings
@@ -971,40 +891,33 @@ class TestPipeline:
                                          for _, path in decl.inputs(config, out)})
 
     def test_interrupted_manifest_write_keeps_the_last_manifest(self, tmp_path, monkeypatch):
-        planted = build_planted_corpus(tmp_path / "planted")
-        out = tmp_path / "out"
-        (tmp_path / "run.cfg").write_text(planted.config_text(out))
-        config = parse_config(tmp_path / "run.cfg")
+        _, config, out = plant(tmp_path)
         run_pipeline(config)
         manifest = (out / "run.json").read_bytes()
 
-        def interrupt():
+        def interrupt(path):
             raise KeyboardInterrupt
         # the process is interrupted halfway through writing run.json
-        undo = tear_writes(lambda path: path.name.startswith("run.json"), interrupt)
-        try:
+        with monkeypatch.context() as patched:
+            inject(patched.setattr, "write", lambda path: path.name.startswith("run.json"),
+                   interrupt)
             with pytest.raises(KeyboardInterrupt):
                 run_pipeline(config)
-        finally:
-            undo()
         assert (out / "run.json").read_bytes() == manifest
         assert run_pipeline(config).executed == []
         assert not (out / "run.json.tmp").exists()
 
     def test_kill_during_fetch_tx_leaves_it_unrecorded(self, tmp_path):
-        planted = build_planted_corpus(tmp_path / "planted")
-        out = tmp_path / "out"
-        (tmp_path / "run.cfg").write_text(planted.config_text(out))
-        config = parse_config(tmp_path / "run.cfg")
+        _, config, out = plant(tmp_path)
         run_pipeline(config)
         ledger_files = len(list((out / "ledgers").glob("*.json")))
         shutil.rmtree(out / "ledgers")
 
         # the process dies while fetch-tx writes its second ledger file
-        killed = subprocess.run([sys.executable, "-c", KILLED_IN_FETCH_TX,
-                                 str(tmp_path / "run.cfg")],
+        killed = subprocess.run([sys.executable, str(ROOT / "tests" / "killed.py"),
+                                 str(tmp_path / "run.cfg"), "2", "ledgers.tmp"],
                                 env=src_env(), capture_output=True, text=True, timeout=120)
-        assert killed.returncode == 9, killed.stderr
+        assert killed.returncode == KILLED, killed.stderr
         # the ledgers are written into ledgers.tmp/, which takes the place of
         # ledgers/ only when it is whole
         assert not (out / "ledgers").exists()
@@ -1017,10 +930,7 @@ class TestPipeline:
         assert_same_artifacts(out, fresh)
 
     def test_null_stage_digest_is_dropped_before_its_stage_runs(self, tmp_path, monkeypatch):
-        planted = build_planted_corpus(tmp_path / "planted")
-        out = tmp_path / "out"
-        (tmp_path / "run.cfg").write_text(planted.config_text(out))
-        config = parse_config(tmp_path / "run.cfg")
+        _, config, out = plant(tmp_path)
         run_pipeline(config)
         manifest = json.loads((out / "run.json").read_text())
         manifest["stages"]["ingest"] = None
@@ -1036,10 +946,8 @@ class TestPipeline:
         assert sorted(recorded[0]) == sorted(name for name, _ in report.STAGES[1:])
 
     def test_edited_ledger_changes_the_tables(self, tmp_path):
-        planted = build_planted_corpus(tmp_path / "planted")
-        out = tmp_path / "out"
-        (tmp_path / "run.cfg").write_text(planted.config_text(out))
-        run_pipeline(parse_config(tmp_path / "run.cfg"))
+        _, config, out = plant(tmp_path)
+        run_pipeline(config)
         before = json.loads((out / "summary.json").read_text())
         assert report_summary(out) == before
 
@@ -1049,34 +957,25 @@ class TestPipeline:
         assert after["income_satoshi"] == before["income_satoshi"] - top["received_satoshi"]
 
     def test_rerun_fetch_tx_leaves_no_stale_ledgers(self, tmp_path):
-        planted = build_planted_corpus(tmp_path / "planted")
-        cfg_text = planted.config_text(tmp_path / "out") + "min_received = 1000000000000\n"
-        (tmp_path / "run.cfg").write_text(cfg_text)
-        first = run_pipeline(parse_config(tmp_path / "run.cfg"))
+        _, config, out = plant(tmp_path, "min_received = 1000000000000")
+        first = run_pipeline(config)
         assert "fetch-tx" in first.executed
-        ledgers_before = len(list((tmp_path / "out" / "ledgers").glob("*.json")))
+        ledgers_before = len(list((out / "ledgers").glob("*.json")))
 
         # a stricter threshold labels fewer sites, so fewer addresses are illicit
-        cfg_text = cfg_text.replace("threshold = 0.5", "threshold = 1.0")
-        (tmp_path / "run.cfg").write_text(cfg_text)
-        resumed = run_pipeline(parse_config(tmp_path / "run.cfg"))
+        config = config._replace(threshold=1.0)
+        resumed = run_pipeline(config)
         assert "fetch-tx" in resumed.executed
 
-        (tmp_path / "fresh.cfg").write_text(cfg_text.replace(
-            "out_dir = %s" % (tmp_path / "out"), "out_dir = %s" % (tmp_path / "fresh")))
-        run_pipeline(parse_config(tmp_path / "fresh.cfg"))
+        run_pipeline(config._replace(out_dir=str(tmp_path / "fresh")))
         ledgers_after = len(list((tmp_path / "fresh" / "ledgers").glob("*.json")))
         assert ledgers_after < ledgers_before
-        assert_same_artifacts(tmp_path / "out", tmp_path / "fresh")
+        assert_same_artifacts(out, tmp_path / "fresh")
 
     def test_stage_failure_names_stage_and_keeps_partials(self, tmp_path):
-        planted = build_planted_corpus(tmp_path / "planted")
-        out = tmp_path / "out"
-        cfg_file = tmp_path / "run.cfg"
-        cfg_file.write_text(planted.config_text(out))
+        planted, config, out = plant(tmp_path)
         planted.ground_truth.write_text(
             '{"domain": "missing.onion", "path": "/", "category": "Drugs"}\n')
-        config = parse_config(cfg_file)
         with pytest.raises(StageError) as err:
             run_pipeline(config)
         assert err.value.stage == "classify"
@@ -1085,10 +984,7 @@ class TestPipeline:
         assert not (out / "labels.jsonl").exists()
 
     def test_illicit_label_that_is_no_category_fails_fetch_tx(self, tmp_path):
-        planted = build_planted_corpus(tmp_path / "planted")
-        out = tmp_path / "out"
-        (tmp_path / "run.cfg").write_text(planted.config_text(out))
-        config = parse_config(tmp_path / "run.cfg")
+        _, config, out = plant(tmp_path)
         run_pipeline(config)
         path = out / "illicit.jsonl"
         rows = [json.loads(line) for line in path.read_text().splitlines()]
@@ -1101,10 +997,7 @@ class TestPipeline:
         assert "Jaywalking" in str(err.value)
 
     def test_hand_edited_illicit_category_spelling_names_its_category(self, tmp_path):
-        planted = build_planted_corpus(tmp_path / "planted")
-        out = tmp_path / "out"
-        (tmp_path / "run.cfg").write_text(planted.config_text(out))
-        config = parse_config(tmp_path / "run.cfg")
+        _, config, out = plant(tmp_path)
         run_pipeline(config)
         before = {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
         path = out / "illicit.jsonl"
@@ -1122,10 +1015,7 @@ class TestPipeline:
         assert [p.name for p in before if before[p] != after[p]] == ["illicit.jsonl", "run.json"]
 
     def test_ground_truth_row_names_its_page_by_onion_name(self, tmp_path):
-        planted = build_planted_corpus(tmp_path / "planted")
-        out = tmp_path / "out"
-        (tmp_path / "run.cfg").write_text(planted.config_text(out))
-        config = parse_config(tmp_path / "run.cfg")
+        planted, config, out = plant(tmp_path)
         run_pipeline(config)
         labels = (out / "labels.jsonl").read_bytes()
         lines = planted.ground_truth.read_text().splitlines()
@@ -1136,10 +1026,7 @@ class TestPipeline:
         assert (out / "labels.jsonl").read_bytes() == labels
 
     def test_hand_edited_label_alias_names_its_category(self, tmp_path):
-        planted = build_planted_corpus(tmp_path / "planted")
-        out = tmp_path / "out"
-        (tmp_path / "run.cfg").write_text(planted.config_text(out))
-        config = parse_config(tmp_path / "run.cfg")
+        _, config, out = plant(tmp_path)
         run_pipeline(config)
         before = {p: p.read_bytes() for p in sorted(out.rglob("*")) if p.is_file()}
         path = out / "labels.jsonl"
@@ -1165,47 +1052,17 @@ def tree_state(path: Path):
     return path.read_bytes() if path.exists() else None
 
 
-def no_space(monkeypatch, at, hit):
-    """Make the open for writing, the first write or the rename (`at`) of
-    each path for which `hit(path)` is true raise ENOSPC; the write keeps
-    half its data first."""
-    real_open, real_replace, real_rename = io.open, Path.replace, Path.rename
-
-    def full(path):
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
-
-    def opening(file, mode="r", *args, **kwargs):
-        if isinstance(file, int) or not set(mode) & set("wax") or not hit(Path(file)):
-            return real_open(file, mode, *args, **kwargs)
-        if at == "open":
-            full(file)
-        fh = real_open(file, mode, *args, **kwargs)
-        return Torn(fh, lambda: full(file)) if at == "write" else fh
-
-    def renaming(rename):
-        def refusing(self, target):
-            if at == "rename" and hit(self):
-                full(self)
-            return rename(self, target)
-        return refusing
-    monkeypatch.setattr(builtins, "open", opening)
-    monkeypatch.setattr(io, "open", opening)
-    monkeypatch.setattr(Path, "replace", renaming(real_replace))
-    monkeypatch.setattr(Path, "rename", renaming(real_rename))
-
-
 class TestFailedWrites:
     @pytest.mark.parametrize("at", ["open", "write", "rename"])
     def test_final_run_json_write_fails_the_run_with_exit_3(self, tmp_path, monkeypatch, capsys,
                                                            at):
-        planted = build_planted_corpus(tmp_path / "planted")
-        out, clean = tmp_path / "out", tmp_path / "clean"
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(planted.config_text(out))
-        run_pipeline(parse_config(cfg)._replace(out_dir=str(clean)))
+        _, config, out = plant(tmp_path)
+        clean = tmp_path / "clean"
+        run_pipeline(config._replace(out_dir=str(clean)))
         with monkeypatch.context() as patched:
-            no_space(patched, at, lambda path: path.name == "run.json.tmp")
-            assert cli.main(["run", "--config", str(cfg)]) == cli.EXIT_STAGE
+            inject(patched.setattr, at, lambda path: path.name == "run.json.tmp",
+                   oserror(errno.ENOSPC))
+            assert cli.main(["run", "--config", str(tmp_path / "run.cfg")]) == cli.EXIT_STAGE
         err = capsys.readouterr().err
         errors = [line for line in err.splitlines() if line.startswith("ERROR")]
         assert len(errors) == 1 and "run.json" in errors[0], err
@@ -1213,28 +1070,25 @@ class TestFailedWrites:
         for name in ARTIFACTS:
             assert tree_state(out / name) == tree_state(clean / name), name
         assert sorted(p.name for p in out.iterdir()) == sorted(ARTIFACTS)
-        assert run_pipeline(parse_config(cfg)).skipped == []
+        assert run_pipeline(config).skipped == []
         assert_same_artifacts(out, clean)
 
     @pytest.mark.parametrize("artifact", ["corpus.jsonl", "ledgers"])
     def test_failed_write_removes_its_tmp_and_keeps_the_old_artifact(self, tmp_path,
                                                                      monkeypatch, artifact):
-        planted = build_planted_corpus(tmp_path / "planted")
-        out = tmp_path / "out"
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(planted.config_text(out))
-        run_pipeline(parse_config(cfg))
+        planted, config, out = plant(tmp_path)
+        run_pipeline(config)
         before = tree_state(out / artifact)
         if artifact == "corpus.jsonl":  # a page edit re-runs ingest
             page = planted.snapshot / NOISE / "index.html"
             page.write_bytes(page.read_bytes() + b"<p>kiwi</p>")
             hit, stage = (lambda path: path.name == "corpus.jsonl.tmp"), "ingest"
         else:  # fewer illicit sites re-run fetch-tx
-            cfg.write_text(planted.config_text(out).replace("threshold = 0.5", "threshold = 1.0"))
+            config = config._replace(threshold=1.0)
             hit, stage = (lambda path: path.parent.name == "ledgers.tmp"), "fetch-tx"
-        no_space(monkeypatch, "write", hit)
+        inject(monkeypatch.setattr, "write", hit, oserror(errno.ENOSPC))
         with pytest.raises(StageError) as err:
-            run_pipeline(parse_config(cfg))
+            run_pipeline(config)
         assert err.value.stage == stage
         assert tree_state(out / artifact) == before
         assert [p.name for p in out.iterdir() if p.suffix in (".tmp", ".old")] == []
@@ -1248,14 +1102,11 @@ def resume_cases(tmp_path_factory):
     run at 1.0 writes. `writes` counts the files the run at 1.0 writes,
     fresh and over work/prior."""
     work = tmp_path_factory.mktemp("resume")
-    planted = build_planted_corpus(work / "planted")
-    out = work / "out"
-    (work / "prior.cfg").write_text(planted.config_text(out))
+    _, config, out = plant(work, "threshold = 1.0")
     cfg = work / "run.cfg"
-    cfg.write_text(planted.config_text(out).replace("threshold = 0.5", "threshold = 1.0"))
-    run_pipeline(parse_config(work / "prior.cfg"))
+    run_pipeline(config._replace(threshold=0.5))
     out.rename(work / "prior")
-    run_pipeline(parse_config(cfg)._replace(out_dir=str(work / "clean")))
+    run_pipeline(config._replace(out_dir=str(work / "clean")))
     writes = {}
     for prior in ("fresh", "rerun"):
         place_prior(work, prior)
@@ -1334,15 +1185,20 @@ class TestInputMemo:
         target, kind = edit
         with tempfile.TemporaryDirectory() as tmp:
             tmp = Path(tmp)
-            planted = build_planted_corpus(tmp / "planted")
             for name in ("a", "b"):  # symlink targets, outside the snapshot
                 (tmp / ("explorers." + name)).write_text("btc.com\n%s.example\n" % name)
                 (tmp / ("page." + name)).write_text("<p>%s.example</p>" % name)
-            explorers, site = tmp / "explorers", planted.snapshot / NOISE
+            explorers = tmp / "explorers"
+            if kind == "retarget" and target == "file":
+                os.symlink(tmp / "explorers.a", explorers)
+            else:
+                shutil.copy(tmp / "explorers.a", explorers)
+            planted, config, out = plant(tmp, "explorer_domains = %s" % explorers)
+            site = planted.snapshot / NOISE
             page, link = site / "index.html", (explorers if target == "file"
                                                else site / "%2Flink.html")
-            if kind == "retarget":
-                os.symlink(tmp / ("explorers.a" if target == "file" else "page.a"), link)
+            if kind == "retarget" and target == "snapshot":
+                os.symlink(tmp / "page.a", link)
             elif kind == "linked-site":  # the site lives outside the snapshot, linked in
                 os.replace(site, tmp / "site")
                 os.symlink(tmp / "site", site)
@@ -1350,14 +1206,9 @@ class TestInputMemo:
                 manifest = planted.snapshot / "manifest.jsonl"
                 manifest.write_text("".join(line for line in manifest.read_text().splitlines(True)
                                             if NOISE not in line))
-            if not explorers.exists():
-                shutil.copy(tmp / "explorers.a", explorers)
-            cfg_text = planted.config_text(tmp / "out") + "explorer_domains = %s\n" % explorers
-            (tmp / "run.cfg").write_text(cfg_text)
-            config = parse_config(tmp / "run.cfg")
             run_pipeline(config)
             if aged:
-                age_manifest(tmp / "out")
+                age_manifest(out)
 
             edited = explorers if target == "file" else page
             if kind in ("same-size", "append"):
@@ -1382,13 +1233,10 @@ class TestInputMemo:
 
             fresh = config._replace(out_dir=str(tmp / "fresh"))
             run_pipeline(fresh)
-            assert_same_artifacts(tmp / "out", tmp / "fresh")
+            assert_same_artifacts(out, tmp / "fresh")
 
     def test_input_edited_after_its_digest_reruns_its_stage(self, tmp_path, monkeypatch):
-        planted = build_planted_corpus(tmp_path / "planted")
-        out = tmp_path / "out"
-        (tmp_path / "run.cfg").write_text(planted.config_text(out))
-        config = parse_config(tmp_path / "run.cfg")
+        planted, config, out = plant(tmp_path)
         trace_stage = dict(report.STAGES)["trace"]
 
         def edit_then_trace(cfg, inputs):  # ingest has read the snapshot by now
@@ -1406,10 +1254,7 @@ class TestInputMemo:
         assert_same_artifacts(out, tmp_path / "fresh")
 
     def test_input_edited_while_hashed_reruns_its_stage(self, tmp_path, monkeypatch):
-        planted = build_planted_corpus(tmp_path / "planted")
-        out = tmp_path / "out"
-        (tmp_path / "run.cfg").write_text(planted.config_text(out))
-        config = parse_config(tmp_path / "run.cfg")
+        planted, config, out = plant(tmp_path)
         page, real_open = planted.snapshot / NOISE / "index.html", io.open
 
         def edit_after_reading(file, mode="r", *args, **kwargs):
@@ -1667,9 +1512,7 @@ class TestCorpusMemo:
 def handed_on(tmp_path_factory):
     """The out dir of a fresh planted run, and the value of each artifact as
     the run handed it on in memory."""
-    tmp = tmp_path_factory.mktemp("handed_on")
-    planted = build_planted_corpus(tmp / "planted")
-    (tmp / "run.cfg").write_text(planted.config_text(tmp / "out"))
+    _, config, out = plant(tmp_path_factory.mktemp("handed_on"))
     values = {}
 
     def recording(name, write):
@@ -1681,8 +1524,8 @@ def handed_on(tmp_path_factory):
         for name, artifact in list(ARTIFACTS.items()):
             mp.setitem(ARTIFACTS, name,
                        artifact._replace(write=recording(name, artifact.write)))
-        run_pipeline(parse_config(tmp / "run.cfg"))
-    return tmp / "out", values
+        run_pipeline(config)
+    return out, values
 
 
 def comparable(name, value):
@@ -1707,30 +1550,30 @@ class TestRoundTrip:
 
 
 class TestTables:
-    def test_all_category_rows_present(self, planted_run):
-        _, _, _, out = planted_run
+    def test_all_category_rows_present(self, fresh):
+        _, out, _ = fresh
         doc = json.loads((out / "tables" / "classification.json").read_text())
         names = [r["category"] for r in doc["rows"]]
         assert len(names) == 14  # 12 categories + Other + Total
         assert names[-1] == "Total"
         assert "Other" in names
 
-    def test_totals_are_column_sums(self, planted_run):
-        _, _, _, out = planted_run
+    def test_totals_are_column_sums(self, fresh):
+        _, out, _ = fresh
         doc = json.loads((out / "tables" / "classification.json").read_text())
         rows, total = doc["rows"][:-1], doc["rows"][-1]
         for col in ("onions", "pages", "btc_addresses", "illicit_btc_addresses"):
             assert total[col] == sum(r[col] for r in rows)
 
-    def test_top_addresses_sorted_desc(self, planted_run):
-        _, _, _, out = planted_run
+    def test_top_addresses_sorted_desc(self, fresh):
+        _, out, _ = fresh
         doc = json.loads((out / "tables" / "top_addresses.json").read_text())
         received = [r["received_satoshi"] for r in doc["rows"]]
         assert received == sorted(received, reverse=True)
         assert doc["rows"][0]["received_btc"] == "1.50000000"
 
-    def test_hand_counted_planted_rows(self, planted_run):
-        _, _, _, out = planted_run
+    def test_hand_counted_planted_rows(self, fresh):
+        _, out, _ = fresh
         doc = json.loads((out / "tables" / "classification.json").read_text())
         rows = {r["category"]: r for r in doc["rows"]}
         # by construction: two campaign sites + one ground-truth template site;
@@ -1797,12 +1640,12 @@ class TestTables:
         assert rows == [{"v": 1, "domain": "ethpageaaaaaaaaa.onion", "path": "/",
                          "kind": "eth", "value": eth, "valid": True}]
 
-    def test_extract_rows_equal_per_page_scans_and_hash_each_body_once(self, planted_run,
+    def test_extract_rows_equal_per_page_scans_and_hash_each_body_once(self, fresh,
                                                                        monkeypatch):
         from onionforge import extract
         from onionforge.corpus import PageRecord
         from onionforge.keccak import keccak256_batch
-        _, config, _, out = planted_run
+        config, out, _ = fresh
         planted = read_inputs(out, "extract")["corpus.jsonl"]
         valid = "0x5aAeb6053F3E94C9b9A09f33669435E7Ef1BeAed"  # EIP-55 reference vectors
         other = "fB6916095ca1df60bB79Ce92cE3Ea74c37c5d359"
@@ -1918,8 +1761,8 @@ class TestGraphExport:
         assert not any("reg:" in u + v for u, v in parsed.edges)
         assert "reg:" not in dot and "ip:" + ip in dot
 
-    def test_roundtrip_isomorphic(self, planted_run):
-        _, _, _, out = planted_run
+    def test_roundtrip_isomorphic(self, fresh):
+        _, out, _ = fresh
         # parallel typed edges (common-input + internal-tx) make this a multigraph
         parsed = nx.MultiGraph(nx.read_graphml(out / "graph.graphml", force_multigraph=True))
         original = nx.MultiGraph()
@@ -1948,8 +1791,8 @@ class TestGraphExport:
         assert report.escape(text) == saxutils.escape(text)
         assert report.quoteattr(text) == saxutils.quoteattr(text)
 
-    def test_size_attribute_proportional(self, planted_run):
-        _, _, _, out = planted_run
+    def test_size_attribute_proportional(self, fresh):
+        _, out, _ = fresh
         parsed = nx.read_graphml(out / "graph.graphml")
         for nid, attrs in parsed.nodes(data=True):
             if attrs.get("type") == "btc":
@@ -1974,10 +1817,8 @@ class TestDeclarations:
 
 
 class TestDeterminism:
-    def test_artifacts_byte_identical_across_runs(self, planted_run, tmp_path):
-        planted, _, _, out1 = planted_run
+    def test_artifacts_byte_identical_across_runs(self, fresh, tmp_path):
+        config, out1, _ = fresh
         out2 = tmp_path / "out2"
-        cfg_file = tmp_path / "run2.cfg"
-        cfg_file.write_text(planted.config_text(out2))
-        run_pipeline(parse_config(cfg_file))
+        run_pipeline(config._replace(out_dir=str(out2)))
         assert_same_artifacts(out1, out2)
